@@ -14,15 +14,11 @@
 //! workload shape, full 4-ary trees at n ∈ {64, 256, 1024, 4096}),
 //! sharding the independent `(point × sweep mode)` deployments across the
 //! machine's cores, and writes `BENCH_hotpath.json` at the repository
-//! root: overlap comparisons full vs incremental vs aggregate sweep (with
-//! runtime assertions that all three produce bit-identical detections),
-//! logical vs deep clock clones, encoded bytes per interval dense vs
-//! delta, a `parallel_sweep` section timing `SweepMode::AggregateParallel`
-//! against sequential `Aggregate` on wide sink banks (n = 1024 and 4096)
-//! per thread count — with runtime assertions that every thread count
-//! reproduces the sequential decision trace, solution sequence, and
-//! billed comparison total exactly — plus a `repair` row measuring the
-//! decentralized crash-recovery protocol (re-report traffic and simulated
+//! root: overlap comparisons of the `Full` reference vs the `Aggregate`
+//! engine (with runtime assertions that both produce bit-identical
+//! detections), logical vs deep clock clones, encoded bytes per interval
+//! dense vs delta, plus a `repair` row measuring the decentralized
+//! crash-recovery protocol (re-report traffic and simulated
 //! time-to-first-solution after a mid-run internal-node crash on the
 //! `h = 3` workload), and a `reactor` row driving one real-TCP node
 //! through a 512-connection fan-in on a single epoll loop
@@ -77,7 +73,7 @@ fn usage() -> ! {
         "usage: ftscp_sim [--nodes N] [--degree D] [--rounds P] [--skip F] \
          [--solo F] [--seed S] [--loss F] [--crash NODE@MSms]... \
          [--topology tree|grid|geometric|smallworld|scalefree] [--baseline] \
-         | --bench-json | --bench-check | --bench-parallel | --bench-tenancy"
+         | --bench-json | --bench-check | --bench-tenancy"
     );
     std::process::exit(2);
 }
@@ -114,7 +110,7 @@ struct CodecRun {
 }
 
 /// One measured size point of the `--bench-json` suite, assembled from
-/// its three [`ModeRun`]s and one [`CodecRun`].
+/// its two [`ModeRun`]s and one [`CodecRun`].
 struct BenchPoint {
     n: usize,
     h: u32,
@@ -123,7 +119,6 @@ struct BenchPoint {
     intervals: usize,
     detections: usize,
     ops_full: u64,
-    ops_incr: u64,
     ops_agg: u64,
     gate_hits: u64,
     gate_misses: u64,
@@ -133,7 +128,6 @@ struct BenchPoint {
     standalone_bytes: usize,
     stateful_bytes: usize,
     elapsed_full_ms: f64,
-    elapsed_incr_ms: f64,
     elapsed_agg_ms: f64,
 }
 
@@ -443,190 +437,6 @@ fn bench_reactor() -> ReactorRun {
     run
 }
 
-/// One `AggregateParallel` run of the sink-bank suite, measured against
-/// the sequential `Aggregate` baseline of the same [`ParallelPoint`].
-struct ParallelRun {
-    threads_requested: usize,
-    threads_effective: usize,
-    elapsed_ms: f64,
-    speedup: f64,
-}
-
-/// One size point of the parallel-sweep suite: a single *wide* queue bank
-/// (one queue per process, fed directly — the centralized sink shape,
-/// where every sweep visit touches an `n`-queue × `n`-component region
-/// and the per-visit sharding has room to pay off; the hierarchical
-/// grid's per-node banks are only `d = 4` queues wide and never cross the
-/// parallel threshold). The outcome columns are shared by every run of
-/// the point — the runtime asserts make them bit-identical.
-struct ParallelPoint {
-    n: usize,
-    rounds: usize,
-    /// `available_parallelism` of the measuring machine — committed with
-    /// the rows so a 1-core artifact reads as what it is.
-    cores: usize,
-    intervals: usize,
-    solutions: u64,
-    swept: u64,
-    pruned: u64,
-    billed_ops: u64,
-    seq_elapsed_ms: f64,
-    runs: Vec<ParallelRun>,
-}
-
-/// Everything observable about one sink-bank sweep: the full decision
-/// trace (enqueue/sweep/prune/emission order), solution sequence, stats,
-/// and billed comparison total that must be bit-identical across thread
-/// counts, plus the wall-clock that must not be.
-struct SinkRun {
-    elapsed_ms: f64,
-    ops: u64,
-    stats: ftscp_intervals::BankStats,
-    solutions: Vec<ftscp_intervals::Solution>,
-    trace: Vec<ftscp_intervals::BankEvent>,
-}
-
-/// Feeds one pre-built interval stream through a fresh `n`-queue sink
-/// bank under `mode`, tracing every decision.
-fn run_sink(
-    intervals: &[ftscp_intervals::Interval],
-    n: usize,
-    mode: ftscp_intervals::SweepMode,
-) -> SinkRun {
-    use ftscp_intervals::{QueueBank, SlotId};
-    use std::time::Instant;
-
-    let mut bank = QueueBank::new(n).with_sweep_mode(mode).with_trace();
-    let mut solutions = Vec::new();
-    let t0 = Instant::now();
-    for iv in intervals {
-        solutions.extend(bank.enqueue(SlotId(iv.source.0), iv.clone()));
-    }
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    SinkRun {
-        elapsed_ms,
-        ops: bank.ops().get(),
-        stats: bank.stats(),
-        solutions,
-        trace: bank.take_trace(),
-    }
-}
-
-/// Measures one parallel-sweep size point: sequential `Aggregate` first,
-/// then `AggregateParallel` at each requested thread count (0 = auto),
-/// asserting after every run that the parallel sweep reproduced the
-/// sequential decision trace, solution sequence, deletion/prune counters,
-/// and billed comparison total *exactly* — the tentpole's bit-identity
-/// contract, enforced on real workloads every time the bench runs.
-fn bench_parallel_point(n: usize, rounds: usize) -> ParallelPoint {
-    use ftscp_intervals::SweepMode;
-
-    let exec = RandomExecution::builder(n)
-        .intervals_per_process(rounds)
-        .seed(7)
-        .build();
-    let intervals: Vec<ftscp_intervals::Interval> =
-        exec.intervals_interleaved().into_iter().cloned().collect();
-
-    let seq = run_sink(&intervals, n, SweepMode::Aggregate);
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 4, 0] {
-        let effective = ftscp_intervals::par::effective_threads(threads);
-        let par = run_sink(&intervals, n, SweepMode::AggregateParallel { threads });
-        assert_eq!(
-            par.solutions, seq.solutions,
-            "parallel sweep solution sequence diverged at n = {n}, {threads} threads"
-        );
-        assert_eq!(
-            par.stats, seq.stats,
-            "parallel sweep bank stats diverged at n = {n}, {threads} threads"
-        );
-        assert_eq!(
-            par.ops, seq.ops,
-            "parallel sweep billed total diverged at n = {n}, {threads} threads"
-        );
-        assert_eq!(
-            par.trace, seq.trace,
-            "parallel sweep decision trace (deletion order) diverged at n = {n}, {threads} threads"
-        );
-        runs.push(ParallelRun {
-            threads_requested: threads,
-            threads_effective: effective,
-            elapsed_ms: par.elapsed_ms,
-            speedup: seq.elapsed_ms / par.elapsed_ms.max(1e-9),
-        });
-    }
-
-    // The speedup bar: ≥2× over sequential aggregate on the dense
-    // n = 4096 sink at ≥4 threads. Wall-clock is machine-dependent (the
-    // materialization pass is memory-bandwidth-bound, and shared CI
-    // runners neither guarantee 4 physical cores nor stable bandwidth),
-    // so the bar is only *enforced* when the operator vouches for the
-    // hardware via `FTSCP_BENCH_ASSERT_SPEEDUP=1`; everywhere else a
-    // miss on a ≥4-core machine is reported loudly but stays ungated —
-    // the same policy `--bench-check` applies to every elapsed_ms field.
-    // The bit-identity assertions above run unconditionally.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if n >= 4096 {
-        let four = runs
-            .iter()
-            .find(|r| r.threads_requested == 4)
-            .expect("4-thread row is in the grid");
-        if cores < 4 {
-            eprintln!(
-                "note: {cores}-core machine — the ≥2× speedup bar needs 4 cores \
-                 (measured {:.2}x at 4 oversubscribed threads)",
-                four.speedup
-            );
-        } else if std::env::var("FTSCP_BENCH_ASSERT_SPEEDUP").is_ok() {
-            assert!(
-                four.speedup >= 2.0,
-                "parallel sweep under 2x at n = {n} with 4 threads on {cores} cores ({:.2}x)",
-                four.speedup
-            );
-        } else if four.speedup < 2.0 {
-            eprintln!(
-                "WARNING: parallel sweep under the 2x bar at n = {n} with 4 threads \
-                 on {cores} cores ({:.2}x) — set FTSCP_BENCH_ASSERT_SPEEDUP=1 to enforce",
-                four.speedup
-            );
-        } else {
-            eprintln!(
-                "parallel sweep speedup bar met: {:.2}x at 4 threads on {cores} cores",
-                four.speedup
-            );
-        }
-    }
-
-    ParallelPoint {
-        n,
-        rounds,
-        cores,
-        intervals: intervals.len(),
-        solutions: seq.stats.solutions,
-        swept: seq.stats.swept,
-        pruned: seq.stats.pruned,
-        billed_ops: seq.ops,
-        seq_elapsed_ms: seq.elapsed_ms,
-        runs,
-    }
-}
-
-/// The parallel-sweep suite: wide sink banks at n = 1024, 4096, and
-/// 16384 (dense workload, seed 7), sequential baseline +
-/// per-thread-count rows. Runs are strictly sequential — each owns the
-/// whole machine, so the wall-clock rows measure the sharding, not
-/// scheduler contention.
-fn bench_parallel_sweep() -> Vec<ParallelPoint> {
-    [(1024usize, 2usize), (4096, 1), (16384, 1)]
-        .into_iter()
-        .map(|(n, rounds)| {
-            eprintln!("parallel sweep: sink bank n = {n}, rounds = {rounds} ...");
-            bench_parallel_point(n, rounds)
-        })
-        .collect()
-}
-
 /// One tenant-count point of the tenancy suite: the registry's
 /// relevance-filtered routing vs the naive broadcast baseline on the
 /// same shared event stream, with per-tenant bit-identity asserted at
@@ -831,8 +641,8 @@ fn bench_tenancy() -> Vec<TenancyPoint> {
 ///
 /// The cross-checks are the bit-identity contract of the sweep modes,
 /// asserted at runtime on every point: identical faultcheck fingerprints
-/// *and* identical solution sequences across `Full`, `Incremental`, and
-/// `Aggregate`. The clean `h = 5` row must also show the headline
+/// *and* identical solution sequences for the `Full` reference and the
+/// `Aggregate` engine. The clean `h ≥ 5` rows must also show the headline
 /// `≥ 10×` comparison saving of the aggregate-summary gate.
 fn bench_points() -> Vec<BenchPoint> {
     use ftscp_intervals::SweepMode;
@@ -841,12 +651,8 @@ fn bench_points() -> Vec<BenchPoint> {
         .iter()
         .flat_map(|&(skip, solo)| BENCH_HEIGHTS.iter().map(move |&h| (h, skip, solo)))
         .collect();
-    const MODES: [SweepMode; 3] = [
-        SweepMode::Full,
-        SweepMode::Incremental,
-        SweepMode::Aggregate,
-    ];
-    const JOBS_PER_POINT: usize = MODES.len() + 1; // 3 sweep modes + codec
+    const MODES: [SweepMode; 2] = [SweepMode::Full, SweepMode::Aggregate];
+    const JOBS_PER_POINT: usize = MODES.len() + 1; // 2 sweep modes + codec
 
     enum JobOut {
         Mode(ModeRun),
@@ -869,28 +675,18 @@ fn bench_points() -> Vec<BenchPoint> {
     for (pi, chunk) in outs.chunks(JOBS_PER_POINT).enumerate() {
         let (h, skip, solo) = grid[pi];
         let n = 4usize.pow(h);
-        let [JobOut::Mode(full), JobOut::Mode(incr), JobOut::Mode(agg), JobOut::Codec(codec)] =
-            chunk
-        else {
+        let [JobOut::Mode(full), JobOut::Mode(agg), JobOut::Codec(codec)] = chunk else {
             unreachable!("job kinds arrive in per-point order");
         };
-        // Bit-identity across all three sweep modes: same fingerprint,
-        // same explicit solution sequence.
-        for (name, run) in [("incremental", incr), ("aggregate", agg)] {
-            assert_eq!(
-                full.fingerprint, run.fingerprint,
-                "{name} sweep fingerprint diverged at n = {n}, skip = {skip}"
-            );
-            assert_eq!(
-                full.solutions, run.solutions,
-                "{name} sweep solution sequence diverged at n = {n}, skip = {skip}"
-            );
-        }
-        assert!(
-            incr.ops < full.ops,
-            "incremental sweep must do strictly fewer comparisons ({} >= {})",
-            incr.ops,
-            full.ops
+        // Bit-identity of the engine against the reference: same
+        // fingerprint, same explicit solution sequence.
+        assert_eq!(
+            full.fingerprint, agg.fingerprint,
+            "aggregate sweep fingerprint diverged at n = {n}, skip = {skip}"
+        );
+        assert_eq!(
+            full.solutions, agg.solutions,
+            "aggregate sweep solution sequence diverged at n = {n}, skip = {skip}"
         );
         assert!(
             agg.ops < full.ops,
@@ -914,17 +710,15 @@ fn bench_points() -> Vec<BenchPoint> {
             intervals: codec.intervals,
             detections: agg.detections,
             ops_full: full.ops,
-            ops_incr: incr.ops,
             ops_agg: agg.ops,
             gate_hits: agg.gate_hits,
             gate_misses: agg.gate_misses,
-            clones_logical: incr.clones_logical,
-            clones_deep: incr.clones_deep,
+            clones_logical: agg.clones_logical,
+            clones_deep: agg.clones_deep,
             dense_bytes: codec.dense_bytes,
             standalone_bytes: codec.standalone_bytes,
             stateful_bytes: codec.stateful_bytes,
             elapsed_full_ms: full.elapsed_ms,
-            elapsed_incr_ms: incr.elapsed_ms,
             elapsed_agg_ms: agg.elapsed_ms,
         });
     }
@@ -960,7 +754,6 @@ fn render_tenancy_json(tenancy: &[TenancyPoint]) -> String {
 
 fn render_bench_json(
     points: &[BenchPoint],
-    parallel: &[ParallelPoint],
     tenancy: &[TenancyPoint],
     net: &NetRun,
     repair: &RepairRun,
@@ -970,6 +763,11 @@ fn render_bench_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
+    // The measuring machine, so the wall-clock rows read as what they are.
+    out.push_str(&format!(
+        "  \"cores\": {},\n",
+        std::thread::available_parallelism().map_or(1, |c| c.get())
+    ));
     out.push_str(
         "  \"workload\": {\"tree_degree\": 4, \"intervals_per_process\": 6, \"seed\": 7},\n",
     );
@@ -982,12 +780,10 @@ fn render_bench_json(
             p.n, p.h, p.skip, p.solo, p.intervals, p.detections
         ));
         out.push_str(&format!(
-            "     \"overlap_comparisons\": {{\"full_sweep\": {}, \"incremental\": {}, \
-             \"aggregate\": {}, \"saved_pct\": {:.2}, \"aggregate_saved_pct\": {:.2}}},\n",
+            "     \"overlap_comparisons\": {{\"full_sweep\": {}, \"aggregate\": {}, \
+             \"aggregate_saved_pct\": {:.2}}},\n",
             p.ops_full,
-            p.ops_incr,
             p.ops_agg,
-            pct_saved(p.ops_full, p.ops_incr),
             pct_saved(p.ops_full, p.ops_agg)
         ));
         out.push_str(&format!(
@@ -1007,48 +803,10 @@ fn render_bench_json(
             per_iv(p.stateful_bytes)
         ));
         out.push_str(&format!(
-            "     \"elapsed_ms\": {{\"full\": {:.3}, \"incremental\": {:.3}, \"aggregate\": {:.3}}}}}{}\n",
+            "     \"elapsed_ms\": {{\"full\": {:.3}, \"aggregate\": {:.3}}}}}{}\n",
             p.elapsed_full_ms,
-            p.elapsed_incr_ms,
             p.elapsed_agg_ms,
             if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    // Wall-clock rows of the parallel sweep: deliberately *not* gated by
-    // `--bench-check` (machine-dependent); the bit-identity and billed-
-    // total contracts are asserted at generation time instead.
-    out.push_str("  \"parallel_sweep\": [\n");
-    for (i, p) in parallel.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"rounds\": {}, \"cores\": {}, \"intervals\": {}, \
-             \"solutions\": {}, \"swept\": {}, \"pruned\": {}, \"billed_ops\": {}, \
-             \"seq_elapsed_ms\": {:.3},\n",
-            p.n,
-            p.rounds,
-            p.cores,
-            p.intervals,
-            p.solutions,
-            p.swept,
-            p.pruned,
-            p.billed_ops,
-            p.seq_elapsed_ms
-        ));
-        out.push_str("     \"threads\": [\n");
-        for (j, r) in p.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"requested\": {}, \"effective\": {}, \"elapsed_ms\": {:.3}, \
-                 \"speedup\": {:.2}}}{}\n",
-                r.threads_requested,
-                r.threads_effective,
-                r.elapsed_ms,
-                r.speedup,
-                if j + 1 < p.runs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 < parallel.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -1108,7 +866,6 @@ const BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_
 
 fn run_bench_json() {
     let points = bench_points();
-    let parallel = bench_parallel_sweep();
     let tenancy = bench_tenancy();
     let net = bench_net_loopback();
     let repair = bench_repair();
@@ -1119,7 +876,7 @@ fn run_bench_json() {
     if !reactor.available {
         eprintln!("note: reactor scale run unavailable — reactor row records zeros");
     }
-    let out = render_bench_json(&points, &parallel, &tenancy, &net, &repair, &reactor);
+    let out = render_bench_json(&points, &tenancy, &net, &repair, &reactor);
     std::fs::write(BENCH_JSON_PATH, &out).expect("write BENCH_hotpath.json");
     print!("{out}");
     eprintln!("written to {BENCH_JSON_PATH}");
@@ -1136,7 +893,7 @@ fn run_bench_json() {
 /// in file order — a deliberately dumb extractor for the regression gate
 /// (no serde_json in the build environment; the file is our own
 /// hand-formatted flat output). Scoping to the section keeps key names
-/// like `"incremental"` from matching in `elapsed_ms`, which is
+/// like `"aggregate"` from matching in `elapsed_ms`, which is
 /// machine-dependent and must not be gated.
 fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
     let sec_pat = format!("\"{section}\": {{");
@@ -1170,9 +927,8 @@ fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
 /// against the committed `BENCH_hotpath.json`. Wall-clock times are
 /// machine-dependent and deliberately not gated.
 fn run_bench_check() {
-    const GATED_KEYS: [(&str, &str); 14] = [
+    const GATED_KEYS: [(&str, &str); 13] = [
         ("overlap_comparisons", "full_sweep"),
-        ("overlap_comparisons", "incremental"),
         ("overlap_comparisons", "aggregate"),
         ("bytes_per_interval", "dense"),
         ("bytes_per_interval", "delta_standalone"),
@@ -1198,19 +954,7 @@ fn run_bench_check() {
     let net = bench_net_loopback();
     let repair = bench_repair();
     let reactor = bench_reactor();
-    // The parallel-sweep section holds only machine-dependent wall-clock
-    // rows (its correctness contract is asserted when the suite runs), so
-    // the check pass skips regenerating it rather than burn minutes on
-    // ungated numbers. The tenancy suite is cheap and fully gated, so it
-    // *is* regenerated (and its runtime assertions re-run) here.
-    let current = render_bench_json(
-        &bench_points(),
-        &[],
-        &bench_tenancy(),
-        &net,
-        &repair,
-        &reactor,
-    );
+    let current = render_bench_json(&bench_points(), &bench_tenancy(), &net, &repair, &reactor);
 
     let mut failures = Vec::new();
     for (section, key) in GATED_KEYS {
@@ -1366,25 +1110,6 @@ fn main() {
     // bit-identity assertions — without the full grid.
     if std::env::args().any(|a| a == "--bench-tenancy") {
         print!("{}", render_tenancy_json(&bench_tenancy()));
-        return;
-    }
-    // Standalone parallel-sweep suite (same rows as the `--bench-json`
-    // `parallel_sweep` section) for re-measuring the speedup table
-    // without the full grid.
-    if std::env::args().any(|a| a == "--bench-parallel") {
-        for p in bench_parallel_sweep() {
-            eprintln!(
-                "n = {}: {} intervals, {} solutions, {} swept, {} pruned, \
-                 {} billed ops, sequential {:.1} ms",
-                p.n, p.intervals, p.solutions, p.swept, p.pruned, p.billed_ops, p.seq_elapsed_ms
-            );
-            for r in p.runs {
-                eprintln!(
-                    "  threads {} (effective {}): {:.1} ms, {:.2}x",
-                    r.threads_requested, r.threads_effective, r.elapsed_ms, r.speedup
-                );
-            }
-        }
         return;
     }
     let args = parse_args();

@@ -140,8 +140,8 @@ impl HierarchicalDetector {
     /// Sets the head-overlap sweep mode of every engine (see
     /// [`ftscp_intervals::SweepMode`]). Detection outcomes are identical
     /// in both modes; only the number of clock comparisons billed to the
-    /// shared [`ops`](Self::ops) counter differs — this is the knob the
-    /// benchmark harness flips for its before/after comparison.
+    /// shared [`ops`](Self::ops) counter differs — tests and benchmarks
+    /// use it to build the `Full` reference detector.
     pub fn with_sweep_mode(mut self, mode: ftscp_intervals::SweepMode) -> Self {
         for slot in self.engines.iter_mut() {
             if let Some(e) = slot.take() {
@@ -201,7 +201,7 @@ impl HierarchicalDetector {
     }
 
     /// Sum of every engine's queue-bank statistics (enqueues, sweeps,
-    /// prunes, solutions, cache traffic) — the whole-tree cost picture the
+    /// prunes, solutions, gate traffic) — the whole-tree cost picture the
     /// benchmark harness reports alongside [`ops`](Self::ops).
     pub fn bank_stats_total(&self) -> ftscp_intervals::BankStats {
         let mut total = ftscp_intervals::BankStats::default();
@@ -213,8 +213,6 @@ impl HierarchicalDetector {
             total.solutions += s.solutions;
             total.peak_resident = total.peak_resident.max(s.peak_resident);
             total.peak_queue_len = total.peak_queue_len.max(s.peak_queue_len);
-            total.cache_hits += s.cache_hits;
-            total.cache_misses += s.cache_misses;
             total.gate_hits += s.gate_hits;
             total.gate_misses += s.gate_misses;
         }

@@ -14,7 +14,7 @@ use crate::membership::{Membership, MembershipEvent};
 use crate::protocol::DetectMsg;
 use crate::report::GlobalDetection;
 use crate::transport::MonitorCore;
-use ftscp_intervals::{Interval, SweepMode};
+use ftscp_intervals::Interval;
 use ftscp_simnet::{Application, Ctx, NodeId, SimTime, TimerToken};
 use ftscp_vclock::ProcessId;
 use std::collections::{BTreeMap, VecDeque};
@@ -52,15 +52,6 @@ pub struct MonitorConfig {
     /// involvement. `None` (the default) leaves repair to the
     /// deployment's maintenance service (the clairvoyant oracle).
     pub suspect_timeout: Option<SimTime>,
-    /// Sweep evaluation strategy installed into every node engine. The
-    /// default is [`SweepMode::Incremental`] unless the
-    /// `FTSCP_SWEEP_THREADS` env var is set, in which case the whole
-    /// deployment runs `AggregateParallel { threads: 0 }` (resolving the
-    /// worker count from that same variable) — the CI lever that forces
-    /// the tier-1 suite through the parallel sweep at a chosen thread
-    /// count. Detection outcomes are mode-invariant, so flipping this
-    /// can never change what a test observes, only how it is computed.
-    pub sweep_mode: SweepMode,
 }
 
 impl Default for MonitorConfig {
@@ -71,11 +62,6 @@ impl Default for MonitorConfig {
             retransmit_burst: 8,
             retransmit_backoff_cap: 8,
             suspect_timeout: None,
-            sweep_mode: if std::env::var(ftscp_intervals::par::SWEEP_THREADS_ENV).is_ok() {
-                SweepMode::AggregateParallel { threads: 0 }
-            } else {
-                SweepMode::default()
-            },
         }
     }
 }

@@ -24,8 +24,7 @@
 //!   pays only for events that can affect its predicate, so aggregate
 //!   cost grows with Σ|S_k|, not `tenants × events`.
 //!
-//! The naive alternative — offer every event to every tenant, as the
-//! pre-registry [`MultiDetector`](crate::MultiDetector) did — is kept as
+//! The naive alternative — offer every event to every tenant — is kept as
 //! [`ingest_broadcast`]: detection outcomes are bit-identical (a
 //! non-member feed is a no-op inside the tenant's detector), only the
 //! billed routing cost differs. The benchmark harness asserts the
@@ -41,14 +40,18 @@
 //! [`ingest_broadcast`]: PredicateRegistry::ingest_broadcast
 
 use crate::hier::HierarchicalDetector;
-use crate::multi::PredicateId;
 use crate::nid;
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::Topology;
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::{ClockPool, ProcessId, VectorClock};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// Identifies one of the monitored predicates.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+pub struct PredicateId(pub u32);
 
 /// Declares one tenant: a predicate id plus its local-predicate set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -311,9 +314,8 @@ impl PredicateRegistry {
         }
     }
 
-    /// Ingests one event the way the naive pre-registry
-    /// [`MultiDetector`](crate::MultiDetector) did: every tenant is
-    /// offered every event, relevant or not. A non-member feed is a no-op
+    /// Ingests one event the naive way: every tenant is offered every
+    /// event, relevant or not. A non-member feed is a no-op
     /// inside the tenant's detector, so detection outcomes (solution
     /// sequences) are bit-identical to [`ingest`](Self::ingest) — only
     /// the billed routing cost differs. Kept as the differential baseline.
@@ -330,14 +332,13 @@ impl PredicateRegistry {
         }
     }
 
-    /// Feeds an interval to a *single* tenant, bypassing routing — the
-    /// per-predicate streams of the legacy [`MultiDetector`] façade.
+    /// Feeds an interval to a *single* tenant, bypassing routing — for
+    /// predicates that each have their own event stream (e.g. one
+    /// threshold per sensor quantity).
     ///
     /// # Panics
     ///
     /// Panics on an unknown predicate id.
-    ///
-    /// [`MultiDetector`]: crate::MultiDetector
     pub fn feed_tenant(&mut self, pred: PredicateId, interval: Interval) {
         let interval = self.interned(interval);
         let idx = self.slot_index(pred);
@@ -537,6 +538,45 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_feeding_keeps_predicates_isolated() {
+        // Two full tenants, each with its own stream (4 and 2 clean
+        // rounds), fed alternately through `feed_tenant`: each must detect
+        // exactly what a standalone detector fed only its stream detects.
+        let n = 7;
+        let tree = SpanningTree::balanced_dary(n, 2);
+        let mut reg = PredicateRegistry::new(
+            &tree,
+            &[
+                TenantSpec::full(PredicateId(0)),
+                TenantSpec::full(PredicateId(1)),
+            ],
+        );
+        let streams = [exec(n, 4, 1), exec(n, 2, 2)];
+        let feeds: Vec<Vec<&Interval>> =
+            streams.iter().map(|e| e.intervals_interleaved()).collect();
+        for i in 0..feeds[0].len() {
+            for (k, feed) in feeds.iter().enumerate() {
+                if let Some(iv) = feed.get(i) {
+                    reg.feed_tenant(PredicateId(k as u32), (*iv).clone());
+                }
+            }
+        }
+        for (k, feed) in feeds.iter().enumerate() {
+            let mut solo = HierarchicalDetector::new(&tree);
+            for iv in feed {
+                solo.feed((*iv).clone());
+            }
+            assert_eq!(
+                reg.root_solutions(PredicateId(k as u32)),
+                solo.root_solutions(),
+                "tenant {k} saw another tenant's stream"
+            );
+        }
+        assert_eq!(reg.root_solutions(PredicateId(0)).len(), 4);
+        assert_eq!(reg.root_solutions(PredicateId(1)).len(), 2);
+    }
+
+    #[test]
     fn member_failure_repairs_only_affected_tenants() {
         let n = 7;
         let topo = Topology::dary_tree(n, 2, 1);
@@ -544,9 +584,17 @@ mod tests {
         let specs = vec![
             TenantSpec::restricted(PredicateId(0), vec![ProcessId(3), ProcessId(4)]),
             TenantSpec::restricted(PredicateId(1), vec![ProcessId(5), ProcessId(6)]),
+            TenantSpec::full(PredicateId(2)),
+            TenantSpec::full(PredicateId(3)),
         ];
         let mut reg = PredicateRegistry::new(&tree, &specs);
         reg.fail_node(ProcessId(3), &topo);
+        // Every full-coverage tenant contained the node: all repair alike.
+        for k in [2, 3] {
+            let view = reg.detector(PredicateId(k)).tree();
+            assert!(!view.contains(ftscp_simnet::NodeId(3)));
+            assert_eq!(view.node_count(), n - 1);
+        }
         assert!(!reg
             .detector(PredicateId(0))
             .tree()

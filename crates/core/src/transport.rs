@@ -135,8 +135,7 @@ impl MonitorCore {
         level: u32,
         config: MonitorConfig,
     ) -> Self {
-        let mut engine =
-            NodeEngine::new(me, children, parent.is_none()).with_sweep_mode(config.sweep_mode);
+        let mut engine = NodeEngine::new(me, children, parent.is_none());
         engine.set_level(level);
         MonitorCore {
             me,

@@ -21,14 +21,12 @@
 //! child without disturbing the others.
 
 use crate::interval::Interval;
-use crate::par;
 use crate::prune;
 use crate::solution::Solution;
 use crate::summary::SweepSummary;
 use ftscp_vclock::{order, OpCounter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -64,11 +62,6 @@ pub struct BankStats {
     pub peak_resident: usize,
     /// Peak length of any single queue.
     pub peak_queue_len: usize,
-    /// Head-pair verdicts answered from the incremental cache (each hit
-    /// skips two vector-clock comparisons).
-    pub cache_hits: u64,
-    /// Head-pair verdicts computed and cached.
-    pub cache_misses: u64,
     /// Sweep visits certified overlap-clean by the `⊓`-summary gate
     /// ([`SweepMode::Aggregate`] only): the whole pairwise row was skipped.
     pub gate_hits: u64,
@@ -80,70 +73,27 @@ pub struct BankStats {
 /// How the pairwise sweep (lines (1)–(17)) evaluates head-overlap checks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
-    /// Recompute both directed comparisons on every visit — the original
-    /// behavior, kept for before/after benchmarking and differential tests.
+    /// Recompute both directed comparisons against every other head on
+    /// every visit, billing one unit per component — the paper's algorithm
+    /// in the paper's unit. Not used by any deployment: it is the reference
+    /// the differential tests and benchmarks compare [`Aggregate`] against.
+    ///
+    /// [`Aggregate`]: SweepMode::Aggregate
     Full,
-    /// Cache the pairwise verdict per (queue pair, head generations): a
-    /// head-pair whose heads are unchanged since its last evaluation is
-    /// answered from the cache with zero comparison cost. Deletion and
-    /// emission decisions are bit-identical to [`SweepMode::Full`] — only
-    /// the operation count changes.
-    #[default]
-    Incremental,
-    /// Maintain a running per-component `⊓`-summary of the queue heads
-    /// ([`SweepSummary`], Theorem 1 / Lemma 1) and test each sweep visit
-    /// against the summary in `O(n)` instead of against all `k − 1` other
-    /// heads, falling back to the exact pairwise row only when the summary
-    /// cannot certify the visit clean — i.e. only to identify *which* head
-    /// to delete. All comparisons (gate and fallback) run through the
-    /// word-chunked comparator and bill per
+    /// The engine every deployment runs. Maintain a running per-component
+    /// `⊓`-summary of the queue heads ([`SweepSummary`], Theorem 1 /
+    /// Lemma 1) and test each sweep visit against the summary in `O(n)`
+    /// instead of against all `k − 1` other heads, falling back to the
+    /// exact pairwise row only when the summary cannot certify the visit
+    /// clean — i.e. only to identify *which* head to delete. All
+    /// comparisons (gate and fallback) run through the word-chunked
+    /// comparator and bill per
     /// [`CHUNK_WIDTH`](ftscp_vclock::order::CHUNK_WIDTH)-component word.
     /// Deletion, emission, and prune decisions are bit-identical to
     /// [`SweepMode::Full`] — only the traversal and the operation count
     /// change.
+    #[default]
     Aggregate,
-    /// [`Aggregate`](SweepMode::Aggregate) with the large per-visit
-    /// regions — summary materialization, the pairwise fallback row, and
-    /// the Eq. (10) prune pre-gate — sharded across scoped worker threads
-    /// (see the `par` module). `threads: 0` resolves via
-    /// [`effective_threads`](crate::par::effective_threads) (the
-    /// `FTSCP_SWEEP_THREADS` env var, else `available_parallelism`); a
-    /// resolved count of 1, or a region smaller than the spawn-amortizing
-    /// threshold, runs the sequential `Aggregate` code unchanged.
-    ///
-    /// The contract is bit-identical observable state: the same deletion
-    /// order, same emissions, same prune decisions, and the same
-    /// [`OpCounter`] totals as `Aggregate` — parallelism only changes
-    /// wall-clock. Each call site carries its determinism argument; the
-    /// bench harness and property tests assert the equality at runtime.
-    AggregateParallel {
-        /// Worker-thread budget per parallel region; 0 = auto.
-        threads: usize,
-    },
-}
-
-impl SweepMode {
-    /// True for the summary-gated sweeps ([`Aggregate`](Self::Aggregate)
-    /// and [`AggregateParallel`](Self::AggregateParallel)), which share
-    /// the `⊓`-summary, chunked comparators, and aggregate prune.
-    pub fn is_aggregate(self) -> bool {
-        matches!(
-            self,
-            SweepMode::Aggregate | SweepMode::AggregateParallel { .. }
-        )
-    }
-}
-
-/// Cached directed-overlap verdict for the heads of one queue pair,
-/// valid only while both head generations match.
-#[derive(Clone, Copy, Debug)]
-struct PairVerdict {
-    gen_lo: u64,
-    gen_hi: u64,
-    /// `min(head(lo_slot)) < max(head(hi_slot))`.
-    lo_lt: bool,
-    /// `min(head(hi_slot)) < max(head(lo_slot))`.
-    hi_lt: bool,
 }
 
 /// Serializable image of one queue (see [`QueueBank::snapshot`]).
@@ -298,17 +248,10 @@ pub struct QueueBank {
     trace: Option<Vec<BankEvent>>,
     /// Sweep evaluation strategy.
     mode: SweepMode,
-    /// Per-slot head generation: bumped whenever a slot's head changes
-    /// (new head enqueued into an empty queue, head popped, slot reused).
-    /// Indexed like `slots`; survives slot removal so stale cache entries
-    /// can never match a reused slot id.
-    head_gens: Vec<u64>,
-    /// Pairwise verdict cache keyed by `(min_idx, max_idx)`. Transient:
-    /// never snapshotted, rebuilt on demand after a restore.
-    pair_cache: HashMap<(usize, usize), PairVerdict>,
     /// Running `⊓`-summary of the live heads. Maintained only under
-    /// [`SweepMode::Aggregate`]; transient like the pair cache (rebuilt on
-    /// mode selection, never snapshotted).
+    /// [`SweepMode::Aggregate`]; transient (never snapshotted, rebuilt
+    /// from the live heads on the next sweep after a restore or a mode
+    /// selection).
     summary: SweepSummary,
 }
 
@@ -337,15 +280,14 @@ impl QueueBank {
             emitted: HashSet::new(),
             trace: None,
             mode: SweepMode::default(),
-            head_gens: vec![0; queues],
-            pair_cache: HashMap::new(),
             summary: SweepSummary::new(),
         }
     }
 
     /// Selects the sweep evaluation strategy; returns `self` for
-    /// builder-style use. Detection outcomes are identical either way —
-    /// only the comparison count differs.
+    /// builder-style use. This is the only way to obtain a
+    /// [`SweepMode::Full`] reference bank. Detection outcomes are identical
+    /// either way — only the comparison count differs.
     pub fn with_sweep_mode(mut self, mode: SweepMode) -> Self {
         self.mode = mode;
         // Lazily rebuilt from the live heads on the next Aggregate sweep.
@@ -433,14 +375,12 @@ impl QueueBank {
             if self.slots[i].is_none() {
                 self.slots[i] = Some(QueueSlot::default());
                 self.active += 1;
-                self.head_gens[i] += 1;
                 let slot = SlotId(i as u32);
                 self.record(BankEvent::QueueAdded { slot });
                 return slot;
             }
         }
         self.slots.push(Some(QueueSlot::default()));
-        self.head_gens.push(0);
         self.active += 1;
         let slot = SlotId((self.slots.len() - 1) as u32);
         self.record(BankEvent::QueueAdded { slot });
@@ -456,13 +396,11 @@ impl QueueBank {
         if self.slots.get(idx).and_then(|s| s.as_ref()).is_none() {
             return Vec::new();
         }
-        if self.mode.is_aggregate() {
+        if self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
         self.slots[idx] = None;
         self.active -= 1;
-        self.head_gens[idx] += 1;
-        self.pair_cache.retain(|&(a, b), _| a != idx && b != idx);
         self.record(BankEvent::QueueRemoved { slot });
         if self.active == 0 {
             return Vec::new();
@@ -508,8 +446,7 @@ impl QueueBank {
         self.record(BankEvent::Enqueued { slot, id });
 
         if new_len == 1 {
-            self.head_gens[idx] += 1;
-            if self.mode.is_aggregate() {
+            if self.mode == SweepMode::Aggregate {
                 self.summary.touch();
             }
             self.run_detection(BTreeSet::from([idx]))
@@ -528,7 +465,6 @@ impl QueueBank {
         let mut vanished = false;
         if let Some(q) = self.slots[idx].as_mut() {
             if let Some(iv) = q.items.pop_front() {
-                self.head_gens[idx] += 1;
                 popped = Some(trace_id(&iv));
                 q.discarded += 1;
                 if swept {
@@ -548,7 +484,7 @@ impl QueueBank {
                 slot: SlotId(idx as u32),
             });
         }
-        if popped.is_some() && self.mode.is_aggregate() {
+        if popped.is_some() && self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
         popped
@@ -593,8 +529,14 @@ impl QueueBank {
         }
     }
 
-    /// Restores a bank from a [`snapshot`](Self::snapshot). The operation
-    /// counter starts fresh (work done before the crash is not re-billed).
+    /// Restores a bank from a [`snapshot`](Self::snapshot). A snapshot
+    /// carries queue contents and counters only, so everything else is
+    /// exactly what [`new`](Self::new) gives: a fresh operation counter
+    /// (work done before the crash is not re-billed), tracing off, and the
+    /// default sweep engine with a cold summary — whatever mode the bank
+    /// ran before the checkpoint. Chain
+    /// [`with_sweep_mode`](Self::with_sweep_mode) to restore a
+    /// [`SweepMode::Full`] reference bank.
     pub fn restore(snapshot: BankSnapshot) -> QueueBank {
         let slots: Vec<Option<QueueSlot>> = snapshot
             .slots
@@ -610,87 +552,36 @@ impl QueueBank {
             })
             .collect();
         let active = slots.iter().filter(|s| s.is_some()).count();
-        let gens = slots.len();
         QueueBank {
             slots,
             active,
-            ops: OpCounter::new(),
             stats: snapshot.stats,
             solution_counter: snapshot.solution_counter,
             emitted: snapshot.emitted.into_iter().collect(),
-            trace: None,
-            mode: SweepMode::default(),
-            // The verdict cache is transient: start cold with fresh
-            // generations and let it warm back up. Likewise the sweep
-            // summary: rebuilt when `with_sweep_mode` selects Aggregate.
-            head_gens: vec![0; gens],
-            pair_cache: HashMap::new(),
-            summary: SweepSummary::new(),
+            ..QueueBank::new(0)
         }
     }
 
     /// Returns `(min(x) < max(y), min(y) < max(x))` for `x = head(a)`,
     /// `y = head(b)`, or `None` if either queue lacks a head.
     ///
-    /// In [`SweepMode::Incremental`] the answer is served from the pair
-    /// cache when both head generations are unchanged since the verdict
-    /// was computed — billing zero comparison units — and computed (and
-    /// cached) otherwise. [`SweepMode::Full`] always recomputes, exactly
-    /// like the pre-cache sweep.
-    fn head_verdict(&mut self, a: usize, b: usize) -> Option<(bool, bool)> {
+    /// [`SweepMode::Full`] bills per component, exactly like the paper;
+    /// under [`SweepMode::Aggregate`] this is the pairwise fallback row
+    /// (the summary gate failed) and runs through the word-chunked
+    /// comparator.
+    fn head_verdict(&self, a: usize, b: usize) -> Option<(bool, bool)> {
         let x = self.slots.get(a)?.as_ref()?.items.front()?;
         let y = self.slots.get(b)?.as_ref()?.items.front()?;
-        if matches!(self.mode, SweepMode::Full) {
-            let x_lt = order::strictly_less_counted(&x.lo, &y.hi, &self.ops);
-            let y_lt = order::strictly_less_counted(&y.lo, &x.hi, &self.ops);
-            return Some((x_lt, y_lt));
-        }
-        if self.mode.is_aggregate() {
-            // Pairwise fallback rows (summary gate failed) run through the
-            // word-chunked comparator; no pair cache in this mode.
-            let x_lt = order::strictly_less_chunked_counted(&x.lo, &y.hi, &self.ops);
-            let y_lt = order::strictly_less_chunked_counted(&y.lo, &x.hi, &self.ops);
-            return Some((x_lt, y_lt));
-        }
-        let key = (a.min(b), a.max(b));
-        let (gen_lo, gen_hi) = (self.head_gens[key.0], self.head_gens[key.1]);
-        if let Some(v) = self.pair_cache.get(&key) {
-            if v.gen_lo == gen_lo && v.gen_hi == gen_hi {
-                self.stats.cache_hits += 1;
-                return Some(if a == key.0 {
-                    (v.lo_lt, v.hi_lt)
-                } else {
-                    (v.hi_lt, v.lo_lt)
-                });
-            }
-        }
-        let (p, q) = if a == key.0 { (x, y) } else { (y, x) };
-        let lo_lt = order::strictly_less_counted(&p.lo, &q.hi, &self.ops);
-        let hi_lt = order::strictly_less_counted(&q.lo, &p.hi, &self.ops);
-        self.pair_cache.insert(
-            key,
-            PairVerdict {
-                gen_lo,
-                gen_hi,
-                lo_lt,
-                hi_lt,
-            },
-        );
-        self.stats.cache_misses += 1;
-        Some(if a == key.0 {
-            (lo_lt, hi_lt)
-        } else {
-            (hi_lt, lo_lt)
+        Some(match self.mode {
+            SweepMode::Full => (
+                order::strictly_less_counted(&x.lo, &y.hi, &self.ops),
+                order::strictly_less_counted(&y.lo, &x.hi, &self.ops),
+            ),
+            SweepMode::Aggregate => (
+                order::strictly_less_chunked_counted(&x.lo, &y.hi, &self.ops),
+                order::strictly_less_chunked_counted(&y.lo, &x.hi, &self.ops),
+            ),
         })
-    }
-
-    /// Resolved worker budget for parallel sweep regions: 1 unless the
-    /// mode is [`SweepMode::AggregateParallel`].
-    fn sweep_threads(&self) -> usize {
-        match self.mode {
-            SweepMode::AggregateParallel { threads } => par::effective_threads(threads),
-            _ => 1,
-        }
     }
 
     /// The main loop: pairwise sweep to fixpoint, then solution emission and
@@ -711,22 +602,7 @@ impl QueueBank {
                     else {
                         continue;
                     };
-                    // Per-visit region size (other heads × clock width):
-                    // with a worker budget > 1, regions past PAR_MIN_REGION
-                    // shard across scoped threads; everything else runs the
-                    // sequential Aggregate code verbatim.
-                    let threads = self.sweep_threads();
-                    let width = self.slots[a]
-                        .as_ref()
-                        .and_then(|q| q.items.front())
-                        .map_or(0, |iv| iv.lo.components().len());
-                    let region = self.active.saturating_sub(1) * width;
-                    let region_threads = if threads > 1 && region >= par::PAR_MIN_REGION {
-                        threads
-                    } else {
-                        1
-                    };
-                    if self.mode.is_aggregate() {
+                    if self.mode == SweepMode::Aggregate {
                         // One O(n) test against the ⊓-summary replaces the
                         // O(k·n) pairwise row whenever it certifies that
                         // this visit deletes nothing (the overwhelmingly
@@ -744,68 +620,11 @@ impl QueueBank {
                             .as_ref()
                             .and_then(|q| q.items.front())
                             .expect("head id was just read");
-                        if summary.certify_par(
-                            a,
-                            iv.lo.components(),
-                            iv.hi.components(),
-                            &heads,
-                            ops,
-                            region_threads,
-                        ) {
+                        if summary.certify(a, iv.lo.components(), iv.hi.components(), &heads, ops) {
                             stats.gate_hits += 1;
                             continue;
                         }
                         stats.gate_misses += 1;
-                    }
-                    if region_threads > 1 {
-                        // Parallel pairwise fallback row. The sequential
-                        // row visits every b without cross-b early exit and
-                        // each (a, b) verdict reads only the two heads, so
-                        // per-b verdicts computed on any worker are the
-                        // same values; merging them in ascending b keeps
-                        // the first-wins culprit rule, and the shared
-                        // counter receives the same per-pair amounts in
-                        // some order — identical totals, Relaxed adds.
-                        let ivs: Vec<Option<&Interval>> = self
-                            .slots
-                            .iter()
-                            .map(|s| s.as_ref().and_then(|q| q.items.front()))
-                            .collect();
-                        let x = ivs[a].expect("head id was just read");
-                        let ops = &self.ops;
-                        let rows = par::run_partitioned(
-                            ivs.len(),
-                            region_threads * 4,
-                            region_threads,
-                            |r| {
-                                let mut out: Vec<(usize, bool, bool, TraceId)> = Vec::new();
-                                for b in r {
-                                    if b == a {
-                                        continue;
-                                    }
-                                    let Some(y) = ivs[b] else {
-                                        continue;
-                                    };
-                                    let x_lt =
-                                        order::strictly_less_chunked_counted(&x.lo, &y.hi, ops);
-                                    let y_lt =
-                                        order::strictly_less_chunked_counted(&y.lo, &x.hi, ops);
-                                    out.push((b, x_lt, y_lt, trace_id(y)));
-                                }
-                                out
-                            },
-                        );
-                        for (b, x_lt, y_lt, y_id) in rows.into_iter().flatten() {
-                            if !x_lt {
-                                new_updated.insert(b);
-                                culprits.entry(b).or_insert(x_id);
-                            }
-                            if !y_lt {
-                                new_updated.insert(a);
-                                culprits.entry(a).or_insert(y_id);
-                            }
-                        }
-                        continue;
                     }
                     for b in 0..self.slots.len() {
                         if b == a {
@@ -900,12 +719,7 @@ impl QueueBank {
             let refs: Vec<&Interval> = heads.iter().collect();
             let removable = match self.mode {
                 SweepMode::Aggregate => prune::approximate_removals_aggregate(&refs, &self.ops),
-                SweepMode::AggregateParallel { .. } => prune::approximate_removals_aggregate_par(
-                    &refs,
-                    &self.ops,
-                    self.sweep_threads(),
-                ),
-                _ => prune::approximate_removals(&refs, &self.ops),
+                SweepMode::Full => prune::approximate_removals(&refs, &self.ops),
             };
             debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
             let mut pruned = BTreeSet::new();
@@ -1204,75 +1018,11 @@ mod tests {
         assert_eq!(bank.queue_count(), 2);
     }
 
-    /// Drives the same interval sequence through a Full and an Incremental
-    /// bank, returning `(full, incremental)` with their emitted solutions.
-    fn run_both(
-        queues: usize,
-        feed: impl Fn(&mut QueueBank) -> Vec<Solution>,
-    ) -> ((QueueBank, Vec<Solution>), (QueueBank, Vec<Solution>)) {
-        let mut full = QueueBank::new(queues).with_sweep_mode(SweepMode::Full);
-        let mut incr = QueueBank::new(queues).with_sweep_mode(SweepMode::Incremental);
-        let sols_full = feed(&mut full);
-        let sols_incr = feed(&mut incr);
-        ((full, sols_full), (incr, sols_incr))
-    }
-
-    #[test]
-    fn incremental_sweep_matches_full_and_costs_strictly_less() {
-        // A workload with multi-queue sweep rounds and a queue removal —
-        // the situations where the seed recomputes verdicts it already
-        // knows. 4 queues, interleaved arrivals, then a failure.
-        let feed = |bank: &mut QueueBank| {
-            let mut sols = Vec::new();
-            let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
-                (0, 0, [1, 0, 0, 0], [9, 8, 8, 8]),
-                (1, 0, [2, 1, 0, 0], [8, 9, 8, 8]),
-                (2, 0, [2, 1, 1, 0], [8, 8, 9, 8]),
-                (3, 0, [2, 1, 1, 1], [3, 3, 3, 4]),
-                (3, 1, [4, 4, 4, 5], [6, 6, 6, 7]),
-                (0, 1, [10, 9, 9, 9], [12, 11, 11, 11]),
-                (1, 1, [11, 10, 10, 10], [11, 12, 11, 11]),
-                (2, 1, [11, 10, 11, 10], [11, 11, 12, 11]),
-                (3, 2, [11, 10, 11, 11], [11, 11, 11, 12]),
-                (1, 2, [13, 13, 13, 13], [14, 14, 14, 14]),
-            ];
-            for (p, seq, lo, hi) in seqs {
-                sols.extend(bank.enqueue(SlotId(p), iv(p, seq, &lo, &hi)));
-            }
-            sols.extend(bank.remove_queue(SlotId(3)));
-            sols
-        };
-        let ((full, sols_full), (incr, sols_incr)) = run_both(4, feed);
-
-        // Identical outcomes, bit for bit.
-        assert_eq!(sols_full.len(), sols_incr.len());
-        for (a, b) in sols_full.iter().zip(&sols_incr) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.intervals, b.intervals);
-        }
-        let fs = full.stats();
-        let is = incr.stats();
-        assert_eq!(
-            (fs.swept, fs.pruned, fs.solutions),
-            (is.swept, is.pruned, is.solutions)
-        );
-
-        // Strictly fewer comparison units, with real cache traffic.
-        assert!(is.cache_hits > 0, "workload must exercise the cache");
-        assert!(
-            incr.ops().get() < full.ops().get(),
-            "incremental ({}) must beat full ({})",
-            incr.ops().get(),
-            full.ops().get()
-        );
-        assert_eq!(fs.cache_hits, 0, "full mode never touches the cache");
-    }
-
     #[test]
     fn aggregate_sweep_matches_full_bit_for_bit() {
-        // Same workload as the incremental differential test (multi-queue
-        // sweep rounds, cascades, a queue removal): the summary-gated
-        // sweep must reproduce every solution, sweep, and prune decision.
+        // Multi-queue sweep rounds, cascades, and a queue removal: the
+        // summary-gated sweep must reproduce every solution, sweep, and
+        // prune decision of the paper-unit reference.
         let feed = |bank: &mut QueueBank| {
             let mut sols = Vec::new();
             let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
@@ -1321,110 +1071,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_aggregate_bit_for_bit_on_narrow_bank() {
-        // Narrow bank: every region sits below PAR_MIN_REGION, so the
-        // parallel mode must take the sequential code path — outcomes AND
-        // billed totals equal to Aggregate by construction, asserted here
-        // against the same workload as the Full/Aggregate differential.
-        let feed = |bank: &mut QueueBank| {
-            let mut sols = Vec::new();
-            let seqs: [(u32, u64, [u32; 4], [u32; 4]); 10] = [
-                (0, 0, [1, 0, 0, 0], [9, 8, 8, 8]),
-                (1, 0, [2, 1, 0, 0], [8, 9, 8, 8]),
-                (2, 0, [2, 1, 1, 0], [8, 8, 9, 8]),
-                (3, 0, [2, 1, 1, 1], [3, 3, 3, 4]),
-                (3, 1, [4, 4, 4, 5], [6, 6, 6, 7]),
-                (0, 1, [10, 9, 9, 9], [12, 11, 11, 11]),
-                (1, 1, [11, 10, 10, 10], [11, 12, 11, 11]),
-                (2, 1, [11, 10, 11, 10], [11, 11, 12, 11]),
-                (3, 2, [11, 10, 11, 11], [11, 11, 11, 12]),
-                (1, 2, [13, 13, 13, 13], [14, 14, 14, 14]),
-            ];
-            for (p, seq, lo, hi) in seqs {
-                sols.extend(bank.enqueue(SlotId(p), iv(p, seq, &lo, &hi)));
-            }
-            sols.extend(bank.remove_queue(SlotId(3)));
-            sols
-        };
-        let mut agg = QueueBank::new(4).with_sweep_mode(SweepMode::Aggregate);
-        let sols_agg = feed(&mut agg);
-        for threads in [1usize, 2, 4] {
-            let mut par =
-                QueueBank::new(4).with_sweep_mode(SweepMode::AggregateParallel { threads });
-            let sols_par = feed(&mut par);
-            assert_eq!(sols_agg.len(), sols_par.len());
-            for (a, b) in sols_agg.iter().zip(&sols_par) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.intervals, b.intervals);
-            }
-            assert_eq!(
-                agg.stats(),
-                par.stats(),
-                "stats diverged at {threads} threads"
-            );
-            assert_eq!(
-                agg.ops().get(),
-                par.ops().get(),
-                "billed totals diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_aggregate_bit_for_bit_on_wide_bank() {
-        // Wide bank: k = 300 queues × width 300 puts every sweep region
-        // (gate materialization, fallback rows, and the solution prune)
-        // past PAR_MIN_REGION, so the scoped-thread paths genuinely run.
-        // Phase A fills all queues with mutually overlapping heads (gate
-        // hits all the way, one solution, a 300-member parallel prune);
-        // phase B interleaves an earlier window on odd queues so gate
-        // misses force parallel fallback rows and sweeps.
-        let k = 300usize;
-        let feed = |bank: &mut QueueBank| {
-            let mut sols = Vec::new();
-            for p in 0..k {
-                let mut lo = vec![0u32; k];
-                let mut hi = vec![500u32; k];
-                lo[p] = 1;
-                hi[p] = 509;
-                sols.extend(bank.enqueue(SlotId(p as u32), iv(p as u32, 0, &lo, &hi)));
-            }
-            for p in 0..k {
-                let (base_lo, base_hi) = if p % 2 == 0 { (1000, 1500) } else { (600, 700) };
-                let mut lo = vec![base_lo; k];
-                let mut hi = vec![base_hi; k];
-                lo[p] = base_lo + 1;
-                hi[p] = base_hi + 1;
-                sols.extend(bank.enqueue(SlotId(p as u32), iv(p as u32, 1, &lo, &hi)));
-            }
-            sols
-        };
-        let mut agg = QueueBank::new(k).with_sweep_mode(SweepMode::Aggregate);
-        let sols_agg = feed(&mut agg);
-        let gs = agg.stats();
-        assert_eq!(gs.solutions, 1, "phase A emits the full-bank solution");
-        assert_eq!(gs.pruned as usize, k, "concurrent maxes: all pruned");
-        assert!(gs.gate_misses > 0, "phase B must force fallback rows");
-        assert!(gs.swept > 0, "phase B must sweep the early window");
-        for threads in [2usize, 4] {
-            let mut par =
-                QueueBank::new(k).with_sweep_mode(SweepMode::AggregateParallel { threads });
-            let sols_par = feed(&mut par);
-            assert_eq!(sols_agg.len(), sols_par.len());
-            for (a, b) in sols_agg.iter().zip(&sols_par) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.intervals, b.intervals);
-            }
-            assert_eq!(gs, par.stats(), "stats diverged at {threads} threads");
-            assert_eq!(
-                agg.ops().get(),
-                par.ops().get(),
-                "billed totals diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn aggregate_mode_survives_queue_lifecycle_churn() {
         // Add/remove/ephemeral queue traffic while the summary is live.
         let mut bank = QueueBank::new(2).with_sweep_mode(SweepMode::Aggregate);
@@ -1441,48 +1087,6 @@ mod tests {
         let sols = bank.enqueue(SlotId(1), iv(1, 1, &[4, 4, 0], &[8, 7, 7]));
         assert_eq!(sols.len(), 1, "solution across local + real + ephemeral");
         assert_eq!(bank.queue_count(), 2, "ephemeral queue vanished");
-    }
-
-    #[test]
-    fn queue_removal_rerun_is_answered_from_cache() {
-        // After a failure, remove_queue re-marks every non-empty queue as
-        // updated; the surviving heads were already compared against each
-        // other, so the re-run should be pure cache hits.
-        let mut bank = QueueBank::new(3);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[4, 3, 0]));
-        bank.enqueue(SlotId(1), iv(1, 0, &[2, 1, 0], &[3, 4, 0]));
-        let hits_before = bank.stats().cache_hits;
-        let misses_before = bank.stats().cache_misses;
-        let sols = bank.remove_queue(SlotId(2));
-        assert_eq!(sols.len(), 1, "removal unblocks the solution");
-        assert!(bank.stats().cache_hits > hits_before);
-        assert_eq!(
-            bank.stats().cache_misses,
-            misses_before,
-            "surviving pair verdict must come from the cache, not recomparison"
-        );
-    }
-
-    #[test]
-    fn slot_reuse_invalidates_cached_verdicts() {
-        // Queue 2 stays empty throughout so no solutions fire and the
-        // cached pair (0,1) verdict is the only state in play.
-        let mut bank = QueueBank::new(3);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 8, 0]));
-        bank.enqueue(SlotId(1), iv(1, 0, &[2, 1, 0], &[8, 9, 0]));
-        let misses_after_warmup = bank.stats().cache_misses;
-        assert!(misses_after_warmup > 0, "pair (0,1) verdict cached");
-        // Remove slot 1 and reuse it for a different child.
-        bank.remove_queue(SlotId(1));
-        let s = bank.add_queue();
-        assert_eq!(s, SlotId(1));
-        // The reused slot's new head must be freshly compared, not served
-        // the stale (0, old-1) verdict.
-        bank.enqueue(s, iv(7, 0, &[3, 2, 0], &[7, 7, 0]));
-        assert!(
-            bank.stats().cache_misses > misses_after_warmup,
-            "reused slot's new head must recompute the pair verdict"
-        );
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod codec;
 pub mod interval;
 pub mod offline;
 pub mod overlap;
-pub mod par;
 pub mod prune;
 pub mod solution;
 pub mod summary;

@@ -84,25 +84,25 @@ pub const PRUNE_GATE_MIN_MEMBERS: usize = 9;
 /// Small solutions (`k <` [`PRUNE_GATE_MIN_MEMBERS`]) go straight to the
 /// fallback, where the pairwise row is strictly cheaper.
 pub fn approximate_removals_aggregate(solution: &[&Interval], ops: &OpCounter) -> Vec<usize> {
-    approximate_removals_aggregate_par(solution, ops, 1)
+    let k = solution.len();
+    let gate = (k >= PRUNE_GATE_MIN_MEMBERS).then(|| two_smallest_maxes(solution));
+    (0..k)
+        .filter(|&i| member_qualifies_aggregate(i, solution, gate.as_ref(), ops))
+        .collect()
 }
 
-/// The per-component two-smallest-max aggregation backing the prune gate,
-/// over one column range: `min1[c]` is the smallest `max(x_j)[c]` with its
-/// owner in `min1_owner[c]`, `min2[c]` the second smallest (duplicates of
-/// the minimum land in `min2`, owned by a later member — exactly the
-/// sequential tie rule, since each column folds members in `j` order).
-/// Outputs are indexed relative to `cols.start`.
-fn two_smallest_maxes(
-    solution: &[&Interval],
-    cols: std::ops::Range<usize>,
-) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
-    let w = cols.len();
+/// The per-component two-smallest-max aggregation backing the prune gate:
+/// `min1[c]` is the smallest `max(x_j)[c]` with its owner in
+/// `min1_owner[c]`, `min2[c]` the second smallest (duplicates of the
+/// minimum land in `min2`, owned by a later member, since each column
+/// folds members in `j` order).
+fn two_smallest_maxes(solution: &[&Interval]) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    let w = solution[0].hi.len();
     let mut min1 = vec![u32::MAX; w];
     let mut min1_owner = vec![usize::MAX; w];
     let mut min2 = vec![u32::MAX; w];
     for (j, y) in solution.iter().enumerate() {
-        let hi = &y.hi.components()[cols.clone()];
+        let hi = y.hi.components();
         for c in 0..w {
             let v = hi[c];
             if v < min1[c] {
@@ -119,14 +119,11 @@ fn two_smallest_maxes(
 
 /// One member's Eq. (10) evaluation: the billed certified scan against the
 /// two-smallest aggregation (when gating), then the chunked pairwise
-/// fallback. Fully self-contained — it reads only the solution slice and
-/// the shared aggregation, bills a deterministic amount for member `i`
-/// regardless of which thread runs it, and never observes another member's
-/// outcome — which is what licenses sharding members across workers.
+/// fallback.
 fn member_qualifies_aggregate(
     i: usize,
     solution: &[&Interval],
-    gate: Option<(&[u32], &[usize], &[u32])>,
+    gate: Option<&(Vec<u32>, Vec<usize>, Vec<u32>)>,
     ops: &OpCounter,
 ) -> bool {
     use ftscp_vclock::order::CHUNK_WIDTH;
@@ -161,64 +158,6 @@ fn member_qualifies_aggregate(
         }
     }
     true
-}
-
-/// [`approximate_removals_aggregate`] with the members sharded across up
-/// to `threads` scoped workers — **identical removal decisions and billed
-/// totals**; `threads: 1` (or a solution below the spawn-amortizing region
-/// bound) *is* the sequential aggregate prune.
-///
-/// The unbilled aggregation pass is column-sharded (each column's fold
-/// stays on one worker in member order, keeping the sequential tie rule);
-/// the billed per-member loop is member-sharded via the atomic-cursor
-/// partition runner, with qualifying indices assembled in member order, so
-/// the returned vector — and hence which heads the bank pops — cannot
-/// depend on scheduling. Workers bill the shared counter directly: each
-/// member adds the same amount the sequential loop would, in some
-/// interleaving, and counter totals are order-independent sums.
-pub fn approximate_removals_aggregate_par(
-    solution: &[&Interval],
-    ops: &OpCounter,
-    threads: usize,
-) -> Vec<usize> {
-    let k = solution.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    let width = solution[0].hi.len();
-    let threads = if k * width >= crate::par::PAR_MIN_REGION {
-        threads.max(1)
-    } else {
-        1
-    };
-    let use_gate = k >= PRUNE_GATE_MIN_MEMBERS;
-    let (mut min1, mut min1_owner, mut min2) = (Vec::new(), Vec::new(), Vec::new());
-    if use_gate {
-        if threads == 1 {
-            (min1, min1_owner, min2) = two_smallest_maxes(solution, 0..width);
-        } else {
-            let parts = crate::par::run_partitioned(width, threads, threads, |cols| {
-                two_smallest_maxes(solution, cols)
-            });
-            for (p1, po, p2) in parts {
-                min1.extend(p1);
-                min1_owner.extend(po);
-                min2.extend(p2);
-            }
-        }
-    }
-    let gate = use_gate.then_some((min1.as_slice(), min1_owner.as_slice(), min2.as_slice()));
-    if threads == 1 {
-        return (0..k)
-            .filter(|&i| member_qualifies_aggregate(i, solution, gate, ops))
-            .collect();
-    }
-    let marks = crate::par::run_partitioned(k, threads * 4, threads, |members| {
-        members
-            .filter(|&i| member_qualifies_aggregate(i, solution, gate, ops))
-            .collect::<Vec<usize>>()
-    });
-    marks.concat()
 }
 
 /// Eq. (9) with hindsight: given each member's successor's low bound (where
@@ -357,69 +296,6 @@ mod tests {
                 approximate_removals_aggregate(&refs, &ops),
                 approximate_removals(&refs, &ops),
                 "divergence in round {round} (k = {k}, n = {n})"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_removals_equal_sequential_above_and_below_threshold() {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // Below the region bound (forced sequential) on random sets …
-        for round in 0..100 {
-            let k = 1 + (rng() % 14) as usize;
-            let n = 1 + (rng() % 20) as usize;
-            let members: Vec<Interval> = (0..k)
-                .map(|p| {
-                    let lo: Vec<u32> = (0..n).map(|_| (rng() % 5) as u32).collect();
-                    let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 5) as u32).collect();
-                    iv(p as u32, 0, &lo, &hi)
-                })
-                .collect();
-            let refs: Vec<&Interval> = members.iter().collect();
-            let (ops_seq, ops_par) = (OpCounter::new(), OpCounter::new());
-            assert_eq!(
-                approximate_removals_aggregate(&refs, &ops_seq),
-                approximate_removals_aggregate_par(&refs, &ops_par, 4),
-                "removals diverged in round {round}"
-            );
-            assert_eq!(
-                ops_seq.get(),
-                ops_par.get(),
-                "billing diverged in round {round}"
-            );
-        }
-        // … and above it (k·width = 160_000), where the members and the
-        // aggregation columns genuinely shard across workers.
-        let k = 400usize;
-        let members: Vec<Interval> = (0..k)
-            .map(|p| {
-                let lo: Vec<u32> = (0..k)
-                    .map(|c| (rng() % 5) as u32 + u32::from(c == p))
-                    .collect();
-                let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 9) as u32).collect();
-                iv(p as u32, 0, &lo, &hi)
-            })
-            .collect();
-        let refs: Vec<&Interval> = members.iter().collect();
-        let ops_seq = OpCounter::new();
-        let seq = approximate_removals_aggregate(&refs, &ops_seq);
-        for threads in [2usize, 3, 8] {
-            let ops_t = OpCounter::new();
-            assert_eq!(
-                seq,
-                approximate_removals_aggregate_par(&refs, &ops_t, threads),
-                "removals diverged at {threads} threads"
-            );
-            assert_eq!(
-                ops_seq.get(),
-                ops_t.get(),
-                "billing diverged at {threads} threads"
             );
         }
     }

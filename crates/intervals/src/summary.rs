@@ -53,11 +53,10 @@ use ftscp_vclock::{order::CHUNK_WIDTH, OpCounter};
 /// by slot — the materialization input for [`SweepSummary::certify`].
 pub type HeadBounds<'a> = [Option<(&'a [u32], &'a [u32])>];
 
-/// The billed gate scan, shared by the sequential and parallel sweeps:
-/// tests `lo < v` and `u < hi` (component-wise `≤` with a strict witness
-/// each) over equal-width slices, billing `ops` two units per
-/// [`CHUNK_WIDTH`]-component word inspected with early exit at word
-/// granularity on the first violated `≤` direction.
+/// The billed gate scan: tests `lo < v` and `u < hi` (component-wise `≤`
+/// with a strict witness each) over equal-width slices, billing `ops` two
+/// units per [`CHUNK_WIDTH`]-component word inspected with early exit at
+/// word granularity on the first violated `≤` direction.
 ///
 /// Like the chunked comparator, the inner loop packs two adjacent `u32`
 /// components per `u64` word: an equal packed pair leaves every flag
@@ -119,21 +118,11 @@ fn certify_scan(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32], ops: &OpCounter) -
     le1 && lt1 && le2 && lt2
 }
 
-/// Fills one column range of an excluded `⊓`-row: for each column `c` in
-/// `cols`, the meet over the other heads' highs into `out_v` and the join
-/// over their lows into `out_u` (`out_*[j]` holds column `cols.start + j`).
-///
-/// Column `c`'s result folds the same heads in the same slot order as the
-/// sequential materialization — and `min`/`max` on `u32` are commutative
-/// and associative besides — so a row assembled from any column partition
-/// is bit-identical to the sequentially filled row.
-fn fill_columns(
-    slot: usize,
-    heads: &HeadBounds<'_>,
-    cols: std::ops::Range<usize>,
-    out_v: &mut [u32],
-    out_u: &mut [u32],
-) {
+/// Fills slot `slot`'s excluded `⊓`-row: per column, the meet over the
+/// other heads' highs into `out_v` and the join over their lows into
+/// `out_u`.
+fn fill_row(slot: usize, heads: &HeadBounds<'_>, out_v: &mut [u32], out_u: &mut [u32]) {
+    let width = out_v.len();
     out_v.fill(u32::MAX);
     out_u.fill(0);
     for (b, head) in heads.iter().enumerate() {
@@ -141,8 +130,8 @@ fn fill_columns(
             continue;
         }
         if let Some((lo, hi)) = head {
-            let (lo, hi) = (&lo[cols.clone()], &hi[cols.clone()]);
-            for j in 0..cols.len() {
+            let (lo, hi) = (&lo[..width], &hi[..width]);
+            for j in 0..width {
                 out_v[j] = out_v[j].min(hi[j]);
                 out_u[j] = out_u[j].max(lo[j]);
             }
@@ -245,48 +234,19 @@ impl SweepSummary {
 
     /// Materializes slot `slot`'s excluded pair `(U, V)` for the current
     /// epoch if stale: component-wise meet of the other heads' highs and
-    /// join of their lows, with the columns of the excluded
-    /// row statically split across up to `threads` scoped workers (the
-    /// caller included). Every column's fold is computed by exactly one
-    /// worker via [`fill_columns`], writing a disjoint sub-slice of the
-    /// row — no merge step exists, so the assembled row is bit-identical
-    /// to the sequential fill by construction. Column work is uniform
-    /// (`k − 1` min/max folds each), so the static equal split is already
-    /// load-balanced; an atomic cursor would add synchronization for
-    /// nothing here (the irregular regions use one — see `par`).
-    fn materialize_par(&mut self, slot: usize, heads: &HeadBounds<'_>, threads: usize) {
+    /// join of their lows.
+    fn materialize(&mut self, slot: usize, heads: &HeadBounds<'_>) {
         if self.slot_epoch[slot] == self.epoch {
             return;
         }
         self.slot_epoch[slot] = self.epoch;
-        let width = self.width;
-        let row_v = &mut self.v_excl[slot * width..(slot + 1) * width];
-        let row_u = &mut self.u_excl[slot * width..(slot + 1) * width];
-        let threads = threads.clamp(1, width.max(1));
-        if threads == 1 {
-            fill_columns(slot, heads, 0..width, row_v, row_u);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let (mut rest_v, mut rest_u) = (row_v, row_u);
-            let mut start = 0usize;
-            let per = width / threads;
-            let extra = width % threads;
-            for t in 0..threads {
-                let len = per + usize::from(t < extra);
-                let (cv, rv) = rest_v.split_at_mut(len);
-                let (cu, ru) = rest_u.split_at_mut(len);
-                (rest_v, rest_u) = (rv, ru);
-                let cols = start..start + len;
-                start += len;
-                if t + 1 == threads {
-                    // The caller fills the last column block itself.
-                    fill_columns(slot, heads, cols, cv, cu);
-                } else {
-                    scope.spawn(move || fill_columns(slot, heads, cols, cv, cu));
-                }
-            }
-        });
+        let row = slot * self.width..(slot + 1) * self.width;
+        fill_row(
+            slot,
+            heads,
+            &mut self.v_excl[row.clone()],
+            &mut self.u_excl[row],
+        );
     }
 
     /// The whole-set overlap gate: returns `true` iff the summary
@@ -315,31 +275,12 @@ impl SweepSummary {
         heads: &HeadBounds<'_>,
         ops: &OpCounter,
     ) -> bool {
-        self.certify_par(slot, lo, hi, heads, ops, 1)
-    }
-
-    /// [`certify`](Self::certify) with materialization of a stale excluded
-    /// row split across up to `threads` scoped workers (see
-    /// [`materialize_par`](Self::materialize_par)). The billed gate scan
-    /// itself always runs on the calling thread — it is a word-granular
-    /// early-exit loop whose billing depends on where it stops, so it must
-    /// stay sequential to keep counter totals bit-identical. `threads: 1`
-    /// is exactly the sequential gate.
-    pub fn certify_par(
-        &mut self,
-        slot: usize,
-        lo: &[u32],
-        hi: &[u32],
-        heads: &HeadBounds<'_>,
-        ops: &OpCounter,
-        threads: usize,
-    ) -> bool {
         self.sync(heads);
         let others = self.count - usize::from(self.present.get(slot).copied().unwrap_or(false));
         if others == 0 {
             return true;
         }
-        self.materialize_par(slot, heads, threads);
+        self.materialize(slot, heads);
         let width = self.width;
         let v = &self.v_excl[slot * width..(slot + 1) * width];
         let u = &self.u_excl[slot * width..(slot + 1) * width];
@@ -498,49 +439,6 @@ mod tests {
         assert!(certify_slot(&mut sum, &before, 0, &ops));
         sum.touch();
         assert!(!certify_slot(&mut sum, &after, 0, &ops));
-    }
-
-    #[test]
-    fn parallel_materialization_matches_sequential_bit_for_bit() {
-        // Random head sets, width intentionally not a multiple of the
-        // thread count or chunk width: every gate verdict and every billed
-        // total must match the sequential gate exactly.
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..50 {
-            let k = 2 + (rng() % 5) as usize;
-            let n = 1 + (rng() % 37) as usize;
-            let set: Vec<(usize, Vec<u32>, Vec<u32>)> = (0..k)
-                .map(|s| {
-                    let lo: Vec<u32> = (0..n).map(|_| (rng() % 7) as u32).collect();
-                    let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 7) as u32).collect();
-                    (s, lo, hi)
-                })
-                .collect();
-            let heads = heads_of(&set);
-            for threads in [2usize, 3, 8] {
-                let mut seq = SweepSummary::new();
-                let mut par = SweepSummary::new();
-                let (ops_seq, ops_par) = (OpCounter::new(), OpCounter::new());
-                for (s, lo, hi) in &set {
-                    let a = seq.certify(*s, lo, hi, &heads, &ops_seq);
-                    let b = par.certify_par(*s, lo, hi, &heads, &ops_par, threads);
-                    assert_eq!(a, b, "verdict diverged: trial {trial}, slot {s}");
-                }
-                assert_eq!(
-                    ops_seq.get(),
-                    ops_par.get(),
-                    "billing diverged: trial {trial}"
-                );
-                assert_eq!(seq.v_excl, par.v_excl, "V rows diverged: trial {trial}");
-                assert_eq!(seq.u_excl, par.u_excl, "U rows diverged: trial {trial}");
-            }
-        }
     }
 
     #[test]

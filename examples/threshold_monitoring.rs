@@ -9,7 +9,7 @@
 //! cargo run --example threshold_monitoring
 //! ```
 
-use ftscp::core::{MultiDetector, PredicateId};
+use ftscp::core::{PredicateId, PredicateRegistry, TenantSpec};
 use ftscp::tree::SpanningTree;
 use ftscp::workload::threshold::{from_series, GossipPattern, SensorFleet};
 
@@ -54,25 +54,28 @@ fn main() {
     );
 
     let tree = SpanningTree::balanced_dary(n, 3);
-    let mut multi = MultiDetector::new(&tree, 2);
+    let mut registry = PredicateRegistry::new(
+        &tree,
+        &[TenantSpec::full(HOT), TenantSpec::full(LOW_BATTERY)],
+    );
     for iv in temp_exec.intervals_interleaved() {
-        multi.feed(HOT, iv.clone());
+        registry.feed_tenant(HOT, iv.clone());
     }
     for iv in batt_exec.intervals_interleaved() {
-        multi.feed(LOW_BATTERY, iv.clone());
+        registry.feed_tenant(LOW_BATTERY, iv.clone());
     }
 
     println!("\nΦ_hot (all sensors above 20 °C simultaneously):");
-    for d in multi.root_solutions(HOT) {
+    for d in registry.root_solutions(HOT) {
         println!("  episode covering {} sensors", d.covered_processes().len());
     }
     println!("\nΦ_low (all batteries low simultaneously):");
-    for d in multi.root_solutions(LOW_BATTERY) {
+    for d in registry.root_solutions(LOW_BATTERY) {
         println!("  episode covering {} sensors", d.covered_processes().len());
     }
 
-    let hot = multi.root_solutions(HOT).len();
-    let low = multi.root_solutions(LOW_BATTERY).len();
+    let hot = registry.root_solutions(HOT).len();
+    let low = registry.root_solutions(LOW_BATTERY).len();
     println!(
         "\n{} heat episodes, {} low-battery episodes detected \
          (expected: {} and {} complete episodes)",

@@ -1,6 +1,6 @@
 //! Representation invariance: changing how intervals are *represented* —
-//! dense vs delta wire encoding, full vs incremental vs aggregate sweep
-//! scheduling — must not change *what is detected*. Each property pushes
+//! dense vs delta wire encoding, full vs aggregate sweep scheduling —
+//! must not change *what is detected*. Each property pushes
 //! a random execution through multiple representations and demands
 //! byte-identical [`detection_fingerprint`]s, identical solution
 //! sequences, and identical per-bank deletion decisions.
@@ -9,7 +9,7 @@ use bytes::BytesMut;
 use ftscp::core::faultcheck::detection_fingerprint;
 use ftscp::core::{ConnCodec, HierarchicalDetector};
 use ftscp::intervals::codec::{interval_from_bytes, interval_to_bytes};
-use ftscp::intervals::{Interval, SweepMode};
+use ftscp::intervals::{Interval, QueueBank, SweepMode};
 use ftscp::tree::SpanningTree;
 use ftscp::workload::{Execution, RandomExecution};
 use proptest::prelude::*;
@@ -118,12 +118,11 @@ proptest! {
         prop_assert_eq!(out_dense, out_delta, "detection outcome diverged across codecs");
     }
 
-    /// Every sweep evaluation strategy — full pairwise, cached
-    /// incremental, and the `⊓`-summary-gated aggregate — detects exactly
-    /// the same thing: same fingerprint, same solution sequences, and the
-    /// same deletion (sweep + Eq. (10) prune) decisions at every node,
-    /// while the cheaper modes bill no more clock-comparison work than
-    /// the full sweep.
+    /// The `⊓`-summary-gated aggregate engine every deployment runs
+    /// detects exactly what the paper-unit `Full` reference detects: same
+    /// fingerprint, same solution sequences, and the same deletion (sweep
+    /// + Eq. (10) prune) decisions at every node, while billing no more
+    /// clock-comparison work.
     #[test]
     fn sweep_mode_never_changes_detection(
         (n, rounds) in (2usize..9, 2usize..7),
@@ -133,32 +132,35 @@ proptest! {
         let exec = random_exec(n, rounds, skip, noise, seed);
         let original: Vec<Interval> = exec.intervals_interleaved().into_iter().cloned().collect();
         let (out_full, ops_full) = detect(&exec, &original, SweepMode::Full);
-        let (out_incr, ops_incr) = detect(&exec, &original, SweepMode::Incremental);
         let (out_agg, ops_agg) = detect(&exec, &original, SweepMode::Aggregate);
-        prop_assert_eq!(&out_incr, &out_full, "incremental sweep outcome diverged");
         prop_assert_eq!(&out_agg, &out_full, "aggregate sweep outcome diverged");
-        prop_assert!(
-            ops_incr <= ops_full,
-            "incremental sweep billed more ops ({} > {})", ops_incr, ops_full
-        );
+        // `≤`, not `<`: on a two-queue bank of width-2 clocks a gate miss
+        // plus its one-word fallback can bill exactly the reference's
+        // early-exit total. The strict saving is pinned where it is real —
+        // `ftscp_sim`'s grid and the bank's own differential test.
         prop_assert!(
             ops_agg <= ops_full,
             "aggregate sweep billed more ops ({} > {})", ops_agg, ops_full
         );
-        // The parallel sweep's contract is stronger than "same outcome":
-        // at 1 thread, 2 threads, and the auto (max) thread count it must
-        // reproduce the sequential aggregate's outcome AND its exact
-        // billed total — parallelism may only move work between threads,
-        // never create or skip any.
-        for threads in [1usize, 2, 0] {
-            let mode = SweepMode::AggregateParallel { threads };
-            let (out_par, ops_par) = detect(&exec, &original, mode);
-            prop_assert_eq!(&out_par, &out_agg, "parallel sweep outcome diverged at {} threads", threads);
-            prop_assert_eq!(
-                ops_par, ops_agg,
-                "parallel sweep billed a different total at {} threads ({} != {})",
-                threads, ops_par, ops_agg
-            );
-        }
     }
+}
+
+/// "The default has a gate": a default-constructed bank runs the aggregate
+/// engine, and a default-constructed detector over a tree with ≥ 3-queue
+/// banks actually consults the `⊓`-summary gate.
+#[test]
+fn default_engine_is_the_gated_aggregate_sweep() {
+    assert_eq!(QueueBank::new(3).sweep_mode(), SweepMode::Aggregate);
+
+    let exec = random_exec(13, 4, 0, 0, 7);
+    let tree = SpanningTree::balanced_dary(exec.n, 3);
+    let mut det = HierarchicalDetector::new(&tree);
+    for iv in exec.intervals_interleaved() {
+        det.feed(iv.clone());
+    }
+    let stats = det.bank_stats_total();
+    assert!(
+        stats.gate_hits + stats.gate_misses > 0,
+        "default sweep mode never consulted the summary gate"
+    );
 }
