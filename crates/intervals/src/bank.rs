@@ -251,21 +251,13 @@ pub struct QueueBank {
     /// Running `⊓`-summary of the live heads. Maintained only under
     /// [`SweepMode::Aggregate`]; transient (never snapshotted, rebuilt
     /// from the live heads on the next sweep after a restore or a mode
-    /// selection).
+    /// selection). Its rule: [`touch`](SweepSummary::touch) whenever a
+    /// head it may hold can have changed — never for a head arriving in an
+    /// empty queue, which it cannot hold.
     summary: SweepSummary,
-}
-
-/// Current `(lo, hi)` component slices of every queue head, indexed by
-/// slot — the materialization input for [`SweepSummary::certify`].
-fn summary_heads(slots: &[Option<QueueSlot>]) -> Vec<Option<(&[u32], &[u32])>> {
-    slots
-        .iter()
-        .map(|s| {
-            s.as_ref()
-                .and_then(|q| q.items.front())
-                .map(|iv| (iv.lo.components(), iv.hi.components()))
-        })
-        .collect()
+    /// Intervals resident across all queues, kept in step with every push
+    /// and pop so the peak statistic costs `O(1)` per enqueue.
+    resident: usize,
 }
 
 impl QueueBank {
@@ -281,6 +273,7 @@ impl QueueBank {
             trace: None,
             mode: SweepMode::default(),
             summary: SweepSummary::new(),
+            resident: 0,
         }
     }
 
@@ -290,8 +283,8 @@ impl QueueBank {
     /// either way — only the comparison count differs.
     pub fn with_sweep_mode(mut self, mode: SweepMode) -> Self {
         self.mode = mode;
-        // Lazily rebuilt from the live heads on the next Aggregate sweep.
-        self.summary.clear();
+        // Rebuilt from the live heads on the next Aggregate sweep.
+        self.summary.touch();
         self
     }
 
@@ -361,7 +354,15 @@ impl QueueBank {
 
     /// Total intervals currently resident across all queues.
     pub fn resident(&self) -> usize {
-        self.slots.iter().flatten().map(|q| q.items.len()).sum()
+        debug_assert_eq!(
+            self.resident,
+            self.slots
+                .iter()
+                .flatten()
+                .map(|q| q.items.len())
+                .sum::<usize>()
+        );
+        self.resident
     }
 
     /// Adds a fresh empty queue, returning its id. Used when a node adopts
@@ -399,6 +400,7 @@ impl QueueBank {
         if self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
+        self.resident -= self.queue_len(slot);
         self.slots[idx] = None;
         self.active -= 1;
         self.record(BankEvent::QueueRemoved { slot });
@@ -442,13 +444,13 @@ impl QueueBank {
         let new_len = q.items.len();
         self.stats.enqueued += 1;
         self.stats.peak_queue_len = self.stats.peak_queue_len.max(new_len);
+        self.resident += 1;
         self.stats.peak_resident = self.stats.peak_resident.max(self.resident());
         self.record(BankEvent::Enqueued { slot, id });
 
         if new_len == 1 {
-            if self.mode == SweepMode::Aggregate {
-                self.summary.touch();
-            }
+            // No `touch()`: the queue was empty, so the summary holds no
+            // head of it.
             self.run_detection(BTreeSet::from([idx]))
         } else {
             Vec::new()
@@ -467,6 +469,7 @@ impl QueueBank {
             if let Some(iv) = q.items.pop_front() {
                 popped = Some(trace_id(&iv));
                 q.discarded += 1;
+                self.resident -= 1;
                 if swept {
                     self.stats.swept += 1;
                 } else {
@@ -552,9 +555,11 @@ impl QueueBank {
             })
             .collect();
         let active = slots.iter().filter(|s| s.is_some()).count();
+        let resident = slots.iter().flatten().map(|q| q.items.len()).sum();
         QueueBank {
             slots,
             active,
+            resident,
             stats: snapshot.stats,
             solution_counter: snapshot.solution_counter,
             emitted: snapshot.emitted.into_iter().collect(),
@@ -615,12 +620,11 @@ impl QueueBank {
                             stats,
                             ..
                         } = self;
-                        let heads = summary_heads(slots);
-                        let iv = slots[a]
-                            .as_ref()
-                            .and_then(|q| q.items.front())
-                            .expect("head id was just read");
-                        if summary.certify(a, iv.lo.components(), iv.hi.components(), &heads, ops) {
+                        let head = |b: usize| {
+                            let iv = slots[b].as_ref()?.items.front()?;
+                            Some((iv.lo.components(), iv.hi.components()))
+                        };
+                        if summary.certify(a, slots.len(), head, ops) {
                             stats.gate_hits += 1;
                             continue;
                         }
@@ -1087,6 +1091,62 @@ mod tests {
         let sols = bank.enqueue(SlotId(1), iv(1, 1, &[4, 4, 0], &[8, 7, 7]));
         assert_eq!(sols.len(), 1, "solution across local + real + ephemeral");
         assert_eq!(bank.queue_count(), 2, "ephemeral queue vanished");
+    }
+
+    #[test]
+    fn summary_storage_is_two_rows_however_many_queues() {
+        // 64 queues of 64-wide clocks, every one gated at least once
+        // (round 0 fills the bank, round 1 revisits after the pops).
+        let (k, width) = (64usize, 64usize);
+        let mut bank = QueueBank::new(k);
+        let mut solutions = 0;
+        for round in 0..2u32 {
+            for p in 0..k {
+                let mut lo = vec![10 * round; width];
+                lo[p] += 1;
+                let hi = vec![10 * round + 9; width];
+                solutions += bank
+                    .enqueue(SlotId(p as u32), iv(p as u32, round.into(), &lo, &hi))
+                    .len();
+            }
+        }
+        assert_eq!(solutions, 2);
+        assert!(bank.stats().gate_hits >= 2 * (k as u64 - 1));
+        assert_eq!(bank.summary.storage(), 2 * width);
+    }
+
+    #[test]
+    fn resident_counter_follows_every_push_and_pop() {
+        // Sweeps, a solution's prunes, an ephemeral queue that vanishes, a
+        // removed queue with a backlog, and a restore: `resident()` checks
+        // the counter against the queues (debug builds) on every call.
+        let mut bank = QueueBank::new(3);
+        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[2, 0, 0]));
+        bank.enqueue(SlotId(1), iv(1, 0, &[3, 1, 0], &[9, 9, 8]));
+        assert_eq!(bank.resident(), 1, "first head swept by the second");
+        bank.enqueue(SlotId(2), iv(2, 0, &[3, 1, 1], &[8, 8, 9]));
+        bank.enqueue(SlotId(2), iv(2, 1, &[3, 1, 2], &[8, 8, 10]));
+        bank.enqueue(SlotId(2), iv(2, 2, &[3, 1, 3], &[8, 8, 11]));
+        assert_eq!(bank.resident(), 4);
+        bank.add_ephemeral_queue(iv(7, 0, &[3, 0, 0], &[8, 8, 8]));
+        assert_eq!(bank.resident(), 5);
+        let sols = bank.enqueue(SlotId(0), iv(0, 1, &[4, 1, 0], &[9, 8, 8]));
+        assert_eq!(sols.len(), 1);
+        assert_eq!(
+            bank.queue_count(),
+            3,
+            "the consumed seed took its queue along"
+        );
+        assert_eq!(
+            bank.resident(),
+            3,
+            "three heads pruned, queue 2 keeps its backlog"
+        );
+        assert_eq!(bank.stats().peak_resident, 6);
+        assert_eq!(QueueBank::restore(bank.snapshot()).resident(), 3);
+        assert_eq!(bank.queue_len(SlotId(2)), 2);
+        bank.remove_queue(SlotId(2));
+        assert_eq!(bank.resident(), 1);
     }
 
     #[test]

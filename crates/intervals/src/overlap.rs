@@ -45,13 +45,10 @@ pub fn definitely_holds_fast(set: &[Interval], ops: &OpCounter) -> bool {
     if set.len() < 2 {
         return true;
     }
-    let heads: Vec<Option<(&[u32], &[u32])>> = set
-        .iter()
-        .map(|iv| Some((iv.lo.components(), iv.hi.components())))
-        .collect();
+    let head = |b: usize| Some((set[b].lo.components(), set[b].hi.components()));
     let mut summary = SweepSummary::new();
     for (i, x) in set.iter().enumerate() {
-        if summary.certify(i, x.lo.components(), x.hi.components(), &heads, ops) {
+        if summary.certify(i, set.len(), head, ops) {
             continue;
         }
         // Exact row: the gate is conservative on ties, so only a pairwise

@@ -22,275 +22,222 @@
 //! back to the exact pairwise row, solely to identify *which* head(s) to
 //! delete, so deletion decisions stay bit-identical to the pairwise sweep.
 //!
-//! ## Exclusion, epochs, and lazy materialization
+//! ## One running row, and what keeps it true
 //!
-//! The summaries must exclude the visiting queue itself (`b ≠ a`), so
-//! there is one `(U_a, V_a)` pair per slot. Materializing all of them
-//! eagerly on every head change is wasted work twice over: a solution pops
-//! all `k` heads at once (the summary would be rebuilt `k` times per
-//! round), and a typical sweep round only visits the one or two queues
-//! whose heads actually changed (the other `k − 2` rows would never be
-//! read).
+//! A visit of queue `a` is tested against the heads of all *other* queues,
+//! so the row a visit needs depends on who is visiting. The summary keeps
+//! a single row `(U, V)` and the set `included` of slots folded into it,
+//! under one invariant: **the row is `⊓` over exactly the `included`
+//! slots' heads, and none of those heads has changed since it was folded.**
+//! `⊓` only ever absorbs — a head cannot be taken back out of a `min`/`max`
+//! — so between two [`touch`](SweepSummary::touch)es heads are only added.
 //!
-//! The summary therefore invalidates in `O(1)` and materializes per slot
-//! on demand. Head changes call [`touch`](SweepSummary::touch), which just
-//! marks an epoch bump; the first [`certify`](SweepSummary::certify)
-//! afterwards advances the epoch, and each slot's excluded pair is
-//! recomputed — a branch-free component-wise meet/join over the `k − 1`
-//! other heads' contiguous bound rows, the exact shape the autovectorizer
-//! turns into packed SIMD min/max — only when that slot is gated within
-//! the current epoch. A round that gates one fresh head against `k − 1`
-//! unchanged peers pays for exactly one `O(k·n)` row, not `k` of them.
+//! [`certify`](SweepSummary::certify) for slot `a` brings the row to "all
+//! live heads except `a`": if `a` is not included it folds in the live
+//! heads the row does not hold yet; otherwise it starts over from the live
+//! heads. Either way the row scanned is, component for component, `⊓` over
+//! the other live heads, so verdicts and billing do not depend on which
+//! way it was reached. Debug builds re-derive the row from the included
+//! slots' current heads on every visit, so a missed `touch()` fails the
+//! first test that reaches it instead of skewing a verdict.
 //!
-//! The materialization is *maintenance*, billed like the `⊓`-aggregation
-//! it is (i.e. not counted as overlap-comparison work); the gate's own
-//! scans bill two units per [`CHUNK_WIDTH`]-component word, matching
+//! The owner's side is one rule: `touch()` whenever an included head can
+//! have changed — a head popped (to a successor or to empty), a queue
+//! removed. An enqueue into an *empty* queue needs no `touch()`: an empty
+//! slot has no head, so it is not in the row, and the invariant is about
+//! included heads only; the new head is simply folded by the next visit of
+//! another slot. A round in which `k` queues receive their heads one after
+//! the other therefore folds each head once (`k − 1` folds, where a
+//! rebuild per visit folds `0 + 1 + … + (k − 1)`), a single-queue bank
+//! never folds at all, and storage is `2 · width` components however many
+//! slots there are.
+//!
+//! Folding is *maintenance*, billed like the `⊓`-aggregation it is (i.e.
+//! not counted as overlap-comparison work); the gate's own scans bill two
+//! units per [`CHUNK_WIDTH`]-component word, matching
 //! [`compare_chunked_counted`](ftscp_vclock::order::compare_chunked_counted).
 
 use ftscp_vclock::{order::CHUNK_WIDTH, OpCounter};
 
-/// Current `(lo, hi)` component slices of every live queue head, indexed
-/// by slot — the materialization input for [`SweepSummary::certify`].
-pub type HeadBounds<'a> = [Option<(&'a [u32], &'a [u32])>];
+/// Components per branch-free pass of [`certify_scan`]: long enough for
+/// the autovectorizer, short enough that a violating head stops early.
+const BLOCK: usize = 8 * CHUNK_WIDTH;
+
+/// `(violated, lo < v somewhere, u < hi somewhere)` over equal-length
+/// slices, where *violated* means `lo ≤ v` or `u ≤ hi` fails in some
+/// component. Plain lanes with no branch and no early exit, so the loop
+/// vectorizes — on a head-vs-aggregate scan almost every component
+/// differs, and there is no equal-pair shortcut worth a branch (unlike
+/// the head-vs-head comparator's packed pairs).
+#[inline]
+fn scan_flags(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32]) -> (bool, bool, bool) {
+    let n = lo.len();
+    let (hi, v, u) = (&hi[..n], &v[..n], &u[..n]);
+    let (mut viol, mut lt1, mut lt2) = (false, false, false);
+    for j in 0..n {
+        viol |= (lo[j] > v[j]) | (u[j] > hi[j]);
+        lt1 |= lo[j] < v[j];
+        lt2 |= u[j] < hi[j];
+    }
+    (viol, lt1, lt2)
+}
 
 /// The billed gate scan: tests `lo < v` and `u < hi` (component-wise `≤`
 /// with a strict witness each) over equal-width slices, billing `ops` two
-/// units per [`CHUNK_WIDTH`]-component word inspected with early exit at
-/// word granularity on the first violated `≤` direction.
-///
-/// Like the chunked comparator, the inner loop packs two adjacent `u32`
-/// components per `u64` word: an equal packed pair leaves every flag
-/// unchanged (`≤` holds without a strict witness), so one 64-bit equality
-/// test retires both components; only differing pairs pay the per-half
-/// order tests. Billing counts words traversed, not work done inside
-/// them, so the packing cannot change any counter total.
+/// units per [`CHUNK_WIDTH`]-component word up to and including the first
+/// word that violates a `≤` direction (a trailing partial word counts as
+/// one). The scan runs [`BLOCK`] components at a time and looks for the
+/// word only inside a block that reported a violation; billing counts
+/// words, not the work done to find them.
 fn certify_scan(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32], ops: &OpCounter) -> bool {
     let width = lo.len();
     debug_assert!(hi.len() == width && v.len() == width && u.len() == width);
-    // Direction 1: min(x) < V_excl  (component-wise ≤ + strict witness).
-    // Direction 2: U_excl < max(x).
-    let mut le1 = true;
-    let mut lt1 = false;
-    let mut le2 = true;
-    let mut lt2 = false;
-    let mut words = 0u64;
-    let mut done = false;
-    let pack = |a: u32, b: u32| u64::from(a) | (u64::from(b) << 32);
-    for (((wl, wh), wv), wu) in lo
-        .chunks_exact(CHUNK_WIDTH)
-        .zip(hi.chunks_exact(CHUNK_WIDTH))
-        .zip(v.chunks_exact(CHUNK_WIDTH))
-        .zip(u.chunks_exact(CHUNK_WIDTH))
-    {
-        words += 1;
-        for k in 0..CHUNK_WIDTH / 2 {
-            let (l0, l1) = (wl[2 * k], wl[2 * k + 1]);
-            let (v0, v1) = (wv[2 * k], wv[2 * k + 1]);
-            if pack(l0, l1) != pack(v0, v1) {
-                le1 &= l0 <= v0 && l1 <= v1;
-                lt1 |= l0 < v0 || l1 < v1;
-            }
-            let (u0, u1) = (wu[2 * k], wu[2 * k + 1]);
-            let (h0, h1) = (wh[2 * k], wh[2 * k + 1]);
-            if pack(u0, u1) != pack(h0, h1) {
-                le2 &= u0 <= h0 && u1 <= h1;
-                lt2 |= u0 < h0 || u1 < h1;
-            }
+    let flags = |r: std::ops::Range<usize>| {
+        scan_flags(&lo[r.clone()], &hi[r.clone()], &v[r.clone()], &u[r])
+    };
+    let (mut lt1, mut lt2) = (false, false);
+    for start in (0..width).step_by(BLOCK) {
+        let end = (start + BLOCK).min(width);
+        let (viol, w1, w2) = flags(start..end);
+        if viol {
+            let word = (start..end)
+                .step_by(CHUNK_WIDTH)
+                .position(|w| flags(w..(w + CHUNK_WIDTH).min(end)).0)
+                .expect("the block reported a violation");
+            ops.add(2 * (start / CHUNK_WIDTH + word + 1) as u64);
+            return false;
         }
-        if !le1 || !le2 {
-            done = true;
-            break;
-        }
+        lt1 |= w1;
+        lt2 |= w2;
     }
-    // Any trailing partial word bills one unit like the full ones.
-    let rem = width % CHUNK_WIDTH;
-    if !done && rem != 0 {
-        words += 1;
-        let base = width - rem;
-        for c in base..width {
-            le1 &= lo[c] <= v[c];
-            lt1 |= lo[c] < v[c];
-            le2 &= u[c] <= hi[c];
-            lt2 |= u[c] < hi[c];
-        }
-    }
-    ops.add(2 * words);
-    le1 && lt1 && le2 && lt2
+    ops.add(2 * width.div_ceil(CHUNK_WIDTH) as u64);
+    lt1 && lt2
 }
 
-/// Fills slot `slot`'s excluded `⊓`-row: per column, the meet over the
-/// other heads' highs into `out_v` and the join over their lows into
-/// `out_u`.
-fn fill_row(slot: usize, heads: &HeadBounds<'_>, out_v: &mut [u32], out_u: &mut [u32]) {
-    let width = out_v.len();
-    out_v.fill(u32::MAX);
-    out_u.fill(0);
-    for (b, head) in heads.iter().enumerate() {
-        if b == slot {
-            continue;
-        }
-        if let Some((lo, hi)) = head {
-            let (lo, hi) = (&lo[..width], &hi[..width]);
-            for j in 0..width {
-                out_v[j] = out_v[j].min(hi[j]);
-                out_u[j] = out_u[j].max(lo[j]);
-            }
-        }
-    }
-}
-
-/// Per-slot excluded `⊓`-summary of a set of queue heads, invalidated in
-/// `O(1)` and materialized lazily per gated slot.
+/// The running `⊓`-row over a set of queue heads (see the module docs for
+/// the invariant and the math).
 ///
 /// Maintained by [`QueueBank`](crate::QueueBank) under
-/// [`SweepMode::Aggregate`](crate::SweepMode::Aggregate); see the module
-/// docs for the math.
-#[derive(Clone, Debug)]
+/// [`SweepMode::Aggregate`](crate::SweepMode::Aggregate).
+#[derive(Clone, Debug, Default)]
 pub struct SweepSummary {
-    /// Clock width (components per head bound).
-    width: usize,
-    /// Set by [`touch`](Self::touch); the next certify opens a new epoch.
-    dirty: bool,
-    /// Current head-configuration epoch. A slot's excluded row is valid
-    /// iff `slot_epoch[slot] == epoch`.
-    epoch: u64,
-    /// Slots contributing a head as of the current epoch.
-    present: Vec<bool>,
-    /// Number of contributing slots as of the current epoch.
+    /// Slots whose current head is folded into the row.
+    included: Vec<bool>,
+    /// Number of included slots; at 0 the row's contents mean nothing.
     count: usize,
-    /// Epoch at which each slot's excluded row was last materialized.
-    slot_epoch: Vec<u64>,
-    /// Row-major `slots × width`: `V_s = ⊓_{b≠s} max(head_b)`.
-    v_excl: Vec<u32>,
-    /// Row-major `slots × width`: `U_s = ⊔_{b≠s} min(head_b)`.
-    u_excl: Vec<u32>,
+    /// `V = ⊓ max(head_b)` over the included slots.
+    v: Vec<u32>,
+    /// `U = ⊔ min(head_b)` over the included slots.
+    u: Vec<u32>,
 }
 
 impl SweepSummary {
-    /// An empty summary; starts dirty so the first certify synchronizes.
+    /// A summary holding no head.
     pub fn new() -> Self {
-        SweepSummary {
-            width: 0,
-            dirty: true,
-            epoch: 0,
-            present: Vec::new(),
-            count: 0,
-            slot_epoch: Vec::new(),
-            v_excl: Vec::new(),
-            u_excl: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Number of heads seen by the current epoch.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True iff the current epoch saw no heads.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Forgets everything (used when the sweep mode changes or state is
-    /// restored); the next certify resynchronizes with the live heads.
-    pub fn clear(&mut self) {
-        *self = Self::new();
-    }
-
-    /// Marks the summary stale. Called after any head change — enqueue
-    /// into an empty queue, head pop, queue removal — it costs one store;
-    /// all recomputation is deferred to the next certify.
+    /// Empties the row. Called whenever an included head can have changed
+    /// — head pop, queue removal, anything that swaps the heads wholesale —
+    /// it costs two stores; the next certify starts over from the live
+    /// heads.
     pub fn touch(&mut self) {
-        self.dirty = true;
+        self.included.clear();
+        self.count = 0;
     }
 
-    /// Opens a new epoch against the live heads: refreshes the presence
-    /// census and invalidates every materialized row (by epoch counter,
-    /// not by writing them).
-    fn sync(&mut self, heads: &HeadBounds<'_>) {
-        if !self.dirty {
-            return;
+    /// Absorbs slot `b`'s head into the row.
+    fn fold(&mut self, b: usize, lo: &[u32], hi: &[u32]) {
+        if self.count == 0 {
+            self.v.clear();
+            self.v.extend_from_slice(hi);
+            self.u.clear();
+            self.u.extend_from_slice(lo);
+        } else {
+            debug_assert!(hi.len() == self.v.len() && lo.len() == self.u.len());
+            for (v, h) in self.v.iter_mut().zip(hi) {
+                *v = (*v).min(*h);
+            }
+            for (u, l) in self.u.iter_mut().zip(lo) {
+                *u = (*u).max(*l);
+            }
         }
-        self.dirty = false;
-        self.epoch += 1;
-        self.present.clear();
-        self.present.extend(heads.iter().map(Option::is_some));
-        self.count = self.present.iter().filter(|&&p| p).count();
-        self.width = heads
-            .iter()
-            .flatten()
-            .map(|(lo, _)| lo.len())
-            .next()
-            .unwrap_or(0);
-        let ns = heads.len();
-        if self.slot_epoch.len() < ns {
-            self.slot_epoch.resize(ns, 0);
-        }
-        if self.v_excl.len() < ns * self.width {
-            self.v_excl.resize(ns * self.width, u32::MAX);
-            self.u_excl.resize(ns * self.width, 0);
-        }
+        self.included[b] = true;
+        self.count += 1;
     }
 
-    /// Materializes slot `slot`'s excluded pair `(U, V)` for the current
-    /// epoch if stale: component-wise meet of the other heads' highs and
-    /// join of their lows.
-    fn materialize(&mut self, slot: usize, heads: &HeadBounds<'_>) {
-        if self.slot_epoch[slot] == self.epoch {
-            return;
+    /// Components of storage held, for the bank's space test.
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> usize {
+        self.v.len() + self.u.len()
+    }
+
+    /// The invariant, checked from scratch: the row is `⊓` over exactly
+    /// the included slots' *current* heads.
+    fn row_is_current<'a>(
+        &self,
+        slots: usize,
+        head: &impl Fn(usize) -> Option<(&'a [u32], &'a [u32])>,
+    ) -> bool {
+        let mut fresh = SweepSummary {
+            included: vec![false; self.included.len()],
+            ..Self::default()
+        };
+        for b in (0..self.included.len()).filter(|&b| self.included[b]) {
+            match head(b) {
+                Some((lo, hi)) if b < slots => fresh.fold(b, lo, hi),
+                _ => return false,
+            }
         }
-        self.slot_epoch[slot] = self.epoch;
-        let row = slot * self.width..(slot + 1) * self.width;
-        fill_row(
-            slot,
-            heads,
-            &mut self.v_excl[row.clone()],
-            &mut self.u_excl[row],
-        );
+        self.count == 0 || (fresh.v == self.v && fresh.u == self.u)
     }
 
     /// The whole-set overlap gate: returns `true` iff the summary
-    /// *certifies* that the head (`lo`, `hi`) of queue `slot` strictly
-    /// overlaps every other live head in both directions — i.e. the
-    /// pairwise sweep would delete nothing on this visit. `false` means
-    /// "cannot certify": the caller must fall back to the pairwise row
-    /// (which may or may not find a deletion; the rare ambiguous case is a
-    /// non-strict tie against the aggregate).
+    /// *certifies* that the head of queue `slot` strictly overlaps every
+    /// other live head in both directions — i.e. the pairwise sweep would
+    /// delete nothing on this visit. `false` means "cannot certify": the
+    /// caller must fall back to the pairwise row (which may or may not
+    /// find a deletion; the rare ambiguous case is a non-strict tie
+    /// against the aggregate).
     ///
-    /// `heads[b]` must give the *current* `(lo, hi)` component slices of
-    /// every live queue head, indexed by slot — consulted only when a
-    /// preceding [`touch`](Self::touch) invalidated the epoch or `slot`
-    /// has not been gated in the current epoch.
+    /// `head(b)` must give the *current* `(lo, hi)` component slices of
+    /// slot `b`'s head for every `b < slots` (`None` for a removed or
+    /// empty queue), and `slot` must have one.
     ///
     /// Bills `ops` two units per [`CHUNK_WIDTH`]-component word inspected
     /// (one per direction of the overlap condition), matching the chunked
     /// comparator's accounting; early exit at word granularity on the
-    /// first violated direction. Materialization is unbilled maintenance
-    /// (see the module docs).
-    pub fn certify(
+    /// first violated direction. Folding is unbilled maintenance (see the
+    /// module docs).
+    pub fn certify<'a>(
         &mut self,
         slot: usize,
-        lo: &[u32],
-        hi: &[u32],
-        heads: &HeadBounds<'_>,
+        slots: usize,
+        head: impl Fn(usize) -> Option<(&'a [u32], &'a [u32])>,
         ops: &OpCounter,
     ) -> bool {
-        self.sync(heads);
-        let others = self.count - usize::from(self.present.get(slot).copied().unwrap_or(false));
-        if others == 0 {
+        let (lo, hi) = head(slot).expect("certify visits a live head");
+        debug_assert!(
+            self.row_is_current(slots, &head),
+            "a folded head changed without touch()"
+        );
+        // `⊓` cannot give a head back: the row is no use to a visitor it
+        // holds.
+        if self.included.get(slot) == Some(&true) {
+            self.touch();
+        }
+        self.included.resize(slots, false);
+        for b in 0..slots {
+            if b != slot && !self.included[b] {
+                if let Some((l, h)) = head(b) {
+                    self.fold(b, l, h);
+                }
+            }
+        }
+        if self.count == 0 {
             return true;
         }
-        self.materialize(slot, heads);
-        let width = self.width;
-        let v = &self.v_excl[slot * width..(slot + 1) * width];
-        let u = &self.u_excl[slot * width..(slot + 1) * width];
-        certify_scan(&lo[..width], &hi[..width], v, u, ops)
-    }
-}
-
-impl Default for SweepSummary {
-    fn default() -> Self {
-        Self::new()
+        certify_scan(lo, hi, &self.v, &self.u, ops)
     }
 }
 
@@ -298,13 +245,29 @@ impl Default for SweepSummary {
 mod tests {
     use super::*;
 
-    fn heads_of<'a>(set: &'a [(usize, Vec<u32>, Vec<u32>)]) -> Vec<Option<(&'a [u32], &'a [u32])>> {
-        let max_slot = set.iter().map(|(s, _, _)| *s).max().unwrap_or(0);
-        let mut v: Vec<Option<(&[u32], &[u32])>> = vec![None; max_slot + 1];
+    type Head = (Vec<u32>, Vec<u32>);
+
+    /// Heads by slot, `None` for an empty or removed queue.
+    fn heads_of(set: &[(usize, Vec<u32>, Vec<u32>)]) -> Vec<Option<Head>> {
+        let slots = set.iter().map(|(s, _, _)| *s + 1).max().unwrap_or(0);
+        let mut heads = vec![None; slots];
         for (s, lo, hi) in set {
-            v[*s] = Some((lo.as_slice(), hi.as_slice()));
+            heads[*s] = Some((lo.clone(), hi.clone()));
         }
-        v
+        heads
+    }
+
+    fn certify_heads(
+        sum: &mut SweepSummary,
+        heads: &[Option<Head>],
+        slot: usize,
+        ops: &OpCounter,
+    ) -> bool {
+        let head = |b: usize| {
+            let (lo, hi) = heads[b].as_ref()?;
+            Some((lo.as_slice(), hi.as_slice()))
+        };
+        sum.certify(slot, heads.len(), head, ops)
     }
 
     fn certify_slot(
@@ -313,9 +276,7 @@ mod tests {
         slot: usize,
         ops: &OpCounter,
     ) -> bool {
-        let heads = heads_of(set);
-        let me = set.iter().find(|(s, _, _)| *s == slot).unwrap();
-        sum.certify(slot, &me.1, &me.2, &heads, ops)
+        certify_heads(sum, &heads_of(set), slot, ops)
     }
 
     /// Reference implementation: does (lo, hi) at `slot` strictly overlap
@@ -328,6 +289,46 @@ mod tests {
         set.iter()
             .filter(|(s, _, _)| *s != slot)
             .all(|(_, lo, hi)| strictly_less(&me.1, hi) && strictly_less(lo, &me.2))
+    }
+
+    /// The scan as a plain word loop: per-word `≤`/`<` flags, stop after
+    /// the first word that violates a `≤` direction, a trailing partial
+    /// word is one more word, two units per word.
+    fn reference_scan(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32], ops: &OpCounter) -> bool {
+        let (mut le1, mut lt1, mut le2, mut lt2) = (true, false, true, false);
+        let mut words = 0u64;
+        for w in (0..lo.len()).step_by(CHUNK_WIDTH) {
+            words += 1;
+            for c in w..(w + CHUNK_WIDTH).min(lo.len()) {
+                le1 &= lo[c] <= v[c];
+                lt1 |= lo[c] < v[c];
+                le2 &= u[c] <= hi[c];
+                lt2 |= u[c] < hi[c];
+            }
+            if !le1 || !le2 {
+                break;
+            }
+        }
+        ops.add(2 * words);
+        le1 && lt1 && le2 && lt2
+    }
+
+    /// Slot `slot`'s excluded row built from scratch: `(V, U)` over every
+    /// other live head, `None` if there is none.
+    fn reference_row(heads: &[Option<Head>], slot: usize) -> Option<(Vec<u32>, Vec<u32>)> {
+        let width = heads[slot].as_ref().unwrap().0.len();
+        let (mut v, mut u) = (vec![u32::MAX; width], vec![0u32; width]);
+        let mut others = 0;
+        for (b, head) in heads.iter().enumerate() {
+            if let (true, Some((lo, hi))) = (b != slot, head) {
+                others += 1;
+                for j in 0..width {
+                    v[j] = v[j].min(hi[j]);
+                    u[j] = u[j].max(lo[j]);
+                }
+            }
+        }
+        (others > 0).then_some((v, u))
     }
 
     #[test]
@@ -394,8 +395,157 @@ mod tests {
         }
     }
 
+    /// The running row against a from-scratch rebuild, over every way a
+    /// bank's heads move: after each step the visited slots must see the
+    /// reference's row, verdict and bill.
     #[test]
-    fn touch_then_certify_matches_fresh_build() {
+    fn running_row_matches_rebuild_under_head_churn() {
+        let mut state = 0xA0761D6478BD642Fu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Mostly overlapping heads (lows 0–2, highs 10–12), one in three
+        // with a component pushed out of range in one direction or pinned
+        // to the edge of it (a tie).
+        fn fresh_head(rng: &mut impl FnMut() -> u64, width: usize) -> Head {
+            let mut lo: Vec<u32> = (0..width).map(|_| (rng() % 3) as u32).collect();
+            let mut hi: Vec<u32> = (0..width).map(|_| 10 + (rng() % 3) as u32).collect();
+            let c = (rng() % width as u64) as usize;
+            match rng() % 9 {
+                0 => (lo[c], hi[c]) = (13, 14),
+                1 => (lo[c], hi[c]) = (0, 1),
+                2 => lo.fill(10),
+                _ => {}
+            }
+            (lo, hi)
+        }
+        let (mut certified, mut refused, mut unopposed) = (0, 0, 0);
+        for width in [1usize, 7, 8, 9, 64, 65] {
+            for _ in 0..40 {
+                let mut heads: Vec<Option<Head>> = vec![None; 2 + (rng() % 8) as usize];
+                let mut sum = SweepSummary::new();
+                let (ops, ref_ops) = (OpCounter::new(), OpCounter::new());
+                for _ in 0..60 {
+                    let slot = (rng() % heads.len() as u64) as usize;
+                    // What the bank would visit after this step.
+                    let mut visit = vec![slot];
+                    match (rng() % 6, heads[slot].is_some()) {
+                        // A head appears in an empty (or removed and now
+                        // reused) slot: no touch.
+                        (_, false) => heads[slot] = Some(fresh_head(&mut rng, width)),
+                        // The head pops to a successor.
+                        (0..=2, true) => {
+                            heads[slot] = Some(fresh_head(&mut rng, width));
+                            sum.touch();
+                        }
+                        // The head pops to empty / the slot is removed.
+                        (3, true) => {
+                            heads[slot] = None;
+                            sum.touch();
+                            visit.clear();
+                        }
+                        // Several heads pop to successors in one pass.
+                        (4, true) => {
+                            visit.clear();
+                            for b in 0..heads.len() {
+                                if heads[b].is_some() && rng() % 2 == 0 {
+                                    heads[b] = Some(fresh_head(&mut rng, width));
+                                    visit.push(b);
+                                }
+                            }
+                            sum.touch();
+                        }
+                        // A revisit with nothing changed.
+                        (_, true) => {}
+                    }
+                    for a in visit {
+                        let (before, ref_before) = (ops.get(), ref_ops.get());
+                        let got = certify_heads(&mut sum, &heads, a, &ops);
+                        let (lo, hi) = heads[a].as_ref().unwrap();
+                        let want = match reference_row(&heads, a) {
+                            Some((v, u)) => {
+                                assert_eq!((&sum.v, &sum.u), (&v, &u), "row of slot {a}");
+                                reference_scan(lo, hi, &v, &u, &ref_ops)
+                            }
+                            None => true,
+                        };
+                        assert_eq!(got, want, "verdict of slot {a} in {heads:?}");
+                        assert_eq!(
+                            ops.get() - before,
+                            ref_ops.get() - ref_before,
+                            "bill of slot {a} in {heads:?}"
+                        );
+                        match (got, ops.get() == before) {
+                            (true, true) => unopposed += 1,
+                            (true, false) => certified += 1,
+                            (false, _) => refused += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            certified > 500 && refused > 500 && unopposed > 50,
+            "workload must exercise every outcome: {certified} / {refused} / {unopposed}"
+        );
+    }
+
+    #[test]
+    fn block_scan_matches_word_loop_in_verdict_and_bill() {
+        let check = |lo: &[u32], hi: &[u32], v: &[u32], u: &[u32], what: &str| {
+            let (ops, ref_ops) = (OpCounter::new(), OpCounter::new());
+            assert_eq!(
+                certify_scan(lo, hi, v, u, &ops),
+                reference_scan(lo, hi, v, u, &ref_ops),
+                "verdict, {what}"
+            );
+            assert_eq!(ops.get(), ref_ops.get(), "bill, {what}");
+            ops.get()
+        };
+        for width in [1usize, 7, 8, 9, 63, 64, 65, 1024] {
+            let words = width.div_ceil(CHUNK_WIDTH) as u64;
+            let (ones, twos) = (vec![1u32; width], vec![2u32; width]);
+            // Strictly inside in both directions; a tie everywhere (no
+            // strict witness); a witness in one direction only.
+            assert_eq!(check(&ones, &twos, &twos, &ones, "clean"), 2 * words);
+            assert!(certify_scan(&ones, &twos, &twos, &ones, &OpCounter::new()));
+            check(&ones, &ones, &ones, &ones, "all equal");
+            check(&ones, &ones, &twos, &ones, "witness in direction 1 only");
+            check(&ones, &twos, &ones, &ones, "witness in direction 2 only");
+            // A lone witness per direction, wherever it sits.
+            for c in [0, width / 2, width - 1] {
+                let (mut lo, mut u) = (twos.clone(), twos.clone());
+                lo[c] = 1;
+                u[width - 1 - c] = 1;
+                check(&lo, &twos, &twos, &u, "lone witnesses");
+                assert!(certify_scan(&lo, &twos, &twos, &u, &OpCounter::new()));
+            }
+            // The violation in every word, at either end of the word, in
+            // each direction, with and without a later one behind it.
+            for w in 0..words as usize {
+                let last = (w * CHUNK_WIDTH + CHUNK_WIDTH - 1).min(width - 1);
+                for c in [w * CHUNK_WIDTH, last] {
+                    for later in [false, true] {
+                        let (mut lo, mut u) = (ones.clone(), ones.clone());
+                        lo[c] = 3;
+                        if later {
+                            lo[width - 1] = 3;
+                            u[width - 1] = 3;
+                        }
+                        let what = format!("width {width}, lo > v at {c}, later {later}");
+                        assert_eq!(check(&lo, &twos, &twos, &ones, &what), 2 * (w as u64 + 1));
+                        assert_eq!(check(&ones, &twos, &twos, &lo, &what), 2 * (w as u64 + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_after_touch_matches_fresh_build() {
         let set = vec![
             (0usize, vec![1, 0, 0], vec![9, 8, 8]),
             (1, vec![2, 1, 0], vec![8, 9, 8]),
@@ -415,16 +565,17 @@ mod tests {
             assert_eq!(
                 certify_slot(&mut sum, &remaining, *s, &ops),
                 certify_slot(&mut fresh, &remaining, *s, &ops),
-                "epoch invalidation diverged from fresh build at slot {s}"
+                "touched row diverged from fresh build at slot {s}"
             );
+            assert_eq!((&sum.v, &sum.u), (&fresh.v, &fresh.u));
         }
-        assert_eq!(sum.len(), 2);
+        assert_eq!(sum.count, 1, "the row holds the one other head");
     }
 
     #[test]
-    fn stale_epoch_is_never_reused_across_touch() {
-        // Materialize slot 0's row, then shift the other head and touch:
-        // the verdict must reflect the new configuration.
+    fn row_folded_before_touch_is_never_reused_after_it() {
+        // Fold slot 1's head into the row, then shift it and touch: the
+        // verdict must reflect the new configuration.
         let before = vec![
             (0usize, vec![1, 1], vec![9, 9]),
             (1, vec![2, 2], vec![8, 8]),
@@ -442,11 +593,28 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a folded head changed without touch()")]
+    fn a_missed_touch_is_caught_in_debug_builds() {
+        let mut set = vec![
+            (0usize, vec![1, 1], vec![9, 9]),
+            (1, vec![2, 2], vec![8, 8]),
+            (2, vec![2, 2], vec![8, 8]),
+        ];
+        let mut sum = SweepSummary::new();
+        let ops = OpCounter::new();
+        certify_slot(&mut sum, &set, 0, &ops);
+        set[1].2 = vec![7, 7];
+        certify_slot(&mut sum, &set, 0, &ops);
+    }
+
+    #[test]
     fn single_head_always_certifies() {
         let set = vec![(0usize, vec![1, 2], vec![3, 4])];
         let mut sum = SweepSummary::new();
         let ops = OpCounter::new();
         assert!(certify_slot(&mut sum, &set, 0, &ops));
         assert_eq!(ops.get(), 0, "nothing to compare against");
+        assert!(sum.v.is_empty() && sum.u.is_empty(), "and nothing folded");
     }
 }

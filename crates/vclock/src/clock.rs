@@ -186,17 +186,48 @@ impl VectorClock {
     }
 
     /// Join of an iterator of clocks. Panics on an empty iterator.
+    ///
+    /// Equal to the left fold of [`join`](Self::join), computed into one
+    /// output buffer: a single input comes back as a storage-sharing clone,
+    /// `k ≥ 2` inputs cost one allocation instead of `2(k − 1)`.
     pub fn join_all<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> VectorClock {
-        let mut it = clocks.into_iter();
-        let first = it.next().expect("join_all of empty iterator").clone();
-        it.fold(first, |acc, c| acc.join(c))
+        Self::fold_all(clocks, "join_all of empty iterator", u32::max)
     }
 
-    /// Meet of an iterator of clocks. Panics on an empty iterator.
+    /// Meet of an iterator of clocks. Panics on an empty iterator. Single
+    /// pass and single allocation like [`join_all`](Self::join_all).
     pub fn meet_all<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> VectorClock {
+        Self::fold_all(clocks, "meet_all of empty iterator", u32::min)
+    }
+
+    fn fold_all<'a>(
+        clocks: impl IntoIterator<Item = &'a VectorClock>,
+        empty: &str,
+        op: impl Fn(u32, u32) -> u32,
+    ) -> VectorClock {
         let mut it = clocks.into_iter();
-        let first = it.next().expect("meet_all of empty iterator").clone();
-        it.fold(first, |acc, c| acc.meet(c))
+        let first = it.next().expect(empty);
+        let Some(second) = it.next() else {
+            return first.clone();
+        };
+        debug_assert_eq!(first.len(), second.len(), "clock width mismatch");
+        // The zip of two slices reports its exact length, so this collects
+        // straight into the shared buffer — which is then uniquely owned,
+        // so `make_mut` hands it out in place for the rest of the fold.
+        let mut components: ClockHandle = first
+            .components()
+            .iter()
+            .zip(second.components())
+            .map(|(a, b)| op(*a, *b))
+            .collect();
+        let out = components.make_mut();
+        for clock in it {
+            debug_assert_eq!(out.len(), clock.len(), "clock width mismatch");
+            for (acc, c) in out.iter_mut().zip(clock.components()) {
+                *acc = op(*acc, *c);
+            }
+        }
+        VectorClock { components }
     }
 
     /// Strict component order: `self < other` iff every component of `self`
@@ -308,6 +339,39 @@ mod tests {
         let clocks = [vc(&[1, 9]), vc(&[4, 2]), vc(&[3, 3])];
         assert_eq!(VectorClock::join_all(clocks.iter()).components(), &[4, 9]);
         assert_eq!(VectorClock::meet_all(clocks.iter()).components(), &[1, 2]);
+    }
+
+    #[test]
+    fn join_all_meet_all_equal_the_left_fold_in_one_buffer() {
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for k in 1..=6usize {
+            for width in [1usize, 7, 64] {
+                let clocks: Vec<VectorClock> = (0..k)
+                    .map(|_| vc(&(0..width).map(|_| (rng() % 9) as u32).collect::<Vec<_>>()))
+                    .collect();
+                crate::pool::reset_clone_stats();
+                let join = VectorClock::join_all(clocks.iter());
+                let meet = VectorClock::meet_all(clocks.iter());
+                assert_eq!(crate::pool::clone_stats().1, 0, "no copy-on-write break");
+                let fold = |op: fn(&VectorClock, &VectorClock) -> VectorClock| {
+                    clocks[1..]
+                        .iter()
+                        .fold(clocks[0].clone(), |acc, c| op(&acc, c))
+                };
+                assert_eq!(join, fold(VectorClock::join), "k = {k}, width = {width}");
+                assert_eq!(meet, fold(VectorClock::meet), "k = {k}, width = {width}");
+                if k == 1 {
+                    assert!(join.shares_storage_with(&clocks[0]));
+                    assert!(meet.shares_storage_with(&clocks[0]));
+                }
+            }
+        }
     }
 
     #[test]

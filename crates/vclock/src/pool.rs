@@ -173,6 +173,17 @@ impl From<Vec<u32>> for ClockHandle {
     }
 }
 
+/// Collects components straight into the shared buffer: one allocation for
+/// an iterator that knows its exact length, where [`ClockHandle::new`]
+/// costs the `Vec` and then its copy.
+impl FromIterator<u32> for ClockHandle {
+    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
+        ClockHandle {
+            data: iter.into_iter().collect(),
+        }
+    }
+}
+
 /// Hash-consing interner for clock storage.
 ///
 /// `intern` maps equal component vectors to one shared allocation, so the
