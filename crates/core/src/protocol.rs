@@ -3,7 +3,7 @@
 
 use bytes::{Bytes, BytesMut};
 use ftscp_intervals::codec::{
-    decode_interval_auto, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
+    decode_interval_delta, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
     encoded_interval_delta_len, encoded_tenant_batch_len, DecodeError, TenantGroup,
 };
 use ftscp_intervals::Interval;
@@ -216,6 +216,8 @@ pub(crate) const INTERVAL_MSG_OVERHEAD: usize = 8;
 pub struct ConnCodec {
     /// `lo` of the last frame encoded or decoded on this connection.
     base: Option<VectorClock>,
+    /// Frames this codec has encoded, and how many of them standalone.
+    sent: (u64, u64),
 }
 
 impl ConnCodec {
@@ -231,18 +233,37 @@ impl ConnCodec {
         self.base = None;
     }
 
+    /// `(frames, standalone)` this codec has *encoded* so far: interval and
+    /// batch frames, and those of them a cold decoder can read (resync
+    /// points). Transports bill the difference around a send.
+    pub fn sent_tally(&self) -> (u64, u64) {
+        self.sent
+    }
+
     /// The base the next stateful frame would be encoded against, if the
-    /// connection has one of the right width for `iv`.
-    fn usable_base(&self, iv: &Interval) -> Option<&VectorClock> {
-        self.base.as_ref().filter(|b| b.len() == iv.lo.len())
+    /// connection has one of the width of `first` (a batch's first group).
+    fn usable_base(&self, first: Option<&Interval>) -> Option<&VectorClock> {
+        let width = first?.lo.len();
+        self.base.as_ref().filter(|b| b.len() == width)
+    }
+
+    /// Books one encoded frame and advances the base to `last`'s `lo`.
+    fn note_encoded(&mut self, standalone: bool, last: Option<&Interval>) {
+        self.sent.0 += 1;
+        self.sent.1 += u64::from(standalone);
+        if let Some(iv) = last {
+            self.note_sent(iv);
+        }
     }
 
     /// Encodes `iv` as the next frame of the stream and advances the base.
     /// Uses the stateful (smaller) form when a base of matching width is
     /// available, and the standalone form otherwise.
     pub fn encode(&mut self, iv: &Interval, buf: &mut BytesMut) {
-        encode_interval_delta(iv, self.usable_base(iv), buf);
-        self.note_sent(iv);
+        let base = self.usable_base(Some(iv));
+        let standalone = base.is_none();
+        encode_interval_delta(iv, base, buf);
+        self.note_encoded(standalone, Some(iv));
     }
 
     /// Encodes `iv` standalone (no dependence on connection state) and
@@ -250,13 +271,13 @@ impl ConnCodec {
     /// to a new parent.
     pub fn encode_standalone(&mut self, iv: &Interval, buf: &mut BytesMut) {
         encode_interval_delta(iv, None, buf);
-        self.note_sent(iv);
+        self.note_encoded(true, Some(iv));
     }
 
-    /// Decodes the next frame of the stream (either form, including the
-    /// legacy dense format) and advances the base to its `lo`.
+    /// Decodes the next frame of the stream (stateful or standalone) and
+    /// advances the base to its `lo`.
     pub fn decode(&mut self, buf: &mut Bytes) -> Result<Interval, DecodeError> {
-        let iv = decode_interval_auto(buf, self.base.as_ref())?;
+        let iv = decode_interval_delta(buf, self.base.as_ref())?;
         self.note_sent(&iv);
         Ok(iv)
     }
@@ -266,7 +287,7 @@ impl ConnCodec {
     /// when only sizes are needed (the simulator ships structured messages
     /// and charges bytes separately).
     pub fn stateful_len(&self, iv: &Interval) -> usize {
-        encoded_interval_delta_len(iv, self.usable_base(iv))
+        encoded_interval_delta_len(iv, self.usable_base(Some(iv)))
     }
 
     /// Size of `iv` as a standalone frame; independent of any connection.
@@ -280,23 +301,16 @@ impl ConnCodec {
         self.base = Some(iv.lo.clone());
     }
 
-    /// The base a batch would chain its first group against: the
-    /// connection base, if it matches the first interval's width.
-    fn usable_batch_base(&self, groups: &[TenantGroup]) -> Option<&VectorClock> {
-        let first = groups.first()?;
-        self.base.as_ref().filter(|b| b.len() == first.1.lo.len())
-    }
-
     /// Encodes a predicate-tagged batch as the next frame of the stream.
     /// Group 0 chains against the connection base (when one of matching
     /// width exists), later groups against their predecessor, and the
     /// base advances to the *last* group's `lo` — the batch behaves like
     /// the same intervals sent back to back, at a fraction of the bytes.
     pub fn encode_batch(&mut self, groups: &[TenantGroup], buf: &mut BytesMut) {
-        encode_tenant_batch(groups, self.usable_batch_base(groups), buf);
-        if let Some((_, last)) = groups.last() {
-            self.note_sent(last);
-        }
+        let base = self.usable_base(groups.first().map(|(_, iv)| iv));
+        let standalone = base.is_none();
+        encode_tenant_batch(groups, base, buf);
+        self.note_encoded(standalone, groups.last().map(|(_, iv)| iv));
     }
 
     /// Encodes a batch standalone (decodable cold) and resyncs the base
@@ -304,9 +318,7 @@ impl ConnCodec {
     /// and for re-reports after a tree repair.
     pub fn encode_batch_standalone(&mut self, groups: &[TenantGroup], buf: &mut BytesMut) {
         encode_tenant_batch(groups, None, buf);
-        if let Some((_, last)) = groups.last() {
-            self.note_sent(last);
-        }
+        self.note_encoded(true, groups.last().map(|(_, iv)| iv));
     }
 
     /// Decodes the next batch frame and advances the base to its last
@@ -322,12 +334,7 @@ impl ConnCodec {
     /// Size the batch would occupy as the next stateful frame. Pure query
     /// (does not advance the base), like [`stateful_len`](Self::stateful_len).
     pub fn batch_len(&self, groups: &[TenantGroup]) -> usize {
-        encoded_tenant_batch_len(groups, self.usable_batch_base(groups))
-    }
-
-    /// Size of the batch as a standalone frame; connection-independent.
-    pub fn standalone_batch_len(groups: &[TenantGroup]) -> usize {
-        encoded_tenant_batch_len(groups, None)
+        encoded_tenant_batch_len(groups, self.usable_base(groups.first().map(|(_, iv)| iv)))
     }
 
     /// Compact wire size of a whole [`DetectMsg`] as the next frame on
@@ -348,17 +355,9 @@ impl ConnCodec {
     }
 
     /// Compact wire size of `msg` as a standalone frame (retransmission /
-    /// resync); connection-independent.
+    /// resync); connection-independent — what a cold codec would send.
     pub fn standalone_msg_size(msg: &DetectMsg) -> usize {
-        match msg {
-            DetectMsg::Interval { interval, .. } => {
-                INTERVAL_MSG_OVERHEAD + Self::standalone_len(interval)
-            }
-            DetectMsg::IntervalBatch { groups, .. } => {
-                INTERVAL_MSG_OVERHEAD + Self::standalone_batch_len(groups)
-            }
-            other => other.wire_size(),
-        }
+        Self::new().msg_size(msg)
     }
 }
 
@@ -478,11 +477,74 @@ mod tests {
     }
 
     #[test]
-    fn codec_decodes_legacy_dense_frames() {
-        let a = iv(0, vec![3, 1], vec![4, 1]);
-        let bytes = ftscp_intervals::codec::interval_to_bytes(&a);
+    fn dense_frame_is_rejected_like_any_unknown_version() {
+        // The retired fixed-width layout (version byte 0x00) of
+        // `iv(0, [3, 1], [4, 1])`, built by hand: u32 source, u64 seq,
+        // u8 kind, two length-prefixed clocks, one coverage entry.
+        let mut raw = Vec::new();
+        raw.extend_from_slice(&3u32.to_le_bytes());
+        raw.extend_from_slice(&0u64.to_le_bytes());
+        raw.push(0);
+        for clock in [[3u32, 1], [4, 1]] {
+            raw.extend_from_slice(&2u32.to_le_bytes());
+            for c in clock {
+                raw.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        raw.extend_from_slice(&1u32.to_le_bytes());
+        raw.extend_from_slice(&3u32.to_le_bytes());
+        raw.extend_from_slice(&0u64.to_le_bytes());
         let mut rx = ConnCodec::new();
-        assert_eq!(rx.decode(&mut bytes.clone()).expect("dense decode"), a);
+        assert!(rx.decode(&mut Bytes::from(raw.clone())).is_err());
+        raw[3] = 0x42;
+        assert!(rx.decode(&mut Bytes::from(raw)).is_err());
+    }
+
+    /// Runs one encoder call and checks the tally after it — against
+    /// `expect`, and against the frame itself: exactly the frames booked
+    /// standalone are the ones a cold decoder can read.
+    fn encode_step(
+        tx: &mut ConnCodec,
+        expect: (u64, u64),
+        encode: impl FnOnce(&mut ConnCodec, &mut BytesMut),
+    ) {
+        let before = tx.sent_tally();
+        let mut buf = BytesMut::new();
+        encode(tx, &mut buf);
+        assert_eq!(tx.sent_tally(), expect);
+        let frame = buf.freeze();
+        let cold_ok = ConnCodec::new().decode(&mut frame.clone()).is_ok()
+            || ConnCodec::new().decode_batch(&mut frame.clone()).is_ok();
+        assert_eq!(cold_ok, expect.1 > before.1, "tally {expect:?}");
+    }
+
+    #[test]
+    fn encoder_tally_counts_frames_and_resync_points() {
+        let a = iv(0, vec![1, 0], vec![4, 2]);
+        let b = iv(1, vec![5, 2], vec![7, 2]);
+        let wide = iv(2, vec![8, 2, 1], vec![9, 3, 1]);
+        let groups = vec![(vec![0u32, 7], wide.clone())];
+        let mut tx = ConnCodec::new();
+        assert_eq!(tx.sent_tally(), (0, 0));
+        // Cold → standalone, warm → stateful, a width change falls back to
+        // standalone, the `_standalone` forms always are, and an empty
+        // batch has no first group to chain.
+        encode_step(&mut tx, (1, 1), |c, buf| c.encode(&a, buf));
+        encode_step(&mut tx, (2, 1), |c, buf| c.encode(&b, buf));
+        encode_step(&mut tx, (3, 2), |c, buf| c.encode(&wide, buf));
+        encode_step(&mut tx, (4, 2), |c, buf| c.encode_batch(&groups, buf));
+        encode_step(&mut tx, (5, 3), |c, buf| {
+            c.encode_batch_standalone(&groups, buf)
+        });
+        encode_step(&mut tx, (6, 4), |c, buf| c.encode_standalone(&a, buf));
+        encode_step(&mut tx, (7, 5), |c, buf| c.encode_batch(&[], buf));
+        // Size queries, `note_sent` and decoding send nothing.
+        let _ = (tx.stateful_len(&b), tx.batch_len(&groups));
+        tx.note_sent(&b);
+        let mut frame = BytesMut::new();
+        ConnCodec::new().encode(&a, &mut frame);
+        tx.decode(&mut frame.freeze()).expect("standalone frame");
+        assert_eq!(tx.sent_tally(), (7, 5));
     }
 
     #[test]

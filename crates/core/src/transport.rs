@@ -579,6 +579,17 @@ impl MonitorCore {
         Some(SimTime(period.0 * u64::from(self.retransmit_backoff)))
     }
 
+    /// Reliability layer: cumulatively acknowledges `child`'s stream
+    /// position (idempotent; sent per received report or batch).
+    fn ack_stream(&self, t: &mut impl Transport, child: ProcessId) {
+        if self.config.retransmit_period.is_some() {
+            if let Some(&(upto, _)) = self.reorder.get(&child) {
+                let from = self.me;
+                t.send(child, DetectMsg::Ack { from, upto });
+            }
+        }
+    }
+
     /// Feeds `interval` from `child` through the per-child reorder buffer,
     /// delivering to the engine everything that is now in order.
     fn deliver_in_order(
@@ -634,20 +645,7 @@ impl MonitorCore {
                 resync,
             } => {
                 self.deliver_in_order(t, from, interval, resync);
-                // Reliability layer: cumulatively acknowledge the child's
-                // stream position (idempotent; sent per received report).
-                if self.config.retransmit_period.is_some() {
-                    if let Some((next_expected, _)) = self.reorder.get(&from) {
-                        let upto = *next_expected;
-                        t.send(
-                            from,
-                            DetectMsg::Ack {
-                                from: self.me,
-                                upto,
-                            },
-                        );
-                    }
-                }
+                self.ack_stream(t, from);
             }
             DetectMsg::IntervalBatch {
                 from,
@@ -664,18 +662,7 @@ impl MonitorCore {
                     self.deliver_in_order(t, from, interval, resync);
                     resync = false;
                 }
-                if self.config.retransmit_period.is_some() {
-                    if let Some((next_expected, _)) = self.reorder.get(&from) {
-                        let upto = *next_expected;
-                        t.send(
-                            from,
-                            DetectMsg::Ack {
-                                from: self.me,
-                                upto,
-                            },
-                        );
-                    }
-                }
+                self.ack_stream(t, from);
             }
             DetectMsg::Ack { upto, .. } => {
                 let before = self.unacked.len();

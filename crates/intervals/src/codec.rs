@@ -1,48 +1,47 @@
-//! Binary wire codec for intervals and timestamps.
+//! Binary wire codec for intervals: the delta family.
 //!
 //! The simulator's byte accounting — and any real transport a library
-//! user brings — needs an actual serialized form, not an estimate. Two
-//! formats share one decoder, discriminated by the *top byte of the
-//! leading little-endian `u32`* (the version byte):
+//! user brings — needs an actual serialized form, not an estimate. There
+//! is one frame family, identified by the *top byte of the leading
+//! little-endian `u32`* (the version byte): [`INTERVAL_DELTA_TAG`] heads
+//! an interval frame, [`TENANT_BATCH_TAG`] a batch of them, and
+//! [`CLOCK_DELTA_TAG`] the clock header every interval frame embeds. Any
+//! other version byte is a [`DecodeError`].
 //!
-//! * **Dense** (version byte `0x00`, the legacy format): little-endian,
-//!   length-prefixed, self-contained. Every capture written before the
-//!   delta codec existed starts with a length or process id below
-//!   [`MAX_PROCESSES`] `< 2^24`, so its top byte is always zero.
-//! * **Delta** (version bytes [`CLOCK_DELTA_TAG`]/[`INTERVAL_DELTA_TAG`]):
-//!   varint + zigzag component deltas. Clock components are encoded
-//!   against a *base* clock — either the all-zeros clock (standalone
-//!   frames, decodable in isolation) or a caller-supplied base such as the
-//!   previous interval's `lo` on the same connection (stateful frames, see
-//!   `core::protocol::ConnCodec`). An interval's `hi` is always encoded
-//!   against its own `lo`, which is nearly free because an interval's
-//!   bounds differ in only a few components.
+//! Clock components are varint + zigzag deltas against a *base* clock —
+//! either the all-zeros clock (standalone frames, decodable in isolation)
+//! or a caller-supplied base such as the previous interval's `lo` on the
+//! same connection (stateful frames, see `core::protocol::ConnCodec`). An
+//! interval's `hi` is always encoded against its own `lo`, which is nearly
+//! free because an interval's bounds differ in only a few components.
 //!
 //! ```text
-//! Dense:
-//!   VectorClock := u32 len, len × u32 components
-//!   IntervalRef := u32 process, u64 seq
-//!   Interval    := u32 source, u64 seq, u8 kind, [u32 level if aggregated],
-//!                  VectorClock lo, VectorClock hi,
-//!                  u32 coverage_len, coverage_len × IntervalRef
-//!
-//! Delta:
-//!   DClock      := u32 (0xD1<<24 | len), u8 base_flag,
-//!                  len × varint(zigzag(c[i] − base[i]))
-//!   DInterval   := u32 (0xD2<<24 | source), varint seq,
-//!                  u8 kind, [varint level if aggregated],
-//!                  DClock lo (against caller base),
-//!                  len × varint(zigzag(hi[i] − lo[i])),
-//!                  varint coverage_len, coverage_len × (varint process, varint seq)
+//! DClock    := u32 (0xD1<<24 | len), u8 base_flag,
+//!              len × varint(zigzag(c[i] − base[i]))
+//! DInterval := u32 (0xD2<<24 | source), varint seq,
+//!              u8 kind, [varint level if aggregated],
+//!              DClock lo (against caller base),
+//!              len × varint(zigzag(hi[i] − lo[i])),
+//!              varint coverage_len, coverage_len × (varint process, varint seq)
+//! DBatch    := u32 (0xD3<<24 | group_count), group_count × Group
+//! Group     := varint k (≥ 1), k × varint predicate_id, DInterval
 //! ```
 //!
 //! `base_flag` is `0` for a standalone frame (base = zero clock) and `1`
 //! for a stateful frame (the decoder must be handed the same base the
 //! encoder used, or decoding fails instead of silently corrupting).
 //!
-//! All length prefixes are validated against [`MAX_PROCESSES`] /
-//! [`MAX_COVERAGE`] *before* any allocation, so a corrupt or hostile
-//! header cannot trigger a multi-GB `Vec::with_capacity`.
+//! Every length prefix is validated against [`MAX_PROCESSES`] /
+//! [`MAX_COVERAGE`] *and* against what the remaining bytes can hold
+//! before anything is reserved for it, so a hostile header cannot make a
+//! decoder allocate more than a small multiple of the frame it arrived in.
+//!
+//! [`encoded_interval_len`] is not a size of anything this module emits:
+//! it is the paper's `O(n)` report size (§IV) — fixed-width, 4 bytes per
+//! clock component — which `Interval::wire_size`, the baselines and the
+//! bench's `bytes_per_interval.dense` column bill, and which the delta
+//! sizes are compared with. It lives here so that every byte count of an
+//! interval comes from one module.
 
 use crate::interval::{Interval, IntervalKind, IntervalRef};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -52,15 +51,15 @@ use std::fmt;
 /// Upper bound on the number of processes a decoded clock may cover.
 ///
 /// Anything larger is rejected as hostile input before allocation. The
-/// bound also guarantees every dense length/process header fits in 24
-/// bits, which is what frees the top byte for format versioning.
+/// bound also guarantees every length/process header fits in 24 bits,
+/// which is what frees the top byte of the leading `u32` for the version.
 pub const MAX_PROCESSES: usize = 1 << 20;
 
 /// Upper bound on the number of coverage entries a decoded interval may
 /// carry. Same rationale as [`MAX_PROCESSES`].
 pub const MAX_COVERAGE: usize = 1 << 20;
 
-/// Version byte of a delta-encoded clock frame.
+/// Version byte of the delta-encoded clock header inside an interval frame.
 pub const CLOCK_DELTA_TAG: u8 = 0xD1;
 
 /// Version byte of a delta-encoded interval frame.
@@ -134,109 +133,9 @@ fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-// ---------------------------------------------------------------------------
-// Dense format (legacy, version byte 0x00)
-// ---------------------------------------------------------------------------
-
-/// Encodes a vector clock into `buf` in the dense format.
-pub fn encode_clock(clock: &VectorClock, buf: &mut BytesMut) {
-    debug_assert!(
-        clock.len() <= MAX_PROCESSES,
-        "clock wider than MAX_PROCESSES"
-    );
-    buf.put_u32_le(clock.len() as u32);
-    for &c in clock.components() {
-        buf.put_u32_le(c);
-    }
-}
-
-/// Decodes a dense vector clock from `buf`.
-pub fn decode_clock(buf: &mut Bytes) -> Result<VectorClock, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError("clock length header truncated"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if len > MAX_PROCESSES {
-        return Err(DecodeError("clock length exceeds MAX_PROCESSES"));
-    }
-    if buf.remaining() < 4 * len {
-        return Err(DecodeError("clock components truncated"));
-    }
-    let mut components = Vec::with_capacity(len);
-    for _ in 0..len {
-        components.push(buf.get_u32_le());
-    }
-    Ok(VectorClock::from_components(components))
-}
-
-/// Encodes an interval into `buf` in the dense format.
-pub fn encode_interval(iv: &Interval, buf: &mut BytesMut) {
-    buf.put_u32_le(iv.source.0);
-    buf.put_u64_le(iv.seq);
-    match iv.kind {
-        IntervalKind::Local => buf.put_u8(0),
-        IntervalKind::Aggregated { level } => {
-            buf.put_u8(1);
-            buf.put_u32_le(level);
-        }
-    }
-    encode_clock(&iv.lo, buf);
-    encode_clock(&iv.hi, buf);
-    buf.put_u32_le(iv.coverage.len() as u32);
-    for r in &iv.coverage {
-        buf.put_u32_le(r.process.0);
-        buf.put_u64_le(r.seq);
-    }
-}
-
-/// Decodes a dense interval from `buf`.
-pub fn decode_interval(buf: &mut Bytes) -> Result<Interval, DecodeError> {
-    if buf.remaining() < 13 {
-        return Err(DecodeError("interval header truncated"));
-    }
-    let source = ProcessId(buf.get_u32_le());
-    let seq = buf.get_u64_le();
-    let kind = match buf.get_u8() {
-        0 => IntervalKind::Local,
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError("aggregation level truncated"));
-            }
-            IntervalKind::Aggregated {
-                level: buf.get_u32_le(),
-            }
-        }
-        _ => return Err(DecodeError("unknown interval kind tag")),
-    };
-    let lo = decode_clock(buf)?;
-    let hi = decode_clock(buf)?;
-    if buf.remaining() < 4 {
-        return Err(DecodeError("coverage length truncated"));
-    }
-    let cov_len = buf.get_u32_le() as usize;
-    if cov_len > MAX_COVERAGE {
-        return Err(DecodeError("coverage length exceeds MAX_COVERAGE"));
-    }
-    if buf.remaining() < 12 * cov_len {
-        return Err(DecodeError("coverage entries truncated"));
-    }
-    let mut coverage = Vec::with_capacity(cov_len);
-    for _ in 0..cov_len {
-        let process = ProcessId(buf.get_u32_le());
-        let seq = buf.get_u64_le();
-        coverage.push(IntervalRef { process, seq });
-    }
-    Ok(Interval {
-        source,
-        seq,
-        lo,
-        hi,
-        kind,
-        coverage,
-    })
-}
-
-/// Exact encoded size of an interval in the dense codec.
+/// The paper-unit size of an interval report: fixed-width fields, 4 bytes
+/// per clock component, 12 per coverage entry (see the module docs — a
+/// billing formula, not the length of any frame).
 pub fn encoded_interval_len(iv: &Interval) -> usize {
     let kind = match iv.kind {
         IntervalKind::Local => 1,
@@ -246,7 +145,7 @@ pub fn encoded_interval_len(iv: &Interval) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Delta format (version bytes 0xD1 / 0xD2)
+// Interval frames (version byte 0xD2, embedded clock header 0xD1)
 // ---------------------------------------------------------------------------
 
 fn delta_components<'a>(
@@ -257,6 +156,29 @@ fn delta_components<'a>(
         let b = base.map_or(0, |b| b.get(i));
         zigzag(i64::from(clock.get(i)) - i64::from(b))
     })
+}
+
+/// Reads `len` component deltas and applies them to `base` (the zero
+/// clock when `None`). A component is at least one byte, so a `len` the
+/// remaining bytes cannot hold is rejected before anything is reserved.
+fn get_components(
+    buf: &mut Bytes,
+    len: usize,
+    base: Option<&VectorClock>,
+) -> Result<VectorClock, DecodeError> {
+    if buf.remaining() < len {
+        return Err(DecodeError("clock components truncated"));
+    }
+    let mut components = Vec::with_capacity(len);
+    for i in 0..len {
+        let d = unzigzag(get_varint(buf)?);
+        let v = i64::from(base.map_or(0, |b| b.get(i)))
+            .checked_add(d)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or(DecodeError("delta component out of range"))?;
+        components.push(v);
+    }
+    Ok(VectorClock::from_components(components))
 }
 
 /// Encodes a clock as a delta frame. With `base = None` the frame is
@@ -300,20 +222,10 @@ pub fn decode_clock_delta(
         1 => Some(base.ok_or(DecodeError("stateful delta frame but no base supplied"))?),
         _ => return Err(DecodeError("unknown delta base flag")),
     };
-    if let Some(b) = base {
-        if b.len() != len {
-            return Err(DecodeError("delta base width mismatch"));
-        }
+    if base.is_some_and(|b| b.len() != len) {
+        return Err(DecodeError("delta base width mismatch"));
     }
-    let mut components = Vec::with_capacity(len);
-    for i in 0..len {
-        let d = unzigzag(get_varint(buf)?);
-        let b = base.map_or(0, |b| b.get(i));
-        let v = i64::from(b) + d;
-        let v = u32::try_from(v).map_err(|_| DecodeError("delta component out of range"))?;
-        components.push(v);
-    }
-    Ok(VectorClock::from_components(components))
+    get_components(buf, len, base)
 }
 
 /// Encoded size of a clock delta frame.
@@ -380,14 +292,7 @@ pub fn decode_interval_delta(
         _ => return Err(DecodeError("unknown interval kind tag")),
     };
     let lo = decode_clock_delta(buf, base)?;
-    let mut hi_components = Vec::with_capacity(lo.len());
-    for i in 0..lo.len() {
-        let d = unzigzag(get_varint(buf)?);
-        let v = i64::from(lo.get(i)) + d;
-        let v = u32::try_from(v).map_err(|_| DecodeError("delta component out of range"))?;
-        hi_components.push(v);
-    }
-    let hi = VectorClock::from_components(hi_components);
+    let hi = get_components(buf, lo.len(), Some(&lo))?;
     let cov_len = get_varint(buf)? as usize;
     if cov_len > MAX_COVERAGE {
         return Err(DecodeError("coverage length exceeds MAX_COVERAGE"));
@@ -484,6 +389,11 @@ pub fn encode_tenant_batch(groups: &[TenantGroup], base: Option<&VectorClock>, b
     }
 }
 
+/// The shortest possible group: `k`, one predicate id, and a `DInterval`
+/// of a zero-width clock (header 4, seq 1, kind 1, `DClock` 5, coverage
+/// length 1). Bounds what a batch header may make the decoder reserve.
+const MIN_GROUP_LEN: usize = 2 + 12;
+
 /// Decodes a predicate-tagged interval batch (see [`encode_tenant_batch`]
 /// for the layout and base contract — `base` feeds the first group only;
 /// the rest chain internally).
@@ -499,9 +409,7 @@ pub fn decode_tenant_batch(
         return Err(DecodeError("not a tenant batch frame"));
     }
     let count = (header & 0x00ff_ffff) as usize;
-    // Each group is at least two varint bytes plus a minimal delta
-    // interval — a cheap sanity bound before the allocation.
-    if buf.remaining() < 2 * count {
+    if buf.remaining() < MIN_GROUP_LEN * count {
         return Err(DecodeError("batch groups truncated"));
     }
     let mut groups: Vec<TenantGroup> = Vec::with_capacity(count);
@@ -545,180 +453,6 @@ pub fn encoded_tenant_batch_len(groups: &[TenantGroup], base: Option<&VectorCloc
     total
 }
 
-// ---------------------------------------------------------------------------
-// Version-dispatching decoders
-// ---------------------------------------------------------------------------
-
-fn peek_version_byte(buf: &Bytes) -> Result<u8, DecodeError> {
-    let s = buf.as_slice();
-    if s.len() < 4 {
-        return Err(DecodeError("frame header truncated"));
-    }
-    Ok(s[3]) // most-significant byte of the leading little-endian u32
-}
-
-/// Decodes a clock in either format, dispatching on the version byte.
-pub fn decode_clock_auto(
-    buf: &mut Bytes,
-    base: Option<&VectorClock>,
-) -> Result<VectorClock, DecodeError> {
-    match peek_version_byte(buf)? {
-        0 => decode_clock(buf),
-        CLOCK_DELTA_TAG => decode_clock_delta(buf, base),
-        _ => Err(DecodeError("unknown clock format version")),
-    }
-}
-
-/// Decodes an interval in either format, dispatching on the version byte.
-/// Dense frames ignore `base`; stateful delta frames require it.
-pub fn decode_interval_auto(
-    buf: &mut Bytes,
-    base: Option<&VectorClock>,
-) -> Result<Interval, DecodeError> {
-    match peek_version_byte(buf)? {
-        0 => decode_interval(buf),
-        INTERVAL_DELTA_TAG => decode_interval_delta(buf, base),
-        _ => Err(DecodeError("unknown interval format version")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame classification (no decode)
-// ---------------------------------------------------------------------------
-
-/// What kind of encoded interval frame a byte sequence is, identified
-/// without decoding it (see [`frame_kind`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Legacy dense frame (version byte `0x00`) — always self-contained.
-    Dense,
-    /// Delta frame with `base_flag = 0`: decodable by a cold decoder.
-    DeltaStandalone,
-    /// Delta frame with `base_flag = 1`: requires the connection base.
-    DeltaStateful,
-}
-
-impl FrameKind {
-    /// True when a decoder with no connection state can decode the frame.
-    pub fn is_cold_decodable(self) -> bool {
-        !matches!(self, FrameKind::DeltaStateful)
-    }
-}
-
-/// Skips one varint in `s`, returning the remainder (used only to reach
-/// the base flag when classifying — values are not interpreted).
-fn skip_varint(s: &[u8]) -> Result<&[u8], DecodeError> {
-    for (i, b) in s.iter().enumerate().take(10) {
-        if b & 0x80 == 0 {
-            return Ok(&s[i + 1..]);
-        }
-    }
-    Err(DecodeError("varint truncated"))
-}
-
-/// Reads one varint from `s`, returning its value and the remainder
-/// (classification-time parsing of group counts).
-fn take_varint(s: &[u8]) -> Result<(u64, &[u8]), DecodeError> {
-    let mut v: u64 = 0;
-    for (i, &b) in s.iter().enumerate().take(10) {
-        let bits = u64::from(b & 0x7f);
-        if i == 9 && bits > 1 {
-            return Err(DecodeError("varint overflows u64"));
-        }
-        v |= bits << (7 * i);
-        if b & 0x80 == 0 {
-            return Ok((v, &s[i + 1..]));
-        }
-    }
-    Err(DecodeError("varint truncated"))
-}
-
-/// Walks the fixed prefix of a `DInterval` at the start of `s` to its
-/// embedded `DClock` base flag: u32 header, varint seq, u8 kind
-/// [, varint level], u32 clock header, u8 base_flag.
-fn classify_delta_interval(s: &[u8]) -> Result<FrameKind, DecodeError> {
-    if s.len() < 4 {
-        return Err(DecodeError("frame header truncated"));
-    }
-    if s[3] != INTERVAL_DELTA_TAG {
-        return Err(DecodeError("not a delta interval frame"));
-    }
-    let s = skip_varint(&s[4..])?;
-    let (&kind, s) = s
-        .split_first()
-        .ok_or(DecodeError("frame header truncated"))?;
-    let s = match kind {
-        0 => s,
-        1 => skip_varint(s)?,
-        _ => return Err(DecodeError("unknown interval kind tag")),
-    };
-    if s.len() < 5 {
-        return Err(DecodeError("frame header truncated"));
-    }
-    if s[3] != CLOCK_DELTA_TAG {
-        return Err(DecodeError("not a delta clock frame"));
-    }
-    match s[4] {
-        0 => Ok(FrameKind::DeltaStandalone),
-        1 => Ok(FrameKind::DeltaStateful),
-        _ => Err(DecodeError("unknown delta base flag")),
-    }
-}
-
-/// Classifies an encoded *interval* frame by inspection — version byte
-/// plus (for delta frames) the embedded `base_flag` — without decoding
-/// it. Transports use this to tell resync points (cold-decodable frames)
-/// from stateful stream frames when accounting wire traffic.
-///
-/// A tenant batch ([`TENANT_BATCH_TAG`]) is classified by its *first*
-/// entry: later entries always chain against in-frame bases, so the first
-/// entry's base flag alone decides cold decodability. An empty batch is
-/// trivially standalone.
-pub fn frame_kind(frame: &[u8]) -> Result<FrameKind, DecodeError> {
-    if frame.len() < 4 {
-        return Err(DecodeError("frame header truncated"));
-    }
-    match frame[3] {
-        0 => Ok(FrameKind::Dense),
-        INTERVAL_DELTA_TAG => classify_delta_interval(frame),
-        TENANT_BATCH_TAG => {
-            let count = u32::from_le_bytes([frame[0], frame[1], frame[2], 0]);
-            if count == 0 {
-                return Ok(FrameKind::DeltaStandalone);
-            }
-            // Skip the first group's tenant list (varint k, k × varint
-            // predicate id), then classify its DInterval.
-            let (k, mut s) = take_varint(&frame[4..])?;
-            if k == 0 || k as usize > MAX_COVERAGE {
-                return Err(DecodeError("empty tenant group"));
-            }
-            for _ in 0..k {
-                s = skip_varint(s)?;
-            }
-            classify_delta_interval(s)
-        }
-        _ => Err(DecodeError("unknown interval format version")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Convenience wrappers
-// ---------------------------------------------------------------------------
-
-/// Convenience: encode an interval into a fresh buffer (dense format).
-pub fn interval_to_bytes(iv: &Interval) -> Bytes {
-    let mut buf = BytesMut::with_capacity(iv.wire_size());
-    encode_interval(iv, &mut buf);
-    buf.freeze()
-}
-
-/// Convenience: decode an interval from a standalone buffer (either
-/// format; stateful delta frames cannot appear standalone).
-pub fn interval_from_bytes(bytes: &Bytes) -> Result<Interval, DecodeError> {
-    let mut buf = bytes.clone();
-    decode_interval_auto(&mut buf, None)
-}
-
 /// Convenience: encode an interval into a fresh buffer as a standalone
 /// delta frame (zero base — decodable with no connection state).
 pub fn interval_to_bytes_delta(iv: &Interval) -> Bytes {
@@ -751,100 +485,84 @@ mod tests {
         crate::aggregate(&[a, b], ProcessId(0), 9, 3)
     }
 
-    #[test]
-    fn clock_round_trip() {
-        let c = VectorClock::from_components(vec![0, u32::MAX, 17]);
-        let mut buf = BytesMut::new();
-        encode_clock(&c, &mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_clock(&mut bytes).unwrap(), c);
-        assert!(!bytes.has_remaining());
+    /// The same interval in the retired fixed-width layout, built by hand:
+    /// what a pre-delta peer would put on the wire (version byte `0x00`).
+    fn dense_bytes(iv: &Interval) -> Vec<u8> {
+        let mut raw = Vec::new();
+        raw.extend_from_slice(&iv.source.0.to_le_bytes());
+        raw.extend_from_slice(&iv.seq.to_le_bytes());
+        match iv.kind {
+            IntervalKind::Local => raw.push(0),
+            IntervalKind::Aggregated { level } => {
+                raw.push(1);
+                raw.extend_from_slice(&level.to_le_bytes());
+            }
+        }
+        for clock in [&iv.lo, &iv.hi] {
+            raw.extend_from_slice(&(clock.len() as u32).to_le_bytes());
+            for &c in clock.components() {
+                raw.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        raw.extend_from_slice(&(iv.coverage.len() as u32).to_le_bytes());
+        for r in &iv.coverage {
+            raw.extend_from_slice(&r.process.0.to_le_bytes());
+            raw.extend_from_slice(&r.seq.to_le_bytes());
+        }
+        raw
     }
 
     #[test]
-    fn local_interval_round_trip() {
-        let iv = sample_local();
-        let bytes = interval_to_bytes(&iv);
-        assert_eq!(bytes.len(), encoded_interval_len(&iv));
-        assert_eq!(interval_from_bytes(&bytes).unwrap(), iv);
-    }
-
-    #[test]
-    fn aggregated_interval_round_trip() {
-        let iv = sample_aggregated();
-        let bytes = interval_to_bytes(&iv);
-        assert_eq!(bytes.len(), encoded_interval_len(&iv));
-        let decoded = interval_from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, iv);
-        assert!(decoded.is_aggregated());
-        assert_eq!(decoded.coverage.len(), 2);
-    }
-
-    #[test]
-    fn truncated_buffers_error_cleanly() {
-        let iv = sample_aggregated();
-        let bytes = interval_to_bytes(&iv);
-        for cut in [0, 3, 12, 13, 20, bytes.len() - 1] {
-            let mut truncated = bytes.clone();
-            truncated.truncate(cut);
-            assert!(
-                interval_from_bytes(&truncated).is_err(),
-                "cut at {cut} must fail"
+    fn dense_frame_is_rejected_and_sized_by_the_paper_formula() {
+        for iv in [sample_local(), sample_aggregated()] {
+            let raw = dense_bytes(&iv);
+            assert_eq!(raw[3], 0x00, "dense frames carry version byte 0x00");
+            assert_eq!(raw.len(), encoded_interval_len(&iv));
+            assert_eq!(
+                decode_interval_delta(&mut Bytes::from(raw), None),
+                Err(DecodeError("not a delta interval frame"))
             );
         }
     }
 
     #[test]
     fn bad_kind_tag_rejected() {
-        let iv = sample_local();
-        let bytes = interval_to_bytes(&iv);
-        let mut raw = bytes.to_vec();
-        raw[12] = 9; // kind tag offset: 4 (source) + 8 (seq)
-        let mut buf = Bytes::from(raw);
+        let mut raw = interval_to_bytes_delta(&sample_local()).to_vec();
+        raw[5] = 9; // kind tag offset: 4 (header) + 1 (varint seq = 7)
         assert_eq!(
-            decode_interval(&mut buf),
+            decode_interval_delta(&mut Bytes::from(raw), None),
             Err(DecodeError("unknown interval kind tag"))
         );
     }
 
     #[test]
     fn multiple_intervals_stream() {
+        // Back to back in one buffer, the second chained against the
+        // first's `lo` — each decode consumes exactly its own frame.
         let a = sample_local();
         let b = sample_aggregated();
         let mut buf = BytesMut::new();
-        encode_interval(&a, &mut buf);
-        encode_interval(&b, &mut buf);
+        encode_interval_delta(&a, None, &mut buf);
+        encode_interval_delta(&b, Some(&a.lo), &mut buf);
         let mut bytes = buf.freeze();
-        assert_eq!(decode_interval(&mut bytes).unwrap(), a);
-        assert_eq!(decode_interval(&mut bytes).unwrap(), b);
+        assert_eq!(decode_interval_delta(&mut bytes, None).unwrap(), a);
+        assert_eq!(decode_interval_delta(&mut bytes, Some(&a.lo)).unwrap(), b);
         assert!(!bytes.has_remaining());
     }
 
     // --- hostile length prefixes -------------------------------------------
 
     #[test]
-    fn hostile_clock_length_rejected_before_allocation() {
-        // Top byte 0x00 so it looks dense, but the claimed length is far
-        // above MAX_PROCESSES. Must fail fast, not allocate gigabytes.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&((MAX_PROCESSES as u32 + 1).to_le_bytes()));
-        let mut buf = Bytes::from(raw);
-        assert_eq!(
-            decode_clock(&mut buf),
-            Err(DecodeError("clock length exceeds MAX_PROCESSES"))
-        );
-    }
-
-    #[test]
     fn hostile_coverage_length_rejected() {
-        let iv = sample_local();
-        let mut raw = interval_to_bytes(&iv).to_vec();
-        // coverage length precedes the single self-coverage entry (12 bytes)
-        let at = raw.len() - 12 - 4;
-        raw[at..at + 4].copy_from_slice(&0x00ff_ffff_u32.to_le_bytes());
-        let mut buf = Bytes::from(raw);
+        let mut raw = interval_to_bytes_delta(&sample_local()).to_vec();
+        // The frame ends with varint coverage_len = 1 and the two-byte
+        // self-coverage entry; claim MAX_COVERAGE + 1 entries instead.
+        raw.truncate(raw.len() - 3);
+        let mut claim = BytesMut::new();
+        put_varint(&mut claim, MAX_COVERAGE as u64 + 1);
+        raw.extend_from_slice(claim.freeze().as_slice());
         assert_eq!(
-            decode_interval(&mut buf),
+            decode_interval_delta(&mut Bytes::from(raw), None),
             Err(DecodeError("coverage length exceeds MAX_COVERAGE"))
         );
     }
@@ -859,6 +577,19 @@ mod tests {
         assert_eq!(
             decode_clock_delta(&mut buf, None),
             Err(DecodeError("clock length exceeds MAX_PROCESSES"))
+        );
+    }
+
+    #[test]
+    fn hostile_delta_clock_length_rejected_before_reservation() {
+        // A bare 5-byte header claiming MAX_PROCESSES components: the
+        // payload cannot hold them, so nothing may be reserved for them.
+        let header = (u32::from(CLOCK_DELTA_TAG) << 24) | MAX_PROCESSES as u32;
+        let mut raw = header.to_le_bytes().to_vec();
+        raw.push(0); // base flag
+        assert_eq!(
+            decode_clock_delta(&mut Bytes::from(raw), None),
+            Err(DecodeError("clock components truncated"))
         );
     }
 
@@ -991,6 +722,16 @@ mod tests {
             decode_clock_delta(&mut buf, None),
             Err(DecodeError("delta component out of range"))
         );
+        // ... or, on top of a non-zero base, past the end of `i64`.
+        let mut buf = BytesMut::new();
+        buf.put_u32_le((u32::from(CLOCK_DELTA_TAG) << 24) | 1);
+        buf.put_u8(1);
+        put_varint(&mut buf, zigzag(i64::MAX));
+        let base = VectorClock::from_components(vec![5]);
+        assert_eq!(
+            decode_clock_delta(&mut buf.freeze(), Some(&base)),
+            Err(DecodeError("delta component out of range"))
+        );
     }
 
     // --- delta interval ----------------------------------------------------
@@ -1015,32 +756,6 @@ mod tests {
         assert_eq!(buf.len(), encoded_interval_delta_len(&iv, Some(&base)));
         let mut bytes = buf.freeze();
         assert_eq!(decode_interval_delta(&mut bytes, Some(&base)).unwrap(), iv);
-    }
-
-    #[test]
-    fn auto_decoder_handles_both_formats() {
-        let iv = sample_aggregated();
-        let dense = interval_to_bytes(&iv);
-        let delta = interval_to_bytes_delta(&iv);
-        assert_eq!(interval_from_bytes(&dense).unwrap(), iv);
-        assert_eq!(interval_from_bytes(&delta).unwrap(), iv);
-
-        let mut unknown = Bytes::from(vec![0, 0, 0, 0x42, 0, 0, 0, 0]);
-        assert_eq!(
-            decode_interval_auto(&mut unknown, None),
-            Err(DecodeError("unknown interval format version"))
-        );
-    }
-
-    #[test]
-    fn auto_decoder_clock_both_formats() {
-        let c = VectorClock::from_components(vec![9, 0, 4]);
-        let mut dense = BytesMut::new();
-        encode_clock(&c, &mut dense);
-        let mut delta = BytesMut::new();
-        encode_clock_delta(&c, None, &mut delta);
-        assert_eq!(decode_clock_auto(&mut dense.freeze(), None).unwrap(), c);
-        assert_eq!(decode_clock_auto(&mut delta.freeze(), None).unwrap(), c);
     }
 
     #[test]
@@ -1077,33 +792,6 @@ mod tests {
         assert!(
             stateful < standalone,
             "stateful delta ({stateful}) should beat standalone ({standalone})"
-        );
-    }
-
-    #[test]
-    fn frame_kind_classifies_without_decoding() {
-        for iv in [sample_local(), sample_aggregated()] {
-            let dense = interval_to_bytes(&iv);
-            assert_eq!(frame_kind(dense.as_slice()), Ok(FrameKind::Dense));
-            let standalone = interval_to_bytes_delta(&iv);
-            assert_eq!(
-                frame_kind(standalone.as_slice()),
-                Ok(FrameKind::DeltaStandalone)
-            );
-            let base = iv.lo.clone();
-            let mut buf = BytesMut::new();
-            encode_interval_delta(&iv, Some(&base), &mut buf);
-            assert_eq!(
-                frame_kind(buf.freeze().as_slice()),
-                Ok(FrameKind::DeltaStateful)
-            );
-            assert!(!FrameKind::DeltaStateful.is_cold_decodable());
-            assert!(FrameKind::DeltaStandalone.is_cold_decodable());
-        }
-        assert!(frame_kind(&[1, 2]).is_err(), "short input errors");
-        assert!(
-            frame_kind(&[0, 0, 0, 0x42, 0, 0, 0, 0]).is_err(),
-            "unknown version errors"
         );
     }
 
@@ -1176,27 +864,7 @@ mod tests {
         encode_tenant_batch(&[], None, &mut buf);
         assert_eq!(buf.len(), 4);
         let mut bytes = buf.freeze();
-        assert_eq!(frame_kind(bytes.as_slice()), Ok(FrameKind::DeltaStandalone));
         assert_eq!(decode_tenant_batch(&mut bytes, None).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn tenant_batch_frame_kind_tracks_first_entry() {
-        let entries = sample_batch();
-        let mut standalone = BytesMut::new();
-        encode_tenant_batch(&entries, None, &mut standalone);
-        assert_eq!(
-            frame_kind(standalone.freeze().as_slice()),
-            Ok(FrameKind::DeltaStandalone)
-        );
-        let base = VectorClock::from_components(vec![0, 0, 0, 1]);
-        let mut stateful = BytesMut::new();
-        encode_tenant_batch(&entries, Some(&base), &mut stateful);
-        assert_eq!(
-            frame_kind(stateful.freeze().as_slice()),
-            Ok(FrameKind::DeltaStateful)
-        );
-        assert!(FrameKind::DeltaStandalone.is_cold_decodable());
     }
 
     #[test]
@@ -1239,11 +907,25 @@ mod tests {
     }
 
     #[test]
+    fn hostile_batch_count_rejected_before_reservation() {
+        // The largest frame the transport admits (1 MiB), all zeros after
+        // a header claiming two bytes per group: far more groups than the
+        // payload can hold, so nothing may be reserved for them.
+        let header = (u32::from(TENANT_BATCH_TAG) << 24) | 524_286;
+        let mut raw = vec![0u8; 1 << 20];
+        raw[..4].copy_from_slice(&header.to_le_bytes());
+        assert_eq!(
+            decode_tenant_batch(&mut Bytes::from(raw), None),
+            Err(DecodeError("batch groups truncated"))
+        );
+    }
+
+    #[test]
     fn hostile_empty_group_rejected() {
         // Header claims one group, whose tenant count is zero.
         let header = (u32::from(TENANT_BATCH_TAG) << 24) | 1;
         let mut raw = header.to_le_bytes().to_vec();
-        raw.extend_from_slice(&[0x00, 0x00]); // k = 0, then padding
+        raw.extend_from_slice(&[0x00; MIN_GROUP_LEN]); // k = 0, then padding
         let mut buf = Bytes::from(raw);
         assert_eq!(
             decode_tenant_batch(&mut buf, None),

@@ -48,18 +48,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn clock_round_trip(c in clock_strategy(6)) {
+    fn clock_round_trip(c in clock_strategy(6), base in clock_strategy(6), stateful in proptest::bool::ANY) {
+        let base = stateful.then_some(&base);
         let mut buf = bytes::BytesMut::new();
-        codec::encode_clock(&c, &mut buf);
+        codec::encode_clock_delta(&c, base, &mut buf);
+        prop_assert_eq!(buf.len(), codec::encoded_clock_delta_len(&c, base));
         let mut b = buf.freeze();
-        prop_assert_eq!(codec::decode_clock(&mut b).unwrap(), c);
+        prop_assert_eq!(codec::decode_clock_delta(&mut b, base).unwrap(), c);
     }
 
     #[test]
     fn local_interval_round_trip(iv in interval_strategy()) {
-        let bytes = codec::interval_to_bytes(&iv);
-        prop_assert_eq!(bytes.len(), codec::encoded_interval_len(&iv));
-        prop_assert_eq!(codec::interval_from_bytes(&bytes).unwrap(), iv);
+        let mut bytes = codec::interval_to_bytes_delta(&iv);
+        prop_assert_eq!(bytes.len(), codec::encoded_interval_delta_len(&iv, None));
+        prop_assert_eq!(codec::decode_interval_delta(&mut bytes, None).unwrap(), iv);
+        prop_assert_eq!(bytes.remaining(), 0, "decode must consume the frame exactly");
     }
 
     /// Aggregations (with multi-entry coverage and level tags) round-trip.
@@ -76,29 +79,46 @@ proptest! {
             a.lo.clone(),
             a.hi.clone(),
         );
+        let base = a.lo.clone();
         let agg = aggregate(&[a, b], ProcessId(99), seq, level);
-        let bytes = codec::interval_to_bytes(&agg);
-        prop_assert_eq!(bytes.len(), codec::encoded_interval_len(&agg));
-        prop_assert_eq!(codec::interval_from_bytes(&bytes).unwrap(), agg);
+        let mut buf = bytes::BytesMut::new();
+        codec::encode_interval_delta(&agg, Some(&base), &mut buf);
+        prop_assert_eq!(buf.len(), codec::encoded_interval_delta_len(&agg, Some(&base)));
+        prop_assert_eq!(codec::decode_interval_delta(&mut buf.freeze(), Some(&base)).unwrap(), agg);
     }
 
     /// Any truncation of a valid encoding fails cleanly (no panic).
     #[test]
     fn truncation_never_panics(iv in interval_strategy(), cut_frac in 0.0f64..1.0) {
-        let bytes = codec::interval_to_bytes(&iv);
+        let bytes = codec::interval_to_bytes_delta(&iv);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             let mut t = bytes.clone();
             t.truncate(cut);
-            prop_assert!(codec::interval_from_bytes(&t).is_err());
+            prop_assert!(codec::decode_interval_delta(&mut t, None).is_err());
         }
     }
 
-    /// Arbitrary garbage either fails or decodes without panicking.
+    /// Arbitrary garbage either fails or decodes without panicking — with
+    /// or without a connection base, as an interval and as a batch, and
+    /// (`tagged`) with the right version byte so the decoder body runs.
     #[test]
-    fn garbage_never_panics(data in proptest::collection::vec(proptest::num::u8::ANY, 0..64)) {
-        let b = Bytes::from(data);
-        let _ = codec::interval_from_bytes(&b); // must not panic
+    fn garbage_never_panics(
+        data in proptest::collection::vec(proptest::num::u8::ANY, 0..64),
+        base in clock_strategy(3),
+        tagged in proptest::bool::ANY,
+    ) {
+        let with_tag = |tag: u8| {
+            let mut d = data.clone();
+            if tagged && d.len() >= 4 {
+                d[3] = tag;
+            }
+            Bytes::from(d)
+        };
+        for base in [None, Some(&base)] {
+            let _ = codec::decode_interval_delta(&mut with_tag(codec::INTERVAL_DELTA_TAG), base);
+            let _ = codec::decode_tenant_batch(&mut with_tag(codec::TENANT_BATCH_TAG), base);
+        }
     }
 
     /// Any mixed-tenant batch round-trips exactly — standalone or

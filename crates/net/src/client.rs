@@ -22,30 +22,33 @@ pub struct EventClient {
     stream: TcpStream,
     tx_codec: ConnCodec,
     from: ProcessId,
+    /// Bytes written so far (frames incl. length prefixes and handshake).
+    bytes_sent: u64,
 }
 
 impl EventClient {
     /// Connects to `addr`, handshakes as an event client for process
     /// `from`, and waits for the node's `HelloAck`.
     pub fn connect(addr: SocketAddr, from: ProcessId) -> io::Result<EventClient> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-        let mut tx_codec = ConnCodec::new();
-        let hello = encode_msg(
-            &NetMsg::Hello {
-                node: from,
-                kind: PeerKind::Client,
-                proto: PROTO_VERSION,
-            },
-            &mut tx_codec,
-        );
-        write_frame(&mut stream, &hello)?;
+        let mut client = EventClient {
+            stream,
+            tx_codec: ConnCodec::new(),
+            from,
+            bytes_sent: 0,
+        };
+        client.send(&NetMsg::Hello {
+            node: from,
+            kind: PeerKind::Client,
+            proto: PROTO_VERSION,
+        })?;
         // Wait for the ack so a caller knows the node is live before it
         // starts blasting events.
         let mut fb = FrameBuffer::new();
         let mut rx_codec = ConnCodec::new();
-        match read_frame(&mut stream, &mut fb)? {
+        match read_frame(&mut client.stream, &mut fb)? {
             Some(frame) => match decode_msg(&frame, &mut rx_codec) {
                 Ok(NetMsg::HelloAck { .. }) => {}
                 Ok(_) | Err(_) => {
@@ -62,25 +65,30 @@ impl EventClient {
                 ))
             }
         }
-        Ok(EventClient {
-            stream,
-            tx_codec,
-            from,
-        })
+        Ok(client)
+    }
+
+    /// Frames `msg` through this connection's codec and writes it out.
+    pub(crate) fn send(&mut self, msg: &NetMsg) -> io::Result<()> {
+        let payload = encode_msg(msg, &mut self.tx_codec);
+        self.bytes_sent += 4 + payload.len() as u64;
+        write_frame(&mut self.stream, &payload)
+    }
+
+    pub(crate) fn bytes_sent(&self) -> u64 {
+        self.bytes_sent
     }
 
     /// Streams one completed local interval. Intervals must be sent in
     /// per-process order (ascending `seq`), like any monitored process
     /// observes them.
     pub fn send_event(&mut self, interval: &Interval) -> io::Result<()> {
-        let payload = encode_msg(&NetMsg::Event(interval.clone()), &mut self.tx_codec);
-        write_frame(&mut self.stream, &payload)
+        self.send(&NetMsg::Event(interval.clone()))
     }
 
     /// Ends the feed: sends `Fin` and closes the connection. TCP's
     /// orderly close delivers everything already written.
     pub fn fin(mut self) -> io::Result<()> {
-        let payload = encode_msg(&NetMsg::Fin { from: self.from }, &mut self.tx_codec);
-        write_frame(&mut self.stream, &payload)
+        self.send(&NetMsg::Fin { from: self.from })
     }
 }

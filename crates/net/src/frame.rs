@@ -3,8 +3,9 @@
 //! A frame on the wire is a little-endian `u32` length followed by that
 //! many payload bytes. The payload is one session message
 //! ([`crate::wire::NetMsg`]), whose interval payloads in turn carry the
-//! existing `ftscp_intervals::codec` frames unchanged (version bytes
-//! `0x00` / `0xD1` / `0xD2`).
+//! `ftscp_intervals::codec` delta frames unchanged (version bytes `0xD2`
+//! for an interval, with its embedded `0xD1` clock header, and `0xD3` for
+//! a tenant batch).
 //!
 //! [`FrameBuffer`] is the receive half: a pure byte-stream reassembly
 //! state machine with no socket anywhere in sight, so its hostile-input

@@ -20,11 +20,15 @@
 //!   `Fin` markers.
 //! - [`reactor`] — shared reactor building blocks: the timer wheel and
 //!   the nonblocking (`EINPROGRESS`-aware) TCP connect.
+//! - `conn` (crate-private) — one nonblocking connection's whole byte
+//!   path: frame buffer + codec pair + coalescing write queue, socket to
+//!   [`wire::NetMsg`] and back. Every socket `node` and `scale` multiplex
+//!   goes through it.
 //! - [`node`] — one monitor node as one reactor thread: nonblocking
-//!   listener, per-connection state machines (frame buffer + codec pair +
-//!   coalescing write queue), an uplink connect/session state machine,
-//!   and a timer wheel driving heartbeats, suspicion, retransmits, and
-//!   reconnect backoff — all multiplexed over a single poller.
+//!   listener, one `conn` per accepted connection, an uplink
+//!   connect/session state machine on another, and a timer wheel driving
+//!   heartbeats, suspicion, retransmits, and reconnect backoff — all
+//!   multiplexed over a single poller.
 //! - [`client`] — the event-ingestion client used by monitored processes
 //!   (and by test harnesses replaying recorded executions).
 //! - [`loopback`] — whole-tree deployment on 127.0.0.1, the vehicle for
@@ -43,6 +47,7 @@
 //! checks end to end (including across a severed-and-reconnected uplink).
 
 pub mod client;
+mod conn;
 pub mod frame;
 pub mod loopback;
 pub mod node;
@@ -55,5 +60,5 @@ pub use client::EventClient;
 pub use frame::{FrameBuffer, FrameError, MAX_FRAME_LEN};
 pub use loopback::{sockets_available, Deployment, LoopbackConfig, LoopbackReport};
 pub use node::{spawn, NodeConfig, NodeHandle, NodeReport};
-pub use tenancy::{run_tenancy, TenancyConfig, TenancyReport};
+pub use tenancy::{run_tenancy, TenancyReport};
 pub use wire::{NetMsg, PeerKind, PROTO_VERSION};

@@ -7,25 +7,20 @@
 //! ```text
 //!                    ┌────────────────────── reactor thread ───────────────────────┐
 //!  children &  accept│  nonblocking listener                                       │
-//!  clients ─────────▶│  per-connection state machines (FrameBuffer + rx/tx codec   │
-//!                    │    + coalescing write queue)                                │
+//!  clients ─────────▶│  one `net::conn::Conn` per connection (FrameBuffer + rx/tx  │
+//!                    │    codec + coalescing write queue)                          │
 //!  parent ◀─────────▶│  uplink state machine (nonblocking connect → handshake →    │
-//!                    │    session; reconnect backoff on the timer wheel)           │
+//!                    │    session on a `Conn`; reconnect backoff on the wheel)     │
 //!                    │  timer wheel: heartbeats · suspicion · retransmit · redial  │
 //!                    │  MonitorCore (owned exclusively by this thread)             │
 //!                    └─────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The reactor thread is the only thread: it accepts, reads, decodes,
-//! drives the [`MonitorCore`], encodes, and writes. Each connection's
-//! state machine owns its [`FrameBuffer`] (partial-read reassembly), its
-//! rx/tx [`ConnCodec`] pair, and a coalescing write queue — outbound
-//! messages append to the queue and the queue is flushed once per loop
-//! iteration, so a heartbeat burst or an interval+ack pair leaves in one
-//! `write` syscall. When a socket's send buffer fills, the residue stays
-//! queued and the connection arms write-readiness interest; the frames
-//! still hit the tx codec in queue order, which keeps the peer's rx
-//! codec in lockstep (TCP is FIFO per connection).
+//! drives the [`MonitorCore`], encodes, and writes. The byte path of every
+//! socket — accepted or dialed — is one [`Conn`] (see [`crate::conn`]):
+//! this module decides *what* to say on which connection and when a
+//! connection is over, never how bytes become messages.
 //!
 //! External control (the [`NodeHandle`]) never touches the reactor's
 //! state directly: shutdown is a flag the loop polls between waits,
@@ -54,21 +49,22 @@
 //!   and nothing is unacknowledged. The root signals completion to
 //!   [`NodeHandle::wait_done`].
 
-use crate::frame::{fill, frame_bytes, FillStatus, FrameBuffer};
-use crate::reactor::{connect_nonblocking, CountedRead, TimerWheel};
-use crate::wire::{decode_msg, encode_msg, interval_frame_kind, NetMsg, PeerKind, PROTO_VERSION};
+use crate::conn::{Conn, Counters};
+use crate::frame::FillStatus;
+use crate::reactor::{connect_nonblocking, TimerWheel};
+use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_core::membership::MembershipEvent;
 use ftscp_core::monitor::MonitorConfig;
-use ftscp_core::protocol::{ConnCodec, DetectMsg};
+use ftscp_core::protocol::DetectMsg;
 use ftscp_core::report::GlobalDetection;
 use ftscp_core::transport::{MonitorCore, Transport};
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
 use polling::{Event as PollEvent, Events, Poller};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -82,15 +78,14 @@ const WAKE_POLL: Duration = Duration::from_millis(25);
 /// written off and the backoff timer re-dials.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Poller keys: the listener and the uplink are fixed; accepted
-/// connections are keyed by `KEY_CONN_BASE + conn id`.
+/// Poller keys: the listener is fixed; every connection is keyed by
+/// `KEY_CONN_BASE + conn id`.
 const KEY_LISTENER: usize = 0;
-const KEY_UPLINK: usize = 1;
-const KEY_CONN_BASE: usize = 2;
+const KEY_CONN_BASE: usize = 1;
 
-/// Connection id of the uplink in session-layer terms (`handle_msg`);
-/// accepted connections count from 1.
+/// Connection id of the uplink; accepted connections count from 1.
 const UPLINK_CONN: u64 = 0;
+const KEY_UPLINK: usize = KEY_CONN_BASE + UPLINK_CONN as usize;
 
 /// Configuration of one TCP monitor node.
 #[derive(Clone, Debug)]
@@ -163,22 +158,10 @@ pub struct NodeReport {
     pub suspects_at_exit: Vec<ProcessId>,
 }
 
-/// Wire/session counters shared with the [`NodeHandle`].
-#[derive(Default)]
-struct Counters {
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    interval_frames_sent: AtomicU64,
-    standalone_frames_sent: AtomicU64,
-    reconnects: AtomicU64,
-    syscalls: AtomicU64,
-}
-
 struct Shared {
     shutdown: AtomicBool,
     done: Mutex<bool>,
     done_cv: Condvar,
-    counters: Counters,
     /// Live uplink socket, kept for fault injection
     /// ([`NodeHandle::drop_uplink`]) — severing it from outside exercises
     /// the reconnect-with-resync path.
@@ -259,7 +242,6 @@ pub fn spawn(listener: TcpListener, config: NodeConfig) -> io::Result<NodeHandle
         shutdown: AtomicBool::new(false),
         done: Mutex::new(false),
         done_cv: Condvar::new(),
-        counters: Counters::default(),
         uplink_stream: Mutex::new(None),
         uplink_target: Mutex::new(config.parent),
     });
@@ -278,88 +260,8 @@ pub fn spawn(listener: TcpListener, config: NodeConfig) -> io::Result<NodeHandle
 }
 
 // ---------------------------------------------------------------------------
-// Connection state machine
+// Uplink state machine
 // ---------------------------------------------------------------------------
-
-/// One live connection: the socket plus everything whose state advances
-/// in byte-stream order — partial-read reassembly, the rx/tx codec pair,
-/// and the coalescing write queue.
-struct Conn {
-    stream: TcpStream,
-    fb: FrameBuffer,
-    rx: ConnCodec,
-    tx: ConnCodec,
-    /// Outbound bytes (already framed), `out[out_pos..]` unsent. Appends
-    /// coalesce: everything queued in one loop iteration leaves in one
-    /// `write` in the common case.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Whether write-readiness interest is currently registered.
-    want_write: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            fb: FrameBuffer::new(),
-            rx: ConnCodec::new(),
-            tx: ConnCodec::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            want_write: false,
-        }
-    }
-
-    /// Encodes `msg` through this connection's tx codec and appends the
-    /// frame to the write queue. Counting happens here — at the codec —
-    /// so frame-kind accounting matches what actually hits the wire.
-    fn enqueue(&mut self, msg: &NetMsg, counters: &Counters) {
-        let payload = encode_msg(msg, &mut self.tx);
-        if let Some(kind) = interval_frame_kind(&payload) {
-            counters
-                .interval_frames_sent
-                .fetch_add(1, Ordering::Relaxed);
-            if kind.is_cold_decodable() {
-                counters
-                    .standalone_frames_sent
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        counters
-            .bytes_sent
-            .fetch_add(4 + payload.len() as u64, Ordering::Relaxed);
-        self.out.extend_from_slice(&frame_bytes(&payload));
-    }
-
-    fn pending_out(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
-    /// Writes as much of the queue as the socket accepts. Returns whether
-    /// bytes remain queued (→ the caller arms write interest), or an
-    /// error if the connection is dead.
-    fn flush(&mut self, counters: &Counters) -> io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            counters.syscalls.fetch_add(1, Ordering::Relaxed);
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        } else if self.out_pos > 64 * 1024 {
-            self.out.drain(..self.out_pos);
-            self.out_pos = 0;
-        }
-        Ok(self.pending_out())
-    }
-}
 
 /// The uplink's connect/handshake state machine.
 enum Uplink {
@@ -408,7 +310,7 @@ impl Transport for NetTransport {
 
     fn send_sized(&mut self, dst: ProcessId, msg: DetectMsg, _size: usize) {
         // The advisory size is the simulator's billing hook; the reactor
-        // encodes real frames and bills real bytes at enqueue time.
+        // encodes real frames and bills real bytes at `Conn::enqueue`.
         self.send(dst, msg);
     }
 }
@@ -452,6 +354,10 @@ struct ReactorState {
     feeds_done: usize,
     child_fins: BTreeSet<ProcessId>,
     fin_sent: bool,
+    /// Wire counters, fed by every [`Conn`] this reactor creates.
+    counters: Arc<Counters>,
+    /// Times the uplink was re-established after the initial connect.
+    reconnects: u64,
     shared: Arc<Shared>,
 }
 
@@ -478,16 +384,15 @@ impl ReactorState {
     /// uplink if dialed at `dst`, else the child's accepted connection);
     /// drops it if no route exists.
     fn route(&mut self, dst: ProcessId, msg: &NetMsg) {
-        let counters = &self.shared.counters;
         if let Uplink::Up { conn, peer } = &mut self.uplink {
             if *peer == dst {
-                conn.enqueue(msg, counters);
+                conn.enqueue(msg);
                 return;
             }
         }
         if let Some(id) = self.peer_conn.get(&dst) {
             if let Some(conn) = self.conns.get_mut(id) {
-                conn.enqueue(msg, counters);
+                conn.enqueue(msg);
             }
         }
     }
@@ -523,7 +428,7 @@ impl ReactorState {
             announced = true; // already told this parent connection
         } else if let (Some(_), Uplink::Up { conn, .. }) = (self.config.parent, &mut self.uplink) {
             let me = self.config.me;
-            conn.enqueue(&NetMsg::Fin { from: me }, &self.shared.counters);
+            conn.enqueue(&NetMsg::Fin { from: me });
             self.fin_sent = true;
             announced = true;
         }
@@ -540,10 +445,7 @@ impl ReactorState {
 
     fn accept_ready(&mut self, listener: &TcpListener) {
         loop {
-            self.shared
-                .counters
-                .syscalls
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.syscalls.fetch_add(1, Ordering::Relaxed);
             match listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
@@ -556,7 +458,8 @@ impl ReactorState {
                     if self.poller.add(&stream, PollEvent::readable(key)).is_err() {
                         continue;
                     }
-                    self.conns.insert(conn_id, Conn::new(stream));
+                    let conn = Conn::new(stream, Arc::clone(&self.counters));
+                    self.conns.insert(conn_id, conn);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -566,61 +469,53 @@ impl ReactorState {
 
     fn close_conn(&mut self, conn_id: u64) {
         if let Some(conn) = self.conns.remove(&conn_id) {
-            let _ = self.poller.delete(&conn.stream);
+            let _ = self.poller.delete(conn.stream());
         }
         // Only unmap peers still pointing at this connection — a
         // replacement may have registered first.
         self.peer_conn.retain(|_, &mut c| c != conn_id);
     }
 
-    /// Drains everything readable from an accepted connection, decoding
-    /// and dispatching each complete frame. Closes the connection on
-    /// EOF, I/O error, framing violation, or a corrupt peer.
+    /// The live connection behind session id `conn_id`: the established
+    /// uplink for [`UPLINK_CONN`], an accepted connection otherwise.
+    fn conn_mut(&mut self, conn_id: u64) -> Option<&mut Conn> {
+        match &mut self.uplink {
+            Uplink::Up { conn, .. } if conn_id == UPLINK_CONN => Some(conn),
+            _ => self.conns.get_mut(&conn_id),
+        }
+    }
+
+    /// Ends connection `conn_id`: the uplink backs off and re-dials, an
+    /// accepted connection is just gone.
+    fn kill_conn(&mut self, conn_id: u64) {
+        if conn_id == UPLINK_CONN {
+            self.uplink_down();
+        } else {
+            self.close_conn(conn_id);
+        }
+    }
+
+    /// Drains everything readable from a connection, decoding and
+    /// dispatching each complete frame. Ends the connection on EOF, I/O
+    /// error, framing violation, or a corrupt peer — after the messages
+    /// that came first.
     fn conn_readable(&mut self, conn_id: u64) {
-        let status = {
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                return;
-            };
-            let mut counted = CountedRead {
-                inner: &mut conn.stream,
-                calls: 0,
-            };
-            let status = fill(&mut counted, &mut conn.fb);
-            let calls = counted.calls;
-            let counters = &self.shared.counters;
-            counters.syscalls.fetch_add(calls, Ordering::Relaxed);
-            if let Ok(FillStatus::Open { bytes }) = status {
-                counters
-                    .bytes_received
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            status
+        let Some(conn) = self.conn_mut(conn_id) else {
+            return;
         };
-        // Dispatch complete frames even when the peer already closed —
-        // `Fin` immediately followed by EOF is the normal client exit.
+        let filled = conn.fill();
         loop {
-            let decoded = {
-                let Some(conn) = self.conns.get_mut(&conn_id) else {
-                    return; // handler closed it
-                };
-                match conn.fb.next_frame() {
-                    // A decode error is a corrupt peer: kill the connection.
-                    Ok(Some(frame)) => decode_msg(&frame, &mut conn.rx).ok(),
-                    Ok(None) => break,
-                    Err(_) => None, // framing violation: kill the connection
-                }
+            let Some(conn) = self.conn_mut(conn_id) else {
+                return; // a handler ended it
             };
-            match decoded {
-                Some(msg) => self.handle_msg(conn_id, msg),
-                None => {
-                    self.close_conn(conn_id);
-                    return;
-                }
+            match conn.next_msg() {
+                Ok(Some(msg)) => self.handle_msg(conn_id, msg),
+                Ok(None) => break,
+                Err(_) => return self.kill_conn(conn_id),
             }
         }
-        match status {
-            Ok(FillStatus::Open { .. }) => {}
-            Ok(FillStatus::Eof) | Err(_) => self.close_conn(conn_id),
+        if !matches!(filled, Ok(FillStatus::Open { .. })) {
+            self.kill_conn(conn_id);
         }
     }
 
@@ -638,10 +533,7 @@ impl ReactorState {
             );
             return;
         };
-        self.shared
-            .counters
-            .syscalls
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.syscalls.fetch_add(1, Ordering::Relaxed);
         match connect_nonblocking(addr) {
             Ok((stream, established)) => {
                 let _ = stream.set_nodelay(true);
@@ -658,7 +550,7 @@ impl ReactorState {
                     return;
                 }
                 self.uplink = Uplink::Connecting {
-                    conn: Conn::new(stream),
+                    conn: Conn::new(stream, Arc::clone(&self.counters)),
                     peer,
                     started: Instant::now(),
                 };
@@ -682,7 +574,7 @@ impl ReactorState {
     /// and either open the session or back off.
     fn uplink_connect_resolved(&mut self) {
         let failed = match &self.uplink {
-            Uplink::Connecting { conn, .. } => !matches!(conn.stream.take_error(), Ok(None)),
+            Uplink::Connecting { conn, .. } => !matches!(conn.stream().take_error(), Ok(None)),
             _ => return,
         };
         if failed {
@@ -702,7 +594,7 @@ impl ReactorState {
         };
         if self
             .poller
-            .modify(&conn.stream, PollEvent::readable(KEY_UPLINK))
+            .modify(conn.stream(), PollEvent::readable(KEY_UPLINK))
             .is_err()
         {
             self.timers.arm(
@@ -711,22 +603,14 @@ impl ReactorState {
             );
             return;
         }
-        if self.uplink_ever_up {
-            self.shared
-                .counters
-                .reconnects
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.reconnects += u64::from(self.uplink_ever_up);
         self.uplink_ever_up = true;
-        *self.shared.uplink_stream.lock().expect("uplink lock") = conn.stream.try_clone().ok();
-        conn.enqueue(
-            &NetMsg::Hello {
-                node: self.config.me,
-                kind: PeerKind::Child,
-                proto: PROTO_VERSION,
-            },
-            &self.shared.counters,
-        );
+        *self.shared.uplink_stream.lock().expect("uplink lock") = conn.stream().try_clone().ok();
+        conn.enqueue(&NetMsg::Hello {
+            node: self.config.me,
+            kind: PeerKind::Child,
+            proto: PROTO_VERSION,
+        });
         self.uplink = Uplink::Up { conn, peer };
         if self.core.membership().is_adopting() {
             // The uplink now points at the prospective parent: open (or
@@ -747,7 +631,7 @@ impl ReactorState {
         match std::mem::replace(&mut self.uplink, Uplink::Idle) {
             Uplink::Idle => return,
             Uplink::Connecting { conn, .. } | Uplink::Up { conn, .. } => {
-                let _ = self.poller.delete(&conn.stream);
+                let _ = self.poller.delete(conn.stream());
             }
         }
         *self.shared.uplink_stream.lock().expect("uplink lock") = None;
@@ -758,53 +642,6 @@ impl ReactorState {
             Instant::now() + self.config.reconnect_backoff,
             Timer::Reconnect,
         );
-    }
-
-    /// Readable on an established uplink: same read path as any
-    /// connection, with `UPLINK_CONN` session semantics.
-    fn uplink_readable(&mut self) {
-        let status = {
-            let Uplink::Up { conn, .. } = &mut self.uplink else {
-                return;
-            };
-            let mut counted = CountedRead {
-                inner: &mut conn.stream,
-                calls: 0,
-            };
-            let status = fill(&mut counted, &mut conn.fb);
-            let calls = counted.calls;
-            let counters = &self.shared.counters;
-            counters.syscalls.fetch_add(calls, Ordering::Relaxed);
-            if let Ok(FillStatus::Open { bytes }) = status {
-                counters
-                    .bytes_received
-                    .fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            status
-        };
-        loop {
-            let decoded = {
-                let Uplink::Up { conn, .. } = &mut self.uplink else {
-                    return;
-                };
-                match conn.fb.next_frame() {
-                    Ok(Some(frame)) => decode_msg(&frame, &mut conn.rx).ok(),
-                    Ok(None) => break,
-                    Err(_) => None,
-                }
-            };
-            match decoded {
-                Some(msg) => self.handle_msg(UPLINK_CONN, msg),
-                None => {
-                    self.uplink_down();
-                    return;
-                }
-            }
-        }
-        match status {
-            Ok(FillStatus::Open { .. }) => {}
-            Ok(FillStatus::Eof) | Err(_) => self.uplink_down(),
-        }
     }
 
     // -- timers --------------------------------------------------------------
@@ -871,9 +708,8 @@ impl ReactorState {
             .map(|(&p, &c)| (p, c))
             .collect();
         for (_, conn_id) in children {
-            let counters = &self.shared.counters;
             if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.enqueue(&hint, counters);
+                conn.enqueue(&hint);
             }
         }
     }
@@ -919,12 +755,7 @@ impl ReactorState {
         match msg {
             NetMsg::Hello { node, kind, proto } => {
                 if proto != PROTO_VERSION {
-                    // Incompatible peer: kill the connection.
-                    if conn == UPLINK_CONN {
-                        self.uplink_down();
-                    } else {
-                        self.close_conn(conn);
-                    }
+                    self.kill_conn(conn); // incompatible peer
                     return;
                 }
                 if kind == PeerKind::Child {
@@ -933,9 +764,8 @@ impl ReactorState {
                     self.core.note_heartbeat(node, now);
                 }
                 let me = self.config.me;
-                let counters = &self.shared.counters;
                 if let Some(c) = self.conns.get_mut(&conn) {
-                    c.enqueue(&NetMsg::HelloAck { node: me }, counters);
+                    c.enqueue(&NetMsg::HelloAck { node: me });
                 }
             }
             NetMsg::HelloAck { node } => {
@@ -983,61 +813,24 @@ impl ReactorState {
 
     // -- write-side ----------------------------------------------------------
 
-    /// Flushes every connection with queued output and keeps each one's
-    /// write-readiness interest in sync with whether a residue remains.
-    /// Runs once per loop iteration, right before the poller wait — the
-    /// coalescing point.
+    /// Flushes every connection with queued output (each keeps its own
+    /// write-readiness interest in step with its residue). Runs once per
+    /// loop iteration, right before the poller wait — the coalescing point.
     fn flush_all(&mut self) {
+        let mut dead = Vec::new();
         if let Uplink::Up { conn, .. } = &mut self.uplink {
-            if conn.pending_out() || conn.want_write {
-                match conn.flush(&self.shared.counters) {
-                    Ok(still_pending) => {
-                        if still_pending != conn.want_write {
-                            conn.want_write = still_pending;
-                            let interest = if still_pending {
-                                PollEvent::all(KEY_UPLINK)
-                            } else {
-                                PollEvent::readable(KEY_UPLINK)
-                            };
-                            let _ = self.poller.modify(&conn.stream, interest);
-                        }
-                    }
-                    Err(_) => self.uplink_down(),
-                }
+            if conn.flush(&self.poller, KEY_UPLINK).is_err() {
+                dead.push(UPLINK_CONN);
             }
         }
-        let dirty: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.pending_out() || c.want_write)
-            .map(|(&id, _)| id)
-            .collect();
-        for conn_id in dirty {
-            let result = {
-                let counters = &self.shared.counters;
-                let Some(conn) = self.conns.get_mut(&conn_id) else {
-                    continue;
-                };
-                conn.flush(counters)
-            };
-            match result {
-                Ok(still_pending) => {
-                    let key = KEY_CONN_BASE + conn_id as usize;
-                    let Some(conn) = self.conns.get_mut(&conn_id) else {
-                        continue;
-                    };
-                    if still_pending != conn.want_write {
-                        conn.want_write = still_pending;
-                        let interest = if still_pending {
-                            PollEvent::all(key)
-                        } else {
-                            PollEvent::readable(key)
-                        };
-                        let _ = self.poller.modify(&conn.stream, interest);
-                    }
-                }
-                Err(_) => self.close_conn(conn_id),
+        for (&conn_id, conn) in &mut self.conns {
+            let key = KEY_CONN_BASE + conn_id as usize;
+            if conn.flush(&self.poller, key).is_err() {
+                dead.push(conn_id);
             }
+        }
+        for conn_id in dead {
+            self.kill_conn(conn_id);
         }
     }
 }
@@ -1086,6 +879,8 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         feeds_done: 0,
         child_fins: BTreeSet::new(),
         fin_sent: false,
+        counters: Arc::default(),
+        reconnects: 0,
         shared,
     };
 
@@ -1130,24 +925,12 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         for ev in events.iter() {
             match ev.key {
                 KEY_LISTENER => st.accept_ready(&listener),
-                KEY_UPLINK => match &st.uplink {
-                    Uplink::Connecting { .. } if ev.writable => st.uplink_connect_resolved(),
-                    Uplink::Connecting { .. } => {}
-                    Uplink::Up { .. } => {
-                        if ev.readable {
-                            st.uplink_readable();
-                        }
-                        // Write readiness drains via flush_all below.
-                    }
-                    Uplink::Idle => {}
-                },
-                key => {
-                    let conn_id = (key - KEY_CONN_BASE) as u64;
-                    if ev.readable {
-                        st.conn_readable(conn_id);
-                    }
-                    // Write readiness drains via flush_all below.
+                KEY_UPLINK if ev.writable && matches!(st.uplink, Uplink::Connecting { .. }) => {
+                    st.uplink_connect_resolved()
                 }
+                // Write readiness drains via flush_all on the next pass.
+                key if ev.readable => st.conn_readable((key - KEY_CONN_BASE) as u64),
+                _ => {}
             }
         }
         if st.shared.shutdown.load(Ordering::SeqCst) {
@@ -1157,14 +940,14 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
 
     let now = st.now();
     let timeout = st.config.heartbeat_timeout;
-    let counters = &st.shared.counters;
+    let counters = &st.counters;
     NodeReport {
         detections: st.core.detections().to_vec(),
         bytes_sent: counters.bytes_sent.load(Ordering::Relaxed),
         bytes_received: counters.bytes_received.load(Ordering::Relaxed),
         interval_frames_sent: counters.interval_frames_sent.load(Ordering::Relaxed),
         standalone_frames_sent: counters.standalone_frames_sent.load(Ordering::Relaxed),
-        reconnects: counters.reconnects.load(Ordering::Relaxed),
+        reconnects: st.reconnects,
         interval_msgs_sent: st.core.interval_msgs_sent(),
         syscalls: counters.syscalls.load(Ordering::Relaxed) + st.poller.syscalls(),
         suspects_at_exit: st.core.suspects(now, timeout),

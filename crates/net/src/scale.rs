@@ -12,20 +12,22 @@
 //! Used by `tests/scale.rs` (the ≥512-connection smoke test) and by the
 //! `reactor` row of the hot-path bench.
 
-use crate::frame::{fill, frame_bytes, FillStatus, FrameBuffer};
+use crate::conn::{Conn, Counters};
+use crate::frame::FillStatus;
 use crate::node::{spawn, NodeConfig, NodeReport};
 use crate::reactor::connect_nonblocking;
-use crate::wire::{decode_msg, encode_msg, NetMsg, PeerKind, PROTO_VERSION};
+use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
 use crate::EventClient;
 use ftscp_core::monitor::MonitorConfig;
-use ftscp_core::protocol::{ConnCodec, DetectMsg};
+use ftscp_core::protocol::DetectMsg;
 use ftscp_core::transport::{MonitorCore, Transport};
 use ftscp_intervals::Interval;
 use ftscp_simnet::SimTime;
 use ftscp_vclock::{ProcessId, VectorClock};
 use polling::{Event as PollEvent, Events, Poller};
-use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of one scale run.
@@ -91,6 +93,7 @@ pub fn run_scale(
 
     // Synthetic children: real leaf cores, sockets multiplexed here.
     let poller = Poller::new()?;
+    let counters = Arc::new(Counters::default()); // the children's side; not reported
     let mut kids = Vec::with_capacity(children);
     for i in 0..children {
         let me = ProcessId(1 + i as u32);
@@ -102,7 +105,7 @@ pub fn run_scale(
             PollEvent::writable(i)
         };
         poller.add(&stream, interest)?;
-        let mut kid = Child::new(me, stream);
+        let mut kid = Child::new(me, Conn::new(stream, Arc::clone(&counters)));
         if established {
             kid.open(rounds, n);
         }
@@ -123,8 +126,7 @@ pub fn run_scale(
         for ev in events.iter() {
             let kid = &mut kids[ev.key];
             if !kid.established {
-                if ev.writable && matches!(kid.stream.take_error(), Ok(None)) {
-                    kid.established = true;
+                if ev.writable && matches!(kid.conn.stream().take_error(), Ok(None)) {
                     kid.open(rounds, n);
                 } else if ev.writable {
                     return Err(io::Error::new(
@@ -135,23 +137,14 @@ pub fn run_scale(
                 continue;
             }
             if ev.readable {
-                kid.drain_readable(rounds)?;
+                kid.readable()?;
             }
         }
-        // Flush + keep write interest in sync, every iteration.
+        // Flush (each connection keeps its write interest in step with its
+        // residue), every iteration.
         for (i, kid) in kids.iter_mut().enumerate() {
-            if !kid.established {
-                continue;
-            }
-            let pending = kid.flush()?;
-            if pending != kid.want_write {
-                kid.want_write = pending;
-                let interest = if pending {
-                    PollEvent::all(i)
-                } else {
-                    PollEvent::readable(i)
-                };
-                poller.modify(&kid.stream, interest)?;
+            if kid.established {
+                kid.conn.flush(&poller, i)?;
             }
         }
     }
@@ -182,19 +175,13 @@ fn round_interval(p: ProcessId, s: u64, n: usize) -> Interval {
     Interval::local(p, s, lo, hi)
 }
 
-/// One synthetic child: a real leaf core plus the connection state the
-/// node-side reactor would normally own for it.
+/// One synthetic child: a real leaf core on one [`Conn`], multiplexed by
+/// the caller's poller instead of a reactor of its own.
 struct Child {
     core: MonitorCore,
-    stream: TcpStream,
-    fb: FrameBuffer,
-    rx: ConnCodec,
-    tx: ConnCodec,
-    out: Vec<u8>,
-    out_pos: usize,
+    conn: Conn,
     start: Instant,
     established: bool,
-    want_write: bool,
     rounds_sent: bool,
     fin_sent: bool,
 }
@@ -218,7 +205,7 @@ impl Transport for ChildTransport {
 }
 
 impl Child {
-    fn new(me: ProcessId, stream: TcpStream) -> Child {
+    fn new(me: ProcessId, conn: Conn) -> Child {
         Child {
             core: MonitorCore::new(
                 me,
@@ -231,27 +218,16 @@ impl Child {
                     ..MonitorConfig::default()
                 },
             ),
-            stream,
-            fb: FrameBuffer::new(),
-            rx: ConnCodec::new(),
-            tx: ConnCodec::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            conn,
             start: Instant::now(),
             established: false,
-            want_write: false,
             rounds_sent: false,
             fin_sent: false,
         }
     }
 
     fn finished(&self) -> bool {
-        self.fin_sent && self.out_pos == self.out.len()
-    }
-
-    fn enqueue(&mut self, msg: &NetMsg) {
-        let payload = encode_msg(msg, &mut self.tx);
-        self.out.extend_from_slice(&frame_bytes(&payload));
+        self.fin_sent && !self.conn.pending_out()
     }
 
     fn with_core<R>(&mut self, f: impl FnOnce(&mut MonitorCore, &mut ChildTransport) -> R) -> R {
@@ -261,7 +237,7 @@ impl Child {
         };
         let r = f(&mut self.core, &mut t);
         for msg in t.outbox {
-            self.enqueue(&NetMsg::Detect(msg));
+            self.conn.enqueue(&NetMsg::Detect(msg));
         }
         r
     }
@@ -271,7 +247,7 @@ impl Child {
     fn open(&mut self, rounds: u64, n: usize) {
         self.established = true;
         let me = self.me();
-        self.enqueue(&NetMsg::Hello {
+        self.conn.enqueue(&NetMsg::Hello {
             node: me,
             kind: PeerKind::Child,
             proto: PROTO_VERSION,
@@ -292,53 +268,31 @@ impl Child {
     fn maybe_fin(&mut self) {
         if !self.fin_sent && self.rounds_sent && self.core.unacked_count() == 0 {
             let me = self.me();
-            self.enqueue(&NetMsg::Fin { from: me });
+            self.conn.enqueue(&NetMsg::Fin { from: me });
             self.fin_sent = true;
         }
     }
 
-    fn drain_readable(&mut self, _rounds: u64) -> io::Result<()> {
-        let status = fill(&mut self.stream, &mut self.fb)?;
-        loop {
-            match self.fb.next_frame() {
-                Ok(Some(frame)) => {
-                    let msg = decode_msg(&frame, &mut self.rx)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                    // HelloAck / hints need no action here.
-                    if let NetMsg::Detect(d) = msg {
-                        self.with_core(|core, t| core.on_message(d, t));
-                        self.maybe_fin();
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+    fn readable(&mut self) -> io::Result<()> {
+        let filled = self.conn.fill()?;
+        while let Some(msg) = self
+            .conn
+            .next_msg()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+        {
+            // HelloAck / hints need no action here.
+            if let NetMsg::Detect(d) = msg {
+                self.with_core(|core, t| core.on_message(d, t));
+                self.maybe_fin();
             }
         }
-        if status == FillStatus::Eof && !self.finished() {
+        if filled == FillStatus::Eof && !self.finished() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "node closed a child connection mid-run",
             ));
         }
         Ok(())
-    }
-
-    /// Best-effort nonblocking flush; returns whether bytes remain.
-    fn flush(&mut self) -> io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(k) => self.out_pos += k,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        Ok(self.out_pos < self.out.len())
     }
 }
 

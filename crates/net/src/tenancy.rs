@@ -18,7 +18,8 @@
 //! guarantees (and the differential verifies).
 
 use crate::frame::{read_frame, write_frame, FrameBuffer};
-use crate::wire::{decode_msg, encode_msg, NetMsg, PeerKind, PROTO_VERSION};
+use crate::wire::{decode_msg, encode_msg, NetMsg, PROTO_VERSION};
+use crate::EventClient;
 use ftscp_core::protocol::{ConnCodec, DetectMsg};
 use ftscp_core::registry::{PredicateRegistry, TenantSpec};
 use ftscp_core::PredicateId;
@@ -31,24 +32,12 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// Knobs for a tenancy run.
-#[derive(Clone, Debug)]
-pub struct TenancyConfig {
-    /// Max intervals coalesced into one batch frame per connection flush.
-    pub batch_span: usize,
-    /// Per-socket read timeout (a hung peer fails the run instead of
-    /// wedging it).
-    pub read_timeout: Duration,
-}
+/// Max intervals coalesced into one batch frame per connection flush.
+const BATCH_SPAN: usize = 8;
 
-impl Default for TenancyConfig {
-    fn default() -> Self {
-        TenancyConfig {
-            batch_span: 8,
-            read_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// Server-side per-socket read timeout (a hung feeder fails the run
+/// instead of wedging it).
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One tenant's time-blind solution sequence:
 /// `(solution index, coverage (process, seq) pairs)` per root detection,
@@ -88,14 +77,9 @@ struct FeederStats {
 
 const FRAME_PREFIX: u64 = 4; // u32 length prefix per frame
 
-fn serve_conn(
-    stream: TcpStream,
-    registry: &Mutex<PredicateRegistry>,
-    timeout: Duration,
-) -> io::Result<()> {
-    let mut stream = stream;
+fn serve_conn(mut stream: TcpStream, registry: &Mutex<PredicateRegistry>) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(timeout)).ok();
+    stream.set_read_timeout(Some(READ_TIMEOUT)).ok();
     let mut fb = FrameBuffer::new();
     let mut rx = ConnCodec::new();
     let mut tx = ConnCodec::new();
@@ -146,7 +130,6 @@ fn feed_conn(
     process: ProcessId,
     preds: Vec<u32>,
     intervals: Vec<ftscp_intervals::Interval>,
-    batch_span: usize,
 ) -> io::Result<FeederStats> {
     let mut stats = FeederStats {
         batched_bytes: 0,
@@ -154,43 +137,11 @@ fn feed_conn(
         events: 0,
         frames: 0,
     };
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    let mut tx = ConnCodec::new();
-    let hello = encode_msg(
-        &NetMsg::Hello {
-            node: process,
-            kind: PeerKind::Client,
-            proto: PROTO_VERSION,
-        },
-        &mut tx,
-    );
-    write_frame(&mut stream, &hello)?;
-    stats.batched_bytes += FRAME_PREFIX + hello.len() as u64;
-    let mut fb = FrameBuffer::new();
-    let mut rx = ConnCodec::new();
-    match read_frame(&mut stream, &mut fb)? {
-        Some(frame) => match decode_msg(&frame, &mut rx) {
-            Ok(NetMsg::HelloAck { .. }) => {}
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "handshake: expected HelloAck",
-                ))
-            }
-        },
-        None => {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "handshake: connection closed",
-            ))
-        }
-    }
+    let mut client = EventClient::connect(addr, process)?;
     // The naive comparison stream: one delta codec per tenant, as if each
     // predicate ran its own pre-registry uplink over this edge.
     let mut naive_codecs: Vec<ConnCodec> = preds.iter().map(|_| ConnCodec::new()).collect();
-    for chunk in intervals.chunks(batch_span.max(1)) {
+    for chunk in intervals.chunks(BATCH_SPAN) {
         let groups: Vec<(Vec<u32>, ftscp_intervals::Interval)> =
             chunk.iter().map(|iv| (preds.clone(), iv.clone())).collect();
         for iv in chunk {
@@ -211,15 +162,12 @@ fn feed_conn(
             groups,
             resync: false,
         });
-        let payload = encode_msg(&msg, &mut tx);
-        write_frame(&mut stream, &payload)?;
-        stats.batched_bytes += FRAME_PREFIX + payload.len() as u64;
+        client.send(&msg)?;
         stats.events += chunk.len() as u64;
         stats.frames += 1;
     }
-    let fin = encode_msg(&NetMsg::Fin { from: process }, &mut tx);
-    write_frame(&mut stream, &fin)?;
-    stats.batched_bytes += FRAME_PREFIX + fin.len() as u64;
+    client.send(&NetMsg::Fin { from: process })?;
+    stats.batched_bytes = client.bytes_sent();
     Ok(stats)
 }
 
@@ -233,7 +181,6 @@ pub fn run_tenancy(
     tree: &SpanningTree,
     specs: &[TenantSpec],
     exec: &Execution,
-    config: &TenancyConfig,
 ) -> io::Result<TenancyReport> {
     let registry = PredicateRegistry::new(tree, specs);
     // Routing is decided feeder-side from the registry's own index, the
@@ -257,15 +204,12 @@ pub fn run_tenancy(
     let server = {
         let registry = Arc::clone(&registry);
         let conns = feeding.len();
-        let timeout = config.read_timeout;
         thread::spawn(move || -> io::Result<()> {
             let mut handlers = Vec::with_capacity(conns);
             for _ in 0..conns {
                 let (stream, _) = listener.accept()?;
                 let registry = Arc::clone(&registry);
-                handlers.push(thread::spawn(move || {
-                    serve_conn(stream, &registry, timeout)
-                }));
+                handlers.push(thread::spawn(move || serve_conn(stream, &registry)));
             }
             for h in handlers {
                 h.join()
@@ -281,8 +225,7 @@ pub fn run_tenancy(
             let process = ProcessId(p as u32);
             let preds = routes[p].clone();
             let intervals = exec.intervals_of(process).to_vec();
-            let span = config.batch_span;
-            thread::spawn(move || feed_conn(addr, process, preds, intervals, span))
+            thread::spawn(move || feed_conn(addr, process, preds, intervals))
         })
         .collect();
 

@@ -44,7 +44,7 @@
 
 use bytes::{Bytes, BytesMut};
 use ftscp_core::protocol::{ConnCodec, DetectMsg};
-use ftscp_intervals::codec::{frame_kind, DecodeError, FrameKind};
+use ftscp_intervals::codec::DecodeError;
 use ftscp_intervals::Interval;
 use ftscp_vclock::ProcessId;
 
@@ -521,19 +521,6 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
     Ok(msg)
 }
 
-/// If `payload` (an encoded frame) carries an interval, classifies the
-/// embedded codec frame ([`FrameKind`]) without decoding — transports use
-/// this to count standalone resync frames on the wire.
-pub fn interval_frame_kind(payload: &[u8]) -> Option<FrameKind> {
-    let codec_frame = match payload.first()? {
-        3 if payload.get(1) == Some(&0) => payload.get(2 + 4 + 1..)?,
-        3 if payload.get(1) == Some(&12) => payload.get(2 + 4 + 1..)?,
-        4 => payload.get(1..)?,
-        _ => return None,
-    };
-    frame_kind(codec_frame).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,6 +534,19 @@ mod tests {
             VectorClock::from_components(hi),
         )
     }
+
+    /// Encodes `msg` and reports what the encoder booked for it:
+    /// `(interval frames, of them standalone)` — the difference a
+    /// transport bills around the call.
+    fn encode_booked(msg: &NetMsg, tx: &mut ConnCodec) -> (Vec<u8>, (u64, u64)) {
+        let before = tx.sent_tally();
+        let payload = encode_msg(msg, tx);
+        let after = tx.sent_tally();
+        (payload, (after.0 - before.0, after.1 - before.1))
+    }
+
+    const STANDALONE: (u64, u64) = (1, 1);
+    const STATEFUL: (u64, u64) = (1, 0);
 
     fn roundtrip(msg: &NetMsg) -> NetMsg {
         let mut tx = ConnCodec::new();
@@ -684,13 +684,9 @@ mod tests {
                 interval: interval.clone(),
                 resync: false,
             });
-            let payload = encode_msg(&msg, &mut tx);
-            let expect = if i == 0 {
-                FrameKind::DeltaStandalone // cold codec: first frame resyncs
-            } else {
-                FrameKind::DeltaStateful
-            };
-            assert_eq!(interval_frame_kind(&payload), Some(expect));
+            let (payload, booked) = encode_booked(&msg, &mut tx);
+            // cold codec: first frame resyncs
+            assert_eq!(booked, if i == 0 { STANDALONE } else { STATEFUL });
             payloads.push(payload);
         }
         for (payload, interval) in payloads.iter().zip(&stream) {
@@ -723,13 +719,8 @@ mod tests {
                 groups: groups.clone(),
                 resync: false,
             });
-            let payload = encode_msg(&msg, &mut tx);
-            let expect = if i == 0 {
-                FrameKind::DeltaStandalone
-            } else {
-                FrameKind::DeltaStateful
-            };
-            assert_eq!(interval_frame_kind(&payload), Some(expect));
+            let (payload, booked) = encode_booked(&msg, &mut tx);
+            assert_eq!(booked, if i == 0 { STANDALONE } else { STATEFUL });
             payloads.push(payload);
         }
         for (payload, groups) in payloads.iter().zip(&flushes) {
@@ -752,10 +743,9 @@ mod tests {
             groups: vec![(vec![0], iv(1, vec![3, 2], vec![4, 3]))],
             resync: true,
         });
-        let payload = encode_msg(&msg, &mut tx);
+        let (payload, booked) = encode_booked(&msg, &mut tx);
         assert_eq!(
-            interval_frame_kind(&payload),
-            Some(FrameKind::DeltaStandalone),
+            booked, STANDALONE,
             "a re-report batch must be decodable by a cold parent"
         );
         let mut cold = ConnCodec::new();
@@ -767,13 +757,102 @@ mod tests {
         let mut tx = ConnCodec::new();
         let warmup = NetMsg::Event(iv(0, vec![1, 1], vec![2, 2]));
         let _ = encode_msg(&warmup, &mut tx);
-        let stateful = encode_msg(&NetMsg::Event(iv(1, vec![3, 2], vec![4, 3])), &mut tx);
-        assert_eq!(
-            interval_frame_kind(&stateful),
-            Some(FrameKind::DeltaStateful)
-        );
+        let (stateful, booked) =
+            encode_booked(&NetMsg::Event(iv(1, vec![3, 2], vec![4, 3])), &mut tx);
+        assert_eq!(booked, STATEFUL);
         let mut cold = ConnCodec::new();
         assert!(decode_msg(&stateful, &mut cold).is_err());
+    }
+
+    #[test]
+    fn only_interval_frames_are_booked_and_a_width_change_resyncs() {
+        let mut tx = ConnCodec::new();
+        let fin = NetMsg::Fin { from: ProcessId(2) };
+        assert_eq!(encode_booked(&fin, &mut tx).1, (0, 0));
+        let narrow = NetMsg::Event(iv(0, vec![1, 1], vec![2, 2]));
+        assert_eq!(encode_booked(&narrow, &mut tx).1, STANDALONE);
+        // No base of the new width: the encoder falls back to standalone.
+        let wide = NetMsg::Event(iv(1, vec![3, 2, 0], vec![4, 3, 0]));
+        let (payload, booked) = encode_booked(&wide, &mut tx);
+        assert_eq!(booked, STANDALONE);
+        assert_eq!(decode_msg(&payload, &mut ConnCodec::new()), Ok(wide));
+    }
+
+    #[test]
+    fn dense_interval_payload_is_rejected() {
+        // A `Detect/Interval` whose interval is in the retired fixed-width
+        // layout (version byte 0x00), built by hand: from = 2, resync = 0,
+        // then u32 source, u64 seq, u8 kind, two length-prefixed clocks
+        // and one coverage entry.
+        let mut payload = vec![3, 0];
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.push(0);
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.push(0);
+        for clock in [[1u32, 2], [3, 4]] {
+            payload.extend_from_slice(&2u32.to_le_bytes());
+            for c in clock {
+                payload.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&2u32.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            decode_msg(&payload, &mut ConnCodec::new()),
+            Err(DecodeError("not a delta interval frame"))
+        );
+    }
+
+    #[test]
+    fn interval_frames_are_byte_pinned() {
+        // Cold, warm and `resync` codecs on all three interval-carrying
+        // messages: the exact bytes protocol v5 peers exchange.
+        let report = |seq, lo, hi, resync| {
+            NetMsg::Detect(DetectMsg::Interval {
+                from: ProcessId(2),
+                interval: iv(seq, lo, hi),
+                resync,
+            })
+        };
+        let batch = |resync| {
+            NetMsg::Detect(DetectMsg::IntervalBatch {
+                from: ProcessId(2),
+                groups: vec![
+                    (vec![0, 300], iv(3, vec![9, 3], vec![9, 4])),
+                    (vec![7], iv(4, vec![10, 4], vec![12, 4])),
+                ],
+                resync,
+            })
+        };
+        let mut tx = ConnCodec::new();
+        let got: Vec<String> = [
+            NetMsg::Event(iv(0, vec![1, 0], vec![4, 2])), // cold
+            NetMsg::Event(iv(1, vec![5, 2], vec![7, 2])), // warm
+            report(2, vec![8, 2], vec![9, 3], false),
+            report(3, vec![300, 2], vec![301, 3], true),
+            batch(false),
+            batch(true),
+        ]
+        .iter()
+        .map(|m| {
+            let hex: Vec<String> = encode_msg(m, &mut tx)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            hex.concat()
+        })
+        .collect();
+        let pinned = [
+            "04020000d20000020000d10002000604010200",
+            "04020000d20100020000d10108040400010201",
+            "03000200000000020000d20200020000d10106000202010202",
+            "03000200000001020000d20300020000d101c804000202010203",
+            "030c0200000000020000d30200ac02020000d20300020000d101c5040200020102030107020000d20400020000d10102020400010204",
+            "030c0200000001020000d30200ac02020000d20300020000d100120600020102030107020000d20400020000d10102020400010204",
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -2,16 +2,24 @@
 //! receiving side with a cold decoder, and the first interval frame on
 //! the replacement connection must be standalone (cold-decodable) or the
 //! stream is lost. These tests force that path on both stream kinds —
-//! the child→parent report uplink and the client→node event feed.
+//! the child→parent report uplink and the client→node event feed. The
+//! last test covers the other way a stream can be lost: a peer whose
+//! interval frames are not of the delta family at all.
 
 use ftscp_core::deploy::{DeployConfig, Deployment as SimDeployment};
+use ftscp_core::protocol::ConnCodec;
 use ftscp_core::report::GlobalDetection;
 use ftscp_net::client::EventClient;
+use ftscp_net::frame::{frame_bytes, read_frame, FrameBuffer};
 use ftscp_net::loopback::{sockets_available, Deployment, LoopbackConfig};
+use ftscp_net::wire::{decode_msg, encode_msg};
+use ftscp_net::{NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_simnet::{LinkModel, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::{Execution, RandomExecution};
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn coverages(dets: &[GlobalDetection]) -> Vec<Vec<(u32, u64)>> {
@@ -135,5 +143,89 @@ fn event_feed_resumes_on_a_fresh_connection() {
 
     let report = dep.finish(&config).expect("loopback run failed");
     assert!(!report.timed_out, "run did not complete after feed resume");
+    assert_eq!(coverages(&sim), coverages(&report.detections));
+}
+
+/// A peer that still frames intervals in the retired fixed-width layout
+/// (version byte `0x00`) is a corrupt peer like any other: the node hangs
+/// up on that one connection and keeps serving everyone else.
+#[test]
+fn dense_frame_kills_only_its_own_connection() {
+    if !sockets_available() {
+        eprintln!("skipping: loopback sockets unavailable in this environment");
+        return;
+    }
+    let exec = RandomExecution::builder(2)
+        .intervals_per_process(6)
+        .skip_prob(0.0)
+        .seed(17)
+        .build();
+    let tree = SpanningTree::balanced_dary(2, 2);
+    let sim = simnet_detections(&tree, &exec, 17);
+    let config = LoopbackConfig::default();
+    let dep = Deployment::launch(&tree, &config).expect("launch failed");
+
+    // Process 0's real feed is half-way through when the stranger shows up.
+    let p0 = ProcessId(0);
+    let (first_half, second_half) = exec.intervals_of(p0).split_at(3);
+    let mut c0 = EventClient::connect(dep.addr(p0), p0).expect("connect p0");
+    for iv in first_half {
+        c0.send_event(iv).expect("send p0 first half");
+    }
+
+    // The stranger handshakes properly, then sends an `Event` (tag 4)
+    // whose interval is dense: u32 source, u64 seq, u8 kind, two
+    // length-prefixed clocks, u32 coverage count, (u32, u64) entries.
+    let mut stranger = TcpStream::connect(dep.addr(p0)).expect("connect stranger");
+    stranger
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let hello = NetMsg::Hello {
+        node: p0,
+        kind: PeerKind::Client,
+        proto: PROTO_VERSION,
+    };
+    let hello = encode_msg(&hello, &mut ConnCodec::new());
+    stranger.write_all(&frame_bytes(&hello)).expect("hello");
+    let mut fb = FrameBuffer::new();
+    let ack = read_frame(&mut stranger, &mut fb).expect("read ack");
+    let ack = decode_msg(&ack.expect("ack frame"), &mut ConnCodec::new());
+    assert!(matches!(ack, Ok(NetMsg::HelloAck { .. })));
+    let iv = &second_half[0];
+    let mut event = vec![4u8];
+    event.extend_from_slice(&iv.source.0.to_le_bytes());
+    event.extend_from_slice(&iv.seq.to_le_bytes());
+    event.push(0);
+    for clock in [&iv.lo, &iv.hi] {
+        event.extend_from_slice(&(clock.len() as u32).to_le_bytes());
+        for c in clock.components() {
+            event.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    event.extend_from_slice(&1u32.to_le_bytes());
+    event.extend_from_slice(&iv.source.0.to_le_bytes());
+    event.extend_from_slice(&iv.seq.to_le_bytes());
+    stranger
+        .write_all(&frame_bytes(&event))
+        .expect("dense event");
+    let hung_up = read_frame(&mut stranger, &mut fb).expect("EOF, not a timeout");
+    assert_eq!(
+        hung_up, None,
+        "the node must close the stranger's connection"
+    );
+
+    // Everyone else is still served, and the dense interval was not fed.
+    for iv in second_half {
+        c0.send_event(iv).expect("send p0 second half");
+    }
+    c0.fin().expect("fin p0");
+    let p1 = ProcessId(1);
+    let mut c1 = EventClient::connect(dep.addr(p1), p1).expect("connect p1");
+    for iv in exec.intervals_of(p1) {
+        c1.send_event(iv).expect("send p1");
+    }
+    c1.fin().expect("fin p1");
+    let report = dep.finish(&config).expect("loopback run failed");
+    assert!(!report.timed_out, "run did not complete past the stranger");
     assert_eq!(coverages(&sim), coverages(&report.detections));
 }

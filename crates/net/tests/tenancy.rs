@@ -7,7 +7,7 @@
 use ftscp_core::registry::{PredicateRegistry, TenantSpec};
 use ftscp_core::PredicateId;
 use ftscp_net::sockets_available;
-use ftscp_net::tenancy::{run_tenancy, TenancyConfig};
+use ftscp_net::tenancy::run_tenancy;
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::RandomExecution;
@@ -38,8 +38,7 @@ fn socket_tenancy_matches_in_memory_registry() {
         .seed(41)
         .build();
 
-    let report = run_tenancy(&tree, &specs, &exec, &TenancyConfig::default())
-        .expect("tenancy run over loopback");
+    let report = run_tenancy(&tree, &specs, &exec).expect("tenancy run over loopback");
 
     // Reference: the same registry fed in memory through the relevance
     // filter, in canonical interleaved order.
@@ -82,8 +81,7 @@ fn socket_tenancy_single_tenant_degenerates_cleanly() {
         .intervals_per_process(4)
         .seed(5)
         .build();
-    let report = run_tenancy(&tree, &specs, &exec, &TenancyConfig::default())
-        .expect("tenancy run over loopback");
+    let report = run_tenancy(&tree, &specs, &exec).expect("tenancy run over loopback");
     let mut reference = PredicateRegistry::new(&tree, &specs);
     for iv in exec.intervals_interleaved() {
         reference.ingest(iv.clone());

@@ -1,5 +1,6 @@
 //! Representation invariance: changing how intervals are *represented* —
-//! dense vs delta wire encoding, full vs aggregate sweep scheduling —
+//! cold vs per-connection delta wire encoding, full vs aggregate sweep
+//! scheduling —
 //! must not change *what is detected*. Each property pushes
 //! a random execution through multiple representations and demands
 //! byte-identical [`detection_fingerprint`]s, identical solution
@@ -8,7 +9,7 @@
 use bytes::BytesMut;
 use ftscp::core::faultcheck::detection_fingerprint;
 use ftscp::core::{ConnCodec, HierarchicalDetector};
-use ftscp::intervals::codec::{interval_from_bytes, interval_to_bytes};
+use ftscp::intervals::codec::{decode_interval_delta, interval_to_bytes_delta};
 use ftscp::intervals::{Interval, QueueBank, SweepMode};
 use ftscp::tree::SpanningTree;
 use ftscp::workload::{Execution, RandomExecution};
@@ -65,11 +66,14 @@ fn random_exec(n: usize, rounds: usize, skip: u32, noise: u32, seed: u64) -> Exe
         .build()
 }
 
-/// Round-trips every interval through the legacy dense codec.
-fn via_dense(intervals: &[Interval]) -> Vec<Interval> {
+/// Round-trips every interval through the cold path: each one a
+/// standalone frame, decoded with no connection state at all.
+fn via_cold_frames(intervals: &[Interval]) -> Vec<Interval> {
     intervals
         .iter()
-        .map(|iv| interval_from_bytes(&interval_to_bytes(iv)).expect("dense roundtrip"))
+        .map(|iv| {
+            decode_interval_delta(&mut interval_to_bytes_delta(iv), None).expect("cold roundtrip")
+        })
         .collect()
 }
 
@@ -96,10 +100,10 @@ fn via_delta_streams(intervals: &[Interval]) -> (Vec<Interval>, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense and delta wire codecs are interchangeable: the decoded
-    /// streams are identical interval-for-interval, and detection over
-    /// either stream produces byte-identical fingerprints and the same
-    /// solution sequence.
+    /// Standalone frames and per-connection delta streams are
+    /// interchangeable: the decoded streams are identical
+    /// interval-for-interval, and detection over either stream produces
+    /// byte-identical fingerprints and the same solution sequence.
     #[test]
     fn codec_choice_never_changes_detection(
         (n, rounds) in (2usize..9, 1usize..7),
@@ -108,14 +112,14 @@ proptest! {
     ) {
         let exec = random_exec(n, rounds, skip, noise, seed);
         let original: Vec<Interval> = exec.intervals_interleaved().into_iter().cloned().collect();
-        let dense = via_dense(&original);
+        let cold = via_cold_frames(&original);
         let (delta, _) = via_delta_streams(&original);
-        prop_assert_eq!(&dense, &original, "dense codec is the identity");
-        prop_assert_eq!(&delta, &original, "delta codec is the identity");
+        prop_assert_eq!(&cold, &original, "standalone frames are the identity");
+        prop_assert_eq!(&delta, &original, "delta streams are the identity");
 
-        let (out_dense, _) = detect(&exec, &dense, SweepMode::default());
+        let (out_cold, _) = detect(&exec, &cold, SweepMode::default());
         let (out_delta, _) = detect(&exec, &delta, SweepMode::default());
-        prop_assert_eq!(out_dense, out_delta, "detection outcome diverged across codecs");
+        prop_assert_eq!(out_cold, out_delta, "detection outcome diverged across codecs");
     }
 
     /// The `⊓`-summary-gated aggregate engine every deployment runs
