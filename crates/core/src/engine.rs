@@ -33,11 +33,8 @@ pub enum EngineOutput {
 pub struct NodeEngine {
     node: ProcessId,
     bank: QueueBank,
-    /// `Q_0` slot. `None` for *relay* engines — interior nodes of a
-    /// member-restricted predicate view whose own process is not a member:
-    /// they aggregate child reports but contribute no local intervals, so
-    /// a local queue would block detection forever.
-    local_slot: Option<SlotId>,
+    /// `Q_0` slot.
+    local_slot: SlotId,
     child_slots: BTreeMap<ProcessId, SlotId>,
     /// Sorted mirror of `child_slots`' keys, kept so [`children`](Self::children)
     /// can hand out a borrow instead of allocating per call (the engine hot
@@ -62,7 +59,6 @@ impl NodeEngine {
     /// whether solutions are reported as detections or forwarded.
     pub fn new(node: ProcessId, children: &[ProcessId], is_root: bool) -> Self {
         let mut bank = QueueBank::new(1);
-        let local_slot = Some(SlotId(0));
         let mut child_slots = BTreeMap::new();
         for &c in children {
             child_slots.insert(c, bank.add_queue());
@@ -71,7 +67,7 @@ impl NodeEngine {
         NodeEngine {
             node,
             bank,
-            local_slot,
+            local_slot: SlotId(0),
             child_slots,
             children,
             is_root,
@@ -81,43 +77,6 @@ impl NodeEngine {
             child_enqueued: 0,
             last_output: None,
         }
-    }
-
-    /// A *relay* engine: no local queue `Q_0`, only child queues. Used for
-    /// interior nodes of a member-restricted predicate view (multi-tenant
-    /// registry) whose own process is outside the member set — the node
-    /// still aggregates and forwards its children's reports so members in
-    /// disjoint subtrees meet at their lowest common ancestor, but its own
-    /// intervals never participate in the conjunction.
-    pub fn new_relay(node: ProcessId, children: &[ProcessId], is_root: bool) -> Self {
-        debug_assert!(
-            !children.is_empty(),
-            "a relay engine with no children can never emit"
-        );
-        let mut bank = QueueBank::new(0);
-        let mut child_slots = BTreeMap::new();
-        for &c in children {
-            child_slots.insert(c, bank.add_queue());
-        }
-        let children: Vec<ProcessId> = child_slots.keys().copied().collect();
-        NodeEngine {
-            node,
-            bank,
-            local_slot: None,
-            child_slots,
-            children,
-            is_root,
-            level: 1,
-            solutions_found: 0,
-            locals_enqueued: 0,
-            child_enqueued: 0,
-            last_output: None,
-        }
-    }
-
-    /// True iff this engine has no local queue (see [`new_relay`](Self::new_relay)).
-    pub fn is_relay(&self) -> bool {
-        self.local_slot.is_none()
     }
 
     /// Installs a shared comparison counter (distributed cost accounting).
@@ -211,14 +170,8 @@ impl NodeEngine {
     /// Lines (1)–(3) for the local queue: a new local predicate interval
     /// completed at this node.
     pub fn on_local_interval(&mut self, interval: Interval) -> Vec<EngineOutput> {
-        let Some(local_slot) = self.local_slot else {
-            // Relay engines have no Q_0; a stray local interval (possible
-            // after a reconfiguration raced an in-flight event) is dropped,
-            // exactly like an interval from an unknown child.
-            return Vec::new();
-        };
         self.locals_enqueued += 1;
-        let solutions = self.bank.enqueue(local_slot, interval);
+        let solutions = self.bank.enqueue(self.local_slot, interval);
         self.emit(solutions)
     }
 
@@ -369,8 +322,8 @@ pub struct EngineCheckpoint {
     pub node: ProcessId,
     /// Queue-bank state.
     pub bank: BankSnapshot,
-    /// Slot of the local queue `Q_0` (`None` for relay engines).
-    pub local_slot: Option<SlotId>,
+    /// Slot of the local queue `Q_0`.
+    pub local_slot: SlotId,
     /// Child → slot mapping.
     pub child_slots: Vec<(ProcessId, SlotId)>,
     /// Root flag.

@@ -57,86 +57,6 @@ impl HierarchicalDetector {
         }
     }
 
-    /// Builds a detector for a *member-restricted* predicate: the
-    /// conjunction ranges only over `members`, evaluated on a pruned view
-    /// of the shared `tree`.
-    ///
-    /// The view keeps every member plus every ancestor on a member's path
-    /// to the root, so members sitting in disjoint subtrees still meet at
-    /// their lowest common ancestor. Member nodes run full engines
-    /// (`Q_0` + child queues); in-view non-members run *relay* engines
-    /// ([`NodeEngine::new_relay`]) that aggregate and forward child
-    /// reports but contribute no local intervals. Intervals fed for
-    /// processes outside the view are ignored, exactly like intervals of
-    /// failed nodes — this is the per-tenant half of the multi-tenant
-    /// relevance filter (see `crate::registry`).
-    ///
-    /// With `members` = every node of `tree`, detection outcomes are
-    /// identical to [`new`](Self::new) (the view is the whole tree and no
-    /// relays exist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty or names a node outside `tree`.
-    pub fn with_members(tree: &SpanningTree, members: &[ProcessId]) -> Self {
-        assert!(!members.is_empty(), "member set must be non-empty");
-        let n = tree.capacity();
-        let mut in_view = vec![false; n];
-        let mut is_member = vec![false; n];
-        for &m in members {
-            assert!(
-                tree.contains(nid(m)),
-                "member {m} is not in the spanning tree"
-            );
-            is_member[m.index()] = true;
-            // Ancestor closure: walk to the root, stopping at the first
-            // node already claimed (its chain is already in the view).
-            let mut cur = nid(m);
-            loop {
-                if in_view[cur.index()] {
-                    break;
-                }
-                in_view[cur.index()] = true;
-                match tree.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-        }
-        let claims: Vec<(ftscp_simnet::NodeId, Option<ftscp_simnet::NodeId>)> = (0..n)
-            .filter(|&i| in_view[i])
-            .map(|i| {
-                let node = ftscp_simnet::NodeId(i as u32);
-                (node, tree.parent(node))
-            })
-            .collect();
-        let view = SpanningTree::from_membership(&claims, n, tree.root());
-
-        let ops = OpCounter::new();
-        let mut engines: Vec<Option<NodeEngine>> = (0..n).map(|_| None).collect();
-        for node in view.nodes() {
-            let children: Vec<ProcessId> = view.children(node).iter().map(|&c| pid(c)).collect();
-            let is_root = node == view.root();
-            let mut engine = if is_member[node.index()] {
-                NodeEngine::new(pid(node), &children, is_root)
-            } else {
-                NodeEngine::new_relay(pid(node), &children, is_root)
-            }
-            .with_ops_counter(ops.clone());
-            engine.set_level((view.height() - view.depth(node)) as u32);
-            engines[node.index()] = Some(engine);
-        }
-        HierarchicalDetector {
-            tree: view,
-            engines,
-            detections: Vec::new(),
-            node_solutions: vec![0; n],
-            node_solution_log: None,
-            ops,
-            feeds: 0,
-        }
-    }
-
     /// Sets the head-overlap sweep mode of every engine (see
     /// [`ftscp_intervals::SweepMode`]). Detection outcomes are identical
     /// in both modes; only the number of clock comparisons billed to the

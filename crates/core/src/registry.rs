@@ -5,11 +5,16 @@
 //! watched concurrently, not one `Φ` per deployment. The registry serves
 //! them over shared infrastructure:
 //!
-//! * **One spanning tree.** Every tenant's detection hierarchy is a view
-//!   of the same shared [`SpanningTree`]; a member-restricted tenant runs
-//!   over the pruned view built by
-//!   [`HierarchicalDetector::with_members`] (members plus the ancestors
-//!   needed to join them), with *relay* engines at in-view non-members.
+//! * **One flat bank per tenant.** A tenant is one [`QueueBank`] with one
+//!   queue per member process; a full tenant is simply the tenant whose
+//!   members are every process of the tree. The spanning tree exists to
+//!   *distribute* Algorithm 1 across machines, and Theorem 1 says its
+//!   shape never changes which solution sets are found — so inside one
+//!   process a tenant runs the algorithm over its members directly, and
+//!   a solution out of the bank is the tenant's root detection.
+//! * **One shared [`SpanningTree`].** It says which processes exist and
+//!   are alive (a crashed process leaves it), sizes the routing index, and
+//!   names the node a detection is reported at (its current root).
 //! * **One interned [`ClockPool`].** Every ingested interval's bound
 //!   clocks are interned once on entry; the tenants that consume the
 //!   interval share the pooled allocation (cloning a [`VectorClock`] is a
@@ -18,17 +23,18 @@
 //! * **A per-process tenant index — the relevance filter.** Each tenant
 //!   declares its *local-predicate set* (the member processes whose local
 //!   predicates appear in its conjunction). [`ingest`] routes an event
-//!   only to the tenants whose set contains the event's owner — the
-//!   slicing-style filter of Mittal–Garg's computation slicing and
-//!   Chauhan et al.'s abstraction algorithm (see `PAPERS.md`): a tenant
-//!   pays only for events that can affect its predicate, so aggregate
-//!   cost grows with Σ|S_k|, not `tenants × events`.
+//!   only to the tenants whose set contains the event's owner, straight
+//!   into the owner's queue there — the slicing-style filter of
+//!   Mittal–Garg's computation slicing and Chauhan et al.'s abstraction
+//!   algorithm (see `PAPERS.md`): a tenant pays only for events that can
+//!   affect its predicate, so aggregate cost grows with Σ|S_k|, not
+//!   `tenants × events`.
 //!
 //! The naive alternative — offer every event to every tenant — is kept as
-//! [`ingest_broadcast`]: detection outcomes are bit-identical (a
-//! non-member feed is a no-op inside the tenant's detector), only the
-//! billed routing cost differs. The benchmark harness asserts the
-//! equality at runtime and gates both cost counters.
+//! [`ingest_broadcast`]: detection outcomes are bit-identical (a tenant
+//! ignores a non-member's event), only the billed routing cost differs.
+//! The benchmark harness asserts the equality at runtime and gates both
+//! cost counters.
 //!
 //! Per-tenant monitor state lives in a [`TenantSlot`]; transports key into
 //! the same seam the single-predicate stack uses (`ftscp-net`'s tenancy
@@ -39,11 +45,10 @@
 //! [`ingest`]: PredicateRegistry::ingest
 //! [`ingest_broadcast`]: PredicateRegistry::ingest_broadcast
 
-use crate::hier::HierarchicalDetector;
-use crate::nid;
 use crate::report::GlobalDetection;
-use ftscp_intervals::Interval;
-use ftscp_simnet::Topology;
+use crate::{nid, pid};
+use ftscp_intervals::{Interval, QueueBank, SlotId, Solution};
+use ftscp_simnet::{SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::{ClockPool, ProcessId, VectorClock};
 use serde::{Deserialize, Serialize};
@@ -79,14 +84,15 @@ impl TenantSpec {
     }
 }
 
-/// Per-tenant monitor state: the tenant's detector (over its pruned tree
-/// view) plus its membership and accounting.
+/// Per-tenant monitor state: one queue bank over the tenant's members,
+/// the detections it has produced, and its accounting.
 pub struct TenantSlot {
     id: PredicateId,
-    /// Sorted member set; `None` = all processes.
-    members: Option<Vec<ProcessId>>,
-    detector: HierarchicalDetector,
-    /// Feeds routed to this tenant whose owner is in the member set.
+    /// Sorted member set; member `k` owns queue `SlotId(k)` of `bank`.
+    members: Vec<ProcessId>,
+    bank: QueueBank,
+    detections: Vec<GlobalDetection>,
+    /// Member events this tenant has consumed — also its detection clock.
     relevant_feeds: u64,
 }
 
@@ -96,22 +102,15 @@ impl TenantSlot {
         self.id
     }
 
-    /// The tenant's detector (full API access).
-    pub fn detector(&self) -> &HierarchicalDetector {
-        &self.detector
-    }
-
-    /// The declared member set (`None` = every process).
-    pub fn members(&self) -> Option<&[ProcessId]> {
-        self.members.as_deref()
+    /// The member set, sorted (every process of the tree for a full
+    /// tenant).
+    pub fn members(&self) -> &[ProcessId] {
+        &self.members
     }
 
     /// True iff an event owned by `p` can affect this tenant's predicate.
     pub fn is_relevant(&self, p: ProcessId) -> bool {
-        match &self.members {
-            None => true,
-            Some(m) => m.binary_search(&p).is_ok(),
-        }
+        self.members.binary_search(&p).is_ok()
     }
 
     /// Feeds this tenant has actually consumed (relevance-filtered).
@@ -119,13 +118,17 @@ impl TenantSlot {
         self.relevant_feeds
     }
 
+    /// The tenant's detections so far, in order.
+    pub fn root_solutions(&self) -> &[GlobalDetection] {
+        &self.detections
+    }
+
     /// The tenant's solution sequence: `(solution index, coverage)` per
     /// root detection, in order. This is the repo's cross-backend
-    /// bit-identity anchor — detection *times* are excluded (they depend
-    /// on how many irrelevant events a routing policy counted past).
+    /// bit-identity anchor — detection *times* are excluded (they count
+    /// consumed events, not stream positions).
     pub fn solution_sequence(&self) -> Vec<(u64, Vec<(u32, u64)>)> {
-        self.detector
-            .root_solutions()
+        self.detections
             .iter()
             .map(|d| {
                 (
@@ -135,6 +138,29 @@ impl TenantSlot {
             })
             .collect()
     }
+
+    /// Enqueues a member's interval on its queue.
+    fn enqueue(&mut self, slot: SlotId, interval: Interval, root: ProcessId) {
+        self.relevant_feeds += 1;
+        let solutions = self.bank.enqueue(slot, interval);
+        self.record(solutions, root);
+    }
+
+    /// Offers an event that may or may not be a member's.
+    fn offer(&mut self, interval: &Interval, root: ProcessId) {
+        if let Ok(k) = self.members.binary_search(&interval.source) {
+            self.enqueue(SlotId(k as u32), interval.clone(), root);
+        }
+    }
+
+    fn record(&mut self, solutions: Vec<Solution>, root: ProcessId) {
+        let time = SimTime(self.relevant_feeds);
+        self.detections.extend(
+            solutions
+                .into_iter()
+                .map(|s| GlobalDetection::new(root, s, time)),
+        );
+    }
 }
 
 /// Registry-level routing/cost counters. All deterministic — the bench
@@ -143,12 +169,18 @@ impl TenantSlot {
 pub struct RegistryStats {
     /// Events ingested from the shared stream.
     pub events_ingested: u64,
-    /// Tenant detectors actually fed by the relevance filter
+    /// Tenant banks actually fed by the relevance filter
     /// ([`PredicateRegistry::ingest`]).
     pub tenant_touches: u64,
-    /// Tenant detectors offered an event by the naive broadcast path
+    /// Tenants offered an event by the naive broadcast path
     /// ([`PredicateRegistry::ingest_broadcast`]), relevant or not.
     pub broadcast_touches: u64,
+}
+
+/// True iff `p` is a process of `tree` — one that has not crashed, for the
+/// registry's repaired tree.
+fn in_tree(tree: &SpanningTree, p: ProcessId) -> bool {
+    p.index() < tree.capacity() && tree.contains(nid(p))
 }
 
 /// Many tenants, one event stream, shared tree and clock pool.
@@ -157,9 +189,10 @@ pub struct PredicateRegistry {
     pool: ClockPool,
     slots: Vec<TenantSlot>,
     by_id: BTreeMap<PredicateId, usize>,
-    /// `index[p]` = dense slot indices of the tenants whose member set
-    /// contains process `p` — the per-process relevance filter.
-    index: Vec<Vec<u32>>,
+    /// `index[p]` = `(tenant, queue)` for every tenant whose member set
+    /// contains process `p` — the per-process relevance filter. Emptied
+    /// when `p` crashes.
+    index: Vec<Vec<(u32, SlotId)>>,
     stats: RegistryStats,
 }
 
@@ -172,43 +205,35 @@ impl PredicateRegistry {
     /// names a node outside the tree.
     pub fn new(tree: &SpanningTree, specs: &[TenantSpec]) -> Self {
         assert!(!specs.is_empty(), "at least one tenant");
-        let capacity = tree.capacity();
         let mut slots = Vec::with_capacity(specs.len());
         let mut by_id = BTreeMap::new();
-        let mut index: Vec<Vec<u32>> = vec![Vec::new(); capacity];
+        let mut index: Vec<Vec<(u32, SlotId)>> = vec![Vec::new(); tree.capacity()];
         for spec in specs {
-            let slot_idx = slots.len() as u32;
+            let tenant = slots.len();
             assert!(
-                by_id.insert(spec.id, slots.len()).is_none(),
+                by_id.insert(spec.id, tenant).is_none(),
                 "duplicate predicate id {:?}",
                 spec.id
             );
-            let (members, detector) = if spec.members.is_empty() {
-                // Full tenant: same construction as the single-predicate
-                // path, bit-for-bit (no pruning, no relays).
-                for node in tree.nodes() {
-                    index[node.index()].push(slot_idx);
-                }
-                (None, HierarchicalDetector::new(tree))
-            } else {
-                let mut members = spec.members.clone();
-                members.sort_unstable();
-                members.dedup();
-                for &m in &members {
-                    assert!(
-                        tree.contains(nid(m)),
-                        "tenant {:?} member {m} is not in the tree",
-                        spec.id
-                    );
-                    index[m.index()].push(slot_idx);
-                }
-                let detector = HierarchicalDetector::with_members(tree, &members);
-                (Some(members), detector)
-            };
+            let mut members = spec.members.clone();
+            if members.is_empty() {
+                members.extend(tree.nodes().into_iter().map(pid));
+            }
+            members.sort_unstable();
+            members.dedup();
+            for (k, &m) in members.iter().enumerate() {
+                assert!(
+                    in_tree(tree, m),
+                    "tenant {:?} member {m} is not in the tree",
+                    spec.id
+                );
+                index[m.index()].push((tenant as u32, SlotId(k as u32)));
+            }
             slots.push(TenantSlot {
                 id: spec.id,
+                bank: QueueBank::new(members.len()),
                 members,
-                detector,
+                detections: Vec::new(),
                 relevant_feeds: 0,
             });
         }
@@ -232,8 +257,9 @@ impl PredicateRegistry {
         self.slots.iter()
     }
 
-    /// The shared tree (as originally registered; per-tenant views evolve
-    /// independently under failures).
+    /// The shared tree: the processes still alive, repaired after every
+    /// [`fail_node`](Self::fail_node); its root is where detections are
+    /// reported.
     pub fn tree(&self) -> &SpanningTree {
         &self.tree
     }
@@ -263,22 +289,14 @@ impl PredicateRegistry {
         &self.slots[self.slot_index(pred)]
     }
 
-    /// The detector of `pred` (full API access).
-    pub fn detector(&self, pred: PredicateId) -> &HierarchicalDetector {
-        &self.tenant(pred).detector
-    }
-
     /// Root-level detections of `pred`.
     pub fn root_solutions(&self, pred: PredicateId) -> &[GlobalDetection] {
-        self.tenant(pred).detector.root_solutions()
+        self.tenant(pred).root_solutions()
     }
 
     /// Total root detections across all tenants.
     pub fn total_detections(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.detector.root_solutions().len())
-            .sum()
+        self.slots.iter().map(|s| s.detections.len()).sum()
     }
 
     /// The tenants whose local-predicate set contains `p`, i.e. the ones
@@ -287,48 +305,46 @@ impl PredicateRegistry {
     pub fn tenants_for(&self, p: ProcessId) -> Vec<PredicateId> {
         self.index
             .get(p.index())
-            .map(|row| row.iter().map(|&i| self.slots[i as usize].id).collect())
+            .map(|row| {
+                row.iter()
+                    .map(|&(t, _)| self.slots[t as usize].id)
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
     /// Ingests one event from the shared stream, routing it through the
     /// relevance filter: only tenants whose member set contains
-    /// `interval.source` are fed. The interval's bound clocks are interned
-    /// in the shared pool first, so every consuming tenant holds the same
-    /// allocation.
+    /// `interval.source` are fed, each on the owner's own queue. The
+    /// interval's bound clocks are interned in the shared pool first, so
+    /// every consuming tenant holds the same allocation.
     pub fn ingest(&mut self, interval: Interval) {
         let interval = self.interned(interval);
         self.stats.events_ingested += 1;
-        let owner = interval.source;
-        let Some(row) = self.index.get(owner.index()) else {
+        let Some(row) = self.index.get(interval.source.index()) else {
             return;
         };
-        // The row is detached from `self` borrow-wise by indexing slots
-        // per entry; rows are immutable during ingestion.
-        for k in 0..row.len() {
-            let slot_idx = self.index[owner.index()][k] as usize;
-            self.stats.tenant_touches += 1;
-            let slot = &mut self.slots[slot_idx];
-            slot.relevant_feeds += 1;
-            slot.detector.feed(interval.clone());
+        let root = pid(self.tree.root());
+        self.stats.tenant_touches += row.len() as u64;
+        for &(tenant, slot) in row {
+            self.slots[tenant as usize].enqueue(slot, interval.clone(), root);
         }
     }
 
     /// Ingests one event the naive way: every tenant is offered every
-    /// event, relevant or not. A non-member feed is a no-op
-    /// inside the tenant's detector, so detection outcomes (solution
-    /// sequences) are bit-identical to [`ingest`](Self::ingest) — only
-    /// the billed routing cost differs. Kept as the differential baseline.
+    /// event, relevant or not. A tenant ignores a non-member's event, so
+    /// detection outcomes (solution sequences) are bit-identical to
+    /// [`ingest`](Self::ingest) — only the billed routing cost differs.
+    /// Kept as the differential baseline.
     pub fn ingest_broadcast(&mut self, interval: Interval) {
         let interval = self.interned(interval);
         self.stats.events_ingested += 1;
-        let owner = interval.source;
-        for slot in &mut self.slots {
-            self.stats.broadcast_touches += 1;
-            if slot.is_relevant(owner) {
-                slot.relevant_feeds += 1;
+        self.stats.broadcast_touches += self.slots.len() as u64;
+        if in_tree(&self.tree, interval.source) {
+            let root = pid(self.tree.root());
+            for slot in &mut self.slots {
+                slot.offer(&interval, root);
             }
-            slot.detector.feed(interval.clone());
         }
     }
 
@@ -343,23 +359,30 @@ impl PredicateRegistry {
         let interval = self.interned(interval);
         let idx = self.slot_index(pred);
         self.stats.tenant_touches += 1;
-        let slot = &mut self.slots[idx];
-        if slot.is_relevant(interval.source) {
-            slot.relevant_feeds += 1;
+        if in_tree(&self.tree, interval.source) {
+            let root = pid(self.tree.root());
+            self.slots[idx].offer(&interval, root);
         }
-        slot.detector.feed(interval);
     }
 
-    /// §III-F: `node` crash-stops. Every tenant whose view contains the
-    /// node repairs independently (same deterministic repair as the
-    /// single-predicate path); the dead process is removed from the
-    /// routing index — no further events from it are routed anywhere.
+    /// §III-F: `node` crash-stops. The shared tree is repaired once (so
+    /// later detections are reported at a live root); every tenant that
+    /// has `node` as a member drops its queue — the solutions that
+    /// releases are recorded — and the tenants that do not are not
+    /// touched. From here on an event of `node` is ignored on every path.
     pub fn fail_node(&mut self, node: ProcessId, topology: &Topology) {
-        for slot in &mut self.slots {
-            slot.detector.fail_node(node, topology);
+        if !in_tree(&self.tree, node) {
+            return;
         }
-        if let Some(row) = self.index.get_mut(node.index()) {
-            row.clear();
+        let alive: Vec<bool> = ProcessId::all(self.tree.capacity())
+            .map(|p| p != node && self.tree.contains(nid(p)))
+            .collect();
+        self.tree.handle_failure(nid(node), topology, &alive);
+        let root = pid(self.tree.root());
+        for (tenant, slot) in std::mem::take(&mut self.index[node.index()]) {
+            let tenant = &mut self.slots[tenant as usize];
+            let released = tenant.bank.remove_queue(slot);
+            tenant.record(released, root);
         }
     }
 
@@ -368,7 +391,7 @@ impl PredicateRegistry {
     /// time-cost unit summed across the fleet. This is the number the
     /// tenancy bench gates and the sublinearity claim is stated over.
     pub fn billed_cost(&self) -> u64 {
-        let ops: u64 = self.slots.iter().map(|s| s.detector.ops().get()).sum();
+        let ops: u64 = self.slots.iter().map(|s| s.bank.ops().get()).sum();
         self.stats.tenant_touches + self.stats.broadcast_touches + ops
     }
 
@@ -390,6 +413,9 @@ impl PredicateRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hier::HierarchicalDetector;
+    use ftscp_intervals::offline::OfflineDetector;
+    use ftscp_intervals::PruneRule;
     use ftscp_workload::RandomExecution;
 
     fn exec(n: usize, rounds: usize, seed: u64) -> ftscp_workload::Execution {
@@ -403,22 +429,80 @@ mod tests {
         reg.tenants().map(|t| t.solution_sequence()).collect()
     }
 
+    /// What a flat tenant and a hierarchy can agree on: a flat root's
+    /// solution members are locals, a hierarchy's are child aggregates.
+    fn outcome(dets: &[GlobalDetection]) -> Vec<(u64, Vec<ftscp_intervals::IntervalRef>)> {
+        dets.iter()
+            .map(|d| (d.solution.index, d.coverage.clone()))
+            .collect()
+    }
+
+    /// `n`-process stream with skips and solos, so heads misalign and the
+    /// sweep has work to do.
+    fn noisy(n: usize, seed: u64) -> ftscp_workload::Execution {
+        RandomExecution::builder(n)
+            .intervals_per_process(6)
+            .skip_prob(0.2)
+            .solo_prob(0.15)
+            .noise_msg_prob(0.3)
+            .seed(seed)
+            .build()
+    }
+
+    /// Theorem 1, as the registry relies on it: the flat bank of a full
+    /// tenant finds what the hierarchy over the same tree finds, and a
+    /// restricted tenant finds what Algorithm 1 finds given only its
+    /// members' complete interval sequences.
     #[test]
-    fn full_tenant_matches_standalone_detector() {
-        let n = 7;
-        let tree = SpanningTree::balanced_dary(n, 2);
-        let mut reg = PredicateRegistry::new(&tree, &[TenantSpec::full(PredicateId(0))]);
-        let mut solo = HierarchicalDetector::new(&tree);
-        let e = exec(n, 4, 11);
-        for iv in e.intervals_interleaved() {
-            reg.ingest(iv.clone());
-            solo.feed(iv.clone());
+    fn tenants_match_the_hierarchy_and_the_offline_oracle() {
+        let mut detections = 0;
+        for seed in 0..60u64 {
+            let n = 5 + (seed as usize * 7) % 28;
+            let tree = SpanningTree::balanced_dary(n, 2 + seed as usize % 3);
+            let members: Vec<ProcessId> = (0..1 + seed % 9)
+                .map(|k| ProcessId(((seed + 5 * k * k) % n as u64) as u32))
+                .collect();
+            let specs = [
+                TenantSpec::full(PredicateId(0)),
+                TenantSpec::restricted(PredicateId(1), members),
+            ];
+            let mut reg = PredicateRegistry::new(&tree, &specs);
+            let mut solo = HierarchicalDetector::new(&tree);
+            let e = noisy(n, seed);
+            for iv in e.intervals_interleaved() {
+                reg.ingest(iv.clone());
+                solo.feed(iv.clone());
+            }
+            let full = outcome(reg.root_solutions(PredicateId(0)));
+            assert_eq!(
+                full,
+                outcome(solo.root_solutions()),
+                "seed {seed}: full tenant vs hierarchy"
+            );
+
+            let restricted = reg.tenant(PredicateId(1));
+            let sequences = restricted
+                .members()
+                .iter()
+                .map(|&m| e.intervals_of(m).to_vec())
+                .collect();
+            let oracle = OfflineDetector::new(sequences, PruneRule::Approximate).run();
+            assert_eq!(
+                restricted
+                    .root_solutions()
+                    .iter()
+                    .map(|d| d.coverage.clone())
+                    .collect::<Vec<_>>(),
+                oracle
+                    .solutions
+                    .iter()
+                    .map(|s| s.coverage())
+                    .collect::<Vec<_>>(),
+                "seed {seed}: restricted tenant vs offline oracle"
+            );
+            detections += full.len() + oracle.solutions.len();
         }
-        assert_eq!(
-            reg.root_solutions(PredicateId(0)),
-            solo.root_solutions(),
-            "full tenant must be bit-identical to the single-predicate path"
-        );
+        assert!(detections > 100, "only {detections} detections compared");
     }
 
     #[test]
@@ -469,10 +553,10 @@ mod tests {
     }
 
     #[test]
-    fn restricted_tenant_joins_disjoint_subtrees_at_the_lca() {
+    fn restricted_tenant_joins_disjoint_subtrees_at_the_root() {
         // balanced 2-ary over 7: 0 -> {1, 2}, 1 -> {3, 4}, 2 -> {5, 6}.
-        // Members 3 and 5 live in disjoint subtrees; their reports must
-        // meet through relay engines at nodes 1, 2 and the root 0.
+        // Members 3 and 5 live in disjoint subtrees; the tenant joins them
+        // in one bank and reports at the root 0.
         let tree = SpanningTree::balanced_dary(7, 2);
         let mut reg = PredicateRegistry::new(
             &tree,
@@ -488,6 +572,7 @@ mod tests {
         let dets = reg.root_solutions(PredicateId(0));
         assert!(!dets.is_empty(), "members overlap every round by seq");
         for d in dets {
+            assert_eq!(d.at_node, ProcessId(0));
             let covered: Vec<u32> = d.coverage.iter().map(|r| r.process.0).collect();
             for p in &covered {
                 assert!(
@@ -532,8 +617,7 @@ mod tests {
         for iv in e.intervals_interleaved() {
             reg.ingest(iv.clone());
         }
-        // A 1-member conjunction holds for each of the member's intervals;
-        // each must relay up through non-member ancestors to the root.
+        // A 1-member conjunction holds for each of the member's intervals.
         assert_eq!(reg.root_solutions(PredicateId(0)).len(), 4);
     }
 
@@ -567,8 +651,8 @@ mod tests {
                 solo.feed((*iv).clone());
             }
             assert_eq!(
-                reg.root_solutions(PredicateId(k as u32)),
-                solo.root_solutions(),
+                outcome(reg.root_solutions(PredicateId(k as u32))),
+                outcome(solo.root_solutions()),
                 "tenant {k} saw another tenant's stream"
             );
         }
@@ -589,32 +673,133 @@ mod tests {
         ];
         let mut reg = PredicateRegistry::new(&tree, &specs);
         reg.fail_node(ProcessId(3), &topo);
-        // Every full-coverage tenant contained the node: all repair alike.
-        for k in [2, 3] {
-            let view = reg.detector(PredicateId(k)).tree();
-            assert!(!view.contains(ftscp_simnet::NodeId(3)));
-            assert_eq!(view.node_count(), n - 1);
-        }
-        assert!(!reg
-            .detector(PredicateId(0))
-            .tree()
-            .contains(ftscp_simnet::NodeId(3)));
-        // Tenant 1 never contained node 3; its view is untouched.
-        assert!(reg
-            .detector(PredicateId(1))
-            .tree()
-            .contains(ftscp_simnet::NodeId(5)));
+        // The shared tree is repaired once, for everyone.
+        assert!(!reg.tree().contains(ftscp_simnet::NodeId(3)));
+        assert_eq!(reg.tree().node_count(), n - 1);
         let e = exec(n, 3, 8);
         for iv in e.intervals_interleaved() {
             reg.ingest(iv.clone());
         }
         // The dead process routes nowhere; survivors still detect.
         assert_eq!(reg.tenants_for(ProcessId(3)), Vec::<PredicateId>::new());
+        let survivors: Vec<ProcessId> = (0..n as u32).filter(|&p| p != 3).map(ProcessId).collect();
+        for k in [2, 3] {
+            // Every full-coverage tenant had the node: all narrow alike.
+            assert_eq!(reg.root_solutions(PredicateId(k)).len(), 3);
+            for d in reg.root_solutions(PredicateId(k)) {
+                assert_eq!(d.covered_processes(), survivors);
+            }
+        }
+        // Tenant 1 never had process 3 and was not touched.
         assert_eq!(reg.root_solutions(PredicateId(1)).len(), 3);
-        assert!(!reg.root_solutions(PredicateId(0)).is_empty());
+        assert_eq!(reg.tenant(PredicateId(1)).relevant_feeds(), 6);
+        assert_eq!(reg.root_solutions(PredicateId(0)).len(), 3);
         for d in reg.root_solutions(PredicateId(0)) {
             assert_eq!(d.covered_processes(), vec![ProcessId(4)]);
         }
+    }
+
+    /// Feeds `e` through a registry of `specs`, crashing `crash.1` before
+    /// event number `crash.0`; the dead process's later events stay in the
+    /// stream.
+    fn run_with_crash(
+        e: &ftscp_workload::Execution,
+        specs: &[TenantSpec],
+        crash: Option<(usize, ProcessId)>,
+        broadcast: bool,
+    ) -> PredicateRegistry {
+        let n = e.intervals.len();
+        let topo = Topology::dary_tree(n, 3, 1);
+        let mut reg = PredicateRegistry::new(&SpanningTree::balanced_dary(n, 3), specs);
+        for (i, iv) in e.intervals_interleaved().into_iter().enumerate() {
+            if crash.is_some_and(|(at, _)| at == i) {
+                reg.fail_node(crash.expect("checked").1, &topo);
+            }
+            if broadcast {
+                reg.ingest_broadcast(iv.clone());
+            } else {
+                reg.ingest(iv.clone());
+            }
+        }
+        reg
+    }
+
+    #[test]
+    fn mid_stream_crash_is_the_same_on_both_routing_paths() {
+        let n = 13;
+        let specs = vec![
+            TenantSpec::full(PredicateId(0)),
+            TenantSpec::restricted(PredicateId(1), vec![ProcessId(4), ProcessId(5)]),
+            TenantSpec::restricted(
+                PredicateId(2),
+                vec![ProcessId(1), ProcessId(7), ProcessId(12)],
+            ),
+            TenantSpec::restricted(PredicateId(3), vec![ProcessId(9)]),
+        ];
+        for seed in 0..8 {
+            let e = noisy(n, seed);
+            let calm = run_with_crash(&e, &specs, None, false);
+            // Process 7 is a member of tenants 0 and 2 only; it dies after
+            // roughly two of its six rounds, and its later events still
+            // arrive — a removed queue must ignore them, not panic.
+            let crash = Some((2 * n + 3, ProcessId(7)));
+            let indexed = run_with_crash(&e, &specs, crash, false);
+            let broadcast = run_with_crash(&e, &specs, crash, true);
+            assert_eq!(sequences(&indexed), sequences(&broadcast), "seed {seed}");
+            for (a, b) in indexed.tenants().zip(broadcast.tenants()) {
+                assert_eq!(a.relevant_feeds(), b.relevant_feeds(), "seed {seed}");
+            }
+            for k in [1, 3] {
+                assert_eq!(
+                    indexed.tenant(PredicateId(k)).solution_sequence(),
+                    calm.tenant(PredicateId(k)).solution_sequence(),
+                    "seed {seed}: a non-member's crash changed tenant {k}"
+                );
+            }
+            for k in [0, 2] {
+                let tenant = indexed.tenant(PredicateId(k));
+                assert!(
+                    tenant.relevant_feeds() < calm.tenant(PredicateId(k)).relevant_feeds(),
+                    "seed {seed}: tenant {k} consumed a dead member's events"
+                );
+                let dead = ftscp_intervals::IntervalRef {
+                    process: ProcessId(7),
+                    seq: 2,
+                };
+                for d in tenant.root_solutions() {
+                    assert!(d
+                        .coverage
+                        .iter()
+                        .all(|r| r.process != dead.process || r < &dead));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn root_crash_moves_detections_to_the_new_root() {
+        let n = 7;
+        let specs = [TenantSpec::restricted(
+            PredicateId(0),
+            vec![ProcessId(0), ProcessId(3), ProcessId(5)],
+        )];
+        let e = exec(n, 4, 9);
+        let reg = run_with_crash(&e, &specs, Some((2 * n, ProcessId(0))), false);
+        let new_root = pid(reg.tree().root());
+        assert_ne!(new_root, ProcessId(0));
+        let dets = reg.root_solutions(PredicateId(0));
+        assert_eq!(dets.len(), 4);
+        assert_eq!(dets[0].at_node, ProcessId(0));
+        assert_eq!(dets[3].at_node, new_root);
+        assert_eq!(
+            dets[3].covered_processes(),
+            vec![ProcessId(3), ProcessId(5)]
+        );
+        // A second crash report, and a stray feed, are no-ops.
+        let mut reg = reg;
+        reg.fail_node(ProcessId(0), &Topology::dary_tree(n, 3, 1));
+        reg.feed_tenant(PredicateId(0), e.intervals_of(ProcessId(0))[3].clone());
+        assert_eq!(reg.root_solutions(PredicateId(0)).len(), 4);
     }
 
     #[test]

@@ -289,7 +289,7 @@ fn check_registry(
     let reg = run();
     let mut violations = Vec::new();
     for slot in reg.tenants() {
-        for v in verify_detections(exec, slot.detector().root_solutions()) {
+        for v in verify_detections(exec, slot.root_solutions()) {
             violations.push(format!("registry tenant {:?}: {v}", slot.id()));
         }
     }

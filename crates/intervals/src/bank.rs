@@ -695,36 +695,33 @@ impl QueueBank {
                 "sweep fixpoint must leave mutually overlapping heads"
             );
 
-            // Emit only if some member is fresh (see `emitted`).
-            let identity = |iv: &Interval| (iv.source.0, iv.seq, iv.is_aggregated());
-            let fresh = heads.iter().any(|iv| !self.emitted.contains(&identity(iv)));
-            if fresh {
-                for iv in &heads {
-                    self.emitted.insert(identity(iv));
-                }
-                let solution = Solution {
-                    intervals: heads.clone(),
-                    index: self.solution_counter,
-                };
-                self.record(BankEvent::SolutionEmitted {
-                    index: self.solution_counter,
-                    members: heads.iter().map(trace_id).collect(),
-                });
-                self.solution_counter += 1;
-                self.stats.solutions += 1;
-                solutions.push(solution);
-            } else {
-                self.record(BankEvent::SolutionSuppressed {
-                    members: heads.iter().map(trace_id).collect(),
-                });
-            }
-
-            // Lines (23)–(33): Eq. (10) prune; continue with pruned queues.
+            // Lines (23)–(33): the Eq. (10) removal set, computed while the
+            // heads are still borrowed so the solution can take them by move.
             let refs: Vec<&Interval> = heads.iter().collect();
             let removable = match self.mode {
                 SweepMode::Aggregate => prune::approximate_removals_aggregate(&refs, &self.ops),
                 SweepMode::Full => prune::approximate_removals(&refs, &self.ops),
             };
+
+            // Emit only if some member is fresh (see `emitted`).
+            let members: Vec<TraceId> = heads.iter().map(trace_id).collect();
+            if members.iter().any(|id| !self.emitted.contains(id)) {
+                self.emitted.extend(&members);
+                self.record(BankEvent::SolutionEmitted {
+                    index: self.solution_counter,
+                    members,
+                });
+                solutions.push(Solution {
+                    intervals: heads,
+                    index: self.solution_counter,
+                });
+                self.solution_counter += 1;
+                self.stats.solutions += 1;
+            } else {
+                self.record(BankEvent::SolutionSuppressed { members });
+            }
+
+            // Continue with the pruned queues.
             debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
             let mut pruned = BTreeSet::new();
             for r in &removable {

@@ -82,14 +82,15 @@ impl<S: Read + Write + AsRawFd> Conn<S> {
         let mut counted = CountedRead {
             inner: &mut self.stream,
             calls: 0,
+            bytes: 0,
         };
         let filled = fill(&mut counted, &mut self.fb);
         self.counters.syscalls.fetch_add(counted.calls, Relaxed);
-        if let Ok(FillStatus::Open { bytes }) = filled {
-            self.counters
-                .bytes_received
-                .fetch_add(bytes as u64, Relaxed);
-        }
+        // Counted at the read, not from `filled`: a pass that ends in EOF
+        // or an error still delivered the bytes before it.
+        self.counters
+            .bytes_received
+            .fetch_add(counted.bytes, Relaxed);
         filled
     }
 
@@ -248,11 +249,14 @@ mod tests {
 
     #[test]
     fn fin_followed_by_eof_yields_fin_then_eof() {
-        let (mut conn, mut peer, _) = pair();
+        let (mut conn, mut peer, counters) = pair();
         let fin = NetMsg::Fin { from: ProcessId(4) };
-        peer.write_all(&stream_of(&[fin.clone()])).expect("write");
+        let bytes = stream_of(&[fin.clone()]);
+        peer.write_all(&bytes).expect("write");
         drop(peer);
         assert_eq!(drain(&mut conn), (vec![fin], Ok(FillStatus::Eof)));
+        // The pass that ended in EOF delivered the frame: it is counted.
+        assert_eq!(counters.bytes_received.load(Relaxed), bytes.len() as u64);
     }
 
     #[test]

@@ -143,17 +143,21 @@ mod sys {
     }
 }
 
-/// `Read` adapter counting the syscalls it forwards — the reactor's
-/// syscalls-per-interval accounting for the bench row.
+/// `Read` adapter counting the syscalls it forwards and the bytes they
+/// returned — the reactor's syscalls-per-interval and bytes-received
+/// accounting for the bench rows.
 pub struct CountedRead<'a, R> {
     pub inner: &'a mut R,
     pub calls: u64,
+    pub bytes: u64,
 }
 
 impl<R: Read> Read for CountedRead<'_, R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         self.calls += 1;
-        self.inner.read(buf)
+        let n = self.inner.read(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
     }
 }
 
