@@ -1,7 +1,5 @@
 //! The paper's closed-form cost models (§IV).
 
-use serde::{Deserialize, Serialize};
-
 /// Eq. (11): total messages of the hierarchical algorithm on a complete
 /// `d`-ary tree of height `h` with `p` intervals per process and
 /// aggregation probability `α`:
@@ -90,7 +88,7 @@ pub fn eq13_k(d: u64, h: u32) -> f64 {
 }
 
 /// One row of Table I, evaluated for concrete `n`, `p`, `d`, `h`, `α`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table1Row {
     /// Network size (`n = d^h`).
     pub n: u64,

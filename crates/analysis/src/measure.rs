@@ -6,10 +6,9 @@ use ftscp_core::monitor::MonitorConfig;
 use ftscp_simnet::{LinkModel, NodeId, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_workload::RandomExecution;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one paired experiment.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
     /// Tree degree.
     pub d: usize,
@@ -42,7 +41,7 @@ fn ftscp_tree_size(d: usize, h: u32) -> usize {
 }
 
 /// Measured outcome of one paired run.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Measurement {
     /// Network size.
     pub n: usize,
@@ -80,7 +79,7 @@ pub struct Measurement {
 }
 
 /// A configuration together with its measurement.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PairedRun {
     /// Inputs.
     pub config: ExperimentConfig,

@@ -2,8 +2,8 @@
 //!
 //! Experiment batches (seeds × configurations × sweep modes) are
 //! embarrassingly parallel: every job is a self-contained deterministic
-//! simulation with its own clock pool and per-thread counters, so results
-//! are independent of scheduling. This module runs such batches across a
+//! simulation with per-thread counters, so results are independent of
+//! scheduling. This module runs such batches across a
 //! bounded worker pool — [`worker_count`] threads, never more than
 //! `std::thread::available_parallelism()` — with a shared atomic job
 //! cursor, instead of the one-OS-thread-per-job pattern that oversubscribes

@@ -19,10 +19,6 @@
 //!   enumeration. Exponential, only usable for small executions, and
 //!   therefore the perfect independent ground truth for the test suite
 //!   (it shares no code with the interval-based detectors).
-//! * [`token`] — a **distributed token-based** one-shot `Possibly(Φ)`
-//!   detector in the style of Garg & Chase \[9\], run over the simulated
-//!   network with hop accounting — the related-work style of distribution
-//!   the paper's hierarchical design is an alternative to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,9 +26,7 @@
 pub mod centralized;
 pub mod garg_waldecker;
 pub mod lattice;
-pub mod token;
 
 pub use centralized::{CentralizedDeployment, CentralizedDetector};
 pub use garg_waldecker::{OneShotDefinitely, OneShotPossibly};
 pub use lattice::LatticeOracle;
-pub use token::{TokenApp, TokenDeployment, TokenMode};

@@ -83,12 +83,10 @@ const BENCH_GRID: [(f64, f64); 2] = [(0.0, 0.0), (0.3, 0.2)];
 const BENCH_HEIGHTS: [u32; 4] = [3, 4, 5, 6];
 
 /// One sweep-mode deployment of one workload point: a self-contained
-/// simulation with its own workload, detector tree, interned clock pools,
-/// and (per-thread) clone counters, so the sharded driver can run it on
-/// any worker.
+/// simulation with its own workload, detector tree and (per-thread) clone
+/// counters, so the sharded driver can run it on any worker.
 struct ModeRun {
     ops: u64,
-    elapsed_ms: f64,
     fingerprint: u64,
     /// `(solution index, coverage refs)` in emission order — the explicit
     /// solution sequence behind the fingerprint, for the bit-identity
@@ -127,8 +125,6 @@ struct BenchPoint {
     dense_bytes: usize,
     standalone_bytes: usize,
     stateful_bytes: usize,
-    elapsed_full_ms: f64,
-    elapsed_agg_ms: f64,
 }
 
 fn pct_saved(before: u64, after: u64) -> f64 {
@@ -155,22 +151,18 @@ fn bench_workload(h: u32, skip: f64, solo: f64) -> Vec<ftscp_intervals::Interval
 /// charges exactly this deployment no matter which shard worker runs it.
 fn bench_mode(h: u32, skip: f64, solo: f64, mode: ftscp_intervals::SweepMode) -> ModeRun {
     use ftscp_core::HierarchicalDetector;
-    use std::time::Instant;
 
     let intervals = bench_workload(h, skip, solo);
     let tree = SpanningTree::balanced_dary(4usize.pow(h), 4);
     ftscp_vclock::reset_clone_stats();
-    let t0 = Instant::now();
     let mut det = HierarchicalDetector::new(&tree).with_sweep_mode(mode);
     for iv in &intervals {
         det.feed(iv.clone());
     }
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (clones_logical, clones_deep) = ftscp_vclock::clone_stats();
     let stats = det.bank_stats_total();
     ModeRun {
         ops: det.ops().get(),
-        elapsed_ms,
         fingerprint: ftscp_core::faultcheck::detection_fingerprint(det.root_solutions()),
         solutions: det
             .root_solutions()
@@ -220,10 +212,9 @@ fn bench_codec(h: u32, skip: f64, solo: f64) -> CodecRun {
 
 /// The `net_loopback` row: the `h = 3` hotpath workload pushed through
 /// the real-TCP loopback deployment (`ftscp-net`), one OS process tree on
-/// 127.0.0.1. `intervals_per_sec` and `elapsed_ms` are wall-clock and not
-/// gated; the frame/byte counters are deterministic because heartbeats
-/// and retransmits are off (reliable local sockets, no drops) and each
-/// node's report stream is interleaving-invariant.
+/// 127.0.0.1. The frame/byte counters are deterministic because
+/// heartbeats and retransmits are off (reliable local sockets, no drops)
+/// and each node's report stream is interleaving-invariant.
 struct NetRun {
     available: bool,
     n: usize,
@@ -234,8 +225,6 @@ struct NetRun {
     standalone_frames: u64,
     bytes_on_wire: u64,
     reconnects: u64,
-    intervals_per_sec: f64,
-    elapsed_ms: f64,
 }
 
 fn bench_net_loopback() -> NetRun {
@@ -253,8 +242,6 @@ fn bench_net_loopback() -> NetRun {
         standalone_frames: 0,
         bytes_on_wire: 0,
         reconnects: 0,
-        intervals_per_sec: 0.0,
-        elapsed_ms: 0.0,
     };
     if !sockets_available() {
         return run;
@@ -290,8 +277,6 @@ fn bench_net_loopback() -> NetRun {
     run.standalone_frames = report.standalone_frames();
     run.bytes_on_wire = report.bytes_on_wire();
     run.reconnects = report.reconnects();
-    run.intervals_per_sec = report.intervals_per_sec();
-    run.elapsed_ms = report.elapsed.as_secs_f64() * 1e3;
     run
 }
 
@@ -299,10 +284,10 @@ fn bench_net_loopback() -> NetRun {
 /// internal node on the `h = 3` hotpath workload, with the repair run by
 /// the decentralized membership protocol (`RepairMode::HeartbeatDriven`:
 /// heartbeat suspicion → grandparent adoption → re-reports — the same
-/// code path the TCP runtime drives). Everything except `elapsed_ms` is
-/// simulation-deterministic: `time_to_first_solution_ms` is *simulated*
-/// time from the crash instant to the first post-crash detection at the
-/// root, and the re-report counters meter the §III-F recovery traffic
+/// code path the TCP runtime drives). Everything is simulation-
+/// deterministic: `time_to_first_solution_ms` is *simulated* time from
+/// the crash instant to the first post-crash detection at the root, and
+/// the re-report counters meter the §III-F recovery traffic
 /// (retransmitted unacked reports + standalone resync frames).
 struct RepairRun {
     n: usize,
@@ -312,12 +297,9 @@ struct RepairRun {
     re_report_msgs: u64,
     re_report_bytes: u64,
     time_to_first_solution_ms: f64,
-    elapsed_ms: f64,
 }
 
 fn bench_repair() -> RepairRun {
-    use std::time::Instant;
-
     let h = 3u32;
     let n = 4usize.pow(h);
     let crashed = ProcessId(5); // height-1 internal: parent of four leaves
@@ -346,11 +328,9 @@ fn bench_repair() -> RepairRun {
         repair_mode: RepairMode::HeartbeatDriven,
         ..Default::default()
     };
-    let t0 = Instant::now();
     let mut dep = Deployment::new(topo, tree, &exec, cfg);
     dep.schedule_crash(crashed, crash_at);
     dep.run();
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let dets = dep.detections();
     let first_after = dets
         .iter()
@@ -377,7 +357,6 @@ fn bench_repair() -> RepairRun {
         re_report_msgs,
         re_report_bytes,
         time_to_first_solution_ms: first_after.as_micros() as f64 / 1e3,
-        elapsed_ms,
     }
 }
 
@@ -385,9 +364,7 @@ fn bench_repair() -> RepairRun {
 /// fan-in on a single epoll loop (`ftscp_net::scale::run_scale`, the
 /// same harness as `net/tests/scale.rs`). Heartbeats and retransmits
 /// are off, so `detections`, `bytes_received` (the children's protocol
-/// payload), and `reconnects` are deterministic and gated; `syscalls`
-/// is scheduling-dependent and `elapsed_ms`/`intervals_per_sec` are
-/// wall-clock — reported, never gated.
+/// payload), and `reconnects` are deterministic and gated.
 struct ReactorRun {
     available: bool,
     children: usize,
@@ -397,9 +374,6 @@ struct ReactorRun {
     bytes_sent: u64,
     bytes_received: u64,
     reconnects: u64,
-    syscalls: u64,
-    intervals_per_sec: f64,
-    elapsed_ms: f64,
 }
 
 fn bench_reactor() -> ReactorRun {
@@ -416,9 +390,6 @@ fn bench_reactor() -> ReactorRun {
         bytes_sent: 0,
         bytes_received: 0,
         reconnects: 0,
-        syscalls: 0,
-        intervals_per_sec: 0.0,
-        elapsed_ms: 0.0,
     };
     let report = match run_scale(children, rounds, std::time::Duration::from_secs(120)) {
         Ok(Some(r)) => r,
@@ -431,9 +402,6 @@ fn bench_reactor() -> ReactorRun {
     run.bytes_sent = report.node.bytes_sent;
     run.bytes_received = report.node.bytes_received;
     run.reconnects = report.node.reconnects;
-    run.syscalls = report.node.syscalls;
-    run.elapsed_ms = report.elapsed.as_secs_f64() * 1e3;
-    run.intervals_per_sec = run.intervals as f64 / report.elapsed.as_secs_f64().max(1e-9);
     run
 }
 
@@ -456,8 +424,6 @@ struct TenancyPoint {
     batched_bytes: u64,
     /// The same routed traffic as per-predicate `Interval` frames.
     naive_bytes: u64,
-    elapsed_ms: f64,
-    detections_per_sec: f64,
 }
 
 /// Tenant counts of the tenancy suite (1 → 10k over one event stream).
@@ -502,7 +468,7 @@ fn tenancy_specs(tenants: usize, n: usize) -> Vec<ftscp_core::registry::TenantSp
     specs
 }
 
-/// Measures one tenant count: registry `ingest` (timed, billed), naive
+/// Measures one tenant count: registry `ingest` (billed), naive
 /// `ingest_broadcast` baseline (billed), per-tenant solution-sequence
 /// bit-identity (asserted), and both uplink byte costs for the same
 /// routed traffic (computed with the real codecs, size queries only).
@@ -516,15 +482,12 @@ fn bench_tenancy_point(
     use ftscp_intervals::codec::{
         encoded_interval_delta_len, encoded_tenant_batch_len, TenantGroup,
     };
-    use std::time::Instant;
 
     let specs = tenancy_specs(tenants, TENANCY_N);
     let mut registry = PredicateRegistry::new(tree, &specs);
-    let t0 = Instant::now();
     for iv in stream {
         registry.ingest(iv.clone());
     }
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut naive = PredicateRegistry::new(tree, &specs);
     for iv in stream {
@@ -577,18 +540,15 @@ fn bench_tenancy_point(
         }
     }
 
-    let detections = registry.total_detections();
     TenancyPoint {
         tenants,
         events: stream.len() as u64,
-        detections,
+        detections: registry.total_detections(),
         registry_billed: registry.billed_cost(),
         naive_billed: naive.billed_cost(),
         relevant_touches: registry.stats().tenant_touches,
         batched_bytes,
         naive_bytes,
-        elapsed_ms,
-        detections_per_sec: detections as f64 / (elapsed_ms / 1e3).max(1e-9),
     }
 }
 
@@ -718,8 +678,6 @@ fn bench_points() -> Vec<BenchPoint> {
             dense_bytes: codec.dense_bytes,
             standalone_bytes: codec.standalone_bytes,
             stateful_bytes: codec.stateful_bytes,
-            elapsed_full_ms: full.elapsed_ms,
-            elapsed_agg_ms: agg.elapsed_ms,
         });
     }
     points
@@ -731,14 +689,15 @@ fn render_tenancy_json(tenancy: &[TenancyPoint]) -> String {
     for (i, p) in tenancy.iter().enumerate() {
         let per_iv = |total: u64| total as f64 / p.events.max(1) as f64;
         out.push_str(&format!(
-            "    {{\"tenants\": {}, \"events\": {}, \"elapsed_ms\": {:.3}, \
-             \"detections_per_sec\": {:.0},\n",
-            p.tenants, p.events, p.elapsed_ms, p.detections_per_sec
-        ));
-        out.push_str(&format!(
-            "     \"tenancy_cost\": {{\"registry_billed\": {}, \"naive_billed\": {}, \
+            "    {{\"tenants\": {}, \"events\": {},\n     \
+             \"tenancy_cost\": {{\"registry_billed\": {}, \"naive_billed\": {}, \
              \"relevant_touches\": {}, \"detections\": {}}},\n",
-            p.registry_billed, p.naive_billed, p.relevant_touches, p.detections
+            p.tenants,
+            p.events,
+            p.registry_billed,
+            p.naive_billed,
+            p.relevant_touches,
+            p.detections
         ));
         out.push_str(&format!(
             "     \"tenancy_bytes\": {{\"batched_per_interval\": {:.1}, \
@@ -763,11 +722,6 @@ fn render_bench_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"hotpath\",\n");
-    // The measuring machine, so the wall-clock rows read as what they are.
-    out.push_str(&format!(
-        "  \"cores\": {},\n",
-        std::thread::available_parallelism().map_or(1, |c| c.get())
-    ));
     out.push_str(
         "  \"workload\": {\"tree_degree\": 4, \"intervals_per_process\": 6, \"seed\": 7},\n",
     );
@@ -797,15 +751,10 @@ fn render_bench_json(
             pct_saved(p.clones_logical, p.clones_deep)
         ));
         out.push_str(&format!(
-            "     \"bytes_per_interval\": {{\"dense\": {:.1}, \"delta_standalone\": {:.1}, \"delta_stateful\": {:.1}}},\n",
+            "     \"bytes_per_interval\": {{\"dense\": {:.1}, \"delta_standalone\": {:.1}, \"delta_stateful\": {:.1}}}}}{}\n",
             per_iv(p.dense_bytes),
             per_iv(p.standalone_bytes),
-            per_iv(p.stateful_bytes)
-        ));
-        out.push_str(&format!(
-            "     \"elapsed_ms\": {{\"full\": {:.3}, \"aggregate\": {:.3}}}}}{}\n",
-            p.elapsed_full_ms,
-            p.elapsed_agg_ms,
+            per_iv(p.stateful_bytes),
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
@@ -814,21 +763,19 @@ fn render_bench_json(
     out.push_str(&format!(
         "  \"repair\": {{\"n\": {}, \"crashed_node\": {}, \"crash_at_ms\": {}, \
          \"detections\": {}, \"re_report_msgs\": {}, \"re_report_bytes\": {}, \
-         \"time_to_first_solution_ms\": {:.3}, \"elapsed_ms\": {:.3}}},\n",
+         \"time_to_first_solution_ms\": {:.3}}},\n",
         repair.n,
         repair.crashed_node,
         repair.crash_at_ms,
         repair.detections,
         repair.re_report_msgs,
         repair.re_report_bytes,
-        repair.time_to_first_solution_ms,
-        repair.elapsed_ms
+        repair.time_to_first_solution_ms
     ));
     out.push_str(&format!(
         "  \"net_loopback\": {{\"available\": {}, \"n\": {}, \"intervals\": {}, \
          \"detections\": {}, \"interval_msgs\": {}, \"interval_frames\": {}, \
-         \"standalone_frames\": {}, \"bytes_on_wire\": {}, \"reconnects\": {}, \
-         \"intervals_per_sec\": {:.0}, \"elapsed_ms\": {:.3}}},\n",
+         \"standalone_frames\": {}, \"bytes_on_wire\": {}, \"reconnects\": {}}},\n",
         net.available,
         net.n,
         net.intervals,
@@ -837,15 +784,12 @@ fn render_bench_json(
         net.interval_frames,
         net.standalone_frames,
         net.bytes_on_wire,
-        net.reconnects,
-        net.intervals_per_sec,
-        net.elapsed_ms
+        net.reconnects
     ));
     out.push_str(&format!(
         "  \"reactor\": {{\"available\": {}, \"children\": {}, \"rounds\": {}, \
          \"intervals\": {}, \"detections\": {}, \"bytes_sent\": {}, \
-         \"bytes_received\": {}, \"reconnects\": {}, \"syscalls\": {}, \
-         \"intervals_per_sec\": {:.0}, \"elapsed_ms\": {:.3}}}\n",
+         \"bytes_received\": {}, \"reconnects\": {}}}\n",
         reactor.available,
         reactor.children,
         reactor.rounds,
@@ -853,10 +797,7 @@ fn render_bench_json(
         reactor.detections,
         reactor.bytes_sent,
         reactor.bytes_received,
-        reactor.reconnects,
-        reactor.syscalls,
-        reactor.intervals_per_sec,
-        reactor.elapsed_ms
+        reactor.reconnects
     ));
     out.push_str("}\n");
     out
@@ -889,13 +830,13 @@ fn run_bench_json() {
     );
 }
 
-/// Every numeric value of `"key"` inside each `"section": {...}` object,
-/// in file order — a deliberately dumb extractor for the regression gate
-/// (no serde_json in the build environment; the file is our own
-/// hand-formatted flat output). Scoping to the section keeps key names
-/// like `"aggregate"` from matching in `elapsed_ms`, which is
-/// machine-dependent and must not be gated.
-fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
+/// The text of every numeric value of `"key"` inside each
+/// `"section": {...}` object, in file order — a deliberately dumb
+/// extractor for the equality gate (no serde_json in the build
+/// environment; the file is our own hand-formatted flat output). Scoping
+/// to the section keeps a key name shared by two sections (`detections`,
+/// `reconnects`) from matching in the wrong one.
+fn extract_all<'a>(json: &'a str, section: &str, key: &str) -> Vec<&'a str> {
     let sec_pat = format!("\"{section}\": {{");
     let key_pat = format!("\"{key}\": ");
     let mut out = Vec::new();
@@ -912,150 +853,91 @@ fn extract_all(json: &str, section: &str, key: &str) -> Vec<f64> {
             let end = tail
                 .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
                 .unwrap_or(tail.len());
-            if let Ok(v) = tail[..end].parse() {
-                out.push(v);
-            }
+            out.push(&tail[..end]);
         }
         rest = &rest[body_end..];
     }
     out
 }
 
-/// `--bench-check`: regenerates the measurement grid in memory and fails
-/// (exit 1) if any deterministic cost counter — overlap comparisons per
-/// sweep mode, bytes per interval per codec — regressed by more than 10%
-/// against the committed `BENCH_hotpath.json`. Wall-clock times are
-/// machine-dependent and deliberately not gated.
+/// Every gated counter of `BENCH_hotpath.json`: `(section, key,
+/// needs_sockets)`. All are deterministic — billed comparisons and codec
+/// bytes per grid point, the simulated repair row (recovery traffic and
+/// *simulated* time to first solution), the tenancy rows, and the TCP
+/// rows' frame/byte counters (heartbeats and retransmits off; `reconnects`
+/// is zero — any reconnect under loopback is a reactor bug). A TCP row is
+/// compared only when both the committed file and this machine could run
+/// it; a row of zeros (socketless environment) is recorded, not compared.
+const GATED: [(&str, &str, bool); 20] = [
+    ("overlap_comparisons", "full_sweep", false),
+    ("overlap_comparisons", "aggregate", false),
+    ("bytes_per_interval", "dense", false),
+    ("bytes_per_interval", "delta_standalone", false),
+    ("bytes_per_interval", "delta_stateful", false),
+    ("repair", "detections", false),
+    ("repair", "re_report_msgs", false),
+    ("repair", "re_report_bytes", false),
+    ("repair", "time_to_first_solution_ms", false),
+    ("tenancy_cost", "registry_billed", false),
+    ("tenancy_cost", "relevant_touches", false),
+    ("tenancy_cost", "detections", false),
+    ("tenancy_bytes", "batched_per_interval", false),
+    ("net_loopback", "interval_msgs", true),
+    ("net_loopback", "interval_frames", true),
+    ("net_loopback", "standalone_frames", true),
+    ("net_loopback", "bytes_on_wire", true),
+    ("reactor", "detections", true),
+    ("reactor", "bytes_received", true),
+    ("reactor", "reconnects", true),
+];
+
+/// `--bench-check`: regenerates the whole file in memory and fails
+/// (exit 1) if any [`GATED`] counter differs, in either direction, from
+/// the committed `BENCH_hotpath.json`.
 fn run_bench_check() {
-    const GATED_KEYS: [(&str, &str); 13] = [
-        ("overlap_comparisons", "full_sweep"),
-        ("overlap_comparisons", "aggregate"),
-        ("bytes_per_interval", "dense"),
-        ("bytes_per_interval", "delta_standalone"),
-        ("bytes_per_interval", "delta_stateful"),
-        // The repair row is a deterministic simulation: recovery traffic
-        // and simulated time-to-first-solution are gated; its wall-clock
-        // `elapsed_ms` (like all elapsed times) is not.
-        ("repair", "detections"),
-        ("repair", "re_report_msgs"),
-        ("repair", "re_report_bytes"),
-        ("repair", "time_to_first_solution_ms"),
-        // The tenancy rows are fully deterministic: billed routing +
-        // comparison counts, detections, and codec byte costs per tenant
-        // count. The sublinearity and bit-identity bars are asserted at
-        // generation time; the gate catches cost creep.
-        ("tenancy_cost", "registry_billed"),
-        ("tenancy_cost", "relevant_touches"),
-        ("tenancy_cost", "detections"),
-        ("tenancy_bytes", "batched_per_interval"),
-    ];
     let committed = std::fs::read_to_string(BENCH_JSON_PATH)
         .unwrap_or_else(|e| panic!("read committed {BENCH_JSON_PATH}: {e}"));
-    let net = bench_net_loopback();
-    let repair = bench_repair();
-    let reactor = bench_reactor();
-    let current = render_bench_json(&bench_points(), &bench_tenancy(), &net, &repair, &reactor);
+    let current = render_bench_json(
+        &bench_points(),
+        &bench_tenancy(),
+        &bench_net_loopback(),
+        &bench_repair(),
+        &bench_reactor(),
+    );
 
+    let ran = |json: &str, section: &str| extract_all(json, section, "intervals") != ["0"];
     let mut failures = Vec::new();
-    for (section, key) in GATED_KEYS {
+    for (section, key, needs_sockets) in GATED {
+        if needs_sockets && !(ran(&committed, section) && ran(&current, section)) {
+            eprintln!(
+                "bench check: \"{section}.{key}\" not gated (no sockets, here or at baseline)"
+            );
+            continue;
+        }
         let was = extract_all(&committed, section, key);
         let now = extract_all(&current, section, key);
-        assert!(
-            !was.is_empty() && was.len() == now.len(),
-            "committed bench JSON lacks {} values for \"{section}.{key}\" (has {})",
-            now.len(),
-            was.len()
-        );
+        if was.is_empty() || was.len() != now.len() {
+            failures.push(format!(
+                "committed file has {} values of \"{section}.{key}\", this run {} \
+                 (regenerate with --bench-json)",
+                was.len(),
+                now.len()
+            ));
+        }
         for (i, (w, n)) in was.iter().zip(&now).enumerate() {
-            if *n > w * 1.10 {
-                failures.push(format!(
-                    "point {i}: \"{section}.{key}\" regressed {w:.1} -> {n:.1} (+{:.1}%)",
-                    100.0 * (n - w) / w
-                ));
+            if w != n {
+                failures.push(format!("point {i}: \"{section}.{key}\" {w} -> {n}"));
             }
         }
-    }
-
-    // The net_loopback row is gated only when both the committed baseline
-    // and this machine could actually run the TCP deployment; a row of
-    // zeros (socketless environment) is recorded, not compared. Wall-clock
-    // throughput is machine-dependent and never gated — only the
-    // deterministic frame/byte/message counters are.
-    const NET_GATED_KEYS: [&str; 4] = [
-        "interval_msgs",
-        "interval_frames",
-        "standalone_frames",
-        "bytes_on_wire",
-    ];
-    let committed_net_available = extract_all(&committed, "net_loopback", "intervals") != vec![0.0];
-    if net.available && committed_net_available {
-        for key in NET_GATED_KEYS {
-            let was = extract_all(&committed, "net_loopback", key);
-            let now = extract_all(&current, "net_loopback", key);
-            match (was.first(), now.first()) {
-                (Some(w), Some(n)) if *n > w * 1.10 => failures.push(format!(
-                    "\"net_loopback.{key}\" regressed {w:.1} -> {n:.1} (+{:.1}%)",
-                    100.0 * (n - w) / w
-                )),
-                (Some(_), Some(_)) => {}
-                _ => failures.push(format!(
-                    "committed bench JSON lacks \"net_loopback.{key}\" \
-                     (regenerate with --bench-json)"
-                )),
-            }
-        }
-    } else {
-        eprintln!(
-            "bench check: net_loopback counters not gated (loopback sockets unavailable {})",
-            if net.available {
-                "in the committed baseline"
-            } else {
-                "here"
-            }
-        );
-    }
-
-    // The reactor row gates the same way: only when both sides could run
-    // the 512-connection fan-in. `detections` and `bytes_received` (the
-    // children's protocol payload) are deterministic with heartbeats and
-    // retransmits off; `reconnects` must stay at its committed value
-    // (zero — any reconnect under loopback is a reactor bug). `syscalls`
-    // and wall-clock are scheduling-dependent and never gated.
-    const REACTOR_GATED_KEYS: [&str; 3] = ["detections", "bytes_received", "reconnects"];
-    let committed_reactor_available = extract_all(&committed, "reactor", "intervals") != vec![0.0];
-    if reactor.available && committed_reactor_available {
-        for key in REACTOR_GATED_KEYS {
-            let was = extract_all(&committed, "reactor", key);
-            let now = extract_all(&current, "reactor", key);
-            match (was.first(), now.first()) {
-                (Some(w), Some(n)) if *n > w * 1.10 => {
-                    failures.push(format!("\"reactor.{key}\" regressed {w:.1} -> {n:.1}",))
-                }
-                (Some(_), Some(_)) => {}
-                _ => failures.push(format!(
-                    "committed bench JSON lacks \"reactor.{key}\" \
-                     (regenerate with --bench-json)"
-                )),
-            }
-        }
-    } else {
-        eprintln!(
-            "bench check: reactor counters not gated (scale run unavailable {})",
-            if reactor.available {
-                "in the committed baseline"
-            } else {
-                "here"
-            }
-        );
     }
 
     if failures.is_empty() {
         eprintln!(
-            "bench check passed: no gated counter regressed >10% vs committed BENCH_hotpath.json"
+            "bench check passed: every gated counter equals the committed BENCH_hotpath.json"
         );
     } else {
         for f in &failures {
-            eprintln!("bench regression: {f}");
+            eprintln!("bench check: {f}");
         }
         std::process::exit(1);
     }

@@ -1,7 +1,10 @@
 //! # ftscp-bench — reproduction harness
 //!
-//! One binary per table/figure of the paper plus criterion micro/macro
-//! benchmarks. Run everything with:
+//! One binary per table/figure of the paper plus the three criterion
+//! comparisons `EXPERIMENTS.md` reports. Per-operation time (clock
+//! compare, `⊓`, bank enqueue, engine step, wire encode/decode) is
+//! measured on real workload inputs by `ftscp_bench`'s `per_layer`
+//! metrics, not here. Run everything with:
 //!
 //! ```text
 //! cargo run -p ftscp-bench --release --bin repro_table1
@@ -19,12 +22,6 @@
 //! | `repro_examples` | Figures 1–3 (worked examples as real executions) |
 //! | bench `table1_time` | Table I's time column as wall-clock |
 //! | bench `ablation_prune` | Eq. (9) vs Eq. (10) prune-rule ablation |
-//! | bench `vclock_ops`, `bank_throughput`, `aggregation` | component costs |
+//! | bench `deployment_e2e` | hierarchical vs centralized deployments end to end |
 
 #![forbid(unsafe_code)]
-
-/// Shared helper: the measured experiment grid used by `repro_table1` and
-/// the figure binaries when `--measure` is passed.
-pub fn default_seeds() -> Vec<u64> {
-    vec![11, 23, 47]
-}

@@ -2,7 +2,6 @@
 
 use ftscp_intervals::{aggregate, BankSnapshot, Interval, QueueBank, SlotId, Solution};
 use ftscp_vclock::{OpCounter, ProcessId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Effects produced by feeding an engine.
@@ -316,7 +315,7 @@ impl NodeEngine {
 }
 
 /// Serializable engine state (see [`NodeEngine::checkpoint`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EngineCheckpoint {
     /// Owning node.
     pub node: ProcessId,

@@ -25,8 +25,6 @@ pub struct HierarchicalDetector {
     /// Per-node subtree-level solution counts (partial predicate
     /// detections), indexed by node.
     node_solutions: Vec<u64>,
-    /// Optional per-node solution logs (group-level monitoring).
-    node_solution_log: Option<Vec<Vec<ftscp_intervals::Solution>>>,
     ops: OpCounter,
     /// Logical feed counter used as the detection "time".
     feeds: u64,
@@ -51,7 +49,6 @@ impl HierarchicalDetector {
             engines,
             detections: Vec::new(),
             node_solutions: vec![0; n],
-            node_solution_log: None,
             ops,
             feeds: 0,
         }
@@ -69,28 +66,6 @@ impl HierarchicalDetector {
             }
         }
         self
-    }
-
-    /// Enables per-node solution logging: every subtree-level solution is
-    /// retained, queryable via [`solution_log_at`](Self::solution_log_at).
-    /// This is the "finer-grained monitoring at the group level" interface
-    /// the paper motivates — each interior node is a group root.
-    pub fn with_node_solution_log(mut self) -> Self {
-        self.node_solution_log = Some(vec![Vec::new(); self.engines.len()]);
-        self
-    }
-
-    /// The recorded subtree-level solutions of `node` (group-level view).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`with_node_solution_log`](Self::with_node_solution_log)
-    /// was enabled.
-    pub fn solution_log_at(&self, node: ProcessId) -> &[ftscp_intervals::Solution] {
-        self.node_solution_log
-            .as_ref()
-            .expect("solution log not enabled; call with_node_solution_log()")[node.index()]
-        .as_slice()
     }
 
     /// The current spanning tree.
@@ -174,17 +149,11 @@ impl HierarchicalDetector {
             match out {
                 EngineOutput::Detected(sol) => {
                     self.node_solutions[node.index()] += 1;
-                    if let Some(log) = self.node_solution_log.as_mut() {
-                        log[node.index()].push(sol.clone());
-                    }
                     self.detections
                         .push(GlobalDetection::new(node, sol, SimTime(self.feeds)));
                 }
-                EngineOutput::ToParent { interval, solution } => {
+                EngineOutput::ToParent { interval, .. } => {
                     self.node_solutions[node.index()] += 1;
-                    if let Some(log) = self.node_solution_log.as_mut() {
-                        log[node.index()].push(solution);
-                    }
                     let Some(parent) = self.tree.parent(nid(node)) else {
                         // Orphan subtree root (partition): detection stays
                         // local; nothing to forward.

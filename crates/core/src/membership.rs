@@ -156,12 +156,6 @@ impl Membership {
         self.epoch
     }
 
-    /// Starts a new incarnation (reboot): peers treat beacons from the
-    /// old incarnation as stale from now on.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
-    }
-
     /// The current repair state.
     pub fn state(&self) -> &RepairState {
         &self.state
@@ -175,18 +169,6 @@ impl Membership {
     /// The last grandparent hint heard from the parent's heartbeats.
     pub fn grandparent(&self) -> Option<ProcessId> {
         self.grandparent
-    }
-
-    /// Records the parent's own parent as carried by its heartbeat. Every
-    /// distinct hint also enters the fallback history (most recent last),
-    /// and a hint not seen before clears the failed-target memory — a
-    /// genuinely refreshed hint re-opens adoption paths a previous outage
-    /// wrote off.
-    pub fn note_grandparent(&mut self, grandparent: Option<ProcessId>) {
-        self.grandparent = grandparent;
-        if let Some(g) = grandparent {
-            self.note_hint(g);
-        }
     }
 
     /// Folds one adoption hint into the ladder (most recent last; a
@@ -455,9 +437,9 @@ mod tests {
     #[test]
     fn hint_ladder_and_failed_target_memory() {
         let mut m = Membership::new(0);
-        m.note_grandparent(Some(ProcessId(7)));
-        m.note_grandparent(Some(ProcessId(8)));
-        m.note_grandparent(Some(ProcessId(7))); // re-heard: moves to most-recent
+        m.note_ancestors(&[ProcessId(7)]);
+        m.note_ancestors(&[ProcessId(8)]);
+        m.note_ancestors(&[ProcessId(7)]); // re-heard: moves to most-recent
         assert_eq!(m.hint_history(), &[ProcessId(8), ProcessId(7)]);
         assert_eq!(
             m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
@@ -480,13 +462,13 @@ mod tests {
             "ladder exhausted"
         );
         // A re-heard old hint does not forgive a written-off target...
-        m.note_grandparent(Some(ProcessId(8)));
+        m.note_ancestors(&[ProcessId(8)]);
         assert_eq!(
             m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
             None
         );
         // ...but a genuinely new hint re-opens every path.
-        m.note_grandparent(Some(ProcessId(9)));
+        m.note_ancestors(&[ProcessId(9)]);
         assert!(m.failed_targets().is_empty());
         assert_eq!(
             m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),

@@ -102,12 +102,6 @@ impl MonitorApp {
     /// Enables write-through checkpointing: after every state change the
     /// engine image is "persisted" (kept aside), surviving a crash of the
     /// in-memory state. Models a node with stable storage.
-    pub fn with_checkpointing(mut self) -> Self {
-        self.enable_checkpointing();
-        self
-    }
-
-    /// Non-consuming form of [`with_checkpointing`](Self::with_checkpointing).
     pub fn enable_checkpointing(&mut self) {
         self.checkpointing = true;
         self.stable_checkpoint = Some(self.core.engine.checkpoint());

@@ -8,7 +8,6 @@ use ftscp_intervals::codec::{
 };
 use ftscp_intervals::Interval;
 use ftscp_vclock::{ProcessId, VectorClock};
-use serde::{Deserialize, Serialize};
 
 /// Messages exchanged by [`crate::monitor::MonitorApp`]s.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// reconfigurations as injected by the clairvoyant oracle
 /// ([`crate::deploy::Deployment`] in `Scheduled` mode), which the
 /// differential tests compare the protocol against.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DetectMsg {
     /// A completed interval (raw from a leaf, aggregated from an interior
     /// node) reported child → parent.
@@ -102,8 +101,6 @@ pub enum DetectMsg {
     },
     /// Control: you are now the root of your tree.
     PromoteRoot,
-    /// Control: you are no longer the root.
-    DemoteRoot,
     /// Membership: the sender believes `suspect` — a child of the
     /// receiver — has crashed (heartbeat timeout). The receiver drops the
     /// dead child's queue if it still holds one. Advisory and idempotent;
@@ -169,7 +166,7 @@ impl DetectMsg {
             DetectMsg::Ack { .. } => 16,
             DetectMsg::SetParent { .. } => 9,
             DetectMsg::AddChild { .. } | DetectMsg::RemoveChild { .. } => 8,
-            DetectMsg::PromoteRoot | DetectMsg::DemoteRoot => 4,
+            DetectMsg::PromoteRoot => 4,
             DetectMsg::Suspect { .. } => 8,
             DetectMsg::Adopt { dead_parent, .. } => 13 + 4 * usize::from(dead_parent.is_some()),
             DetectMsg::AdoptAck { .. } => 17,

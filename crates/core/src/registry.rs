@@ -15,10 +15,9 @@
 //! * **One shared [`SpanningTree`].** It says which processes exist and
 //!   are alive (a crashed process leaves it), sizes the routing index, and
 //!   names the node a detection is reported at (its current root).
-//! * **One interned [`ClockPool`].** Every ingested interval's bound
-//!   clocks are interned once on entry; the tenants that consume the
-//!   interval share the pooled allocation (cloning a [`VectorClock`] is a
-//!   refcount bump), so fan-out to `k` tenants costs `O(k)` pointers, not
+//! * **One allocation per bound clock.** The tenants that consume an
+//!   interval each hold a clone of it, and cloning a `VectorClock` is a
+//!   refcount bump, so fan-out to `k` tenants costs `O(k)` pointers, not
 //!   `O(k·n)` components.
 //! * **A per-process tenant index — the relevance filter.** Each tenant
 //!   declares its *local-predicate set* (the member processes whose local
@@ -50,12 +49,11 @@ use crate::{nid, pid};
 use ftscp_intervals::{Interval, QueueBank, SlotId, Solution};
 use ftscp_simnet::{SimTime, Topology};
 use ftscp_tree::SpanningTree;
-use ftscp_vclock::{ClockPool, ProcessId, VectorClock};
-use serde::{Deserialize, Serialize};
+use ftscp_vclock::ProcessId;
 use std::collections::BTreeMap;
 
 /// Identifies one of the monitored predicates.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PredicateId(pub u32);
 
 /// Declares one tenant: a predicate id plus its local-predicate set.
@@ -106,11 +104,6 @@ impl TenantSlot {
     /// tenant).
     pub fn members(&self) -> &[ProcessId] {
         &self.members
-    }
-
-    /// True iff an event owned by `p` can affect this tenant's predicate.
-    pub fn is_relevant(&self, p: ProcessId) -> bool {
-        self.members.binary_search(&p).is_ok()
     }
 
     /// Feeds this tenant has actually consumed (relevance-filtered).
@@ -183,10 +176,9 @@ fn in_tree(tree: &SpanningTree, p: ProcessId) -> bool {
     p.index() < tree.capacity() && tree.contains(nid(p))
 }
 
-/// Many tenants, one event stream, shared tree and clock pool.
+/// Many tenants, one event stream, one shared tree.
 pub struct PredicateRegistry {
     tree: SpanningTree,
-    pool: ClockPool,
     slots: Vec<TenantSlot>,
     by_id: BTreeMap<PredicateId, usize>,
     /// `index[p]` = `(tenant, queue)` for every tenant whose member set
@@ -239,17 +231,11 @@ impl PredicateRegistry {
         }
         PredicateRegistry {
             tree: tree.clone(),
-            pool: ClockPool::new(),
             slots,
             by_id,
             index,
             stats: RegistryStats::default(),
         }
-    }
-
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// All tenant slots, in registration order.
@@ -262,12 +248,6 @@ impl PredicateRegistry {
     /// reported.
     pub fn tree(&self) -> &SpanningTree {
         &self.tree
-    }
-
-    /// The shared clock pool (interning stats: hits = re-used
-    /// allocations).
-    pub fn pool(&self) -> &ClockPool {
-        &self.pool
     }
 
     /// Routing/cost counters.
@@ -315,11 +295,8 @@ impl PredicateRegistry {
 
     /// Ingests one event from the shared stream, routing it through the
     /// relevance filter: only tenants whose member set contains
-    /// `interval.source` are fed, each on the owner's own queue. The
-    /// interval's bound clocks are interned in the shared pool first, so
-    /// every consuming tenant holds the same allocation.
+    /// `interval.source` are fed, each on the owner's own queue.
     pub fn ingest(&mut self, interval: Interval) {
-        let interval = self.interned(interval);
         self.stats.events_ingested += 1;
         let Some(row) = self.index.get(interval.source.index()) else {
             return;
@@ -337,7 +314,6 @@ impl PredicateRegistry {
     /// [`ingest`](Self::ingest) — only the billed routing cost differs.
     /// Kept as the differential baseline.
     pub fn ingest_broadcast(&mut self, interval: Interval) {
-        let interval = self.interned(interval);
         self.stats.events_ingested += 1;
         self.stats.broadcast_touches += self.slots.len() as u64;
         if in_tree(&self.tree, interval.source) {
@@ -356,7 +332,6 @@ impl PredicateRegistry {
     ///
     /// Panics on an unknown predicate id.
     pub fn feed_tenant(&mut self, pred: PredicateId, interval: Interval) {
-        let interval = self.interned(interval);
         let idx = self.slot_index(pred);
         self.stats.tenant_touches += 1;
         if in_tree(&self.tree, interval.source) {
@@ -400,13 +375,6 @@ impl PredicateRegistry {
             .by_id
             .get(&pred)
             .unwrap_or_else(|| panic!("unknown predicate id {pred:?}"))
-    }
-
-    /// Re-binds `interval`'s bound clocks to the shared pool.
-    fn interned(&mut self, mut interval: Interval) -> Interval {
-        interval.lo = VectorClock::from_handle(self.pool.intern(interval.lo.components()));
-        interval.hi = VectorClock::from_handle(self.pool.intern(interval.hi.components()));
-        interval
     }
 }
 
@@ -803,19 +771,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_interns_across_tenants() {
+    fn tenants_share_one_allocation_per_bound_clock() {
         let n = 7;
         let tree = SpanningTree::balanced_dary(n, 2);
         let specs: Vec<TenantSpec> = (0..8).map(|k| TenantSpec::full(PredicateId(k))).collect();
         let mut reg = PredicateRegistry::new(&tree, &specs);
         let e = exec(n, 3, 4);
-        for iv in e.intervals_interleaved() {
-            reg.ingest(iv.clone());
+        // One event, consumed by every tenant: each holds the same
+        // allocation for either bound, however many tenants there are.
+        reg.ingest(e.intervals_of(ProcessId(2))[0].clone());
+        let head = |t: usize| reg.slots[t].bank.head(SlotId(2)).expect("queued");
+        for t in 1..specs.len() {
+            assert!(head(t).lo.shares_storage_with(&head(0).lo));
+            assert!(head(t).hi.shares_storage_with(&head(0).hi));
         }
-        // Each distinct bound clock is allocated once, no matter how many
-        // tenants consumed it.
-        assert!(reg.pool().misses() <= 2 * 21, "one alloc per bound clock");
-        assert!(reg.pool().len() > 0);
     }
 
     #[test]

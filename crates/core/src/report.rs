@@ -3,11 +3,10 @@
 use ftscp_intervals::{IntervalRef, Solution};
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// One detection of the (possibly partial) global predicate at a tree
 /// root.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalDetection {
     /// The node that reported (the tree root at the time).
     pub at_node: ProcessId,

@@ -486,18 +486,9 @@ impl MonitorCore {
     /// `retransmit_burst` outputs go out per call — a long outage must not
     /// flood the network with the whole backlog at once; the cumulative
     /// ack moves the window so later calls pick up where this one stopped.
-    pub fn retransmit_unacked(&mut self, t: &mut impl Transport, resync_first: bool) {
-        let _ = self.retransmit_unacked_counted(t, resync_first);
-    }
-
-    /// [`retransmit_unacked`](Self::retransmit_unacked), reporting how
-    /// many messages/bytes went out (the resync path accounts its burst
-    /// as §III-F re-report traffic).
-    fn retransmit_unacked_counted(
-        &mut self,
-        t: &mut impl Transport,
-        resync_first: bool,
-    ) -> (u64, u64) {
+    /// Returns how many messages/bytes went out (the resync path accounts
+    /// its burst as §III-F re-report traffic).
+    fn retransmit_unacked(&mut self, t: &mut impl Transport, resync_first: bool) -> (u64, u64) {
         let Some(parent) = self.parent else {
             return (0, 0);
         };
@@ -538,7 +529,7 @@ impl MonitorCore {
         if self.config.retransmit_period.is_some() && !self.unacked.is_empty() {
             // Reliability layer: the (new) parent needs everything the
             // previous connection never acknowledged.
-            let (msgs, bytes) = self.retransmit_unacked_counted(t, true);
+            let (msgs, bytes) = self.retransmit_unacked(t, true);
             self.re_report_msgs += msgs;
             self.re_report_bytes += bytes;
         } else if let (Some(p), Some(last)) = (self.parent, self.engine.last_output().cloned()) {
@@ -837,9 +828,6 @@ impl MonitorCore {
                 // back into detection.
                 let outputs = self.engine.reseed_last_output();
                 self.handle_outputs(t, outputs);
-            }
-            DetectMsg::DemoteRoot => {
-                self.engine.set_root(false);
             }
         }
     }

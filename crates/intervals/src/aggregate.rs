@@ -1,32 +1,7 @@
 //! The aggregation function `⊓` (Eqs. (5)/(6), Theorem 1).
 
 use crate::interval::{Interval, IntervalKind};
-use crate::overlap::definitely_holds;
 use ftscp_vclock::{ProcessId, VectorClock};
-use std::fmt;
-
-/// Error from [`aggregate_checked`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AggregateError {
-    /// `⊓` of the empty set is undefined.
-    EmptySet,
-    /// The set does not satisfy `overlap(X)`, so `⊓(X)` would not be a
-    /// faithful representative (Theorem 1's precondition).
-    NotOverlapping,
-}
-
-impl fmt::Display for AggregateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AggregateError::EmptySet => write!(f, "cannot aggregate an empty interval set"),
-            AggregateError::NotOverlapping => {
-                write!(f, "interval set does not satisfy overlap(X)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AggregateError {}
 
 /// `⊓(X)`: component-wise **max** of the low bounds (Eq. (5)) and
 /// component-wise **min** of the high bounds (Eq. (6)).
@@ -38,8 +13,8 @@ impl std::error::Error for AggregateError {}
 ///
 /// # Panics
 ///
-/// Panics if `set` is empty. Use [`aggregate_checked`] to also enforce the
-/// `overlap(X)` precondition of Theorem 1.
+/// Panics if `set` is empty. The `overlap(X)` precondition of Theorem 1 is
+/// the caller's to establish.
 pub fn aggregate(set: &[Interval], source: ProcessId, seq: u64, level: u32) -> Interval {
     assert!(!set.is_empty(), "cannot aggregate an empty interval set");
     let lo = VectorClock::join_all(set.iter().map(|x| &x.lo));
@@ -60,27 +35,10 @@ pub fn aggregate(set: &[Interval], source: ProcessId, seq: u64, level: u32) -> I
     }
 }
 
-/// [`aggregate`] with the Theorem 1 precondition enforced: the set must be
-/// non-empty and satisfy `overlap(X)`.
-pub fn aggregate_checked(
-    set: &[Interval],
-    source: ProcessId,
-    seq: u64,
-    level: u32,
-) -> Result<Interval, AggregateError> {
-    if set.is_empty() {
-        return Err(AggregateError::EmptySet);
-    }
-    if !definitely_holds(set) {
-        return Err(AggregateError::NotOverlapping);
-    }
-    Ok(aggregate(set, source, seq, level))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlap::overlap;
+    use crate::overlap::{definitely_holds, overlap};
 
     fn vc(c: &[u32]) -> VectorClock {
         VectorClock::from_components(c.to_vec())
@@ -171,33 +129,17 @@ mod tests {
     }
 
     #[test]
-    fn checked_aggregation_rejects_bad_sets() {
-        assert_eq!(
-            aggregate_checked(&[], ProcessId(0), 0, 1),
-            Err(AggregateError::EmptySet)
-        );
-        let a = iv(0, &[1, 0], &[2, 0]);
-        let b = iv(1, &[3, 1], &[3, 2]); // entirely after a
-        assert_eq!(
-            aggregate_checked(&[a, b], ProcessId(0), 0, 1),
-            Err(AggregateError::NotOverlapping)
-        );
+    #[should_panic(expected = "cannot aggregate an empty interval set")]
+    fn empty_set_is_rejected() {
+        aggregate(&[], ProcessId(0), 0, 1);
     }
 
     #[test]
     fn singleton_aggregation_is_identity_on_bounds() {
         let a = iv(0, &[1, 0], &[2, 0]);
-        let agg = aggregate_checked(std::slice::from_ref(&a), ProcessId(0), 7, 1).unwrap();
+        let agg = aggregate(std::slice::from_ref(&a), ProcessId(0), 7, 1);
         assert_eq!(agg.lo, a.lo);
         assert_eq!(agg.hi, a.hi);
         assert_eq!(agg.seq, 7);
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        assert!(AggregateError::EmptySet.to_string().contains("empty"));
-        assert!(AggregateError::NotOverlapping
-            .to_string()
-            .contains("overlap"));
     }
 }

@@ -25,13 +25,12 @@ use crate::prune;
 use crate::solution::Solution;
 use crate::summary::SweepSummary;
 use ftscp_vclock::{order, OpCounter};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
 /// Stable identifier of one queue within a [`QueueBank`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SlotId(pub u32);
 
 #[derive(Clone, Debug, Default)]
@@ -40,15 +39,11 @@ struct QueueSlot {
     peak_len: usize,
     enqueued: u64,
     discarded: u64,
-    /// Ephemeral queues self-destruct when they drain (instead of
-    /// blocking detection): used to seed a promoted root with its last
-    /// pre-promotion aggregate (§III-F failover).
-    ephemeral: bool,
 }
 
 /// Aggregate statistics of a bank, for the space/time reproduction of
 /// Table I.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BankStats {
     /// Total intervals ever enqueued.
     pub enqueued: u64,
@@ -71,7 +66,7 @@ pub struct BankStats {
 }
 
 /// How the pairwise sweep (lines (1)–(17)) evaluates head-overlap checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SweepMode {
     /// Recompute both directed comparisons against every other head on
     /// every visit, billing one unit per component — the paper's algorithm
@@ -97,7 +92,7 @@ pub enum SweepMode {
 }
 
 /// Serializable image of one queue (see [`QueueBank::snapshot`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SlotSnapshot {
     /// Resident intervals, front first.
     pub items: Vec<Interval>,
@@ -107,12 +102,10 @@ pub struct SlotSnapshot {
     pub enqueued: u64,
     /// Lifetime discard count.
     pub discarded: u64,
-    /// Self-destructing queue flag.
-    pub ephemeral: bool,
 }
 
 /// Serializable image of a whole bank (see [`QueueBank::snapshot`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BankSnapshot {
     /// Per-slot state (`None` = removed slot).
     pub slots: Vec<Option<SlotSnapshot>>,
@@ -131,7 +124,7 @@ pub type TraceId = (u32, u64, bool);
 /// [`QueueBank::with_trace`]. The trace answers the operational question
 /// "why was/wasn't the predicate detected?" — every discard says which
 /// head doomed it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BankEvent {
     /// An interval joined queue `slot`.
     Enqueued {
@@ -172,12 +165,12 @@ pub enum BankEvent {
         /// The consumed head.
         id: TraceId,
     },
-    /// A queue was removed (dead child or drained ephemeral seed).
+    /// A queue was removed (dead child).
     QueueRemoved {
         /// The removed queue.
         slot: SlotId,
     },
-    /// A queue was added (adopted child or ephemeral seed).
+    /// A queue was added (adopted child).
     QueueAdded {
         /// The new queue.
         slot: SlotId,
@@ -333,15 +326,6 @@ impl QueueBank {
         self.active
     }
 
-    /// Ids of the live queues, ascending.
-    pub fn slot_ids(&self) -> Vec<SlotId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| SlotId(i as u32)))
-            .collect()
-    }
-
     /// Current length of queue `slot` (0 if the slot was removed).
     pub fn queue_len(&self, slot: SlotId) -> usize {
         self.slot(slot).map_or(0, |q| q.items.len())
@@ -463,48 +447,19 @@ impl QueueBank {
 
     /// Pops queue `idx`'s head, returning its trace identity.
     fn pop_head(&mut self, idx: usize, swept: bool) -> Option<TraceId> {
-        let mut popped = None;
-        let mut vanished = false;
-        if let Some(q) = self.slots[idx].as_mut() {
-            if let Some(iv) = q.items.pop_front() {
-                popped = Some(trace_id(&iv));
-                q.discarded += 1;
-                self.resident -= 1;
-                if swept {
-                    self.stats.swept += 1;
-                } else {
-                    self.stats.pruned += 1;
-                }
-            }
-            if q.ephemeral && q.items.is_empty() {
-                self.slots[idx] = None;
-                self.active -= 1;
-                vanished = true;
-            }
+        let q = self.slots[idx].as_mut()?;
+        let iv = q.items.pop_front()?;
+        q.discarded += 1;
+        self.resident -= 1;
+        if swept {
+            self.stats.swept += 1;
+        } else {
+            self.stats.pruned += 1;
         }
-        if vanished {
-            self.record(BankEvent::QueueRemoved {
-                slot: SlotId(idx as u32),
-            });
-        }
-        if popped.is_some() && self.mode == SweepMode::Aggregate {
+        if self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
-        popped
-    }
-
-    /// Adds a self-destructing queue holding exactly `seed`: it
-    /// participates in detection like any queue, but once its content is
-    /// consumed (swept or pruned) the queue removes itself rather than
-    /// blocking with emptiness. Returns any solutions released.
-    ///
-    /// Used when a node is promoted to root after a failure and must fold
-    /// its own last (un-consumed) aggregate back into detection.
-    pub fn add_ephemeral_queue(&mut self, seed: Interval) -> Vec<Solution> {
-        let slot = self.add_queue();
-        let idx = slot.0 as usize;
-        self.slots[idx].as_mut().expect("just added").ephemeral = true;
-        self.enqueue(slot, seed)
+        Some(trace_id(&iv))
     }
 
     /// Serializable snapshot of the bank's full state — for checkpointing
@@ -522,7 +477,6 @@ impl QueueBank {
                         peak_len: q.peak_len,
                         enqueued: q.enqueued,
                         discarded: q.discarded,
-                        ephemeral: q.ephemeral,
                     })
                 })
                 .collect(),
@@ -550,7 +504,6 @@ impl QueueBank {
                     peak_len: q.peak_len,
                     enqueued: q.enqueued,
                     discarded: q.discarded,
-                    ephemeral: q.ephemeral,
                 })
             })
             .collect();
@@ -862,7 +815,7 @@ mod tests {
         bank.remove_queue(SlotId(1));
         let s = bank.add_queue();
         assert_eq!(s, SlotId(1));
-        assert_eq!(bank.slot_ids(), vec![SlotId(0), SlotId(1)]);
+        assert_eq!(bank.queue_count(), 2);
     }
 
     #[test]
@@ -971,55 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_serializes_via_serde() {
-        let mut bank = QueueBank::new(2);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0], &[2, 1]));
-        let snap = bank.snapshot();
-        // BankSnapshot derives Serialize/Deserialize; round-trip through
-        // the serde data model using its Debug shape as a proxy check and
-        // a clone-restore equivalence.
-        let restored = QueueBank::restore(snap.clone());
-        assert_eq!(restored.resident(), bank.resident());
-        assert_eq!(format!("{:?}", snap.slots.len()), "2");
-    }
-
-    #[test]
-    fn ephemeral_queue_participates_once_then_vanishes() {
-        let mut bank = QueueBank::new(1);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0], &[6, 5]));
-        // Q0 holds one interval? No: single-queue banks emit immediately.
-        // Rebuild: two queues so the local head stays resident.
-        let mut bank = QueueBank::new(2);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0], &[6, 5]));
-        // Ephemeral seed overlaps the resident head → immediate solution.
-        let sols = bank.add_ephemeral_queue(iv(1, 0, &[2, 1], &[3, 2]));
-        // Queue 1 is still empty, so no solution yet; the ephemeral queue
-        // (slot 2) holds the seed.
-        assert!(sols.is_empty());
-        assert_eq!(bank.queue_count(), 3);
-        let sols = bank.enqueue(SlotId(1), iv(1, 0, &[2, 1], &[4, 3]));
-        assert_eq!(sols.len(), 1, "solution across local + real + ephemeral");
-        // The seed was consumed (pruned or swept) → ephemeral queue gone.
-        assert_eq!(bank.queue_count(), 2, "ephemeral queue vanished");
-        // Detection continues unblocked by the departed queue.
-        bank.enqueue(SlotId(0), iv(0, 1, &[7, 6], &[9, 8]));
-        let sols = bank.enqueue(SlotId(1), iv(1, 1, &[8, 7], &[10, 9]));
-        assert_eq!(sols.len(), 1);
-    }
-
-    #[test]
-    fn ephemeral_queue_swept_away_when_hopeless() {
-        let mut bank = QueueBank::new(2);
-        bank.enqueue(SlotId(0), iv(0, 0, &[5, 4], &[8, 7]));
-        // Seed entirely precedes the resident head → swept on arrival of
-        // a comparison trigger.
-        bank.add_ephemeral_queue(iv(1, 0, &[1, 0], &[2, 1]));
-        let sols = bank.enqueue(SlotId(1), iv(1, 0, &[6, 5], &[7, 8]));
-        assert_eq!(sols.len(), 1, "stale seed did not block");
-        assert_eq!(bank.queue_count(), 2);
-    }
-
-    #[test]
     fn aggregate_sweep_matches_full_bit_for_bit() {
         // Multi-queue sweep rounds, cascades, and a queue removal: the
         // summary-gated sweep must reproduce every solution, sweep, and
@@ -1073,7 +977,7 @@ mod tests {
 
     #[test]
     fn aggregate_mode_survives_queue_lifecycle_churn() {
-        // Add/remove/ephemeral queue traffic while the summary is live.
+        // Add/remove queue traffic while the summary is live.
         let mut bank = QueueBank::new(2).with_sweep_mode(SweepMode::Aggregate);
         bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 8, 8]));
         let s2 = bank.add_queue();
@@ -1082,12 +986,14 @@ mod tests {
         assert_eq!(sols.len(), 1, "three-way overlap detected");
         let sols = bank.remove_queue(s2);
         assert!(sols.is_empty(), "subset re-release suppressed");
-        // Ephemeral seed participates and vanishes.
-        bank.add_ephemeral_queue(iv(7, 0, &[3, 2, 0], &[7, 7, 7]));
+        // A second adopted queue reuses the slot, participates and leaves.
+        let s3 = bank.add_queue();
+        bank.enqueue(s3, iv(7, 0, &[3, 2, 0], &[7, 7, 7]));
         bank.enqueue(SlotId(0), iv(0, 1, &[4, 3, 0], &[7, 8, 7]));
         let sols = bank.enqueue(SlotId(1), iv(1, 1, &[4, 4, 0], &[8, 7, 7]));
-        assert_eq!(sols.len(), 1, "solution across local + real + ephemeral");
-        assert_eq!(bank.queue_count(), 2, "ephemeral queue vanished");
+        assert_eq!(sols.len(), 1, "solution across local + real + adopted");
+        bank.remove_queue(s3);
+        assert_eq!(bank.queue_count(), 2);
     }
 
     #[test]
@@ -1114,7 +1020,7 @@ mod tests {
 
     #[test]
     fn resident_counter_follows_every_push_and_pop() {
-        // Sweeps, a solution's prunes, an ephemeral queue that vanishes, a
+        // Sweeps, a solution's prunes, an added queue that drains, a
         // removed queue with a backlog, and a restore: `resident()` checks
         // the counter against the queues (debug builds) on every call.
         let mut bank = QueueBank::new(3);
@@ -1125,15 +1031,13 @@ mod tests {
         bank.enqueue(SlotId(2), iv(2, 1, &[3, 1, 2], &[8, 8, 10]));
         bank.enqueue(SlotId(2), iv(2, 2, &[3, 1, 3], &[8, 8, 11]));
         assert_eq!(bank.resident(), 4);
-        bank.add_ephemeral_queue(iv(7, 0, &[3, 0, 0], &[8, 8, 8]));
+        let s3 = bank.add_queue();
+        bank.enqueue(s3, iv(7, 0, &[3, 0, 0], &[8, 8, 8]));
         assert_eq!(bank.resident(), 5);
         let sols = bank.enqueue(SlotId(0), iv(0, 1, &[4, 1, 0], &[9, 8, 8]));
         assert_eq!(sols.len(), 1);
-        assert_eq!(
-            bank.queue_count(),
-            3,
-            "the consumed seed took its queue along"
-        );
+        assert_eq!(bank.queue_len(s3), 0, "the added queue's head was pruned");
+        bank.remove_queue(s3);
         assert_eq!(
             bank.resident(),
             3,

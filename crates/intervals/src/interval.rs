@@ -1,7 +1,6 @@
 //! The [`Interval`] type: local predicate spans and their aggregations.
 
 use ftscp_vclock::{ProcessId, VectorClock};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to one *local* interval: the `seq`-th interval at process
@@ -9,7 +8,7 @@ use std::fmt;
 /// intervals they cover as sorted `IntervalRef`s, which lets tests and
 /// reports trace any detection back to the concrete predicate spans that
 /// produced it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IntervalRef {
     /// The process at which the local interval occurred.
     pub process: ProcessId,
@@ -25,7 +24,7 @@ impl fmt::Debug for IntervalRef {
 
 /// Whether an interval is a raw local predicate span or the `⊓`-aggregation
 /// of a solution set found lower in the hierarchy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum IntervalKind {
     /// A maximal span in which one process's local predicate held; bounds
     /// are timestamps of real events.
@@ -46,7 +45,7 @@ pub enum IntervalKind {
 /// span (`min(x)` in the paper) and `hi` the timestamp of the last
 /// (`max(x)`). For an aggregated interval the bounds are cuts computed by
 /// [`crate::aggregate()`](crate::aggregate::aggregate).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// The process that produced the interval: the owner for local
     /// intervals, the aggregating subtree root for aggregated ones.

@@ -43,13 +43,13 @@ pub mod solution;
 pub mod summary;
 pub mod theorems;
 
-pub use aggregate::{aggregate, aggregate_checked, AggregateError};
+pub use aggregate::aggregate;
 pub use bank::{
     render_trace, BankEvent, BankSnapshot, BankStats, QueueBank, SlotId, SlotSnapshot, SweepMode,
     TraceId,
 };
 pub use interval::{Interval, IntervalKind, IntervalRef};
-pub use overlap::{definitely_holds, definitely_holds_fast, overlap, possibly_holds};
+pub use overlap::{definitely_holds, overlap, possibly_holds};
 pub use prune::PruneRule;
 pub use solution::Solution;
 pub use summary::SweepSummary;

@@ -2,8 +2,6 @@
 //! interval sets (Eqs. (1) and (2) of the paper).
 
 use crate::interval::Interval;
-use crate::summary::SweepSummary;
-use ftscp_vclock::{order, OpCounter};
 
 /// Pairwise overlap: `min(x) < max(y) ∧ min(y) < max(x)`.
 ///
@@ -13,51 +11,12 @@ pub fn overlap(x: &Interval, y: &Interval) -> bool {
     x.lo.strictly_less(&y.hi) && y.lo.strictly_less(&x.hi)
 }
 
-/// Instrumented [`overlap`], billing component inspections to `ops`.
-pub fn overlap_counted(x: &Interval, y: &Interval, ops: &OpCounter) -> bool {
-    order::strictly_less_counted(&x.lo, &y.hi, ops)
-        && order::strictly_less_counted(&y.lo, &x.hi, ops)
-}
-
 /// `Definitely(Φ)` over a set `X`: `∀ x_i, x_j ∈ X (i ≠ j): min(x_i) <
 /// max(x_j)` (Eq. (2)). The empty set and singletons hold vacuously.
 pub fn definitely_holds(set: &[Interval]) -> bool {
     for (i, x) in set.iter().enumerate() {
         for y in set.iter().skip(i + 1) {
             if !overlap(x, y) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// [`definitely_holds`] through the `⊓`-summary gate: each member is
-/// first tested against the aggregate of the others in `O(n)`
-/// ([`SweepSummary::certify`], Theorem 1); only members the summary
-/// cannot certify — a violation, or the rare non-strict tie against the
-/// aggregate — fall back to their exact pairwise row. Returns exactly
-/// what [`definitely_holds`] returns, in `O(k·n)` instead of `O(k²·n)`
-/// when the set mutually overlaps (the expensive case, since
-/// non-overlapping pairs short-circuit either way). Billing on `ops`
-/// follows the gate/chunked-comparator convention.
-pub fn definitely_holds_fast(set: &[Interval], ops: &OpCounter) -> bool {
-    if set.len() < 2 {
-        return true;
-    }
-    let head = |b: usize| Some((set[b].lo.components(), set[b].hi.components()));
-    let mut summary = SweepSummary::new();
-    for (i, x) in set.iter().enumerate() {
-        if summary.certify(i, set.len(), head, ops) {
-            continue;
-        }
-        // Exact row: the gate is conservative on ties, so only a pairwise
-        // violation is a verdict.
-        for (j, y) in set.iter().enumerate() {
-            if i != j
-                && !(order::strictly_less_chunked_counted(&x.lo, &y.hi, ops)
-                    && order::strictly_less_chunked_counted(&y.lo, &x.hi, ops))
-            {
                 return false;
             }
         }
@@ -151,75 +110,5 @@ mod tests {
         let x = iv(0, 0, &[1, 0], &[2, 0]);
         assert!(definitely_holds(std::slice::from_ref(&x)));
         assert!(possibly_holds(std::slice::from_ref(&x)));
-    }
-
-    /// `definitely_holds_fast` is a drop-in for `definitely_holds` on
-    /// randomized sets spanning certify-clean, tie, and violating cases.
-    #[test]
-    fn fast_definitely_matches_exact_on_random_sets() {
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..300 {
-            let k = 1 + (rng() % 6) as usize;
-            let n = 1 + (rng() % 14) as usize;
-            let set: Vec<Interval> = (0..k)
-                .map(|p| {
-                    let lo: Vec<u32> = (0..n).map(|_| (rng() % 5) as u32).collect();
-                    let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 5) as u32).collect();
-                    iv(p as u32, 0, &lo, &hi)
-                })
-                .collect();
-            let ops = OpCounter::new();
-            assert_eq!(
-                definitely_holds_fast(&set, &ops),
-                definitely_holds(&set),
-                "fast path diverged on {set:?}"
-            );
-        }
-    }
-
-    /// On a mutually overlapping set the gate certifies every member, so
-    /// the fast path bills `O(k·n)` words instead of `O(k²·n)` components.
-    #[test]
-    fn fast_definitely_bills_less_on_overlapping_sets() {
-        let k = 8;
-        let n = 64;
-        // Member p: lo = e_p (its own tick), hi = all 9s — every pair
-        // strictly overlaps in both directions.
-        let set: Vec<Interval> = (0..k)
-            .map(|p| {
-                let mut lo = vec![0u32; n];
-                lo[p as usize] = 1;
-                iv(p, 0, &lo, &vec![9u32; n])
-            })
-            .collect();
-        let fast_ops = OpCounter::new();
-        assert!(definitely_holds_fast(&set, &fast_ops));
-        let exact_ops = OpCounter::new();
-        for (i, x) in set.iter().enumerate() {
-            for y in set.iter().skip(i + 1) {
-                assert!(overlap_counted(x, y, &exact_ops));
-            }
-        }
-        assert!(
-            fast_ops.get() < exact_ops.get(),
-            "gate ({}) must beat pairwise ({})",
-            fast_ops.get(),
-            exact_ops.get()
-        );
-    }
-
-    #[test]
-    fn counted_overlap_matches() {
-        let ops = OpCounter::new();
-        let x = iv(0, 0, &[1, 0], &[4, 3]);
-        let y = iv(1, 0, &[2, 1], &[3, 4]);
-        assert_eq!(overlap_counted(&x, &y, &ops), overlap(&x, &y));
-        assert!(ops.get() > 0, "comparisons were billed");
     }
 }

@@ -22,10 +22,9 @@
 
 use crate::interval::Interval;
 use ftscp_vclock::{order, OpCounter, VectorClock};
-use serde::{Deserialize, Serialize};
 
 /// Which prune rule a detector uses after each solution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PruneRule {
     /// Eq. (10): `∀ j≠i: max(x_j) ≮ max(x_i)`. The paper's on-line rule.
     #[default]

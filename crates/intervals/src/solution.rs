@@ -4,12 +4,11 @@ use crate::aggregate::aggregate;
 use crate::interval::{Interval, IntervalRef};
 use crate::overlap::definitely_holds;
 use ftscp_vclock::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// One satisfaction of `Definitely(Φ)` found by a detector: the mutually
 /// overlapping queue heads at the moment of detection (lines (18)–(22) of
 /// Algorithm 1).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Solution {
     /// The member intervals (snapshot of the queue heads).
     pub intervals: Vec<Interval>,

@@ -68,13 +68,6 @@ pub fn theorem2_well_formed(x: &[Interval]) -> bool {
     aggregate(x, ProcessId(0), 0, 1).is_well_formed()
 }
 
-/// Theorem 2, second half: successive aggregations at the same node are
-/// totally ordered — `max(⊓X) < min(⊓X')` whenever some member of `X'`
-/// succeeds the corresponding member of `X`.
-pub fn theorem2_succession(earlier: &Interval, later: &Interval) -> bool {
-    earlier.hi.strictly_less(&later.lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

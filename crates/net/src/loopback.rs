@@ -122,14 +122,6 @@ impl LoopbackReport {
     pub fn reconnects(&self) -> u64 {
         self.node_reports.iter().map(|r| r.reconnects).sum()
     }
-
-    /// End-to-end ingestion throughput of the run.
-    pub fn intervals_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.total_intervals as f64 / self.elapsed.as_secs_f64()
-    }
 }
 
 /// A running loopback tree plus its event feeders.

@@ -78,6 +78,9 @@ const WAKE_POLL: Duration = Duration::from_millis(25);
 /// written off and the backoff timer re-dials.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Delay between uplink reconnect attempts.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
+
 /// Poller keys: the listener is fixed; every connection is keyed by
 /// `KEY_CONN_BASE + conn id`.
 const KEY_LISTENER: usize = 0;
@@ -106,8 +109,6 @@ pub struct NodeConfig {
     pub monitor: MonitorConfig,
     /// Peers silent for longer than this are reported as suspects.
     pub heartbeat_timeout: SimTime,
-    /// Delay between uplink reconnect attempts.
-    pub reconnect_backoff: Duration,
     /// Fresh incarnation of a crashed node: instead of assuming the
     /// parent still knows it, the node joins through the adoption
     /// handshake (`Adopt` with a fresh epoch on first connect).
@@ -125,7 +126,6 @@ impl NodeConfig {
             expected_feeds: 0,
             monitor: MonitorConfig::default(),
             heartbeat_timeout: SimTime::from_millis(500),
-            reconnect_backoff: Duration::from_millis(20),
             rejoin: false,
         }
     }
@@ -527,10 +527,8 @@ impl ReactorState {
             return; // stale timer
         }
         let Some((peer, addr)) = *self.shared.uplink_target.lock().expect("target lock") else {
-            self.timers.arm(
-                Instant::now() + self.config.reconnect_backoff,
-                Timer::Reconnect,
-            );
+            self.timers
+                .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
             return;
         };
         self.counters.syscalls.fetch_add(1, Ordering::Relaxed);
@@ -543,10 +541,8 @@ impl ReactorState {
                     PollEvent::writable(KEY_UPLINK)
                 };
                 if self.poller.add(&stream, interest).is_err() {
-                    self.timers.arm(
-                        Instant::now() + self.config.reconnect_backoff,
-                        Timer::Reconnect,
-                    );
+                    self.timers
+                        .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
                     return;
                 }
                 self.uplink = Uplink::Connecting {
@@ -562,10 +558,8 @@ impl ReactorState {
                 }
             }
             Err(_) => {
-                self.timers.arm(
-                    Instant::now() + self.config.reconnect_backoff,
-                    Timer::Reconnect,
-                );
+                self.timers
+                    .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
             }
         }
     }
@@ -597,10 +591,8 @@ impl ReactorState {
             .modify(conn.stream(), PollEvent::readable(KEY_UPLINK))
             .is_err()
         {
-            self.timers.arm(
-                Instant::now() + self.config.reconnect_backoff,
-                Timer::Reconnect,
-            );
+            self.timers
+                .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
             return;
         }
         self.reconnects += u64::from(self.uplink_ever_up);
@@ -638,10 +630,8 @@ impl ReactorState {
         // The next connection is a new session: a Fin already sent on the
         // dead one must be announced again.
         self.fin_sent = false;
-        self.timers.arm(
-            Instant::now() + self.config.reconnect_backoff,
-            Timer::Reconnect,
-        );
+        self.timers
+            .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
     }
 
     // -- timers --------------------------------------------------------------

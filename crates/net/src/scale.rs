@@ -39,8 +39,6 @@ pub struct ScaleReport {
     pub rounds: u64,
     /// The root node's report (detections, wire counters, syscalls).
     pub node: NodeReport,
-    /// Wall-clock for the whole run (connect → last Fin → drained).
-    pub elapsed: Duration,
 }
 
 /// File descriptors the run needs: both ends of every child connection
@@ -66,7 +64,6 @@ pub fn run_scale(
         return Ok(None);
     }
     let deadline = Instant::now() + timeout;
-    let started = Instant::now();
     let n = children + 1; // vector clock width: root's process + children
 
     let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -163,7 +160,6 @@ pub fn run_scale(
         children,
         rounds,
         node: report,
-        elapsed: started.elapsed(),
     }))
 }
 

@@ -21,7 +21,7 @@
 //!        4 AddChild    := u32 child
 //!        5 RemoveChild := u32 child
 //!        6 PromoteRoot
-//!        7 DemoteRoot
+//!        7 (unassigned)
 //!        8 Suspect     := u32 from, u32 suspect
 //!        9 Adopt       := u32 child, u64 epoch, u8 has_dead, [u32 dead_parent]
 //!       10 AdoptAck    := u32 from, u32 child, u64 epoch, u8 accepted
@@ -212,7 +212,6 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
                     put_u32(&mut out, child.0);
                 }
                 DetectMsg::PromoteRoot => out.push(6),
-                DetectMsg::DemoteRoot => out.push(7),
                 DetectMsg::Suspect { from, suspect } => {
                     out.push(8);
                     put_u32(&mut out, from.0);
@@ -446,7 +445,6 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
                     child: ProcessId(c.u32()?),
                 },
                 6 => DetectMsg::PromoteRoot,
-                7 => DetectMsg::DemoteRoot,
                 8 => DetectMsg::Suspect {
                     from: ProcessId(c.u32()?),
                     suspect: ProcessId(c.u32()?),
@@ -607,7 +605,6 @@ mod tests {
                 child: ProcessId(9),
             }),
             NetMsg::Detect(DetectMsg::PromoteRoot),
-            NetMsg::Detect(DetectMsg::DemoteRoot),
             NetMsg::Detect(DetectMsg::Suspect {
                 from: ProcessId(4),
                 suspect: ProcessId(2),
@@ -868,6 +865,11 @@ mod tests {
         ] {
             assert!(decode_msg(bad, &mut rx).is_err(), "{bad:?}");
         }
+        // Unassigned subtag 7: rejected as unknown, not as truncated.
+        assert_eq!(
+            decode_msg(&[3, 7], &mut rx),
+            Err(DecodeError("unknown detect subtag"))
+        );
         // Trailing garbage after a valid message is rejected.
         let mut tx = ConnCodec::new();
         let mut payload = encode_msg(&NetMsg::Fin { from: ProcessId(1) }, &mut tx);

@@ -29,11 +29,10 @@ use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One fault primitive, applied instantaneously at its scheduled time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultOp {
     /// Crash-stop `node`: it processes no further events.
     Crash(NodeId),
@@ -83,7 +82,7 @@ pub enum FaultOp {
 /// Build with the chained `*_at` / `*_between` methods; apply with
 /// [`Simulation::apply_fault_plan`](crate::Simulation::apply_fault_plan).
 /// Operations scheduled at the same instant apply in insertion order.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     ops: Vec<(SimTime, FaultOp)>,
 }

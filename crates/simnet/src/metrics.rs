@@ -7,11 +7,10 @@
 //! latter is the series plotted in Figures 4–5.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-node accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeMetrics {
     /// Messages this node originated.
     pub sent: u64,
@@ -22,7 +21,7 @@ pub struct NodeMetrics {
 }
 
 /// Whole-network accounting.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetMetrics {
     /// End-to-end sends.
     pub sends: u64,

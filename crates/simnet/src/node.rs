@@ -1,13 +1,12 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node (= process) in the simulated network.
 ///
 /// Node ids are dense `0 .. n-1`. The detection layers map them 1:1 onto
 /// `ftscp_vclock::ProcessId`s.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -8,13 +8,12 @@ use crate::time::SimTime;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-hop link delay model: every hop of every message samples an
 /// independent uniform delay in `[min_delay, max_delay]`. Independent
 /// sampling is what makes channels non-FIFO (a later message can draw a
 /// shorter delay and overtake).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LinkModel {
     /// Minimum per-hop delay.
     pub min_delay: SimTime,
@@ -47,7 +46,7 @@ impl LinkModel {
 }
 
 /// Simulation parameters.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SimConfig {
     /// RNG seed: same seed ⇒ identical execution.
     pub seed: u64,
@@ -258,11 +257,6 @@ impl<A: Application> Simulation<A> {
         self.faults.apply(&op, &mut self.alive, n);
     }
 
-    /// The live fault state (for assertions in tests).
-    pub fn active_faults(&self) -> &ActiveFaults {
-        &self.faults
-    }
-
     /// Revives a crashed node immediately (crash-*recovery* support): the
     /// node becomes reachable again and may send/receive from now on. The
     /// application instance's in-memory state is untouched — modelling a
@@ -302,11 +296,6 @@ impl<A: Application> Simulation<A> {
     /// Immutable access to node `i`'s application.
     pub fn app(&self, node: NodeId) -> &A {
         &self.apps[node.index()]
-    }
-
-    /// Mutable access to node `i`'s application (for test instrumentation).
-    pub fn app_mut(&mut self, node: NodeId) -> &mut A {
-        &mut self.apps[node.index()]
     }
 
     /// All applications.

@@ -3,7 +3,6 @@
 use crate::node::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// An undirected communication graph `(P, L)` (§II-A of the paper).
@@ -11,7 +10,7 @@ use std::collections::VecDeque;
 /// In a wireless network a node can talk only to nodes within range, so the
 /// graph is generally *not* complete and messages traverse multiple hops —
 /// the premise of the paper's message-complexity comparison.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     adj: Vec<Vec<NodeId>>,
 }

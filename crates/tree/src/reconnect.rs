@@ -2,11 +2,10 @@
 
 use crate::spanning::SpanningTree;
 use ftscp_simnet::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Outcome of [`SpanningTree::handle_failure`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReconnectReport {
     /// The node that failed.
     pub failed: Option<NodeId>,

@@ -1,7 +1,6 @@
 //! The [`SpanningTree`] structure and constructors.
 
 use ftscp_simnet::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A rooted spanning tree over (a subset of) the network's nodes.
@@ -10,7 +9,7 @@ use std::collections::VecDeque;
 /// tree ([`SpanningTree::contains`] is false); the remaining structure is
 /// always a forest rooted at [`SpanningTree::root`] — a single tree as long
 /// as no partition has occurred.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanningTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,

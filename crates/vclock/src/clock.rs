@@ -2,7 +2,6 @@
 
 use crate::pool::ClockHandle;
 use crate::process::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -34,7 +33,7 @@ use std::ops::Index;
 /// b.receive(ProcessId(1), &stamp); // receive at P1
 /// assert!(a.strictly_less(&b));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     components: ClockHandle,
 }
@@ -55,20 +54,8 @@ impl VectorClock {
         }
     }
 
-    /// Builds a clock around an existing (possibly pooled) handle.
-    pub fn from_handle(handle: ClockHandle) -> Self {
-        VectorClock { components: handle }
-    }
-
-    /// The underlying shared storage handle.
-    #[inline]
-    pub fn handle(&self) -> &ClockHandle {
-        &self.components
-    }
-
-    /// True iff `self` and `other` share the same allocation (e.g. both came
-    /// from the same [`crate::ClockPool`] intern or one is a clone of the
-    /// other). Equality of contents in `O(1)`.
+    /// True iff `self` and `other` share the same allocation (one is a clone
+    /// of the other). Equality of contents in `O(1)`.
     #[inline]
     pub fn shares_storage_with(&self, other: &VectorClock) -> bool {
         self.components.ptr_eq(&other.components)

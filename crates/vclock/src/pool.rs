@@ -1,20 +1,16 @@
-//! Interned clock storage: [`ClockHandle`] and [`ClockPool`].
+//! Shared clock storage: [`ClockHandle`].
 //!
 //! The data plane moves vector timestamps constantly — every interval
 //! carries two, every queue operation clones them, every aggregation reads
 //! them. A dense `Box<[u32]>` representation makes each of those moves an
 //! `O(n)` allocation + copy, which at large-scale network sizes dominates
 //! the detector's real cost. This module replaces the owned buffer with a
-//! shared, immutable, reference-counted one:
-//!
-//! * [`ClockHandle`] wraps an `Arc<[u32]>`: cloning is a refcount bump
-//!   (`O(1)`, no allocation), reading is a plain slice, and mutation is
-//!   copy-on-write — unique handles mutate in place, shared handles copy
-//!   once and then mutate in place.
-//! * [`ClockPool`] hash-conses handles: interning the same component
-//!   vector twice yields the *same* allocation, so hot timestamps (queue
-//!   heads, per-connection codec bases, repeated cuts) deduplicate and
-//!   equality checks can short-circuit on pointer identity.
+//! shared, immutable, reference-counted one: [`ClockHandle`] wraps an
+//! `Arc<[u32]>`, so cloning is a refcount bump (`O(1)`, no allocation),
+//! reading is a plain slice, and mutation is copy-on-write — unique handles
+//! mutate in place, shared handles copy once and then mutate in place.
+//! Clones of one clock share its allocation, and equality checks
+//! short-circuit on pointer identity.
 //!
 //! [`VectorClock`](crate::VectorClock) is a thin facade over
 //! [`ClockHandle`], so existing callers keep their API while the storage
@@ -34,13 +30,10 @@
 //! across worker threads (the parallel benchmark / experiment drivers)
 //! each observe only their own clone traffic: a worker resets at the start
 //! of its deployment and reads at the end without any cross-deployment
-//! skew. Per-pool intern traffic is tracked separately by
-//! [`ClockPool::hits`] / [`ClockPool::misses`]. The benchmark harness
-//! reports both as the before/after "clock clones" figures in
-//! `BENCH_hotpath.json`.
+//! skew. The benchmark harness reports both as the "clock clones" figures
+//! in `BENCH_hotpath.json`.
 
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 thread_local! {
@@ -119,8 +112,8 @@ impl ClockHandle {
         self.data.is_empty()
     }
 
-    /// True iff `self` and `other` share the same allocation — interned
-    /// duplicates compare equal in `O(1)` through this fast path.
+    /// True iff `self` and `other` share the same allocation — clones of one
+    /// clock compare equal in `O(1)` through this fast path.
     #[inline]
     pub fn ptr_eq(&self, other: &ClockHandle) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
@@ -184,82 +177,6 @@ impl FromIterator<u32> for ClockHandle {
     }
 }
 
-/// Hash-consing interner for clock storage.
-///
-/// `intern` maps equal component vectors to one shared allocation, so the
-/// hot set of timestamps flowing through a decoder or a queue bank is
-/// stored once no matter how many intervals reference it. The pool holds
-/// strong references; callers that want bounded memory call
-/// [`trim`](ClockPool::trim) (drops entries no longer referenced outside
-/// the pool) or [`clear`](ClockPool::clear).
-#[derive(Debug, Default)]
-pub struct ClockPool {
-    interned: HashSet<Arc<[u32]>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ClockPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `components`: returns a handle to the pooled allocation,
-    /// creating it on first sight.
-    pub fn intern(&mut self, components: &[u32]) -> ClockHandle {
-        if let Some(existing) = self.interned.get(components) {
-            self.hits += 1;
-            return ClockHandle {
-                data: Arc::clone(existing),
-            };
-        }
-        self.misses += 1;
-        let arc: Arc<[u32]> = components.to_vec().into();
-        self.interned.insert(Arc::clone(&arc));
-        ClockHandle { data: arc }
-    }
-
-    /// Interns an already-built handle, returning the canonical pooled
-    /// handle (which may be a different allocation with equal contents).
-    pub fn intern_handle(&mut self, handle: &ClockHandle) -> ClockHandle {
-        self.intern(handle.as_slice())
-    }
-
-    /// Distinct clocks currently pooled.
-    pub fn len(&self) -> usize {
-        self.interned.len()
-    }
-
-    /// True iff nothing is pooled.
-    pub fn is_empty(&self) -> bool {
-        self.interned.is_empty()
-    }
-
-    /// Intern cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Intern cache misses (= allocations) so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops pooled clocks that no live handle references any more
-    /// (refcount 1 = only the pool), returning how many were evicted.
-    pub fn trim(&mut self) -> usize {
-        let before = self.interned.len();
-        self.interned.retain(|arc| Arc::strong_count(arc) > 1);
-        before - self.interned.len()
-    }
-
-    /// Empties the pool (live handles stay valid — they own their storage).
-    pub fn clear(&mut self) {
-        self.interned.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,32 +211,6 @@ mod tests {
         assert_eq!(h.as_slice(), &[9, 2]);
         assert_eq!(g.as_slice(), &[1, 2], "sharer unaffected");
         assert!(!h.ptr_eq(&g));
-    }
-
-    #[test]
-    fn pool_interns_duplicates_to_one_allocation() {
-        let mut pool = ClockPool::new();
-        let a = pool.intern(&[4, 5, 6]);
-        let b = pool.intern(&[4, 5, 6]);
-        let c = pool.intern(&[7, 0, 0]);
-        assert!(a.ptr_eq(&b), "hash-consed duplicate");
-        assert!(!a.ptr_eq(&c));
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.misses(), 2);
-    }
-
-    #[test]
-    fn pool_trim_evicts_unreferenced() {
-        let mut pool = ClockPool::new();
-        let keep = pool.intern(&[1]);
-        {
-            let _drop_me = pool.intern(&[2]);
-        }
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.trim(), 1);
-        assert_eq!(pool.len(), 1);
-        assert_eq!(pool.intern(&[1]).ptr_eq(&keep), true);
     }
 
     #[test]

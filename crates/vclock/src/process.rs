@@ -1,13 +1,12 @@
 //! Process identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a process in the distributed system.
 ///
 /// Processes are numbered densely `0 .. n-1`; the number doubles as the index
 /// of the process's component in every [`crate::VectorClock`] of the system.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
 
 impl ProcessId {

@@ -2,11 +2,10 @@
 
 use ftscp_intervals::Interval;
 use ftscp_vclock::{ProcessId, VectorClock};
-use serde::{Deserialize, Serialize};
 
 /// One event of a process's history: its vector timestamp and the local
 /// predicate's value *after* the event.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventRecord {
     /// Vector timestamp of the event.
     pub vc: VectorClock,
@@ -17,7 +16,7 @@ pub struct EventRecord {
 /// A complete synthetic distributed execution: per-process event histories,
 /// the local-predicate intervals they induce, and a causally consistent
 /// global completion order for the intervals.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Execution {
     /// Number of processes.
     pub n: usize,
@@ -45,11 +44,6 @@ impl Execution {
             .iter()
             .map(|(p, seq)| &self.intervals[p.index()][*seq as usize])
             .collect()
-    }
-
-    /// Maximum number of intervals at any process (`p` in the paper).
-    pub fn max_intervals_per_process(&self) -> usize {
-        self.intervals.iter().map(|v| v.len()).max().unwrap_or(0)
     }
 
     /// Total number of intervals.
