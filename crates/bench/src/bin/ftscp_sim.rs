@@ -25,8 +25,8 @@
 //! (`ftscp_net::scale::run_scale`).
 //!
 //! `--bench-check` regenerates the same grid in memory and exits nonzero
-//! if any deterministic cost counter regressed more than 10% against the
-//! committed `BENCH_hotpath.json` — the CI regression gate.
+//! if any gated counter differs — in either direction, to the last digit
+//! — from the committed `BENCH_hotpath.json`: the CI equality gate.
 
 use ftscp_analysis::report::render_table;
 use ftscp_baselines::centralized::CentralizedDeployment;
@@ -259,7 +259,6 @@ fn bench_net_loopback() -> NetRun {
         },
         event_pacing: std::time::Duration::ZERO,
         run_timeout: std::time::Duration::from_secs(60),
-        ..Default::default()
     };
     let report = match run_execution(&tree, &exec, &config) {
         Ok(r) if !r.timed_out => r,

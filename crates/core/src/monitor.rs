@@ -45,13 +45,26 @@ pub struct MonitorConfig {
     /// doubles up to `retransmit_period × cap`, then resets to the base
     /// period as soon as an ack makes progress (or a new parent is set).
     pub retransmit_backoff_cap: u32,
-    /// Decentralized failure detection: when set, the node itself runs
-    /// [`MonitorCore::membership_tick`] on a timer with this suspicion
-    /// timeout — a silent child's queue is dropped and a silent parent
-    /// triggers the grandparent-adoption handshake, with no harness
-    /// involvement. `None` (the default) leaves repair to the
-    /// deployment's maintenance service (the clairvoyant oracle).
+    /// Decentralized failure detection — the one place the suspicion
+    /// timeout lives, on either runtime: when set, the node itself runs
+    /// [`MonitorCore::membership_tick`] every
+    /// [`suspect_period`](Self::suspect_period) — a peer silent for longer
+    /// than this is suspected, a silent child's queue is held for this
+    /// long and then dropped, and a silent parent triggers the
+    /// grandparent-adoption handshake, with no harness involvement.
+    /// `None` (the default) leaves repair to the deployment's maintenance
+    /// service (the clairvoyant oracle).
     pub suspect_timeout: Option<SimTime>,
+}
+
+impl MonitorConfig {
+    /// How often to run the suspicion check: half the timeout, so a dead
+    /// peer is caught within 1.5× the configured timeout in the worst
+    /// case. `None` when there is no failure detector to run.
+    pub fn suspect_period(&self) -> Option<SimTime> {
+        self.suspect_timeout
+            .map(|timeout| SimTime((timeout.as_micros() / 2).max(1)))
+    }
 }
 
 impl Default for MonitorConfig {
@@ -234,15 +247,9 @@ impl MonitorApp {
         }
     }
 
-    /// Suspicion-check period: half the timeout, so a dead peer is caught
-    /// within 1.5× the configured timeout in the worst case.
-    fn suspect_period(timeout: SimTime) -> SimTime {
-        SimTime((timeout.as_micros() / 2).max(1))
-    }
-
     fn arm_suspect_timer(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
-        if let Some(timeout) = self.core.config.suspect_timeout {
-            ctx.set_timer(Self::suspect_period(timeout), TIMER_SUSPECT);
+        if let Some(period) = self.core.config.suspect_period() {
+            ctx.set_timer(period, TIMER_SUSPECT);
         }
     }
 }
@@ -286,22 +293,20 @@ impl Application for MonitorApp {
                 }
             }
             TIMER_SUSPECT => {
-                if let Some(timeout) = self.core.config.suspect_timeout {
-                    let events = self.core.membership_tick(timeout, ctx);
-                    if events
-                        .iter()
-                        .any(|e| matches!(e, MembershipEvent::AdoptionStarted { .. }))
-                    {
-                        // The simulated network routes by id: the handshake
-                        // can go out immediately (the TCP runtime instead
-                        // re-dials its uplink first — see `ftscp-net`).
-                        self.core.send_adoption_request(ctx);
-                    }
-                    if !events.is_empty() {
-                        self.persist();
-                    }
-                    ctx.set_timer(Self::suspect_period(timeout), TIMER_SUSPECT);
+                let events = self.core.membership_tick(ctx);
+                if events
+                    .iter()
+                    .any(|e| matches!(e, MembershipEvent::AdoptionStarted { .. }))
+                {
+                    // The simulated network routes by id: the handshake
+                    // can go out immediately (the TCP runtime instead
+                    // re-dials its uplink first — see `ftscp-net`).
+                    self.core.send_adoption_request(ctx);
                 }
+                if !events.is_empty() {
+                    self.persist();
+                }
+                self.arm_suspect_timer(ctx);
             }
             _ => {}
         }

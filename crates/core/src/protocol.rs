@@ -1,10 +1,9 @@
 //! Wire messages of the distributed monitor, and the per-connection
 //! delta codec that shrinks them.
 
-use bytes::{Bytes, BytesMut};
 use ftscp_intervals::codec::{
     decode_interval_delta, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
-    encoded_interval_delta_len, encoded_tenant_batch_len, DecodeError, TenantGroup,
+    encoded_interval_delta_len, encoded_tenant_batch_len, DecodeError, Reader, TenantGroup,
 };
 use ftscp_intervals::Interval;
 use ftscp_vclock::{ProcessId, VectorClock};
@@ -253,10 +252,10 @@ impl ConnCodec {
         }
     }
 
-    /// Encodes `iv` as the next frame of the stream and advances the base.
-    /// Uses the stateful (smaller) form when a base of matching width is
-    /// available, and the standalone form otherwise.
-    pub fn encode(&mut self, iv: &Interval, buf: &mut BytesMut) {
+    /// Appends `iv` to `buf` as the next frame of the stream and advances
+    /// the base. Uses the stateful (smaller) form when a base of matching
+    /// width is available, and the standalone form otherwise.
+    pub fn encode(&mut self, iv: &Interval, buf: &mut Vec<u8>) {
         let base = self.usable_base(Some(iv));
         let standalone = base.is_none();
         encode_interval_delta(iv, base, buf);
@@ -266,14 +265,14 @@ impl ConnCodec {
     /// Encodes `iv` standalone (no dependence on connection state) and
     /// resets the base to `iv.lo`. Use for retransmissions and re-reports
     /// to a new parent.
-    pub fn encode_standalone(&mut self, iv: &Interval, buf: &mut BytesMut) {
+    pub fn encode_standalone(&mut self, iv: &Interval, buf: &mut Vec<u8>) {
         encode_interval_delta(iv, None, buf);
         self.note_encoded(true, Some(iv));
     }
 
-    /// Decodes the next frame of the stream (stateful or standalone) and
-    /// advances the base to its `lo`.
-    pub fn decode(&mut self, buf: &mut Bytes) -> Result<Interval, DecodeError> {
+    /// Decodes the next frame of the stream (stateful or standalone) from
+    /// where `buf` stands and advances the base to its `lo`.
+    pub fn decode(&mut self, buf: &mut Reader<'_>) -> Result<Interval, DecodeError> {
         let iv = decode_interval_delta(buf, self.base.as_ref())?;
         self.note_sent(&iv);
         Ok(iv)
@@ -303,7 +302,7 @@ impl ConnCodec {
     /// width exists), later groups against their predecessor, and the
     /// base advances to the *last* group's `lo` — the batch behaves like
     /// the same intervals sent back to back, at a fraction of the bytes.
-    pub fn encode_batch(&mut self, groups: &[TenantGroup], buf: &mut BytesMut) {
+    pub fn encode_batch(&mut self, groups: &[TenantGroup], buf: &mut Vec<u8>) {
         let base = self.usable_base(groups.first().map(|(_, iv)| iv));
         let standalone = base.is_none();
         encode_tenant_batch(groups, base, buf);
@@ -313,14 +312,14 @@ impl ConnCodec {
     /// Encodes a batch standalone (decodable cold) and resyncs the base
     /// to the last group's `lo`. Use for the first flush on a connection
     /// and for re-reports after a tree repair.
-    pub fn encode_batch_standalone(&mut self, groups: &[TenantGroup], buf: &mut BytesMut) {
+    pub fn encode_batch_standalone(&mut self, groups: &[TenantGroup], buf: &mut Vec<u8>) {
         encode_tenant_batch(groups, None, buf);
         self.note_encoded(true, groups.last().map(|(_, iv)| iv));
     }
 
     /// Decodes the next batch frame and advances the base to its last
     /// group's `lo`, mirroring [`encode_batch`](Self::encode_batch).
-    pub fn decode_batch(&mut self, buf: &mut Bytes) -> Result<Vec<TenantGroup>, DecodeError> {
+    pub fn decode_batch(&mut self, buf: &mut Reader<'_>) -> Result<Vec<TenantGroup>, DecodeError> {
         let groups = decode_tenant_batch(buf, self.base.as_ref())?;
         if let Some((_, last)) = groups.last() {
             self.note_sent(last);
@@ -418,12 +417,11 @@ mod tests {
         let mut tx = ConnCodec::new();
         let mut rx = ConnCodec::new();
         for (i, original) in stream.iter().enumerate() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             let predicted = tx.stateful_len(original);
             tx.encode(original, &mut buf);
             assert_eq!(buf.len(), predicted, "size query matches encoder");
-            let mut frame = buf.freeze();
-            let decoded = rx.decode(&mut frame).expect("frame decodes");
+            let decoded = rx.decode(&mut Reader::new(&buf)).expect("frame decodes");
             assert_eq!(&decoded, original, "frame {i} roundtrips");
         }
     }
@@ -445,19 +443,19 @@ mod tests {
         let a = iv(0, vec![3, 1], vec![4, 1]);
         let b = iv(1, vec![5, 1], vec![6, 2]);
         let mut tx = ConnCodec::new();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&a, &mut buf); // consumed by a decoder that later died
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode_standalone(&b, &mut buf);
         // A brand-new decoder (no base) handles the standalone frame...
         let mut rx = ConnCodec::new();
-        let decoded = rx.decode(&mut buf.clone().freeze()).expect("cold decode");
+        let decoded = rx.decode(&mut Reader::new(&buf)).expect("cold decode");
         assert_eq!(decoded, b);
         // ...and is synced for the next stateful frame.
         let c = iv(2, vec![6, 2], vec![7, 3]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&c, &mut buf);
-        assert_eq!(rx.decode(&mut buf.freeze()).expect("warm decode"), c);
+        assert_eq!(rx.decode(&mut Reader::new(&buf)).expect("warm decode"), c);
     }
 
     #[test]
@@ -465,12 +463,12 @@ mod tests {
         let a = iv(0, vec![3, 1], vec![4, 1]);
         let b = iv(1, vec![5, 1], vec![6, 2]);
         let mut tx = ConnCodec::new();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&a, &mut buf); // establishes tx base; frame dropped
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&b, &mut buf); // stateful frame
         let mut rx = ConnCodec::new(); // never saw the first frame
-        assert!(rx.decode(&mut buf.freeze()).is_err());
+        assert!(rx.decode(&mut Reader::new(&buf)).is_err());
     }
 
     #[test]
@@ -492,9 +490,9 @@ mod tests {
         raw.extend_from_slice(&3u32.to_le_bytes());
         raw.extend_from_slice(&0u64.to_le_bytes());
         let mut rx = ConnCodec::new();
-        assert!(rx.decode(&mut Bytes::from(raw.clone())).is_err());
+        assert!(rx.decode(&mut Reader::new(&raw)).is_err());
         raw[3] = 0x42;
-        assert!(rx.decode(&mut Bytes::from(raw)).is_err());
+        assert!(rx.decode(&mut Reader::new(&raw)).is_err());
     }
 
     /// Runs one encoder call and checks the tally after it — against
@@ -503,15 +501,16 @@ mod tests {
     fn encode_step(
         tx: &mut ConnCodec,
         expect: (u64, u64),
-        encode: impl FnOnce(&mut ConnCodec, &mut BytesMut),
+        encode: impl FnOnce(&mut ConnCodec, &mut Vec<u8>),
     ) {
         let before = tx.sent_tally();
-        let mut buf = BytesMut::new();
-        encode(tx, &mut buf);
+        let mut frame = Vec::new();
+        encode(tx, &mut frame);
         assert_eq!(tx.sent_tally(), expect);
-        let frame = buf.freeze();
-        let cold_ok = ConnCodec::new().decode(&mut frame.clone()).is_ok()
-            || ConnCodec::new().decode_batch(&mut frame.clone()).is_ok();
+        let cold_ok = ConnCodec::new().decode(&mut Reader::new(&frame)).is_ok()
+            || ConnCodec::new()
+                .decode_batch(&mut Reader::new(&frame))
+                .is_ok();
         assert_eq!(cold_ok, expect.1 > before.1, "tally {expect:?}");
     }
 
@@ -538,9 +537,10 @@ mod tests {
         // Size queries, `note_sent` and decoding send nothing.
         let _ = (tx.stateful_len(&b), tx.batch_len(&groups));
         tx.note_sent(&b);
-        let mut frame = BytesMut::new();
+        let mut frame = Vec::new();
         ConnCodec::new().encode(&a, &mut frame);
-        tx.decode(&mut frame.freeze()).expect("standalone frame");
+        tx.decode(&mut Reader::new(&frame))
+            .expect("standalone frame");
         assert_eq!(tx.sent_tally(), (7, 5));
     }
 
@@ -571,22 +571,22 @@ mod tests {
         let mut tx = ConnCodec::new();
         let mut rx = ConnCodec::new();
 
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&a, &mut buf);
-        assert_eq!(rx.decode(&mut buf.freeze()).unwrap(), a);
+        assert_eq!(rx.decode(&mut Reader::new(&buf)).unwrap(), a);
 
         // Batch chains its first group against `a.lo` (the shared base).
         let groups = vec![(vec![0u32, 7], b.clone()), (vec![3u32], c.clone())];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let predicted = tx.batch_len(&groups);
         tx.encode_batch(&groups, &mut buf);
         assert_eq!(buf.len(), predicted, "size query matches encoder");
-        assert_eq!(rx.decode_batch(&mut buf.freeze()).unwrap(), groups);
+        assert_eq!(rx.decode_batch(&mut Reader::new(&buf)).unwrap(), groups);
 
         // And a later plain frame chains against the LAST group's lo.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&d, &mut buf);
-        assert_eq!(rx.decode(&mut buf.freeze()).unwrap(), d);
+        assert_eq!(rx.decode(&mut Reader::new(&buf)).unwrap(), d);
     }
 
     #[test]
@@ -596,15 +596,15 @@ mod tests {
         let mut tx = ConnCodec::new();
         tx.note_sent(&iv(9, vec![2, 1], vec![3, 1])); // prior traffic
         let groups = vec![(vec![1u32], a), (vec![1u32, 2], b.clone())];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode_batch_standalone(&groups, &mut buf);
         let mut rx = ConnCodec::new(); // never saw the prior traffic
-        assert_eq!(rx.decode_batch(&mut buf.freeze()).unwrap(), groups);
+        assert_eq!(rx.decode_batch(&mut Reader::new(&buf)).unwrap(), groups);
         // Both ends now share base = b.lo.
         let c = iv(2, vec![6, 2], vec![7, 3]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         tx.encode(&c, &mut buf);
-        assert_eq!(rx.decode(&mut buf.freeze()).unwrap(), c);
+        assert_eq!(rx.decode(&mut Reader::new(&buf)).unwrap(), c);
     }
 
     #[test]

@@ -120,10 +120,6 @@ pub struct MonitorCore {
     /// it, removing the queue releases solutions that were never checked
     /// against the orphan subtree's intervals (the prune/adopt race).
     pub(crate) held: BTreeMap<ProcessId, SimTime>,
-    /// Hold expiry window: the suspicion timeout observed on the last
-    /// membership tick (used to deadline holds opened by a `Suspect`
-    /// message between ticks).
-    pub(crate) hold_window: SimTime,
 }
 
 impl MonitorCore {
@@ -153,7 +149,6 @@ impl MonitorCore {
             re_report_msgs: 0,
             re_report_bytes: 0,
             held: BTreeMap::new(),
-            hold_window: SimTime::ZERO,
         }
     }
 
@@ -304,17 +299,20 @@ impl MonitorCore {
         self.handle_outputs(t, outputs);
     }
 
-    /// Hold-after-drop: marks `child` dead but *keeps its queue* until
-    /// `deadline`. The queue runs empty, and an empty queue blocks
+    /// Hold-after-drop: marks `child` dead at `now` but *keeps its queue*
+    /// for one suspicion timeout — the same grace period whether the hold
+    /// is opened by this node's own tick or by a `Suspect`/`Adopt` that
+    /// arrives ahead of it. The queue runs empty, and an empty queue blocks
     /// conjunctive emission — so solutions computed while the orphaned
     /// subtree is detached cannot be released missing its intervals.
     /// The hold closes early when an `Adopt` naming `child` as the dead
     /// parent arrives (reattachment) or any fresh-incarnation liveness
     /// evidence shows up (restart); it expires on a later membership
     /// tick otherwise (a dead leaf blocks nothing forever).
-    fn hold_dead_child(&mut self, child: ProcessId, deadline: SimTime) {
+    fn hold_dead_child(&mut self, child: ProcessId, now: SimTime) {
+        let window = self.config.suspect_timeout.unwrap_or(SimTime::ZERO);
         self.heartbeat_seen.remove(&child);
-        self.held.insert(child, deadline);
+        self.held.insert(child, SimTime(now.0 + window.0));
     }
 
     /// One decentralized failure-detection round: every suspect that is a
@@ -325,15 +323,15 @@ impl MonitorCore {
     /// routed network, the TCP backend first re-dials its uplink socket
     /// at the new target (see `ftscp-net`).
     ///
-    /// Crash-free runs reach this via a timer and do nothing: no
-    /// suspicion, no messages, no tree mutation.
-    pub fn membership_tick(
-        &mut self,
-        timeout: SimTime,
-        t: &mut impl Transport,
-    ) -> Vec<MembershipEvent> {
+    /// The suspicion timeout is [`MonitorConfig::suspect_timeout`]; with
+    /// none configured there is no failure detector and this does
+    /// nothing. Crash-free runs reach this via a timer and do nothing
+    /// either: no suspicion, no messages, no tree mutation.
+    pub fn membership_tick(&mut self, t: &mut impl Transport) -> Vec<MembershipEvent> {
+        let Some(timeout) = self.config.suspect_timeout else {
+            return Vec::new();
+        };
         let now = t.now();
-        self.hold_window = timeout;
         // Expire holds whose reattachment window closed: the dead child
         // led a subtree with no survivors (or none that reached us), so
         // nothing is coming to take over the blocking. Finalize, which
@@ -362,7 +360,7 @@ impl MonitorCore {
                 continue;
             }
             if self.engine.has_child(peer) {
-                self.hold_dead_child(peer, SimTime(now.0 + timeout.0));
+                self.hold_dead_child(peer, now);
                 events.push(MembershipEvent::ChildDropped(peer));
             } else if Some(peer) == self.parent {
                 if let RepairState::Adopting { target, .. } = *self.membership.state() {
@@ -394,18 +392,6 @@ impl MonitorCore {
             }
         }
         events
-    }
-
-    /// The hold-expiry window for holds opened between membership ticks:
-    /// the last tick's suspicion timeout, the configured suspect timeout,
-    /// or (before either is known) one extra beat of nothing — the next
-    /// tick will still see the hold and only expire it past the deadline.
-    fn effective_hold_window(&self) -> SimTime {
-        if self.hold_window > SimTime::ZERO {
-            self.hold_window
-        } else {
-            self.config.suspect_timeout.unwrap_or(SimTime::ZERO)
-        }
     }
 
     /// (Re-)sends the outstanding adoption handshake: `Suspect` (when a
@@ -698,8 +684,7 @@ impl MonitorCore {
                 // (usually in the same batch) lands on a queue bank where
                 // the dead child already blocks instead of emits.
                 if self.engine.has_child(suspect) && !self.held.contains_key(&suspect) {
-                    let deadline = SimTime(t.now().0 + self.effective_hold_window().0);
-                    self.hold_dead_child(suspect, deadline);
+                    self.hold_dead_child(suspect, t.now());
                 }
             }
             DetectMsg::Adopt {
@@ -750,8 +735,7 @@ impl MonitorCore {
                         // Suspect lost or reordered behind the Adopt: open
                         // the hold here so the queue blocks instead of
                         // lingering live forever.
-                        let deadline = SimTime(t.now().0 + self.effective_hold_window().0);
-                        self.hold_dead_child(dead, deadline);
+                        self.hold_dead_child(dead, t.now());
                     }
                 }
                 self.note_heartbeat(child, t.now());
@@ -866,6 +850,14 @@ mod tests {
             VectorClock::from_components(lo.to_vec()),
             VectorClock::from_components(hi.to_vec()),
         )
+    }
+
+    /// The default configuration with the failure detector on.
+    fn suspecting(timeout: SimTime) -> MonitorConfig {
+        MonitorConfig {
+            suspect_timeout: Some(timeout),
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -1095,9 +1087,8 @@ mod tests {
             Some(ProcessId(0)),
             &[],
             2,
-            MonitorConfig::default(),
+            suspecting(SimTime::from_millis(100)),
         );
-        let timeout = SimTime::from_millis(100);
         let mut t = RecTransport::default();
         // The parent re-parented over its lifetime: hints 7 then 8.
         for (at, gp) in [(0u64, 7u32), (10, 8)] {
@@ -1114,7 +1105,7 @@ mod tests {
         }
         // The parent dies — and, unbeknownst to this node, so did 8.
         t.now = SimTime::from_millis(500);
-        let first = core.membership_tick(timeout, &mut t);
+        let first = core.membership_tick(&mut t);
         assert_eq!(
             first,
             vec![MembershipEvent::AdoptionStarted {
@@ -1124,7 +1115,7 @@ mod tests {
         );
         let epoch8 = core.membership().epoch();
         for _ in 1..ADOPT_ATTEMPT_CAP {
-            let ev = core.membership_tick(timeout, &mut t);
+            let ev = core.membership_tick(&mut t);
             assert_eq!(
                 ev,
                 vec![MembershipEvent::AdoptionStarted {
@@ -1134,7 +1125,7 @@ mod tests {
             );
         }
         // Budget spent: 8 is written off, the older hint 7 takes over.
-        let retarget = core.membership_tick(timeout, &mut t);
+        let retarget = core.membership_tick(&mut t);
         assert_eq!(
             retarget,
             vec![MembershipEvent::AdoptionStarted {
@@ -1180,9 +1171,8 @@ mod tests {
             Some(ProcessId(0)),
             &[],
             2,
-            MonitorConfig::default(),
+            suspecting(SimTime::from_millis(100)),
         );
-        let timeout = SimTime::from_millis(100);
         let mut t = RecTransport::default();
         core.on_message(
             DetectMsg::Heartbeat {
@@ -1195,7 +1185,7 @@ mod tests {
         );
         t.now = SimTime::from_millis(500);
         for _ in 0..ADOPT_ATTEMPT_CAP {
-            let ev = core.membership_tick(timeout, &mut t);
+            let ev = core.membership_tick(&mut t);
             assert_eq!(
                 ev,
                 vec![MembershipEvent::AdoptionStarted {
@@ -1206,7 +1196,7 @@ mod tests {
         // The only hinted ancestor never answered: orphaned, not stuck in
         // an eternal retry toward the dead address.
         for _ in 0..2 {
-            let ev = core.membership_tick(timeout, &mut t);
+            let ev = core.membership_tick(&mut t);
             assert_eq!(
                 ev,
                 vec![MembershipEvent::Orphaned {
@@ -1224,9 +1214,8 @@ mod tests {
             Some(ProcessId(0)),
             &[ProcessId(2)],
             3,
-            MonitorConfig::default(),
+            suspecting(SimTime::from_millis(100)),
         );
-        let timeout = SimTime::from_millis(100);
         let mut t = RecTransport::default();
         // Learn the grandparent from the parent's beacon, then let both
         // neighbours go silent past the timeout.
@@ -1241,7 +1230,7 @@ mod tests {
         );
         core.note_heartbeat(ProcessId(2), t.now);
         t.now = SimTime::from_millis(500);
-        let events = core.membership_tick(timeout, &mut t);
+        let events = core.membership_tick(&mut t);
         assert!(
             events.contains(&MembershipEvent::ChildDropped(ProcessId(2))),
             "dead child dropped (held) in the same tick"
@@ -1260,7 +1249,7 @@ mod tests {
             "queue held, not yet removed"
         );
         t.now = SimTime::from_millis(1100); // past the hold deadline
-        let later = core.membership_tick(timeout, &mut t);
+        let later = core.membership_tick(&mut t);
         assert!(
             !core.engine().has_child(ProcessId(2)),
             "hold expired: finalized"
@@ -1286,5 +1275,74 @@ mod tests {
                 .any(|(d, m, _)| *d == ProcessId(7) && matches!(m, DetectMsg::ReReport { .. })),
             "re-report announced to the adopter"
         );
+    }
+
+    #[test]
+    fn hold_opened_before_the_first_tick_runs_a_full_timeout() {
+        // A grandchild's `Suspect` (and the `Adopt` that carries the same
+        // fact) can reach a node before that node's own first membership
+        // tick. The hold it opens must run one whole suspicion timeout
+        // like any other — a zero-length hold is finalized by the very
+        // next tick, releasing solutions that never saw the orphans.
+        let timeout = SimTime::from_millis(100);
+        let dead_children = [ProcessId(2), ProcessId(3)];
+        let mut core = MonitorCore::new(
+            ProcessId(1),
+            Some(ProcessId(0)),
+            &dead_children,
+            3,
+            suspecting(timeout),
+        );
+        let mut t = RecTransport {
+            now: SimTime::from_millis(10),
+            ..Default::default()
+        };
+        core.on_message(
+            DetectMsg::Suspect {
+                from: ProcessId(5),
+                suspect: ProcessId(2),
+            },
+            &mut t,
+        );
+        core.on_message(
+            DetectMsg::Adopt {
+                child: ProcessId(6),
+                epoch: 1,
+                dead_parent: Some(ProcessId(3)),
+            },
+            &mut t,
+        );
+        assert_eq!(core.held_children(), dead_children);
+        // The first tick, half a timeout later: both holds are still open.
+        t.now = SimTime::from_millis(60);
+        core.membership_tick(&mut t);
+        assert_eq!(core.held_children(), dead_children, "held past the tick");
+        assert!(dead_children.iter().all(|&c| core.engine().has_child(c)));
+        // Past `opened + timeout` they expire like any hold (the adopted
+        // orphan, alive, keeps beaconing).
+        t.now = SimTime::from_millis(111);
+        core.note_heartbeat(ProcessId(6), t.now);
+        core.membership_tick(&mut t);
+        assert!(core.held_children().is_empty());
+        assert!(!dead_children.iter().any(|&c| core.engine().has_child(c)));
+    }
+
+    #[test]
+    fn membership_tick_without_a_suspect_timeout_does_nothing() {
+        let mut core = MonitorCore::new(
+            ProcessId(1),
+            Some(ProcessId(0)),
+            &[ProcessId(2)],
+            2,
+            MonitorConfig::default(),
+        );
+        let mut t = RecTransport::default();
+        core.note_heartbeat(ProcessId(0), t.now);
+        core.note_heartbeat(ProcessId(2), t.now);
+        t.now = SimTime::from_secs(3600);
+        assert!(core.membership_tick(&mut t).is_empty());
+        assert!(core.held_children().is_empty());
+        assert!(!core.membership().is_adopting());
+        assert!(t.sent.is_empty());
     }
 }

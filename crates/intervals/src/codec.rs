@@ -36,6 +36,15 @@
 //! before anything is reserved for it, so a hostile header cannot make a
 //! decoder allocate more than a small multiple of the frame it arrived in.
 //!
+//! Both directions speak the vocabulary of the wire around them: an
+//! encoder appends to any [`Sink`] — the `Vec<u8>` being sent, or a
+//! [`Len`] that only counts, which is how every `encoded_*_len` query is
+//! answered (the layout is written down once, in its encoder) — and a
+//! decoder pulls from a [`Reader`], a checked cursor over the `&[u8]` the
+//! frame arrived in, whose reads fail with a [`DecodeError`] instead of
+//! panicking. `net::wire` uses the same two for the fields around an
+//! interval, so a frame is never copied between buffer types.
+//!
 //! [`encoded_interval_len`] is not a size of anything this module emits:
 //! it is the paper's `O(n)` report size (§IV) — fixed-width, 4 bytes per
 //! clock component — which `Interval::wire_size`, the baselines and the
@@ -44,7 +53,6 @@
 //! interval comes from one module.
 
 use crate::interval::{Interval, IntervalKind, IntervalRef};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftscp_vclock::{ProcessId, VectorClock};
 use std::fmt;
 
@@ -82,28 +90,116 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 // ---------------------------------------------------------------------------
+// Reader and sink: the two ends of the byte path
+// ---------------------------------------------------------------------------
+
+/// Checked little-endian cursor over a received frame. Every read names
+/// the [`DecodeError`] it fails with when the bytes run out, and a failed
+/// read consumes nothing — truncation safety is a property of the reader,
+/// not of guards placed in front of it.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader(bytes)
+    }
+
+    /// Bytes not yet read — what a length prefix is bounded by before
+    /// anything is reserved for it.
+    pub fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The next `n` bytes, or `DecodeError(truncated)` if fewer remain.
+    pub fn bytes(&mut self, n: usize, truncated: &'static str) -> Result<&'a [u8], DecodeError> {
+        if self.0.len() < n {
+            return Err(DecodeError(truncated));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, truncated: &'static str) -> Result<[u8; N], DecodeError> {
+        let head = self.bytes(N, truncated)?;
+        Ok(head.try_into().expect("`bytes(N)` returns N bytes"))
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self, truncated: &'static str) -> Result<u8, DecodeError> {
+        self.array::<1>(truncated).map(|[b]| b)
+    }
+
+    /// The next two bytes as a little-endian `u16`.
+    pub fn u16_le(&mut self, truncated: &'static str) -> Result<u16, DecodeError> {
+        self.array(truncated).map(u16::from_le_bytes)
+    }
+
+    /// The next four bytes as a little-endian `u32`.
+    pub fn u32_le(&mut self, truncated: &'static str) -> Result<u32, DecodeError> {
+        self.array(truncated).map(u32::from_le_bytes)
+    }
+
+    /// The next eight bytes as a little-endian `u64`.
+    pub fn u64_le(&mut self, truncated: &'static str) -> Result<u64, DecodeError> {
+        self.array(truncated).map(u64::from_le_bytes)
+    }
+}
+
+/// Where an encoder puts its bytes: the `Vec<u8>` about to be sent, or a
+/// [`Len`] when only the size is wanted.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The counting sink: drops the bytes, keeps their number.
+#[derive(Debug)]
+pub struct Len(pub usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+impl Len {
+    /// The number of bytes `encode` emits.
+    fn of(encode: impl FnOnce(&mut Len)) -> usize {
+        let mut len = Len(0);
+        encode(&mut len);
+        len.0
+    }
+}
+
+// ---------------------------------------------------------------------------
 // varint / zigzag primitives
 // ---------------------------------------------------------------------------
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(out: &mut impl Sink, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            out.put(&[byte]);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        out.put(&[byte | 0x80]);
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
+fn get_varint(buf: &mut Reader<'_>) -> Result<u64, DecodeError> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(DecodeError("varint truncated"));
-        }
-        let byte = buf.get_u8();
+        let byte = buf.u8("varint truncated")?;
         let bits = u64::from(byte & 0x7f);
         if shift == 63 && bits > 1 {
             return Err(DecodeError("varint overflows u64"));
@@ -114,15 +210,6 @@ fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
         }
     }
     Err(DecodeError("varint too long"))
-}
-
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -162,7 +249,7 @@ fn delta_components<'a>(
 /// clock when `None`). A component is at least one byte, so a `len` the
 /// remaining bytes cannot hold is rejected before anything is reserved.
 fn get_components(
-    buf: &mut Bytes,
+    buf: &mut Reader<'_>,
     len: usize,
     base: Option<&VectorClock>,
 ) -> Result<VectorClock, DecodeError> {
@@ -184,7 +271,7 @@ fn get_components(
 /// Encodes a clock as a delta frame. With `base = None` the frame is
 /// standalone (deltas against the zero clock); with `base = Some(b)` the
 /// decoder must supply the same `b`.
-pub fn encode_clock_delta(clock: &VectorClock, base: Option<&VectorClock>, buf: &mut BytesMut) {
+pub fn encode_clock_delta(clock: &VectorClock, base: Option<&VectorClock>, out: &mut impl Sink) {
     debug_assert!(
         clock.len() <= MAX_PROCESSES,
         "clock wider than MAX_PROCESSES"
@@ -192,10 +279,10 @@ pub fn encode_clock_delta(clock: &VectorClock, base: Option<&VectorClock>, buf: 
     if let Some(b) = base {
         debug_assert_eq!(b.len(), clock.len(), "delta base width mismatch");
     }
-    buf.put_u32_le((u32::from(CLOCK_DELTA_TAG) << 24) | clock.len() as u32);
-    buf.put_u8(u8::from(base.is_some()));
+    out.put(&((u32::from(CLOCK_DELTA_TAG) << 24) | clock.len() as u32).to_le_bytes());
+    out.put(&[u8::from(base.is_some())]);
     for d in delta_components(clock, base) {
-        put_varint(buf, d);
+        put_varint(out, d);
     }
 }
 
@@ -203,13 +290,10 @@ pub fn encode_clock_delta(clock: &VectorClock, base: Option<&VectorClock>, buf: 
 /// a stateful frame (`base_flag = 1`) without a base is an error, and a
 /// standalone frame ignores any base passed.
 pub fn decode_clock_delta(
-    buf: &mut Bytes,
+    buf: &mut Reader<'_>,
     base: Option<&VectorClock>,
 ) -> Result<VectorClock, DecodeError> {
-    if buf.remaining() < 5 {
-        return Err(DecodeError("delta clock header truncated"));
-    }
-    let header = buf.get_u32_le();
+    let header = buf.u32_le("delta clock header truncated")?;
     if (header >> 24) as u8 != CLOCK_DELTA_TAG {
         return Err(DecodeError("not a delta clock frame"));
     }
@@ -217,7 +301,7 @@ pub fn decode_clock_delta(
     if len > MAX_PROCESSES {
         return Err(DecodeError("clock length exceeds MAX_PROCESSES"));
     }
-    let base = match buf.get_u8() {
+    let base = match buf.u8("delta clock header truncated")? {
         0 => None,
         1 => Some(base.ok_or(DecodeError("stateful delta frame but no base supplied"))?),
         _ => return Err(DecodeError("unknown delta base flag")),
@@ -230,7 +314,7 @@ pub fn decode_clock_delta(
 
 /// Encoded size of a clock delta frame.
 pub fn encoded_clock_delta_len(clock: &VectorClock, base: Option<&VectorClock>) -> usize {
-    5 + delta_components(clock, base).map(varint_len).sum::<usize>()
+    Len::of(|len| encode_clock_delta(clock, base, len))
 }
 
 /// Encodes an interval as a delta frame. `base` (if any) is the base for
@@ -240,48 +324,42 @@ pub fn encoded_clock_delta_len(clock: &VectorClock, base: Option<&VectorClock>) 
 ///
 /// Panics if `source` does not fit in 24 bits (callers stay below
 /// [`MAX_PROCESSES`]) or if `lo` and `hi` have different widths.
-pub fn encode_interval_delta(iv: &Interval, base: Option<&VectorClock>, buf: &mut BytesMut) {
+pub fn encode_interval_delta(iv: &Interval, base: Option<&VectorClock>, out: &mut impl Sink) {
     assert!(iv.source.0 < 1 << 24, "source id exceeds 24 bits");
     assert_eq!(iv.lo.len(), iv.hi.len(), "interval bound width mismatch");
-    buf.put_u32_le((u32::from(INTERVAL_DELTA_TAG) << 24) | iv.source.0);
-    put_varint(buf, iv.seq);
+    out.put(&((u32::from(INTERVAL_DELTA_TAG) << 24) | iv.source.0).to_le_bytes());
+    put_varint(out, iv.seq);
     match iv.kind {
-        IntervalKind::Local => buf.put_u8(0),
+        IntervalKind::Local => out.put(&[0]),
         IntervalKind::Aggregated { level } => {
-            buf.put_u8(1);
-            put_varint(buf, u64::from(level));
+            out.put(&[1]);
+            put_varint(out, u64::from(level));
         }
     }
-    encode_clock_delta(&iv.lo, base, buf);
+    encode_clock_delta(&iv.lo, base, out);
     for d in delta_components(&iv.hi, Some(&iv.lo)) {
-        put_varint(buf, d);
+        put_varint(out, d);
     }
-    put_varint(buf, iv.coverage.len() as u64);
+    put_varint(out, iv.coverage.len() as u64);
     for r in &iv.coverage {
-        put_varint(buf, u64::from(r.process.0));
-        put_varint(buf, r.seq);
+        put_varint(out, u64::from(r.process.0));
+        put_varint(out, r.seq);
     }
 }
 
 /// Decodes a delta interval frame (see [`encode_interval_delta`] for the
 /// base contract).
 pub fn decode_interval_delta(
-    buf: &mut Bytes,
+    buf: &mut Reader<'_>,
     base: Option<&VectorClock>,
 ) -> Result<Interval, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError("interval header truncated"));
-    }
-    let header = buf.get_u32_le();
+    let header = buf.u32_le("interval header truncated")?;
     if (header >> 24) as u8 != INTERVAL_DELTA_TAG {
         return Err(DecodeError("not a delta interval frame"));
     }
     let source = ProcessId(header & 0x00ff_ffff);
     let seq = get_varint(buf)?;
-    if !buf.has_remaining() {
-        return Err(DecodeError("interval kind truncated"));
-    }
-    let kind = match buf.get_u8() {
+    let kind = match buf.u8("interval kind truncated")? {
         0 => IntervalKind::Local,
         1 => {
             let level = get_varint(buf)?;
@@ -325,21 +403,7 @@ pub fn decode_interval_delta(
 
 /// Exact encoded size of an interval in the delta codec for a given base.
 pub fn encoded_interval_delta_len(iv: &Interval, base: Option<&VectorClock>) -> usize {
-    let kind = match iv.kind {
-        IntervalKind::Local => 1,
-        IntervalKind::Aggregated { level } => 1 + varint_len(u64::from(level)),
-    };
-    4 + varint_len(iv.seq)
-        + kind
-        + encoded_clock_delta_len(&iv.lo, base)
-        + delta_components(&iv.hi, Some(&iv.lo))
-            .map(varint_len)
-            .sum::<usize>()
-        + varint_len(iv.coverage.len() as u64)
-        + iv.coverage
-            .iter()
-            .map(|r| varint_len(u64::from(r.process.0)) + varint_len(r.seq))
-            .sum::<usize>()
+    Len::of(|len| encode_interval_delta(iv, base, len))
 }
 
 // ---------------------------------------------------------------------------
@@ -374,17 +438,21 @@ pub type TenantGroup = (Vec<u32>, Interval);
 /// Panics if there are ≥ 2^24 groups (the count shares the leading `u32`
 /// with the version byte), if a group has no tenants, or if any interval
 /// violates [`encode_interval_delta`]'s constraints.
-pub fn encode_tenant_batch(groups: &[TenantGroup], base: Option<&VectorClock>, buf: &mut BytesMut) {
+pub fn encode_tenant_batch(
+    groups: &[TenantGroup],
+    base: Option<&VectorClock>,
+    out: &mut impl Sink,
+) {
     assert!(groups.len() < 1 << 24, "batch group count exceeds 24 bits");
-    buf.put_u32_le((u32::from(TENANT_BATCH_TAG) << 24) | groups.len() as u32);
+    out.put(&((u32::from(TENANT_BATCH_TAG) << 24) | groups.len() as u32).to_le_bytes());
     let mut chain_base = base;
     for (preds, iv) in groups {
         assert!(!preds.is_empty(), "a batch group must address a tenant");
-        put_varint(buf, preds.len() as u64);
+        put_varint(out, preds.len() as u64);
         for &pred in preds {
-            put_varint(buf, u64::from(pred));
+            put_varint(out, u64::from(pred));
         }
-        encode_interval_delta(iv, chain_base, buf);
+        encode_interval_delta(iv, chain_base, out);
         chain_base = Some(&iv.lo);
     }
 }
@@ -398,13 +466,10 @@ const MIN_GROUP_LEN: usize = 2 + 12;
 /// for the layout and base contract — `base` feeds the first group only;
 /// the rest chain internally).
 pub fn decode_tenant_batch(
-    buf: &mut Bytes,
+    buf: &mut Reader<'_>,
     base: Option<&VectorClock>,
 ) -> Result<Vec<TenantGroup>, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError("batch header truncated"));
-    }
-    let header = buf.get_u32_le();
+    let header = buf.u32_le("batch header truncated")?;
     if (header >> 24) as u8 != TENANT_BATCH_TAG {
         return Err(DecodeError("not a tenant batch frame"));
     }
@@ -439,26 +504,15 @@ pub fn decode_tenant_batch(
 
 /// Exact encoded size of a tenant batch for a given first-group base.
 pub fn encoded_tenant_batch_len(groups: &[TenantGroup], base: Option<&VectorClock>) -> usize {
-    let mut total = 4;
-    let mut chain_base = base;
-    for (preds, iv) in groups {
-        total += varint_len(preds.len() as u64)
-            + preds
-                .iter()
-                .map(|&p| varint_len(u64::from(p)))
-                .sum::<usize>()
-            + encoded_interval_delta_len(iv, chain_base);
-        chain_base = Some(&iv.lo);
-    }
-    total
+    Len::of(|len| encode_tenant_batch(groups, base, len))
 }
 
 /// Convenience: encode an interval into a fresh buffer as a standalone
 /// delta frame (zero base — decodable with no connection state).
-pub fn interval_to_bytes_delta(iv: &Interval) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_interval_delta_len(iv, None));
-    encode_interval_delta(iv, None, &mut buf);
-    buf.freeze()
+pub fn interval_to_bytes_delta(iv: &Interval) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_interval_delta(iv, None, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -519,7 +573,7 @@ mod tests {
             assert_eq!(raw[3], 0x00, "dense frames carry version byte 0x00");
             assert_eq!(raw.len(), encoded_interval_len(&iv));
             assert_eq!(
-                decode_interval_delta(&mut Bytes::from(raw), None),
+                decode_interval_delta(&mut Reader::new(&raw), None),
                 Err(DecodeError("not a delta interval frame"))
             );
         }
@@ -527,10 +581,10 @@ mod tests {
 
     #[test]
     fn bad_kind_tag_rejected() {
-        let mut raw = interval_to_bytes_delta(&sample_local()).to_vec();
+        let mut raw = interval_to_bytes_delta(&sample_local());
         raw[5] = 9; // kind tag offset: 4 (header) + 1 (varint seq = 7)
         assert_eq!(
-            decode_interval_delta(&mut Bytes::from(raw), None),
+            decode_interval_delta(&mut Reader::new(&raw), None),
             Err(DecodeError("unknown interval kind tag"))
         );
     }
@@ -541,28 +595,26 @@ mod tests {
         // first's `lo` — each decode consumes exactly its own frame.
         let a = sample_local();
         let b = sample_aggregated();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_interval_delta(&a, None, &mut buf);
         encode_interval_delta(&b, Some(&a.lo), &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(decode_interval_delta(&mut bytes, None).unwrap(), a);
         assert_eq!(decode_interval_delta(&mut bytes, Some(&a.lo)).unwrap(), b);
-        assert!(!bytes.has_remaining());
+        assert_eq!(bytes.remaining(), 0);
     }
 
     // --- hostile length prefixes -------------------------------------------
 
     #[test]
     fn hostile_coverage_length_rejected() {
-        let mut raw = interval_to_bytes_delta(&sample_local()).to_vec();
+        let mut raw = interval_to_bytes_delta(&sample_local());
         // The frame ends with varint coverage_len = 1 and the two-byte
         // self-coverage entry; claim MAX_COVERAGE + 1 entries instead.
         raw.truncate(raw.len() - 3);
-        let mut claim = BytesMut::new();
-        put_varint(&mut claim, MAX_COVERAGE as u64 + 1);
-        raw.extend_from_slice(claim.freeze().as_slice());
+        put_varint(&mut raw, MAX_COVERAGE as u64 + 1);
         assert_eq!(
-            decode_interval_delta(&mut Bytes::from(raw), None),
+            decode_interval_delta(&mut Reader::new(&raw), None),
             Err(DecodeError("coverage length exceeds MAX_COVERAGE"))
         );
     }
@@ -573,9 +625,8 @@ mod tests {
         let header = (u32::from(CLOCK_DELTA_TAG) << 24) | 0x00ff_ffff;
         raw.extend_from_slice(&header.to_le_bytes());
         raw.push(0); // base flag
-        let mut buf = Bytes::from(raw);
         assert_eq!(
-            decode_clock_delta(&mut buf, None),
+            decode_clock_delta(&mut Reader::new(&raw), None),
             Err(DecodeError("clock length exceeds MAX_PROCESSES"))
         );
     }
@@ -588,9 +639,82 @@ mod tests {
         let mut raw = header.to_le_bytes().to_vec();
         raw.push(0); // base flag
         assert_eq!(
-            decode_clock_delta(&mut Bytes::from(raw), None),
+            decode_clock_delta(&mut Reader::new(&raw), None),
             Err(DecodeError("clock components truncated"))
         );
+    }
+
+    // --- reader and sink ---------------------------------------------------
+
+    #[test]
+    fn reader_reads_little_endian_and_consumes_exactly() {
+        let raw = [0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a];
+        let mut r = Reader::new(&raw);
+        assert_eq!(r.u8("cut"), Ok(0x01));
+        assert_eq!(r.u16_le("cut"), Ok(0x0302));
+        assert_eq!(r.u32_le("cut"), Ok(0x0706_0504));
+        assert_eq!(r.bytes(2, "cut"), Ok(&raw[7..9]));
+        assert_eq!(r.remaining(), 1);
+        let mut r = Reader::new(&raw);
+        assert_eq!(r.u64_le("cut"), Ok(0x0807_0605_0403_0201));
+        assert_eq!(r.remaining(), 2);
+        assert_eq!(
+            r.bytes(0, "cut"),
+            Ok(&raw[..0]),
+            "an empty read never fails"
+        );
+    }
+
+    #[test]
+    fn short_read_names_the_callers_error_and_consumes_nothing() {
+        // Three bytes cannot hold a u32 (nor a u64, nor five raw bytes):
+        // each read fails with *its caller's* message, and leaves all
+        // three bytes for the next read — a failed wide read followed by a
+        // narrower one must see the frame from where it stood, not from
+        // somewhere inside the field that did not fit.
+        let raw = [0xaa, 0xbb, 0xcc];
+        let mut r = Reader::new(&raw);
+        assert_eq!(
+            r.u32_le("header truncated"),
+            Err(DecodeError("header truncated"))
+        );
+        assert_eq!(
+            r.u64_le("epoch truncated"),
+            Err(DecodeError("epoch truncated"))
+        );
+        assert_eq!(
+            r.bytes(5, "addr truncated"),
+            Err(DecodeError("addr truncated"))
+        );
+        assert_eq!(r.remaining(), 3);
+        assert_eq!(r.u16_le("cut"), Ok(0xbbaa));
+        assert_eq!(
+            r.u16_le("flag truncated"),
+            Err(DecodeError("flag truncated"))
+        );
+        assert_eq!(r.u8("cut"), Ok(0xcc));
+        assert_eq!(r.u8("tag truncated"), Err(DecodeError("tag truncated")));
+        assert_eq!(r.remaining(), 0);
+        // A copy is an independent position: peeking ahead on it leaves
+        // the original where it was.
+        let mut r = Reader::new(&raw);
+        let mut ahead = r;
+        assert_eq!(ahead.u16_le("cut"), Ok(0xbbaa));
+        assert_eq!(r.u8("cut"), Ok(0xaa));
+    }
+
+    #[test]
+    fn counting_sink_agrees_with_the_vec_it_stands_in_for() {
+        // The size queries *are* the encoders run into `Len` (the round
+        // trips below hold each against its `Vec`); this pins the sink
+        // itself: same calls, same number of bytes.
+        let mut vec = Vec::new();
+        let mut len = Len(0);
+        for chunk in [&[][..], &[1], &[2, 3, 4], &[0; 300]] {
+            vec.put(chunk);
+            len.put(chunk);
+            assert_eq!(len.0, vec.len());
+        }
     }
 
     // --- varint primitives -------------------------------------------------
@@ -607,12 +731,12 @@ mod tests {
             u64::from(u32::MAX),
             u64::MAX,
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v));
-            let mut bytes = buf.freeze();
+            assert_eq!(Len::of(|len| put_varint(len, v)), buf.len());
+            let mut bytes = Reader::new(&buf);
             assert_eq!(get_varint(&mut bytes).unwrap(), v);
-            assert!(!bytes.has_remaining());
+            assert_eq!(bytes.remaining(), 0);
         }
     }
 
@@ -629,21 +753,24 @@ mod tests {
         ] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-        // small magnitudes stay small
-        assert!(varint_len(zigzag(-1)) == 1);
-        assert!(varint_len(zigzag(1)) == 1);
+        // small magnitudes stay small — counted and written alike
+        for v in [-1, 1] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, zigzag(v));
+            assert_eq!(buf.len(), 1);
+            assert_eq!(Len::of(|len| put_varint(len, zigzag(v))), 1);
+        }
     }
 
     #[test]
     fn varint_truncation_and_overflow_rejected() {
-        let mut truncated = Bytes::from(vec![0x80, 0x80]);
+        let mut truncated = Reader::new(&[0x80, 0x80]);
         assert_eq!(
             get_varint(&mut truncated),
             Err(DecodeError("varint truncated"))
         );
-        let mut too_big = Bytes::from(vec![
-            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
-        ]);
+        let mut too_big =
+            Reader::new(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
         assert_eq!(
             get_varint(&mut too_big),
             Err(DecodeError("varint overflows u64"))
@@ -655,23 +782,23 @@ mod tests {
     #[test]
     fn delta_clock_standalone_round_trip() {
         let c = VectorClock::from_components(vec![0, u32::MAX, 17, 3]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_clock_delta(&c, None, &mut buf);
         assert_eq!(buf.len(), encoded_clock_delta_len(&c, None));
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(decode_clock_delta(&mut bytes, None).unwrap(), c);
-        assert!(!bytes.has_remaining());
+        assert_eq!(bytes.remaining(), 0);
     }
 
     #[test]
     fn delta_clock_stateful_round_trip() {
         let base = VectorClock::from_components(vec![100, 200, 300]);
         let c = VectorClock::from_components(vec![101, 199, 300]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_clock_delta(&c, Some(&base), &mut buf);
         let stateful_len = buf.len();
         assert_eq!(stateful_len, encoded_clock_delta_len(&c, Some(&base)));
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(decode_clock_delta(&mut bytes, Some(&base)).unwrap(), c);
 
         // near-identical clocks encode to ~1 byte per component
@@ -684,9 +811,9 @@ mod tests {
     fn stateful_frame_without_base_errors() {
         let base = VectorClock::from_components(vec![5, 5]);
         let c = VectorClock::from_components(vec![6, 5]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_clock_delta(&c, Some(&base), &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(
             decode_clock_delta(&mut bytes, None),
             Err(DecodeError("stateful delta frame but no base supplied"))
@@ -697,9 +824,9 @@ mod tests {
     fn wrong_base_width_errors() {
         let base = VectorClock::from_components(vec![5, 5]);
         let c = VectorClock::from_components(vec![6, 5]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_clock_delta(&c, Some(&base), &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         let narrow = VectorClock::from_components(vec![5]);
         assert_eq!(
             decode_clock_delta(&mut bytes, Some(&narrow)),
@@ -717,19 +844,19 @@ mod tests {
         raw.extend_from_slice(&header.to_le_bytes());
         raw.push(0); // standalone, base = 0
         raw.push(0x01); // zigzag(-1)
-        let mut buf = Bytes::from(raw);
         assert_eq!(
-            decode_clock_delta(&mut buf, None),
+            decode_clock_delta(&mut Reader::new(&raw), None),
             Err(DecodeError("delta component out of range"))
         );
         // ... or, on top of a non-zero base, past the end of `i64`.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le((u32::from(CLOCK_DELTA_TAG) << 24) | 1);
-        buf.put_u8(1);
+        let mut buf = ((u32::from(CLOCK_DELTA_TAG) << 24) | 1)
+            .to_le_bytes()
+            .to_vec();
+        buf.push(1);
         put_varint(&mut buf, zigzag(i64::MAX));
         let base = VectorClock::from_components(vec![5]);
         assert_eq!(
-            decode_clock_delta(&mut buf.freeze(), Some(&base)),
+            decode_clock_delta(&mut Reader::new(&buf), Some(&base)),
             Err(DecodeError("delta component out of range"))
         );
     }
@@ -741,9 +868,9 @@ mod tests {
         for iv in [sample_local(), sample_aggregated()] {
             let bytes = interval_to_bytes_delta(&iv);
             assert_eq!(bytes.len(), encoded_interval_delta_len(&iv, None));
-            let mut buf = bytes.clone();
+            let mut buf = Reader::new(&bytes);
             assert_eq!(decode_interval_delta(&mut buf, None).unwrap(), iv);
-            assert!(!buf.has_remaining());
+            assert_eq!(buf.remaining(), 0);
         }
     }
 
@@ -751,10 +878,10 @@ mod tests {
     fn delta_interval_stateful_round_trip() {
         let iv = sample_local();
         let base = VectorClock::from_components(vec![1, 2, 3, 3]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_interval_delta(&iv, Some(&base), &mut buf);
         assert_eq!(buf.len(), encoded_interval_delta_len(&iv, Some(&base)));
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(decode_interval_delta(&mut bytes, Some(&base)).unwrap(), iv);
     }
 
@@ -814,22 +941,22 @@ mod tests {
     #[test]
     fn tenant_batch_standalone_round_trip() {
         let entries = sample_batch();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tenant_batch(&entries, None, &mut buf);
         assert_eq!(buf.len(), encoded_tenant_batch_len(&entries, None));
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(decode_tenant_batch(&mut bytes, None).unwrap(), entries);
-        assert!(!bytes.has_remaining());
+        assert_eq!(bytes.remaining(), 0);
     }
 
     #[test]
     fn tenant_batch_stateful_round_trip() {
         let entries = sample_batch();
         let base = VectorClock::from_components(vec![1, 2, 3, 3]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tenant_batch(&entries, Some(&base), &mut buf);
         assert_eq!(buf.len(), encoded_tenant_batch_len(&entries, Some(&base)));
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(
             decode_tenant_batch(&mut bytes, Some(&base)).unwrap(),
             entries
@@ -860,10 +987,10 @@ mod tests {
 
     #[test]
     fn tenant_batch_empty_round_trip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tenant_batch(&[], None, &mut buf);
         assert_eq!(buf.len(), 4);
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(decode_tenant_batch(&mut bytes, None).unwrap(), vec![]);
     }
 
@@ -871,9 +998,9 @@ mod tests {
     fn tenant_batch_stateful_without_base_errors() {
         let entries = sample_batch();
         let base = VectorClock::from_components(vec![1, 1, 1, 1]);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_tenant_batch(&entries, Some(&base), &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(
             decode_tenant_batch(&mut bytes, None),
             Err(DecodeError("stateful delta frame but no base supplied"))
@@ -883,12 +1010,10 @@ mod tests {
     #[test]
     fn tenant_batch_truncations_error_cleanly() {
         let entries = sample_batch();
-        let mut buf = BytesMut::new();
-        encode_tenant_batch(&entries, None, &mut buf);
-        let bytes = buf.freeze();
+        let mut bytes = Vec::new();
+        encode_tenant_batch(&entries, None, &mut bytes);
         for cut in 0..bytes.len() {
-            let mut truncated = bytes.clone();
-            truncated.truncate(cut);
+            let mut truncated = Reader::new(&bytes[..cut]);
             assert!(
                 decode_tenant_batch(&mut truncated, None).is_err(),
                 "cut at {cut} must fail"
@@ -899,7 +1024,8 @@ mod tests {
     #[test]
     fn hostile_batch_count_rejected_before_allocation() {
         let header = (u32::from(TENANT_BATCH_TAG) << 24) | 0x00ff_ffff;
-        let mut buf = Bytes::from(header.to_le_bytes().to_vec());
+        let raw = header.to_le_bytes();
+        let mut buf = Reader::new(&raw);
         assert_eq!(
             decode_tenant_batch(&mut buf, None),
             Err(DecodeError("batch groups truncated"))
@@ -915,7 +1041,7 @@ mod tests {
         let mut raw = vec![0u8; 1 << 20];
         raw[..4].copy_from_slice(&header.to_le_bytes());
         assert_eq!(
-            decode_tenant_batch(&mut Bytes::from(raw), None),
+            decode_tenant_batch(&mut Reader::new(&raw), None),
             Err(DecodeError("batch groups truncated"))
         );
     }
@@ -926,7 +1052,7 @@ mod tests {
         let header = (u32::from(TENANT_BATCH_TAG) << 24) | 1;
         let mut raw = header.to_le_bytes().to_vec();
         raw.extend_from_slice(&[0x00; MIN_GROUP_LEN]); // k = 0, then padding
-        let mut buf = Bytes::from(raw);
+        let mut buf = Reader::new(&raw);
         assert_eq!(
             decode_tenant_batch(&mut buf, None),
             Err(DecodeError("empty tenant group"))
@@ -938,9 +1064,7 @@ mod tests {
         let iv = sample_aggregated();
         let bytes = interval_to_bytes_delta(&iv);
         for cut in 0..bytes.len() {
-            let mut truncated = bytes.clone();
-            truncated.truncate(cut);
-            let mut buf = truncated;
+            let mut buf = Reader::new(&bytes[..cut]);
             assert!(
                 decode_interval_delta(&mut buf, None).is_err(),
                 "cut at {cut} must fail"

@@ -1,8 +1,7 @@
 //! Property tests: the binary codec round-trips every well-formed value
 //! and reports exact sizes.
 
-use bytes::{Buf, Bytes};
-use ftscp_intervals::codec;
+use ftscp_intervals::codec::{self, Reader};
 use ftscp_intervals::{aggregate, Interval};
 use ftscp_vclock::{ProcessId, VectorClock};
 use proptest::prelude::*;
@@ -50,19 +49,20 @@ proptest! {
     #[test]
     fn clock_round_trip(c in clock_strategy(6), base in clock_strategy(6), stateful in proptest::bool::ANY) {
         let base = stateful.then_some(&base);
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         codec::encode_clock_delta(&c, base, &mut buf);
         prop_assert_eq!(buf.len(), codec::encoded_clock_delta_len(&c, base));
-        let mut b = buf.freeze();
+        let mut b = Reader::new(&buf);
         prop_assert_eq!(codec::decode_clock_delta(&mut b, base).unwrap(), c);
     }
 
     #[test]
     fn local_interval_round_trip(iv in interval_strategy()) {
-        let mut bytes = codec::interval_to_bytes_delta(&iv);
+        let bytes = codec::interval_to_bytes_delta(&iv);
         prop_assert_eq!(bytes.len(), codec::encoded_interval_delta_len(&iv, None));
-        prop_assert_eq!(codec::decode_interval_delta(&mut bytes, None).unwrap(), iv);
-        prop_assert_eq!(bytes.remaining(), 0, "decode must consume the frame exactly");
+        let mut b = Reader::new(&bytes);
+        prop_assert_eq!(codec::decode_interval_delta(&mut b, None).unwrap(), iv);
+        prop_assert_eq!(b.remaining(), 0, "decode must consume the frame exactly");
     }
 
     /// Aggregations (with multi-entry coverage and level tags) round-trip.
@@ -81,10 +81,10 @@ proptest! {
         );
         let base = a.lo.clone();
         let agg = aggregate(&[a, b], ProcessId(99), seq, level);
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         codec::encode_interval_delta(&agg, Some(&base), &mut buf);
         prop_assert_eq!(buf.len(), codec::encoded_interval_delta_len(&agg, Some(&base)));
-        prop_assert_eq!(codec::decode_interval_delta(&mut buf.freeze(), Some(&base)).unwrap(), agg);
+        prop_assert_eq!(codec::decode_interval_delta(&mut Reader::new(&buf), Some(&base)).unwrap(), agg);
     }
 
     /// Any truncation of a valid encoding fails cleanly (no panic).
@@ -93,8 +93,7 @@ proptest! {
         let bytes = codec::interval_to_bytes_delta(&iv);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
-            let mut t = bytes.clone();
-            t.truncate(cut);
+            let mut t = Reader::new(&bytes[..cut]);
             prop_assert!(codec::decode_interval_delta(&mut t, None).is_err());
         }
     }
@@ -113,11 +112,13 @@ proptest! {
             if tagged && d.len() >= 4 {
                 d[3] = tag;
             }
-            Bytes::from(d)
+            d
         };
         for base in [None, Some(&base)] {
-            let _ = codec::decode_interval_delta(&mut with_tag(codec::INTERVAL_DELTA_TAG), base);
-            let _ = codec::decode_tenant_batch(&mut with_tag(codec::TENANT_BATCH_TAG), base);
+            let d = with_tag(codec::INTERVAL_DELTA_TAG);
+            let _ = codec::decode_interval_delta(&mut Reader::new(&d), base);
+            let d = with_tag(codec::TENANT_BATCH_TAG);
+            let _ = codec::decode_tenant_batch(&mut Reader::new(&d), base);
         }
     }
 
@@ -133,14 +134,13 @@ proptest! {
         // A width-matched connection base, when requested; standalone
         // otherwise (what a resync or cold connection sends).
         let base = if with_base { Some(groups[0].1.lo.clone()) } else { None };
-        let mut buf = bytes::BytesMut::new();
-        codec::encode_tenant_batch(&groups, base.as_ref(), &mut buf);
-        let bytes = buf.freeze();
+        let mut bytes = Vec::new();
+        codec::encode_tenant_batch(&groups, base.as_ref(), &mut bytes);
         prop_assert_eq!(
             bytes.len(),
             codec::encoded_tenant_batch_len(&groups, base.as_ref())
         );
-        let mut b = bytes.clone();
+        let mut b = Reader::new(&bytes);
         prop_assert_eq!(codec::decode_tenant_batch(&mut b, base.as_ref()).unwrap(), groups);
         prop_assert_eq!(b.remaining(), 0, "decode must consume the frame exactly");
     }
@@ -152,13 +152,11 @@ proptest! {
         groups in tenant_groups_strategy(),
         cut_frac in 0.0f64..1.0,
     ) {
-        let mut buf = bytes::BytesMut::new();
-        codec::encode_tenant_batch(&groups, None, &mut buf);
-        let bytes = buf.freeze();
+        let mut bytes = Vec::new();
+        codec::encode_tenant_batch(&groups, None, &mut bytes);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
-            let mut t = bytes.clone();
-            t.truncate(cut);
+            let mut t = Reader::new(&bytes[..cut]);
             prop_assert!(codec::decode_tenant_batch(&mut t, None).is_err());
         }
     }

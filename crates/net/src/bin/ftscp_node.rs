@@ -152,11 +152,10 @@ fn main() {
         .map(|v| parse("--heartbeat-ms", v))
         .unwrap_or(50);
     config.monitor.heartbeat_period = (hb_ms > 0).then(|| SimTime::from_millis(hb_ms));
-    config.heartbeat_timeout = SimTime::from_millis(
-        args.take("--heartbeat-timeout-ms")
-            .map(|v| parse("--heartbeat-timeout-ms", v))
-            .unwrap_or(500),
-    );
+    if let Some(v) = args.take("--heartbeat-timeout-ms") {
+        config.monitor.suspect_timeout =
+            Some(SimTime::from_millis(parse("--heartbeat-timeout-ms", v)));
+    }
     let rt_ms: u64 = args
         .take("--retransmit-ms")
         .map(|v| parse("--retransmit-ms", v))

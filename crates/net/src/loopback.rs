@@ -48,9 +48,6 @@ pub struct LoopbackConfig {
     /// Monitor protocol configuration applied to every node. `SimTime`
     /// periods are wall-clock microseconds here.
     pub monitor: MonitorConfig,
-    /// Heartbeat suspicion timeout (wall-clock): peers silent longer
-    /// than this are declared dead and repaired around.
-    pub heartbeat_timeout: SimTime,
     /// Delay between consecutive events on each feed — zero blasts the
     /// stream; a small pacing stretches the run so mid-run fault
     /// injection lands on live traffic.
@@ -62,17 +59,17 @@ pub struct LoopbackConfig {
 impl Default for LoopbackConfig {
     fn default() -> Self {
         LoopbackConfig {
-            // Heartbeats on (50 ms wall), reliability layer on with a
-            // generous period: TCP rarely needs retransmits, but a
+            // Heartbeats on (50 ms wall), peers silent for 500 ms are
+            // declared dead and repaired around, reliability layer on
+            // with a generous period: TCP rarely needs retransmits, but a
             // severed-and-reconnected uplink recovers through them.
             monitor: MonitorConfig {
                 heartbeat_period: Some(SimTime::from_millis(50)),
                 retransmit_period: Some(SimTime::from_millis(25)),
                 retransmit_burst: 64,
                 retransmit_backoff_cap: 8,
-                ..Default::default()
+                suspect_timeout: Some(SimTime::from_millis(500)),
             },
-            heartbeat_timeout: SimTime::from_millis(500),
             event_pacing: Duration::ZERO,
             run_timeout: Duration::from_secs(30),
         }
@@ -162,7 +159,6 @@ impl Deployment {
             cfg.level = tree.level(node) as u32;
             cfg.expected_feeds = 1; // every process feeds its own intervals
             cfg.monitor = config.monitor;
-            cfg.heartbeat_timeout = config.heartbeat_timeout;
             handles.push(Some(spawn(listener, cfg)?));
         }
         Ok(Deployment {
@@ -204,12 +200,12 @@ impl Deployment {
         }
     }
 
-    /// Fault injection: severs `p`'s uplink mid-run (see
-    /// [`NodeHandle::drop_uplink`]).
-    pub fn drop_uplink(&self, p: ProcessId) {
-        if let Some(h) = &self.handles[p.index()] {
-            h.drop_uplink();
-        }
+    /// Fault injection: severs `p`'s uplink mid-run. Returns whether a
+    /// live uplink socket was shut down (see [`NodeHandle::drop_uplink`]).
+    pub fn drop_uplink(&self, p: ProcessId) -> bool {
+        self.handles[p.index()]
+            .as_ref()
+            .is_some_and(NodeHandle::drop_uplink)
     }
 
     /// Crash-stop failure: kills `p`'s entire thread bundle (listener,
@@ -245,7 +241,6 @@ impl Deployment {
         cfg.level = 1;
         cfg.expected_feeds = 1; // same contract as launch: it feeds itself
         cfg.monitor = config.monitor;
-        cfg.heartbeat_timeout = config.heartbeat_timeout;
         cfg.rejoin = true;
         self.handles[p.index()] = Some(spawn(listener, cfg)?);
         Ok(())

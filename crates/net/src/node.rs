@@ -104,11 +104,10 @@ pub struct NodeConfig {
     /// Event clients expected on the ingestion endpoint (their `Fin`s
     /// gate this node's own). A pure relay node uses 0.
     pub expected_feeds: usize,
-    /// Monitor protocol knobs (heartbeat period, reliability layer).
-    /// `SimTime` values are interpreted as wall-clock microseconds.
+    /// Monitor protocol knobs (heartbeat period, suspicion timeout,
+    /// reliability layer). `SimTime` values are interpreted as wall-clock
+    /// microseconds.
     pub monitor: MonitorConfig,
-    /// Peers silent for longer than this are reported as suspects.
-    pub heartbeat_timeout: SimTime,
     /// Fresh incarnation of a crashed node: instead of assuming the
     /// parent still knows it, the node joins through the adoption
     /// handshake (`Adopt` with a fresh epoch on first connect).
@@ -116,7 +115,10 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// A leaf/internal/root config with defaults for the timing knobs.
+    /// A leaf/internal/root config with defaults for the timing knobs:
+    /// the monitor's own, plus the failure detector on — a TCP node has
+    /// no harness to repair the tree for it — suspecting peers silent for
+    /// 500 ms.
     pub fn new(me: ProcessId, parent: Option<(ProcessId, SocketAddr)>) -> Self {
         NodeConfig {
             me,
@@ -124,8 +126,10 @@ impl NodeConfig {
             children: Vec::new(),
             level: 1,
             expected_feeds: 0,
-            monitor: MonitorConfig::default(),
-            heartbeat_timeout: SimTime::from_millis(500),
+            monitor: MonitorConfig {
+                suspect_timeout: Some(SimTime::from_millis(500)),
+                ..MonitorConfig::default()
+            },
             rejoin: false,
         }
     }
@@ -213,11 +217,14 @@ impl NodeHandle {
     /// Fault injection: severs the current parent connection at the
     /// socket level. The reactor observes the EOF, backs off, reconnects,
     /// and the protocol resyncs — mid-run, with live traffic in flight.
-    pub fn drop_uplink(&self) {
+    /// Returns whether a live uplink socket was shut down: `false` means
+    /// the uplink is not (or not yet) up and nothing happened, so a caller
+    /// that needs the drop to land retries.
+    pub fn drop_uplink(&self) -> bool {
         let guard = self.shared.uplink_stream.lock().expect("uplink lock");
-        if let Some(stream) = guard.as_ref() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        guard
+            .as_ref()
+            .is_some_and(|stream| stream.shutdown(Shutdown::Both).is_ok())
     }
 
     /// Stops the node and collects its report. The reactor notices the
@@ -654,10 +661,11 @@ impl ReactorState {
                 }
             }
             Timer::Suspect => {
-                let timeout = self.config.heartbeat_timeout;
-                self.membership_round(timeout);
-                let period = Duration::from_micros((timeout.as_micros() / 2).max(1));
-                self.timers.arm(Instant::now() + period, Timer::Suspect);
+                if let Some(period) = self.config.monitor.suspect_period() {
+                    self.membership_round();
+                    self.timers
+                        .arm(Instant::now() + to_duration(period), Timer::Suspect);
+                }
             }
             Timer::Reconnect => self.uplink_dial(),
             Timer::ConnectTimeout => {
@@ -709,8 +717,8 @@ impl ReactorState {
     /// the core itself; a dead parent re-targets the uplink at the
     /// grandparent and severs the current socket — the handshake goes
     /// out once the new connection is established.
-    fn membership_round(&mut self, timeout: SimTime) {
-        let decisions = self.with_core(|core, t| core.membership_tick(timeout, t));
+    fn membership_round(&mut self) {
+        let decisions = self.with_core(|core, t| core.membership_tick(t));
         for decision in decisions {
             match decision {
                 MembershipEvent::AdoptionStarted { target } => {
@@ -878,11 +886,12 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
     if let Some(period) = st.config.monitor.heartbeat_period {
         st.timers
             .arm(st.start + to_duration(period), Timer::Heartbeat);
-        // Decentralized failure detection: check for silent peers at half
-        // the timeout (only meaningful with heartbeats on).
-        let suspect_period =
-            Duration::from_micros((st.config.heartbeat_timeout.as_micros() / 2).max(1));
-        st.timers.arm(st.start + suspect_period, Timer::Suspect);
+        // Decentralized failure detection (only meaningful with
+        // heartbeats on).
+        if let Some(suspect_period) = st.config.monitor.suspect_period() {
+            st.timers
+                .arm(st.start + to_duration(suspect_period), Timer::Suspect);
+        }
     }
     if let Some(period) = st.config.monitor.retransmit_period {
         st.timers
@@ -929,7 +938,10 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
     }
 
     let now = st.now();
-    let timeout = st.config.heartbeat_timeout;
+    let suspects_at_exit = match st.config.monitor.suspect_timeout {
+        Some(timeout) => st.core.suspects(now, timeout),
+        None => Vec::new(),
+    };
     let counters = &st.counters;
     NodeReport {
         detections: st.core.detections().to_vec(),
@@ -940,10 +952,41 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         reconnects: st.reconnects,
         interval_msgs_sent: st.core.interval_msgs_sent(),
         syscalls: counters.syscalls.load(Ordering::Relaxed) + st.poller.syscalls(),
-        suspects_at_exit: st.core.suspects(now, timeout),
+        suspects_at_exit,
     }
 }
 
 fn to_duration(t: SimTime) -> Duration {
     Duration::from_micros(t.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_hold_opened_before_the_first_tick_survives_it() {
+        // A grandchild's `Suspect` can beat this node's own first
+        // suspicion check. The hold it opens must last the node's
+        // suspicion timeout — which a TCP node has from `NodeConfig::new`
+        // on, not from its first tick on — or that first check finalizes
+        // it at once and hold-after-drop is void for the first
+        // half-timeout of a node's life.
+        let config = NodeConfig::new(ProcessId(1), None);
+        let mut core = MonitorCore::new(config.me, None, &[ProcessId(2)], 2, config.monitor);
+        let mut t = NetTransport {
+            start: Instant::now(),
+            outbox: Vec::new(),
+        };
+        core.on_message(
+            DetectMsg::Suspect {
+                from: ProcessId(5),
+                suspect: ProcessId(2),
+            },
+            &mut t,
+        );
+        core.membership_tick(&mut t);
+        assert_eq!(core.held_children(), vec![ProcessId(2)]);
+        assert!(core.engine().has_child(ProcessId(2)), "queue still held");
+    }
 }

@@ -42,9 +42,8 @@
 //! own parent told it), mirroring how the id-only ladder rides on
 //! `Heartbeat` on both backends.
 
-use bytes::{Bytes, BytesMut};
 use ftscp_core::protocol::{ConnCodec, DetectMsg};
-use ftscp_intervals::codec::DecodeError;
+use ftscp_intervals::codec::{DecodeError, Reader};
 use ftscp_intervals::Interval;
 use ftscp_vclock::ProcessId;
 
@@ -129,12 +128,6 @@ fn put_addr(out: &mut Vec<u8>, addr: &str) {
     out.extend_from_slice(bytes);
 }
 
-fn put_interval(out: &mut Vec<u8>, iv: &Interval, codec: &mut ConnCodec) {
-    let mut buf = BytesMut::new();
-    codec.encode(iv, &mut buf);
-    out.extend_from_slice(buf.freeze().as_slice());
-}
-
 /// Encodes `msg` as one frame payload (no length prefix), advancing the
 /// connection's `codec` if the message carries an interval.
 pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
@@ -164,7 +157,7 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
                     out.push(0);
                     put_u32(&mut out, from.0);
                     out.push(u8::from(*resync));
-                    put_interval(&mut out, interval, codec);
+                    codec.encode(interval, &mut out);
                 }
                 DetectMsg::Heartbeat {
                     from,
@@ -258,19 +251,17 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
                     out.push(12);
                     put_u32(&mut out, from.0);
                     out.push(u8::from(*resync));
-                    let mut buf = BytesMut::new();
                     if *resync {
-                        codec.encode_batch_standalone(groups, &mut buf);
+                        codec.encode_batch_standalone(groups, &mut out);
                     } else {
-                        codec.encode_batch(groups, &mut buf);
+                        codec.encode_batch(groups, &mut out);
                     }
-                    out.extend_from_slice(buf.freeze().as_slice());
                 }
             }
         }
         NetMsg::Event(iv) => {
             out.push(4);
-            put_interval(&mut out, iv, codec);
+            codec.encode(iv, &mut out);
         }
         NetMsg::Fin { from } => {
             out.push(5);
@@ -297,110 +288,45 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
     out
 }
 
-struct Cursor<'a>(&'a [u8]);
+/// What every fixed-width read of a message fails with.
+const TRUNCATED: &str = "message truncated";
 
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let (&b, rest) = self
-            .0
-            .split_first()
-            .ok_or(DecodeError("message truncated"))?;
-        self.0 = rest;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        if self.0.len() < 4 {
-            return Err(DecodeError("message truncated"));
-        }
-        let (head, rest) = self.0.split_at(4);
-        self.0 = rest;
-        Ok(u32::from_le_bytes(head.try_into().expect("4 bytes")))
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        if self.0.len() < 2 {
-            return Err(DecodeError("message truncated"));
-        }
-        let (head, rest) = self.0.split_at(2);
-        self.0 = rest;
-        Ok(u16::from_le_bytes(head.try_into().expect("2 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        if self.0.len() < 8 {
-            return Err(DecodeError("message truncated"));
-        }
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
-    }
-
-    fn bytes(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
-        if self.0.len() < len {
-            return Err(DecodeError("message truncated"));
-        }
-        let (head, rest) = self.0.split_at(len);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn addr(&mut self) -> Result<String, DecodeError> {
-        let len = self.u16()? as usize;
-        let addr = self.bytes(len)?;
-        std::str::from_utf8(addr)
-            .map(str::to_owned)
-            .map_err(|_| DecodeError("uplink addr not utf-8"))
-    }
-
-    fn interval(&mut self, codec: &mut ConnCodec) -> Result<Interval, DecodeError> {
-        let mut bytes = Bytes::from(self.0.to_vec());
-        let before = bytes.len();
-        let iv = codec.decode(&mut bytes)?;
-        let consumed = before - bytes.len();
-        self.0 = &self.0[consumed..];
-        Ok(iv)
-    }
-
-    fn batch(&mut self, codec: &mut ConnCodec) -> Result<Vec<(Vec<u32>, Interval)>, DecodeError> {
-        let mut bytes = Bytes::from(self.0.to_vec());
-        let before = bytes.len();
-        let groups = codec.decode_batch(&mut bytes)?;
-        let consumed = before - bytes.len();
-        self.0 = &self.0[consumed..];
-        Ok(groups)
-    }
+fn get_addr(c: &mut Reader<'_>) -> Result<String, DecodeError> {
+    let len = c.u16_le(TRUNCATED)? as usize;
+    std::str::from_utf8(c.bytes(len, TRUNCATED)?)
+        .map(str::to_owned)
+        .map_err(|_| DecodeError("uplink addr not utf-8"))
 }
 
 /// Decodes one frame payload, advancing the connection's `codec` if the
 /// message carries an interval. Trailing garbage after a complete message
 /// is rejected — frames are exact.
 pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeError> {
-    let mut c = Cursor(frame);
-    let msg = match c.u8()? {
+    let mut c = Reader::new(frame);
+    let msg = match c.u8(TRUNCATED)? {
         1 => {
-            let node = ProcessId(c.u32()?);
-            let kind = match c.u8()? {
+            let node = ProcessId(c.u32_le(TRUNCATED)?);
+            let kind = match c.u8(TRUNCATED)? {
                 0 => PeerKind::Child,
                 1 => PeerKind::Client,
                 _ => return Err(DecodeError("unknown peer kind")),
             };
-            let proto = c.u8()?;
+            let proto = c.u8(TRUNCATED)?;
             NetMsg::Hello { node, kind, proto }
         }
         2 => NetMsg::HelloAck {
-            node: ProcessId(c.u32()?),
+            node: ProcessId(c.u32_le(TRUNCATED)?),
         },
         3 => {
-            let d = match c.u8()? {
+            let d = match c.u8(TRUNCATED)? {
                 0 => {
-                    let from = ProcessId(c.u32()?);
-                    let resync = match c.u8()? {
+                    let from = ProcessId(c.u32_le(TRUNCATED)?);
+                    let resync = match c.u8(TRUNCATED)? {
                         0 => false,
                         1 => true,
                         _ => return Err(DecodeError("bad resync flag")),
                     };
-                    let interval = c.interval(codec)?;
+                    let interval = codec.decode(&mut c)?;
                     DetectMsg::Interval {
                         from,
                         interval,
@@ -408,17 +334,17 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
                     }
                 }
                 1 => {
-                    let from = ProcessId(c.u32()?);
-                    let epoch = c.u64()?;
-                    let parent = match c.u8()? {
+                    let from = ProcessId(c.u32_le(TRUNCATED)?);
+                    let epoch = c.u64_le(TRUNCATED)?;
+                    let parent = match c.u8(TRUNCATED)? {
                         0 => None,
-                        1 => Some(ProcessId(c.u32()?)),
+                        1 => Some(ProcessId(c.u32_le(TRUNCATED)?)),
                         _ => return Err(DecodeError("bad parent flag")),
                     };
-                    let n = c.u8()? as usize;
+                    let n = c.u8(TRUNCATED)? as usize;
                     let mut ancestors = Vec::with_capacity(n);
                     for _ in 0..n {
-                        ancestors.push(ProcessId(c.u32()?));
+                        ancestors.push(ProcessId(c.u32_le(TRUNCATED)?));
                     }
                     DetectMsg::Heartbeat {
                         from,
@@ -428,58 +354,58 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
                     }
                 }
                 2 => DetectMsg::Ack {
-                    from: ProcessId(c.u32()?),
-                    upto: c.u64()?,
+                    from: ProcessId(c.u32_le(TRUNCATED)?),
+                    upto: c.u64_le(TRUNCATED)?,
                 },
                 3 => DetectMsg::SetParent {
-                    parent: match c.u8()? {
+                    parent: match c.u8(TRUNCATED)? {
                         0 => None,
-                        1 => Some(ProcessId(c.u32()?)),
+                        1 => Some(ProcessId(c.u32_le(TRUNCATED)?)),
                         _ => return Err(DecodeError("bad parent flag")),
                     },
                 },
                 4 => DetectMsg::AddChild {
-                    child: ProcessId(c.u32()?),
+                    child: ProcessId(c.u32_le(TRUNCATED)?),
                 },
                 5 => DetectMsg::RemoveChild {
-                    child: ProcessId(c.u32()?),
+                    child: ProcessId(c.u32_le(TRUNCATED)?),
                 },
                 6 => DetectMsg::PromoteRoot,
                 8 => DetectMsg::Suspect {
-                    from: ProcessId(c.u32()?),
-                    suspect: ProcessId(c.u32()?),
+                    from: ProcessId(c.u32_le(TRUNCATED)?),
+                    suspect: ProcessId(c.u32_le(TRUNCATED)?),
                 },
                 9 => DetectMsg::Adopt {
-                    child: ProcessId(c.u32()?),
-                    epoch: c.u64()?,
-                    dead_parent: match c.u8()? {
+                    child: ProcessId(c.u32_le(TRUNCATED)?),
+                    epoch: c.u64_le(TRUNCATED)?,
+                    dead_parent: match c.u8(TRUNCATED)? {
                         0 => None,
-                        1 => Some(ProcessId(c.u32()?)),
+                        1 => Some(ProcessId(c.u32_le(TRUNCATED)?)),
                         _ => return Err(DecodeError("bad dead-parent flag")),
                     },
                 },
                 10 => DetectMsg::AdoptAck {
-                    from: ProcessId(c.u32()?),
-                    child: ProcessId(c.u32()?),
-                    epoch: c.u64()?,
-                    accepted: match c.u8()? {
+                    from: ProcessId(c.u32_le(TRUNCATED)?),
+                    child: ProcessId(c.u32_le(TRUNCATED)?),
+                    epoch: c.u64_le(TRUNCATED)?,
+                    accepted: match c.u8(TRUNCATED)? {
                         0 => false,
                         1 => true,
                         _ => return Err(DecodeError("bad accepted flag")),
                     },
                 },
                 11 => DetectMsg::ReReport {
-                    from: ProcessId(c.u32()?),
-                    epoch: c.u64()?,
+                    from: ProcessId(c.u32_le(TRUNCATED)?),
+                    epoch: c.u64_le(TRUNCATED)?,
                 },
                 12 => {
-                    let from = ProcessId(c.u32()?);
-                    let resync = match c.u8()? {
+                    let from = ProcessId(c.u32_le(TRUNCATED)?);
+                    let resync = match c.u8(TRUNCATED)? {
                         0 => false,
                         1 => true,
                         _ => return Err(DecodeError("bad resync flag")),
                     };
-                    let groups = c.batch(codec)?;
+                    let groups = codec.decode_batch(&mut c)?;
                     DetectMsg::IntervalBatch {
                         from,
                         groups,
@@ -490,30 +416,30 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
             };
             NetMsg::Detect(d)
         }
-        4 => NetMsg::Event(c.interval(codec)?),
+        4 => NetMsg::Event(codec.decode(&mut c)?),
         5 => NetMsg::Fin {
-            from: ProcessId(c.u32()?),
+            from: ProcessId(c.u32_le(TRUNCATED)?),
         },
         6 => {
-            let parent = match c.u8()? {
+            let parent = match c.u8(TRUNCATED)? {
                 0 => None,
                 1 => {
-                    let p = ProcessId(c.u32()?);
-                    Some((p, c.addr()?))
+                    let p = ProcessId(c.u32_le(TRUNCATED)?);
+                    Some((p, get_addr(&mut c)?))
                 }
                 _ => return Err(DecodeError("bad parent flag")),
             };
-            let n = c.u8()? as usize;
+            let n = c.u8(TRUNCATED)? as usize;
             let mut ancestors = Vec::with_capacity(n);
             for _ in 0..n {
-                let p = ProcessId(c.u32()?);
-                ancestors.push((p, c.addr()?));
+                let p = ProcessId(c.u32_le(TRUNCATED)?);
+                ancestors.push((p, get_addr(&mut c)?));
             }
             NetMsg::Uplink { parent, ancestors }
         }
         _ => return Err(DecodeError("unknown message tag")),
     };
-    if !c.0.is_empty() {
+    if c.remaining() != 0 {
         return Err(DecodeError("trailing bytes after message"));
     }
     Ok(msg)
@@ -545,13 +471,6 @@ mod tests {
 
     const STANDALONE: (u64, u64) = (1, 1);
     const STATEFUL: (u64, u64) = (1, 0);
-
-    fn roundtrip(msg: &NetMsg) -> NetMsg {
-        let mut tx = ConnCodec::new();
-        let mut rx = ConnCodec::new();
-        let payload = encode_msg(msg, &mut tx);
-        decode_msg(&payload, &mut rx).expect("decodes")
-    }
 
     #[test]
     fn all_variants_roundtrip() {
@@ -661,7 +580,18 @@ mod tests {
             },
         ];
         for msg in msgs {
-            assert_eq!(roundtrip(&msg), msg, "{msg:?}");
+            let payload = encode_msg(&msg, &mut ConnCodec::new());
+            let decoded = decode_msg(&payload, &mut ConnCodec::new());
+            assert_eq!(decoded.as_ref(), Ok(&msg));
+            // Frames are exact: cut anywhere, every kind of message is an
+            // error from the reader — never a panic, never a shorter
+            // message that happens to parse.
+            for cut in 0..payload.len() {
+                assert!(
+                    decode_msg(&payload[..cut], &mut ConnCodec::new()).is_err(),
+                    "{msg:?} cut at {cut} must fail"
+                );
+            }
         }
     }
 

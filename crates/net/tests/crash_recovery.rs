@@ -151,11 +151,11 @@ fn crashed_internal_node_matches_simnet_heartbeat_repair() {
     // simnet schedule above): suspicion is per-node, so the root could
     // otherwise prune the dead child and match already-queued survivor
     // data a few milliseconds before the orphans' adoption lands.
-    let config = LoopbackConfig {
-        heartbeat_timeout: SimTime::from_millis(200),
+    let mut config = LoopbackConfig {
         event_pacing: Duration::from_millis(1),
         ..Default::default()
     };
+    config.monitor.suspect_timeout = Some(SimTime::from_millis(200));
     let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
     sleep(Duration::from_millis(150));
     let crash_report = dep.crash_node(dead).expect("node 1 was running");
@@ -212,11 +212,11 @@ fn dead_grandparent_storm_exhausts_knock_budget_and_still_finishes() {
     let exec = rounds_without_set(n, &dead, rounds);
     let tree = SpanningTree::balanced_dary(n, 2);
 
-    let config = LoopbackConfig {
-        heartbeat_timeout: SimTime::from_millis(200),
+    let mut config = LoopbackConfig {
         event_pacing: Duration::from_millis(1),
         ..Default::default()
     };
+    config.monitor.suspect_timeout = Some(SimTime::from_millis(200));
     let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
     // Let hints circulate two relay hops: 7/8 need grandparent 1 from
     // node 3's uplink frames *and* the root's address, which node 3 can

@@ -19,7 +19,7 @@ use ftscp_simnet::{LinkModel, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::{scenarios, Execution, RandomExecution};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Solution sequence as explicit coverage lists — the strongest
 /// cross-backend comparison (order-sensitive, time-blind).
@@ -46,6 +46,21 @@ fn simnet_detections(tree: &SpanningTree, exec: &Execution, seed: u64) -> Vec<Gl
     let mut dep = SimDeployment::new(topo, tree.clone(), exec, config);
     dep.run();
     dep.detections()
+}
+
+/// Severs `p`'s uplink, retrying every millisecond until a live socket
+/// was actually shut down: a drop that lands before the uplink is up is a
+/// no-op, and on a loaded box "a few milliseconds after launch" can be
+/// before.
+fn sever_uplink(dep: &Deployment, p: ProcessId) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !dep.drop_uplink(p) {
+        assert!(
+            Instant::now() < deadline,
+            "the uplink of {p:?} never came up to be severed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn assert_same_detections(sim: &[GlobalDetection], net: &[GlobalDetection], what: &str) {
@@ -135,11 +150,12 @@ fn loopback_matches_simnet_across_forced_reconnects() {
     let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
     dep.feed_execution(&exec, config.event_pacing);
     // Sever two uplinks mid-run: an internal node (relays its whole
-    // subtree) and a leaf.
+    // subtree) and a leaf. The sleeps only place the cuts inside the
+    // paced traffic; that each cut hits a live socket is `sever_uplink`'s.
     std::thread::sleep(Duration::from_millis(6));
-    dep.drop_uplink(ProcessId(1));
+    sever_uplink(&dep, ProcessId(1));
     std::thread::sleep(Duration::from_millis(10));
-    dep.drop_uplink(ProcessId(5));
+    sever_uplink(&dep, ProcessId(5));
     let report = dep.finish(&config).expect("loopback run failed");
 
     assert!(!report.timed_out, "run did not recover from the drops");

@@ -20,7 +20,7 @@ use ftscp_vclock::ProcessId;
 use ftscp_workload::{Execution, RandomExecution};
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn coverages(dets: &[GlobalDetection]) -> Vec<Vec<(u32, u64)>> {
     dets.iter()
@@ -44,6 +44,21 @@ fn simnet_detections(tree: &SpanningTree, exec: &Execution, seed: u64) -> Vec<Gl
     let mut dep = SimDeployment::new(topo, tree.clone(), exec, config);
     dep.run();
     dep.detections()
+}
+
+/// Severs `p`'s uplink, retrying every millisecond until a live socket
+/// was actually shut down: a drop that lands before the uplink is up is a
+/// no-op, and on a loaded box "a few milliseconds after launch" can be
+/// before.
+fn sever_uplink(dep: &Deployment, p: ProcessId) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !dep.drop_uplink(p) {
+        assert!(
+            Instant::now() < deadline,
+            "the uplink of {p:?} never came up to be severed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Severing the report uplink mid-stream: the leaf reconnects, its tx
@@ -70,8 +85,10 @@ fn uplink_resyncs_with_standalone_frame_after_disconnect() {
     };
     let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
     dep.feed_execution(&exec, config.event_pacing);
+    // Three events' worth of pacing, so the first connection has carried
+    // interval frames by the time it is cut.
     std::thread::sleep(Duration::from_millis(12));
-    dep.drop_uplink(ProcessId(1));
+    sever_uplink(&dep, ProcessId(1));
     let report = dep.finish(&config).expect("loopback run failed");
     assert!(!report.timed_out, "run did not recover from the drop");
 

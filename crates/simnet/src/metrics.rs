@@ -101,15 +101,6 @@ impl NetMetrics {
         *self.edge_load.entry(key).or_insert(0) += 1;
     }
 
-    /// The most-loaded link and its traversal count — the congestion
-    /// hotspot.
-    pub fn hottest_edge(&self) -> Option<((u32, u32), u64)> {
-        self.edge_load
-            .iter()
-            .max_by_key(|&(_, &v)| v)
-            .map(|(&k, &v)| (k, v))
-    }
-
     /// Peak per-link load (0 if nothing was sent).
     pub fn max_edge_load(&self) -> u64 {
         self.edge_load.values().copied().max().unwrap_or(0)
@@ -139,7 +130,6 @@ mod tests {
         m.record_hop(NodeId(1), NodeId(2));
         m.record_hop(NodeId(0), NodeId(1));
         assert_eq!(m.edge_load.get(&(1, 2)), Some(&2));
-        assert_eq!(m.hottest_edge(), Some(((1, 2), 2)));
         assert_eq!(m.max_edge_load(), 2);
     }
 

@@ -44,31 +44,11 @@ impl Topology {
         }
     }
 
-    /// Complete graph on `n` nodes.
-    pub fn complete(n: usize) -> Topology {
-        let mut t = Topology::empty(n);
-        for a in 0..n as u32 {
-            for b in (a + 1)..n as u32 {
-                t.add_edge(NodeId(a), NodeId(b));
-            }
-        }
-        t
-    }
-
     /// Path graph `0 – 1 – … – n-1`.
     pub fn line(n: usize) -> Topology {
         let mut t = Topology::empty(n);
         for i in 1..n as u32 {
             t.add_edge(NodeId(i - 1), NodeId(i));
-        }
-        t
-    }
-
-    /// Cycle graph.
-    pub fn ring(n: usize) -> Topology {
-        let mut t = Topology::line(n);
-        if n > 2 {
-            t.add_edge(NodeId(0), NodeId(n as u32 - 1));
         }
         t
     }
@@ -324,11 +304,6 @@ impl Topology {
         None
     }
 
-    /// Hop distance between two alive nodes, if connected.
-    pub fn distance(&self, src: NodeId, dst: NodeId, alive: &[bool]) -> Option<usize> {
-        self.shortest_path(src, dst, alive).map(|p| p.len() - 1)
-    }
-
     /// Connected components among alive nodes.
     pub fn components(&self, alive: &[bool]) -> Vec<Vec<NodeId>> {
         let n = self.adj.len();
@@ -378,19 +353,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_and_ring_shapes() {
+    fn line_shape() {
         let line = Topology::line(4);
         assert_eq!(line.edge_count(), 3);
         assert_eq!(line.neighbors(NodeId(0)), &[NodeId(1)]);
-        let ring = Topology::ring(4);
-        assert_eq!(ring.edge_count(), 4);
-    }
-
-    #[test]
-    fn complete_graph_has_all_edges() {
-        let t = Topology::complete(5);
-        assert_eq!(t.edge_count(), 10);
-        assert_eq!(t.neighbors(NodeId(2)).len(), 4);
     }
 
     #[test]
@@ -428,7 +394,6 @@ mod tests {
         let alive = vec![true; 5];
         let p = t.shortest_path(NodeId(0), NodeId(4), &alive).unwrap();
         assert_eq!(p.len(), 5);
-        assert_eq!(t.distance(NodeId(0), NodeId(4), &alive), Some(4));
         let mut broken = alive.clone();
         broken[2] = false;
         assert!(t.shortest_path(NodeId(0), NodeId(4), &broken).is_none());
@@ -442,7 +407,6 @@ mod tests {
             t.shortest_path(NodeId(1), NodeId(1), &alive).unwrap(),
             vec![NodeId(1)]
         );
-        assert_eq!(t.distance(NodeId(1), NodeId(1), &alive), Some(0));
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub mod process;
 
 pub use clock::VectorClock;
 pub use counter::OpCounter;
-pub use order::{concurrent, dominates, strictly_less, ClockOrd};
+pub use order::{concurrent, strictly_less, ClockOrd};
 pub use pool::{clone_stats, reset_clone_stats, ClockHandle};
 pub use process::ProcessId;

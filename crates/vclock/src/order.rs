@@ -59,11 +59,6 @@ pub fn strictly_less(a: &VectorClock, b: &VectorClock) -> bool {
     compare(a, b) == ClockOrd::Less
 }
 
-/// Non-strict dominance `a ≥ b` component-wise.
-pub fn dominates(a: &VectorClock, b: &VectorClock) -> bool {
-    b.less_eq(a)
-}
-
 /// True iff `a` and `b` are incomparable.
 pub fn concurrent(a: &VectorClock, b: &VectorClock) -> bool {
     compare(a, b) == ClockOrd::Concurrent
@@ -212,14 +207,6 @@ mod tests {
         assert!(!strictly_less(&a, &a));
         assert!(strictly_less(&a, &b));
         assert!(!strictly_less(&b, &a));
-    }
-
-    #[test]
-    fn dominates_is_non_strict() {
-        let a = vc(&[2, 2]);
-        assert!(dominates(&a, &a));
-        assert!(dominates(&a, &vc(&[1, 2])));
-        assert!(!dominates(&a, &vc(&[3, 0])));
     }
 
     #[test]

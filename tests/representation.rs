@@ -6,10 +6,9 @@
 //! byte-identical [`detection_fingerprint`]s, identical solution
 //! sequences, and identical per-bank deletion decisions.
 
-use bytes::BytesMut;
 use ftscp::core::faultcheck::detection_fingerprint;
 use ftscp::core::{ConnCodec, HierarchicalDetector};
-use ftscp::intervals::codec::{decode_interval_delta, interval_to_bytes_delta};
+use ftscp::intervals::codec::{decode_interval_delta, interval_to_bytes_delta, Reader};
 use ftscp::intervals::{Interval, QueueBank, SweepMode};
 use ftscp::tree::SpanningTree;
 use ftscp::workload::{Execution, RandomExecution};
@@ -72,7 +71,8 @@ fn via_cold_frames(intervals: &[Interval]) -> Vec<Interval> {
     intervals
         .iter()
         .map(|iv| {
-            decode_interval_delta(&mut interval_to_bytes_delta(iv), None).expect("cold roundtrip")
+            decode_interval_delta(&mut Reader::new(&interval_to_bytes_delta(iv)), None)
+                .expect("cold roundtrip")
         })
         .collect()
 }
@@ -88,10 +88,10 @@ fn via_delta_streams(intervals: &[Interval]) -> (Vec<Interval>, usize) {
         .iter()
         .map(|iv| {
             let (tx, rx) = conns.entry(iv.source.0).or_default();
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             tx.encode(iv, &mut buf);
             total += buf.len();
-            rx.decode(&mut buf.freeze()).expect("delta roundtrip")
+            rx.decode(&mut Reader::new(&buf)).expect("delta roundtrip")
         })
         .collect();
     (decoded, total)
