@@ -82,7 +82,7 @@ const TIMER_NEXT_INTERVAL: TimerToken = 1;
 
 impl CentralizedApp {
     fn new(me: ProcessId, sink: NodeId, n: usize, schedule: Vec<(SimTime, Interval)>) -> Self {
-        let is_sink = NodeId(me.0) == sink;
+        let is_sink = me == sink;
         CentralizedApp {
             me,
             sink,
@@ -149,7 +149,7 @@ impl Application for CentralizedApp {
                 break;
             }
             let (_, interval) = self.schedule.pop_front().expect("peeked");
-            if NodeId(self.me.0) == self.sink {
+            if self.me == self.sink {
                 let now = ctx.now();
                 self.sink_ingest(now, interval);
             } else {

@@ -11,11 +11,8 @@
 use crate::monitor::{MonitorApp, MonitorConfig};
 use crate::protocol::DetectMsg;
 use crate::report::GlobalDetection;
-use crate::{nid, pid};
 use ftscp_intervals::Interval;
-use ftscp_simnet::{
-    FaultOp, FaultPlan, NetMetrics, NodeId, SimConfig, SimTime, Simulation, Topology,
-};
+use ftscp_simnet::{FaultOp, FaultPlan, NetMetrics, SimConfig, SimTime, Simulation, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::Execution;
@@ -77,7 +74,7 @@ pub struct Deployment {
     recovery_plan: Vec<(SimTime, ProcessId)>,
     /// Orphan subtree roots partitioned by earlier (possibly overlapping)
     /// failures, retried at every subsequent repair.
-    pending_orphans: Vec<NodeId>,
+    pending_orphans: Vec<ProcessId>,
     config: DeployConfig,
     end_of_schedule: SimTime,
 }
@@ -123,19 +120,15 @@ impl Deployment {
         }
 
         let height = tree.height();
-        let apps: Vec<MonitorApp> = (0..n)
-            .map(|i| {
-                let node = NodeId(i as u32);
-                let parent = tree.parent(node).map(pid);
-                let children: Vec<ProcessId> =
-                    tree.children(node).iter().map(|&c| pid(c)).collect();
+        let apps: Vec<MonitorApp> = ProcessId::all(n)
+            .map(|node| {
                 let level = (height - tree.depth(node)) as u32;
                 MonitorApp::new(
-                    pid(node),
-                    parent,
-                    &children,
+                    node,
+                    tree.parent(node),
+                    tree.children(node),
                     level,
-                    std::mem::take(&mut schedules[i]),
+                    std::mem::take(&mut schedules[node.index()]),
                     monitor_cfg,
                 )
             })
@@ -156,7 +149,7 @@ impl Deployment {
 
     /// Schedules `node` to crash-stop at `at`.
     pub fn schedule_crash(&mut self, node: ProcessId, at: SimTime) {
-        self.sim.schedule_crash(nid(node), at);
+        self.sim.schedule_crash(node, at);
         self.crash_plan.push((at, node));
         self.crash_plan.sort_by_key(|&(t, _)| t);
     }
@@ -182,8 +175,8 @@ impl Deployment {
         let mut residual = FaultPlan::new();
         for (at, op) in plan.sorted_ops() {
             match op {
-                FaultOp::Crash(node) => self.schedule_crash(pid(node), at),
-                FaultOp::Restart(node) => self.schedule_recovery(pid(node), at),
+                FaultOp::Crash(node) => self.schedule_crash(node, at),
+                FaultOp::Restart(node) => self.schedule_recovery(node, at),
                 other => residual = residual.op_at(at, other),
             }
         }
@@ -195,8 +188,7 @@ impl Deployment {
     /// Enables write-through engine checkpointing on every node (stable
     /// storage for crash-recovery).
     pub fn enable_checkpointing(&mut self) {
-        for i in 0..self.sim.len() {
-            let node = NodeId(i as u32);
+        for node in ProcessId::all(self.sim.len()) {
             self.sim
                 .with_app_ctx(node, |app, _ctx| app.enable_checkpointing());
         }
@@ -275,10 +267,9 @@ impl Deployment {
     /// of the view; if no root is currently claimed (the root itself
     /// died), the last known view is kept.
     fn sync_tree_mirror(&mut self) {
-        let members: Vec<(NodeId, Option<NodeId>)> = (0..self.sim.len())
-            .map(|i| NodeId(i as u32))
+        let members: Vec<(ProcessId, Option<ProcessId>)> = ProcessId::all(self.sim.len())
             .filter(|&n| self.sim.is_alive(n))
-            .map(|n| (n, self.sim.app(n).parent().map(nid)))
+            .map(|n| (n, self.sim.app(n).parent()))
             .collect();
         let root = members
             .iter()
@@ -293,12 +284,10 @@ impl Deployment {
     /// `failed` crashed and issues control messages to the survivors.
     fn repair(&mut self, failed: ProcessId) {
         let alive = self.sim.alive().to_vec();
-        let old_parents: Vec<Option<NodeId>> = (0..self.tree.capacity())
-            .map(|i| self.tree.parent(NodeId(i as u32)))
+        let old_parents: Vec<Option<ProcessId>> = ProcessId::all(self.tree.capacity())
+            .map(|n| self.tree.parent(n))
             .collect();
-        let mut report = self
-            .tree
-            .handle_failure(nid(failed), &self.topology, &alive);
+        let mut report = self.tree.handle_failure(failed, &self.topology, &alive);
         // Overlapping failures can strand orphan subtrees (e.g. a repair
         // that runs while the root's own crash is still unrepaired).
         // Retry every previously partitioned orphan now, and merge the
@@ -309,7 +298,7 @@ impl Deployment {
         pending.dedup();
         let retry = self.tree.reattach_orphans(&pending, &self.topology, &alive);
         report.reattached.extend(retry.reattached.iter().copied());
-        let mut affected: Vec<NodeId> = report
+        let mut affected: Vec<ProcessId> = report
             .affected
             .iter()
             .chain(retry.affected.iter())
@@ -328,7 +317,6 @@ impl Deployment {
         // `membership::repair_actions` derives the messages from the
         // repaired tree, the deploy layer only injects them.
         let now = self.sim.time();
-        let service = nid(failed); // nominal "from" for injected control msgs
         let plan = crate::membership::repair_actions(
             &self.tree,
             &report,
@@ -337,28 +325,29 @@ impl Deployment {
             failed,
         );
         for (dst, msg) in plan {
-            self.sim.inject(now, service, dst, msg);
+            // `failed` is the nominal "from" of injected control messages.
+            self.sim.inject(now, failed, dst, msg);
         }
     }
 
     /// The recovery path of the maintenance service: revive the node,
     /// reboot its monitor from stable storage, and rejoin it as a leaf.
     fn recover(&mut self, node: ProcessId) {
-        if self.sim.is_alive(nid(node)) || self.tree.contains(nid(node)) {
+        if self.sim.is_alive(node) || self.tree.contains(node) {
             return; // never crashed, or already back
         }
         // Find an adopter first; without one the node stays down.
         let adopter = self
             .topology
-            .neighbors(nid(node))
+            .neighbors(node)
             .iter()
             .copied()
             .find(|&nb| self.tree.contains(nb) && self.sim.is_alive(nb));
         let Some(parent) = adopter else { return };
 
-        self.sim.revive(nid(node));
+        self.sim.revive(node);
         let mut rebooted = false;
-        self.sim.with_app_ctx(nid(node), |app, ctx| {
+        self.sim.with_app_ctx(node, |app, ctx| {
             rebooted = app.reboot_from_checkpoint(ctx);
         });
         if !rebooted {
@@ -367,17 +356,16 @@ impl Deployment {
             // inconsistent volatile state.
             return;
         }
-        self.tree.rejoin_leaf(nid(node), parent);
+        self.tree.rejoin_leaf(node, parent);
         let now = self.sim.time();
-        let service = nid(node);
         self.sim
-            .inject(now, service, parent, DetectMsg::AddChild { child: node });
+            .inject(now, node, parent, DetectMsg::AddChild { child: node });
         self.sim.inject(
             now,
-            service,
-            nid(node),
+            node,
+            node,
             DetectMsg::SetParent {
-                parent: Some(pid(parent)),
+                parent: Some(parent),
             },
         );
     }
@@ -418,12 +406,12 @@ impl Deployment {
 
     /// Access to a node's monitor.
     pub fn app(&self, node: ProcessId) -> &MonitorApp {
-        self.sim.app(nid(node))
+        self.sim.app(node)
     }
 
     /// True iff `node`'s monitor is currently up.
     pub fn is_alive(&self, node: ProcessId) -> bool {
-        self.sim.is_alive(nid(node))
+        self.sim.is_alive(node)
     }
 
     /// Number of nodes in the deployment.

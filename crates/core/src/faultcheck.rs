@@ -15,10 +15,8 @@
 //!    [`detection_fingerprint`].
 
 use crate::deploy::Deployment;
-use crate::pid;
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
-use ftscp_simnet::NodeId;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::Execution;
 
@@ -72,8 +70,7 @@ pub fn verify_detections(exec: &Execution, detections: &[GlobalDetection]) -> Ve
 /// deployment has fully drained. Returns all violations (empty = pass).
 pub fn verify_no_silent_drops(dep: &Deployment) -> Vec<String> {
     let mut violations = Vec::new();
-    for i in 0..dep.len() {
-        let p = pid(NodeId(i as u32));
+    for p in ProcessId::all(dep.len()) {
         if !dep.is_alive(p) {
             continue; // a crashed node's losses are expected, not silent
         }

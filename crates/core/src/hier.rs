@@ -2,7 +2,6 @@
 
 use crate::engine::{EngineOutput, NodeEngine};
 use crate::report::GlobalDetection;
-use crate::{nid, pid};
 use ftscp_intervals::Interval;
 use ftscp_simnet::{SimTime, Topology};
 use ftscp_tree::SpanningTree;
@@ -37,10 +36,9 @@ impl HierarchicalDetector {
         let ops = OpCounter::new();
         let mut engines: Vec<Option<NodeEngine>> = (0..n).map(|_| None).collect();
         for node in tree.nodes() {
-            let children: Vec<ProcessId> = tree.children(node).iter().map(|&c| pid(c)).collect();
             let is_root = node == tree.root();
             let mut engine =
-                NodeEngine::new(pid(node), &children, is_root).with_ops_counter(ops.clone());
+                NodeEngine::new(node, tree.children(node), is_root).with_ops_counter(ops.clone());
             engine.set_level((tree.height() - tree.depth(node)) as u32);
             engines[node.index()] = Some(engine);
         }
@@ -154,12 +152,11 @@ impl HierarchicalDetector {
                 }
                 EngineOutput::ToParent { interval, .. } => {
                     self.node_solutions[node.index()] += 1;
-                    let Some(parent) = self.tree.parent(nid(node)) else {
+                    let Some(parent) = self.tree.parent(node) else {
                         // Orphan subtree root (partition): detection stays
                         // local; nothing to forward.
                         continue;
                     };
-                    let parent = pid(parent);
                     if let Some(engine) = self.engines[parent.index()].as_mut() {
                         let outs = engine.on_child_interval(node, interval);
                         for o in outs {
@@ -187,11 +184,11 @@ impl HierarchicalDetector {
         self.engines[node.index()] = None;
 
         // Snapshot parents so we can tell who was re-parented.
-        let old_parents: Vec<Option<ftscp_simnet::NodeId>> = (0..self.tree.capacity())
-            .map(|i| self.tree.parent(ftscp_simnet::NodeId(i as u32)))
+        let old_parents: Vec<Option<ProcessId>> = ProcessId::all(self.tree.capacity())
+            .map(|n| self.tree.parent(n))
             .collect();
 
-        let report = self.tree.handle_failure(nid(node), topology, &alive);
+        let report = self.tree.handle_failure(node, topology, &alive);
 
         // Promote a new root if the root died; its last (possibly
         // un-consumed) output is re-published as a detection.
@@ -202,12 +199,11 @@ impl HierarchicalDetector {
             } else {
                 Vec::new()
             };
-            self.propagate(pid(new_root), outs);
+            self.propagate(new_root, outs);
         }
 
         // The failed node's former parent drops the child queue.
         if let Some(p) = report.former_parent {
-            let p = pid(p);
             if let Some(e) = self.engines[p.index()].as_mut() {
                 let outs = e.remove_child(node);
                 self.propagate(p, outs);
@@ -217,16 +213,10 @@ impl HierarchicalDetector {
         // Rewire every affected node: reconcile engine children with the
         // repaired tree, then have re-parented nodes re-report.
         for &affected in &report.affected {
-            let ap = pid(affected);
-            let Some(engine) = self.engines[ap.index()].as_mut() else {
+            let Some(engine) = self.engines[affected.index()].as_mut() else {
                 continue;
             };
-            let tree_children: Vec<ProcessId> = self
-                .tree
-                .children(affected)
-                .iter()
-                .map(|&c| pid(c))
-                .collect();
+            let tree_children = self.tree.children(affected);
             // Remove engine children no longer in the tree.
             let mut removal_outputs = Vec::new();
             for c in engine.children().to_vec() {
@@ -235,13 +225,13 @@ impl HierarchicalDetector {
                 }
             }
             // Add newly adopted children.
-            for c in &tree_children {
+            for c in tree_children {
                 if !engine.has_child(*c) {
                     engine.add_child(*c);
                 }
             }
-            engine.set_root(self.tree.root() == nid(ap));
-            self.propagate(ap, removal_outputs);
+            engine.set_root(self.tree.root() == affected);
+            self.propagate(affected, removal_outputs);
         }
 
         // Every re-parented node re-sends its last output so the new
@@ -253,19 +243,19 @@ impl HierarchicalDetector {
             if self.engines[affected.index()].is_none() {
                 continue;
             }
-            let new_parent = self.tree.parent(affected);
-            if new_parent.is_none() || new_parent == old_parents[affected.index()] {
+            let Some(new_parent) = self.tree.parent(affected) else {
+                continue;
+            };
+            if Some(new_parent) == old_parents[affected.index()] {
                 continue;
             }
-            let cp = pid(affected);
-            let last = self.engines[cp.index()]
+            let last = self.engines[affected.index()]
                 .as_ref()
                 .and_then(|e| e.last_output().cloned());
             if let Some(interval) = last {
-                let pp = pid(new_parent.expect("checked"));
-                if let Some(engine) = self.engines[pp.index()].as_mut() {
-                    let outs = engine.on_child_interval(cp, interval);
-                    self.propagate(pp, outs);
+                if let Some(engine) = self.engines[new_parent.index()].as_mut() {
+                    let outs = engine.on_child_interval(affected, interval);
+                    self.propagate(new_parent, outs);
                 }
             }
         }
@@ -304,13 +294,13 @@ impl HierarchicalDetector {
         }
         // Find an alive tree member adjacent in the topology.
         let parent = topology
-            .neighbors(nid(node))
+            .neighbors(node)
             .iter()
             .copied()
             .find(|&nb| self.tree.contains(nb) && self.engines[nb.index()].is_some())
             .ok_or_else(|| format!("{node} has no alive tree neighbor"))?;
 
-        self.tree.rejoin_leaf(nid(node), parent);
+        self.tree.rejoin_leaf(node, parent);
 
         // Restore the engine; it rejoins as a leaf: drop stale child
         // queues (their subtrees were re-parented at failure time). Any
@@ -328,14 +318,13 @@ impl HierarchicalDetector {
         self.propagate(node, outputs);
 
         // Seed the adopter.
-        let pp = pid(parent);
-        if let Some(p_engine) = self.engines[pp.index()].as_mut() {
+        if let Some(p_engine) = self.engines[parent.index()].as_mut() {
             if !p_engine.has_child(node) {
                 p_engine.add_child(node);
             }
             if let Some(interval) = last {
                 let outs = p_engine.on_child_interval(node, interval);
-                self.propagate(pp, outs);
+                self.propagate(parent, outs);
             }
         }
         Ok(())

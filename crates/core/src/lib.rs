@@ -54,18 +54,17 @@ pub use hier::HierarchicalDetector;
 pub use protocol::{ConnCodec, DetectMsg};
 pub use registry::{PredicateId, PredicateRegistry, RegistryStats, TenantSlot, TenantSpec};
 pub use report::GlobalDetection;
-pub use transport::{MonitorCore, Transport};
+pub use transport::{MonitorCore, Outbox, Transport};
 
-use ftscp_simnet::NodeId;
 use ftscp_vclock::ProcessId;
 
-/// Nodes and processes are the same entities; the simulator names them
-/// [`NodeId`], the logical-clock layer [`ProcessId`].
-pub fn pid(node: NodeId) -> ProcessId {
-    ProcessId(node.0)
+/// Identity: a simulator `NodeId` *is* a [`ProcessId`]. Nothing in the
+/// workspace calls it; the pinned `ftscp_bench` package does.
+pub fn pid(node: ProcessId) -> ProcessId {
+    node
 }
 
-/// Inverse of [`pid`].
-pub fn nid(process: ProcessId) -> NodeId {
-    NodeId(process.0)
+/// Identity, pinned by `ftscp_bench` like [`pid`].
+pub fn nid(process: ProcessId) -> ProcessId {
+    process
 }

@@ -43,9 +43,7 @@
 //! carries `dead_parent`, so it does not rely on the separate `Suspect`
 //! arriving first over a non-FIFO transport).
 
-use crate::pid;
 use crate::protocol::DetectMsg;
-use ftscp_simnet::NodeId;
 use ftscp_tree::{ReconnectReport, SpanningTree};
 use ftscp_vclock::ProcessId;
 use std::collections::BTreeMap;
@@ -348,11 +346,11 @@ impl Default for Membership {
 pub fn repair_actions(
     tree: &SpanningTree,
     report: &ReconnectReport,
-    old_parents: &[Option<NodeId>],
-    engine_children: impl Fn(NodeId) -> Vec<ProcessId>,
+    old_parents: &[Option<ProcessId>],
+    engine_children: impl Fn(ProcessId) -> Vec<ProcessId>,
     failed: ProcessId,
-) -> Vec<(NodeId, DetectMsg)> {
-    let mut plan: Vec<(NodeId, DetectMsg)> = Vec::new();
+) -> Vec<(ProcessId, DetectMsg)> {
+    let mut plan: Vec<(ProcessId, DetectMsg)> = Vec::new();
     // 1. Former parent drops the dead child's queue.
     if let Some(p) = report.former_parent {
         plan.push((p, DetectMsg::RemoveChild { child: failed }));
@@ -365,7 +363,7 @@ pub fn repair_actions(
             continue;
         }
         let tree_children: std::collections::BTreeSet<ProcessId> =
-            tree.children(aff).iter().map(|&c| pid(c)).collect();
+            tree.children(aff).iter().copied().collect();
         let engine_children: std::collections::BTreeSet<ProcessId> =
             engine_children(aff).into_iter().collect();
         for &gone in engine_children.difference(&tree_children) {
@@ -389,12 +387,7 @@ pub fn repair_actions(
         }
         let new_parent = tree.parent(aff);
         if new_parent != old_parents[aff.index()] {
-            plan.push((
-                aff,
-                DetectMsg::SetParent {
-                    parent: new_parent.map(pid),
-                },
-            ));
+            plan.push((aff, DetectMsg::SetParent { parent: new_parent }));
         }
     }
     plan

@@ -2,7 +2,7 @@
 //!
 //! All protocol logic (queue feeding, reorder buffers, acks/retransmits,
 //! uplink codec state, tree-repair control messages) lives in the
-//! transport-agnostic [`MonitorCore`](crate::transport::MonitorCore);
+//! transport-agnostic [`MonitorCore`];
 //! this wrapper adds only what is simulator-specific: the local interval
 //! *schedule* (the simulated application whose predicate we monitor),
 //! timer plumbing, and crash/reboot checkpointing. The TCP runtime in
@@ -15,7 +15,7 @@ use crate::protocol::DetectMsg;
 use crate::report::GlobalDetection;
 use crate::transport::MonitorCore;
 use ftscp_intervals::Interval;
-use ftscp_simnet::{Application, Ctx, NodeId, SimTime, TimerToken};
+use ftscp_simnet::{Application, Ctx, SimTime, TimerToken};
 use ftscp_vclock::ProcessId;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -52,8 +52,13 @@ pub struct MonitorConfig {
     /// than this is suspected, a silent child's queue is held for this
     /// long and then dropped, and a silent parent triggers the
     /// grandparent-adoption handshake, with no harness involvement.
-    /// `None` (the default) leaves repair to the deployment's maintenance
-    /// service (the clairvoyant oracle).
+    /// `None` (the default) leaves repair to the simulated deployment's
+    /// maintenance service — [`RepairMode::Scheduled`], the clairvoyant
+    /// harness; [`RepairMode::HeartbeatDriven`] sets this from
+    /// `repair_delay`.
+    ///
+    /// [`RepairMode::Scheduled`]: crate::deploy::RepairMode::Scheduled
+    /// [`RepairMode::HeartbeatDriven`]: crate::deploy::RepairMode::HeartbeatDriven
     pub suspect_timeout: Option<SimTime>,
 }
 
@@ -312,7 +317,7 @@ impl Application for MonitorApp {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, DetectMsg>, _from: NodeId, msg: DetectMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, DetectMsg>, _from: ProcessId, msg: DetectMsg) {
         self.core.on_message(msg, ctx);
         self.persist();
     }

@@ -45,7 +45,6 @@
 //! [`ingest_broadcast`]: PredicateRegistry::ingest_broadcast
 
 use crate::report::GlobalDetection;
-use crate::{nid, pid};
 use ftscp_intervals::{Interval, QueueBank, SlotId, Solution};
 use ftscp_simnet::{SimTime, Topology};
 use ftscp_tree::SpanningTree;
@@ -173,7 +172,7 @@ pub struct RegistryStats {
 /// True iff `p` is a process of `tree` — one that has not crashed, for the
 /// registry's repaired tree.
 fn in_tree(tree: &SpanningTree, p: ProcessId) -> bool {
-    p.index() < tree.capacity() && tree.contains(nid(p))
+    p.index() < tree.capacity() && tree.contains(p)
 }
 
 /// Many tenants, one event stream, one shared tree.
@@ -209,7 +208,7 @@ impl PredicateRegistry {
             );
             let mut members = spec.members.clone();
             if members.is_empty() {
-                members.extend(tree.nodes().into_iter().map(pid));
+                members.extend(tree.nodes());
             }
             members.sort_unstable();
             members.dedup();
@@ -301,7 +300,7 @@ impl PredicateRegistry {
         let Some(row) = self.index.get(interval.source.index()) else {
             return;
         };
-        let root = pid(self.tree.root());
+        let root = self.tree.root();
         self.stats.tenant_touches += row.len() as u64;
         for &(tenant, slot) in row {
             self.slots[tenant as usize].enqueue(slot, interval.clone(), root);
@@ -317,7 +316,7 @@ impl PredicateRegistry {
         self.stats.events_ingested += 1;
         self.stats.broadcast_touches += self.slots.len() as u64;
         if in_tree(&self.tree, interval.source) {
-            let root = pid(self.tree.root());
+            let root = self.tree.root();
             for slot in &mut self.slots {
                 slot.offer(&interval, root);
             }
@@ -335,7 +334,7 @@ impl PredicateRegistry {
         let idx = self.slot_index(pred);
         self.stats.tenant_touches += 1;
         if in_tree(&self.tree, interval.source) {
-            let root = pid(self.tree.root());
+            let root = self.tree.root();
             self.slots[idx].offer(&interval, root);
         }
     }
@@ -350,10 +349,10 @@ impl PredicateRegistry {
             return;
         }
         let alive: Vec<bool> = ProcessId::all(self.tree.capacity())
-            .map(|p| p != node && self.tree.contains(nid(p)))
+            .map(|p| p != node && self.tree.contains(p))
             .collect();
-        self.tree.handle_failure(nid(node), topology, &alive);
-        let root = pid(self.tree.root());
+        self.tree.handle_failure(node, topology, &alive);
+        let root = self.tree.root();
         for (tenant, slot) in std::mem::take(&mut self.index[node.index()]) {
             let tenant = &mut self.slots[tenant as usize];
             let released = tenant.bank.remove_queue(slot);
@@ -642,7 +641,7 @@ mod tests {
         let mut reg = PredicateRegistry::new(&tree, &specs);
         reg.fail_node(ProcessId(3), &topo);
         // The shared tree is repaired once, for everyone.
-        assert!(!reg.tree().contains(ftscp_simnet::NodeId(3)));
+        assert!(!reg.tree().contains(ProcessId(3)));
         assert_eq!(reg.tree().node_count(), n - 1);
         let e = exec(n, 3, 8);
         for iv in e.intervals_interleaved() {
@@ -753,7 +752,7 @@ mod tests {
         )];
         let e = exec(n, 4, 9);
         let reg = run_with_crash(&e, &specs, Some((2 * n, ProcessId(0))), false);
-        let new_root = pid(reg.tree().root());
+        let new_root = reg.tree().root();
         assert_ne!(new_root, ProcessId(0));
         let dets = reg.root_solutions(PredicateId(0));
         assert_eq!(dets.len(), 4);

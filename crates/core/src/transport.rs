@@ -11,8 +11,8 @@
 //!   implements [`Transport`] on the simulator's `Ctx` (sends are
 //!   structured messages, billed at their delta-coded size via
 //!   `send_sized`);
-//! * `ftscp-net` — the TCP runtime wraps a core and implements
-//!   [`Transport`] over real sockets (sends are actually encoded).
+//! * `ftscp-net` — the TCP runtime wraps a core and drains an [`Outbox`]
+//!   onto real sockets after every core call (sends are actually encoded).
 //!
 //! Because both backends execute the *same* `MonitorCore` code, they
 //! cannot drift: the differential test in `ftscp-net` asserts identical
@@ -56,11 +56,49 @@ impl Transport for ftscp_simnet::Ctx<'_, DetectMsg> {
     }
 
     fn send(&mut self, dst: ProcessId, msg: DetectMsg) {
-        ftscp_simnet::Ctx::send(self, crate::nid(dst), msg);
+        ftscp_simnet::Ctx::send(self, dst, msg);
     }
 
     fn send_sized(&mut self, dst: ProcessId, msg: DetectMsg, size: usize) {
-        ftscp_simnet::Ctx::send_sized(self, crate::nid(dst), msg, size);
+        ftscp_simnet::Ctx::send_sized(self, dst, msg, size);
+    }
+}
+
+/// Buffering [`Transport`] for a driver that owns both the core and its
+/// sockets (the TCP reactor, the scale test's synthetic children): make
+/// one, hand it to a core call, then drain [`sent`](Self::sent) — in send
+/// order — onto the connections. The clock is fixed when the driver enters
+/// the core, and the advisory size of `send_sized` (the simulator's
+/// billing hook) is dropped: a driver that encodes real frames bills real
+/// bytes.
+#[derive(Debug)]
+pub struct Outbox {
+    now: SimTime,
+    /// Everything the core sent during the call, in send order.
+    pub sent: Vec<(ProcessId, DetectMsg)>,
+}
+
+impl Outbox {
+    /// An empty outbox whose clock reads `now`.
+    pub fn new(now: SimTime) -> Self {
+        Outbox {
+            now,
+            sent: Vec::new(),
+        }
+    }
+}
+
+impl Transport for Outbox {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn send(&mut self, dst: ProcessId, msg: DetectMsg) {
+        self.sent.push((dst, msg));
+    }
+
+    fn send_sized(&mut self, dst: ProcessId, msg: DetectMsg, _size: usize) {
+        self.send(dst, msg);
     }
 }
 
@@ -439,25 +477,9 @@ impl MonitorCore {
                     if self.config.retransmit_period.is_some() {
                         self.unacked.insert(interval.seq, interval.clone());
                     }
-                    if let Some(parent) = self.parent {
-                        self.interval_msgs_sent += 1;
-                        // Fresh report: the next stateful frame of the
-                        // uplink stream, charged at its delta-coded size.
-                        let size =
-                            INTERVAL_MSG_OVERHEAD + self.uplink_codec.stateful_len(&interval);
-                        self.uplink_codec.note_sent(&interval);
-                        t.send_sized(
-                            parent,
-                            DetectMsg::Interval {
-                                from: self.me,
-                                interval,
-                                resync: false,
-                            },
-                            size,
-                        );
-                    }
                     // No parent (orphan root): the detection is recorded at
                     // engine level; nothing to transmit.
+                    self.report(t, interval, false, false);
                 }
                 EngineOutput::Detected(sol) => {
                     self.detections
@@ -465,6 +487,45 @@ impl MonitorCore {
                 }
             }
         }
+    }
+
+    /// The one way an interval report leaves for the parent: bills it,
+    /// counts it and sends it, returning the billed size (0, and nothing
+    /// sent, without a parent). A fresh report is the next stateful frame
+    /// of the uplink stream, charged at its delta-coded size; a
+    /// retransmission or re-report is `standalone` — decodable by a parent
+    /// that missed the originals — and does not advance the uplink codec:
+    /// the live stream's base is unaffected by re-sends.
+    fn report(
+        &mut self,
+        t: &mut impl Transport,
+        interval: Interval,
+        standalone: bool,
+        resync: bool,
+    ) -> usize {
+        let Some(parent) = self.parent else {
+            return 0;
+        };
+        let frame = if standalone {
+            ConnCodec::standalone_len(&interval)
+        } else {
+            let len = self.uplink_codec.stateful_len(&interval);
+            self.uplink_codec.note_sent(&interval);
+            len
+        };
+        let size = INTERVAL_MSG_OVERHEAD + frame;
+        self.interval_msgs_sent += 1;
+        let from = self.me;
+        t.send_sized(
+            parent,
+            DetectMsg::Interval {
+                from,
+                interval,
+                resync,
+            },
+            size,
+        );
+        size
     }
 
     /// Re-sends unacknowledged outputs to the current parent, oldest
@@ -475,29 +536,19 @@ impl MonitorCore {
     /// Returns how many messages/bytes went out (the resync path accounts
     /// its burst as §III-F re-report traffic).
     fn retransmit_unacked(&mut self, t: &mut impl Transport, resync_first: bool) -> (u64, u64) {
-        let Some(parent) = self.parent else {
+        if self.parent.is_none() {
             return (0, 0);
-        };
-        let mut first = true;
-        let (mut msgs, mut bytes) = (0u64, 0u64);
-        for interval in self.unacked.values().take(self.config.retransmit_burst) {
-            self.interval_msgs_sent += 1;
-            // Retransmissions are standalone frames (decodable by a parent
-            // that missed the originals) and do not advance the uplink
-            // codec — the live stream's base is unaffected by re-sends.
-            let size = INTERVAL_MSG_OVERHEAD + ConnCodec::standalone_len(interval);
-            msgs += 1;
-            bytes += size as u64;
-            t.send_sized(
-                parent,
-                DetectMsg::Interval {
-                    from: self.me,
-                    interval: interval.clone(),
-                    resync: resync_first && first,
-                },
-                size,
-            );
-            first = false;
+        }
+        let burst: Vec<Interval> = self
+            .unacked
+            .values()
+            .take(self.config.retransmit_burst)
+            .cloned()
+            .collect();
+        let msgs = burst.len() as u64;
+        let mut bytes = 0u64;
+        for (i, interval) in burst.into_iter().enumerate() {
+            bytes += self.report(t, interval, true, resync_first && i == 0) as u64;
         }
         (msgs, bytes)
     }
@@ -518,21 +569,10 @@ impl MonitorCore {
             let (msgs, bytes) = self.retransmit_unacked(t, true);
             self.re_report_msgs += msgs;
             self.re_report_bytes += bytes;
-        } else if let (Some(p), Some(last)) = (self.parent, self.engine.last_output().cloned()) {
+        } else if let (Some(_), Some(last)) = (self.parent, self.engine.last_output().cloned()) {
             // Standalone frame: the receiving decoder is cold.
-            self.interval_msgs_sent += 1;
-            let size = INTERVAL_MSG_OVERHEAD + ConnCodec::standalone_len(&last);
             self.re_report_msgs += 1;
-            self.re_report_bytes += size as u64;
-            t.send_sized(
-                p,
-                DetectMsg::Interval {
-                    from: self.me,
-                    interval: last,
-                    resync: true,
-                },
-                size,
-            );
+            self.re_report_bytes += self.report(t, last, true, true) as u64;
         }
     }
 

@@ -63,6 +63,26 @@ fn deployment_matches_in_memory_detector() {
     }
 }
 
+/// A simulator/tree `NodeId` *is* a `ProcessId`: the tree's own child
+/// slice goes wherever the detection layer wants `&[ProcessId]`, with no
+/// conversion. Mostly a compile-time pin — it stops building the day the
+/// two ids drift apart again.
+#[test]
+fn tree_ids_are_process_ids() {
+    fn ids(children: &[ProcessId]) -> Vec<u32> {
+        children.iter().map(|c| c.0).collect()
+    }
+    let exec = RandomExecution::builder(7)
+        .intervals_per_process(1)
+        .seed(1)
+        .build();
+    let topo = Topology::dary_tree(7, 2, 1);
+    let dep = Deployment::new(topo, SpanningTree::balanced_dary(7, 2), &exec, config(1));
+    let root: NodeId = dep.tree().root();
+    assert_eq!(ids(dep.tree().children(root)), vec![1, 2]);
+    assert_eq!(dep.app(root).engine().children(), dep.tree().children(root));
+}
+
 #[test]
 fn deployment_is_deterministic() {
     let n = 7;

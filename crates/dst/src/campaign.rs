@@ -267,7 +267,7 @@ fn check_registry(
                     .checked_div(horizon.0)
                     .unwrap_or(0)
                     .min(total);
-            (pos as usize, ProcessId(v.0))
+            (pos as usize, v)
         })
         .collect();
     crashes.sort_unstable_by_key(|&(pos, p)| (pos, p.0));

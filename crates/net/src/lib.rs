@@ -25,8 +25,9 @@
 //!   [`wire::NetMsg`] and back. Every socket `node` and `scale` multiplex
 //!   goes through it.
 //! - [`node`] — one monitor node as one reactor thread: nonblocking
-//!   listener, one `conn` per accepted connection, an uplink
-//!   connect/session state machine on another, and a timer wheel driving
+//!   listener, one table holding a `conn` per socket — accepted
+//!   connections and the dialed uplink alike, the uplink's entry driven
+//!   by a connect/session state machine — and a timer wheel driving
 //!   heartbeats, suspicion, retransmits, and reconnect backoff — all
 //!   multiplexed over a single poller.
 //! - [`client`] — the event-ingestion client used by monitored processes

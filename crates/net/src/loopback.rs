@@ -10,7 +10,7 @@
 //! any node spawns, so every uplink knows its parent's address even if
 //! the parent's threads come up later (the uplink retries until the
 //! parent accepts). Each node's local intervals are fed through a real
-//! [`EventClient`](crate::client::EventClient) connection — the ingestion
+//! [`EventClient`] connection — the ingestion
 //! endpoint is exercised on every node, not just leaves.
 //!
 //! Whole-node failures are first-class: [`Deployment::crash_node`] kills
@@ -24,9 +24,8 @@
 use crate::client::EventClient;
 use crate::node::{spawn, NodeConfig, NodeHandle, NodeReport};
 use ftscp_core::monitor::MonitorConfig;
-use ftscp_core::pid;
 use ftscp_core::report::GlobalDetection;
-use ftscp_simnet::{NodeId, SimTime};
+use ftscp_simnet::SimTime;
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::Execution;
@@ -148,14 +147,10 @@ impl Deployment {
             listeners.push(l);
         }
         let mut handles = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let node = NodeId(i as u32);
+        for (node, listener) in ProcessId::all(n).zip(listeners) {
             assert!(tree.contains(node), "loopback trees must be full");
-            let mut cfg = NodeConfig::new(
-                pid(node),
-                tree.parent(node).map(|p| (pid(p), addrs[p.index()])),
-            );
-            cfg.children = tree.children(node).iter().map(|&c| pid(c)).collect();
+            let mut cfg = NodeConfig::new(node, tree.parent(node).map(|p| (p, addrs[p.index()])));
+            cfg.children = tree.children(node).to_vec();
             cfg.level = tree.level(node) as u32;
             cfg.expected_feeds = 1; // every process feeds its own intervals
             cfg.monitor = config.monitor;
@@ -165,7 +160,7 @@ impl Deployment {
             handles,
             crash_reports: (0..n).map(|_| None).collect(),
             addrs,
-            root: pid(tree.root()),
+            root: tree.root(),
             feeders: Vec::new(),
             started: Instant::now(),
             total_intervals: 0,

@@ -7,10 +7,10 @@
 //! ```text
 //!                    ┌────────────────────── reactor thread ───────────────────────┐
 //!  children &  accept│  nonblocking listener                                       │
-//!  clients ─────────▶│  one `net::conn::Conn` per connection (FrameBuffer + rx/tx  │
-//!                    │    codec + coalescing write queue)                          │
+//!  clients ─────────▶│  one connection table: a `Conn` per socket, accepted or     │
+//!                    │    dialed (FrameBuffer + rx/tx codec + coalescing queue)    │
 //!  parent ◀─────────▶│  uplink state machine (nonblocking connect → handshake →    │
-//!                    │    session on a `Conn`; reconnect backoff on the wheel)     │
+//!                    │    session; its `Conn` is table entry 0; backoff on wheel)  │
 //!                    │  timer wheel: heartbeats · suspicion · retransmit · redial  │
 //!                    │  MonitorCore (owned exclusively by this thread)             │
 //!                    └─────────────────────────────────────────────────────────────┘
@@ -18,9 +18,11 @@
 //!
 //! The reactor thread is the only thread: it accepts, reads, decodes,
 //! drives the [`MonitorCore`], encodes, and writes. The byte path of every
-//! socket — accepted or dialed — is one [`Conn`] (see [`crate::conn`]):
-//! this module decides *what* to say on which connection and when a
-//! connection is over, never how bytes become messages.
+//! socket — accepted or dialed — is one `Conn` (the crate-private
+//! `net::conn`) in one table; the uplink's is the entry under id 0 and
+//! differs only in what happens when it ends (back off, re-dial). This
+//! module decides *what* to say on which connection and when a connection
+//! is over, never how bytes become messages.
 //!
 //! External control (the [`NodeHandle`]) never touches the reactor's
 //! state directly: shutdown is a flag the loop polls between waits,
@@ -55,9 +57,8 @@ use crate::reactor::{connect_nonblocking, TimerWheel};
 use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_core::membership::MembershipEvent;
 use ftscp_core::monitor::MonitorConfig;
-use ftscp_core::protocol::DetectMsg;
 use ftscp_core::report::GlobalDetection;
-use ftscp_core::transport::{MonitorCore, Transport};
+use ftscp_core::transport::{MonitorCore, Outbox};
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
 use polling::{Event as PollEvent, Events, Poller};
@@ -162,6 +163,7 @@ pub struct NodeReport {
     pub suspects_at_exit: Vec<ProcessId>,
 }
 
+#[derive(Default)]
 struct Shared {
     shutdown: AtomicBool,
     done: Mutex<bool>,
@@ -170,10 +172,6 @@ struct Shared {
     /// ([`NodeHandle::drop_uplink`]) — severing it from outside exercises
     /// the reconnect-with-resync path.
     uplink_stream: Mutex<Option<TcpStream>>,
-    /// Where the reactor should dial its uplink. Re-targeted when the
-    /// adoption handshake picks a new parent (the grandparent); re-read
-    /// on every (re)connect attempt.
-    uplink_target: Mutex<Option<(ProcessId, SocketAddr)>>,
 }
 
 /// Handle to a running node: poke it, wait for it, collect its report.
@@ -245,13 +243,7 @@ impl NodeHandle {
 pub fn spawn(listener: TcpListener, config: NodeConfig) -> io::Result<NodeHandle> {
     let addr = listener.local_addr()?;
     let me = config.me;
-    let shared = Arc::new(Shared {
-        shutdown: AtomicBool::new(false),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-        uplink_stream: Mutex::new(None),
-        uplink_target: Mutex::new(config.parent),
-    });
+    let shared = Arc::<Shared>::default();
 
     let main_shared = Arc::clone(&shared);
     let main = thread::Builder::new()
@@ -270,56 +262,17 @@ pub fn spawn(listener: TcpListener, config: NodeConfig) -> io::Result<NodeHandle
 // Uplink state machine
 // ---------------------------------------------------------------------------
 
-/// The uplink's connect/handshake state machine.
+/// The uplink's connect/handshake state machine. Its `Conn` is the
+/// [`UPLINK_CONN`] entry of the connection table, present exactly while
+/// the state is not `Idle`.
+#[derive(Clone, Copy)]
 enum Uplink {
     /// No connection; the reconnect timer owns the next attempt.
     Idle,
     /// Nonblocking connect in flight — waiting for write readiness.
-    Connecting {
-        conn: Conn,
-        peer: ProcessId,
-        started: Instant,
-    },
-    /// Connected and `Hello` sent.
-    Up { conn: Conn, peer: ProcessId },
-}
-
-// ---------------------------------------------------------------------------
-// Transport seam
-// ---------------------------------------------------------------------------
-
-/// [`Transport`] over the node's live connections: `now` is wall-clock
-/// microseconds since node start; sends are buffered into an outbox the
-/// reactor routes to per-connection write queues immediately after the
-/// core call returns (the reactor owns both the core and the sockets, so
-/// the outbox is drained before anything else can interleave).
-///
-/// Routing is by the peer the uplink is *actually dialed at*, not by
-/// `core.parent()`: during an adoption handshake the uplink already
-/// points at the prospective parent while the core's parent pointer
-/// still names the dead one, and the `Suspect`/`Adopt` frames must
-/// reach the former. Frames addressed to an unreachable peer find no
-/// route and drop — exactly the lossy-link model the core's reliability
-/// layer (unacked + retransmit + resync) is built for.
-struct NetTransport {
-    start: Instant,
-    outbox: Vec<(ProcessId, DetectMsg)>,
-}
-
-impl Transport for NetTransport {
-    fn now(&self) -> SimTime {
-        SimTime(self.start.elapsed().as_micros() as u64)
-    }
-
-    fn send(&mut self, dst: ProcessId, msg: DetectMsg) {
-        self.outbox.push((dst, msg));
-    }
-
-    fn send_sized(&mut self, dst: ProcessId, msg: DetectMsg, _size: usize) {
-        // The advisory size is the simulator's billing hook; the reactor
-        // encodes real frames and bills real bytes at `Conn::enqueue`.
-        self.send(dst, msg);
-    }
+    Connecting { peer: ProcessId, started: Instant },
+    /// Connected and `Hello` sent; `peer` routes to [`UPLINK_CONN`].
+    Up { peer: ProcessId },
 }
 
 // ---------------------------------------------------------------------------
@@ -345,10 +298,22 @@ struct ReactorState {
     start: Instant,
     poller: Poller,
     timers: TimerWheel<Timer>,
+    /// Every live connection by id: accepted ones count from 1, the
+    /// uplink's is [`UPLINK_CONN`].
     conns: HashMap<u64, Conn>,
     next_conn: u64,
+    /// Which connection reaches a peer: a child's accepted connection
+    /// (from its `Hello`), or [`UPLINK_CONN`] for the peer the uplink is
+    /// *actually dialed at*, once it is up — not `core.parent()`: during
+    /// an adoption handshake the uplink already points at the prospective
+    /// parent while the core's parent pointer still names the dead one,
+    /// and the `Suspect`/`Adopt` frames must reach the former.
     peer_conn: HashMap<ProcessId, u64>,
     uplink: Uplink,
+    /// Where to dial the uplink. Re-targeted when the adoption handshake
+    /// picks a new parent (the grandparent); re-read on every (re)connect
+    /// attempt.
+    uplink_target: Option<(ProcessId, SocketAddr)>,
     /// The first successful uplink connect is not a *re*connect.
     uplink_ever_up: bool,
     /// Address book built from the parent's `Uplink` frames: every
@@ -369,38 +334,73 @@ struct ReactorState {
 }
 
 impl ReactorState {
+    fn new(config: NodeConfig, poller: Poller, shared: Arc<Shared>) -> ReactorState {
+        let mut core = MonitorCore::new(
+            config.me,
+            config.parent.map(|(p, _)| p),
+            &config.children,
+            config.level,
+            config.monitor,
+        );
+        if config.rejoin {
+            if let Some((p, _)) = config.parent {
+                // A restarted incarnation must not just resume the stream —
+                // the parent dropped it at crash time. Arm the adoption
+                // handshake; the first established uplink sends the Adopt
+                // frame.
+                core.membership_mut().begin_adoption(p, None);
+            }
+        }
+        ReactorState {
+            core,
+            uplink_target: config.parent,
+            config,
+            start: Instant::now(),
+            poller,
+            timers: TimerWheel::new(),
+            conns: HashMap::new(),
+            next_conn: 1,
+            peer_conn: HashMap::new(),
+            uplink: Uplink::Idle,
+            uplink_ever_up: false,
+            hint_addrs: BTreeMap::new(),
+            feeds_done: 0,
+            child_fins: BTreeSet::new(),
+            fin_sent: false,
+            counters: Arc::default(),
+            reconnects: 0,
+            shared,
+        }
+    }
+
     fn now(&self) -> SimTime {
         SimTime(self.start.elapsed().as_micros() as u64)
     }
 
     /// Runs `f` against the core with a buffering transport, then routes
-    /// the outbox into the per-connection write queues (same order).
-    fn with_core<R>(&mut self, f: impl FnOnce(&mut MonitorCore, &mut NetTransport) -> R) -> R {
-        let mut t = NetTransport {
-            start: self.start,
-            outbox: Vec::new(),
-        };
+    /// what it sent into the per-connection write queues, in send order.
+    /// The reactor owns both the core and the sockets, so nothing can
+    /// interleave between the call and the drain.
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut MonitorCore, &mut Outbox) -> R) -> R {
+        let mut t = Outbox::new(self.now());
         let r = f(&mut self.core, &mut t);
-        for (dst, msg) in t.outbox {
+        for (dst, msg) in t.sent {
             self.route(dst, &NetMsg::Detect(msg));
         }
         r
     }
 
-    /// Queues `msg` for `dst` on whichever connection reaches it (the
-    /// uplink if dialed at `dst`, else the child's accepted connection);
-    /// drops it if no route exists.
+    /// Queues `msg` on the connection that reaches `dst`. A peer with no
+    /// route — never connected, gone, or an uplink still connecting —
+    /// drops the frame: exactly the lossy-link model the core's
+    /// reliability layer (unacked + retransmit + resync) is built for.
     fn route(&mut self, dst: ProcessId, msg: &NetMsg) {
-        if let Uplink::Up { conn, peer } = &mut self.uplink {
-            if *peer == dst {
-                conn.enqueue(msg);
-                return;
-            }
-        }
-        if let Some(id) = self.peer_conn.get(&dst) {
-            if let Some(conn) = self.conns.get_mut(id) {
-                conn.enqueue(msg);
-            }
+        if let Some(conn) = self
+            .peer_conn
+            .get(&dst)
+            .and_then(|id| self.conns.get_mut(id))
+        {
+            conn.enqueue(msg);
         }
     }
 
@@ -433,9 +433,9 @@ impl ReactorState {
         let mut announced = self.config.parent.is_none();
         if self.fin_sent {
             announced = true; // already told this parent connection
-        } else if let (Some(_), Uplink::Up { conn, .. }) = (self.config.parent, &mut self.uplink) {
+        } else if let (Some(_), Uplink::Up { peer }) = (self.config.parent, self.uplink) {
             let me = self.config.me;
-            conn.enqueue(&NetMsg::Fin { from: me });
+            self.route(peer, &NetMsg::Fin { from: me });
             self.fin_sent = true;
             announced = true;
         }
@@ -474,31 +474,25 @@ impl ReactorState {
         }
     }
 
+    /// Ends connection `conn_id` (EOF, error, corrupt peer, failed
+    /// connect, or an uplink severed for a retarget). An accepted
+    /// connection is just gone; the uplink also backs off and re-dials.
     fn close_conn(&mut self, conn_id: u64) {
-        if let Some(conn) = self.conns.remove(&conn_id) {
-            let _ = self.poller.delete(conn.stream());
-        }
+        let Some(conn) = self.conns.remove(&conn_id) else {
+            return;
+        };
+        let _ = self.poller.delete(conn.stream());
         // Only unmap peers still pointing at this connection — a
         // replacement may have registered first.
         self.peer_conn.retain(|_, &mut c| c != conn_id);
-    }
-
-    /// The live connection behind session id `conn_id`: the established
-    /// uplink for [`UPLINK_CONN`], an accepted connection otherwise.
-    fn conn_mut(&mut self, conn_id: u64) -> Option<&mut Conn> {
-        match &mut self.uplink {
-            Uplink::Up { conn, .. } if conn_id == UPLINK_CONN => Some(conn),
-            _ => self.conns.get_mut(&conn_id),
-        }
-    }
-
-    /// Ends connection `conn_id`: the uplink backs off and re-dials, an
-    /// accepted connection is just gone.
-    fn kill_conn(&mut self, conn_id: u64) {
         if conn_id == UPLINK_CONN {
-            self.uplink_down();
-        } else {
-            self.close_conn(conn_id);
+            self.uplink = Uplink::Idle;
+            *self.shared.uplink_stream.lock().expect("uplink lock") = None;
+            // The next connection is a new session: a Fin already sent on
+            // the dead one must be announced again.
+            self.fin_sent = false;
+            self.timers
+                .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
         }
     }
 
@@ -507,22 +501,22 @@ impl ReactorState {
     /// error, framing violation, or a corrupt peer — after the messages
     /// that came first.
     fn conn_readable(&mut self, conn_id: u64) {
-        let Some(conn) = self.conn_mut(conn_id) else {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
         let filled = conn.fill();
         loop {
-            let Some(conn) = self.conn_mut(conn_id) else {
+            let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return; // a handler ended it
             };
             match conn.next_msg() {
                 Ok(Some(msg)) => self.handle_msg(conn_id, msg),
                 Ok(None) => break,
-                Err(_) => return self.kill_conn(conn_id),
+                Err(_) => return self.close_conn(conn_id),
             }
         }
         if !matches!(filled, Ok(FillStatus::Open { .. })) {
-            self.kill_conn(conn_id);
+            self.close_conn(conn_id);
         }
     }
 
@@ -533,7 +527,7 @@ impl ReactorState {
         if !matches!(self.uplink, Uplink::Idle) {
             return; // stale timer
         }
-        let Some((peer, addr)) = *self.shared.uplink_target.lock().expect("target lock") else {
+        let Some((peer, addr)) = self.uplink_target else {
             self.timers
                 .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
             return;
@@ -552,8 +546,9 @@ impl ReactorState {
                         .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
                     return;
                 }
+                self.conns
+                    .insert(UPLINK_CONN, Conn::new(stream, Arc::clone(&self.counters)));
                 self.uplink = Uplink::Connecting {
-                    conn: Conn::new(stream, Arc::clone(&self.counters)),
                     peer,
                     started: Instant::now(),
                 };
@@ -574,22 +569,21 @@ impl ReactorState {
     /// The in-flight connect resolved (write readiness): check `SO_ERROR`
     /// and either open the session or back off.
     fn uplink_connect_resolved(&mut self) {
-        let failed = match &self.uplink {
-            Uplink::Connecting { conn, .. } => !matches!(conn.stream().take_error(), Ok(None)),
-            _ => return,
+        let Some(conn) = self.conns.get(&UPLINK_CONN) else {
+            return;
         };
-        if failed {
-            self.uplink_down();
-        } else {
+        if matches!(conn.stream().take_error(), Ok(None)) {
             self.uplink_established();
+        } else {
+            self.close_conn(UPLINK_CONN);
         }
     }
 
     /// Connect + handshake: publish the socket for fault injection, say
     /// `Hello`, and either knock (adopting) or resync the report stream.
     fn uplink_established(&mut self) {
-        let Uplink::Connecting { mut conn, peer, .. } =
-            std::mem::replace(&mut self.uplink, Uplink::Idle)
+        let (Uplink::Connecting { peer, .. }, Some(conn)) =
+            (self.uplink, self.conns.get_mut(&UPLINK_CONN))
         else {
             return;
         };
@@ -598,9 +592,7 @@ impl ReactorState {
             .modify(conn.stream(), PollEvent::readable(KEY_UPLINK))
             .is_err()
         {
-            self.timers
-                .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
-            return;
+            return self.close_conn(UPLINK_CONN);
         }
         self.reconnects += u64::from(self.uplink_ever_up);
         self.uplink_ever_up = true;
@@ -610,7 +602,8 @@ impl ReactorState {
             kind: PeerKind::Child,
             proto: PROTO_VERSION,
         });
-        self.uplink = Uplink::Up { conn, peer };
+        self.uplink = Uplink::Up { peer };
+        self.peer_conn.insert(peer, UPLINK_CONN);
         if self.core.membership().is_adopting() {
             // The uplink now points at the prospective parent: open (or
             // re-knock on) the adoption handshake. The resync happens
@@ -622,23 +615,6 @@ impl ReactorState {
             self.with_core(|core, t| core.resync_uplink(t));
             self.maybe_finish(); // re-announce Fin if we were done
         }
-    }
-
-    /// The uplink died (EOF, error, failed connect, or severed for a
-    /// retarget): tear the session down and arm the backoff re-dial.
-    fn uplink_down(&mut self) {
-        match std::mem::replace(&mut self.uplink, Uplink::Idle) {
-            Uplink::Idle => return,
-            Uplink::Connecting { conn, .. } | Uplink::Up { conn, .. } => {
-                let _ = self.poller.delete(conn.stream());
-            }
-        }
-        *self.shared.uplink_stream.lock().expect("uplink lock") = None;
-        // The next connection is a new session: a Fin already sent on the
-        // dead one must be announced again.
-        self.fin_sent = false;
-        self.timers
-            .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
     }
 
     // -- timers --------------------------------------------------------------
@@ -671,7 +647,7 @@ impl ReactorState {
             Timer::ConnectTimeout => {
                 if let Uplink::Connecting { started, .. } = self.uplink {
                     if started.elapsed() >= CONNECT_TIMEOUT {
-                        self.uplink_down();
+                        self.close_conn(UPLINK_CONN);
                     }
                 }
             }
@@ -687,7 +663,7 @@ impl ReactorState {
     /// address. The chain reaches depth-`k` descendants after `k` beacon
     /// periods.
     fn send_uplink_hints(&mut self) {
-        let target = *self.shared.uplink_target.lock().expect("target lock");
+        let target = self.uplink_target;
         let ancestors: Vec<(ProcessId, String)> = self
             .hint_addrs
             .iter()
@@ -726,14 +702,11 @@ impl ReactorState {
                         // Already dialed at the target: (re-)knock directly.
                         self.with_core(|core, t| core.send_adoption_request(t));
                     } else if let Some(&addr) = self.hint_addrs.get(&target) {
-                        *self.shared.uplink_target.lock().expect("target lock") =
-                            Some((target, addr));
+                        self.uplink_target = Some((target, addr));
                         // Sever the current session (if any): the backoff
                         // timer re-reads the target and dials the new
                         // adoption candidate.
-                        if !matches!(self.uplink, Uplink::Idle) {
-                            self.uplink_down();
-                        }
+                        self.close_conn(UPLINK_CONN);
                     }
                     // A target with no known address burns its knock
                     // budget in the core and falls down the ladder — on
@@ -753,11 +726,18 @@ impl ReactorState {
         match msg {
             NetMsg::Hello { node, kind, proto } => {
                 if proto != PROTO_VERSION {
-                    self.kill_conn(conn); // incompatible peer
+                    self.close_conn(conn); // incompatible peer
                     return;
                 }
+                if conn == UPLINK_CONN {
+                    return; // a handshake only makes sense from the accepted direction
+                }
                 if kind == PeerKind::Child {
-                    self.peer_conn.insert(node, conn);
+                    // The peer this node dialed keeps its route: a
+                    // connection claiming its id does not get its frames.
+                    if self.peer_conn.get(&node) != Some(&UPLINK_CONN) {
+                        self.peer_conn.insert(node, conn);
+                    }
                     let now = self.now();
                     self.core.note_heartbeat(node, now);
                 }
@@ -816,11 +796,6 @@ impl ReactorState {
     /// loop iteration, right before the poller wait — the coalescing point.
     fn flush_all(&mut self) {
         let mut dead = Vec::new();
-        if let Uplink::Up { conn, .. } = &mut self.uplink {
-            if conn.flush(&self.poller, KEY_UPLINK).is_err() {
-                dead.push(UPLINK_CONN);
-            }
-        }
         for (&conn_id, conn) in &mut self.conns {
             let key = KEY_CONN_BASE + conn_id as usize;
             if conn.flush(&self.poller, key).is_err() {
@@ -828,28 +803,12 @@ impl ReactorState {
             }
         }
         for conn_id in dead {
-            self.kill_conn(conn_id);
+            self.close_conn(conn_id);
         }
     }
 }
 
 fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) -> NodeReport {
-    let mut core = MonitorCore::new(
-        config.me,
-        config.parent.map(|(p, _)| p),
-        &config.children,
-        config.level,
-        config.monitor,
-    );
-    if config.rejoin {
-        if let Some((p, _)) = config.parent {
-            // A restarted incarnation must not just resume the stream —
-            // the parent dropped it at crash time. Arm the adoption
-            // handshake; the first established uplink sends the Adopt
-            // frame.
-            core.membership_mut().begin_adoption(p, None);
-        }
-    }
     let poller = match Poller::new() {
         Ok(p) => p,
         Err(_) => return NodeReport::default(),
@@ -861,26 +820,7 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
     {
         return NodeReport::default();
     }
-
-    let mut st = ReactorState {
-        core,
-        config,
-        start: Instant::now(),
-        poller,
-        timers: TimerWheel::new(),
-        conns: HashMap::new(),
-        next_conn: 1,
-        peer_conn: HashMap::new(),
-        uplink: Uplink::Idle,
-        uplink_ever_up: false,
-        hint_addrs: BTreeMap::new(),
-        feeds_done: 0,
-        child_fins: BTreeSet::new(),
-        fin_sent: false,
-        counters: Arc::default(),
-        reconnects: 0,
-        shared,
-    };
+    let mut st = ReactorState::new(config, poller, shared);
 
     // Arm the initial timers; each re-arms itself from its handler.
     if let Some(period) = st.config.monitor.heartbeat_period {
@@ -927,6 +867,8 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
                 KEY_UPLINK if ev.writable && matches!(st.uplink, Uplink::Connecting { .. }) => {
                     st.uplink_connect_resolved()
                 }
+                // Nothing to read before the connect resolves.
+                KEY_UPLINK if matches!(st.uplink, Uplink::Connecting { .. }) => {}
                 // Write readiness drains via flush_all on the next pass.
                 key if ev.readable => st.conn_readable((key - KEY_CONN_BASE) as u64),
                 _ => {}
@@ -963,6 +905,7 @@ fn to_duration(t: SimTime) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftscp_core::protocol::DetectMsg;
 
     #[test]
     fn a_hold_opened_before_the_first_tick_survives_it() {
@@ -974,10 +917,7 @@ mod tests {
         // half-timeout of a node's life.
         let config = NodeConfig::new(ProcessId(1), None);
         let mut core = MonitorCore::new(config.me, None, &[ProcessId(2)], 2, config.monitor);
-        let mut t = NetTransport {
-            start: Instant::now(),
-            outbox: Vec::new(),
-        };
+        let mut t = Outbox::new(SimTime::ZERO);
         core.on_message(
             DetectMsg::Suspect {
                 from: ProcessId(5),
@@ -988,5 +928,67 @@ mod tests {
         core.membership_tick(&mut t);
         assert_eq!(core.held_children(), vec![ProcessId(2)]);
         assert!(core.engine().has_child(ProcessId(2)), "queue still held");
+    }
+
+    #[test]
+    fn frames_reach_the_uplink_peer_only_while_the_uplink_is_up() {
+        if !crate::sockets_available() {
+            return;
+        }
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let parent = ProcessId(0);
+        let mut st = ReactorState::new(
+            NodeConfig::new(ProcessId(1), Some((parent, addr))),
+            Poller::new().expect("poller"),
+            Arc::default(),
+        );
+        let sent = |st: &ReactorState| st.counters.bytes_sent.load(Ordering::Relaxed);
+        let ack = NetMsg::Detect(DetectMsg::Ack {
+            from: ProcessId(1),
+            upto: 0,
+        });
+
+        // Dialed, connect not yet resolved: the state `uplink_dial` leaves
+        // when the kernel answers `EINPROGRESS`.
+        let (stream, _) = connect_nonblocking(addr).expect("connect");
+        st.poller
+            .add(&stream, PollEvent::writable(KEY_UPLINK))
+            .expect("register");
+        st.conns
+            .insert(UPLINK_CONN, Conn::new(stream, Arc::clone(&st.counters)));
+        st.uplink = Uplink::Connecting {
+            peer: parent,
+            started: Instant::now(),
+        };
+        st.route(parent, &ack);
+        assert_eq!(sent(&st), 0, "dropped, not queued on the half-open Conn");
+        assert!(!st.conns[&UPLINK_CONN].pending_out());
+
+        st.uplink_established();
+        assert!(matches!(st.uplink, Uplink::Up { peer } if peer == parent));
+        let after_hello = sent(&st);
+        assert!(after_hello > 0, "Hello queued");
+        st.route(parent, &ack);
+        assert!(sent(&st) > after_hello, "routed once up");
+
+        // Some other connection claiming the parent's id does not take
+        // the uplink's frames.
+        st.handle_msg(
+            7,
+            NetMsg::Hello {
+                node: parent,
+                kind: PeerKind::Child,
+                proto: PROTO_VERSION,
+            },
+        );
+        assert_eq!(st.peer_conn[&parent], UPLINK_CONN);
+
+        st.close_conn(UPLINK_CONN);
+        assert!(matches!(st.uplink, Uplink::Idle));
+        assert!(st.conns.is_empty() && st.peer_conn.is_empty());
+        let before = sent(&st);
+        st.route(parent, &ack);
+        assert_eq!(sent(&st), before, "no route once down");
     }
 }

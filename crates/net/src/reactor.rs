@@ -1,7 +1,7 @@
 //! Shared building blocks of the readiness-polled runtimes: the timer
 //! wheel and the nonblocking TCP connect, used by the node reactor
-//! ([`crate::node`]) and the multiplexed feed driver
-//! ([`crate::client::FeedDriver`]).
+//! ([`crate::node`]) and the many-children scale driver
+//! ([`crate::scale`]).
 //!
 //! The poller itself is the vendored [`polling`] shim (epoll on Linux,
 //! `poll(2)` elsewhere); this module holds the pieces `polling` does not

@@ -19,8 +19,7 @@ use crate::reactor::connect_nonblocking;
 use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
 use crate::EventClient;
 use ftscp_core::monitor::MonitorConfig;
-use ftscp_core::protocol::DetectMsg;
-use ftscp_core::transport::{MonitorCore, Transport};
+use ftscp_core::transport::{MonitorCore, Outbox};
 use ftscp_intervals::Interval;
 use ftscp_simnet::SimTime;
 use ftscp_vclock::{ProcessId, VectorClock};
@@ -182,24 +181,6 @@ struct Child {
     fin_sent: bool,
 }
 
-struct ChildTransport {
-    start: Instant,
-    outbox: Vec<DetectMsg>,
-}
-
-impl Transport for ChildTransport {
-    fn now(&self) -> SimTime {
-        SimTime(self.start.elapsed().as_micros() as u64)
-    }
-    fn send(&mut self, _dst: ProcessId, msg: DetectMsg) {
-        // A leaf has exactly one neighbor: its parent, our one socket.
-        self.outbox.push(msg);
-    }
-    fn send_sized(&mut self, dst: ProcessId, msg: DetectMsg, _size: usize) {
-        self.send(dst, msg);
-    }
-}
-
 impl Child {
     fn new(me: ProcessId, conn: Conn) -> Child {
         Child {
@@ -226,13 +207,11 @@ impl Child {
         self.fin_sent && !self.conn.pending_out()
     }
 
-    fn with_core<R>(&mut self, f: impl FnOnce(&mut MonitorCore, &mut ChildTransport) -> R) -> R {
-        let mut t = ChildTransport {
-            start: self.start,
-            outbox: Vec::new(),
-        };
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut MonitorCore, &mut Outbox) -> R) -> R {
+        let mut t = Outbox::new(SimTime(self.start.elapsed().as_micros() as u64));
         let r = f(&mut self.core, &mut t);
-        for msg in t.outbox {
+        // A leaf has exactly one neighbor: its parent, our one socket.
+        for (_dst, msg) in t.sent {
             self.conn.enqueue(&NetMsg::Detect(msg));
         }
         r

@@ -17,10 +17,10 @@
 //!        1 Heartbeat   := u32 from, u64 epoch, u8 has_parent, [u32 parent],
 //!                         u8 n_ancestors, n × u32 ancestor
 //!        2 Ack         := u32 from, u64 upto
-//!        3 SetParent   := u8 has_parent, [u32 parent]
-//!        4 AddChild    := u32 child
-//!        5 RemoveChild := u32 child
-//!        6 PromoteRoot
+//!        3 SetParent     (simulator only)
+//!        4 AddChild      (simulator only)
+//!        5 RemoveChild   (simulator only)
+//!        6 PromoteRoot   (simulator only)
 //!        7 (unassigned)
 //!        8 Suspect     := u32 from, u32 suspect
 //!        9 Adopt       := u32 child, u64 epoch, u8 has_dead, [u32 dead_parent]
@@ -32,6 +32,13 @@
 //!   6 Uplink   := u8 has_parent, [u32 parent, u16 addr_len, addr bytes],
 //!                 u8 n_ancestors, n × (u32 id, u16 addr_len, addr bytes)
 //! ```
+//!
+//! Subtags 3–6 are the control messages of the simulated deployment's
+//! clairvoyant repair harness. Nothing here sends them — a TCP tree
+//! repairs itself through `Suspect`/`Adopt`/`AdoptAck`/`ReReport` — and a
+//! frame carrying one is refused like the unassigned subtag 7: acting on
+//! it would let any peer that can open a socket drop a live child's queue
+//! or promote a root.
 //!
 //! `Uplink` is the TCP-specific half of the grandparent hint: a parent
 //! periodically tells each child where *its own* uplink points (process
@@ -186,25 +193,14 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
                     put_u32(&mut out, from.0);
                     put_u64(&mut out, *upto);
                 }
-                DetectMsg::SetParent { parent } => {
-                    out.push(3);
-                    match parent {
-                        Some(p) => {
-                            out.push(1);
-                            put_u32(&mut out, p.0);
-                        }
-                        None => out.push(0),
-                    }
+                // The simulated repair harness's control messages: no
+                // socket path constructs them (see the module docs).
+                DetectMsg::SetParent { .. }
+                | DetectMsg::AddChild { .. }
+                | DetectMsg::RemoveChild { .. }
+                | DetectMsg::PromoteRoot => {
+                    unreachable!("simulator-only control message on a socket: {d:?}")
                 }
-                DetectMsg::AddChild { child } => {
-                    out.push(4);
-                    put_u32(&mut out, child.0);
-                }
-                DetectMsg::RemoveChild { child } => {
-                    out.push(5);
-                    put_u32(&mut out, child.0);
-                }
-                DetectMsg::PromoteRoot => out.push(6),
                 DetectMsg::Suspect { from, suspect } => {
                     out.push(8);
                     put_u32(&mut out, from.0);
@@ -357,20 +353,6 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
                     from: ProcessId(c.u32_le(TRUNCATED)?),
                     upto: c.u64_le(TRUNCATED)?,
                 },
-                3 => DetectMsg::SetParent {
-                    parent: match c.u8(TRUNCATED)? {
-                        0 => None,
-                        1 => Some(ProcessId(c.u32_le(TRUNCATED)?)),
-                        _ => return Err(DecodeError("bad parent flag")),
-                    },
-                },
-                4 => DetectMsg::AddChild {
-                    child: ProcessId(c.u32_le(TRUNCATED)?),
-                },
-                5 => DetectMsg::RemoveChild {
-                    child: ProcessId(c.u32_le(TRUNCATED)?),
-                },
-                6 => DetectMsg::PromoteRoot,
                 8 => DetectMsg::Suspect {
                     from: ProcessId(c.u32_le(TRUNCATED)?),
                     suspect: ProcessId(c.u32_le(TRUNCATED)?),
@@ -412,6 +394,7 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
                         resync,
                     }
                 }
+                // 3–6 (simulator-only control) and 7 (unassigned) included.
                 _ => return Err(DecodeError("unknown detect subtag")),
             };
             NetMsg::Detect(d)
@@ -513,17 +496,6 @@ mod tests {
                 from: ProcessId(1),
                 upto: 42,
             }),
-            NetMsg::Detect(DetectMsg::SetParent {
-                parent: Some(ProcessId(5)),
-            }),
-            NetMsg::Detect(DetectMsg::SetParent { parent: None }),
-            NetMsg::Detect(DetectMsg::AddChild {
-                child: ProcessId(9),
-            }),
-            NetMsg::Detect(DetectMsg::RemoveChild {
-                child: ProcessId(9),
-            }),
-            NetMsg::Detect(DetectMsg::PromoteRoot),
             NetMsg::Detect(DetectMsg::Suspect {
                 from: ProcessId(4),
                 suspect: ProcessId(2),
@@ -592,6 +564,22 @@ mod tests {
                     "{msg:?} cut at {cut} must fail"
                 );
             }
+        }
+        // The four simulator-only control variants, laid out as the
+        // simulator's size table bills them (SetParent with and without a
+        // parent, AddChild, RemoveChild, PromoteRoot), are refused whole.
+        for control in [
+            &[3, 3, 1, 5, 0, 0, 0][..],
+            &[3, 3, 0][..],
+            &[3, 4, 9, 0, 0, 0][..],
+            &[3, 5, 9, 0, 0, 0][..],
+            &[3, 6][..],
+        ] {
+            assert_eq!(
+                decode_msg(control, &mut ConnCodec::new()),
+                Err(DecodeError("unknown detect subtag")),
+                "{control:?}"
+            );
         }
     }
 

@@ -3,8 +3,9 @@
 //! the replacement connection must be standalone (cold-decodable) or the
 //! stream is lost. These tests force that path on both stream kinds —
 //! the child→parent report uplink and the client→node event feed. The
-//! last test covers the other way a stream can be lost: a peer whose
-//! interval frames are not of the delta family at all.
+//! last two cover frames a node refuses outright, closing that one
+//! connection only: interval frames that are not of the delta family at
+//! all, and the simulator-only control messages.
 
 use ftscp_core::deploy::{DeployConfig, Deployment as SimDeployment};
 use ftscp_core::protocol::ConnCodec;
@@ -19,7 +20,7 @@ use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::{Execution, RandomExecution};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn coverages(dets: &[GlobalDetection]) -> Vec<Vec<(u32, u64)>> {
@@ -163,6 +164,35 @@ fn event_feed_resumes_on_a_fresh_connection() {
     assert_eq!(coverages(&sim), coverages(&report.detections));
 }
 
+/// A stranger connects to the node at `addr`, handshakes properly as an
+/// event client for `claim`, sends one frame with `payload` — and must be
+/// hung up on.
+fn stranger_is_hung_up_on(addr: SocketAddr, claim: ProcessId, payload: &[u8]) {
+    let mut stranger = TcpStream::connect(addr).expect("connect stranger");
+    stranger
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let hello = NetMsg::Hello {
+        node: claim,
+        kind: PeerKind::Client,
+        proto: PROTO_VERSION,
+    };
+    let hello = encode_msg(&hello, &mut ConnCodec::new());
+    stranger.write_all(&frame_bytes(&hello)).expect("hello");
+    let mut fb = FrameBuffer::new();
+    let ack = read_frame(&mut stranger, &mut fb).expect("read ack");
+    let ack = decode_msg(&ack.expect("ack frame"), &mut ConnCodec::new());
+    assert!(matches!(ack, Ok(NetMsg::HelloAck { .. })));
+    stranger
+        .write_all(&frame_bytes(payload))
+        .expect("refused frame");
+    let hung_up = read_frame(&mut stranger, &mut fb).expect("EOF, not a timeout");
+    assert_eq!(
+        hung_up, None,
+        "the node must close the stranger's connection"
+    );
+}
+
 /// A peer that still frames intervals in the retired fixed-width layout
 /// (version byte `0x00`) is a corrupt peer like any other: the node hangs
 /// up on that one connection and keeps serving everyone else.
@@ -190,24 +220,9 @@ fn dense_frame_kills_only_its_own_connection() {
         c0.send_event(iv).expect("send p0 first half");
     }
 
-    // The stranger handshakes properly, then sends an `Event` (tag 4)
-    // whose interval is dense: u32 source, u64 seq, u8 kind, two
-    // length-prefixed clocks, u32 coverage count, (u32, u64) entries.
-    let mut stranger = TcpStream::connect(dep.addr(p0)).expect("connect stranger");
-    stranger
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
-    let hello = NetMsg::Hello {
-        node: p0,
-        kind: PeerKind::Client,
-        proto: PROTO_VERSION,
-    };
-    let hello = encode_msg(&hello, &mut ConnCodec::new());
-    stranger.write_all(&frame_bytes(&hello)).expect("hello");
-    let mut fb = FrameBuffer::new();
-    let ack = read_frame(&mut stranger, &mut fb).expect("read ack");
-    let ack = decode_msg(&ack.expect("ack frame"), &mut ConnCodec::new());
-    assert!(matches!(ack, Ok(NetMsg::HelloAck { .. })));
+    // The stranger sends an `Event` (tag 4) whose interval is dense: u32
+    // source, u64 seq, u8 kind, two length-prefixed clocks, u32 coverage
+    // count, (u32, u64) entries.
     let iv = &second_half[0];
     let mut event = vec![4u8];
     event.extend_from_slice(&iv.source.0.to_le_bytes());
@@ -222,14 +237,7 @@ fn dense_frame_kills_only_its_own_connection() {
     event.extend_from_slice(&1u32.to_le_bytes());
     event.extend_from_slice(&iv.source.0.to_le_bytes());
     event.extend_from_slice(&iv.seq.to_le_bytes());
-    stranger
-        .write_all(&frame_bytes(&event))
-        .expect("dense event");
-    let hung_up = read_frame(&mut stranger, &mut fb).expect("EOF, not a timeout");
-    assert_eq!(
-        hung_up, None,
-        "the node must close the stranger's connection"
-    );
+    stranger_is_hung_up_on(dep.addr(p0), p0, &event);
 
     // Everyone else is still served, and the dense interval was not fed.
     for iv in second_half {
@@ -244,5 +252,39 @@ fn dense_frame_kills_only_its_own_connection() {
     c1.fin().expect("fin p1");
     let report = dep.finish(&config).expect("loopback run failed");
     assert!(!report.timed_out, "run did not complete past the stranger");
+    assert_eq!(coverages(&sim), coverages(&report.detections));
+}
+
+/// `SetParent` / `AddChild` / `RemoveChild` / `PromoteRoot` (detect
+/// subtags 3–6) belong to the simulated deployment's repair harness; over
+/// a socket they would let anyone who can connect drop a live child's
+/// queue — releasing solutions that never saw its subtree — or promote a
+/// root. The node refuses them like any unknown frame and is otherwise
+/// untouched.
+#[test]
+fn control_frames_from_a_stranger_are_refused() {
+    if !sockets_available() {
+        eprintln!("skipping: loopback sockets unavailable in this environment");
+        return;
+    }
+    let exec = RandomExecution::builder(2)
+        .intervals_per_process(6)
+        .skip_prob(0.0)
+        .seed(19)
+        .build();
+    let tree = SpanningTree::balanced_dary(2, 2); // root 0 — leaf 1
+    let sim = simnet_detections(&tree, &exec, 19);
+    let config = LoopbackConfig::default();
+    let mut dep = Deployment::launch(&tree, &config).expect("launch failed");
+
+    let root = ProcessId(0);
+    let promote_root = [3u8, 6];
+    let remove_child_1 = [3u8, 5, 1, 0, 0, 0];
+    stranger_is_hung_up_on(dep.addr(root), root, &promote_root);
+    stranger_is_hung_up_on(dep.addr(root), root, &remove_child_1);
+
+    dep.feed_execution(&exec, config.event_pacing);
+    let report = dep.finish(&config).expect("loopback run failed");
+    assert!(!report.timed_out, "run did not complete past the strangers");
     assert_eq!(coverages(&sim), coverages(&report.detections));
 }

@@ -1,7 +1,7 @@
 //! The event queue of the discrete-event core.
 
-use crate::node::NodeId;
 use crate::time::SimTime;
+use crate::NodeId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

@@ -24,8 +24,8 @@
 //! * **Timer skew** — clock-rate drift of one node's local timers,
 //!   stressing heartbeat/timeout tuning.
 
-use crate::node::NodeId;
 use crate::time::SimTime;
+use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

@@ -33,7 +33,6 @@
 pub mod event;
 pub mod fault;
 pub mod metrics;
-pub mod node;
 pub mod sim;
 pub mod time;
 pub mod topology;
@@ -41,7 +40,11 @@ pub mod topology;
 pub use event::TimerToken;
 pub use fault::{ActiveFaults, FaultOp, FaultPlan, FaultPlanParams};
 pub use metrics::{NetMetrics, NodeMetrics};
-pub use node::NodeId;
 pub use sim::{Application, Ctx, LinkModel, SimConfig, Simulation};
 pub use time::SimTime;
 pub use topology::Topology;
+
+/// A node of the network is a process of the system model (§II-A), so its id
+/// is the logical-clock layer's [`ftscp_vclock::ProcessId`]; `NodeId` is this
+/// crate's (and `ftscp-tree`'s) spelling of it.
+pub use ftscp_vclock::ProcessId as NodeId;

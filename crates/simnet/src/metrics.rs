@@ -6,7 +6,7 @@
 //! tracks both the end-to-end send count and the hop-weighted count; the
 //! latter is the series plotted in Figures 4–5.
 
-use crate::node::NodeId;
+use crate::NodeId;
 use std::collections::BTreeMap;
 
 /// Per-node accounting.

@@ -3,9 +3,9 @@
 use crate::event::{EventKind, EventQueue, TimerToken};
 use crate::fault::{ActiveFaults, FaultOp, FaultPlan};
 use crate::metrics::NetMetrics;
-use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::topology::Topology;
+use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

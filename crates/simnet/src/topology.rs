@@ -1,6 +1,6 @@
 //! Network topologies: generators and graph queries.
 
-use crate::node::NodeId;
+use crate::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;

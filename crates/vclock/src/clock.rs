@@ -1,9 +1,11 @@
 //! The [`VectorClock`] type and its update rules.
 
-use crate::pool::ClockHandle;
+use crate::pool::{bump_deep, bump_logical};
 use crate::process::ProcessId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Index;
+use std::sync::Arc;
 
 /// A Fidge/Mattern vector clock over a fixed number of processes.
 ///
@@ -14,11 +16,13 @@ use std::ops::Index;
 /// [`join`](VectorClock::join) / [`meet`](VectorClock::meet) used by interval
 /// aggregation, Eq. (5)/(6) of the paper).
 ///
-/// Storage is a shared, immutable [`ClockHandle`]: cloning a clock is an
-/// `O(1)` refcount bump and mutation is copy-on-write, so passing timestamps
-/// between queues, codecs, and aggregation stages no longer costs an `O(n)`
-/// allocation per move. The API below is unchanged from the dense
-/// representation — callers see a plain vector clock.
+/// Storage is a shared `Arc<[u32]>`: cloning a clock is an `O(1)` refcount
+/// bump, reading is a plain slice, and mutation is copy-on-write — a unique
+/// clock mutates in place, a shared one copies once and then mutates in
+/// place — so passing timestamps between queues, codecs, and aggregation
+/// stages costs no `O(n)` allocation per move. Clones of one clock share its
+/// allocation, and equality short-circuits on pointer identity. Every clone
+/// and every copy-on-write break is counted per thread; see [`crate::pool`].
 ///
 /// # Examples
 ///
@@ -33,16 +37,15 @@ use std::ops::Index;
 /// b.receive(ProcessId(1), &stamp); // receive at P1
 /// assert!(a.strictly_less(&b));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
-    components: ClockHandle,
+    data: Arc<[u32]>,
 }
 
 impl VectorClock {
     /// A zero clock for an `n`-process system.
     pub fn new(n: usize) -> Self {
         VectorClock {
-            components: ClockHandle::zeros(n),
+            data: vec![0u32; n].into(),
         }
     }
 
@@ -50,7 +53,7 @@ impl VectorClock {
     /// worked examples from the paper (Figure 3).
     pub fn from_components(components: impl Into<Vec<u32>>) -> Self {
         VectorClock {
-            components: ClockHandle::new(components.into()),
+            data: Arc::from(components.into()),
         }
     }
 
@@ -58,43 +61,54 @@ impl VectorClock {
     /// of the other). Equality of contents in `O(1)`.
     #[inline]
     pub fn shares_storage_with(&self, other: &VectorClock) -> bool {
-        self.components.ptr_eq(&other.components)
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Number of processes this clock covers.
     #[inline]
     pub fn len(&self) -> usize {
-        self.components.len()
+        self.data.len()
     }
 
     /// True iff the clock covers zero processes (degenerate).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
+        self.data.is_empty()
     }
 
     /// Read component `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u32 {
-        self.components.as_slice()[i]
+        self.data[i]
     }
 
     /// Overwrite component `i`.
     #[inline]
     pub fn set(&mut self, i: usize, v: u32) {
-        self.components.make_mut()[i] = v;
+        self.make_mut()[i] = v;
     }
 
     /// Raw view of the components.
     #[inline]
     pub fn components(&self) -> &[u32] {
-        self.components.as_slice()
+        &self.data
+    }
+
+    /// Mutable access to the components. In place when this clock is the
+    /// only owner of its storage; otherwise the storage is copied once
+    /// (billed as a deep copy) and the clock re-pointed at the private copy.
+    fn make_mut(&mut self) -> &mut [u32] {
+        if Arc::get_mut(&mut self.data).is_none() {
+            bump_deep();
+            self.data = self.data.to_vec().into();
+        }
+        Arc::get_mut(&mut self.data).expect("uniquely owned after copy-on-write")
     }
 
     /// Rule 1: advance the local component before an internal event.
     #[inline]
     pub fn tick(&mut self, me: ProcessId) {
-        self.components.make_mut()[me.index()] += 1;
+        self.make_mut()[me.index()] += 1;
     }
 
     /// Ticks and returns a copy — the timestamp to piggyback on a message
@@ -116,20 +130,10 @@ impl VectorClock {
         debug_assert_eq!(self.len(), other.len(), "clock width mismatch");
         // Merging with an aliased or dominated clock is a no-op; skip the
         // copy-on-write break in that case.
-        if self.components.ptr_eq(&other.components) {
+        if other.less_eq(self) {
             return;
         }
-        let other_slice = other.components.as_slice();
-        if self
-            .components
-            .as_slice()
-            .iter()
-            .zip(other_slice.iter())
-            .all(|(c, o)| c >= o)
-        {
-            return;
-        }
-        for (c, o) in self.components.make_mut().iter_mut().zip(other_slice) {
+        for (c, o) in self.make_mut().iter_mut().zip(other.components()) {
             *c = (*c).max(*o);
         }
     }
@@ -139,17 +143,16 @@ impl VectorClock {
     /// aggregation function ⊓ (Eq. (5)).
     pub fn join(&self, other: &VectorClock) -> VectorClock {
         debug_assert_eq!(self.len(), other.len(), "clock width mismatch");
-        if self.components.ptr_eq(&other.components) {
+        if self.shares_storage_with(other) {
             return self.clone();
         }
         VectorClock {
-            components: ClockHandle::new(
-                self.components()
-                    .iter()
-                    .zip(other.components())
-                    .map(|(a, b)| *a.max(b))
-                    .collect(),
-            ),
+            data: self
+                .components()
+                .iter()
+                .zip(other.components())
+                .map(|(a, b)| *a.max(b))
+                .collect(),
         }
     }
 
@@ -158,17 +161,16 @@ impl VectorClock {
     /// aggregation function ⊓ (Eq. (6)).
     pub fn meet(&self, other: &VectorClock) -> VectorClock {
         debug_assert_eq!(self.len(), other.len(), "clock width mismatch");
-        if self.components.ptr_eq(&other.components) {
+        if self.shares_storage_with(other) {
             return self.clone();
         }
         VectorClock {
-            components: ClockHandle::new(
-                self.components()
-                    .iter()
-                    .zip(other.components())
-                    .map(|(a, b)| *a.min(b))
-                    .collect(),
-            ),
+            data: self
+                .components()
+                .iter()
+                .zip(other.components())
+                .map(|(a, b)| *a.min(b))
+                .collect(),
         }
     }
 
@@ -201,20 +203,22 @@ impl VectorClock {
         // The zip of two slices reports its exact length, so this collects
         // straight into the shared buffer — which is then uniquely owned,
         // so `make_mut` hands it out in place for the rest of the fold.
-        let mut components: ClockHandle = first
-            .components()
-            .iter()
-            .zip(second.components())
-            .map(|(a, b)| op(*a, *b))
-            .collect();
-        let out = components.make_mut();
+        let mut folded = VectorClock {
+            data: first
+                .components()
+                .iter()
+                .zip(second.components())
+                .map(|(a, b)| op(*a, *b))
+                .collect(),
+        };
+        let out = folded.make_mut();
         for clock in it {
             debug_assert_eq!(out.len(), clock.len(), "clock width mismatch");
             for (acc, c) in out.iter_mut().zip(clock.components()) {
                 *acc = op(*acc, *c);
             }
         }
-        VectorClock { components }
+        folded
     }
 
     /// Strict component order: `self < other` iff every component of `self`
@@ -229,7 +233,7 @@ impl VectorClock {
     /// Non-strict component order: every component `≤`.
     pub fn less_eq(&self, other: &VectorClock) -> bool {
         debug_assert_eq!(self.len(), other.len(), "clock width mismatch");
-        self.components.ptr_eq(&other.components)
+        self.shares_storage_with(other)
             || self
                 .components()
                 .iter()
@@ -251,11 +255,36 @@ impl VectorClock {
     }
 }
 
+/// A refcount bump, counted as one logical clone.
+impl Clone for VectorClock {
+    #[inline]
+    fn clone(&self) -> Self {
+        bump_logical();
+        VectorClock {
+            data: Arc::clone(&self.data),
+        }
+    }
+}
+
+impl PartialEq for VectorClock {
+    fn eq(&self, other: &Self) -> bool {
+        self.shares_storage_with(other) || self.data == other.data
+    }
+}
+
+impl Eq for VectorClock {}
+
+impl Hash for VectorClock {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.data.hash(state);
+    }
+}
+
 impl Index<usize> for VectorClock {
     type Output = u32;
 
     fn index(&self, i: usize) -> &u32 {
-        &self.components.as_slice()[i]
+        &self.data[i]
     }
 }
 
@@ -401,6 +430,47 @@ mod tests {
     #[test]
     fn display_is_angle_bracketed() {
         assert_eq!(vc(&[1, 2]).to_string(), "⟨1,2⟩");
+    }
+
+    #[test]
+    fn clone_is_refcount_bump() {
+        let h = vc(&[1, 2, 3]);
+        let g = h.clone();
+        assert!(h.shares_storage_with(&g));
+        assert_eq!(g.components(), &[1, 2, 3]);
+        assert_eq!(Arc::strong_count(&h.data), 2);
+    }
+
+    #[test]
+    fn make_mut_unique_is_in_place() {
+        let mut h = vc(&[1, 2]);
+        let (_, deep_before) = crate::pool::clone_stats();
+        h.make_mut()[0] = 9;
+        let (_, deep_after) = crate::pool::clone_stats();
+        assert_eq!(h.components(), &[9, 2]);
+        assert_eq!(deep_after, deep_before, "unique mutation must not copy");
+    }
+
+    #[test]
+    fn make_mut_shared_copies_once() {
+        let mut h = vc(&[1, 2]);
+        let g = h.clone();
+        let (_, deep_before) = crate::pool::clone_stats();
+        h.make_mut()[0] = 9;
+        let (_, deep_after) = crate::pool::clone_stats();
+        assert_eq!(deep_after, deep_before + 1, "copy-on-write billed");
+        assert_eq!(h.components(), &[9, 2]);
+        assert_eq!(g.components(), &[1, 2], "sharer unaffected");
+        assert!(!h.shares_storage_with(&g));
+    }
+
+    #[test]
+    fn equality_is_by_content_with_ptr_fast_path() {
+        let a = vc(&[1, 2]);
+        let b = vc(&[1, 2]);
+        assert_eq!(a, b);
+        assert!(!a.shares_storage_with(&b));
+        assert_eq!(a, a.clone());
     }
 
     #[test]

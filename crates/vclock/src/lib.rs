@@ -48,5 +48,5 @@ pub mod process;
 pub use clock::VectorClock;
 pub use counter::OpCounter;
 pub use order::{concurrent, strictly_less, ClockOrd};
-pub use pool::{clone_stats, reset_clone_stats, ClockHandle};
+pub use pool::{clone_stats, reset_clone_stats};
 pub use process::ProcessId;

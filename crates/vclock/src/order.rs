@@ -132,7 +132,7 @@ fn chunk_flags_u64(wa: &[u32], wb: &[u32]) -> (bool, bool) {
 /// different traversal and different cost unit.
 ///
 /// The loop folds [`CHUNK_WIDTH`] components per iteration, packed two
-/// components per `u64` machine word ([`chunk_flags_u64`]): an equal pair
+/// components per `u64` machine word (`chunk_flags_u64`): an equal pair
 /// is retired by one 64-bit compare, and only differing pairs pay the
 /// per-half order tests. Early exit happens at chunk granularity once
 /// both order flags are set (concurrency is decided). Billing follows the

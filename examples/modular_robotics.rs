@@ -47,8 +47,8 @@ fn main() {
     let mut group_rows: Vec<(ProcessId, usize, u64)> = det
         .solution_counts()
         .into_iter()
-        .filter(|(p, _)| !det.tree().is_leaf(NodeId(p.0)))
-        .map(|(p, c)| (p, det.tree().subtree(NodeId(p.0)).len(), c))
+        .filter(|(p, _)| !det.tree().is_leaf(*p))
+        .map(|(p, c)| (p, det.tree().subtree(p).len(), c))
         .collect();
     group_rows.sort_by_key(|&(_, size, _)| std::cmp::Reverse(size));
     for (node, size, count) in group_rows.iter().take(8) {

@@ -1,7 +1,7 @@
 //! Workspace-local, API-compatible subset of `proptest`.
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors
-//! the slice of proptest it uses: the [`Strategy`] trait with `prop_map` /
+//! the slice of proptest it uses: the [`strategy::Strategy`] trait with `prop_map` /
 //! `prop_flat_map`, integer/float range strategies, tuple and `Vec`
 //! composition, [`collection::vec`], `num::*::ANY`, `bool::ANY`, the
 //! [`proptest!`] test macro with `#![proptest_config(..)]`, and the
@@ -212,7 +212,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,
