@@ -232,6 +232,11 @@ impl CentralizedDeployment {
         self.sim.metrics()
     }
 
+    /// Simulator events dispatched so far.
+    pub fn events_processed(&self) -> u64 {
+        self.sim.events_processed()
+    }
+
     /// Sink-side queue statistics.
     pub fn sink_stats(&self) -> BankStats {
         self.sim

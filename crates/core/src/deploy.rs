@@ -394,6 +394,18 @@ impl Deployment {
         self.sim.metrics()
     }
 
+    /// Simulator events dispatched so far.
+    pub fn events_processed(&self) -> u64 {
+        self.sim.events_processed()
+    }
+
+    /// The most simulator events (messages in flight plus armed timers)
+    /// that were ever pending at once — the simulated network's queue
+    /// depth; [`peak_queue_len`](Self::peak_queue_len) is the banks'.
+    pub fn peak_pending_events(&self) -> usize {
+        self.sim.peak_pending_events()
+    }
+
     /// Interval messages sent network-wide (the paper's message count).
     pub fn interval_messages(&self) -> u64 {
         self.sim.apps().iter().map(|a| a.interval_msgs_sent()).sum()

@@ -181,22 +181,26 @@ impl Membership {
         }
     }
 
-    /// Records the full ancestor chain carried by the parent's heartbeat:
-    /// `chain` is this node's ancestors above its own parent, nearest
-    /// first ([grandparent, great-grandparent, …]; empty when the parent
-    /// is a root). The nearest rung becomes the grandparent hint, every
-    /// rung enters the fallback ladder (farthest folded first, so
+    /// Records the full ancestor chain carried by the parent's heartbeat,
+    /// in the two pieces the beacon carries it in: `nearest`, the
+    /// parent's own parent, then `above`, the rungs beyond it — together
+    /// this node's ancestors above its own parent, nearest first
+    /// ([grandparent, great-grandparent, …]; empty when the parent is a
+    /// root). The nearest rung becomes the grandparent hint, every rung
+    /// enters the fallback ladder (farthest folded first, so
     /// [`next_adoption_candidate`](Self::next_adoption_candidate) dials
     /// nearest-first), and the capped chain is kept for relay on this
     /// node's own heartbeats.
-    pub fn note_ancestors(&mut self, chain: &[ProcessId]) {
-        let chain = &chain[..chain.len().min(ANCESTOR_HINT_CAP)];
-        for &a in chain.iter().rev() {
+    pub fn note_ancestors(&mut self, nearest: Option<ProcessId>, above: &[ProcessId]) {
+        let room = ANCESTOR_HINT_CAP - usize::from(nearest.is_some());
+        let above = &above[..above.len().min(room)];
+        for &a in above.iter().rev().chain(&nearest) {
             self.note_hint(a);
         }
-        self.grandparent = chain.first().copied();
         self.above_parent.clear();
-        self.above_parent.extend_from_slice(chain);
+        self.above_parent.extend(nearest);
+        self.above_parent.extend_from_slice(above);
+        self.grandparent = self.above_parent.first().copied();
     }
 
     /// This node's ancestors above its own parent, nearest first — what
@@ -430,9 +434,9 @@ mod tests {
     #[test]
     fn hint_ladder_and_failed_target_memory() {
         let mut m = Membership::new(0);
-        m.note_ancestors(&[ProcessId(7)]);
-        m.note_ancestors(&[ProcessId(8)]);
-        m.note_ancestors(&[ProcessId(7)]); // re-heard: moves to most-recent
+        m.note_ancestors(Some(ProcessId(7)), &[]);
+        m.note_ancestors(Some(ProcessId(8)), &[]);
+        m.note_ancestors(Some(ProcessId(7)), &[]); // re-heard: moves to most-recent
         assert_eq!(m.hint_history(), &[ProcessId(8), ProcessId(7)]);
         assert_eq!(
             m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
@@ -455,13 +459,13 @@ mod tests {
             "ladder exhausted"
         );
         // A re-heard old hint does not forgive a written-off target...
-        m.note_ancestors(&[ProcessId(8)]);
+        m.note_ancestors(Some(ProcessId(8)), &[]);
         assert_eq!(
             m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
             None
         );
         // ...but a genuinely new hint re-opens every path.
-        m.note_ancestors(&[ProcessId(9)]);
+        m.note_ancestors(Some(ProcessId(9)), &[]);
         assert!(m.failed_targets().is_empty());
         assert_eq!(
             m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
@@ -473,7 +477,7 @@ mod tests {
     fn ancestor_chain_feeds_the_ladder_nearest_first() {
         let mut m = Membership::new(0);
         // Parent's beacon: grandparent 2, great-grandparent 1, root 0.
-        m.note_ancestors(&[ProcessId(2), ProcessId(1), ProcessId(0)]);
+        m.note_ancestors(Some(ProcessId(2)), &[ProcessId(1), ProcessId(0)]);
         assert_eq!(m.grandparent(), Some(ProcessId(2)));
         assert_eq!(
             m.ancestor_chain(),
@@ -501,16 +505,18 @@ mod tests {
         );
         // Repeated identical beacons keep the ladder stable.
         let ladder = m.hint_history().to_vec();
-        m.note_ancestors(&[ProcessId(2), ProcessId(1), ProcessId(0)]);
+        m.note_ancestors(Some(ProcessId(2)), &[ProcessId(1), ProcessId(0)]);
         assert_eq!(m.hint_history(), &ladder[..]);
         // A root parent's beacon clears the chain (nothing above it).
-        m.note_ancestors(&[]);
+        m.note_ancestors(None, &[]);
         assert_eq!(m.grandparent(), None);
         assert!(m.ancestor_chain().is_empty());
         // The cap bounds what is remembered and relayed.
         let long: Vec<ProcessId> = (0..20).map(ProcessId).collect();
-        m.note_ancestors(&long);
-        assert_eq!(m.ancestor_chain().len(), ANCESTOR_HINT_CAP);
+        m.note_ancestors(Some(long[0]), &long[1..]);
+        assert_eq!(m.ancestor_chain(), &long[..ANCESTOR_HINT_CAP]);
+        m.note_ancestors(None, &long);
+        assert_eq!(m.ancestor_chain(), &long[..ANCESTOR_HINT_CAP]);
     }
 
     #[test]

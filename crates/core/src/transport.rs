@@ -271,13 +271,9 @@ impl MonitorCore {
         self.held.keys().copied().collect()
     }
 
-    /// Tree peers this node beacons to: children plus parent.
-    pub fn heartbeat_targets(&self) -> Vec<ProcessId> {
-        let mut peers: Vec<ProcessId> = self.engine.children().to_vec();
-        if let Some(p) = self.parent {
-            peers.push(p);
-        }
-        peers
+    /// Tree peers this node beacons to: children, then parent.
+    pub fn heartbeat_targets(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.engine.children().iter().copied().chain(self.parent)
     }
 
     /// Sends one heartbeat to every tree peer, carrying this node's
@@ -285,18 +281,14 @@ impl MonitorCore {
     /// its children) plus the rungs above it relayed from its own
     /// parent's beacons.
     pub fn send_heartbeats(&mut self, t: &mut impl Transport) {
-        let me = self.me;
-        let epoch = self.membership.epoch();
-        let parent = self.parent;
-        let ancestors = self.membership.ancestor_chain().to_vec();
         for peer in self.heartbeat_targets() {
             t.send(
                 peer,
                 DetectMsg::Heartbeat {
-                    from: me,
-                    epoch,
-                    parent,
-                    ancestors: ancestors.clone(),
+                    from: self.me,
+                    epoch: self.membership.epoch(),
+                    parent: self.parent,
+                    ancestors: self.membership.ancestor_chain().to_vec(),
                 },
             );
         }
@@ -309,7 +301,6 @@ impl MonitorCore {
     /// full timeout has elapsed since the start of time.
     pub fn suspects(&self, now: SimTime, timeout: SimTime) -> Vec<ProcessId> {
         self.heartbeat_targets()
-            .into_iter()
             .filter(|peer| {
                 let last = self
                     .heartbeat_seen
@@ -712,10 +703,7 @@ impl MonitorCore {
                     // parent dies (§III-F grandparent adoption), and the
                     // chain above it is the fallback ladder for the storm
                     // where that target died too.
-                    let mut chain = Vec::with_capacity(1 + ancestors.len());
-                    chain.extend(parent);
-                    chain.extend_from_slice(&ancestors);
-                    self.membership.note_ancestors(&chain);
+                    self.membership.note_ancestors(parent, &ancestors);
                 }
             }
             DetectMsg::Suspect { suspect, .. } => {

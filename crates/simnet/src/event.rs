@@ -75,6 +75,7 @@ impl<M> Ord for Event<M> {
 pub struct EventQueue<M> {
     heap: BinaryHeap<Event<M>>,
     next_seq: u64,
+    peak_len: usize,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -82,6 +83,7 @@ impl<M> Default for EventQueue<M> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
+            peak_len: 0,
         }
     }
 }
@@ -97,6 +99,7 @@ impl<M> EventQueue<M> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { time, seq, kind });
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pops the earliest event.
@@ -118,11 +121,19 @@ impl<M> EventQueue<M> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// The most events that were ever pending at once.
+    pub fn peak_len(&self) -> usize {
+        self.peak_len
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn pops_in_time_order() {
@@ -187,5 +198,43 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime(4)));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random pushes and pops, times drawn from a handful of values so
+        /// that most pops are decided by `seq`: the queue agrees with a
+        /// sorted reference at every step, high-water mark included.
+        #[test]
+        fn matches_sorted_reference(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q: EventQueue<()> = EventQueue::new();
+            let mut reference: Vec<(SimTime, u64)> = Vec::new();
+            let mut pushed = 0u64;
+            let mut peak = 0usize;
+            for _ in 0..600 {
+                // Mostly growing, then mostly draining.
+                let push_bias = if pushed < 250 { 0.7 } else { 0.4 };
+                if rng.gen::<f64>() < push_bias {
+                    let time = SimTime(rng.gen_range(0..6u64));
+                    q.push(time, EventKind::Timer { node: NodeId(0), token: pushed });
+                    let at = reference.partition_point(|&key| key <= (time, pushed));
+                    reference.insert(at, (time, pushed));
+                    pushed += 1;
+                } else {
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    let got = q.pop().map(|e| match e.kind {
+                        EventKind::Timer { token, .. } => (e.time, e.seq, token),
+                        _ => unreachable!(),
+                    });
+                    prop_assert_eq!(got, want.map(|(time, seq)| (time, seq, seq)));
+                }
+                peak = peak.max(reference.len());
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.peek_time(), reference.first().map(|&(time, _)| time));
+                prop_assert_eq!(q.peak_len(), peak);
+            }
+        }
     }
 }

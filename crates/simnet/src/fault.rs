@@ -365,11 +365,6 @@ pub struct ActiveFaults {
 }
 
 impl ActiveFaults {
-    /// True iff any cut is installed (fast path for routing).
-    pub fn has_cuts(&self) -> bool {
-        !self.cuts.is_empty()
-    }
-
     /// True iff the undirected edge `{a, b}` crosses an installed cut.
     pub fn edge_blocked(&self, a: NodeId, b: NodeId) -> bool {
         self.cuts
@@ -453,13 +448,11 @@ mod tests {
             &mut alive,
             4,
         );
-        assert!(af.has_cuts());
         assert!(af.edge_blocked(NodeId(1), NodeId(2)), "crossing");
         assert!(!af.edge_blocked(NodeId(0), NodeId(1)), "inside side");
         assert!(!af.edge_blocked(NodeId(2), NodeId(3)), "outside side");
         af.apply(&FaultOp::Heal, &mut alive, 4);
-        assert!(!af.has_cuts());
-        assert!(!af.edge_blocked(NodeId(1), NodeId(2)));
+        assert!(!af.edge_blocked(NodeId(1), NodeId(2)), "healed");
     }
 
     #[test]

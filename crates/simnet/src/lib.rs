@@ -33,6 +33,7 @@
 pub mod event;
 pub mod fault;
 pub mod metrics;
+mod route;
 pub mod sim;
 pub mod time;
 pub mod topology;

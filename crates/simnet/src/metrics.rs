@@ -7,7 +7,6 @@
 //! latter is the series plotted in Figures 4–5.
 
 use crate::NodeId;
-use std::collections::BTreeMap;
 
 /// Per-node accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,19 +41,20 @@ pub struct NetMetrics {
     pub duplicated: u64,
     /// Per-node counters.
     pub per_node: Vec<NodeMetrics>,
-    /// Per-link traffic: messages that traversed each undirected edge
-    /// (keys canonicalized `(lo, hi)`). The paper's §IV-A charges each
-    /// hop as one channel occupation; this map shows *where* those
-    /// occupations concentrate — the centralized algorithm funnels
-    /// everything through the links around the sink.
-    pub edge_load: BTreeMap<(u32, u32), u64>,
+    /// Per-link traffic: messages that traversed each undirected edge,
+    /// indexed by [`Topology::edge_id`](crate::Topology::edge_id). The
+    /// paper's §IV-A charges each hop as one channel occupation; this
+    /// shows *where* those occupations concentrate — the centralized
+    /// algorithm funnels everything through the links around the sink.
+    pub edge_load: Vec<u64>,
 }
 
 impl NetMetrics {
-    /// Fresh metrics for an `n`-node network.
-    pub fn new(n: usize) -> Self {
+    /// Fresh metrics for a network of `n` nodes and `edges` links.
+    pub fn new(n: usize, edges: usize) -> Self {
         NetMetrics {
             per_node: vec![NodeMetrics::default(); n],
+            edge_load: vec![0; edges],
             ..Default::default()
         }
     }
@@ -95,15 +95,15 @@ impl NetMetrics {
         self.duplicated += 1;
     }
 
-    /// Records one traversal of the undirected edge `{a, b}`.
-    pub fn record_hop(&mut self, a: NodeId, b: NodeId) {
-        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        *self.edge_load.entry(key).or_insert(0) += 1;
+    /// Records one traversal, in either direction, of the edge with id
+    /// `edge`.
+    pub fn record_hop(&mut self, edge: usize) {
+        self.edge_load[edge] += 1;
     }
 
     /// Peak per-link load (0 if nothing was sent).
     pub fn max_edge_load(&self) -> u64 {
-        self.edge_load.values().copied().max().unwrap_or(0)
+        self.edge_load.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn hop_weighting() {
-        let mut m = NetMetrics::new(3);
+        let mut m = NetMetrics::new(3, 0);
         m.record_send(NodeId(0), 3, 100);
         m.record_send(NodeId(1), 1, 50);
         assert_eq!(m.sends, 2);
@@ -124,18 +124,21 @@ mod tests {
     }
 
     #[test]
-    fn edge_load_is_canonicalized_and_maxed() {
-        let mut m = NetMetrics::new(3);
-        m.record_hop(NodeId(2), NodeId(1));
-        m.record_hop(NodeId(1), NodeId(2));
-        m.record_hop(NodeId(0), NodeId(1));
-        assert_eq!(m.edge_load.get(&(1, 2)), Some(&2));
+    fn edge_load_is_per_edge_and_maxed() {
+        let t = crate::Topology::line(3);
+        let mut m = NetMetrics::new(3, t.edge_count());
+        assert_eq!(m.max_edge_load(), 0);
+        // Both directions of a link land on the one counter.
+        m.record_hop(t.edge_id(NodeId(2), NodeId(1)).unwrap());
+        m.record_hop(t.edge_id(NodeId(1), NodeId(2)).unwrap());
+        m.record_hop(t.edge_id(NodeId(0), NodeId(1)).unwrap());
+        assert_eq!(m.edge_load, vec![1, 2]);
         assert_eq!(m.max_edge_load(), 2);
     }
 
     #[test]
     fn delivery_and_drop_counters() {
-        let mut m = NetMetrics::new(2);
+        let mut m = NetMetrics::new(2, 0);
         m.record_delivery(NodeId(1));
         m.record_undeliverable();
         m.record_dropped_dead();

@@ -3,6 +3,7 @@
 use crate::event::{EventKind, EventQueue, TimerToken};
 use crate::fault::{ActiveFaults, FaultOp, FaultPlan};
 use crate::metrics::NetMetrics;
+use crate::route::Router;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::NodeId;
@@ -197,6 +198,11 @@ pub struct Simulation<A: Application> {
     next_op: usize,
     /// Live fault state (cuts, windows, skew) the run loops consult.
     faults: ActiveFaults,
+    router: Router,
+    /// Effect buffers lent to the [`Ctx`] of each callback and drained
+    /// after it, so a callback's sends and timers reuse one allocation.
+    outbox: Vec<(NodeId, A::Msg, Option<usize>)>,
+    timers: Vec<(SimTime, TimerToken)>,
 }
 
 impl<A: Application> Simulation<A> {
@@ -204,12 +210,13 @@ impl<A: Application> Simulation<A> {
     pub fn new(topology: Topology, apps: Vec<A>, config: SimConfig) -> Self {
         assert_eq!(topology.len(), apps.len(), "one app per node");
         let n = topology.len();
+        let metrics = NetMetrics::new(n, topology.edge_count());
         Simulation {
             topology,
             apps,
             alive: vec![true; n],
             queue: EventQueue::new(),
-            metrics: NetMetrics::new(n),
+            metrics,
             rng: StdRng::seed_from_u64(config.seed),
             now: SimTime::ZERO,
             config,
@@ -218,6 +225,9 @@ impl<A: Application> Simulation<A> {
             plan_ops: Vec::new(),
             next_op: 0,
             faults: ActiveFaults::default(),
+            router: Router::default(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
         }
     }
 
@@ -261,9 +271,12 @@ impl<A: Application> Simulation<A> {
     /// node becomes reachable again and may send/receive from now on. The
     /// application instance's in-memory state is untouched — modelling a
     /// reboot is the application's job (e.g. restoring from a checkpoint
-    /// when it next runs). Pending timers armed before the crash were
-    /// dropped at fire time and do not resurrect; the application must
-    /// re-arm what it needs.
+    /// when it next runs). A timer armed before the crash is dropped only
+    /// if the node is still down *when it fires*: one whose fire time falls
+    /// after the revival fires as if nothing had happened, so a reboot that
+    /// re-arms its periodic timers can end up with the old chain running
+    /// beside the new one. Timers that came due during the outage are gone;
+    /// the application must re-arm those.
     pub fn revive(&mut self, node: NodeId) {
         self.alive[node.index()] = true;
     }
@@ -326,6 +339,13 @@ impl<A: Application> Simulation<A> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// The most events (deliveries in flight, armed timers, scheduled
+    /// crashes) that were ever pending at once — the simulator's own queue
+    /// depth, as opposed to any application's.
+    pub fn peak_pending_events(&self) -> usize {
+        self.queue.peak_len()
     }
 
     /// Runs until the event queue drains or `deadline` passes, whichever is
@@ -442,8 +462,8 @@ impl<A: Application> Simulation<A> {
             now: self.now,
             n: self.apps.len(),
             neighbors: self.topology.neighbors(node),
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            outbox: std::mem::take(&mut self.outbox),
+            timers: std::mem::take(&mut self.timers),
         };
         // Split borrow: the app is taken out of the slice context via index.
         // `neighbors` borrows the topology, `apps[node]` the app vector —
@@ -451,16 +471,22 @@ impl<A: Application> Simulation<A> {
         // self, so dispatch through raw indices on separate locals.
         let apps = &mut self.apps;
         f(&mut apps[node.index()], &mut ctx);
-        let Ctx { outbox, timers, .. } = ctx;
-        for (dst, msg, size) in outbox {
+        let Ctx {
+            mut outbox,
+            mut timers,
+            ..
+        } = ctx;
+        for (dst, msg, size) in outbox.drain(..) {
             self.route_and_schedule(node, dst, msg, size);
         }
-        for (at, token) in timers {
+        for (at, token) in timers.drain(..) {
             // Fault-injected clock skew stretches/shrinks this node's timer
             // delays (identity when no skew is installed).
             let at = self.now + self.faults.timer_delay(node, at - self.now);
             self.queue.push(at, EventKind::Timer { node, token });
         }
+        self.outbox = outbox;
+        self.timers = timers;
     }
 
     fn route_and_schedule(
@@ -478,25 +504,19 @@ impl<A: Application> Simulation<A> {
                 .push(self.now + SimTime(1), EventKind::Deliver { src, dst, msg });
             return;
         }
-        // Partition cuts filter routing without mutating the topology; the
-        // unfiltered path is the common case and takes the original code
-        // path (no closure, no extra work).
-        let path = if self.faults.has_cuts() {
-            let faults = &self.faults;
-            self.topology
-                .shortest_path_filtered(src, dst, &self.alive, |a, b| faults.edge_blocked(a, b))
-        } else {
-            self.topology.shortest_path(src, dst, &self.alive)
-        };
+        // Partition cuts filter routing without mutating the topology.
+        let path = self
+            .router
+            .route(&self.topology, src, dst, &self.alive, &self.faults);
         match path {
             Some(path) => {
                 let mut delay = SimTime::ZERO;
                 let mut survived_hops = 0usize;
                 let mut lost = false;
-                for hop in path.windows(2) {
+                for hop in path {
                     delay += self.config.link.sample(&mut self.rng);
                     survived_hops += 1;
-                    self.metrics.record_hop(hop[0], hop[1]);
+                    self.metrics.record_hop(hop.edge);
                     if !self.config.link.survives_hop(&mut self.rng) {
                         lost = true;
                         break;
@@ -752,6 +772,11 @@ mod tests {
             sim.app(NodeId(1)).fired,
             vec![2],
             "only the pre-crash timer"
+        );
+        assert_eq!(
+            sim.peak_pending_events(),
+            7,
+            "the crash and 2 × 3 timers were all pending before the first fired"
         );
     }
 

@@ -13,6 +13,11 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     adj: Vec<Vec<NodeId>>,
+    /// `edge_ids[u][i]` is the id of the edge `{u, adj[u][i]}`: edges are
+    /// numbered densely in insertion order, and both endpoints' slots
+    /// carry the number.
+    edge_ids: Vec<Vec<u32>>,
+    edges: u32,
 }
 
 impl Topology {
@@ -20,6 +25,8 @@ impl Topology {
     pub fn empty(n: usize) -> Topology {
         Topology {
             adj: vec![Vec::new(); n],
+            edge_ids: vec![Vec::new(); n],
+            edges: 0,
         }
     }
 
@@ -41,6 +48,9 @@ impl Topology {
         if !self.adj[a.index()].contains(&b) {
             self.adj[a.index()].push(b);
             self.adj[b.index()].push(a);
+            self.edge_ids[a.index()].push(self.edges);
+            self.edge_ids[b.index()].push(self.edges);
+            self.edges += 1;
         }
     }
 
@@ -247,9 +257,22 @@ impl Topology {
         &self.adj[node.index()]
     }
 
+    /// `node`'s neighbors, each with the id of the edge that reaches it.
+    pub(crate) fn links(&self, node: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        let (adj, ids) = (&self.adj[node.index()], &self.edge_ids[node.index()]);
+        adj.iter().zip(ids).map(|(&v, &edge)| (v, edge as usize))
+    }
+
+    /// Id of the undirected edge `{a, b}`, if it exists: edges are numbered
+    /// `0..edge_count()` in insertion order. The id indexes the link's
+    /// counter in [`NetMetrics::edge_load`](crate::NetMetrics::edge_load).
+    pub fn edge_id(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        self.links(a).find(|&(v, _)| v == b).map(|(_, edge)| edge)
+    }
+
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|v| v.len()).sum::<usize>() / 2
+        self.edges as usize
     }
 
     /// BFS shortest path from `src` to `dst` through nodes for which
