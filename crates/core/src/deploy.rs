@@ -5,11 +5,12 @@
 //! at simulated times, injects crash-stop failures, and performs the
 //! spanning-tree repair the paper assumes as a substrate (§III-F): after a
 //! failure is detected (heartbeat timeout), the maintenance service
-//! computes the repaired tree and issues `SetParent` / `AddChild` /
-//! `RemoveChild` / `PromoteRoot` control messages to the affected nodes.
+//! computes the repaired tree ([`repair_plan`]) and applies its
+//! [`RepairStep`]s to the affected monitors by call — no message carries
+//! them.
 
+use crate::membership::{repair_plan, RepairStep};
 use crate::monitor::{MonitorApp, MonitorConfig};
-use crate::protocol::DetectMsg;
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::{FaultOp, FaultPlan, NetMetrics, SimConfig, SimTime, Simulation, Topology};
@@ -281,52 +282,29 @@ impl Deployment {
     }
 
     /// The tree-maintenance service: repairs the spanning tree after
-    /// `failed` crashed and issues control messages to the survivors.
+    /// `failed` crashed and applies the plan to the survivors.
     fn repair(&mut self, failed: ProcessId) {
         let alive = self.sim.alive().to_vec();
-        let old_parents: Vec<Option<ProcessId>> = ProcessId::all(self.tree.capacity())
-            .map(|n| self.tree.parent(n))
-            .collect();
-        let mut report = self.tree.handle_failure(failed, &self.topology, &alive);
-        // Overlapping failures can strand orphan subtrees (e.g. a repair
-        // that runs while the root's own crash is still unrepaired).
-        // Retry every previously partitioned orphan now, and merge the
-        // outcome into this repair's report.
-        let mut pending = std::mem::take(&mut self.pending_orphans);
-        pending.extend(report.partitioned.iter().copied());
-        pending.sort_unstable();
-        pending.dedup();
-        let retry = self.tree.reattach_orphans(&pending, &self.topology, &alive);
-        report.reattached.extend(retry.reattached.iter().copied());
-        let mut affected: Vec<ProcessId> = report
-            .affected
-            .iter()
-            .chain(retry.affected.iter())
-            .copied()
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        report.affected = affected;
-        self.pending_orphans = retry.partitioned;
-        // Orphans that stayed partitioned in this round's own failure are
-        // also pending (reattach_orphans already retried them; keep only
-        // the still-unattached ones — retry.partitioned covers both).
-        let report = report;
-
-        // The control plan itself is shared with the decentralized path:
-        // `membership::repair_actions` derives the messages from the
-        // repaired tree, the deploy layer only injects them.
-        let now = self.sim.time();
-        let plan = crate::membership::repair_actions(
-            &self.tree,
-            &report,
-            &old_parents,
-            |n| self.sim.app(n).engine().children().to_vec(),
+        let sim = &self.sim;
+        let plan = repair_plan(
+            &mut self.tree,
+            &mut self.pending_orphans,
             failed,
+            &self.topology,
+            &alive,
+            |n| sim.app(n).engine().children(),
         );
-        for (dst, msg) in plan {
-            // `failed` is the nominal "from" of injected control messages.
-            self.sim.inject(now, failed, dst, msg);
+        self.apply(plan);
+    }
+
+    /// Applies repair steps in order, now; a step for a node that is down
+    /// is dropped. Callers have run the simulation up to now, so no event
+    /// due at this instant is still pending and the steps take effect
+    /// before anything that happens later.
+    fn apply(&mut self, plan: Vec<(ProcessId, RepairStep)>) {
+        for (node, step) in plan {
+            self.sim
+                .with_app_ctx(node, |app, ctx| app.apply_repair(step, ctx));
         }
     }
 
@@ -357,17 +335,10 @@ impl Deployment {
             return;
         }
         self.tree.rejoin_leaf(node, parent);
-        let now = self.sim.time();
-        self.sim
-            .inject(now, node, parent, DetectMsg::AddChild { child: node });
-        self.sim.inject(
-            now,
-            node,
-            node,
-            DetectMsg::SetParent {
-                parent: Some(parent),
-            },
-        );
+        self.apply(vec![
+            (parent, RepairStep::AddChild(node)),
+            (node, RepairStep::SetParent(Some(parent))),
+        ]);
     }
 
     /// All detections recorded anywhere in the network (roots past and

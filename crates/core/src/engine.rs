@@ -281,6 +281,22 @@ impl NodeEngine {
         }
     }
 
+    /// Restores a rebooted node that rejoins as a leaf: a non-root at
+    /// level 1 whose child queues are dropped (their subtrees were
+    /// re-parented while it was down). Returns the engine and what the
+    /// drops released; the two callers disagree on whether that is stale
+    /// or legitimate (ROADMAP, open item 13).
+    pub fn restore_as_leaf(cp: EngineCheckpoint) -> (NodeEngine, Vec<EngineOutput>) {
+        let mut engine = NodeEngine::restore(cp);
+        engine.set_root(false);
+        engine.set_level(1);
+        let mut released = Vec::new();
+        for child in engine.children().to_vec() {
+            released.extend(engine.remove_child(child));
+        }
+        (engine, released)
+    }
+
     fn emit(&mut self, solutions: Vec<Solution>) -> Vec<EngineOutput> {
         let mut out = Vec::with_capacity(solutions.len());
         for sol in solutions {

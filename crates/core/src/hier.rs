@@ -1,6 +1,7 @@
 //! [`HierarchicalDetector`] — a whole tree of engines, driven in memory.
 
 use crate::engine::{EngineOutput, NodeEngine};
+use crate::membership::{repair_plan, RepairStep};
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::{SimTime, Topology};
@@ -20,6 +21,9 @@ use std::collections::VecDeque;
 pub struct HierarchicalDetector {
     tree: SpanningTree,
     engines: Vec<Option<NodeEngine>>,
+    /// Orphan subtree roots a partition stranded, retried at every
+    /// later failure.
+    pending_orphans: Vec<ProcessId>,
     detections: Vec<GlobalDetection>,
     /// Per-node subtree-level solution counts (partial predicate
     /// detections), indexed by node.
@@ -45,6 +49,7 @@ impl HierarchicalDetector {
         HierarchicalDetector {
             tree: tree.clone(),
             engines,
+            pending_orphans: Vec::new(),
             detections: Vec::new(),
             node_solutions: vec![0; n],
             ops,
@@ -153,8 +158,6 @@ impl HierarchicalDetector {
                 EngineOutput::ToParent { interval, .. } => {
                     self.node_solutions[node.index()] += 1;
                     let Some(parent) = self.tree.parent(node) else {
-                        // Orphan subtree root (partition): detection stays
-                        // local; nothing to forward.
                         continue;
                     };
                     if let Some(engine) = self.engines[parent.index()].as_mut() {
@@ -169,93 +172,68 @@ impl HierarchicalDetector {
     }
 
     /// §III-F: `node` crash-stops. The tree is repaired (orphan subtrees
-    /// re-attach through `topology` neighbors), affected engines are
-    /// rewired, and re-attached subtree roots re-report their last output
-    /// to their new parents. Detections released by the repair are
-    /// recorded as usual.
+    /// re-attach through `topology` neighbors; ones a partition strands
+    /// become forest roots and are retried at the next failure) and
+    /// [`repair_plan`]'s steps are applied. Detections released by the
+    /// repair are recorded as usual.
     pub fn fail_node(&mut self, node: ProcessId, topology: &Topology) {
         if self.engines[node.index()].is_none() {
             return;
         }
-        let mut alive: Vec<bool> = (0..self.tree.capacity())
-            .map(|i| self.engines[i].is_some())
-            .collect();
-        alive[node.index()] = false;
         self.engines[node.index()] = None;
-
-        // Snapshot parents so we can tell who was re-parented.
-        let old_parents: Vec<Option<ProcessId>> = ProcessId::all(self.tree.capacity())
-            .map(|n| self.tree.parent(n))
-            .collect();
-
-        let report = self.tree.handle_failure(node, topology, &alive);
-
-        // Promote a new root if the root died; its last (possibly
-        // un-consumed) output is re-published as a detection.
-        if let Some(new_root) = report.new_root {
-            let outs = if let Some(e) = self.engines[new_root.index()].as_mut() {
-                e.set_root(true);
-                e.reseed_last_output()
-            } else {
-                Vec::new()
-            };
-            self.propagate(new_root, outs);
+        let alive: Vec<bool> = self.engines.iter().map(Option::is_some).collect();
+        let engines = &self.engines;
+        let plan = repair_plan(
+            &mut self.tree,
+            &mut self.pending_orphans,
+            node,
+            topology,
+            &alive,
+            |n| {
+                engines[n.index()]
+                    .as_ref()
+                    .map_or(&[], NodeEngine::children)
+            },
+        );
+        for (node, step) in plan {
+            self.apply(node, step);
         }
+    }
 
-        // The failed node's former parent drops the child queue.
-        if let Some(p) = report.former_parent {
-            if let Some(e) = self.engines[p.index()].as_mut() {
-                let outs = e.remove_child(node);
-                self.propagate(p, outs);
+    /// Applies one repair step to `node`'s engine (none if it is down)
+    /// and propagates what it releases. A node given a new parent
+    /// re-sends its last output so the parent's fresh queue is seeded
+    /// (§III-B: "P2 will report its later aggregated interval ... to its
+    /// new parent, P4").
+    fn apply(&mut self, node: ProcessId, step: RepairStep) {
+        let Some(engine) = self.engines[node.index()].as_mut() else {
+            return;
+        };
+        match step {
+            RepairStep::RemoveChild(child) => {
+                let outs = engine.remove_child(child);
+                self.propagate(node, outs);
             }
-        }
-
-        // Rewire every affected node: reconcile engine children with the
-        // repaired tree, then have re-parented nodes re-report.
-        for &affected in &report.affected {
-            let Some(engine) = self.engines[affected.index()].as_mut() else {
-                continue;
-            };
-            let tree_children = self.tree.children(affected);
-            // Remove engine children no longer in the tree.
-            let mut removal_outputs = Vec::new();
-            for c in engine.children().to_vec() {
-                if !tree_children.contains(&c) {
-                    removal_outputs.extend(engine.remove_child(c));
+            RepairStep::AddChild(child) => {
+                if !engine.has_child(child) {
+                    engine.add_child(child);
                 }
             }
-            // Add newly adopted children.
-            for c in tree_children {
-                if !engine.has_child(*c) {
-                    engine.add_child(*c);
-                }
+            RepairStep::PromoteRoot => {
+                // The last (possibly un-consumed) output is re-published
+                // as a detection.
+                engine.set_root(true);
+                let outs = engine.reseed_last_output();
+                self.propagate(node, outs);
             }
-            engine.set_root(self.tree.root() == affected);
-            self.propagate(affected, removal_outputs);
-        }
-
-        // Every re-parented node re-sends its last output so the new
-        // parent's fresh queue is seeded (§III-B: "P2 will report its later
-        // aggregated interval ... to its new parent, P4"). This covers both
-        // re-attached orphan roots and nodes whose edges flipped during the
-        // orphan subtree's re-rooting.
-        for &affected in &report.affected {
-            if self.engines[affected.index()].is_none() {
-                continue;
-            }
-            let Some(new_parent) = self.tree.parent(affected) else {
-                continue;
-            };
-            if Some(new_parent) == old_parents[affected.index()] {
-                continue;
-            }
-            let last = self.engines[affected.index()]
-                .as_ref()
-                .and_then(|e| e.last_output().cloned());
-            if let Some(interval) = last {
-                if let Some(engine) = self.engines[new_parent.index()].as_mut() {
-                    let outs = engine.on_child_interval(affected, interval);
-                    self.propagate(new_parent, outs);
+            RepairStep::SetParent(parent) => {
+                engine.set_root(parent.is_none());
+                let last = engine.last_output().cloned();
+                if let (Some(parent), Some(interval)) = (parent, last) {
+                    if let Some(p_engine) = self.engines[parent.index()].as_mut() {
+                        let outs = p_engine.on_child_interval(node, interval);
+                        self.propagate(parent, outs);
+                    }
                 }
             }
         }
@@ -302,55 +280,16 @@ impl HierarchicalDetector {
 
         self.tree.rejoin_leaf(node, parent);
 
-        // Restore the engine; it rejoins as a leaf: drop stale child
-        // queues (their subtrees were re-parented at failure time). Any
-        // solutions released by the removals are legitimate (the dedup set
-        // came along in the checkpoint) and propagate normally.
-        let mut engine = NodeEngine::restore(checkpoint);
-        engine.set_root(false);
-        engine.set_level(1);
-        let mut outputs = Vec::new();
-        for child in engine.children().to_vec() {
-            outputs.extend(engine.remove_child(child));
-        }
-        let last = engine.last_output().cloned();
+        // Any solutions released by dropping the stale child queues are
+        // legitimate (the dedup set came along in the checkpoint) and
+        // propagate normally.
+        let (engine, released) = NodeEngine::restore_as_leaf(checkpoint);
         self.engines[node.index()] = Some(engine);
-        self.propagate(node, outputs);
+        self.propagate(node, released);
 
-        // Seed the adopter.
-        if let Some(p_engine) = self.engines[parent.index()].as_mut() {
-            if !p_engine.has_child(node) {
-                p_engine.add_child(node);
-            }
-            if let Some(interval) = last {
-                let outs = p_engine.on_child_interval(node, interval);
-                self.propagate(parent, outs);
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates every recorded detection against the original intervals
-    /// (pairwise `overlap` over the covered local intervals). Used by the
-    /// test suite; cheap enough to run after any experiment.
-    pub fn verify_detections(
-        &self,
-        lookup: impl Fn(ProcessId, u64) -> Option<Interval>,
-    ) -> Result<(), String> {
-        for det in &self.detections {
-            let mut members = Vec::new();
-            for r in &det.coverage {
-                let iv =
-                    lookup(r.process, r.seq).ok_or_else(|| format!("unknown interval {r:?}"))?;
-                members.push(iv);
-            }
-            if !ftscp_intervals::definitely_holds(&members) {
-                return Err(format!(
-                    "detection at {} covering {:?} violates overlap",
-                    det.at_node, det.coverage
-                ));
-            }
-        }
+        // Seed the adopter, as `Deployment::recover` does.
+        self.apply(parent, RepairStep::AddChild(node));
+        self.apply(node, RepairStep::SetParent(Some(parent)));
         Ok(())
     }
 

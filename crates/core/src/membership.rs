@@ -1,12 +1,12 @@
 //! Decentralized tree membership: epochs, the suspicion → adoption
-//! handshake, and the shared repair control plan.
+//! handshake, and the clairvoyant [`repair_plan`].
 //!
 //! The paper assumes spanning-tree repair as a substrate (§III-F) but
 //! says nothing about *who* performs it. Until this module existed the
 //! answer was "a clairvoyant harness": `core::deploy` inspected global
-//! simulator state and injected control messages. That worked only on
-//! the simulated backend — a real-socket deployment had no repair at
-//! all. Membership moves repair into the protocol itself:
+//! simulator state and reconfigured the monitors itself. That worked
+//! only on the simulated backend — a real-socket deployment had no
+//! repair at all. Membership moves repair into the protocol itself:
 //!
 //! * every node carries an **epoch** (incarnation number). Epochs are
 //!   bumped when a node starts an adoption attempt or reboots, and they
@@ -42,11 +42,16 @@
 //! `AdoptAck` is dropped by its epoch) and order-independent (`Adopt`
 //! carries `dead_parent`, so it does not rely on the separate `Suspect`
 //! arriving first over a non-FIFO transport).
+//!
+//! The clairvoyant harness survives as [`repair_plan`]: one list of
+//! [`RepairStep`]s, computed from the repaired tree, that the simulated
+//! deployment's `Scheduled` mode and the in-memory `HierarchicalDetector`
+//! both apply by call. No wire carries a step.
 
-use crate::protocol::DetectMsg;
-use ftscp_tree::{ReconnectReport, SpanningTree};
+use ftscp_simnet::Topology;
+use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a node stands in the repair protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -329,69 +334,102 @@ impl Default for Membership {
     }
 }
 
-/// The control plan of one clairvoyant repair: given the repaired tree
-/// (already recomputed by [`SpanningTree::handle_failure`] /
-/// [`SpanningTree::reattach_orphans`] — the *shared* repaired-tree
-/// computation), the reconnect report, and a snapshot of the pre-repair
-/// parent pointers, derives the exact control messages that reconcile
-/// every affected monitor with the new tree. This is the oracle
-/// equivalent of the decentralized handshake: `RemoveChild` plays
-/// `Suspect`, `AddChild` plays `Adopt`, and `SetParent` plays
-/// `AdoptAck` + `ReReport` (it triggers
-/// [`resync_uplink`](crate::transport::MonitorCore::resync_uplink), the
-/// same re-report path the handshake ends in).
+/// One reconfiguration of one monitor, decided by a clairvoyant repair
+/// ([`repair_plan`]) and applied by call — never sent — by whoever drives
+/// the monitors: [`MonitorCore::apply_repair`] on the simulated network,
+/// `HierarchicalDetector` in memory. Each step is the oracle twin of a
+/// handshake effect: [`RemoveChild`](Self::RemoveChild) plays `Suspect`,
+/// [`AddChild`](Self::AddChild) plays `Adopt`, and
+/// [`SetParent`](Self::SetParent) plays `AdoptAck` + `ReReport`.
+///
+/// [`MonitorCore::apply_repair`]: crate::transport::MonitorCore::apply_repair
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RepairStep {
+    /// Drop this child and its queue (it failed or was re-parented).
+    RemoveChild(ProcessId),
+    /// Adopt this child: open an empty queue for it.
+    AddChild(ProcessId),
+    /// Become the root of the tree; the last output, shipped only to the
+    /// dead root, is folded back into detection.
+    PromoteRoot,
+    /// The node's parent is now this one (`None`: a forest root). The
+    /// node re-reports its last output to a new parent (§III-B).
+    SetParent(Option<ProcessId>),
+}
+
+/// The plan of one clairvoyant repair after `failed` crash-stopped, in
+/// the order it must be applied. Repairs `tree` (the shared
+/// [`SpanningTree::handle_failure`] computation), retries every orphan
+/// that `pending_orphans` holds from earlier, overlapping failures (and
+/// leaves there the ones still partitioned), then reconciles every
+/// affected monitor with the repaired tree.
 ///
 /// `engine_children` reports the monitors' *current* child sets — the
 /// plan only patches real differences, so repeated repairs are
-/// idempotent. Message order matters and is part of the oracle's
-/// determinism contract: the dead child's queue drop first, then
-/// adoptions/removals per affected node, then root promotion, then the
-/// re-parent notifications that trigger re-reports.
-pub fn repair_actions(
-    tree: &SpanningTree,
-    report: &ReconnectReport,
-    old_parents: &[Option<ProcessId>],
-    engine_children: impl Fn(ProcessId) -> Vec<ProcessId>,
+/// idempotent. Order is part of the determinism contract: the dead
+/// child's queue drop (or, when the root died, the promotion — a single
+/// failure has one or the other), then adoptions/removals per affected
+/// node, then the re-parent steps that trigger re-reports into the
+/// adopters' fresh queues.
+pub fn repair_plan<'a>(
+    tree: &mut SpanningTree,
+    pending_orphans: &mut Vec<ProcessId>,
     failed: ProcessId,
-) -> Vec<(ProcessId, DetectMsg)> {
-    let mut plan: Vec<(ProcessId, DetectMsg)> = Vec::new();
-    // 1. Former parent drops the dead child's queue.
+    topology: &Topology,
+    alive: &[bool],
+    engine_children: impl Fn(ProcessId) -> &'a [ProcessId],
+) -> Vec<(ProcessId, RepairStep)> {
+    let old_parents: Vec<Option<ProcessId>> = ProcessId::all(tree.capacity())
+        .map(|n| tree.parent(n))
+        .collect();
+    let mut report = tree.handle_failure(failed, topology, alive);
+    // Overlapping failures can strand orphan subtrees (e.g. a repair
+    // that runs while the root's own crash is still unrepaired). Retry
+    // every previously partitioned orphan now, and merge the outcome into
+    // this repair's report; the ones still stranded wait for the next.
+    pending_orphans.extend(report.partitioned.iter().copied());
+    pending_orphans.sort_unstable();
+    pending_orphans.dedup();
+    let retry = tree.reattach_orphans(pending_orphans, topology, alive);
+    *pending_orphans = retry.partitioned;
+    report.affected.extend(retry.affected);
+    report.affected.sort_unstable();
+    report.affected.dedup();
+    let affected: Vec<ProcessId> = report
+        .affected
+        .into_iter()
+        .filter(|&a| tree.contains(a))
+        .collect();
+
+    let mut plan = Vec::new();
+    // 1. The former parent drops the dead child's queue, or the promoted
+    //    root takes over.
     if let Some(p) = report.former_parent {
-        plan.push((p, DetectMsg::RemoveChild { child: failed }));
+        plan.push((p, RepairStep::RemoveChild(failed)));
     }
-    // 2. Affected nodes reconcile children. Order matters: removals and
-    //    adoptions first, then SetParent (which triggers the re-report
-    //    into the adopter's fresh queue).
-    for &aff in &report.affected {
-        if !tree.contains(aff) {
-            continue;
-        }
-        let tree_children: std::collections::BTreeSet<ProcessId> =
-            tree.children(aff).iter().copied().collect();
-        let engine_children: std::collections::BTreeSet<ProcessId> =
-            engine_children(aff).into_iter().collect();
+    if let Some(new_root) = report.new_root {
+        plan.push((new_root, RepairStep::PromoteRoot));
+    }
+    // 2. Affected nodes reconcile children: removals and adoptions before
+    //    any `RepairStep::SetParent`, whose re-report must land in an
+    //    open queue.
+    for &aff in &affected {
+        let tree_children: BTreeSet<ProcessId> = tree.children(aff).iter().copied().collect();
+        let engine_children: BTreeSet<ProcessId> = engine_children(aff).iter().copied().collect();
         for &gone in engine_children.difference(&tree_children) {
-            if gone == failed {
-                continue; // already handled above
+            if gone != failed {
+                plan.push((aff, RepairStep::RemoveChild(gone)));
             }
-            plan.push((aff, DetectMsg::RemoveChild { child: gone }));
         }
         for &new in tree_children.difference(&engine_children) {
-            plan.push((aff, DetectMsg::AddChild { child: new }));
+            plan.push((aff, RepairStep::AddChild(new)));
         }
     }
-    // 3. Root promotion.
-    if let Some(new_root) = report.new_root {
-        plan.push((new_root, DetectMsg::PromoteRoot));
-    }
-    // 4. Re-parent notifications (trigger re-reports).
-    for &aff in &report.affected {
-        if !tree.contains(aff) {
-            continue;
-        }
+    // 3. Re-parent steps (trigger re-reports).
+    for &aff in &affected {
         let new_parent = tree.parent(aff);
         if new_parent != old_parents[aff.index()] {
-            plan.push((aff, DetectMsg::SetParent { parent: new_parent }));
+            plan.push((aff, RepairStep::SetParent(new_parent)));
         }
     }
     plan

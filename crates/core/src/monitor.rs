@@ -1,7 +1,7 @@
 //! [`MonitorApp`] — one node's monitor process on the simulated network.
 //!
 //! All protocol logic (queue feeding, reorder buffers, acks/retransmits,
-//! uplink codec state, tree-repair control messages) lives in the
+//! uplink codec state, tree-repair steps) lives in the
 //! transport-agnostic [`MonitorCore`];
 //! this wrapper adds only what is simulator-specific: the local interval
 //! *schedule* (the simulated application whose predicate we monitor),
@@ -10,7 +10,7 @@
 //! backends differentially comparable.
 
 use crate::engine::{EngineCheckpoint, NodeEngine};
-use crate::membership::{Membership, MembershipEvent};
+use crate::membership::{Membership, MembershipEvent, RepairStep};
 use crate::protocol::DetectMsg;
 use crate::report::GlobalDetection;
 use crate::transport::MonitorCore;
@@ -140,22 +140,18 @@ impl MonitorApp {
         let Some(cp) = self.stable_checkpoint.clone() else {
             return false;
         };
-        let mut engine = NodeEngine::restore(cp);
-        engine.set_root(false);
-        engine.set_level(1);
-        // Drop stale child queues; discard any released (stale) outputs —
-        // they refer to children that now live elsewhere.
-        for child in engine.children().to_vec() {
-            let _ = engine.remove_child(child);
-        }
+        // Discard what dropping the stale child queues released — it refers
+        // to children that now live elsewhere.
+        let (engine, _released) = NodeEngine::restore_as_leaf(cp);
         self.core.engine = engine;
-        self.core.parent = None; // the maintenance service will SetParent us
+        self.core.parent = None; // the maintenance service sets a parent
         self.core.reorder.clear();
         self.core.unacked.clear();
         self.core.retransmit_backoff = 1;
-        self.core.uplink_codec.reset(); // connection state is volatile
-                                        // Fresh incarnation: peers must treat beacons from the crashed
-                                        // life as stale. Peer-epoch observations are volatile too.
+        // Connection state is volatile. So is the incarnation: peers must
+        // treat beacons from the crashed life as stale, and peer-epoch
+        // observations are lost.
+        self.core.uplink_codec.reset();
         self.core.membership = Membership::new(self.core.membership.epoch() + 1);
         // Intervals that would have completed during the outage never
         // happened (the node was down): drop them.
@@ -176,6 +172,13 @@ impl MonitorApp {
         }
         self.arm_suspect_timer(ctx);
         true
+    }
+
+    /// Applies one step of the maintenance service's repair plan (see
+    /// [`MonitorCore::apply_repair`]) and persists the result.
+    pub fn apply_repair(&mut self, step: RepairStep, ctx: &mut Ctx<'_, DetectMsg>) {
+        self.core.apply_repair(step, ctx);
+        self.persist();
     }
 
     fn persist(&mut self) {

@@ -1,5 +1,8 @@
 //! Wire messages of the distributed monitor, and the per-connection
-//! delta codec that shrinks them.
+//! delta codec that shrinks them. Every [`DetectMsg`] is something one
+//! monitor sends another; the simulated harness's tree repair is not
+//! among them — it is a [`RepairStep`](crate::membership::RepairStep)
+//! applied by call.
 
 use ftscp_intervals::codec::{
     decode_interval_delta, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
@@ -13,11 +16,10 @@ use ftscp_vclock::{ProcessId, VectorClock};
 /// `Interval` and `Heartbeat` are the algorithm's own traffic. The
 /// membership variants (`Suspect`, `Adopt`, `AdoptAck`, `ReReport`) are
 /// the decentralized §III-F repair handshake — see
-/// [`crate::membership`]. The remaining control variants (`SetParent`,
-/// `AddChild`, `RemoveChild`, `PromoteRoot`) express the same
-/// reconfigurations as injected by the clairvoyant oracle
-/// ([`crate::deploy::Deployment`] in `Scheduled` mode), which the
-/// differential tests compare the protocol against.
+/// [`crate::membership`]. The clairvoyant oracle
+/// ([`crate::deploy::Deployment`] in `Scheduled` mode) expresses the same
+/// reconfigurations as [`RepairStep`](crate::membership::RepairStep)s,
+/// which it applies by call: they are not messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DetectMsg {
     /// A completed interval (raw from a leaf, aggregated from an interior
@@ -82,24 +84,6 @@ pub enum DetectMsg {
         /// One past the highest contiguously delivered sequence number.
         upto: u64,
     },
-    /// Control: your parent is now `parent` (or you are detached).
-    /// Triggers a re-report of the node's last output to the new parent.
-    SetParent {
-        /// The new parent, if any.
-        parent: Option<ProcessId>,
-    },
-    /// Control: adopt `child` (open an empty queue for it).
-    AddChild {
-        /// The adopted child.
-        child: ProcessId,
-    },
-    /// Control: drop `child` and its queue (it failed or was re-parented).
-    RemoveChild {
-        /// The dropped child.
-        child: ProcessId,
-    },
-    /// Control: you are now the root of your tree.
-    PromoteRoot,
     /// Membership: the sender believes `suspect` — a child of the
     /// receiver — has crashed (heartbeat timeout). The receiver drops the
     /// dead child's queue if it still holds one. Advisory and idempotent;
@@ -163,9 +147,6 @@ impl DetectMsg {
                 parent, ancestors, ..
             } => 14 + 4 * (usize::from(parent.is_some()) + ancestors.len()),
             DetectMsg::Ack { .. } => 16,
-            DetectMsg::SetParent { .. } => 9,
-            DetectMsg::AddChild { .. } | DetectMsg::RemoveChild { .. } => 8,
-            DetectMsg::PromoteRoot => 4,
             DetectMsg::Suspect { .. } => 8,
             DetectMsg::Adopt { dead_parent, .. } => 13 + 4 * usize::from(dead_parent.is_some()),
             DetectMsg::AdoptAck { .. } => 17,
@@ -553,9 +534,13 @@ mod tests {
         };
         let codec = ConnCodec::new();
         assert!(codec.msg_size(&msg) < msg.wire_size());
+        let ack = DetectMsg::Ack {
+            from: ProcessId(3),
+            upto: 1,
+        };
         assert_eq!(
-            ConnCodec::standalone_msg_size(&DetectMsg::PromoteRoot),
-            DetectMsg::PromoteRoot.wire_size(),
+            ConnCodec::standalone_msg_size(&ack),
+            ack.wire_size(),
             "non-interval traffic is unaffected"
         );
     }
@@ -646,6 +631,10 @@ mod tests {
             resync: false,
         }
         .is_interval());
-        assert!(!DetectMsg::PromoteRoot.is_interval());
+        assert!(!DetectMsg::Ack {
+            from: ProcessId(0),
+            upto: 0
+        }
+        .is_interval());
     }
 }

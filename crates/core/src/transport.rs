@@ -19,7 +19,7 @@
 //! detection fingerprints for the same workload run through either one.
 
 use crate::engine::{EngineOutput, NodeEngine};
-use crate::membership::{Membership, MembershipEvent, RepairState};
+use crate::membership::{Membership, MembershipEvent, RepairState, RepairStep};
 use crate::monitor::MonitorConfig;
 use crate::protocol::{ConnCodec, DetectMsg, INTERVAL_MSG_OVERHEAD};
 use crate::report::GlobalDetection;
@@ -550,8 +550,9 @@ impl MonitorCore {
     /// either retransmits the unacknowledged backlog (first frame flagged
     /// as a resync) or — when the reliability layer is off or drained —
     /// re-reports the node's last output so the parent's fresh queue is
-    /// seeded (§III-B). Shared by the simulated `SetParent` path and the
-    /// TCP runtime's reconnect path.
+    /// seeded (§III-B). Shared by the handshake's `AdoptAck`, the
+    /// harness's [`RepairStep::SetParent`] and the TCP runtime's
+    /// reconnect path.
     pub fn resync_uplink(&mut self, t: &mut impl Transport) {
         self.uplink_codec.reset();
         if self.config.retransmit_period.is_some() && !self.unacked.is_empty() {
@@ -644,7 +645,7 @@ impl MonitorCore {
     }
 
     /// Processes one incoming protocol message (interval report, ack,
-    /// heartbeat, or a maintenance-service control message).
+    /// heartbeat, or a step of the adoption handshake).
     pub fn on_message(&mut self, msg: DetectMsg, t: &mut impl Transport) {
         match msg {
             DetectMsg::Interval {
@@ -812,7 +813,15 @@ impl MonitorCore {
                 self.membership.observe_peer_epoch(from, epoch);
                 self.note_heartbeat(from, t.now());
             }
-            DetectMsg::SetParent { parent } => {
+        }
+    }
+
+    /// Applies one step of a clairvoyant repair
+    /// ([`membership::repair_plan`](crate::membership::repair_plan)) — the
+    /// simulated harness's stand-in for the adoption handshake.
+    pub fn apply_repair(&mut self, step: RepairStep, t: &mut impl Transport) {
+        match step {
+            RepairStep::SetParent(parent) => {
                 self.parent = parent;
                 self.engine.set_root(parent.is_none());
                 // A fresh parent gets a fresh backoff window and a cold
@@ -821,19 +830,19 @@ impl MonitorCore {
                 self.retransmit_backoff = 1;
                 self.resync_uplink(t);
             }
-            DetectMsg::AddChild { child } => {
+            RepairStep::AddChild(child) => {
                 if !self.engine.has_child(child) {
                     self.engine.add_child(child);
                     // A fresh queue accepts any sequence number.
                     self.reorder.remove(&child);
                 }
             }
-            DetectMsg::RemoveChild { child } => {
+            RepairStep::RemoveChild(child) => {
                 self.reorder.remove(&child);
                 let outputs = self.engine.remove_child(child);
                 self.handle_outputs(t, outputs);
             }
-            DetectMsg::PromoteRoot => {
+            RepairStep::PromoteRoot => {
                 self.parent = None;
                 self.engine.set_root(true);
                 // Fold the last output (shipped only to the dead root)

@@ -3,6 +3,7 @@
 //! detection, and remain deterministic.
 
 use ftscp_core::deploy::{DeployConfig, Deployment};
+use ftscp_core::faultcheck::verify_detections;
 use ftscp_core::HierarchicalDetector;
 use ftscp_intervals::definitely_holds;
 use ftscp_simnet::{SimTime, Topology};
@@ -53,8 +54,8 @@ proptest! {
         }
         // Safety: every detection satisfies Definitely over its members'
         // original local intervals.
-        det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-            .unwrap();
+        let violations = verify_detections(&exec, det.root_solutions());
+        prop_assert!(violations.is_empty(), "{:?}", violations);
         // And directly re-validate via the raw overlap condition.
         for d in det.root_solutions() {
             let members: Vec<_> = d

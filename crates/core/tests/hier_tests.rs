@@ -1,12 +1,13 @@
 //! Integration tests: the in-memory hierarchical detector on the paper's
 //! Figure 2 scenario and on random executions.
 
+use ftscp_core::faultcheck::verify_detections;
 use ftscp_core::HierarchicalDetector;
 use ftscp_intervals::IntervalRef;
 use ftscp_simnet::{NodeId, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
-use ftscp_workload::{scenarios, RandomExecution};
+use ftscp_workload::{scenarios, Execution, RandomExecution};
 
 /// The Figure 2 spanning tree: P3 (node 2) roots, children P2 (1) and
 /// P4 (3); P1 (0) is P2's child. Topology adds the P2–P4 link used by the
@@ -21,6 +22,13 @@ fn fig2_tree_and_topo() -> (SpanningTree, Topology) {
     ]);
     assert!(tree.is_subgraph_of(&topo));
     (tree, topo)
+}
+
+/// Every root detection is a genuine `Definitely` over the local
+/// intervals it covers.
+fn assert_valid(exec: &Execution, det: &HierarchicalDetector) {
+    let violations = verify_detections(exec, det.root_solutions());
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 fn iv_ref(p: u32, seq: u64) -> IntervalRef {
@@ -48,8 +56,7 @@ fn figure2_detects_exactly_once_with_the_fresh_aggregate() {
     assert_eq!(dets[0].at_node, ProcessId(2), "reported at the root P3");
     // P2 found two subtree-level solutions ({x1,x2} then {x1,x3}).
     assert_eq!(det.solutions_at(ProcessId(1)), 2);
-    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-        .unwrap();
+    assert_valid(&exec, &det);
 }
 
 #[test]
@@ -86,8 +93,7 @@ fn figure2_failure_of_p3_preserves_partial_detection() {
         "the surviving solution is {{x1, x3, x5}}"
     );
     assert_eq!(dets[0].at_node, ProcessId(1), "reported at the new root P2");
-    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-        .unwrap();
+    assert_valid(&exec, &det);
 }
 
 #[test]
@@ -113,8 +119,7 @@ fn clean_rounds_detect_once_per_round_at_every_tree_shape() {
         for det_rec in det.root_solutions() {
             assert_eq!(det_rec.covered_processes().len(), n);
         }
-        det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-            .unwrap();
+        assert_valid(&exec, &det);
     }
 }
 
@@ -134,8 +139,8 @@ fn noisy_workloads_never_emit_invalid_detections() {
         for iv in exec.intervals_interleaved() {
             det.feed(iv.clone());
         }
-        det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let violations = verify_detections(&exec, det.root_solutions());
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }
 
@@ -201,8 +206,51 @@ fn leaf_failure_only_narrows_coverage() {
             .all(|d| d.covered_processes().len() == n - 1),
         "post-failure detections cover the survivors"
     );
-    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-        .unwrap();
+    assert_valid(&exec, &det);
+}
+
+/// A bare tree (no cross-links): node 1's death strands its children 3 and
+/// 4, which have no way back to the root. They become forest roots and
+/// keep detecting their own partial predicate (DESIGN.md §2a) instead of
+/// reporting to a parent that no longer exists.
+#[test]
+fn partitioned_orphans_detect_as_forest_roots() {
+    let n = 7;
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(6)
+        .seed(8)
+        .build();
+    let topo = Topology::dary_tree(n, 2, 0);
+    let tree = SpanningTree::balanced_dary(n, 2);
+    let mut det = HierarchicalDetector::new(&tree);
+
+    let all: Vec<_> = exec.intervals_interleaved().into_iter().cloned().collect();
+    let (first, second) = all.split_at(all.len() / 2);
+    for iv in first {
+        det.feed(iv.clone());
+    }
+    det.fail_node(ProcessId(1), &topo);
+    for forest_root in [NodeId(3), NodeId(4)] {
+        assert_eq!(
+            det.tree().parent(forest_root),
+            None,
+            "{forest_root} stranded"
+        );
+    }
+    for iv in second {
+        if iv.source != ProcessId(1) {
+            det.feed(iv.clone());
+        }
+    }
+    for forest_root in [ProcessId(3), ProcessId(4)] {
+        assert!(
+            det.root_solutions()
+                .iter()
+                .any(|d| d.at_node == forest_root),
+            "{forest_root} detects its own subtree"
+        );
+    }
+    assert_valid(&exec, &det);
 }
 
 #[test]
@@ -252,8 +300,7 @@ fn crash_recovery_rejoins_and_detection_resumes() {
         n,
         "full coverage restored after recovery"
     );
-    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-        .unwrap();
+    assert_valid(&exec, &det);
 }
 
 #[test]
@@ -304,8 +351,7 @@ fn cascading_failures_down_to_two_nodes() {
         }
     }
     // No invalid detections through 13 failures.
-    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-        .unwrap();
+    assert_valid(&exec, &det);
     // The final tree holds the two survivors.
     assert_eq!(det.tree().node_count(), 2);
 }

@@ -1,6 +1,7 @@
 //! Direct unit tests of [`MonitorApp`]'s protocol logic, driven through
 //! the simnet test harness (no full simulation).
 
+use ftscp_core::membership::RepairStep;
 use ftscp_core::monitor::{MonitorApp, MonitorConfig};
 use ftscp_core::protocol::DetectMsg;
 use ftscp_intervals::Interval;
@@ -106,15 +107,9 @@ fn set_parent_re_reports_last_output() {
     // the only queue after removing the local? Q0 always exists. Use a
     // 2-wide overlap: deliver child interval, then local interval through
     // the timer path is unavailable — instead check that with no output
-    // yet, SetParent sends nothing.
+    // yet, a new parent gets nothing.
     let effects = testkit::drive(NodeId(1), SimTime(200), 10, &[], |ctx| {
-        app.on_message(
-            ctx,
-            NodeId(7),
-            DetectMsg::SetParent {
-                parent: Some(ProcessId(7)),
-            },
-        );
+        app.apply_repair(RepairStep::SetParent(Some(ProcessId(7))), ctx);
     });
     assert!(effects.sends.is_empty(), "nothing to re-report yet");
     assert_eq!(app.parent(), Some(ProcessId(7)));
@@ -145,13 +140,7 @@ fn set_parent_re_reports_last_output() {
 
     // Now re-parent the leaf: it re-reports with resync.
     let effects = testkit::drive(NodeId(2), SimTime(60), 10, &[], |ctx| {
-        leaf.on_message(
-            ctx,
-            NodeId(3),
-            DetectMsg::SetParent {
-                parent: Some(ProcessId(3)),
-            },
-        );
+        leaf.apply_repair(RepairStep::SetParent(Some(ProcessId(3))), ctx);
     });
     assert_eq!(effects.sends.len(), 1);
     assert_eq!(effects.sends[0].0, NodeId(3));
@@ -180,7 +169,7 @@ fn promote_root_records_detections_locally() {
     });
     assert!(leaf.detections().is_empty());
     testkit::drive(NodeId(2), SimTime(70), 10, &[], |ctx| {
-        leaf.on_message(ctx, NodeId(0), DetectMsg::PromoteRoot);
+        leaf.apply_repair(RepairStep::PromoteRoot, ctx);
     });
     assert_eq!(
         leaf.detections().len(),

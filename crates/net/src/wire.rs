@@ -17,10 +17,7 @@
 //!        1 Heartbeat   := u32 from, u64 epoch, u8 has_parent, [u32 parent],
 //!                         u8 n_ancestors, n × u32 ancestor
 //!        2 Ack         := u32 from, u64 upto
-//!        3 SetParent     (simulator only)
-//!        4 AddChild      (simulator only)
-//!        5 RemoveChild   (simulator only)
-//!        6 PromoteRoot   (simulator only)
+//!      3–6 (retired)
 //!        7 (unassigned)
 //!        8 Suspect     := u32 from, u32 suspect
 //!        9 Adopt       := u32 child, u64 epoch, u8 has_dead, [u32 dead_parent]
@@ -33,12 +30,11 @@
 //!                 u8 n_ancestors, n × (u32 id, u16 addr_len, addr bytes)
 //! ```
 //!
-//! Subtags 3–6 are the control messages of the simulated deployment's
-//! clairvoyant repair harness. Nothing here sends them — a TCP tree
-//! repairs itself through `Suspect`/`Adopt`/`AdoptAck`/`ReReport` — and a
-//! frame carrying one is refused like the unassigned subtag 7: acting on
-//! it would let any peer that can open a socket drop a live child's queue
-//! or promote a root.
+//! Subtags 3–6 are retired: they carried the simulated harness's four
+//! tree-repair control messages, which are now `RepairStep`s the harness
+//! applies by call and no `DetectMsg` at all. A TCP tree repairs itself
+//! through `Suspect`/`Adopt`/`AdoptAck`/`ReReport`, and a frame carrying
+//! 3–6 is refused like the unassigned subtag 7.
 //!
 //! `Uplink` is the TCP-specific half of the grandparent hint: a parent
 //! periodically tells each child where *its own* uplink points (process
@@ -192,14 +188,6 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
                     out.push(2);
                     put_u32(&mut out, from.0);
                     put_u64(&mut out, *upto);
-                }
-                // The simulated repair harness's control messages: no
-                // socket path constructs them (see the module docs).
-                DetectMsg::SetParent { .. }
-                | DetectMsg::AddChild { .. }
-                | DetectMsg::RemoveChild { .. }
-                | DetectMsg::PromoteRoot => {
-                    unreachable!("simulator-only control message on a socket: {d:?}")
                 }
                 DetectMsg::Suspect { from, suspect } => {
                     out.push(8);
@@ -394,7 +382,7 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
                         resync,
                     }
                 }
-                // 3–6 (simulator-only control) and 7 (unassigned) included.
+                // 3–6 (retired) and 7 (unassigned) included.
                 _ => return Err(DecodeError("unknown detect subtag")),
             };
             NetMsg::Detect(d)
@@ -565,9 +553,9 @@ mod tests {
                 );
             }
         }
-        // The four simulator-only control variants, laid out as the
-        // simulator's size table bills them (SetParent with and without a
-        // parent, AddChild, RemoveChild, PromoteRoot), are refused whole.
+        // The retired subtags 3–6, laid out as the simulated harness's
+        // control messages once were (a new parent, no parent, a child to
+        // add, a child to remove, a root promotion), are refused whole.
         for control in [
             &[3, 3, 1, 5, 0, 0, 0][..],
             &[3, 3, 0][..],

@@ -5,7 +5,7 @@
 //! the child→parent report uplink and the client→node event feed. The
 //! last two cover frames a node refuses outright, closing that one
 //! connection only: interval frames that are not of the delta family at
-//! all, and the simulator-only control messages.
+//! all, and the retired detect subtags 3–6.
 
 use ftscp_core::deploy::{DeployConfig, Deployment as SimDeployment};
 use ftscp_core::protocol::ConnCodec;
@@ -255,12 +255,13 @@ fn dense_frame_kills_only_its_own_connection() {
     assert_eq!(coverages(&sim), coverages(&report.detections));
 }
 
-/// `SetParent` / `AddChild` / `RemoveChild` / `PromoteRoot` (detect
-/// subtags 3–6) belong to the simulated deployment's repair harness; over
-/// a socket they would let anyone who can connect drop a live child's
-/// queue — releasing solutions that never saw its subtree — or promote a
-/// root. The node refuses them like any unknown frame and is otherwise
-/// untouched.
+/// Detect subtags 3–6 are retired: they once carried the simulated
+/// harness's tree-repair control messages (the bytes below are a root
+/// promotion and a child removal as they were laid out), which are now
+/// `RepairStep`s applied by call. Acted on from a socket they would let
+/// anyone who can connect drop a live child's queue — releasing solutions
+/// that never saw its subtree — or promote a root. The node refuses them
+/// like any unknown frame and is otherwise untouched.
 #[test]
 fn control_frames_from_a_stranger_are_refused() {
     if !sockets_available() {

@@ -404,19 +404,6 @@ impl<A: Application> Simulation<A> {
         processed
     }
 
-    /// Delivers an out-of-band message to `node` as if sent by `from` —
-    /// used by drivers that inject external stimuli.
-    pub fn inject(&mut self, at: SimTime, from: NodeId, dst: NodeId, msg: A::Msg) {
-        self.queue.push(
-            at,
-            EventKind::Deliver {
-                src: from,
-                dst,
-                msg,
-            },
-        );
-    }
-
     fn ensure_init(&mut self) {
         if self.initialized {
             return;
@@ -936,20 +923,5 @@ mod tests {
             Some(SimTime(3_000)),
             "3x slow clock"
         );
-    }
-
-    #[test]
-    fn inject_delivers_external_messages() {
-        let topo = Topology::line(2);
-        let mut sim = Simulation::new(
-            topo,
-            vec![Flood::default(), Flood::default()],
-            SimConfig::default(),
-        );
-        // Node 1 is not node 0, so it would never see the flood token; the
-        // injected message reaches it directly.
-        sim.inject(SimTime(50), NodeId(0), NodeId(1), 9);
-        sim.run_to_quiescence(1000);
-        assert!(sim.app(NodeId(1)).receptions >= 1);
     }
 }

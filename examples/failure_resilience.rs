@@ -7,6 +7,7 @@
 //! ```
 
 use ftscp::baselines::CentralizedDetector;
+use ftscp::core::faultcheck::verify_detections;
 use ftscp::core::HierarchicalDetector;
 use ftscp::simnet::Topology;
 use ftscp::tree::SpanningTree;
@@ -75,8 +76,8 @@ fn main() {
     );
 
     // Every hierarchical detection is genuine.
-    det.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-        .expect("all detections valid");
+    let violations = verify_detections(&exec, det.root_solutions());
+    assert!(violations.is_empty(), "invalid detections: {violations:?}");
 
     // Coverage shrinks as the population does, but never to zero activity.
     let sizes: Vec<usize> = det

@@ -4,6 +4,7 @@
 //! spanning tree shape and any workload.
 
 use ftscp::baselines::CentralizedDetector;
+use ftscp::core::faultcheck::verify_detections;
 use ftscp::core::HierarchicalDetector;
 use ftscp::simnet::{NodeId, Topology};
 use ftscp::tree::SpanningTree;
@@ -115,8 +116,8 @@ fn detection_counts_match_workload_structure() {
         for iv in exec.intervals_interleaved() {
             hier.feed(iv.clone());
         }
-        hier.verify_detections(|p, s| exec.intervals[p.index()].get(s as usize).cloned())
-            .unwrap();
+        let violations = verify_detections(&exec, hier.root_solutions());
+        assert!(violations.is_empty(), "{violations:?}");
         for d in hier.root_solutions() {
             assert_eq!(
                 d.covered_processes().len(),

@@ -1,8 +1,10 @@
-//! Golden accounting of the simulated network: two seeded runs with every
-//! simnet counter pinned to what the simulator produced before PR 22 took
-//! its per-event overhead out (BFS per send, heap of whole events, map-keyed
-//! link counters). A change to routing, event order, RNG draws or per-link
-//! counting moves a number here before it moves a fingerprint elsewhere.
+//! Golden accounting of the simulated network: seeded runs with every
+//! simnet counter pinned — the first two to what the simulator produced
+//! before PR 22 took its per-event overhead out (BFS per send, heap of
+//! whole events, map-keyed link counters), the third to the repair harness
+//! before PR 25 stopped sending its plan as messages. A change to routing,
+//! event order, RNG draws or per-link counting moves a number here before
+//! it moves a fingerprint elsewhere.
 
 use ftscp::baselines::centralized::CentralizedDeployment;
 use ftscp::core::deploy::{DeployConfig, Deployment, RepairMode};
@@ -76,6 +78,61 @@ fn heartbeat_driven_crash_accounting_is_pinned() {
     let dets = dep.detections();
     assert_eq!(dets.len(), 12);
     assert_eq!(detection_fingerprint(&dets), 0x3f5a_faac_3ed4_6460);
+}
+
+/// The clairvoyant (`Scheduled`) repair path with stable storage: root 0
+/// dies, then internal node 2, which later reboots from its checkpoint and
+/// rejoins as a leaf. Values captured before PR 25, when the harness
+/// *injected* its plan as k = 18 control messages (9 for the root repair,
+/// 7 for node 2's, 2 for the rejoin), each one a delivered event; now the
+/// steps are applied by call, so `delivered` and `events_processed` are
+/// exactly 18 lower and everything else is unchanged.
+#[test]
+fn scheduled_repair_and_restart_accounting_is_pinned() {
+    let n = 40;
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(12)
+        .seed(25)
+        .build();
+    let cfg = DeployConfig {
+        sim: sim_config(25),
+        interval_spacing: SimTime::from_millis(1),
+        monitor: MonitorConfig {
+            heartbeat_period: Some(SimTime::from_millis(20)),
+            ..MonitorConfig::default()
+        },
+        repair_delay: SimTime::from_millis(60),
+        repair_mode: RepairMode::Scheduled,
+    };
+    let mut dep = Deployment::new(
+        Topology::dary_tree(n, 3, 1),
+        SpanningTree::balanced_dary(n, 3),
+        &exec,
+        cfg,
+    );
+    dep.enable_checkpointing();
+    dep.schedule_crash(ProcessId(0), SimTime(100_333));
+    dep.schedule_crash(ProcessId(2), SimTime(220_555));
+    dep.schedule_recovery(ProcessId(2), SimTime(380_111));
+    dep.run();
+    let k = 18;
+    assert_eq!(
+        counters(dep.metrics(), dep.events_processed()),
+        [
+            40_233,
+            40_170 - k,
+            40_233,
+            1_083_210,
+            32,
+            6,
+            1_060,
+            61_081 - k
+        ]
+    );
+    assert_eq!(dep.app(ProcessId(2)).parent(), Some(ProcessId(7)));
+    let dets = dep.detections();
+    assert_eq!(dets.len(), 11);
+    assert_eq!(detection_fingerprint(&dets), 0x49d1_c449_991f_86e5);
 }
 
 /// Every report is multi-hop — the sink is a corner of a 6 × 6 grid — so
