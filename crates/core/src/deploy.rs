@@ -12,6 +12,7 @@
 use crate::membership::{repair_plan, RepairStep};
 use crate::monitor::{MonitorApp, MonitorConfig};
 use crate::report::GlobalDetection;
+use crate::transport::MonitorCore;
 use ftscp_intervals::Interval;
 use ftscp_simnet::{FaultOp, FaultPlan, NetMetrics, SimConfig, SimTime, Simulation, Topology};
 use ftscp_tree::SpanningTree;
@@ -270,11 +271,11 @@ impl Deployment {
     fn sync_tree_mirror(&mut self) {
         let members: Vec<(ProcessId, Option<ProcessId>)> = ProcessId::all(self.sim.len())
             .filter(|&n| self.sim.is_alive(n))
-            .map(|n| (n, self.sim.app(n).parent()))
+            .map(|n| (n, self.app(n).parent()))
             .collect();
         let root = members
             .iter()
-            .find(|&&(n, p)| p.is_none() && self.sim.app(n).engine().is_root())
+            .find(|&&(n, p)| p.is_none() && self.app(n).engine().is_root())
             .map(|&(n, _)| n);
         if let Some(root) = root {
             self.tree = SpanningTree::from_membership(&members, self.sim.len(), root);
@@ -292,7 +293,7 @@ impl Deployment {
             failed,
             &self.topology,
             &alive,
-            |n| sim.app(n).engine().children(),
+            |n| sim.app(n).core().engine().children(),
         );
         self.apply(plan);
     }
@@ -351,10 +352,8 @@ impl Deployment {
     /// needing exactly-once should dedup by coverage.
     pub fn detections(&self) -> Vec<GlobalDetection> {
         let mut all: Vec<GlobalDetection> = self
-            .sim
-            .apps()
-            .iter()
-            .flat_map(|a| a.detections().iter().cloned())
+            .cores()
+            .flat_map(|c| c.detections().iter().cloned())
             .collect();
         all.sort_by_key(|d| d.time);
         all
@@ -379,7 +378,7 @@ impl Deployment {
 
     /// Interval messages sent network-wide (the paper's message count).
     pub fn interval_messages(&self) -> u64 {
-        self.sim.apps().iter().map(|a| a.interval_msgs_sent()).sum()
+        self.cores().map(MonitorCore::interval_msgs_sent).sum()
     }
 
     /// The current (possibly repaired) spanning tree.
@@ -387,9 +386,19 @@ impl Deployment {
         &self.tree
     }
 
-    /// Access to a node's monitor.
-    pub fn app(&self, node: ProcessId) -> &MonitorApp {
-        self.sim.app(node)
+    /// A node's monitor: its engine, parent, membership view and counters.
+    pub fn app(&self, node: ProcessId) -> &MonitorCore {
+        self.sim.app(node).core()
+    }
+
+    /// Every node's monitor, dead or alive, by id.
+    fn cores(&self) -> impl Iterator<Item = &MonitorCore> {
+        self.sim.apps().iter().map(MonitorApp::core)
+    }
+
+    /// Local intervals `node` has not observed yet (its schedule remainder).
+    pub(crate) fn pending_schedule_len(&self, node: ProcessId) -> usize {
+        self.sim.app(node).pending_schedule_len()
     }
 
     /// True iff `node`'s monitor is currently up.
@@ -409,20 +418,16 @@ impl Deployment {
 
     /// Peak intervals resident at any single node (space accounting).
     pub fn peak_queue_len(&self) -> usize {
-        self.sim
-            .apps()
-            .iter()
-            .map(|a| a.engine().bank_stats().peak_queue_len)
+        self.cores()
+            .map(|c| c.engine().bank_stats().peak_queue_len)
             .max()
             .unwrap_or(0)
     }
 
     /// Sum over nodes of peak resident intervals (global space bound).
     pub fn total_peak_resident(&self) -> usize {
-        self.sim
-            .apps()
-            .iter()
-            .map(|a| a.engine().bank_stats().peak_resident)
+        self.cores()
+            .map(|c| c.engine().bank_stats().peak_resident)
             .sum()
     }
 }

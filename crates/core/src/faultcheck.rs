@@ -74,17 +74,16 @@ pub fn verify_no_silent_drops(dep: &Deployment) -> Vec<String> {
         if !dep.is_alive(p) {
             continue; // a crashed node's losses are expected, not silent
         }
-        let app = dep.app(p);
-        if app.pending_schedule_len() > 0 {
+        let pending = dep.pending_schedule_len(p);
+        if pending > 0 {
             violations.push(format!(
-                "{p}: {} scheduled local intervals never observed",
-                app.pending_schedule_len()
+                "{p}: {pending} scheduled local intervals never observed"
             ));
         }
-        if app.unacked_count() > 0 {
+        let unacked = dep.app(p).unacked_count();
+        if unacked > 0 {
             violations.push(format!(
-                "{p}: {} reported intervals never acknowledged",
-                app.unacked_count()
+                "{p}: {unacked} reported intervals never acknowledged"
             ));
         }
     }

@@ -1,28 +1,28 @@
 //! [`MonitorApp`] — one node's monitor process on the simulated network.
 //!
 //! All protocol logic (queue feeding, reorder buffers, acks/retransmits,
-//! uplink codec state, tree-repair steps) lives in the
-//! transport-agnostic [`MonitorCore`];
-//! this wrapper adds only what is simulator-specific: the local interval
-//! *schedule* (the simulated application whose predicate we monitor),
-//! timer plumbing, and crash/reboot checkpointing. The TCP runtime in
+//! uplink codec state, tree-repair steps) and its timing policy (which
+//! [`Duty`]s run and when, the adoption knock, the reset of a reboot)
+//! live in the transport-agnostic [`MonitorCore`]; this wrapper adds only
+//! what is simulator-specific: the local interval *schedule* (the
+//! simulated application whose predicate we monitor), one simulator timer
+//! per duty, and crash/reboot checkpointing. The TCP runtime in
 //! `ftscp-net` wraps the very same core, which is what makes the two
 //! backends differentially comparable.
 
-use crate::engine::{EngineCheckpoint, NodeEngine};
-use crate::membership::{Membership, MembershipEvent, RepairStep};
+use crate::engine::EngineCheckpoint;
+use crate::membership::RepairStep;
 use crate::protocol::DetectMsg;
-use crate::report::GlobalDetection;
-use crate::transport::MonitorCore;
+use crate::transport::{Duty, MonitorCore};
 use ftscp_intervals::Interval;
 use ftscp_simnet::{Application, Ctx, SimTime, TimerToken};
 use ftscp_vclock::ProcessId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
+/// Timer tokens: the schedule's next local interval, then one per
+/// [`Duty`], at `TIMER_DUTY + duty as TimerToken`.
 const TIMER_NEXT_INTERVAL: TimerToken = 1;
-const TIMER_HEARTBEAT: TimerToken = 2;
-const TIMER_RETRANSMIT: TimerToken = 3;
-const TIMER_SUSPECT: TimerToken = 4;
+const TIMER_DUTY: TimerToken = 2;
 
 /// Monitor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -46,8 +46,8 @@ pub struct MonitorConfig {
     /// period as soon as an ack makes progress (or a new parent is set).
     pub retransmit_backoff_cap: u32,
     /// Decentralized failure detection — the one place the suspicion
-    /// timeout lives, on either runtime: when set, the node itself runs
-    /// [`MonitorCore::membership_tick`] every
+    /// timeout lives, on either runtime: when set (and heartbeats are on),
+    /// the node itself runs [`Duty::Suspect`] every
     /// [`suspect_period`](Self::suspect_period) — a peer silent for longer
     /// than this is suspected, a silent child's queue is held for this
     /// long and then dropped, and a silent parent triggers the
@@ -60,16 +60,6 @@ pub struct MonitorConfig {
     /// [`RepairMode::Scheduled`]: crate::deploy::RepairMode::Scheduled
     /// [`RepairMode::HeartbeatDriven`]: crate::deploy::RepairMode::HeartbeatDriven
     pub suspect_timeout: Option<SimTime>,
-}
-
-impl MonitorConfig {
-    /// How often to run the suspicion check: half the timeout, so a dead
-    /// peer is caught within 1.5× the configured timeout in the worst
-    /// case. `None` when there is no failure detector to run.
-    pub fn suspect_period(&self) -> Option<SimTime> {
-        self.suspect_timeout
-            .map(|timeout| SimTime((timeout.as_micros() / 2).max(1)))
-    }
 }
 
 impl Default for MonitorConfig {
@@ -122,7 +112,7 @@ impl MonitorApp {
     /// in-memory state. Models a node with stable storage.
     pub fn enable_checkpointing(&mut self) {
         self.checkpointing = true;
-        self.stable_checkpoint = Some(self.core.engine.checkpoint());
+        self.persist();
     }
 
     /// The last persisted checkpoint, if checkpointing is enabled.
@@ -130,47 +120,22 @@ impl MonitorApp {
         self.stable_checkpoint.as_ref()
     }
 
-    /// Reboot: discard volatile state and restore the engine from stable
-    /// storage. The node rejoins as a leaf (its children have been
-    /// re-parented during its downtime): child queues are dropped, the
-    /// reorder buffers and unacked set are volatile and reset, and the
-    /// interval schedule continues from wherever simulated time now is.
+    /// Reboot: the core restarts from stable storage as a leaf
+    /// ([`MonitorCore::reboot`]), the interval schedule continues from
+    /// wherever simulated time now is, and the timers are re-armed.
     /// Returns false if no checkpoint exists.
     pub fn reboot_from_checkpoint(&mut self, ctx: &mut Ctx<'_, DetectMsg>) -> bool {
         let Some(cp) = self.stable_checkpoint.clone() else {
             return false;
         };
-        // Discard what dropping the stale child queues released — it refers
-        // to children that now live elsewhere.
-        let (engine, _released) = NodeEngine::restore_as_leaf(cp);
-        self.core.engine = engine;
-        self.core.parent = None; // the maintenance service sets a parent
-        self.core.reorder.clear();
-        self.core.unacked.clear();
-        self.core.retransmit_backoff = 1;
-        // Connection state is volatile. So is the incarnation: peers must
-        // treat beacons from the crashed life as stale, and peer-epoch
-        // observations are lost.
-        self.core.uplink_codec.reset();
-        self.core.membership = Membership::new(self.core.membership.epoch() + 1);
+        self.core.reboot(cp);
         // Intervals that would have completed during the outage never
         // happened (the node was down): drop them.
-        while let Some(&(t, _)) = self.schedule.front() {
-            if t <= ctx.now() {
-                self.schedule.pop_front();
-            } else {
-                break;
-            }
+        let now = ctx.now();
+        while self.schedule.front().is_some_and(|&(t, _)| t <= now) {
+            self.schedule.pop_front();
         }
-        // Re-arm volatile timers.
-        self.arm_next_interval(ctx);
-        if let Some(period) = self.core.config.heartbeat_period {
-            ctx.set_timer(period, TIMER_HEARTBEAT);
-        }
-        if let Some(period) = self.core.config.retransmit_period {
-            ctx.set_timer(period, TIMER_RETRANSMIT);
-        }
-        self.arm_suspect_timer(ctx);
+        self.arm_timers(ctx);
         true
     }
 
@@ -181,71 +146,20 @@ impl MonitorApp {
         self.persist();
     }
 
-    fn persist(&mut self) {
-        if self.checkpointing {
-            self.stable_checkpoint = Some(self.core.engine.checkpoint());
-        }
-    }
-
-    /// Outputs awaiting parent acknowledgement (reliability layer).
-    pub fn unacked_count(&self) -> usize {
-        self.core.unacked_count()
-    }
-
-    /// Detections recorded at this node (non-empty only for roots).
-    pub fn detections(&self) -> &[GlobalDetection] {
-        self.core.detections()
-    }
-
-    /// This node's current parent.
-    pub fn parent(&self) -> Option<ProcessId> {
-        self.core.parent()
-    }
-
-    /// The wrapped engine (for statistics).
-    pub fn engine(&self) -> &NodeEngine {
-        self.core.engine()
-    }
-
-    /// Interval messages this node originated.
-    pub fn interval_msgs_sent(&self) -> u64 {
-        self.core.interval_msgs_sent()
-    }
-
-    /// Interval messages sent through the re-report/resync path.
-    pub fn re_report_msgs(&self) -> u64 {
-        self.core.re_report_msgs()
-    }
-
-    /// Bytes billed for the re-report/resync path.
-    pub fn re_report_bytes(&self) -> u64 {
-        self.core.re_report_bytes()
-    }
-
-    /// This node's membership view (epoch, repair state, grandparent).
-    pub fn membership(&self) -> &Membership {
-        self.core.membership()
-    }
-
-    /// Heartbeats observed so far: peer → last time.
-    pub fn heartbeat_seen(&self) -> &BTreeMap<ProcessId, SimTime> {
-        self.core.heartbeat_seen()
-    }
-
-    /// Tree peers (parent + children) whose last heartbeat is older than
-    /// `timeout` at time `now` — see [`MonitorCore::suspects`].
-    pub fn suspects(&self, now: SimTime, timeout: SimTime) -> Vec<ProcessId> {
-        self.core.suspects(now, timeout)
-    }
-
-    /// Current retransmit backoff multiplier (for tests/telemetry).
-    pub fn retransmit_backoff(&self) -> u32 {
-        self.core.retransmit_backoff()
+    /// The wrapped core: engine, parent, membership view and counters.
+    pub fn core(&self) -> &MonitorCore {
+        &self.core
     }
 
     /// Local intervals not yet observed (schedule remainder).
     pub fn pending_schedule_len(&self) -> usize {
         self.schedule.len()
+    }
+
+    fn persist(&mut self) {
+        if self.checkpointing {
+            self.stable_checkpoint = Some(self.core.engine().checkpoint());
+        }
     }
 
     fn arm_next_interval(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
@@ -255,9 +169,11 @@ impl MonitorApp {
         }
     }
 
-    fn arm_suspect_timer(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
-        if let Some(period) = self.core.config.suspect_period() {
-            ctx.set_timer(period, TIMER_SUSPECT);
+    /// Arms the next local interval and every duty the core runs.
+    fn arm_timers(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
+        self.arm_next_interval(ctx);
+        for (duty, delay) in self.core.duties() {
+            ctx.set_timer(delay, TIMER_DUTY + duty as TimerToken);
         }
     }
 }
@@ -266,57 +182,31 @@ impl Application for MonitorApp {
     type Msg = DetectMsg;
 
     fn on_init(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
-        self.arm_next_interval(ctx);
-        if let Some(period) = self.core.config.heartbeat_period {
-            ctx.set_timer(period, TIMER_HEARTBEAT);
-        }
-        if let Some(period) = self.core.config.retransmit_period {
-            ctx.set_timer(period, TIMER_RETRANSMIT);
-        }
-        self.arm_suspect_timer(ctx);
+        self.arm_timers(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, DetectMsg>, token: TimerToken) {
-        match token {
-            TIMER_NEXT_INTERVAL => {
-                while let Some(&(t, _)) = self.schedule.front() {
-                    if t > ctx.now() {
-                        break;
-                    }
-                    let (_, interval) = self.schedule.pop_front().expect("peeked");
-                    self.core.observe_local(interval, ctx);
-                }
-                self.persist();
-                self.arm_next_interval(ctx);
+        if token == TIMER_NEXT_INTERVAL {
+            while self.schedule.front().is_some_and(|&(t, _)| t <= ctx.now()) {
+                let (_, interval) = self.schedule.pop_front().expect("peeked");
+                self.core.observe_local(interval, ctx);
             }
-            TIMER_RETRANSMIT => {
-                if let Some(delay) = self.core.on_retransmit_due(ctx) {
-                    ctx.set_timer(delay, TIMER_RETRANSMIT);
-                }
-            }
-            TIMER_HEARTBEAT => {
-                if let Some(period) = self.core.config.heartbeat_period {
-                    self.core.send_heartbeats(ctx);
-                    ctx.set_timer(period, TIMER_HEARTBEAT);
-                }
-            }
-            TIMER_SUSPECT => {
-                let events = self.core.membership_tick(ctx);
-                if events
-                    .iter()
-                    .any(|e| matches!(e, MembershipEvent::AdoptionStarted { .. }))
-                {
-                    // The simulated network routes by id: the handshake
-                    // can go out immediately (the TCP runtime instead
-                    // re-dials its uplink first — see `ftscp-net`).
-                    self.core.send_adoption_request(ctx);
-                }
-                if !events.is_empty() {
-                    self.persist();
-                }
-                self.arm_suspect_timer(ctx);
-            }
-            _ => {}
+            self.persist();
+            self.arm_next_interval(ctx);
+            return;
+        }
+        let Some(&duty) = token
+            .checked_sub(TIMER_DUTY)
+            .and_then(|i| Duty::ALL.get(i as usize))
+        else {
+            return;
+        };
+        let (next, events) = self.core.on_duty(duty, ctx);
+        if !events.is_empty() {
+            self.persist();
+        }
+        if let Some(delay) = next {
+            ctx.set_timer(delay, token);
         }
     }
 

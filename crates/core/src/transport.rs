@@ -4,21 +4,25 @@
 //! nothing to do with *how* bytes move: feeding the [`NodeEngine`],
 //! per-child reorder buffers, the cumulative-ack reliability layer with
 //! bounded retransmit bursts and exponential backoff, uplink delta-codec
-//! state, and detection recording. It talks to the world only through the
-//! [`Transport`] trait, so the same state machine drives both backends:
+//! state, detection recording — and the timing policy around them: which
+//! periodic [`Duty`]s run and when they fire again, the adoption knock
+//! after a suspicion round, and the reset of a reboot. It talks to the
+//! world only through the [`Transport`] trait, so the same state machine
+//! drives both backends, and a driver keeps clocks and moves messages:
 //!
 //! * `ftscp-simnet` — [`crate::monitor::MonitorApp`] wraps a core and
 //!   implements [`Transport`] on the simulator's `Ctx` (sends are
 //!   structured messages, billed at their delta-coded size via
-//!   `send_sized`);
+//!   `send_sized`); each duty is a simulator timer;
 //! * `ftscp-net` — the TCP runtime wraps a core and drains an [`Outbox`]
-//!   onto real sockets after every core call (sends are actually encoded).
+//!   onto real sockets after every core call (sends are actually encoded);
+//!   each duty is an entry on its timer wheel.
 //!
 //! Because both backends execute the *same* `MonitorCore` code, they
 //! cannot drift: the differential test in `ftscp-net` asserts identical
 //! detection fingerprints for the same workload run through either one.
 
-use crate::engine::{EngineOutput, NodeEngine};
+use crate::engine::{EngineCheckpoint, EngineOutput, NodeEngine};
 use crate::membership::{Membership, MembershipEvent, RepairState, RepairStep};
 use crate::monitor::MonitorConfig;
 use crate::protocol::{ConnCodec, DetectMsg, INTERVAL_MSG_OVERHEAD};
@@ -102,6 +106,37 @@ impl Transport for Outbox {
     }
 }
 
+/// A periodic duty of the monitor. [`MonitorCore::duties`] says which ones
+/// a configuration runs and when each first fires; [`MonitorCore::on_duty`]
+/// runs one and says when it fires next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Duty {
+    /// Beacon every tree peer, every [`MonitorConfig::heartbeat_period`].
+    Heartbeat,
+    /// Re-send a bounded burst of the unacked backlog, every
+    /// [`MonitorConfig::retransmit_period`] times the backoff multiplier.
+    Retransmit,
+    /// One failure-detection round, every
+    /// [`MonitorConfig::suspect_period`] — and only with heartbeats on: a
+    /// heartbeat detector with no heartbeats detects nothing.
+    Suspect,
+}
+
+impl Duty {
+    /// Every duty, in the order a driver arms them.
+    pub(crate) const ALL: [Duty; 3] = [Duty::Heartbeat, Duty::Retransmit, Duty::Suspect];
+}
+
+impl MonitorConfig {
+    /// How often to run the suspicion check: half the timeout, so a dead
+    /// peer is caught within 1.5× the configured timeout in the worst
+    /// case. `None` when there is no failure detector to run.
+    pub fn suspect_period(&self) -> Option<SimTime> {
+        self.suspect_timeout
+            .map(|timeout| SimTime((timeout.as_micros() / 2).max(1)))
+    }
+}
+
 /// The transport-agnostic monitor state machine (see module docs).
 ///
 /// ## Non-FIFO channels and interval order
@@ -115,40 +150,40 @@ impl Transport for Outbox {
 /// after a reattachment re-report, or a TCP reconnect replay) are
 /// dropped.
 pub struct MonitorCore {
-    pub(crate) me: ProcessId,
-    pub(crate) engine: NodeEngine,
-    pub(crate) parent: Option<ProcessId>,
-    pub(crate) config: MonitorConfig,
+    me: ProcessId,
+    engine: NodeEngine,
+    parent: Option<ProcessId>,
+    config: MonitorConfig,
     /// Per-child reorder state: next expected seq + held-back intervals.
-    pub(crate) reorder: BTreeMap<ProcessId, (u64, BTreeMap<u64, Interval>)>,
+    reorder: BTreeMap<ProcessId, (u64, BTreeMap<u64, Interval>)>,
     /// Detections recorded while this node was a root.
-    pub(crate) detections: Vec<GlobalDetection>,
+    detections: Vec<GlobalDetection>,
     /// Interval messages sent (for per-node accounting).
-    pub(crate) interval_msgs_sent: u64,
+    interval_msgs_sent: u64,
     /// Reliability layer: outputs not yet acknowledged by the parent,
     /// keyed by output sequence number.
-    pub(crate) unacked: BTreeMap<u64, Interval>,
+    unacked: BTreeMap<u64, Interval>,
     /// Current retransmit backoff multiplier (1 = base period); doubles on
     /// each firing without ack progress up to the configured cap.
-    pub(crate) retransmit_backoff: u32,
+    retransmit_backoff: u32,
     /// Delta-codec state of the uplink to the current parent: fresh
     /// reports go out as stateful frames against the previous report's
     /// `lo`; retransmissions and re-reports are standalone and leave this
     /// untouched. On the simulated backend this determines only the byte
     /// sizes charged to the network; the TCP backend mirrors the same
     /// decisions with a real per-connection codec.
-    pub(crate) uplink_codec: ConnCodec,
+    uplink_codec: ConnCodec,
     /// Heartbeats observed: peer → last time.
-    pub(crate) heartbeat_seen: BTreeMap<ProcessId, SimTime>,
+    heartbeat_seen: BTreeMap<ProcessId, SimTime>,
     /// Decentralized membership view: own epoch, peers' epochs, the
     /// grandparent hint, and the adoption state machine (§III-F repair
     /// as a protocol feature — see [`crate::membership`]).
-    pub(crate) membership: Membership,
+    membership: Membership,
     /// Interval messages sent through the re-report path (resync bursts
     /// after a reconnect or adoption) — the §III-F repair traffic.
-    pub(crate) re_report_msgs: u64,
+    re_report_msgs: u64,
     /// Bytes billed for the re-report path (standalone frames).
-    pub(crate) re_report_bytes: u64,
+    re_report_bytes: u64,
     /// Hold-after-drop: children suspected dead whose queues are *kept*
     /// until either the orphaned subtree reattaches (the `Adopt` that
     /// names them as `dead_parent` finalizes the drop) or the deadline
@@ -157,7 +192,7 @@ pub struct MonitorCore {
     /// emission — which is exactly the model's `waiting` gate: without
     /// it, removing the queue releases solutions that were never checked
     /// against the orphan subtree's intervals (the prune/adopt race).
-    pub(crate) held: BTreeMap<ProcessId, SimTime>,
+    held: BTreeMap<ProcessId, SimTime>,
 }
 
 impl MonitorCore {
@@ -271,6 +306,66 @@ impl MonitorCore {
         self.held.keys().copied().collect()
     }
 
+    /// How often `duty` runs under this configuration; `None` if it does
+    /// not run at all.
+    fn period(&self, duty: Duty) -> Option<SimTime> {
+        let config = &self.config;
+        match duty {
+            Duty::Heartbeat => config.heartbeat_period,
+            Duty::Retransmit => config.retransmit_period,
+            Duty::Suspect => config.heartbeat_period.and(config.suspect_period()),
+        }
+    }
+
+    /// The duties this configuration runs, each with its first delay, in
+    /// the order a driver arms them.
+    pub fn duties(&self) -> impl Iterator<Item = (Duty, SimTime)> + '_ {
+        Duty::ALL
+            .into_iter()
+            .filter_map(|duty| Some((duty, self.period(duty)?)))
+    }
+
+    /// Runs `duty` now. Returns the delay until it is due again (`None`:
+    /// never, it does not run under this configuration) and, for a
+    /// [`Duty::Suspect`] round, what the round decided (empty otherwise).
+    pub fn on_duty(
+        &mut self,
+        duty: Duty,
+        t: &mut impl Transport,
+    ) -> (Option<SimTime>, Vec<MembershipEvent>) {
+        let Some(period) = self.period(duty) else {
+            return (None, Vec::new());
+        };
+        match duty {
+            Duty::Heartbeat => {
+                self.send_heartbeats(t);
+                (Some(period), Vec::new())
+            }
+            Duty::Retransmit => (Some(self.on_retransmit_due(t, period)), Vec::new()),
+            Duty::Suspect => (Some(period), self.membership_tick(t)),
+        }
+    }
+
+    /// Reboot from stable storage. The engine comes back from `checkpoint`
+    /// as a leaf: its children were re-parented during the downtime, so
+    /// their stale queues are dropped, and what that releases is discarded
+    /// — it refers to children that now live elsewhere. There is no parent
+    /// until one is set, and the volatile state starts over: reorder
+    /// buffers, the unacked backlog, the retransmit backoff, the uplink
+    /// codec. So does the incarnation: the epoch moves past the crashed
+    /// life's, so peers treat its beacons as stale, and peer-epoch
+    /// observations are lost.
+    pub fn reboot(&mut self, checkpoint: EngineCheckpoint) {
+        let (engine, _released) = NodeEngine::restore_as_leaf(checkpoint);
+        self.engine = engine;
+        self.parent = None;
+        self.reorder.clear();
+        self.unacked.clear();
+        self.retransmit_backoff = 1;
+        self.uplink_codec.reset();
+        self.membership = Membership::new(self.membership.epoch() + 1);
+    }
+
     /// Tree peers this node beacons to: children, then parent.
     pub fn heartbeat_targets(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.engine.children().iter().copied().chain(self.parent)
@@ -280,7 +375,7 @@ impl MonitorCore {
     /// epoch and its ancestor chain: its parent (the grandparent hint for
     /// its children) plus the rungs above it relayed from its own
     /// parent's beacons.
-    pub fn send_heartbeats(&mut self, t: &mut impl Transport) {
+    fn send_heartbeats(&mut self, t: &mut impl Transport) {
         for peer in self.heartbeat_targets() {
             t.send(
                 peer,
@@ -344,19 +439,20 @@ impl MonitorCore {
         self.held.insert(child, SimTime(now.0 + window.0));
     }
 
-    /// One decentralized failure-detection round: every suspect that is a
-    /// child gets its queue dropped locally; a suspect parent starts (or
-    /// keeps knocking on) the grandparent-adoption handshake. Returns
-    /// what was decided so the transport-specific driver can act — the
-    /// simulated backend sends the handshake immediately over the
-    /// routed network, the TCP backend first re-dials its uplink socket
-    /// at the new target (see `ftscp-net`).
+    /// One decentralized failure-detection round ([`Duty::Suspect`]):
+    /// every suspect that is a child gets its queue held; a suspect parent
+    /// starts (or keeps knocking on) the grandparent-adoption handshake,
+    /// and the knock — `Suspect` then `Adopt`, to the target by id — goes
+    /// out last in the round. Returns what was decided: the TCP driver
+    /// re-dials its uplink at a new target, and a knock sent before that
+    /// dial is up finds no route there and is dropped (the dial knocks
+    /// again once it is established).
     ///
     /// The suspicion timeout is [`MonitorConfig::suspect_timeout`]; with
     /// none configured there is no failure detector and this does
     /// nothing. Crash-free runs reach this via a timer and do nothing
     /// either: no suspicion, no messages, no tree mutation.
-    pub fn membership_tick(&mut self, t: &mut impl Transport) -> Vec<MembershipEvent> {
+    fn membership_tick(&mut self, t: &mut impl Transport) -> Vec<MembershipEvent> {
         let Some(timeout) = self.config.suspect_timeout else {
             return Vec::new();
         };
@@ -420,12 +516,20 @@ impl MonitorCore {
                 }
             }
         }
+        if events
+            .iter()
+            .any(|e| matches!(e, MembershipEvent::AdoptionStarted { .. }))
+        {
+            self.send_adoption_request(t);
+        }
         events
     }
 
     /// (Re-)sends the outstanding adoption handshake: `Suspect` (when a
     /// dead parent is being replaced) followed by `Adopt`, both to the
-    /// prospective new parent. No-op unless an attempt is open.
+    /// prospective new parent. No-op unless an attempt is open. A
+    /// suspicion round knocks by itself; a driver calls this when a
+    /// connection to the target comes up.
     pub fn send_adoption_request(&mut self, t: &mut impl Transport) {
         let RepairState::Adopting {
             target,
@@ -568,12 +672,11 @@ impl MonitorCore {
         }
     }
 
-    /// The retransmit period elapsed: re-send a bounded burst of the
-    /// backlog (if any) and back off exponentially while no ack makes
-    /// progress. Returns the delay until the next firing, or `None` when
-    /// the reliability layer is disabled.
-    pub fn on_retransmit_due(&mut self, t: &mut impl Transport) -> Option<SimTime> {
-        let period = self.config.retransmit_period?;
+    /// The retransmit `period` elapsed ([`Duty::Retransmit`]): re-send a
+    /// bounded burst of the backlog (if any) and back off exponentially
+    /// while no ack makes progress. Returns the delay until the next
+    /// firing.
+    fn on_retransmit_due(&mut self, t: &mut impl Transport, period: SimTime) -> SimTime {
         if self.unacked.is_empty() {
             // Nothing outstanding: idle at the base period.
             self.retransmit_backoff = 1;
@@ -585,7 +688,7 @@ impl MonitorCore {
             self.retransmit_backoff =
                 (self.retransmit_backoff * 2).min(self.config.retransmit_backoff_cap.max(1));
         }
-        Some(SimTime(period.0 * u64::from(self.retransmit_backoff)))
+        SimTime(period.0 * u64::from(self.retransmit_backoff))
     }
 
     /// Reliability layer: cumulatively acknowledges `child`'s stream
@@ -860,12 +963,15 @@ mod tests {
     use crate::membership::ADOPT_ATTEMPT_CAP;
     use ftscp_vclock::VectorClock;
 
+    /// A recorded send: destination, message, billed size if sized.
+    type Sent = (ProcessId, DetectMsg, Option<usize>);
+
     /// Minimal recording transport for unit tests: collects sends and
     /// serves a fixed clock.
     #[derive(Default)]
     struct RecTransport {
         now: SimTime,
-        sent: Vec<(ProcessId, DetectMsg, Option<usize>)>,
+        sent: Vec<Sent>,
     }
 
     impl Transport for RecTransport {
@@ -895,6 +1001,80 @@ mod tests {
             suspect_timeout: Some(timeout),
             ..Default::default()
         }
+    }
+
+    /// One suspicion round on its own: what it decided and what it sent.
+    fn tick(core: &mut MonitorCore, t: &mut RecTransport) -> (Vec<MembershipEvent>, Vec<Sent>) {
+        t.sent.clear();
+        let events = core.membership_tick(t);
+        (events, std::mem::take(&mut t.sent))
+    }
+
+    /// The adoption knock node 1 sends `target` for its dead parent 0.
+    fn knock(target: u32, epoch: u64) -> [Sent; 2] {
+        let (me, dead) = (ProcessId(1), ProcessId(0));
+        [
+            (
+                ProcessId(target),
+                DetectMsg::Suspect {
+                    from: me,
+                    suspect: dead,
+                },
+                None,
+            ),
+            (
+                ProcessId(target),
+                DetectMsg::Adopt {
+                    child: me,
+                    epoch,
+                    dead_parent: Some(dead),
+                },
+                None,
+            ),
+        ]
+    }
+
+    #[test]
+    fn duties_follow_the_config_and_suspicion_needs_heartbeats() {
+        let ms = SimTime::from_millis;
+        let retransmit = MonitorConfig {
+            retransmit_period: Some(ms(25)),
+            ..Default::default()
+        };
+        let suspicion = MonitorConfig {
+            suspect_timeout: Some(ms(120)),
+            ..retransmit
+        };
+        let silent = MonitorConfig {
+            heartbeat_period: None,
+            ..suspicion
+        };
+        let table = [
+            (MonitorConfig::default(), vec![(Duty::Heartbeat, ms(50))]),
+            (
+                retransmit,
+                vec![(Duty::Heartbeat, ms(50)), (Duty::Retransmit, ms(25))],
+            ),
+            (
+                suspicion,
+                vec![
+                    (Duty::Heartbeat, ms(50)),
+                    (Duty::Retransmit, ms(25)),
+                    (Duty::Suspect, ms(60)),
+                ],
+            ),
+            (silent, vec![(Duty::Retransmit, ms(25))]),
+        ];
+        for (config, want) in table {
+            let core = MonitorCore::new(ProcessId(1), Some(ProcessId(0)), &[], 1, config);
+            assert_eq!(core.duties().collect::<Vec<_>>(), want, "{config:?}");
+        }
+        // A duty the config does not run is never due.
+        let mut core = MonitorCore::new(ProcessId(1), Some(ProcessId(0)), &[], 1, silent);
+        let mut t = RecTransport::default();
+        assert_eq!(core.on_duty(Duty::Suspect, &mut t), (None, Vec::new()));
+        assert_eq!(core.on_duty(Duty::Heartbeat, &mut t), (None, Vec::new()));
+        assert!(t.sent.is_empty());
     }
 
     #[test]
@@ -994,8 +1174,9 @@ mod tests {
         );
         let mut t = RecTransport::default();
         core.observe_local(iv(1, 0, &[0, 1], &[0, 2]), &mut t);
-        core.on_retransmit_due(&mut t);
-        core.on_retransmit_due(&mut t);
+        core.on_duty(Duty::Retransmit, &mut t);
+        let (next, _) = core.on_duty(Duty::Retransmit, &mut t);
+        assert_eq!(next, Some(SimTime::from_millis(40)), "period × backoff");
         assert!(core.retransmit_backoff() > 1, "no ack progress: backs off");
         core.on_message(
             DetectMsg::Ack {
@@ -1142,7 +1323,7 @@ mod tests {
         }
         // The parent dies — and, unbeknownst to this node, so did 8.
         t.now = SimTime::from_millis(500);
-        let first = core.membership_tick(&mut t);
+        let (first, sent) = tick(&mut core, &mut t);
         assert_eq!(
             first,
             vec![MembershipEvent::AdoptionStarted {
@@ -1151,8 +1332,9 @@ mod tests {
             "freshest hint dialed first"
         );
         let epoch8 = core.membership().epoch();
+        assert!(sent.ends_with(&knock(8, epoch8)), "the round knocks");
         for _ in 1..ADOPT_ATTEMPT_CAP {
-            let ev = core.membership_tick(&mut t);
+            let (ev, sent) = tick(&mut core, &mut t);
             assert_eq!(
                 ev,
                 vec![MembershipEvent::AdoptionStarted {
@@ -1160,9 +1342,10 @@ mod tests {
                 }],
                 "re-knocks stay within the budget"
             );
+            assert!(sent.ends_with(&knock(8, epoch8)), "every round knocks");
         }
         // Budget spent: 8 is written off, the older hint 7 takes over.
-        let retarget = core.membership_tick(&mut t);
+        let (retarget, sent) = tick(&mut core, &mut t);
         assert_eq!(
             retarget,
             vec![MembershipEvent::AdoptionStarted {
@@ -1171,6 +1354,7 @@ mod tests {
             "falls back to the older hint instead of dialing the corpse forever"
         );
         assert_eq!(core.membership().failed_targets(), &[ProcessId(8)]);
+        assert!(sent.ends_with(&knock(7, core.membership().epoch())));
         // A late ack from the abandoned target answers a closed attempt.
         core.on_message(
             DetectMsg::AdoptAck {
@@ -1222,18 +1406,19 @@ mod tests {
         );
         t.now = SimTime::from_millis(500);
         for _ in 0..ADOPT_ATTEMPT_CAP {
-            let ev = core.membership_tick(&mut t);
+            let (ev, sent) = tick(&mut core, &mut t);
             assert_eq!(
                 ev,
                 vec![MembershipEvent::AdoptionStarted {
                     target: ProcessId(7)
                 }]
             );
+            assert!(sent.ends_with(&knock(7, core.membership().epoch())));
         }
         // The only hinted ancestor never answered: orphaned, not stuck in
-        // an eternal retry toward the dead address.
+        // an eternal retry toward the dead address — and no knock.
         for _ in 0..2 {
-            let ev = core.membership_tick(&mut t);
+            let (ev, sent) = tick(&mut core, &mut t);
             assert_eq!(
                 ev,
                 vec![MembershipEvent::Orphaned {
@@ -1241,6 +1426,7 @@ mod tests {
                 }]
             );
             assert!(!core.membership().is_adopting());
+            assert!(sent.is_empty(), "an orphan has nobody to knock on");
         }
     }
 
@@ -1293,7 +1479,6 @@ mod tests {
         );
         assert!(core.held_children().is_empty());
         assert!(!later.contains(&MembershipEvent::ChildDropped(ProcessId(2))));
-        core.send_adoption_request(&mut t);
         let epoch = core.membership().epoch();
         core.on_message(
             DetectMsg::AdoptAck {

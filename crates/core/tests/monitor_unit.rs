@@ -69,9 +69,13 @@ fn out_of_order_child_reports_are_reassembled() {
     let a1 = iv(0, 1, &[5, 4], &[8, 7]);
     let sends = deliver(&mut app, 0, a1.clone(), false);
     assert!(sends.is_empty(), "seq 1 buffered until seq 0 arrives");
-    assert_eq!(app.engine().child_enqueued(), 0);
+    assert_eq!(app.core().engine().child_enqueued(), 0);
     let _ = deliver(&mut app, 0, a0, false);
-    assert_eq!(app.engine().child_enqueued(), 2, "both delivered in order");
+    assert_eq!(
+        app.core().engine().child_enqueued(),
+        2,
+        "both delivered in order"
+    );
 }
 
 #[test]
@@ -80,7 +84,7 @@ fn stale_duplicates_are_dropped() {
     let a0 = iv(0, 0, &[1, 0], &[4, 3]);
     deliver(&mut app, 0, a0.clone(), false);
     deliver(&mut app, 0, a0, false); // duplicate
-    assert_eq!(app.engine().child_enqueued(), 1);
+    assert_eq!(app.core().engine().child_enqueued(), 1);
 }
 
 #[test]
@@ -89,15 +93,19 @@ fn resync_fast_forwards_the_stream() {
     // The child was re-parented to us and re-reports from seq 5.
     let a5 = iv(0, 5, &[1, 0], &[4, 3]);
     deliver(&mut app, 0, a5, true);
-    assert_eq!(app.engine().child_enqueued(), 1, "resync accepted seq 5");
+    assert_eq!(
+        app.core().engine().child_enqueued(),
+        1,
+        "resync accepted seq 5"
+    );
     // Continuation at seq 6 flows.
     let a6 = iv(0, 6, &[5, 4], &[8, 7]);
     deliver(&mut app, 0, a6, false);
-    assert_eq!(app.engine().child_enqueued(), 2);
+    assert_eq!(app.core().engine().child_enqueued(), 2);
     // Pre-resync stragglers are dropped.
     let a4 = iv(0, 4, &[0, 0], &[1, 1]);
     deliver(&mut app, 0, a4, false);
-    assert_eq!(app.engine().child_enqueued(), 2);
+    assert_eq!(app.core().engine().child_enqueued(), 2);
 }
 
 #[test]
@@ -114,7 +122,7 @@ fn set_parent_re_reports_last_output() {
         app.apply_repair(RepairStep::SetParent(Some(ProcessId(7))), ctx);
     });
     assert!(effects.sends.is_empty(), "nothing to re-report yet");
-    assert_eq!(app.parent(), Some(ProcessId(7)));
+    assert_eq!(app.core().parent(), Some(ProcessId(7)));
 
     // Produce an output: overlap child + local by removing the child
     // queue? Instead feed both queues: local intervals only arrive via
@@ -152,6 +160,30 @@ fn set_parent_re_reports_last_output() {
     ));
 }
 
+/// A heartbeat detector with no heartbeats detects nothing, so a monitor
+/// with a suspicion timeout but no heartbeats arms no suspicion timer —
+/// the same rule the TCP reactor follows.
+#[test]
+fn suspicion_without_heartbeats_arms_no_timer() {
+    let mut leaf = MonitorApp::new(
+        ProcessId(2),
+        Some(ProcessId(1)),
+        &[],
+        1,
+        vec![(SimTime(50), iv(2, 0, &[0, 0, 1], &[0, 0, 2]))],
+        MonitorConfig {
+            suspect_timeout: Some(SimTime::from_millis(100)),
+            ..cfg_plain()
+        },
+    );
+    let effects = testkit::drive(NodeId(2), SimTime(0), 10, &[], |ctx| leaf.on_init(ctx));
+    assert_eq!(
+        effects.timers,
+        vec![(SimTime(50), 1)],
+        "only the next-interval timer"
+    );
+}
+
 #[test]
 fn promote_root_records_detections_locally() {
     // A leaf with one interval forwarded becomes root: its reseeded last
@@ -169,12 +201,12 @@ fn promote_root_records_detections_locally() {
     testkit::drive(NodeId(2), SimTime(50), 10, &[], |ctx| {
         leaf.on_timer(ctx, effects.timers[0].1)
     });
-    assert!(leaf.detections().is_empty());
+    assert!(leaf.core().detections().is_empty());
     testkit::drive(NodeId(2), SimTime(70), 10, &[], |ctx| {
         leaf.apply_repair(RepairStep::PromoteRoot, ctx);
     });
     assert_eq!(
-        leaf.detections().len(),
+        leaf.core().detections().len(),
         1,
         "the un-consumed output resurfaces as a detection at the new root"
     );
@@ -209,7 +241,7 @@ fn ack_clears_unacked_buffer() {
     testkit::drive(NodeId(2), SimTime(20), 10, &[], |ctx| {
         leaf.on_timer(ctx, token)
     });
-    assert_eq!(leaf.unacked_count(), 2);
+    assert_eq!(leaf.core().unacked_count(), 2);
     // Cumulative ack up to (not incl.) seq 1.
     testkit::drive(NodeId(2), SimTime(25), 10, &[], |ctx| {
         leaf.on_message(
@@ -221,7 +253,7 @@ fn ack_clears_unacked_buffer() {
             },
         );
     });
-    assert_eq!(leaf.unacked_count(), 1);
+    assert_eq!(leaf.core().unacked_count(), 1);
     testkit::drive(NodeId(2), SimTime(30), 10, &[], |ctx| {
         leaf.on_message(
             ctx,
@@ -232,7 +264,7 @@ fn ack_clears_unacked_buffer() {
             },
         );
     });
-    assert_eq!(leaf.unacked_count(), 0);
+    assert_eq!(leaf.core().unacked_count(), 0);
 }
 
 /// A batch from a child is its intervals delivered back to back (`resync`

@@ -35,9 +35,11 @@
 //! * **Handshake**: a connecting peer's first frame is `Hello` (role +
 //!   protocol version); the acceptor replies `HelloAck`. Version or role
 //!   violations kill the connection.
-//! * **Heartbeats**: `MonitorCore::send_heartbeats` fires on the
-//!   configured period over the same connections; `suspects()` exposes
-//!   peers silent past the configured timeout.
+//! * **Duties**: the core's heartbeat, retransmit and suspicion duties
+//!   ([`MonitorCore::duties`]) each keep one entry on the timer wheel;
+//!   the reactor runs a due one ([`MonitorCore::on_duty`]) and re-arms it
+//!   at the delay the core returns. A suspicion round knocks on its
+//!   adoption target itself; the reactor only re-dials the uplink there.
 //! * **Reconnect-with-resync**: after any uplink loss the timer wheel
 //!   re-dials with backoff (nonblocking connect: `EINPROGRESS` →
 //!   write-readiness → `SO_ERROR`). Both sides start the new connection
@@ -58,7 +60,7 @@ use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_core::membership::MembershipEvent;
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::report::GlobalDetection;
-use ftscp_core::transport::{MonitorCore, Outbox};
+use ftscp_core::transport::{Duty, MonitorCore, Outbox};
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
 use polling::{Event as PollEvent, Events, Poller};
@@ -159,8 +161,6 @@ pub struct NodeReport {
     /// writes, connects) — the bench row's syscalls-per-interval
     /// numerator. Scheduling-dependent; never a regression gate.
     pub syscalls: u64,
-    /// Peers suspected by the heartbeat failure detector at shutdown.
-    pub suspects_at_exit: Vec<ProcessId>,
 }
 
 #[derive(Default)]
@@ -283,9 +283,8 @@ enum Uplink {
 /// handler; stale fires are guarded by state checks, not cancellation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
-    Heartbeat,
-    Retransmit,
-    Suspect,
+    /// One of the core's periodic duties.
+    Duty(Duty),
     /// Dial (or re-dial) the uplink target.
     Reconnect,
     /// Write off a connect attempt that never resolved.
@@ -621,26 +620,14 @@ impl ReactorState {
 
     fn fire_timer(&mut self, timer: Timer) {
         match timer {
-            Timer::Heartbeat => {
-                if let Some(period) = self.config.monitor.heartbeat_period {
-                    self.with_core(|core, t| core.send_heartbeats(t));
+            Timer::Duty(duty) => {
+                let (next, events) = self.with_core(|core, t| core.on_duty(duty, t));
+                if duty == Duty::Heartbeat {
                     self.send_uplink_hints();
-                    self.timers
-                        .arm(Instant::now() + to_duration(period), Timer::Heartbeat);
                 }
-            }
-            Timer::Retransmit => {
-                let delay = self.with_core(|core, t| core.on_retransmit_due(t));
-                if let Some(d) = delay {
-                    self.timers
-                        .arm(Instant::now() + to_duration(d), Timer::Retransmit);
-                }
-            }
-            Timer::Suspect => {
-                if let Some(period) = self.config.monitor.suspect_period() {
-                    self.membership_round();
-                    self.timers
-                        .arm(Instant::now() + to_duration(period), Timer::Suspect);
+                self.follow_membership(events);
+                if let Some(d) = next {
+                    self.timers.arm(Instant::now() + to_duration(d), timer);
                 }
             }
             Timer::Reconnect => self.uplink_dial(),
@@ -688,35 +675,30 @@ impl ReactorState {
         }
     }
 
-    /// One decentralized failure-detection round (the TCP driver of
-    /// [`MonitorCore::membership_tick`]): dead children are dropped by
-    /// the core itself; a dead parent re-targets the uplink at the
-    /// grandparent and severs the current socket — the handshake goes
-    /// out once the new connection is established.
-    fn membership_round(&mut self) {
-        let decisions = self.with_core(|core, t| core.membership_tick(t));
-        for decision in decisions {
-            match decision {
-                MembershipEvent::AdoptionStarted { target } => {
-                    if matches!(&self.uplink, Uplink::Up { peer, .. } if *peer == target) {
-                        // Already dialed at the target: (re-)knock directly.
-                        self.with_core(|core, t| core.send_adoption_request(t));
-                    } else if let Some(&addr) = self.hint_addrs.get(&target) {
-                        self.uplink_target = Some((target, addr));
-                        // Sever the current session (if any): the backoff
-                        // timer re-reads the target and dials the new
-                        // adoption candidate.
-                        self.close_conn(UPLINK_CONN);
-                    }
-                    // A target with no known address burns its knock
-                    // budget in the core and falls down the ladder — on
-                    // TCP an id without an address is unreachable.
-                }
-                // A dropped child may have been the last thing gating Fin;
-                // an orphaned node just keeps serving its subtree.
-                MembershipEvent::ChildDropped(_) | MembershipEvent::Orphaned { .. } => {}
+    /// Acts on a failure-detection round's decisions. The core has already
+    /// held dead children and knocked on its adoption target, which
+    /// arrives over an uplink already dialed there. Otherwise the knock
+    /// found no route: the uplink is re-targeted and the current socket
+    /// severed, the backoff timer dials the candidate, and
+    /// `uplink_established` knocks once that connection is up.
+    fn follow_membership(&mut self, events: Vec<MembershipEvent>) {
+        for event in events {
+            // An orphaned node just keeps serving its subtree.
+            let MembershipEvent::AdoptionStarted { target } = event else {
+                continue;
+            };
+            if matches!(self.uplink, Uplink::Up { peer } if peer == target) {
+                continue;
+            }
+            // A target with no known address burns its knock budget in
+            // the core and falls down the ladder — on TCP an id without an
+            // address is unreachable.
+            if let Some(&addr) = self.hint_addrs.get(&target) {
+                self.uplink_target = Some((target, addr));
+                self.close_conn(UPLINK_CONN);
             }
         }
+        // A dropped child may have been the last thing gating Fin.
         self.maybe_finish();
     }
 
@@ -822,20 +804,11 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
     }
     let mut st = ReactorState::new(config, poller, shared);
 
-    // Arm the initial timers; each re-arms itself from its handler.
-    if let Some(period) = st.config.monitor.heartbeat_period {
+    // Arm the core's duties and the first dial; each re-arms itself from
+    // its handler.
+    for (duty, delay) in st.core.duties() {
         st.timers
-            .arm(st.start + to_duration(period), Timer::Heartbeat);
-        // Decentralized failure detection (only meaningful with
-        // heartbeats on).
-        if let Some(suspect_period) = st.config.monitor.suspect_period() {
-            st.timers
-                .arm(st.start + to_duration(suspect_period), Timer::Suspect);
-        }
-    }
-    if let Some(period) = st.config.monitor.retransmit_period {
-        st.timers
-            .arm(st.start + to_duration(period), Timer::Retransmit);
+            .arm(st.start + to_duration(delay), Timer::Duty(duty));
     }
     if st.config.parent.is_some() {
         st.timers.arm(st.start, Timer::Reconnect); // dial immediately
@@ -879,11 +852,6 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         }
     }
 
-    let now = st.now();
-    let suspects_at_exit = match st.config.monitor.suspect_timeout {
-        Some(timeout) => st.core.suspects(now, timeout),
-        None => Vec::new(),
-    };
     let counters = &st.counters;
     NodeReport {
         detections: st.core.detections().to_vec(),
@@ -894,7 +862,6 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         reconnects: st.reconnects,
         interval_msgs_sent: st.core.interval_msgs_sent(),
         syscalls: counters.syscalls.load(Ordering::Relaxed) + st.poller.syscalls(),
-        suspects_at_exit,
     }
 }
 
@@ -925,7 +892,7 @@ mod tests {
             },
             &mut t,
         );
-        core.membership_tick(&mut t);
+        core.on_duty(Duty::Suspect, &mut t);
         assert_eq!(core.held_children(), vec![ProcessId(2)]);
         assert!(core.engine().has_child(ProcessId(2)), "queue still held");
     }
