@@ -114,7 +114,6 @@ pub const ANCESTOR_HINT_CAP: usize = 8;
 pub struct Membership {
     epoch: u64,
     peer_epochs: BTreeMap<ProcessId, u64>,
-    grandparent: Option<ProcessId>,
     /// This node's ancestors *above its own parent*, nearest first — the
     /// chain carried by the parent's last heartbeat ([grandparent,
     /// great-grandparent, …], capped at [`ANCESTOR_HINT_CAP`]). Relayed
@@ -145,7 +144,6 @@ impl Membership {
         Membership {
             epoch,
             peer_epochs: BTreeMap::new(),
-            grandparent: None,
             above_parent: Vec::new(),
             hint_history: Vec::new(),
             failed_targets: Vec::new(),
@@ -167,11 +165,6 @@ impl Membership {
     /// True while an adoption handshake is outstanding.
     pub fn is_adopting(&self) -> bool {
         matches!(self.state, RepairState::Adopting { .. })
-    }
-
-    /// The last grandparent hint heard from the parent's heartbeats.
-    pub fn grandparent(&self) -> Option<ProcessId> {
-        self.grandparent
     }
 
     /// Folds one adoption hint into the ladder (most recent last; a
@@ -205,7 +198,6 @@ impl Membership {
         self.above_parent.clear();
         self.above_parent.extend(nearest);
         self.above_parent.extend_from_slice(above);
-        self.grandparent = self.above_parent.first().copied();
     }
 
     /// This node's ancestors above its own parent, nearest first — what
@@ -516,7 +508,7 @@ mod tests {
         let mut m = Membership::new(0);
         // Parent's beacon: grandparent 2, great-grandparent 1, root 0.
         m.note_ancestors(Some(ProcessId(2)), &[ProcessId(1), ProcessId(0)]);
-        assert_eq!(m.grandparent(), Some(ProcessId(2)));
+        assert_eq!(m.ancestor_chain().first(), Some(&ProcessId(2)));
         assert_eq!(
             m.ancestor_chain(),
             &[ProcessId(2), ProcessId(1), ProcessId(0)],
@@ -547,7 +539,7 @@ mod tests {
         assert_eq!(m.hint_history(), &ladder[..]);
         // A root parent's beacon clears the chain (nothing above it).
         m.note_ancestors(None, &[]);
-        assert_eq!(m.grandparent(), None);
+        assert_eq!(m.ancestor_chain().first(), None);
         assert!(m.ancestor_chain().is_empty());
         // The cap bounds what is remembered and relayed.
         let long: Vec<ProcessId> = (0..20).map(ProcessId).collect();

@@ -14,19 +14,22 @@
 //! through the tx codec in queue order, which keeps the peer's rx codec in
 //! lockstep (TCP is FIFO per connection).
 //!
-//! A dialed connection may be queued and flushed before its connect
-//! resolves: a still-connecting socket answers a write with `WouldBlock`,
-//! which is one more residue, and a refused connect makes the next write
-//! or [`fill`](Conn::fill) fail.
+//! Every dialer opens a connection the same way, [`Conn::dial`]: the
+//! `Hello` is queued and flushed before the connect resolves. A
+//! still-connecting socket answers a write with `WouldBlock`, which is one
+//! more residue, and a refused connect makes the next write or
+//! [`fill`](Conn::fill) fail. Bytes are billed as `write` accepts them, so
+//! a dial that never connects costs nothing on the counters.
 
 use crate::frame::{fill, frame_bytes, FillStatus, FrameBuffer};
-use crate::reactor::CountedRead;
-use crate::wire::{decode_msg, encode_msg, NetMsg};
+use crate::reactor::{connect_nonblocking, CountedRead};
+use crate::wire::{decode_msg, encode_msg, NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_core::protocol::ConnCodec;
 use ftscp_intervals::codec::DecodeError;
+use ftscp_vclock::ProcessId;
 use polling::{Event as PollEvent, Poller};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -113,8 +116,9 @@ impl<S: Read + Write + AsRawFd> Conn<S> {
     }
 
     /// Encodes `msg` through the tx codec and appends the frame to the
-    /// write queue. Billing happens here, from what the encoder says it
-    /// sent, so the frame counters match what hits the wire.
+    /// write queue. Interval frames are counted here, from what the
+    /// encoder says it sent; bytes are billed by [`flush`](Self::flush),
+    /// as they are written.
     pub(crate) fn enqueue(&mut self, msg: &NetMsg) {
         let (frames, standalone) = self.tx.sent_tally();
         let payload = encode_msg(msg, &mut self.tx);
@@ -124,7 +128,6 @@ impl<S: Read + Write + AsRawFd> Conn<S> {
             .fetch_add(frames_now - frames, Relaxed);
         c.standalone_frames_sent
             .fetch_add(standalone_now - standalone, Relaxed);
-        c.bytes_sent.fetch_add(4 + payload.len() as u64, Relaxed);
         self.out.extend_from_slice(&frame_bytes(&payload));
     }
 
@@ -132,9 +135,10 @@ impl<S: Read + Write + AsRawFd> Conn<S> {
         self.out_pos < self.out.len()
     }
 
-    /// Writes as much of the queue as the socket accepts and keeps the
-    /// write-readiness interest registered under `key` in step with
-    /// whether a residue remains. An error means the connection is dead.
+    /// Writes as much of the queue as the socket accepts, billing what
+    /// each `write` took, and keeps the write-readiness interest
+    /// registered under `key` in step with whether a residue remains. An
+    /// error means the connection is dead.
     pub(crate) fn flush(&mut self, poller: &Poller, key: usize) -> io::Result<()> {
         if !self.pending_out() && !self.want_write {
             return Ok(());
@@ -143,7 +147,10 @@ impl<S: Read + Write + AsRawFd> Conn<S> {
             self.counters.syscalls.fetch_add(1, Relaxed);
             match self.stream.write(&self.out[self.out_pos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
+                Ok(n) => {
+                    self.out_pos += n;
+                    self.counters.bytes_sent.fetch_add(n as u64, Relaxed);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -169,14 +176,36 @@ impl<S: Read + Write + AsRawFd> Conn<S> {
     }
 }
 
+impl Conn {
+    /// Dials `addr` as `node` in role `kind`: registers read interest
+    /// under `key` and queues the `Hello`, before the connect resolves.
+    pub(crate) fn dial(
+        addr: SocketAddr,
+        poller: &Poller,
+        key: usize,
+        counters: Arc<Counters>,
+        node: ProcessId,
+        kind: PeerKind,
+    ) -> io::Result<Conn> {
+        let stream = connect_nonblocking(addr)?;
+        let _ = stream.set_nodelay(true);
+        poller.add(&stream, PollEvent::readable(key))?;
+        let mut conn = Conn::new(stream, counters);
+        conn.enqueue(&NetMsg::Hello {
+            node,
+            kind,
+            proto: PROTO_VERSION,
+        });
+        Ok(conn)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactor::connect_nonblocking;
-    use crate::wire::{PeerKind, PROTO_VERSION};
     use ftscp_core::protocol::DetectMsg;
     use ftscp_intervals::Interval;
-    use ftscp_vclock::{ProcessId, VectorClock};
+    use ftscp_vclock::VectorClock;
     use std::net::TcpListener;
     use std::os::unix::net::UnixStream;
     use std::time::{Duration, Instant};
@@ -271,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_bills_what_it_queues_and_tracks_write_interest_with_the_residue() {
+    fn flush_bills_what_it_writes_and_tracks_write_interest_with_the_residue() {
         let (mut tx, peer, sent) = pair();
         peer.set_nonblocking(true).expect("nonblocking");
         let received = Arc::new(Counters::default());
@@ -313,29 +342,32 @@ mod tests {
         );
     }
 
-    /// Both drivers that dial (`scale`, `tenancy`) queue a connection's
-    /// whole opening before the connect resolves: while the socket is
-    /// still connecting, a write answers `WouldBlock`, so the first flush
-    /// leaves a residue and arms write interest like any full buffer.
+    /// Every dialer (the node's uplink, `scale`, `tenancy`) queues a
+    /// connection's opening before the connect resolves: while the socket
+    /// is still connecting, a write answers `WouldBlock`, so the first
+    /// flush leaves a residue and arms write interest like any full
+    /// buffer.
     #[test]
     fn a_dialed_conn_is_written_before_its_connect_resolves() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let (stream, _) = connect_nonblocking(listener.local_addr().expect("addr")).expect("dial");
         let poller = Poller::new().expect("poller");
-        poller.add(&stream, PollEvent::readable(0)).expect("add");
-        let mut tx = Conn::new(stream, Arc::new(Counters::default()));
+        let sent = Arc::new(Counters::default());
+        let addr = listener.local_addr().expect("addr");
+        let c = Arc::clone(&sent);
+        let mut tx = Conn::dial(addr, &poller, 0, c, ProcessId(1), PeerKind::Client).expect("dial");
         let hello = NetMsg::Hello {
             node: ProcessId(1),
             kind: PeerKind::Client,
             proto: PROTO_VERSION,
         };
         let msgs = vec![hello, event(0, 3), event(1, 3)];
-        msgs.iter().for_each(|m| tx.enqueue(m));
+        msgs[1..].iter().for_each(|m| tx.enqueue(m));
         tx.flush(&poller, 0).expect("flush");
         // Only now does anyone accept.
         let (peer, _) = listener.accept().expect("accept");
         peer.set_nonblocking(true).expect("nonblocking");
-        let mut rx = Conn::new(peer, Arc::new(Counters::default()));
+        let received = Arc::new(Counters::default());
+        let mut rx = Conn::new(peer, Arc::clone(&received));
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut events = polling::Events::new();
         let mut got = Vec::new();
@@ -348,11 +380,16 @@ mod tests {
             got.extend(drain(&mut rx).0);
         }
         assert_eq!(got, msgs, "all three, in order");
+        assert_eq!(
+            sent.bytes_sent.load(Relaxed),
+            received.bytes_received.load(Relaxed)
+        );
     }
 
     /// A dial nobody answers is an error from the dial, from `flush` or
     /// from `fill` after one poller wait — never silence: a refused
-    /// connect is `EPOLLERR`, which the poller reports as readable.
+    /// connect is `EPOLLERR`, which the poller reports as readable. And
+    /// it bills nothing: bytes count as they are written.
     #[test]
     fn a_refused_dial_is_an_error_not_silence() {
         // Bind-then-drop yields a port nobody listens on.
@@ -361,10 +398,10 @@ mod tests {
             l.local_addr().expect("addr")
         };
         let poller = Poller::new().expect("poller");
+        let counters = Arc::new(Counters::default());
         let dial = || -> io::Result<FillStatus> {
-            let (stream, _) = connect_nonblocking(addr)?;
-            poller.add(&stream, PollEvent::readable(0)).expect("add");
-            let mut conn = Conn::new(stream, Arc::new(Counters::default()));
+            let c = Arc::clone(&counters);
+            let mut conn = Conn::dial(addr, &poller, 0, c, ProcessId(1), PeerKind::Client)?;
             conn.enqueue(&event(0, 3));
             conn.flush(&poller, 0)?;
             let mut events = polling::Events::new();
@@ -374,5 +411,6 @@ mod tests {
             conn.fill()
         };
         assert!(dial().is_err(), "a refused dial must surface");
+        assert_eq!(counters.bytes_sent.load(Relaxed), 0, "nothing was written");
     }
 }

@@ -19,16 +19,18 @@
 //!   delta codec frames unchanged), event ingestion, and feed-complete
 //!   `Fin` markers.
 //! - [`reactor`] — shared reactor building blocks: the timer wheel and
-//!   the nonblocking (`EINPROGRESS`-aware) TCP connect.
+//!   the nonblocking TCP connect, which hands back a stream to write to
+//!   at once.
 //! - `conn` (crate-private) — one nonblocking connection's whole byte
 //!   path: frame buffer + codec pair + coalescing write queue, socket to
-//!   [`wire::NetMsg`] and back. Every socket `node`, `scale` and
-//!   `tenancy` multiplex goes through it, each under one poller in one
-//!   thread; a dialed connection is written before its connect resolves.
+//!   [`wire::NetMsg`] and back, billing bytes as they are written. Every
+//!   socket `node`, `scale` and `tenancy` multiplex goes through it, each
+//!   under one poller in one thread, and all three dial the same way:
+//!   `Hello` is queued before the connect resolves.
 //! - [`node`] — one monitor node as one reactor thread: nonblocking
 //!   listener, one table holding a `conn` per socket — accepted
-//!   connections and the dialed uplink alike, the uplink's entry driven
-//!   by a connect/session state machine — and a timer wheel driving
+//!   connections and the dialed uplink alike, the uplink's session
+//!   starting at the parent's `HelloAck` — and a timer wheel driving
 //!   heartbeats, suspicion, retransmits, and reconnect backoff — all
 //!   multiplexed over a single poller.
 //! - [`client`] — the event-ingestion client used by monitored processes

@@ -9,7 +9,8 @@
 //! Launch order matters only in one way: all listeners are bound *before*
 //! any node spawns, so every uplink knows its parent's address even if
 //! the parent's threads come up later (the uplink retries until the
-//! parent accepts). Each node's local intervals are fed through a real
+//! parent answers). Launch returns once every uplink is up. Each node's
+//! local intervals are fed through a real
 //! [`EventClient`] connection — the ingestion
 //! endpoint is exercised on every node, not just leaves.
 //!
@@ -155,6 +156,17 @@ impl Deployment {
             cfg.expected_feeds = 1; // every process feeds its own intervals
             cfg.monitor = config.monitor;
             handles.push(Some(spawn(listener, cfg)?));
+        }
+        // A report sent before its node's parent answered `Hello` has no
+        // route, and with retransmits off it is gone: feeds start once
+        // every uplink is up.
+        let deadline = Instant::now() + config.run_timeout;
+        let up = |h: &NodeHandle| tree.parent(h.me()).is_none() || h.uplink_up();
+        while !handles.iter().flatten().all(up) {
+            if Instant::now() >= deadline {
+                return Err(io::Error::other("an uplink never came up"));
+            }
+            thread::sleep(Duration::from_millis(1));
         }
         Ok(Deployment {
             handles,

@@ -9,8 +9,8 @@
 //!  children &  accept│  nonblocking listener                                       │
 //!  clients ─────────▶│  one connection table: a `Conn` per socket, accepted or     │
 //!                    │    dialed (FrameBuffer + rx/tx codec + coalescing queue)    │
-//!  parent ◀─────────▶│  uplink state machine (nonblocking connect → handshake →    │
-//!                    │    session; its `Conn` is table entry 0; backoff on wheel)  │
+//!  parent ◀─────────▶│  uplink state machine (dial with `Hello` queued → session   │
+//!                    │    at `HelloAck`; its `Conn` is entry 0; backoff on wheel)  │
 //!                    │  timer wheel: heartbeats · suspicion · retransmit · redial  │
 //!                    │  MonitorCore (owned exclusively by this thread)             │
 //!                    └─────────────────────────────────────────────────────────────┘
@@ -33,17 +33,19 @@
 //! ## Session layer
 //!
 //! * **Handshake**: a connecting peer's first frame is `Hello` (role +
-//!   protocol version); the acceptor replies `HelloAck`. Version or role
-//!   violations kill the connection.
+//!   protocol version); the acceptor replies `HelloAck`, which starts the
+//!   uplink's session and is ignored anywhere else. A version mismatch
+//!   kills the connection; a frame in the wrong direction is ignored.
 //! * **Duties**: the core's heartbeat, retransmit and suspicion duties
 //!   ([`MonitorCore::duties`]) each keep one entry on the timer wheel;
 //!   the reactor runs a due one ([`MonitorCore::on_duty`]) and re-arms it
 //!   at the delay the core returns. A suspicion round knocks on its
 //!   adoption target itself; the reactor only re-dials the uplink there.
-//! * **Reconnect-with-resync**: after any uplink loss the timer wheel
-//!   re-dials with backoff (nonblocking connect: `EINPROGRESS` →
-//!   write-readiness → `SO_ERROR`). Both sides start the new connection
-//!   with cold codecs, and the reactor calls
+//! * **Reconnect-with-resync**: after any uplink loss — EOF, error, or no
+//!   `HelloAck` within the connect timeout — the timer wheel re-dials with
+//!   backoff, the way every dialer opens a `Conn`: `Hello` is queued
+//!   before the connect resolves. Both sides start the new connection
+//!   with cold codecs, and at the parent's `HelloAck` the reactor calls
 //!   `MonitorCore::resync_uplink`, so the first interval frame is
 //!   standalone (`base_flag = 0`) — the codec's cold-decoder path,
 //!   unreachable on the simulated transport without fault injection, is
@@ -55,7 +57,7 @@
 
 use crate::conn::{Conn, Counters};
 use crate::frame::FillStatus;
-use crate::reactor::{connect_nonblocking, TimerWheel};
+use crate::reactor::TimerWheel;
 use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_core::membership::MembershipEvent;
 use ftscp_core::monitor::MonitorConfig;
@@ -77,8 +79,9 @@ use std::time::{Duration, Instant};
 /// shutdown, nothing else.
 const WAKE_POLL: Duration = Duration::from_millis(25);
 
-/// Give a nonblocking connect this long to resolve before the attempt is
-/// written off and the backoff timer re-dials.
+/// Give a dialed parent this long to answer `Hello` before the attempt is
+/// written off and the backoff timer re-dials: a black-holed SYN and a
+/// peer that accepts but never answers look the same.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Delay between uplink reconnect attempts.
@@ -152,7 +155,8 @@ pub struct NodeReport {
     pub interval_frames_sent: u64,
     /// Of those, standalone (cold-decodable) codec frames — resync points.
     pub standalone_frames_sent: u64,
-    /// Times the uplink was re-established after the initial connect.
+    /// Uplink sessions after the first (a session starts at the parent's
+    /// `HelloAck`).
     pub reconnects: u64,
     /// Interval messages the monitor originated (protocol accounting,
     /// same counter the simulated deployment reports).
@@ -225,6 +229,12 @@ impl NodeHandle {
             .is_some_and(|stream| stream.shutdown(Shutdown::Both).is_ok())
     }
 
+    /// Whether the uplink has a session: the parent answered `Hello`.
+    pub(crate) fn uplink_up(&self) -> bool {
+        let stream = self.shared.uplink_stream.lock().expect("uplink lock");
+        stream.is_some()
+    }
+
     /// Stops the node and collects its report. The reactor notices the
     /// shutdown flag within one poll wait and exits its loop.
     pub fn finish(mut self) -> NodeReport {
@@ -262,16 +272,16 @@ pub fn spawn(listener: TcpListener, config: NodeConfig) -> io::Result<NodeHandle
 // Uplink state machine
 // ---------------------------------------------------------------------------
 
-/// The uplink's connect/handshake state machine. Its `Conn` is the
-/// [`UPLINK_CONN`] entry of the connection table, present exactly while
-/// the state is not `Idle`.
+/// The uplink's session state machine. Its `Conn` is the [`UPLINK_CONN`]
+/// entry of the connection table, present exactly while the state is not
+/// `Idle`.
 #[derive(Clone, Copy)]
 enum Uplink {
     /// No connection; the reconnect timer owns the next attempt.
     Idle,
-    /// Nonblocking connect in flight — waiting for write readiness.
-    Connecting { peer: ProcessId, started: Instant },
-    /// Connected and `Hello` sent; `peer` routes to [`UPLINK_CONN`].
+    /// Dialed at `peer` with `Hello` queued; waiting for its `HelloAck`.
+    Dialed { peer: ProcessId, since: Instant },
+    /// `peer` answered; it routes to [`UPLINK_CONN`].
     Up { peer: ProcessId },
 }
 
@@ -287,7 +297,7 @@ enum Timer {
     Duty(Duty),
     /// Dial (or re-dial) the uplink target.
     Reconnect,
-    /// Write off a connect attempt that never resolved.
+    /// Write off a dial that got no `HelloAck`.
     ConnectTimeout,
 }
 
@@ -313,7 +323,7 @@ struct ReactorState {
     /// picks a new parent (the grandparent); re-read on every (re)connect
     /// attempt.
     uplink_target: Option<(ProcessId, SocketAddr)>,
-    /// The first successful uplink connect is not a *re*connect.
+    /// The first uplink session is not a *re*connect.
     uplink_ever_up: bool,
     /// Address book built from the parent's `Uplink` frames: every
     /// ancestor ever hinted, by id. The core's membership ladder picks
@@ -327,7 +337,7 @@ struct ReactorState {
     fin_sent: bool,
     /// Wire counters, fed by every [`Conn`] this reactor creates.
     counters: Arc<Counters>,
-    /// Times the uplink was re-established after the initial connect.
+    /// Uplink sessions after the first.
     reconnects: u64,
     shared: Arc<Shared>,
 }
@@ -345,7 +355,7 @@ impl ReactorState {
             if let Some((p, _)) = config.parent {
                 // A restarted incarnation must not just resume the stream —
                 // the parent dropped it at crash time. Arm the adoption
-                // handshake; the first established uplink sends the Adopt
+                // handshake; the first uplink session sends the Adopt
                 // frame.
                 core.membership_mut().begin_adoption(p, None);
             }
@@ -390,7 +400,7 @@ impl ReactorState {
     }
 
     /// Queues `msg` on the connection that reaches `dst`. A peer with no
-    /// route — never connected, gone, or an uplink still connecting —
+    /// route — never connected, gone, or an uplink not yet answered —
     /// drops the frame: exactly the lossy-link model the core's
     /// reliability layer (unacked + retransmit + resync) is built for.
     fn route(&mut self, dst: ProcessId, msg: &NetMsg) {
@@ -473,8 +483,8 @@ impl ReactorState {
         }
     }
 
-    /// Ends connection `conn_id` (EOF, error, corrupt peer, failed
-    /// connect, or an uplink severed for a retarget). An accepted
+    /// Ends connection `conn_id` (EOF, error, corrupt peer, a dial that
+    /// got no `HelloAck`, or an uplink severed for a retarget). An accepted
     /// connection is just gone; the uplink also backs off and re-dials.
     fn close_conn(&mut self, conn_id: u64) {
         let Some(conn) = self.conns.remove(&conn_id) else {
@@ -521,88 +531,37 @@ impl ReactorState {
 
     // -- uplink --------------------------------------------------------------
 
-    /// Fires on the `Reconnect` timer: dial the current uplink target.
+    /// Fires on the `Reconnect` timer: dial the current uplink target with
+    /// `Hello` queued, and give it [`CONNECT_TIMEOUT`] to answer.
     fn uplink_dial(&mut self) {
-        if !matches!(self.uplink, Uplink::Idle) {
+        let (Uplink::Idle, Some((peer, addr))) = (self.uplink, self.uplink_target) else {
             return; // stale timer
-        }
-        let Some((peer, addr)) = self.uplink_target else {
-            self.timers
-                .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
-            return;
         };
         self.counters.syscalls.fetch_add(1, Ordering::Relaxed);
-        match connect_nonblocking(addr) {
-            Ok((stream, established)) => {
-                let _ = stream.set_nodelay(true);
-                let interest = if established {
-                    PollEvent::readable(KEY_UPLINK)
-                } else {
-                    PollEvent::writable(KEY_UPLINK)
-                };
-                if self.poller.add(&stream, interest).is_err() {
-                    self.timers
-                        .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
-                    return;
-                }
-                self.conns
-                    .insert(UPLINK_CONN, Conn::new(stream, Arc::clone(&self.counters)));
-                self.uplink = Uplink::Connecting {
-                    peer,
-                    started: Instant::now(),
-                };
-                if established {
-                    self.uplink_established();
-                } else {
-                    self.timers
-                        .arm(Instant::now() + CONNECT_TIMEOUT, Timer::ConnectTimeout);
-                }
-            }
-            Err(_) => {
-                self.timers
-                    .arm(Instant::now() + RECONNECT_BACKOFF, Timer::Reconnect);
-            }
-        }
+        let (me, c) = (self.config.me, Arc::clone(&self.counters));
+        let Ok(conn) = Conn::dial(addr, &self.poller, KEY_UPLINK, c, me, PeerKind::Child) else {
+            let at = Instant::now() + RECONNECT_BACKOFF;
+            return self.timers.arm(at, Timer::Reconnect);
+        };
+        self.conns.insert(UPLINK_CONN, conn);
+        let since = Instant::now();
+        self.uplink = Uplink::Dialed { peer, since };
+        self.timers
+            .arm(since + CONNECT_TIMEOUT, Timer::ConnectTimeout);
     }
 
-    /// The in-flight connect resolved (write readiness): check `SO_ERROR`
-    /// and either open the session or back off.
-    fn uplink_connect_resolved(&mut self) {
-        let Some(conn) = self.conns.get(&UPLINK_CONN) else {
-            return;
-        };
-        if matches!(conn.stream().take_error(), Ok(None)) {
-            self.uplink_established();
-        } else {
-            self.close_conn(UPLINK_CONN);
-        }
-    }
-
-    /// Connect + handshake: publish the socket for fault injection, say
-    /// `Hello`, and either knock (adopting) or resync the report stream.
-    fn uplink_established(&mut self) {
-        let (Uplink::Connecting { peer, .. }, Some(conn)) =
-            (self.uplink, self.conns.get_mut(&UPLINK_CONN))
-        else {
-            return;
-        };
-        if self
-            .poller
-            .modify(conn.stream(), PollEvent::readable(KEY_UPLINK))
-            .is_err()
-        {
-            return self.close_conn(UPLINK_CONN);
-        }
+    /// The dialed `peer` answered `Hello`: the session is up. Route to it,
+    /// take the answer as a sign of life, publish the socket for fault
+    /// injection, and either knock (adopting) or resync the report stream.
+    fn open_uplink_session(&mut self, peer: ProcessId) {
+        let stream = self.conns[&UPLINK_CONN].stream().try_clone().ok();
+        *self.shared.uplink_stream.lock().expect("uplink lock") = stream;
         self.reconnects += u64::from(self.uplink_ever_up);
         self.uplink_ever_up = true;
-        *self.shared.uplink_stream.lock().expect("uplink lock") = conn.stream().try_clone().ok();
-        conn.enqueue(&NetMsg::Hello {
-            node: self.config.me,
-            kind: PeerKind::Child,
-            proto: PROTO_VERSION,
-        });
         self.uplink = Uplink::Up { peer };
         self.peer_conn.insert(peer, UPLINK_CONN);
+        let now = self.now();
+        self.core.note_heartbeat(peer, now);
         if self.core.membership().is_adopting() {
             // The uplink now points at the prospective parent: open (or
             // re-knock on) the adoption handshake. The resync happens
@@ -632,8 +591,8 @@ impl ReactorState {
             }
             Timer::Reconnect => self.uplink_dial(),
             Timer::ConnectTimeout => {
-                if let Uplink::Connecting { started, .. } = self.uplink {
-                    if started.elapsed() >= CONNECT_TIMEOUT {
+                if let Uplink::Dialed { since, .. } = self.uplink {
+                    if since.elapsed() >= CONNECT_TIMEOUT {
                         self.close_conn(UPLINK_CONN);
                     }
                 }
@@ -680,7 +639,7 @@ impl ReactorState {
     /// arrives over an uplink already dialed there. Otherwise the knock
     /// found no route: the uplink is re-targeted and the current socket
     /// severed, the backoff timer dials the candidate, and
-    /// `uplink_established` knocks once that connection is up.
+    /// `open_uplink_session` knocks once the candidate answers.
     fn follow_membership(&mut self, events: Vec<MembershipEvent>) {
         for event in events {
             // An orphaned node just keeps serving its subtree.
@@ -728,11 +687,16 @@ impl ReactorState {
                     c.enqueue(&NetMsg::HelloAck { node: me });
                 }
             }
-            NetMsg::HelloAck { node } => {
-                // Parent accepted our handshake — counts as liveness.
-                let now = self.now();
-                self.core.note_heartbeat(node, now);
-            }
+            // The uplink's session starts at the dialed peer's answer; an
+            // answer from anyone else ends the dial like a refused connect.
+            // Anywhere else a `HelloAck` means nothing.
+            NetMsg::HelloAck { node } => match self.uplink {
+                Uplink::Dialed { peer, .. } if conn == UPLINK_CONN && node == peer => {
+                    self.open_uplink_session(peer)
+                }
+                Uplink::Dialed { .. } if conn == UPLINK_CONN => self.close_conn(conn),
+                _ => {}
+            },
             NetMsg::Detect(d) => {
                 self.with_core(|core, t| core.on_message(d, t));
                 // An ack may have drained the last unacked report.
@@ -837,11 +801,6 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         for ev in events.iter() {
             match ev.key {
                 KEY_LISTENER => st.accept_ready(&listener),
-                KEY_UPLINK if ev.writable && matches!(st.uplink, Uplink::Connecting { .. }) => {
-                    st.uplink_connect_resolved()
-                }
-                // Nothing to read before the connect resolves.
-                KEY_UPLINK if matches!(st.uplink, Uplink::Connecting { .. }) => {}
                 // Write readiness drains via flush_all on the next pass.
                 key if ev.readable => st.conn_readable((key - KEY_CONN_BASE) as u64),
                 _ => {}
@@ -905,39 +864,42 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let addr = listener.local_addr().expect("addr");
         let parent = ProcessId(0);
-        let mut st = ReactorState::new(
-            NodeConfig::new(ProcessId(1), Some((parent, addr))),
-            Poller::new().expect("poller"),
-            Arc::default(),
-        );
-        let sent = |st: &ReactorState| st.counters.bytes_sent.load(Ordering::Relaxed);
+        let mut config = NodeConfig::new(ProcessId(1), Some((parent, addr)));
+        config.expected_feeds = 1; // an open feed keeps `Fin` out of the queue
+        let mut st = ReactorState::new(config, Poller::new().expect("poller"), Arc::default());
         let ack = NetMsg::Detect(DetectMsg::Ack {
             from: ProcessId(1),
             upto: 0,
         });
 
-        // Dialed, connect not yet resolved: the state `uplink_dial` leaves
-        // when the kernel answers `EINPROGRESS`.
-        let (stream, _) = connect_nonblocking(addr).expect("connect");
-        st.poller
-            .add(&stream, PollEvent::writable(KEY_UPLINK))
-            .expect("register");
-        st.conns
-            .insert(UPLINK_CONN, Conn::new(stream, Arc::clone(&st.counters)));
-        st.uplink = Uplink::Connecting {
-            peer: parent,
-            started: Instant::now(),
-        };
+        // Dialed: `Hello` is queued and written (the kernel completes the
+        // connect into the listener's backlog), but the parent has not
+        // answered, so nothing is routed to it.
+        st.uplink_dial();
+        assert!(matches!(st.uplink, Uplink::Dialed { peer, .. } if peer == parent));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut events = Events::new();
+        while st.conns[&UPLINK_CONN].pending_out() {
+            assert!(Instant::now() < deadline, "Hello never written");
+            st.poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .expect("wait");
+            st.flush_all();
+        }
+        assert!(st.counters.bytes_sent.load(Ordering::Relaxed) > 0);
         st.route(parent, &ack);
-        assert_eq!(sent(&st), 0, "dropped, not queued on the half-open Conn");
-        assert!(!st.conns[&UPLINK_CONN].pending_out());
+        assert!(
+            !st.conns[&UPLINK_CONN].pending_out(),
+            "dropped, not queued before the HelloAck"
+        );
 
-        st.uplink_established();
+        // Only the uplink's own answer starts the session.
+        st.handle_msg(7, NetMsg::HelloAck { node: parent });
+        assert!(matches!(st.uplink, Uplink::Dialed { .. }));
+        st.handle_msg(UPLINK_CONN, NetMsg::HelloAck { node: parent });
         assert!(matches!(st.uplink, Uplink::Up { peer } if peer == parent));
-        let after_hello = sent(&st);
-        assert!(after_hello > 0, "Hello queued");
         st.route(parent, &ack);
-        assert!(sent(&st) > after_hello, "routed once up");
+        assert!(st.conns[&UPLINK_CONN].pending_out(), "routed once up");
 
         // Some other connection claiming the parent's id does not take
         // the uplink's frames.
@@ -953,9 +915,27 @@ mod tests {
 
         st.close_conn(UPLINK_CONN);
         assert!(matches!(st.uplink, Uplink::Idle));
-        assert!(st.conns.is_empty() && st.peer_conn.is_empty());
-        let before = sent(&st);
-        st.route(parent, &ack);
-        assert_eq!(sent(&st), before, "no route once down");
+        assert!(
+            st.conns.is_empty() && st.peer_conn.is_empty(),
+            "no route once down"
+        );
+    }
+
+    /// A `HelloAck` is the uplink's session start and nothing else: on an
+    /// accepted connection it is no sign of life, so it cannot cancel the
+    /// hold a grandchild's `Suspect` opened on that id.
+    #[test]
+    fn a_hello_ack_counts_only_on_the_uplink() {
+        let mut config = NodeConfig::new(ProcessId(1), None);
+        config.children = vec![ProcessId(2)];
+        let mut st = ReactorState::new(config, Poller::new().expect("poller"), Arc::default());
+        let suspect = DetectMsg::Suspect {
+            from: ProcessId(5),
+            suspect: ProcessId(2),
+        };
+        st.handle_msg(3, NetMsg::Detect(suspect));
+        assert_eq!(st.core.held_children(), vec![ProcessId(2)]);
+        st.handle_msg(7, NetMsg::HelloAck { node: ProcessId(2) });
+        assert_eq!(st.core.held_children(), vec![ProcessId(2)]);
     }
 }

@@ -17,15 +17,14 @@
 use crate::conn::{Conn, Counters};
 use crate::frame::FillStatus;
 use crate::node::{spawn, NodeConfig, NodeReport};
-use crate::reactor::connect_nonblocking;
-use crate::wire::{NetMsg, PeerKind, PROTO_VERSION};
+use crate::wire::{NetMsg, PeerKind};
 use crate::EventClient;
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::transport::{MonitorCore, Outbox};
 use ftscp_intervals::Interval;
 use ftscp_simnet::SimTime;
 use ftscp_vclock::{ProcessId, VectorClock};
-use polling::{Event as PollEvent, Events, Poller};
+use polling::{Events, Poller};
 use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -96,11 +95,9 @@ pub fn run_scale(
     let counters = Arc::new(Counters::default()); // the children's side; not reported
     let mut kids = Vec::with_capacity(children);
     for i in 0..children {
-        let (stream, _) = connect_nonblocking(addr)?;
-        let _ = stream.set_nodelay(true);
-        poller.add(&stream, PollEvent::readable(i))?;
-        let conn = Conn::new(stream, Arc::clone(&counters));
-        kids.push(Child::open(ProcessId(1 + i as u32), conn, rounds, n));
+        let me = ProcessId(1 + i as u32);
+        let conn = Conn::dial(addr, &poller, i, Arc::clone(&counters), me, PeerKind::Child)?;
+        kids.push(Child::open(me, conn, rounds, n));
     }
 
     let mut events = Events::new();
@@ -163,9 +160,9 @@ struct Child {
 }
 
 impl Child {
-    /// Handshake, cold-start the report stream and push every round, all
-    /// queued on `conn` before its connect resolves. Acks stream back while
-    /// later rounds flush out.
+    /// Cold-start the report stream and push every round, all queued on
+    /// the freshly dialed `conn` behind its `Hello`, before its connect
+    /// resolves. Acks stream back while later rounds flush out.
     fn open(me: ProcessId, conn: Conn, rounds: u64, n: usize) -> Child {
         let core = MonitorCore::new(
             me,
@@ -184,11 +181,6 @@ impl Child {
             start: Instant::now(),
             fin_sent: false,
         };
-        kid.conn.enqueue(&NetMsg::Hello {
-            node: me,
-            kind: PeerKind::Child,
-            proto: PROTO_VERSION,
-        });
         kid.with_core(|core, t| core.resync_uplink(t));
         for s in 0..rounds {
             let iv = round_interval(me, s, n);

@@ -18,7 +18,6 @@
 //! produces — the interleaving-invariance the detector guarantees.
 
 use crate::conn::{Conn, Counters};
-use crate::reactor::connect_nonblocking;
 use crate::wire::{encode_msg, NetMsg, PeerKind, PROTO_VERSION};
 use ftscp_core::protocol::{ConnCodec, DetectMsg};
 use ftscp_core::registry::{PredicateRegistry, TenantSpec};
@@ -149,15 +148,8 @@ pub fn run_tenancy(
         if preds.is_empty() {
             continue;
         }
-        let (stream, _) = connect_nonblocking(addr)?;
-        let _ = stream.set_nodelay(true);
-        poller.add(&stream, PollEvent::readable(feeders.len()))?;
-        let mut conn = Conn::new(stream, Arc::clone(&sent));
-        conn.enqueue(&NetMsg::Hello {
-            node: from,
-            kind: PeerKind::Client,
-            proto: PROTO_VERSION,
-        });
+        let (key, c) = (feeders.len(), Arc::clone(&sent));
+        let mut conn = Conn::dial(addr, &poller, key, c, from, PeerKind::Client)?;
         let intervals = exec.intervals_of(from);
         for chunk in intervals.chunks(BATCH_SPAN) {
             let groups = chunk.iter().map(|iv| (preds.clone(), iv.clone())).collect();

@@ -2,10 +2,12 @@
 //! receiving side with a cold decoder, and the first interval frame on
 //! the replacement connection must be standalone (cold-decodable) or the
 //! stream is lost. These tests force that path on both stream kinds —
-//! the child→parent report uplink and the client→node event feed. The
-//! last two cover frames a node refuses outright, closing that one
-//! connection only: interval frames that are not of the delta family at
-//! all, and the retired detect subtags 3–6.
+//! the child→parent report uplink and the client→node event feed. Two
+//! cover a parent that never completes the handshake: no `HelloAck`, no
+//! session, and the leaf re-dials. The last two cover frames a node
+//! refuses outright, closing that one connection only: interval frames
+//! that are not of the delta family at all, and the retired detect
+//! subtags 3–6.
 
 use ftscp_core::deploy::{DeployConfig, Deployment as SimDeployment};
 use ftscp_core::protocol::ConnCodec;
@@ -14,13 +16,13 @@ use ftscp_net::client::EventClient;
 use ftscp_net::frame::{frame_bytes, read_frame, FrameBuffer};
 use ftscp_net::loopback::{sockets_available, Deployment, LoopbackConfig};
 use ftscp_net::wire::{decode_msg, encode_msg};
-use ftscp_net::{NetMsg, PeerKind, PROTO_VERSION};
+use ftscp_net::{spawn, NetMsg, NodeConfig, PeerKind, PROTO_VERSION};
 use ftscp_simnet::{LinkModel, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::{Execution, RandomExecution};
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn coverages(dets: &[GlobalDetection]) -> Vec<Vec<(u32, u64)>> {
@@ -191,6 +193,77 @@ fn stranger_is_hung_up_on(addr: SocketAddr, claim: ProcessId, payload: &[u8]) {
         hung_up, None,
         "the node must close the stranger's connection"
     );
+}
+
+/// Leaf 1 under a fake parent 0 that never completes the handshake —
+/// it says nothing to `Hello`, or answers `answer` on its behalf. The
+/// session must never come up: the leaf's one interval is not routed to
+/// the fake, the first connection carries only `Hello` before the leaf
+/// hangs up, and the leaf dials again within its connect timeout plus
+/// backoff.
+fn unanswered_parent_is_dropped_and_redialed(answer: Option<ProcessId>) {
+    let deadline = Instant::now() + Duration::from_millis(2_500);
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind fake");
+    let parent = (ProcessId(0), fake.local_addr().expect("fake addr"));
+    let mut config = NodeConfig::new(ProcessId(1), Some(parent));
+    config.expected_feeds = 1;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind leaf");
+    let leaf = spawn(listener, config).expect("spawn leaf");
+    let exec = RandomExecution::builder(2)
+        .intervals_per_process(1)
+        .seed(23)
+        .build();
+    let mut feed = EventClient::connect(leaf.addr, ProcessId(1)).expect("connect feed");
+    feed.send_event(&exec.intervals_of(ProcessId(1))[0])
+        .expect("send");
+
+    // The kernel completes the connect; the fake reads nothing until the
+    // leaf has dialed again.
+    let (mut first, _) = fake.accept().expect("first dial");
+    if let Some(node) = answer {
+        let ack = encode_msg(&NetMsg::HelloAck { node }, &mut ConnCodec::new());
+        first.write_all(&frame_bytes(&ack)).expect("answer");
+    }
+    fake.set_nonblocking(true).expect("nonblocking");
+    while let Err(e) = fake.accept() {
+        assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock);
+        assert!(Instant::now() < deadline, "the leaf never dialed again");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    first
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let (mut fb, mut rx, mut got) = (FrameBuffer::new(), ConnCodec::new(), Vec::new());
+    while let Some(frame) = read_frame(&mut first, &mut fb).expect("EOF, not a timeout") {
+        got.push(decode_msg(&frame, &mut rx).expect("decodes"));
+    }
+    let hello = NetMsg::Hello {
+        node: ProcessId(1),
+        kind: PeerKind::Child,
+        proto: PROTO_VERSION,
+    };
+    assert_eq!(got, vec![hello], "Hello, then EOF");
+    drop(feed);
+    assert_eq!(leaf.finish().reconnects, 0, "no session ever started");
+}
+
+#[test]
+fn a_parent_that_never_answers_hello_is_dropped_and_redialed() {
+    if !sockets_available() {
+        eprintln!("skipping: loopback sockets unavailable in this environment");
+        return;
+    }
+    unanswered_parent_is_dropped_and_redialed(None);
+}
+
+#[test]
+fn a_parent_answering_as_another_node_is_dropped_and_redialed() {
+    if !sockets_available() {
+        eprintln!("skipping: loopback sockets unavailable in this environment");
+        return;
+    }
+    unanswered_parent_is_dropped_and_redialed(Some(ProcessId(9)));
 }
 
 /// A peer that still frames intervals in the retired fixed-width layout
