@@ -6,10 +6,12 @@
 //! spanning-tree repair the paper assumes as a substrate (§III-F): after a
 //! failure is detected (heartbeat timeout), the maintenance service
 //! computes the repaired tree ([`repair_plan`]) and applies its
-//! [`RepairStep`]s to the affected monitors by call — no message carries
-//! them.
+//! [`RepairStep`](crate::membership::RepairStep)s to the affected monitors
+//! by call — no message carries them. A restarted node is different: the
+//! harness only picks its adopter, and the node rejoins through the
+//! adoption handshake, as a restarted TCP node does.
 
-use crate::membership::{repair_plan, RepairStep};
+use crate::membership::{rejoin_adopter, repair_plan};
 use crate::monitor::{MonitorApp, MonitorConfig};
 use crate::report::GlobalDetection;
 use crate::transport::MonitorCore;
@@ -158,8 +160,10 @@ impl Deployment {
 
     /// Schedules `node` to reboot from its stable checkpoint at `at`
     /// (crash-**recovery**; requires the monitors to have been built with
-    /// checkpointing — see [`Deployment::enable_checkpointing`]). The node
-    /// rejoins the tree as a leaf under an alive topology neighbor.
+    /// checkpointing — see [`Deployment::enable_checkpointing`]). It
+    /// rejoins as a leaf through the adoption handshake
+    /// ([`MonitorCore::rejoin`]) under its first live topology neighbour in
+    /// the tree; a node the tree still holds at `at` stays down.
     pub fn schedule_recovery(&mut self, node: ProcessId, at: SimTime) {
         self.recovery_plan.push((at, node));
         self.recovery_plan.sort_by_key(|&(t, _)| t);
@@ -283,7 +287,9 @@ impl Deployment {
     }
 
     /// The tree-maintenance service: repairs the spanning tree after
-    /// `failed` crashed and applies the plan to the survivors.
+    /// `failed` crashed and applies the plan to the survivors, in order and
+    /// now (the simulation has run up to now, so the steps precede anything
+    /// later); a step for a node that is down is dropped.
     fn repair(&mut self, failed: ProcessId) {
         let alive = self.sim.alive().to_vec();
         let sim = &self.sim;
@@ -295,51 +301,35 @@ impl Deployment {
             &alive,
             |n| sim.app(n).core().engine().children(),
         );
-        self.apply(plan);
-    }
-
-    /// Applies repair steps in order, now; a step for a node that is down
-    /// is dropped. Callers have run the simulation up to now, so no event
-    /// due at this instant is still pending and the steps take effect
-    /// before anything that happens later.
-    fn apply(&mut self, plan: Vec<(ProcessId, RepairStep)>) {
         for (node, step) in plan {
             self.sim
                 .with_app_ctx(node, |app, ctx| app.apply_repair(step, ctx));
         }
     }
 
-    /// The recovery path of the maintenance service: revive the node,
-    /// reboot its monitor from stable storage, and rejoin it as a leaf.
+    /// The recovery path of the maintenance service: pick the adopter,
+    /// revive the node, reboot its monitor from stable storage (which
+    /// knocks on the adopter) and mirror the rejoin in the harness's tree.
+    /// The handshake does the rest.
     fn recover(&mut self, node: ProcessId) {
         if self.sim.is_alive(node) || self.tree.contains(node) {
             return; // never crashed, or already back
         }
         // Find an adopter first; without one the node stays down.
-        let adopter = self
-            .topology
-            .neighbors(node)
-            .iter()
-            .copied()
-            .find(|&nb| self.tree.contains(nb) && self.sim.is_alive(nb));
-        let Some(parent) = adopter else { return };
+        let adopter = rejoin_adopter(node, &self.topology, &self.tree, |nb| self.sim.is_alive(nb));
+        let Some(adopter) = adopter else { return };
 
         self.sim.revive(node);
         let mut rebooted = false;
         self.sim.with_app_ctx(node, |app, ctx| {
-            rebooted = app.reboot_from_checkpoint(ctx);
+            rebooted = app.reboot_from_checkpoint(adopter, ctx);
         });
-        if !rebooted {
-            // No stable storage: leave the node revived but detached (it
-            // can still be adopted manually); do not rejoin the tree with
-            // inconsistent volatile state.
-            return;
+        // No stable storage: leave the node revived but detached (it can
+        // still be adopted manually); do not rejoin the tree with
+        // inconsistent volatile state.
+        if rebooted {
+            self.tree.rejoin_leaf(node, adopter);
         }
-        self.tree.rejoin_leaf(node, parent);
-        self.apply(vec![
-            (parent, RepairStep::AddChild(node)),
-            (node, RepairStep::SetParent(Some(parent))),
-        ]);
     }
 
     /// All detections recorded anywhere in the network (roots past and

@@ -1,7 +1,7 @@
 //! [`HierarchicalDetector`] — a whole tree of engines, driven in memory.
 
 use crate::engine::{EngineOutput, NodeEngine};
-use crate::membership::{repair_plan, RepairStep};
+use crate::membership::{rejoin_adopter, repair_plan, RepairStep};
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::{SimTime, Topology};
@@ -247,11 +247,14 @@ impl HierarchicalDetector {
 
     /// Crash-**recovery** (beyond the paper's crash-stop model): a node
     /// that persisted an [`EngineCheckpoint`](crate::engine::EngineCheckpoint)
-    /// reboots and rejoins the tree as a leaf under an alive topology
-    /// neighbor. Its local queue, output counter, and dedup state are
-    /// restored from the checkpoint (so nothing is double-reported); its
-    /// former child queues are dropped (those subtrees were re-parented
-    /// when it failed). Its last output is re-reported to the new parent.
+    /// reboots and rejoins the tree as a leaf under its first live
+    /// topology neighbour in the tree, as on the simulated network. Its
+    /// local queue, output counter, and dedup state are restored from the
+    /// checkpoint (so nothing is double-reported); its former child queues
+    /// are dropped (those subtrees were re-parented when it failed), and
+    /// what that releases is discarded, as a rebooted monitor discards it
+    /// (see [`NodeEngine::restore_as_leaf`]). Its last output is
+    /// re-reported to the new parent.
     ///
     /// Returns `Err` if the node is still alive or no alive neighbor is in
     /// the tree.
@@ -270,24 +273,15 @@ impl HierarchicalDetector {
                 checkpoint.node
             ));
         }
-        // Find an alive tree member adjacent in the topology.
-        let parent = topology
-            .neighbors(node)
-            .iter()
-            .copied()
-            .find(|&nb| self.tree.contains(nb) && self.engines[nb.index()].is_some())
+        let alive = |nb: ProcessId| self.engines[nb.index()].is_some();
+        let parent = rejoin_adopter(node, topology, &self.tree, alive)
             .ok_or_else(|| format!("{node} has no alive tree neighbor"))?;
 
         self.tree.rejoin_leaf(node, parent);
+        self.engines[node.index()] = Some(NodeEngine::restore_as_leaf(checkpoint));
 
-        // Any solutions released by dropping the stale child queues are
-        // legitimate (the dedup set came along in the checkpoint) and
-        // propagate normally.
-        let (engine, released) = NodeEngine::restore_as_leaf(checkpoint);
-        self.engines[node.index()] = Some(engine);
-        self.propagate(node, released);
-
-        // Seed the adopter, as `Deployment::recover` does.
+        // The in-memory twin of the handshake: the adopter's `Adopt`
+        // opens the queue, the `AdoptAck` re-parents and re-reports.
         self.apply(parent, RepairStep::AddChild(node));
         self.apply(node, RepairStep::SetParent(Some(parent)));
         Ok(())

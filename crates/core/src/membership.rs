@@ -326,6 +326,19 @@ impl Default for Membership {
     }
 }
 
+/// The adopter a restarted `node` rejoins under, on the simulated network
+/// and in `HierarchicalDetector` alike: its first topology neighbour that
+/// is in `tree` and `alive`.
+pub(crate) fn rejoin_adopter(
+    node: ProcessId,
+    topology: &Topology,
+    tree: &SpanningTree,
+    alive: impl Fn(ProcessId) -> bool,
+) -> Option<ProcessId> {
+    let mut neighbours = topology.neighbors(node).iter().copied();
+    neighbours.find(|&nb| tree.contains(nb) && alive(nb))
+}
+
 /// One reconfiguration of one monitor, decided by a clairvoyant repair
 /// ([`repair_plan`]) and applied by call — never sent — by whoever drives
 /// the monitors: [`MonitorCore::apply_repair`] on the simulated network,

@@ -120,15 +120,19 @@ impl MonitorApp {
         self.stable_checkpoint.as_ref()
     }
 
-    /// Reboot: the core restarts from stable storage as a leaf
-    /// ([`MonitorCore::reboot`]), the interval schedule continues from
-    /// wherever simulated time now is, and the timers are re-armed.
-    /// Returns false if no checkpoint exists.
-    pub fn reboot_from_checkpoint(&mut self, ctx: &mut Ctx<'_, DetectMsg>) -> bool {
+    /// Reboot from stable storage as a leaf and rejoin under `adopter`
+    /// ([`MonitorCore::reboot`], [`MonitorCore::rejoin`]); the schedule
+    /// goes on from now and the timers are re-armed. False: no checkpoint.
+    pub fn reboot_from_checkpoint(
+        &mut self,
+        adopter: ProcessId,
+        ctx: &mut Ctx<'_, DetectMsg>,
+    ) -> bool {
         let Some(cp) = self.stable_checkpoint.clone() else {
             return false;
         };
         self.core.reboot(cp);
+        self.core.rejoin(adopter, ctx);
         // Intervals that would have completed during the outage never
         // happened (the node was down): drop them.
         let now = ctx.now();

@@ -275,12 +275,6 @@ impl MonitorCore {
         &self.membership
     }
 
-    /// Mutable membership view (the TCP runtime seeds the initial epoch
-    /// and join state from its node config).
-    pub fn membership_mut(&mut self) -> &mut Membership {
-        &mut self.membership
-    }
-
     /// Interval messages sent through the re-report/resync path.
     pub fn re_report_msgs(&self) -> u64 {
         self.re_report_msgs
@@ -349,21 +343,34 @@ impl MonitorCore {
     /// Reboot from stable storage. The engine comes back from `checkpoint`
     /// as a leaf: its children were re-parented during the downtime, so
     /// their stale queues are dropped, and what that releases is discarded
-    /// — it refers to children that now live elsewhere. There is no parent
-    /// until one is set, and the volatile state starts over: reorder
-    /// buffers, the unacked backlog, the retransmit backoff, the uplink
-    /// codec. So does the incarnation: the epoch moves past the crashed
-    /// life's, so peers treat its beacons as stale, and peer-epoch
-    /// observations are lost.
+    /// (see [`NodeEngine::restore_as_leaf`]). There is no parent until
+    /// [`rejoin`](Self::rejoin) names the adopter, and the volatile state
+    /// starts over: reorder buffers, the unacked backlog, the retransmit
+    /// backoff, the uplink codec, heartbeats heard and held children. So
+    /// does the incarnation: the epoch moves past the crashed life's, so
+    /// peers treat its beacons as stale, and peer-epoch observations are
+    /// lost.
     pub fn reboot(&mut self, checkpoint: EngineCheckpoint) {
-        let (engine, _released) = NodeEngine::restore_as_leaf(checkpoint);
-        self.engine = engine;
+        self.engine = NodeEngine::restore_as_leaf(checkpoint);
         self.parent = None;
         self.reorder.clear();
         self.unacked.clear();
         self.retransmit_backoff = 1;
         self.uplink_codec.reset();
+        self.heartbeat_seen.clear();
+        self.held.clear();
         self.membership = Membership::new(self.membership.epoch() + 1);
+    }
+
+    /// A restarted node's one way back into the tree, on either runtime:
+    /// `adopter` becomes the parent, an adoption attempt with no dead
+    /// parent opens toward it, and the `Adopt` knock goes out (and again
+    /// with every heartbeat round until it is answered). Its `AdoptAck`
+    /// completes the rejoin like any adoption.
+    pub fn rejoin(&mut self, adopter: ProcessId, t: &mut impl Transport) {
+        self.parent = Some(adopter);
+        self.membership.begin_adoption(adopter, None);
+        self.send_adoption_request(t);
     }
 
     /// Tree peers this node beacons to: children, then parent.
@@ -374,7 +381,10 @@ impl MonitorCore {
     /// Sends one heartbeat to every tree peer, carrying this node's
     /// epoch and its ancestor chain: its parent (the grandparent hint for
     /// its children) plus the rungs above it relayed from its own
-    /// parent's beacons.
+    /// parent's beacons. An unanswered rejoin knocks again: its adopter
+    /// never beaconed to this incarnation, so no suspicion round knocks,
+    /// and a lost knock would leave it reporting to a parent with no queue
+    /// for it.
     fn send_heartbeats(&mut self, t: &mut impl Transport) {
         for peer in self.heartbeat_targets() {
             t.send(
@@ -386,6 +396,11 @@ impl MonitorCore {
                     ancestors: self.membership.ancestor_chain().to_vec(),
                 },
             );
+        }
+        if let RepairState::Adopting { dead_parent, .. } = *self.membership.state() {
+            if dead_parent.is_none() {
+                self.send_adoption_request(t);
+            }
         }
     }
 
@@ -421,6 +436,25 @@ impl MonitorCore {
         self.heartbeat_seen.remove(&child);
         let outputs = self.engine.remove_child(child);
         self.handle_outputs(t, outputs);
+    }
+
+    /// Opens an empty queue for `child` unless it has one; a fresh queue
+    /// accepts any sequence number.
+    fn add_child(&mut self, child: ProcessId) {
+        if !self.engine.has_child(child) {
+            self.engine.add_child(child);
+            self.reorder.remove(&child);
+        }
+    }
+
+    /// Re-parents this node (`None`: a root). A fresh parent gets a fresh
+    /// backoff window and a cold uplink codec — the old connection's base
+    /// is meaningless to the new parent's decoder — so the uplink resyncs.
+    fn set_parent(&mut self, parent: Option<ProcessId>, t: &mut impl Transport) {
+        self.parent = parent;
+        self.engine.set_root(parent.is_none());
+        self.retransmit_backoff = 1;
+        self.resync_uplink(t);
     }
 
     /// Hold-after-drop: marks `child` dead at `now` but *keeps its queue*
@@ -845,11 +879,7 @@ impl MonitorCore {
                 // the orphan's fresh, empty queue blocks emission until
                 // its re-reports arrive (hold-after-drop; model-checked
                 // in `ftscp-dst`).
-                if !self.engine.has_child(child) {
-                    self.engine.add_child(child);
-                    // A fresh queue accepts any sequence number.
-                    self.reorder.remove(&child);
-                }
+                self.add_child(child);
                 // The Adopt carries the dead parent so the handshake works
                 // even when the preceding Suspect was lost or reordered.
                 // It does NOT finalize the hold: the dead node may have
@@ -892,9 +922,6 @@ impl MonitorCore {
                 }
                 self.membership.finish_adoption();
                 if accepted {
-                    self.parent = Some(from);
-                    self.engine.set_root(false);
-                    self.retransmit_backoff = 1;
                     self.heartbeat_seen.insert(from, t.now());
                     t.send(
                         from,
@@ -905,7 +932,7 @@ impl MonitorCore {
                     );
                     // §III-F re-report: refill the adopter's fresh queue,
                     // standalone-first (its decoder is cold).
-                    self.resync_uplink(t);
+                    self.set_parent(Some(from), t);
                 }
             }
             DetectMsg::ReReport { from, epoch } => {
@@ -924,22 +951,8 @@ impl MonitorCore {
     /// simulated harness's stand-in for the adoption handshake.
     pub fn apply_repair(&mut self, step: RepairStep, t: &mut impl Transport) {
         match step {
-            RepairStep::SetParent(parent) => {
-                self.parent = parent;
-                self.engine.set_root(parent.is_none());
-                // A fresh parent gets a fresh backoff window and a cold
-                // uplink codec (the old connection's base is meaningless
-                // to the new parent's decoder).
-                self.retransmit_backoff = 1;
-                self.resync_uplink(t);
-            }
-            RepairStep::AddChild(child) => {
-                if !self.engine.has_child(child) {
-                    self.engine.add_child(child);
-                    // A fresh queue accepts any sequence number.
-                    self.reorder.remove(&child);
-                }
-            }
+            RepairStep::SetParent(parent) => self.set_parent(parent, t),
+            RepairStep::AddChild(child) => self.add_child(child),
             RepairStep::RemoveChild(child) => {
                 self.reorder.remove(&child);
                 let outputs = self.engine.remove_child(child);

@@ -416,8 +416,11 @@ fn heartbeat_driven_repair_without_false_positives() {
 
 #[test]
 fn crash_recovery_over_the_network() {
+    use ftscp_core::deploy::RepairMode;
     // Node 5 crashes at 150ms and reboots from its checkpoint at 400ms;
-    // from then on, rounds cover all 15 processes again.
+    // from then on, rounds cover all 15 processes again — whether the
+    // harness or the monitors' own suspicion repaired the crash, the
+    // restart rejoins through the adoption handshake.
     let n = 15;
     let rounds = 8;
     let exec = RandomExecution::builder(n)
@@ -426,38 +429,95 @@ fn crash_recovery_over_the_network() {
         .build();
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
-    let mut dep = Deployment::new(topo, tree, &exec, config(51));
-    dep.enable_checkpointing();
-    dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
-    dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
-    dep.run();
+    for repair_mode in [RepairMode::Scheduled, RepairMode::HeartbeatDriven] {
+        let cfg = DeployConfig {
+            repair_mode,
+            ..config(51)
+        };
+        let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
+        dep.enable_checkpointing();
+        dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
+        dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
+        dep.run();
 
-    let dets = dep.detections();
-    assert!(!dets.is_empty());
-    // Some detections happened without node 5 (during the outage, the
-    // round in flight at the crash also loses whatever nodes 11/12 had
-    // already aggregated into messages addressed to the dead node 5)...
-    assert!(
-        dets.iter().any(|d| d.covered_processes().len() < n),
-        "outage detections exclude the crashed node"
-    );
-    // ...and the final ones include it again.
-    assert_eq!(
-        dets.last().unwrap().covered_processes().len(),
-        n,
-        "full coverage after recovery"
-    );
-    // The tree holds all 15 nodes again, with node 5 rejoined as a leaf.
-    assert_eq!(dep.tree().node_count(), n);
-    assert!(dep.tree().is_leaf(NodeId(5)));
-    // Every detection remains valid.
-    for d in &dets {
-        let members: Vec<_> = d
-            .coverage
-            .iter()
-            .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
-            .collect();
-        assert!(ftscp_intervals::definitely_holds(&members));
+        let dets = dep.detections();
+        assert!(!dets.is_empty());
+        // Some detections happened without node 5 (during the outage, the
+        // round in flight at the crash also loses whatever nodes 11/12 had
+        // already aggregated into messages addressed to the dead node 5)...
+        assert!(
+            dets.iter().any(|d| d.covered_processes().len() < n),
+            "{repair_mode:?}: outage detections exclude the crashed node"
+        );
+        // ...and the final ones include it again.
+        assert_eq!(
+            dets.last().unwrap().covered_processes().len(),
+            n,
+            "{repair_mode:?}: full coverage after recovery"
+        );
+        // The tree holds all 15 nodes again, with node 5 rejoined as a leaf.
+        assert_eq!(dep.tree().node_count(), n, "{repair_mode:?}");
+        assert!(dep.tree().is_leaf(NodeId(5)), "{repair_mode:?}");
+        // Every detection remains valid.
+        for d in &dets {
+            let members: Vec<_> = d
+                .coverage
+                .iter()
+                .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
+                .collect();
+            assert!(ftscp_intervals::definitely_holds(&members));
+        }
+    }
+}
+
+#[test]
+fn a_restart_behind_a_cut_rejoins_once_the_cut_heals() {
+    use ftscp_core::deploy::RepairMode;
+    use ftscp_simnet::FaultPlan;
+    // Node 5 reboots at 400ms cut off from everyone until 700ms: its first
+    // knocks are lost, and the rejoin completes only because it keeps
+    // knocking after the cut heals.
+    let n = 15;
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(8)
+        .seed(51)
+        .build();
+    let topo = Topology::dary_tree(n, 2, 1);
+    let tree = SpanningTree::balanced_dary(n, 2);
+    let cut = FaultPlan::new()
+        .partition_at(SimTime::from_millis(390), &[NodeId(5)])
+        .heal_at(SimTime::from_millis(700));
+    for repair_mode in [RepairMode::Scheduled, RepairMode::HeartbeatDriven] {
+        let cfg = DeployConfig {
+            repair_mode,
+            ..config(51)
+        };
+        let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
+        dep.enable_checkpointing();
+        dep.apply_fault_plan(&cut);
+        dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
+        dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
+        dep.run();
+
+        let adopter = dep.app(ProcessId(5)).parent().expect("node 5 has a parent");
+        assert!(
+            dep.app(adopter).engine().has_child(ProcessId(5)),
+            "{repair_mode:?}: the adopter holds a queue for node 5"
+        );
+        let dets = dep.detections();
+        assert_eq!(
+            dets.last().unwrap().covered_processes().len(),
+            n,
+            "{repair_mode:?}: full coverage after the cut heals"
+        );
+        for d in &dets {
+            let members: Vec<_> = d
+                .coverage
+                .iter()
+                .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
+                .collect();
+            assert!(ftscp_intervals::definitely_holds(&members));
+        }
     }
 }
 

@@ -303,6 +303,31 @@ fn crash_recovery_rejoins_and_detection_resumes() {
     assert_valid(&exec, &det);
 }
 
+/// A rebooted internal node drops its former children's queues, and what
+/// that releases — here a local interval the children's empty queues had
+/// blocked — is discarded, as a rebooted monitor discards it: the rejoin
+/// counts no solution at the node.
+#[test]
+fn rejoin_discards_what_dropping_the_child_queues_releases() {
+    let n = 7;
+    let topo = Topology::dary_tree(n, 2, 1);
+    let tree = SpanningTree::balanced_dary(n, 2);
+    let mut det = HierarchicalDetector::new(&tree);
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(1)
+        .seed(3)
+        .build();
+    // Node 1's own interval waits on its children 3 and 4, which never
+    // report.
+    det.feed(exec.intervals[1][0].clone());
+    let checkpoint = det.checkpoint_node(ProcessId(1)).expect("node alive");
+    det.fail_node(ProcessId(1), &topo);
+    let before = det.solutions_at(ProcessId(1));
+    det.rejoin_node(ProcessId(1), checkpoint, &topo).unwrap();
+    assert!(det.tree().is_leaf(NodeId(1)));
+    assert_eq!(det.solutions_at(ProcessId(1)), before);
+}
+
 #[test]
 fn rejoin_rejects_bad_requests() {
     let n = 7;

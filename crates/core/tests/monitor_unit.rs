@@ -160,6 +160,58 @@ fn set_parent_re_reports_last_output() {
     ));
 }
 
+/// A reboot from stable storage rejoins through the adoption handshake:
+/// the rebooted node knocks on its adopter, and the adopter's `AdoptAck`
+/// re-parents it and restarts its report stream from a resync.
+#[test]
+fn a_reboot_rejoins_through_the_adoption_handshake() {
+    let (me, adopter) = (ProcessId(2), ProcessId(3));
+    let mut leaf = MonitorApp::new(
+        me,
+        Some(ProcessId(1)),
+        &[],
+        1,
+        vec![(SimTime(50), iv(2, 0, &[0, 0, 1], &[0, 0, 2]))],
+        cfg_plain(),
+    );
+    leaf.enable_checkpointing();
+    let effects = testkit::drive(me, SimTime(0), 10, &[], |ctx| leaf.on_init(ctx));
+    testkit::drive(me, SimTime(50), 10, &[], |ctx| {
+        leaf.on_timer(ctx, effects.timers[0].1)
+    });
+
+    let effects = testkit::drive(me, SimTime(100), 10, &[], |ctx| {
+        assert!(leaf.reboot_from_checkpoint(adopter, ctx));
+    });
+    let epoch = leaf.core().membership().epoch();
+    let adopt = DetectMsg::Adopt {
+        child: me,
+        epoch,
+        dead_parent: None,
+    };
+    assert_eq!(effects.sends, vec![(adopter, adopt)]);
+    assert!(leaf.core().membership().is_adopting());
+
+    let ack = DetectMsg::AdoptAck {
+        from: adopter,
+        child: me,
+        epoch,
+        accepted: true,
+    };
+    let effects = testkit::drive(me, SimTime(110), 10, &[], |ctx| {
+        leaf.on_message(ctx, adopter, ack)
+    });
+    assert_eq!(leaf.core().parent(), Some(adopter));
+    assert!(!leaf.core().membership().is_adopting());
+    let rereport = DetectMsg::ReReport { from: me, epoch };
+    assert_eq!(effects.sends.len(), 2, "{:?}", effects.sends);
+    assert_eq!(effects.sends[0], (adopter, rereport));
+    assert!(
+        matches!(effects.sends[1], (to, DetectMsg::Interval { resync: true, .. }) if to == adopter),
+        "the re-report opens the stream at the adopter"
+    );
+}
+
 /// A heartbeat detector with no heartbeats detects nothing, so a monitor
 /// with a suspicion timeout but no heartbeats arms no suspicion timer —
 /// the same rule the TCP reactor follows.

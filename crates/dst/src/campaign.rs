@@ -104,7 +104,7 @@ impl CampaignCase {
     /// `10·(rounds + 1)` ≤ 70 ms while the suspicion timeout is
     /// `repair_delay` = 120 ms — no cut outlasts it, so the campaign cannot
     /// produce a false suspicion at all (forced heartbeat repair with full
-    /// plans: 0 failures on seeds [0, 3000); ROADMAP item 3). The pairing
+    /// plans: 0 failures on seeds [0, 3000); ROADMAP item 4). The pairing
     /// stays because changing the derivation moves every fingerprint.
     pub fn from_seed(seed: u64) -> CampaignCase {
         let mut rng = StdRng::seed_from_u64(seed ^ CASE_SALT);

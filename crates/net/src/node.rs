@@ -115,8 +115,10 @@ pub struct NodeConfig {
     /// microseconds.
     pub monitor: MonitorConfig,
     /// Fresh incarnation of a crashed node: instead of assuming the
-    /// parent still knows it, the node joins through the adoption
-    /// handshake (`Adopt` with a fresh epoch on first connect).
+    /// parent still knows it, the node rejoins under `parent` through the
+    /// adoption handshake ([`MonitorCore::rejoin`], which a rebooted
+    /// simulated node runs too): `Adopt` under a fresh epoch once the
+    /// first uplink session is up.
     pub rejoin: bool,
 }
 
@@ -344,22 +346,13 @@ struct ReactorState {
 
 impl ReactorState {
     fn new(config: NodeConfig, poller: Poller, shared: Arc<Shared>) -> ReactorState {
-        let mut core = MonitorCore::new(
+        let core = MonitorCore::new(
             config.me,
             config.parent.map(|(p, _)| p),
             &config.children,
             config.level,
             config.monitor,
         );
-        if config.rejoin {
-            if let Some((p, _)) = config.parent {
-                // A restarted incarnation must not just resume the stream —
-                // the parent dropped it at crash time. Arm the adoption
-                // handshake; the first uplink session sends the Adopt
-                // frame.
-                core.membership_mut().begin_adoption(p, None);
-            }
-        }
         ReactorState {
             core,
             uplink_target: config.parent,
@@ -767,6 +760,12 @@ fn reactor_loop(listener: TcpListener, config: NodeConfig, shared: Arc<Shared>) 
         return NodeReport::default();
     }
     let mut st = ReactorState::new(config, poller, shared);
+    if let (true, Some((p, _))) = (st.config.rejoin, st.config.parent) {
+        // A restarted incarnation must not just resume the stream: the
+        // parent dropped it at crash time. This knock finds no route; the
+        // first uplink session knocks again.
+        st.with_core(|core, t| core.rejoin(p, t));
+    }
 
     // Arm the core's duties and the first dial; each re-arms itself from
     // its handler.

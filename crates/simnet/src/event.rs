@@ -24,6 +24,9 @@ pub enum EventKind<M> {
     Timer {
         /// Owning node.
         node: NodeId,
+        /// The owner's incarnation epoch when armed: a timer of an earlier
+        /// incarnation never fires (see `Simulation::revive`).
+        epoch: u32,
         /// Token passed back to the application.
         token: TimerToken,
     },
@@ -142,6 +145,7 @@ mod tests {
             SimTime(30),
             EventKind::Timer {
                 node: NodeId(0),
+                epoch: 0,
                 token: 3,
             },
         );
@@ -149,6 +153,7 @@ mod tests {
             SimTime(10),
             EventKind::Timer {
                 node: NodeId(0),
+                epoch: 0,
                 token: 1,
             },
         );
@@ -156,6 +161,7 @@ mod tests {
             SimTime(20),
             EventKind::Timer {
                 node: NodeId(0),
+                epoch: 0,
                 token: 2,
             },
         );
@@ -176,6 +182,7 @@ mod tests {
                 SimTime(7),
                 EventKind::Timer {
                     node: NodeId(0),
+                    epoch: 0,
                     token,
                 },
             );
@@ -218,7 +225,7 @@ mod tests {
                 let push_bias = if pushed < 250 { 0.7 } else { 0.4 };
                 if rng.gen::<f64>() < push_bias {
                     let time = SimTime(rng.gen_range(0..6u64));
-                    q.push(time, EventKind::Timer { node: NodeId(0), token: pushed });
+                    q.push(time, EventKind::Timer { node: NodeId(0), epoch: 0, token: pushed });
                     let at = reference.partition_point(|&key| key <= (time, pushed));
                     reference.insert(at, (time, pushed));
                     pushed += 1;

@@ -386,12 +386,12 @@ impl ActiveFaults {
         }
     }
 
-    /// Applies one operation. `alive` is the simulation's liveness vector;
-    /// `n` the network size (for building cut membership).
-    pub fn apply(&mut self, op: &FaultOp, alive: &mut [bool], n: usize) {
+    /// Applies one network operation; `n` is the network size (for cut
+    /// membership). Liveness ops are no-ops: `Simulation` applies them, and
+    /// its revival fences the crashed incarnation's timers.
+    pub fn apply(&mut self, op: &FaultOp, n: usize) {
         match op {
-            FaultOp::Crash(node) => alive[node.index()] = false,
-            FaultOp::Restart(node) => alive[node.index()] = true,
+            FaultOp::Crash(_) | FaultOp::Restart(_) => {}
             FaultOp::Partition(side) => {
                 let mut member = vec![false; n];
                 for v in side {
@@ -442,40 +442,23 @@ mod tests {
     #[test]
     fn cuts_block_exactly_crossing_edges() {
         let mut af = ActiveFaults::default();
-        let mut alive = vec![true; 4];
-        af.apply(
-            &FaultOp::Partition(vec![NodeId(0), NodeId(1)]),
-            &mut alive,
-            4,
-        );
+        af.apply(&FaultOp::Partition(vec![NodeId(0), NodeId(1)]), 4);
         assert!(af.edge_blocked(NodeId(1), NodeId(2)), "crossing");
         assert!(!af.edge_blocked(NodeId(0), NodeId(1)), "inside side");
         assert!(!af.edge_blocked(NodeId(2), NodeId(3)), "outside side");
-        af.apply(&FaultOp::Heal, &mut alive, 4);
+        af.apply(&FaultOp::Heal, 4);
         assert!(!af.edge_blocked(NodeId(1), NodeId(2)), "healed");
-    }
-
-    #[test]
-    fn crash_and_restart_toggle_liveness() {
-        let mut af = ActiveFaults::default();
-        let mut alive = vec![true; 2];
-        af.apply(&FaultOp::Crash(NodeId(1)), &mut alive, 2);
-        assert!(!alive[1]);
-        af.apply(&FaultOp::Restart(NodeId(1)), &mut alive, 2);
-        assert!(alive[1]);
     }
 
     #[test]
     fn timer_skew_scales_and_clears() {
         let mut af = ActiveFaults::default();
-        let mut alive = vec![true; 2];
         af.apply(
             &FaultOp::TimerSkew {
                 node: NodeId(0),
                 num: 3,
                 den: 2,
             },
-            &mut alive,
             2,
         );
         assert_eq!(af.timer_delay(NodeId(0), SimTime(100)), SimTime(150));
@@ -486,7 +469,6 @@ mod tests {
                 num: 1,
                 den: 1,
             },
-            &mut alive,
             2,
         );
         assert_eq!(af.timer_delay(NodeId(0), SimTime(100)), SimTime(100));
@@ -495,21 +477,19 @@ mod tests {
     #[test]
     fn windows_toggle_knobs() {
         let mut af = ActiveFaults::default();
-        let mut alive = vec![true; 1];
-        af.apply(&FaultOp::DuplicateOn { prob: 0.5 }, &mut alive, 1);
+        af.apply(&FaultOp::DuplicateOn { prob: 0.5 }, 1);
         assert_eq!(af.duplicate_prob, 0.5);
-        af.apply(&FaultOp::DuplicateOff, &mut alive, 1);
+        af.apply(&FaultOp::DuplicateOff, 1);
         assert_eq!(af.duplicate_prob, 0.0);
         af.apply(
             &FaultOp::ReorderOn {
                 window: SimTime(9),
                 prob: 1.0,
             },
-            &mut alive,
             1,
         );
         assert_eq!(af.reorder_window, SimTime(9));
-        af.apply(&FaultOp::ReorderOff, &mut alive, 1);
+        af.apply(&FaultOp::ReorderOff, 1);
         assert_eq!(af.reorder_prob, 0.0);
     }
 
@@ -585,14 +565,12 @@ mod tests {
         // deadline-chasing interval timer re-fired at the same instant
         // forever. The skew must round up.
         let mut faults = ActiveFaults::default();
-        let mut alive = vec![true; 2];
         faults.apply(
             &FaultOp::TimerSkew {
                 node: NodeId(1),
                 num: 2,
                 den: 3,
             },
-            &mut alive,
             2,
         );
         assert_eq!(faults.timer_delay(NodeId(1), SimTime(1)), SimTime(1));

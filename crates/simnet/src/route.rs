@@ -126,9 +126,9 @@ mod tests {
             .collect()
     }
 
-    fn cut(faults: &mut ActiveFaults, side: &[u32], alive: &mut [bool]) {
+    fn cut(faults: &mut ActiveFaults, side: &[u32], n: usize) {
         let side = side.iter().map(|&v| NodeId(v)).collect();
-        faults.apply(&FaultOp::Partition(side), alive, alive.len());
+        faults.apply(&FaultOp::Partition(side), n);
     }
 
     proptest! {
@@ -150,11 +150,11 @@ mod tests {
             let mut router = Router::default();
             for topology in &topologies {
                 let n = topology.len();
-                let mut alive: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < 0.8).collect();
+                let alive: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < 0.8).collect();
                 let mut faults = ActiveFaults::default();
                 for _ in 0..rng.gen_range(0..3usize) {
                     let side: Vec<u32> = (0..n as u32).filter(|_| rng.gen::<f64>() < 0.3).collect();
-                    cut(&mut faults, &side, &mut alive);
+                    cut(&mut faults, &side, n);
                 }
                 for src in NodeId::all(n) {
                     for dst in NodeId::all(n) {
@@ -195,14 +195,14 @@ mod tests {
 
         // {0, 2} | {1, 3}: the edge 0–1 is there but cut, and so is the way
         // round; 0–2 stays direct.
-        cut(&mut faults, &[0, 2], &mut alive);
+        cut(&mut faults, &[0, 2], 4);
         assert_eq!(router.route(&square, a, b, &alive, &faults), None);
         let same_side = router.route(&square, a, c, &alive, &faults).unwrap();
         assert_eq!(nodes(a, same_side), [a, c]);
 
         // A dead endpoint is unroutable over an intact direct edge, and a
         // dead neighbour is routed around.
-        faults.apply(&FaultOp::Heal, &mut alive, 4);
+        faults.apply(&FaultOp::Heal, 4);
         alive[b.index()] = false;
         assert_eq!(router.route(&square, a, b, &alive, &faults), None);
         let detour = router.route(&square, a, d, &alive, &faults).unwrap();

@@ -185,6 +185,9 @@ pub struct Simulation<A: Application> {
     topology: Topology,
     apps: Vec<A>,
     alive: Vec<bool>,
+    /// Per node, its incarnation epoch (how many times it was revived),
+    /// stamped on every timer it arms.
+    epochs: Vec<u32>,
     queue: EventQueue<A::Msg>,
     metrics: NetMetrics,
     rng: StdRng,
@@ -215,6 +218,7 @@ impl<A: Application> Simulation<A> {
             topology,
             apps,
             alive: vec![true; n],
+            epochs: vec![0; n],
             queue: EventQueue::new(),
             metrics,
             rng: StdRng::seed_from_u64(config.seed),
@@ -263,22 +267,24 @@ impl<A: Application> Simulation<A> {
         if self.now < at {
             self.now = at;
         }
-        let n = self.apps.len();
-        self.faults.apply(&op, &mut self.alive, n);
+        match op {
+            FaultOp::Crash(node) => self.alive[node.index()] = false,
+            FaultOp::Restart(node) => self.revive(node),
+            op => self.faults.apply(&op, self.apps.len()),
+        }
     }
 
-    /// Revives a crashed node immediately (crash-*recovery* support): the
-    /// node becomes reachable again and may send/receive from now on. The
-    /// application instance's in-memory state is untouched — modelling a
-    /// reboot is the application's job (e.g. restoring from a checkpoint
-    /// when it next runs). A timer armed before the crash is dropped only
-    /// if the node is still down *when it fires*: one whose fire time falls
-    /// after the revival fires as if nothing had happened, so a reboot that
-    /// re-arms its periodic timers can end up with the old chain running
-    /// beside the new one. Timers that came due during the outage are gone;
-    /// the application must re-arm those.
+    /// Revives a crashed node immediately (crash-*recovery* support) as a
+    /// new incarnation: it may send/receive from now on, and no timer its
+    /// crashed incarnation armed ever fires. Its application's in-memory
+    /// state is untouched — modelling a reboot (restoring a checkpoint,
+    /// re-arming timers) is the application's job.
     pub fn revive(&mut self, node: NodeId) {
-        self.alive[node.index()] = true;
+        let i = node.index();
+        if !self.alive[i] {
+            self.alive[i] = true;
+            self.epochs[i] += 1;
+        }
     }
 
     /// Invokes a callback on `node`'s application with a live [`Ctx`], so
@@ -431,8 +437,8 @@ impl<A: Application> Simulation<A> {
                 self.metrics.record_delivery(dst);
                 self.with_ctx(dst, |app, ctx| app.on_message(ctx, src, msg));
             }
-            EventKind::Timer { node, token } => {
-                if !self.alive[node.index()] {
+            EventKind::Timer { node, epoch, token } => {
+                if !self.alive[node.index()] || epoch != self.epochs[node.index()] {
                     return;
                 }
                 self.with_ctx(node, |app, ctx| app.on_timer(ctx, token));
@@ -470,7 +476,8 @@ impl<A: Application> Simulation<A> {
             // Fault-injected clock skew stretches/shrinks this node's timer
             // delays (identity when no skew is installed).
             let at = self.now + self.faults.timer_delay(node, at - self.now);
-            self.queue.push(at, EventKind::Timer { node, token });
+            let epoch = self.epochs[node.index()];
+            self.queue.push(at, EventKind::Timer { node, epoch, token });
         }
         self.outbox = outbox;
         self.timers = timers;
@@ -747,24 +754,45 @@ mod tests {
                 self.fired.push(token);
             }
         }
-        let mut sim = Simulation::new(
-            Topology::line(2),
-            vec![TimerApp::default(), TimerApp::default()],
-            SimConfig::default(),
-        );
-        sim.schedule_crash(NodeId(1), SimTime(7));
-        sim.run_to_quiescence(100);
-        assert_eq!(sim.app(NodeId(0)).fired, vec![2, 1, 3]);
-        assert_eq!(
-            sim.app(NodeId(1)).fired,
-            vec![2],
-            "only the pre-crash timer"
-        );
-        assert_eq!(
-            sim.peak_pending_events(),
-            7,
-            "the crash and 2 × 3 timers were all pending before the first fired"
-        );
+        // Node 1 crashes at 7 and is back at 8, before its timers at 10
+        // and 20 are due: they belong to the crashed incarnation and must
+        // not fire in the new one — whether the harness revives it or a
+        // fault plan restarts it.
+        for by_plan in [false, true] {
+            let mut sim = Simulation::new(
+                Topology::line(2),
+                vec![TimerApp::default(), TimerApp::default()],
+                SimConfig::default(),
+            );
+            if by_plan {
+                use crate::fault::FaultPlan;
+                let plan = FaultPlan::new()
+                    .crash_at(SimTime(7), NodeId(1))
+                    .restart_at(SimTime(8), NodeId(1));
+                sim.apply_fault_plan(&plan);
+            } else {
+                sim.schedule_crash(NodeId(1), SimTime(7));
+            }
+            sim.run_until(SimTime(7));
+            assert!(!sim.is_alive(NodeId(1)), "by_plan {by_plan}: crashed");
+            sim.run_until(SimTime(8));
+            if !by_plan {
+                sim.revive(NodeId(1));
+            }
+            assert!(sim.is_alive(NodeId(1)), "by_plan {by_plan}: revived");
+            sim.run_to_quiescence(100);
+            assert_eq!(sim.app(NodeId(0)).fired, vec![2, 1, 3]);
+            assert_eq!(
+                sim.app(NodeId(1)).fired,
+                vec![2],
+                "by_plan {by_plan}: only the pre-crash timer"
+            );
+            assert_eq!(
+                sim.peak_pending_events(),
+                if by_plan { 6 } else { 7 },
+                "2 × 3 timers (and a scheduled crash) were all pending before the first fired"
+            );
+        }
     }
 
     #[test]
