@@ -3,6 +3,7 @@
 use ftscp_intervals::{aggregate, BankSnapshot, Interval, QueueBank, SlotId, Solution};
 use ftscp_vclock::{OpCounter, ProcessId};
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// Effects produced by feeding an engine.
 #[derive(Clone, Debug)]
@@ -28,7 +29,7 @@ pub enum EngineOutput {
 /// The engine is reconfigurable at runtime — children can be added or
 /// removed and the node can be promoted to root — which is what makes the
 /// algorithm fault-tolerant (§III-F).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct NodeEngine {
     node: ProcessId,
     bank: QueueBank,
@@ -294,6 +295,22 @@ impl NodeEngine {
             engine.remove_child(child);
         }
         engine
+    }
+
+    /// Feeds what decides the engine's future outputs into `h`: the root
+    /// flag, the output sequence, the last output, each queue's contents
+    /// keyed by owner, not slot, and the emitted-member set, sorted.
+    pub fn digest(&self, h: &mut impl Hasher) {
+        let snap = self.bank.snapshot();
+        let queue = |slot: SlotId| snap.slots[slot.0 as usize].as_ref().map(|q| &q.items);
+        (self.node, self.is_root, self.level, self.solutions_found).hash(h);
+        (&self.last_output, queue(self.local_slot)).hash(h);
+        for (child, &slot) in &self.child_slots {
+            (child, queue(slot)).hash(h);
+        }
+        let mut emitted = snap.emitted;
+        emitted.sort_unstable();
+        emitted.hash(h);
     }
 
     fn emit(&mut self, solutions: Vec<Solution>) -> Vec<EngineOutput> {

@@ -54,7 +54,7 @@ use ftscp_vclock::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Where a node stands in the repair protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RepairState {
     /// Nothing in flight.
     Stable,
@@ -110,7 +110,8 @@ pub const ANCESTOR_HINT_CAP: usize = 8;
 
 /// Per-node membership view: own epoch, the freshest epoch heard from
 /// each peer, the grandparent hint history, and the repair state machine.
-#[derive(Clone, Debug)]
+/// Every field is logical state, so `Hash` is its digest.
+#[derive(Clone, Debug, Hash)]
 pub struct Membership {
     epoch: u64,
     peer_epochs: BTreeMap<ProcessId, u64>,

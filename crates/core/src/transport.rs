@@ -30,7 +30,9 @@ use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// The monitor's view of a message channel: fire-and-forget sends to a
 /// peer process plus a clock. Implementations decide routing, encoding,
@@ -149,6 +151,7 @@ impl MonitorConfig {
 /// completion the paper leaves implicit. Stale re-transmissions (possible
 /// after a reattachment re-report, or a TCP reconnect replay) are
 /// dropped.
+#[derive(Clone)]
 pub struct MonitorCore {
     me: ProcessId,
     engine: NodeEngine,
@@ -189,9 +192,9 @@ pub struct MonitorCore {
     /// names them as `dead_parent` finalizes the drop) or the deadline
     /// expires (a dead leaf — no orphan is coming). While held, the
     /// child's queue runs empty and an empty queue blocks conjunctive
-    /// emission — which is exactly the model's `waiting` gate: without
-    /// it, removing the queue releases solutions that were never checked
-    /// against the orphan subtree's intervals (the prune/adopt race).
+    /// emission: without the hold, removing the queue releases solutions
+    /// that were never checked against the orphan subtree's intervals (the
+    /// prune/adopt race `ftscp-dst`'s explorer finds when it is reverted).
     held: BTreeMap<ProcessId, SimTime>,
 }
 
@@ -298,6 +301,26 @@ impl MonitorCore {
     /// reattachment or expiry) — for tests and telemetry.
     pub fn held_children(&self) -> Vec<ProcessId> {
         self.held.keys().copied().collect()
+    }
+
+    /// A canonical digest of the core's logical state for state-space
+    /// exploration, with times relative to `now`. Left out: configuration,
+    /// counters, the uplink codec (it only sizes frames) and every detection
+    /// but the last one's coverage. Every map is ordered.
+    pub fn digest(&self, now: SimTime) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.engine.digest(&mut h);
+        (self.me, self.parent, &self.reorder, &self.unacked).hash(&mut h);
+        (self.retransmit_backoff, &self.membership).hash(&mut h);
+        for times in [&self.heartbeat_seen, &self.held] {
+            times.len().hash(&mut h);
+            for (peer, t) in times {
+                (peer, i128::from(now.0) - i128::from(t.0)).hash(&mut h);
+            }
+        }
+        let last = self.detections.last();
+        last.map(GlobalDetection::covered_processes).hash(&mut h);
+        h.finish()
     }
 
     /// How often `duty` runs under this configuration; `None` if it does
@@ -877,8 +900,8 @@ impl MonitorCore {
                 }
                 // Add the orphan before touching the dead parent's queue:
                 // the orphan's fresh, empty queue blocks emission until
-                // its re-reports arrive (hold-after-drop; model-checked
-                // in `ftscp-dst`).
+                // its re-reports arrive (hold-after-drop; explored on
+                // real cores in `ftscp-dst`).
                 self.add_child(child);
                 // The Adopt carries the dead parent so the handshake works
                 // even when the preceding Suspect was lost or reordered.

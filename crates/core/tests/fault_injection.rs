@@ -128,15 +128,16 @@ fn crash_injection_preserves_survivor_solutions() {
     );
 }
 
-/// Hold-after-drop regression (the model checker's prune/adopt race,
-/// shipped per docs/DST.md §2). An internal monitor (node 1) crashes
-/// mid-stream under heartbeat-driven repair. Without the hold, the root
-/// finalizes Q₁'s removal the instant suspicion fires and — while nodes
-/// 3 and 4 are still re-adopting — emits solutions assembled from only
-/// {root, subtree 2}: eight-process "detections" that silently exclude
-/// six live survivors. With the hold, the dead child's queue is retired
-/// only after the full hold window, by which point the orphans have
-/// re-joined, so every detection covers all fourteen survivors.
+/// Hold-after-drop regression (the prune/adopt race: reverting the hold
+/// trips `Missed` in the explorer's matrix, docs/DST.md §2). An internal
+/// monitor (node 1) crashes mid-stream under heartbeat-driven repair.
+/// Without the hold, the root finalizes Q₁'s removal the instant
+/// suspicion fires and — while nodes 3 and 4 are still re-adopting —
+/// emits solutions assembled from only {root, subtree 2}: eight-process
+/// "detections" that silently exclude six live survivors. With the
+/// hold, the dead child's queue is retired only after the full hold
+/// window, by which point the orphans have re-joined, so every detection
+/// covers all fourteen survivors.
 #[test]
 fn internal_crash_hold_prevents_narrow_detections_during_readoption() {
     let n = 15;
@@ -317,10 +318,10 @@ fn fast_clock_skew_completes_losslessly() {
 /// Node 4 re-adopts under the root via its grandparent hint. Nodes 7/8
 /// knock at dead node 1 first, exhaust its budget, then fall back one
 /// rung up the ancestor chain their parent's heartbeats relayed — the
-/// root — and re-join there (the model checker's `with_deep_hints`
-/// escape from the `orphan_dead_end`). The companion test below asserts
-/// the full-recovery endpoint; this one pins safety and determinism of
-/// the storm itself.
+/// root — and re-join there (the ancestor ladder the heartbeats relay;
+/// the explorer's storm row climbs it too). The companion test below
+/// asserts the full-recovery endpoint; this one pins safety and
+/// determinism of the storm itself.
 #[test]
 fn simultaneous_internal_crash_storm_stays_safe_and_deterministic() {
     let n = 15;

@@ -1,10 +1,10 @@
 //! DST campaign driver: seeded randomized fault campaigns, seed
-//! shrinking, and the tree-repair model checker.
+//! shrinking, and the exhaustive explorer of the repair protocol.
 //!
 //! ```text
 //! ftscp_dst [--seeds N] [--start-seed S] [--max-seeds M]   # campaign
 //! ftscp_dst --shrink SEED [--inject-crash-of NODE]         # minimize a failure
-//! ftscp_dst --model-check                                  # exhaustive repair check
+//! ftscp_dst --model-check                                  # explore real cores
 //! ```
 //!
 //! The campaign exits non-zero iff any seed fails; each failing seed is
@@ -12,12 +12,14 @@
 //! `--inject-crash-of` wires a deliberate fake violation into the
 //! verifier — the end-to-end test hook for the shrinker itself.
 //!
-//! `--model-check` runs the fixed configuration matrix (baseline /
-//! no-hold / no-fencing / double-crash) and exits non-zero if any
-//! verdict deviates from the expected one documented in `docs/DST.md`.
+//! `--model-check` explores every row of `explore::MATRIX` on real
+//! `MonitorCore`s, prints each row's state count, failure classes and
+//! their shortest traces, and exits non-zero if any row's classes differ
+//! from its expected ones (in either direction) or a search truncated.
+//! Its last line is the wall time; everything above it is byte-stable.
 
 use ftscp_dst::campaign::{run_campaign, run_case, CampaignCase, ViolationHook};
-use ftscp_dst::model::{check, ModelConfig};
+use ftscp_dst::explore::{explore, MATRIX};
 use ftscp_dst::shrink::{render_regression, shrink_case};
 use ftscp_simnet::NodeId;
 
@@ -47,7 +49,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ftscp_dst [--seeds N] [--start-seed S] [--max-seeds M]\n\
          \x20      ftscp_dst --shrink SEED [--inject-crash-of NODE]\n\
-         \x20      ftscp_dst --model-check"
+         \x20      ftscp_dst --model-check   # explore real MonitorCores"
     );
     std::process::exit(2);
 }
@@ -76,72 +78,29 @@ fn parse_args() -> Args {
 }
 
 fn model_check() -> i32 {
+    let started = std::time::Instant::now();
     let mut ok = true;
-    let mut gate = |name: &str, passed: bool, detail: String| {
-        let verdict = if passed { "ok" } else { "UNEXPECTED" };
-        println!("model-check: {name:<50} {verdict}");
-        print!("{detail}");
-        ok &= passed;
-    };
-
-    let baseline = check(&ModelConfig::chain4());
-    gate(
-        "baseline (fencing+hold, 1 crash, 1 dup): safe",
-        baseline.safety_ok() && baseline.orphan_dead_end.is_none(),
-        format!("  explored {} states, no violations\n", baseline.explored),
-    );
-
-    let no_hold = check(&ModelConfig::chain4().without_hold());
-    gate(
-        "no-hold: prune/adopt race found (shipped-fix regression)",
-        no_hold.missed_subtree.is_some(),
-        match &no_hold.missed_subtree {
-            Some(trace) => format!("  counterexample: {}\n", trace.join(" -> ")),
-            None => String::new(),
-        },
-    );
-
-    let no_fence = check(&ModelConfig::chain4().without_fencing());
-    gate(
-        "no-fencing: stale-epoch ack accepted",
-        no_fence.stale_accept.is_some(),
-        match &no_fence.stale_accept {
-            Some(trace) => format!("  counterexample: {}\n", trace.join(" -> ")),
-            None => String::new(),
-        },
-    );
-
-    let storm = check(&ModelConfig::chain4().crashes(2).dups(0));
-    gate(
-        "double-crash storm: safe, orphan dead end reachable",
-        storm.safety_ok() && storm.orphan_dead_end.is_some(),
-        match &storm.orphan_dead_end {
-            Some(trace) => format!(
-                "  explored {} states; dead end (ROADMAP failure-storm item): {}\n",
-                storm.explored,
-                trace.join(" -> ")
-            ),
-            None => String::new(),
-        },
-    );
-
-    let ladder = check(&ModelConfig::chain4().crashes(2).dups(0).with_deep_hints());
-    gate(
-        "double-crash storm + deep hint ladder: safe, nobody stranded",
-        ladder.safety_ok() && ladder.orphan_dead_end.is_none(),
-        format!(
-            "  explored {} states, fallback ladder adopts every orphan\n",
-            ladder.explored
-        ),
-    );
-
-    if ok {
-        println!("model-check: all verdicts as expected");
-        0
-    } else {
-        println!("model-check: verdict matrix DIVERGED — the repair protocol abstraction changed");
-        1
+    for row in MATRIX {
+        let report = explore(row);
+        let classes: Vec<_> = report.found.keys().copied().collect();
+        let verdict = match (report.truncated, classes == row.expect) {
+            (true, _) => "TRUNCATED",
+            (false, true) => "ok",
+            (false, false) => "UNEXPECTED",
+        };
+        println!(
+            "model-check: {}: {} states, verdict {classes:?} {verdict}",
+            row.name, report.states
+        );
+        for (class, trace) in &report.found {
+            println!("  {class:?}: {}", trace.join(" -> "));
+        }
+        ok &= verdict == "ok";
     }
+    let summary = ["verdict matrix DIVERGED", "all verdicts as expected"];
+    println!("model-check: {}", summary[usize::from(ok)]);
+    println!("wall {:.1} s", started.elapsed().as_secs_f64());
+    i32::from(!ok)
 }
 
 fn main() {

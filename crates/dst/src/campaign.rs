@@ -25,9 +25,8 @@
 //!
 //! Deliberately absent: a *completeness* check under faults. A run that
 //! emits narrower-but-valid solutions after a crash passes — whether
-//! every live subtree is still represented is the model checker's
-//! domain ([`crate::model`]), where the repair handshake is small
-//! enough to explore exhaustively.
+//! every live subtree is still represented is the explorer's domain
+//! ([`mod@crate::explore`]), which runs a few real cores exhaustively.
 
 use ftscp_analysis::shard::run_sharded;
 use ftscp_core::deploy::{DeployConfig, Deployment, RepairMode};

@@ -12,20 +12,21 @@
 //! * [`shrink`] reduces a failing case to a minimal one by a greedy
 //!   delete/narrow fixpoint and renders it as a ready-to-paste
 //!   regression test.
-//! * [`model`] is an explicit-state model checker that exhaustively
-//!   explores an abstraction of the tree-repair handshake on a small
-//!   chain, checking safety invariants the randomized campaign cannot
-//!   observe (completeness of emitted solutions, stale-epoch fencing).
+//! * [`mod@explore`] runs a handful of real `MonitorCore`s under every
+//!   delivery and timer order and a small fault budget, checking what the
+//!   randomized campaign cannot observe: that detections cover every live
+//!   attached process, that stale adoption acks are fenced, and that the
+//!   tree settles whole.
 //!
-//! See `docs/DST.md` for usage and the campaign/model-checker split of
+//! See `docs/DST.md` for usage and the campaign/explorer split of
 //! responsibilities.
 
 pub mod campaign;
-pub mod model;
+pub mod explore;
 pub mod shrink;
 
 pub use campaign::{
     run_campaign, run_case, CampaignCase, CampaignSummary, CaseReport, ViolationHook,
 };
-pub use model::{check, ModelConfig, ModelReport};
+pub use explore::{explore, Class, Report, Row, MATRIX};
 pub use shrink::{render_regression, shrink_case};

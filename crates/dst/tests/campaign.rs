@@ -19,7 +19,7 @@ fn campaign_replays_byte_identical() {
 
 /// The CI gate in miniature: a fixed prefix of the seed space passes
 /// every faultcheck invariant. (Completeness under faults is *not*
-/// among them — that's the model checker's job; see docs/DST.md.)
+/// among them — that's the explorer's job; see docs/DST.md.)
 #[test]
 fn fixed_seed_range_passes_clean() {
     let summary = run_campaign(0, 80, None);
