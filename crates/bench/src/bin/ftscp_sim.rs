@@ -30,7 +30,7 @@
 
 use ftscp_analysis::report::render_table;
 use ftscp_baselines::centralized::CentralizedDeployment;
-use ftscp_core::deploy::{DeployConfig, Deployment, RepairMode};
+use ftscp_core::deploy::{DeployConfig, Deployment};
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_simnet::{LinkModel, NodeId, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
@@ -281,9 +281,9 @@ fn bench_net_loopback() -> NetRun {
 
 /// The `repair` row: cost of surviving a mid-run crash of a height-1
 /// internal node on the `h = 3` hotpath workload, with the repair run by
-/// the decentralized membership protocol (`RepairMode::HeartbeatDriven`:
-/// heartbeat suspicion → grandparent adoption → re-reports — the same
-/// code path the TCP runtime drives). Everything is simulation-
+/// the decentralized membership protocol (heartbeat suspicion →
+/// grandparent adoption → re-reports — the same code path the TCP
+/// runtime drives). Everything is simulation-
 /// deterministic: `time_to_first_solution_ms` is *simulated* time from
 /// the crash instant to the first post-crash detection at the root, and
 /// the re-report counters meter the §III-F recovery traffic
@@ -324,7 +324,6 @@ fn bench_repair() -> RepairRun {
             ..Default::default()
         },
         repair_delay: SimTime::from_millis(120),
-        repair_mode: RepairMode::HeartbeatDriven,
         ..Default::default()
     };
     let mut dep = Deployment::new(topo, tree, &exec, cfg);

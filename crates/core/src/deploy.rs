@@ -2,16 +2,17 @@
 //!
 //! Wires one [`crate::monitor::MonitorApp`] per node onto an
 //! [`ftscp_simnet::Simulation`], schedules each process's local intervals
-//! at simulated times, injects crash-stop failures, and performs the
-//! spanning-tree repair the paper assumes as a substrate (§III-F): after a
-//! failure is detected (heartbeat timeout), the maintenance service
-//! computes the repaired tree ([`repair_plan`]) and applies its
-//! [`RepairStep`](crate::membership::RepairStep)s to the affected monitors
-//! by call — no message carries them. A restarted node is different: the
-//! harness only picks its adopter, and the node rejoins through the
-//! adoption handshake, as a restarted TCP node does.
+//! at simulated times, injects crash-stop failures and restarts, and
+//! otherwise stays out of the way: every monitor runs its own failure
+//! detector with `repair_delay` as the suspicion timeout, and the tree
+//! repairs itself through the adoption handshake a TCP node runs too
+//! ([`crate::membership`]) — orphans climb their ancestor ladder, a dead
+//! root's heir promotes itself, and a node cut off from every rung roots
+//! its subtree and re-knocks its lost parent. The harness only advances
+//! time, keeps a mirror of the tree the monitors built, and picks a
+//! restarted node's adopter.
 
-use crate::membership::{rejoin_adopter, repair_plan};
+use crate::membership::rejoin_adopter;
 use crate::monitor::{MonitorApp, MonitorConfig};
 use crate::report::GlobalDetection;
 use crate::transport::MonitorCore;
@@ -21,19 +22,14 @@ use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::Execution;
 
-/// How failures are *detected* (repair itself is always the maintenance
-/// service's tree surgery).
+/// How failures are repaired: by the monitors' own protocol, the only
+/// way there is. A one-value type, kept because existing
+/// [`DeployConfig`] literals name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RepairMode {
-    /// The harness repairs at `crash_time + repair_delay` (deterministic,
-    /// used by the measurement experiments).
+    /// The monitors' heartbeat timeouts drive the adoption handshake, with
+    /// `repair_delay` as the suspicion timeout — the §III-F protocol.
     #[default]
-    Scheduled,
-    /// Repairs trigger from the monitors' own heartbeat timeouts: the
-    /// simulation advances in slices, and when a dead node's tree parent
-    /// stops hearing its heartbeats for `repair_delay`, the maintenance
-    /// service repairs. No clairvoyance about crash times — the faithful
-    /// §III-F mode. Requires heartbeats to be enabled.
     HeartbeatDriven,
 }
 
@@ -45,13 +41,13 @@ pub struct DeployConfig {
     /// Spacing between successive interval completions in the global
     /// completion order.
     pub interval_spacing: SimTime,
-    /// Monitor options (heartbeats).
+    /// Monitor options (heartbeats). Without heartbeats there is no
+    /// failure detector: a crash is never repaired.
     pub monitor: MonitorConfig,
-    /// Delay between a crash and the completion of failure detection +
-    /// tree repair (models heartbeat timeout + repair protocol). In
-    /// [`RepairMode::HeartbeatDriven`] this is the heartbeat timeout.
+    /// The suspicion timeout: a tree peer silent for longer is presumed
+    /// dead. Must exceed the heartbeat period, or every peer is suspected.
     pub repair_delay: SimTime,
-    /// Failure-detection mode.
+    /// Repair mode; [`RepairMode::HeartbeatDriven`] is its only value.
     pub repair_mode: RepairMode,
 }
 
@@ -62,7 +58,7 @@ impl Default for DeployConfig {
             interval_spacing: SimTime::from_millis(10),
             monitor: MonitorConfig::default(),
             repair_delay: SimTime::from_millis(120),
-            repair_mode: RepairMode::Scheduled,
+            repair_mode: RepairMode::HeartbeatDriven,
         }
     }
 }
@@ -72,14 +68,8 @@ pub struct Deployment {
     sim: Simulation<MonitorApp>,
     tree: SpanningTree,
     topology: Topology,
-    /// Pending crash events (time, node), sorted ascending.
-    crash_plan: Vec<(SimTime, ProcessId)>,
     /// Pending recovery events (time, node), sorted ascending.
     recovery_plan: Vec<(SimTime, ProcessId)>,
-    /// Orphan subtree roots partitioned by earlier (possibly overlapping)
-    /// failures, retried at every subsequent repair.
-    pending_orphans: Vec<ProcessId>,
-    config: DeployConfig,
     end_of_schedule: SimTime,
 }
 
@@ -90,7 +80,8 @@ impl Deployment {
     /// # Panics
     ///
     /// Panics if the tree is not a subgraph of the topology (parent links
-    /// must be single-hop) or sizes disagree.
+    /// must be single-hop), sizes disagree, or heartbeats are on with a
+    /// `repair_delay` no longer than their period.
     pub fn new(
         topology: Topology,
         tree: SpanningTree,
@@ -102,6 +93,14 @@ impl Deployment {
             tree.is_subgraph_of(&topology),
             "tree edges must be topology edges"
         );
+        if let Some(period) = config.monitor.heartbeat_period {
+            assert!(
+                config.repair_delay > period,
+                "repair_delay {:?} must exceed the heartbeat period {:?}",
+                config.repair_delay,
+                period
+            );
+        }
         let n = topology.len();
 
         // Assign completion times in global completion order.
@@ -114,14 +113,12 @@ impl Deployment {
         }
         let end_of_schedule = t;
 
-        // Heartbeat-driven mode is decentralized: every monitor runs its
-        // own failure detector and the adoption handshake, with the
-        // repair delay as the suspicion timeout. Scheduled mode leaves
-        // repair to the clairvoyant maintenance service.
-        let mut monitor_cfg = config.monitor;
-        if config.repair_mode == RepairMode::HeartbeatDriven {
-            monitor_cfg.suspect_timeout = Some(config.repair_delay);
-        }
+        // Every monitor runs its own failure detector, with the repair
+        // delay as the suspicion timeout.
+        let monitor_cfg = MonitorConfig {
+            suspect_timeout: Some(config.repair_delay),
+            ..config.monitor
+        };
 
         let height = tree.height();
         let apps: Vec<MonitorApp> = ProcessId::all(n)
@@ -143,10 +140,7 @@ impl Deployment {
             sim,
             tree,
             topology,
-            crash_plan: Vec::new(),
             recovery_plan: Vec::new(),
-            pending_orphans: Vec::new(),
-            config,
             end_of_schedule,
         }
     }
@@ -154,8 +148,6 @@ impl Deployment {
     /// Schedules `node` to crash-stop at `at`.
     pub fn schedule_crash(&mut self, node: ProcessId, at: SimTime) {
         self.sim.schedule_crash(node, at);
-        self.crash_plan.push((at, node));
-        self.crash_plan.sort_by_key(|&(t, _)| t);
     }
 
     /// Schedules `node` to reboot from its stable checkpoint at `at`
@@ -163,19 +155,19 @@ impl Deployment {
     /// checkpointing — see [`Deployment::enable_checkpointing`]). It
     /// rejoins as a leaf through the adoption handshake
     /// ([`MonitorCore::rejoin`]) under its first live topology neighbour in
-    /// the tree; a node the tree still holds at `at` stays down.
+    /// the tree; a node the tree still holds at `at`, or one without a
+    /// checkpoint, stays down.
     pub fn schedule_recovery(&mut self, node: ProcessId, at: SimTime) {
         self.recovery_plan.push((at, node));
         self.recovery_plan.sort_by_key(|&(t, _)| t);
     }
 
     /// Installs a [`FaultPlan`] across both layers of the deployment:
-    /// `Crash` operations become scheduled crash-stops (with maintenance
-    /// tree repair), `Restart` operations become scheduled recoveries
-    /// (checkpoint reboot + leaf rejoin — enable checkpointing first for
-    /// state to survive), and every remaining operation (partitions,
-    /// duplication, reordering, timer skew) is installed directly into the
-    /// network simulation. Like the simulator-level plan, this draws no
+    /// `Crash` operations become scheduled crash-stops, `Restart`
+    /// operations become scheduled recoveries (checkpoint reboot + leaf
+    /// rejoin — enable checkpointing first for a node to come back), and
+    /// every remaining operation (partitions, duplication, reordering,
+    /// timer skew) is installed directly into the network simulation. Like the simulator-level plan, this draws no
     /// randomness: `(deployment config, seed, plan)` replays identically.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let mut residual = FaultPlan::new();
@@ -201,69 +193,22 @@ impl Deployment {
     }
 
     /// Runs the deployment to completion: all scheduled intervals fire,
-    /// failures are repaired, recoveries rejoin, and the network drains.
+    /// the monitors repair around failures, recoveries rejoin, and the
+    /// network drains. The loop only advances simulated time to each
+    /// recovery and then to the end, bringing the harness's tree *mirror*
+    /// in step with what the monitors decided wherever it is read: by the
+    /// recovery path, and by observers ([`Deployment::tree`]) after the
+    /// run. Heartbeats re-arm forever, so the run is bounded by time, not
+    /// quiescence: the slack comfortably exceeds any repair and any
+    /// in-flight delay.
     pub fn run(&mut self) {
-        if self.config.repair_mode == RepairMode::HeartbeatDriven {
-            self.run_heartbeat_driven();
-            return;
-        }
-        enum Action {
-            Repair(ProcessId),
-            Recover(ProcessId),
-        }
-        let mut actions: Vec<(SimTime, Action)> = std::mem::take(&mut self.crash_plan)
-            .into_iter()
-            .map(|(t, n)| (t + self.config.repair_delay, Action::Repair(n)))
-            .chain(
-                std::mem::take(&mut self.recovery_plan)
-                    .into_iter()
-                    .map(|(t, n)| (t, Action::Recover(n))),
-            )
-            .collect();
-        actions.sort_by_key(|&(t, _)| t);
-        for (at, action) in actions {
+        for (at, node) in std::mem::take(&mut self.recovery_plan) {
             self.sim.run_until(at);
-            match action {
-                Action::Repair(node) => self.repair(node),
-                Action::Recover(node) => self.recover(node),
-            }
-        }
-        // Drain the schedules and all in-flight messages. Heartbeats
-        // re-arm forever, so the run is bounded by time, not quiescence:
-        // the slack comfortably exceeds any in-flight delay.
-        let deadline = self.end_of_schedule + SimTime::from_secs(10);
-        self.sim.run_until(deadline);
-    }
-
-    /// Heartbeat-driven run loop — a *thin driver*: failure detection and
-    /// repair run inside the monitors themselves (suspicion timers, the
-    /// grandparent-adoption handshake, re-reports — see
-    /// [`crate::membership`]); this loop only advances simulated time,
-    /// honors the recovery schedule, and keeps the harness's tree
-    /// *mirror* in sync with what the monitors decided, so observers
-    /// ([`Deployment::tree`]) and the recovery path keep working.
-    fn run_heartbeat_driven(&mut self) {
-        assert!(
-            self.config.monitor.heartbeat_period.is_some(),
-            "HeartbeatDriven repair requires heartbeats"
-        );
-        let timeout = self.config.repair_delay;
-        let slice = SimTime(timeout.0.max(2) / 2);
-        let deadline = self.end_of_schedule + SimTime::from_secs(10);
-        let mut recoveries = std::mem::take(&mut self.recovery_plan);
-        recoveries.sort_by_key(|&(t, _)| t);
-        let mut next_recovery = 0usize;
-        let mut t = SimTime::ZERO;
-        while t < deadline {
-            t = (t + slice).min(deadline);
-            self.sim.run_until(t);
             self.sync_tree_mirror();
-            while next_recovery < recoveries.len() && recoveries[next_recovery].0 <= t {
-                let (_, node) = recoveries[next_recovery];
-                next_recovery += 1;
-                self.recover(node);
-            }
+            self.recover(node);
         }
+        let end = self.end_of_schedule + SimTime::from_secs(10);
+        self.sim.run_until(end);
         self.sync_tree_mirror();
     }
 
@@ -286,50 +231,25 @@ impl Deployment {
         }
     }
 
-    /// The tree-maintenance service: repairs the spanning tree after
-    /// `failed` crashed and applies the plan to the survivors, in order and
-    /// now (the simulation has run up to now, so the steps precede anything
-    /// later); a step for a node that is down is dropped.
-    fn repair(&mut self, failed: ProcessId) {
-        let alive = self.sim.alive().to_vec();
-        let sim = &self.sim;
-        let plan = repair_plan(
-            &mut self.tree,
-            &mut self.pending_orphans,
-            failed,
-            &self.topology,
-            &alive,
-            |n| sim.app(n).core().engine().children(),
-        );
-        for (node, step) in plan {
-            self.sim
-                .with_app_ctx(node, |app, ctx| app.apply_repair(step, ctx));
-        }
-    }
-
-    /// The recovery path of the maintenance service: pick the adopter,
-    /// revive the node, reboot its monitor from stable storage (which
-    /// knocks on the adopter) and mirror the rejoin in the harness's tree.
-    /// The handshake does the rest.
+    /// A scheduled restart: pick the adopter, revive the node, reboot its
+    /// monitor from stable storage (which knocks on the adopter) and mirror
+    /// the rejoin in the harness's tree. The handshake does the rest.
     fn recover(&mut self, node: ProcessId) {
-        if self.sim.is_alive(node) || self.tree.contains(node) {
-            return; // never crashed, or already back
+        // Never crashed, still held by the tree, or no stable storage to
+        // reboot from: a node does not come back with inconsistent state.
+        let down = !self.sim.is_alive(node) && !self.tree.contains(node);
+        if !down || self.sim.app(node).stable_checkpoint().is_none() {
+            return;
         }
         // Find an adopter first; without one the node stays down.
         let adopter = rejoin_adopter(node, &self.topology, &self.tree, |nb| self.sim.is_alive(nb));
         let Some(adopter) = adopter else { return };
 
         self.sim.revive(node);
-        let mut rebooted = false;
         self.sim.with_app_ctx(node, |app, ctx| {
-            rebooted = app.reboot_from_checkpoint(adopter, ctx);
+            app.reboot_from_checkpoint(adopter, ctx);
         });
-        // No stable storage: leave the node revived but detached (it can
-        // still be adopted manually); do not rejoin the tree with
-        // inconsistent volatile state.
-        if rebooted {
-            self.tree.rejoin_leaf(node, adopter);
-        }
+        self.tree.rejoin_leaf(node, adopter);
     }
 
     /// All detections recorded anywhere in the network (roots past and

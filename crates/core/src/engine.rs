@@ -244,6 +244,21 @@ impl NodeEngine {
         vec![EngineOutput::Detected(solution)]
     }
 
+    /// §III-F failover: offers the members of `solution`, the last one
+    /// shipped to a parent that died with it, again to the queues they
+    /// came from ([`QueueBank::requeue`]); one whose queue is gone drops.
+    pub fn requeue(&mut self, solution: Vec<Interval>) -> Vec<EngineOutput> {
+        let slot = |iv: &Interval| {
+            let child = self.child_slots.get(&iv.source).copied();
+            (iv.source == self.node)
+                .then_some(self.local_slot)
+                .or(child)
+        };
+        let members = solution.into_iter().filter_map(|iv| Some((slot(&iv)?, iv)));
+        let solutions = self.bank.requeue(members.collect());
+        self.emit(solutions)
+    }
+
     /// Serializable checkpoint of the full engine state. A node that
     /// persists checkpoints can *recover* after a reboot instead of being
     /// treated as permanently failed — complementing the paper's

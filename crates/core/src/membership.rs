@@ -1,5 +1,5 @@
 //! Decentralized tree membership: epochs, the suspicion → adoption
-//! handshake, and the clairvoyant [`repair_plan`].
+//! handshake, succession, and the clairvoyant [`repair_plan`].
 //!
 //! The paper assumes spanning-tree repair as a substrate (§III-F) but
 //! says nothing about *who* performs it. Until this module existed the
@@ -13,14 +13,24 @@
 //!   ride on every [`Heartbeat`](crate::protocol::DetectMsg::Heartbeat),
 //!   so stale beacons from a previous incarnation and stale adoption
 //!   handshakes are rejected deterministically;
-//! * heartbeats also carry the sender's **ancestor chain** (its parent
-//!   plus the rungs above, relayed one edge per beacon), so every child
-//!   passively learns its *grandparent* — the preferred adopter of
-//!   §III-F's reattachment rule (the same preference
+//! * heartbeats to children also carry the sender's **ancestor chain**
+//!   (its parent plus the rungs above, relayed one edge per beacon), so
+//!   every child passively learns its *grandparent* — the preferred
+//!   adopter of §III-F's reattachment rule (the same preference
 //!   [`tree::reconnect`](ftscp_tree::SpanningTree::handle_failure)
 //!   encodes for the clairvoyant oracle) — and, behind it, the full
 //!   fallback ladder of great-grandparents for the storm where the
 //!   grandparent died with the parent;
+//! * a root has no rungs above it and beacons its **heirs** there
+//!   instead: its live children, by id. The line travels the chain like
+//!   any rung, so the root's children climb it when the root dies — the
+//!   first heir finds its own id on the ladder and promotes itself, the
+//!   others adopt under it — and a deeper orphan finds it above the
+//!   root. A node whose ladder runs out promotes itself too, rooting its
+//!   subtree as a forest, and re-knocks its lost parent every heartbeat
+//!   round until that parent answers (a healed cut). No adoption closes a
+//!   cycle (a node refuses its parent, its rungs and, before it heard a
+//!   chain, any knock that replaces no dead parent);
 //! * when heartbeat suspicion (`MonitorCore::suspects`) fires, a node
 //!   that lost a **child** drops the dead queue locally, and a node that
 //!   lost its **parent** runs the adoption handshake:
@@ -43,10 +53,10 @@
 //! carries `dead_parent`, so it does not rely on the separate `Suspect`
 //! arriving first over a non-FIFO transport).
 //!
-//! The clairvoyant harness survives as [`repair_plan`]: one list of
-//! [`RepairStep`]s, computed from the repaired tree, that the simulated
-//! deployment's `Scheduled` mode and the in-memory `HierarchicalDetector`
-//! both apply by call. No wire carries a step.
+//! The clairvoyant repair survives as [`repair_plan`]: one list of
+//! [`RepairStep`]s, computed from the repaired tree, that the in-memory
+//! `HierarchicalDetector` applies by call. No wire carries a step, and no
+//! monitor applies one.
 
 use ftscp_simnet::Topology;
 use ftscp_tree::SpanningTree;
@@ -85,11 +95,12 @@ pub enum MembershipEvent {
         /// The prospective new parent.
         target: ProcessId,
     },
-    /// The parent is dead and no grandparent is known (the root died, or
-    /// no heartbeat ever carried a hint): the node stays orphaned and
-    /// detection over its subtree halts until an adopter appears.
-    Orphaned {
-        /// The dead parent.
+    /// The parent is dead and the ladder reached this node's own id (it
+    /// is next in the dead root's succession line) or ran out: the node
+    /// is now the root of its subtree and knocks at `dead_parent` every
+    /// heartbeat round, re-attaching if it answers.
+    Promoted {
+        /// The parent it promoted itself over.
         dead_parent: ProcessId,
     },
 }
@@ -233,18 +244,15 @@ impl Membership {
     }
 
     /// The freshest hint that is still worth dialing: most recent first,
-    /// skipping this node itself, the dead parent being replaced, and
-    /// every target already written off.
-    pub fn next_adoption_candidate(
-        &self,
-        me: ProcessId,
-        dead_parent: Option<ProcessId>,
-    ) -> Option<ProcessId> {
+    /// skipping the dead parent being replaced and every target already
+    /// written off. The node's own id is a rung like any other: reaching
+    /// it means the node is next in a dead root's succession line.
+    pub fn next_adoption_candidate(&self, dead_parent: Option<ProcessId>) -> Option<ProcessId> {
         self.hint_history
             .iter()
             .rev()
             .copied()
-            .find(|&c| c != me && Some(c) != dead_parent && !self.failed_targets.contains(&c))
+            .find(|&c| Some(c) != dead_parent && !self.failed_targets.contains(&c))
     }
 
     /// Abandons the current adoption target (its knock budget ran out):
@@ -340,15 +348,12 @@ pub(crate) fn rejoin_adopter(
     neighbours.find(|&nb| tree.contains(nb) && alive(nb))
 }
 
-/// One reconfiguration of one monitor, decided by a clairvoyant repair
-/// ([`repair_plan`]) and applied by call — never sent — by whoever drives
-/// the monitors: [`MonitorCore::apply_repair`] on the simulated network,
-/// `HierarchicalDetector` in memory. Each step is the oracle twin of a
-/// handshake effect: [`RemoveChild`](Self::RemoveChild) plays `Suspect`,
+/// One reconfiguration of one in-memory engine, decided by a clairvoyant
+/// repair ([`repair_plan`]) and applied by call — never sent — by
+/// `HierarchicalDetector`. Each step is the oracle twin of a handshake
+/// effect: [`RemoveChild`](Self::RemoveChild) plays `Suspect`,
 /// [`AddChild`](Self::AddChild) plays `Adopt`, and
 /// [`SetParent`](Self::SetParent) plays `AdoptAck` + `ReReport`.
-///
-/// [`MonitorCore::apply_repair`]: crate::transport::MonitorCore::apply_repair
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairStep {
     /// Drop this child and its queue (it failed or was re-parented).
@@ -366,7 +371,7 @@ pub enum RepairStep {
 /// The plan of one clairvoyant repair after `failed` crash-stopped, in
 /// the order it must be applied. Repairs `tree` (the shared
 /// [`SpanningTree::handle_failure`] computation), retries every orphan
-/// that `pending_orphans` holds from earlier, overlapping failures (and
+/// that `stranded` holds from earlier, overlapping failures (and
 /// leaves there the ones still partitioned), then reconciles every
 /// affected monitor with the repaired tree.
 ///
@@ -379,7 +384,7 @@ pub enum RepairStep {
 /// adopters' fresh queues.
 pub fn repair_plan<'a>(
     tree: &mut SpanningTree,
-    pending_orphans: &mut Vec<ProcessId>,
+    stranded: &mut Vec<ProcessId>,
     failed: ProcessId,
     topology: &Topology,
     alive: &[bool],
@@ -393,11 +398,11 @@ pub fn repair_plan<'a>(
     // that runs while the root's own crash is still unrepaired). Retry
     // every previously partitioned orphan now, and merge the outcome into
     // this repair's report; the ones still stranded wait for the next.
-    pending_orphans.extend(report.partitioned.iter().copied());
-    pending_orphans.sort_unstable();
-    pending_orphans.dedup();
-    let retry = tree.reattach_orphans(pending_orphans, topology, alive);
-    *pending_orphans = retry.partitioned;
+    stranded.extend(report.partitioned.iter().copied());
+    stranded.sort_unstable();
+    stranded.dedup();
+    let retry = tree.reattach_orphans(stranded, topology, alive);
+    *stranded = retry.partitioned;
     report.affected.extend(retry.affected);
     report.affected.sort_unstable();
     report.affected.dedup();
@@ -483,7 +488,7 @@ mod tests {
         m.note_ancestors(Some(ProcessId(7)), &[]); // re-heard: moves to most-recent
         assert_eq!(m.hint_history(), &[ProcessId(8), ProcessId(7)]);
         assert_eq!(
-            m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
+            m.next_adoption_candidate(Some(ProcessId(0))),
             Some(ProcessId(7)),
             "most recent hint dialed first"
         );
@@ -491,28 +496,25 @@ mod tests {
         m.abandon_adoption_target();
         assert_eq!(m.failed_targets(), &[ProcessId(7)]);
         assert_eq!(
-            m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
+            m.next_adoption_candidate(Some(ProcessId(0))),
             Some(ProcessId(8)),
             "fallback skips the written-off target"
         );
         m.begin_adoption(ProcessId(8), Some(ProcessId(0)));
         m.abandon_adoption_target();
         assert_eq!(
-            m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
+            m.next_adoption_candidate(Some(ProcessId(0))),
             None,
             "ladder exhausted"
         );
         // A re-heard old hint does not forgive a written-off target...
         m.note_ancestors(Some(ProcessId(8)), &[]);
-        assert_eq!(
-            m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
-            None
-        );
+        assert_eq!(m.next_adoption_candidate(Some(ProcessId(0))), None);
         // ...but a genuinely new hint re-opens every path.
         m.note_ancestors(Some(ProcessId(9)), &[]);
         assert!(m.failed_targets().is_empty());
         assert_eq!(
-            m.next_adoption_candidate(ProcessId(1), Some(ProcessId(0))),
+            m.next_adoption_candidate(Some(ProcessId(0))),
             Some(ProcessId(9))
         );
     }
@@ -529,21 +531,18 @@ mod tests {
             "kept verbatim for relay on this node's own beacons"
         );
         // Ladder dials nearest first, then climbs.
-        assert_eq!(
-            m.next_adoption_candidate(ProcessId(9), None),
-            Some(ProcessId(2))
-        );
+        assert_eq!(m.next_adoption_candidate(None), Some(ProcessId(2)));
         m.begin_adoption(ProcessId(2), None);
         m.abandon_adoption_target();
         assert_eq!(
-            m.next_adoption_candidate(ProcessId(9), None),
+            m.next_adoption_candidate(None),
             Some(ProcessId(1)),
             "a dead grandparent falls back to the next rung up"
         );
         m.begin_adoption(ProcessId(1), None);
         m.abandon_adoption_target();
         assert_eq!(
-            m.next_adoption_candidate(ProcessId(9), None),
+            m.next_adoption_candidate(None),
             Some(ProcessId(0)),
             "…all the way to the root"
         );

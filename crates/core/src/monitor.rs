@@ -1,7 +1,7 @@
 //! [`MonitorApp`] — one node's monitor process on the simulated network.
 //!
 //! All protocol logic (queue feeding, reorder buffers, acks/retransmits,
-//! uplink codec state, tree-repair steps) and its timing policy (which
+//! uplink codec state, the repair handshake) and its timing policy (which
 //! [`Duty`]s run and when, the adoption knock, the reset of a reboot)
 //! live in the transport-agnostic [`MonitorCore`]; this wrapper adds only
 //! what is simulator-specific: the local interval *schedule* (the
@@ -11,7 +11,6 @@
 //! backends differentially comparable.
 
 use crate::engine::EngineCheckpoint;
-use crate::membership::RepairStep;
 use crate::protocol::DetectMsg;
 use crate::transport::{Duty, MonitorCore};
 use ftscp_intervals::Interval;
@@ -50,15 +49,12 @@ pub struct MonitorConfig {
     /// the node itself runs [`Duty::Suspect`] every
     /// [`suspect_period`](Self::suspect_period) — a peer silent for longer
     /// than this is suspected, a silent child's queue is held for this
-    /// long and then dropped, and a silent parent triggers the
-    /// grandparent-adoption handshake, with no harness involvement.
-    /// `None` (the default) leaves repair to the simulated deployment's
-    /// maintenance service — [`RepairMode::Scheduled`], the clairvoyant
-    /// harness; [`RepairMode::HeartbeatDriven`] sets this from
+    /// long and then dropped, and a silent parent triggers the adoption
+    /// handshake up the ancestor ladder, or the node's promotion to root
+    /// when the ladder reaches its own id or runs out. `None` (the
+    /// default) runs no failure detector: a crash is never repaired. The
+    /// simulated [`Deployment`](crate::deploy::Deployment) sets it from
     /// `repair_delay`.
-    ///
-    /// [`RepairMode::Scheduled`]: crate::deploy::RepairMode::Scheduled
-    /// [`RepairMode::HeartbeatDriven`]: crate::deploy::RepairMode::HeartbeatDriven
     pub suspect_timeout: Option<SimTime>,
 }
 
@@ -141,13 +137,6 @@ impl MonitorApp {
         }
         self.arm_timers(ctx);
         true
-    }
-
-    /// Applies one step of the maintenance service's repair plan (see
-    /// [`MonitorCore::apply_repair`]) and persists the result.
-    pub fn apply_repair(&mut self, step: RepairStep, ctx: &mut Ctx<'_, DetectMsg>) {
-        self.core.apply_repair(step, ctx);
-        self.persist();
     }
 
     /// The wrapped core: engine, parent, membership view and counters.

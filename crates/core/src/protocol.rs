@@ -1,8 +1,7 @@
 //! Wire messages of the distributed monitor, and the per-connection
 //! delta codec that shrinks them. Every [`DetectMsg`] is something one
-//! monitor sends another; the simulated harness's tree repair is not
-//! among them — it is a [`RepairStep`](crate::membership::RepairStep)
-//! applied by call.
+//! monitor sends another, on the simulated network and over TCP alike:
+//! tree repair included, it is all the protocol there is.
 
 use ftscp_intervals::codec::{
     decode_interval_delta, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
@@ -16,10 +15,10 @@ use ftscp_vclock::{ProcessId, VectorClock};
 /// `Interval` and `Heartbeat` are the algorithm's own traffic. The
 /// membership variants (`Suspect`, `Adopt`, `AdoptAck`, `ReReport`) are
 /// the decentralized §III-F repair handshake — see
-/// [`crate::membership`]. The clairvoyant oracle
-/// ([`crate::deploy::Deployment`] in `Scheduled` mode) expresses the same
-/// reconfigurations as [`RepairStep`](crate::membership::RepairStep)s,
-/// which it applies by call: they are not messages.
+/// [`crate::membership`]. A root's `Heartbeat` names its heirs where a
+/// non-root's carries the rungs above its parent. Only the in-memory
+/// `HierarchicalDetector` repairs without messages, by
+/// [`RepairStep`](crate::membership::RepairStep)s applied by call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DetectMsg {
     /// A completed interval (raw from a leaf, aggregated from an interior
@@ -71,8 +70,10 @@ pub enum DetectMsg {
         parent: Option<ProcessId>,
         /// The beaconing node's ancestors *above* `parent`, nearest
         /// first, as learned from its own parent's heartbeats (capped at
-        /// [`crate::membership::ANCESTOR_HINT_CAP`]). Empty at a root or
-        /// when the parent's chain has not been heard yet.
+        /// [`crate::membership::ANCESTOR_HINT_CAP`]); the chain ends in the
+        /// heirs of the root above. At a root: its heirs, its live
+        /// children by id. Empty when the parent's chain has not been
+        /// heard yet, and on a beacon to the parent, which reads none.
         ancestors: Vec<ProcessId>,
     },
     /// Cumulative acknowledgement: the parent has delivered every

@@ -23,7 +23,7 @@
 //! detection fingerprints for the same workload run through either one.
 
 use crate::engine::{EngineCheckpoint, EngineOutput, NodeEngine};
-use crate::membership::{Membership, MembershipEvent, RepairState, RepairStep};
+use crate::membership::{Membership, MembershipEvent, RepairState, ANCESTOR_HINT_CAP};
 use crate::monitor::MonitorConfig;
 use crate::protocol::{ConnCodec, DetectMsg, INTERVAL_MSG_OVERHEAD};
 use crate::report::GlobalDetection;
@@ -113,7 +113,8 @@ impl Transport for Outbox {
 /// runs one and says when it fires next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Duty {
-    /// Beacon every tree peer, every [`MonitorConfig::heartbeat_period`].
+    /// Beacon every tree peer, at start and then every
+    /// [`MonitorConfig::heartbeat_period`].
     Heartbeat,
     /// Re-send a bounded burst of the unacked backlog, every
     /// [`MonitorConfig::retransmit_period`] times the backoff multiplier.
@@ -196,6 +197,10 @@ pub struct MonitorCore {
     /// that were never checked against the orphan subtree's intervals (the
     /// prune/adopt race `ftscp-dst`'s explorer finds when it is reverted).
     held: BTreeMap<ProcessId, SimTime>,
+    /// The members of the solution behind the last report to the parent:
+    /// what a promotion over that parent offers its siblings again
+    /// ([`promote`](Self::promote)).
+    last_solution: Vec<Interval>,
 }
 
 impl MonitorCore {
@@ -225,6 +230,7 @@ impl MonitorCore {
             re_report_msgs: 0,
             re_report_bytes: 0,
             held: BTreeMap::new(),
+            last_solution: Vec::new(),
         }
     }
 
@@ -312,6 +318,7 @@ impl MonitorCore {
         self.engine.digest(&mut h);
         (self.me, self.parent, &self.reorder, &self.unacked).hash(&mut h);
         (self.retransmit_backoff, &self.membership).hash(&mut h);
+        self.last_solution.hash(&mut h);
         for times in [&self.heartbeat_seen, &self.held] {
             times.len().hash(&mut h);
             for (peer, t) in times {
@@ -335,11 +342,18 @@ impl MonitorCore {
     }
 
     /// The duties this configuration runs, each with its first delay, in
-    /// the order a driver arms them.
+    /// the order a driver arms them. The first beacon goes out at once, so
+    /// a node that dies before its first period still leaves its children
+    /// a rung to climb and, at a root, its heirs.
     pub fn duties(&self) -> impl Iterator<Item = (Duty, SimTime)> + '_ {
-        Duty::ALL
-            .into_iter()
-            .filter_map(|duty| Some((duty, self.period(duty)?)))
+        Duty::ALL.into_iter().filter_map(|duty| {
+            let period = self.period(duty)?;
+            let first = match duty {
+                Duty::Heartbeat => SimTime::ZERO,
+                _ => period,
+            };
+            Some((duty, first))
+        })
     }
 
     /// Runs `duty` now. Returns the delay until it is due again (`None`:
@@ -382,6 +396,7 @@ impl MonitorCore {
         self.uplink_codec.reset();
         self.heartbeat_seen.clear();
         self.held.clear();
+        self.last_solution.clear();
         self.membership = Membership::new(self.membership.epoch() + 1);
     }
 
@@ -401,37 +416,45 @@ impl MonitorCore {
         self.engine.children().iter().copied().chain(self.parent)
     }
 
-    /// Sends one heartbeat to every tree peer, carrying this node's
-    /// epoch and its ancestor chain: its parent (the grandparent hint for
-    /// its children) plus the rungs above it relayed from its own
-    /// parent's beacons. An unanswered rejoin knocks again: its adopter
-    /// never beaconed to this incarnation, so no suspicion round knocks,
-    /// and a lost knock would leave it reporting to a parent with no queue
-    /// for it.
+    /// Beacons every tree peer with this node's epoch and, to its children
+    /// (a parent reads none), its ancestor chain: its parent plus the rungs
+    /// relayed from above, or at a root its heirs, its live children by id.
+    /// An attempt with no dead parent knocks again: a rejoin (no suspicion
+    /// round knocks for it) or a promoted node's re-knock.
     fn send_heartbeats(&mut self, t: &mut impl Transport) {
+        let ancestors: Vec<ProcessId> = match self.parent {
+            Some(_) => self.membership.ancestor_chain().to_vec(),
+            None => {
+                let live = self.engine.children().iter().copied();
+                live.filter(|c| !self.held.contains_key(c))
+                    .take(ANCESTOR_HINT_CAP)
+                    .collect()
+            }
+        };
         for peer in self.heartbeat_targets() {
+            let down = Some(peer) != self.parent;
             t.send(
                 peer,
                 DetectMsg::Heartbeat {
                     from: self.me,
                     epoch: self.membership.epoch(),
                     parent: self.parent,
-                    ancestors: self.membership.ancestor_chain().to_vec(),
+                    ancestors: if down { ancestors.clone() } else { Vec::new() },
                 },
             );
         }
-        if let RepairState::Adopting { dead_parent, .. } = *self.membership.state() {
-            if dead_parent.is_none() {
-                self.send_adoption_request(t);
-            }
+        if let RepairState::Adopting {
+            dead_parent: None, ..
+        } = *self.membership.state()
+        {
+            self.send_adoption_request(t);
         }
     }
 
     /// Tree peers (parent + children) whose last heartbeat is older than
-    /// `timeout` at time `now` — the local failure-detector view that a
-    /// deployment's maintenance service (or the TCP runtime's reconnect
-    /// logic) acts on. Peers never heard from at all are suspected once a
-    /// full timeout has elapsed since the start of time.
+    /// `timeout` at time `now` — the local failure-detector view a
+    /// suspicion round acts on. Peers never heard from at all are
+    /// suspected once a full timeout has elapsed since the start of time.
     pub fn suspects(&self, now: SimTime, timeout: SimTime) -> Vec<ProcessId> {
         self.heartbeat_targets()
             .filter(|peer| {
@@ -498,12 +521,13 @@ impl MonitorCore {
 
     /// One decentralized failure-detection round ([`Duty::Suspect`]):
     /// every suspect that is a child gets its queue held; a suspect parent
-    /// starts (or keeps knocking on) the grandparent-adoption handshake,
-    /// and the knock — `Suspect` then `Adopt`, to the target by id — goes
-    /// out last in the round. Returns what was decided: the TCP driver
-    /// re-dials its uplink at a new target, and a knock sent before that
-    /// dial is up finds no route there and is dropped (the dial knocks
-    /// again once it is established).
+    /// starts (or keeps knocking on) the adoption handshake with the next
+    /// rung of the ladder, and the knock — `Suspect` then `Adopt`, to the
+    /// target by id — goes out last in the round; a ladder that reaches
+    /// this node's own id or runs out promotes it instead. Returns what
+    /// was decided: the TCP driver re-dials its uplink at a new target, and
+    /// a knock sent before that dial is up finds no route there and is
+    /// dropped (the dial knocks again once it is established).
     ///
     /// The suspicion timeout is [`MonitorConfig::suspect_timeout`]; with
     /// none configured there is no failure detector and this does
@@ -559,16 +583,16 @@ impl MonitorCore {
                     // forever.
                     self.membership.abandon_adoption_target();
                 }
-                match self.membership.next_adoption_candidate(self.me, Some(peer)) {
-                    Some(g) => {
+                match self.membership.next_adoption_candidate(Some(peer)) {
+                    Some(g) if g != self.me => {
                         self.membership.begin_adoption(g, Some(peer));
                         events.push(MembershipEvent::AdoptionStarted { target: g });
                     }
-                    None => {
-                        // The root died (its heartbeats carried no
-                        // parent), no hint was ever heard, or every
-                        // hinted ancestor is written off: no adopter.
-                        events.push(MembershipEvent::Orphaned { dead_parent: peer });
+                    // Next in the succession line, or every rung written
+                    // off (or none ever heard): root the subtree.
+                    _ => {
+                        self.promote(peer, t);
+                        events.push(MembershipEvent::Promoted { dead_parent: peer });
                     }
                 }
             }
@@ -580,6 +604,29 @@ impl MonitorCore {
             self.send_adoption_request(t);
         }
         events
+    }
+
+    /// Roots this node's subtree over its dead parent: the ladder ran out,
+    /// or reached this node's own id in a dead root's succession line. An
+    /// heir holds a queue for each sibling heir, as for a dead child, and
+    /// requeues its last solution, shipped only to the dead root: it is
+    /// detected with the siblings' re-reports, or alone once every hold
+    /// expired. Every heartbeat round then knocks at the lost parent.
+    fn promote(&mut self, dead_parent: ProcessId, t: &mut impl Transport) {
+        let now = t.now();
+        let chain = self.membership.ancestor_chain().to_vec();
+        self.set_parent(None, t);
+        if chain.contains(&self.me) {
+            for sibling in chain {
+                if sibling != self.me && sibling != dead_parent && !self.engine.has_child(sibling) {
+                    self.add_child(sibling);
+                    self.hold_dead_child(sibling, now);
+                }
+            }
+            let outputs = self.engine.requeue(std::mem::take(&mut self.last_solution));
+            self.handle_outputs(t, outputs);
+        }
+        self.membership.begin_adoption(dead_parent, None);
     }
 
     /// (Re-)sends the outstanding adoption handshake: `Suspect` (when a
@@ -625,7 +672,8 @@ impl MonitorCore {
     fn handle_outputs(&mut self, t: &mut impl Transport, outputs: Vec<EngineOutput>) {
         for out in outputs {
             match out {
-                EngineOutput::ToParent { interval, .. } => {
+                EngineOutput::ToParent { interval, solution } => {
+                    self.last_solution = solution.intervals;
                     if self.config.retransmit_period.is_some() {
                         self.unacked.insert(interval.seq, interval.clone());
                     }
@@ -711,9 +759,8 @@ impl MonitorCore {
     /// either retransmits the unacknowledged backlog (first frame flagged
     /// as a resync) or — when the reliability layer is off or drained —
     /// re-reports the node's last output so the parent's fresh queue is
-    /// seeded (§III-B). Shared by the handshake's `AdoptAck`, the
-    /// harness's [`RepairStep::SetParent`] and the TCP runtime's
-    /// reconnect path.
+    /// seeded (§III-B). Shared by the handshake's `AdoptAck` and the TCP
+    /// runtime's reconnect path.
     pub fn resync_uplink(&mut self, t: &mut impl Transport) {
         self.uplink_codec.reset();
         if self.config.retransmit_period.is_some() && !self.unacked.is_empty() {
@@ -884,9 +931,17 @@ impl MonitorCore {
                 if child == self.me {
                     return;
                 }
-                if !self.membership.observe_peer_epoch(child, epoch) {
-                    // Stale incarnation: refuse so the sender's (obsolete)
-                    // attempt terminates instead of hanging.
+                // Never close a cycle: adopt neither the parent nor a rung
+                // (a succession line names this node and holds siblings),
+                // nor, blind before the parent's first beacon, a knock that
+                // replaces no dead parent (a re-knock from above).
+                let chain = self.membership.ancestor_chain();
+                let rung = !chain.contains(&self.me) && chain.contains(&child);
+                let blind = dead_parent.is_none() && chain.is_empty();
+                let cycle = self.parent.is_some() && (Some(child) == self.parent || rung || blind);
+                if cycle || !self.membership.observe_peer_epoch(child, epoch) {
+                    // Refuse so the sender's attempt terminates instead of
+                    // hanging (a refused re-knock stays a root).
                     t.send(
                         child,
                         DetectMsg::AdoptAck {
@@ -943,6 +998,11 @@ impl MonitorCore {
                 if child != self.me || !self.membership.matches_adoption(from, epoch) {
                     return;
                 }
+                if !accepted && self.parent == Some(from) {
+                    // A refused rejoin: the adopter's chain is stale (it just
+                    // rebooted or was adopted). The next round knocks again.
+                    return;
+                }
                 self.membership.finish_adoption();
                 if accepted {
                     self.heartbeat_seen.insert(from, t.now());
@@ -965,29 +1025,6 @@ impl MonitorCore {
                 // delivery) and seeded the new stream position.
                 self.membership.observe_peer_epoch(from, epoch);
                 self.note_heartbeat(from, t.now());
-            }
-        }
-    }
-
-    /// Applies one step of a clairvoyant repair
-    /// ([`membership::repair_plan`](crate::membership::repair_plan)) — the
-    /// simulated harness's stand-in for the adoption handshake.
-    pub fn apply_repair(&mut self, step: RepairStep, t: &mut impl Transport) {
-        match step {
-            RepairStep::SetParent(parent) => self.set_parent(parent, t),
-            RepairStep::AddChild(child) => self.add_child(child),
-            RepairStep::RemoveChild(child) => {
-                self.reorder.remove(&child);
-                let outputs = self.engine.remove_child(child);
-                self.handle_outputs(t, outputs);
-            }
-            RepairStep::PromoteRoot => {
-                self.parent = None;
-                self.engine.set_root(true);
-                // Fold the last output (shipped only to the dead root)
-                // back into detection.
-                let outputs = self.engine.reseed_last_output();
-                self.handle_outputs(t, outputs);
             }
         }
     }
@@ -1085,16 +1122,17 @@ mod tests {
             heartbeat_period: None,
             ..suspicion
         };
+        // The first beacon goes out at once.
         let table = [
-            (MonitorConfig::default(), vec![(Duty::Heartbeat, ms(50))]),
+            (MonitorConfig::default(), vec![(Duty::Heartbeat, ms(0))]),
             (
                 retransmit,
-                vec![(Duty::Heartbeat, ms(50)), (Duty::Retransmit, ms(25))],
+                vec![(Duty::Heartbeat, ms(0)), (Duty::Retransmit, ms(25))],
             ),
             (
                 suspicion,
                 vec![
-                    (Duty::Heartbeat, ms(50)),
+                    (Duty::Heartbeat, ms(0)),
                     (Duty::Retransmit, ms(25)),
                     (Duty::Suspect, ms(60)),
                 ],
@@ -1422,7 +1460,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_hint_ladder_reports_orphaned() {
+    fn exhausted_hint_ladder_promotes_and_reknocks() {
         let mut core = MonitorCore::new(
             ProcessId(1),
             Some(ProcessId(0)),
@@ -1451,19 +1489,195 @@ mod tests {
             );
             assert!(sent.ends_with(&knock(7, core.membership().epoch())));
         }
-        // The only hinted ancestor never answered: orphaned, not stuck in
-        // an eternal retry toward the dead address — and no knock.
-        for _ in 0..2 {
-            let (ev, sent) = tick(&mut core, &mut t);
-            assert_eq!(
-                ev,
-                vec![MembershipEvent::Orphaned {
-                    dead_parent: ProcessId(0)
-                }]
-            );
-            assert!(!core.membership().is_adopting());
-            assert!(sent.is_empty(), "an orphan has nobody to knock on");
+        // The only hinted ancestor never answered: the node roots its
+        // subtree instead of retrying the dead address forever — and the
+        // round knocks nowhere.
+        let (ev, sent) = tick(&mut core, &mut t);
+        assert_eq!(
+            ev,
+            vec![MembershipEvent::Promoted {
+                dead_parent: ProcessId(0)
+            }]
+        );
+        assert!(sent.is_empty(), "no rung left to knock on");
+        assert_eq!(core.parent(), None);
+        assert!(core.engine().is_root());
+        assert_eq!(tick(&mut core, &mut t), (vec![], vec![]), "settled");
+        // Every heartbeat round knocks at the lost parent instead, so a
+        // parent that was only cut off takes the node back.
+        t.sent.clear();
+        core.on_duty(Duty::Heartbeat, &mut t);
+        let epoch = core.membership().epoch();
+        let reknock = DetectMsg::Adopt {
+            child: ProcessId(1),
+            epoch,
+            dead_parent: None,
+        };
+        assert_eq!(t.sent, vec![(ProcessId(0), reknock, None)]);
+        core.on_message(
+            DetectMsg::AdoptAck {
+                from: ProcessId(0),
+                child: ProcessId(1),
+                epoch,
+                accepted: true,
+            },
+            &mut t,
+        );
+        assert_eq!(core.parent(), Some(ProcessId(0)), "re-attached");
+        assert!(!core.engine().is_root());
+    }
+
+    #[test]
+    fn a_dead_roots_heirs_succeed_it() {
+        // A root beacons its live children, by id, as its heirs.
+        let mut root = MonitorCore::new(
+            ProcessId(0),
+            None,
+            &[ProcessId(4), ProcessId(1), ProcessId(2)],
+            3,
+            MonitorConfig::default(),
+        );
+        let mut t = RecTransport::default();
+        root.on_duty(Duty::Heartbeat, &mut t);
+        let heirs = vec![ProcessId(1), ProcessId(2), ProcessId(4)];
+        let beacon = DetectMsg::Heartbeat {
+            from: ProcessId(0),
+            epoch: 0,
+            parent: None,
+            ancestors: heirs.clone(),
+        };
+        assert!(t.sent.iter().all(|(_, m, _)| *m == beacon));
+        // The root dies. The first heir finds its own id first on the
+        // ladder: it promotes at once and holds its siblings' queues.
+        let child = |me: u32| {
+            let config = suspecting(SimTime::from_millis(100));
+            let mut core = MonitorCore::new(ProcessId(me), Some(ProcessId(0)), &[], 2, config);
+            core.on_message(beacon.clone(), &mut RecTransport::default());
+            assert_eq!(core.membership().ancestor_chain(), &heirs[..]);
+            core
+        };
+        let mut t = RecTransport {
+            now: SimTime::from_millis(500),
+            ..Default::default()
+        };
+        let mut heir = child(1);
+        let (ev, _) = tick(&mut heir, &mut t);
+        let promoted = MembershipEvent::Promoted {
+            dead_parent: ProcessId(0),
+        };
+        assert_eq!(ev, vec![promoted.clone()]);
+        assert_eq!(heir.held_children(), vec![ProcessId(2), ProcessId(4)]);
+        // The next heir knocks at the first...
+        let mut second = child(2);
+        let (ev, _) = tick(&mut second, &mut t);
+        let to_heir = MembershipEvent::AdoptionStarted {
+            target: ProcessId(1),
+        };
+        assert_eq!(ev, vec![to_heir.clone()]);
+        // ...and only once the first never answers, succeeds it in turn.
+        for _ in 1..ADOPT_ATTEMPT_CAP {
+            assert_eq!(tick(&mut second, &mut t).0, vec![to_heir.clone()]);
         }
+        assert_eq!(tick(&mut second, &mut t).0, vec![promoted]);
+        assert_eq!(second.held_children(), vec![ProcessId(1), ProcessId(4)]);
+    }
+
+    #[test]
+    fn the_chain_goes_down_only() {
+        let config = MonitorConfig {
+            heartbeat_period: Some(SimTime::from_millis(10)),
+            ..MonitorConfig::default()
+        };
+        let mut core =
+            MonitorCore::new(ProcessId(1), Some(ProcessId(0)), &[ProcessId(3)], 2, config);
+        let heirs = vec![ProcessId(1), ProcessId(2)];
+        let beacon = |from: u32, parent: Option<u32>, ancestors: Vec<ProcessId>| {
+            let (from, parent) = (ProcessId(from), parent.map(ProcessId));
+            DetectMsg::Heartbeat {
+                from,
+                epoch: 0,
+                parent,
+                ancestors,
+            }
+        };
+        core.on_message(beacon(0, None, heirs.clone()), &mut RecTransport::default());
+        let mut t = RecTransport::default();
+        core.on_duty(Duty::Heartbeat, &mut t);
+        let down = (ProcessId(3), beacon(1, Some(0), heirs), None);
+        let up = (ProcessId(0), beacon(1, Some(0), vec![]), None);
+        assert_eq!(t.sent, vec![down, up]);
+    }
+
+    #[test]
+    fn no_adoption_closes_a_cycle() {
+        // Node 0 has just rebooted and rejoined under node 2; its old
+        // child 1 promoted itself and re-knocks at it.
+        let mut core = MonitorCore::new(ProcessId(0), None, &[], 1, MonitorConfig::default());
+        let mut t = RecTransport::default();
+        core.rejoin(ProcessId(2), &mut t);
+        let mut answer = |core: &mut MonitorCore, child: u32, dead_parent: Option<u32>| {
+            t.sent.clear();
+            let (child, epoch) = (ProcessId(child), 1);
+            let dead_parent = dead_parent.map(ProcessId);
+            let adopt = DetectMsg::Adopt {
+                child,
+                epoch,
+                dead_parent,
+            };
+            core.on_message(adopt, &mut t);
+            match t.sent.as_slice() {
+                [(_, DetectMsg::AdoptAck { accepted, .. }, _)] => *accepted,
+                other => panic!("no single answer: {other:?}"),
+            }
+        };
+        // No chain heard yet: 1 may be above node 0, so a re-knock is
+        // refused, while an orphan that names its dead parent is not.
+        assert!(!answer(&mut core, 1, None));
+        assert!(answer(&mut core, 3, Some(4)));
+        // Node 2's beacon names 1 as a rung: 1 and 2 stay refused, and a
+        // node that is neither is adopted.
+        let beacon = DetectMsg::Heartbeat {
+            from: ProcessId(2),
+            epoch: 0,
+            parent: Some(ProcessId(1)),
+            ancestors: vec![],
+        };
+        core.on_message(beacon, &mut RecTransport::default());
+        assert!(!answer(&mut core, 1, None));
+        assert!(!answer(&mut core, 2, Some(4)));
+        assert!(answer(&mut core, 5, None));
+        assert_eq!(core.engine().children(), &[ProcessId(3), ProcessId(5)]);
+        // A root adopts anyone: it is above no one.
+        let mut root = MonitorCore::new(ProcessId(1), None, &[], 2, MonitorConfig::default());
+        assert!(answer(&mut root, 0, None));
+    }
+
+    #[test]
+    fn a_refused_rejoin_knocks_again() {
+        let config = MonitorConfig {
+            heartbeat_period: Some(SimTime::from_millis(10)),
+            ..MonitorConfig::default()
+        };
+        let mut core = MonitorCore::new(ProcessId(0), None, &[], 1, config);
+        let mut t = RecTransport::default();
+        core.rejoin(ProcessId(2), &mut t);
+        let epoch = core.membership().epoch();
+        let refusal = DetectMsg::AdoptAck {
+            from: ProcessId(2),
+            child: ProcessId(0),
+            epoch,
+            accepted: false,
+        };
+        core.on_message(refusal, &mut t);
+        assert!(core.membership().matches_adoption(ProcessId(2), epoch));
+        t.sent.clear();
+        core.on_duty(Duty::Heartbeat, &mut t);
+        let knock = DetectMsg::Adopt {
+            child: ProcessId(0),
+            epoch,
+            dead_parent: None,
+        };
+        assert!(t.sent.contains(&(ProcessId(2), knock, None)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! non-FIFO multi-hop network.
 
 use ftscp_core::deploy::{DeployConfig, Deployment};
+use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::HierarchicalDetector;
 use ftscp_simnet::{LinkModel, NodeId, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
@@ -137,9 +138,12 @@ fn heartbeat_timeouts_expose_suspects() {
     dep.schedule_crash(ProcessId(1), SimTime::from_millis(60));
     dep.run();
     let root = dep.app(ProcessId(0));
-    // The dead node stopped beaconing at its crash; its live sibling kept
-    // going until the run's end.
-    let last_1 = root.heartbeat_seen().get(&ProcessId(1)).copied().unwrap();
+    // The dead node stopped beaconing at its crash (as its orphan 3 last
+    // heard it: the root forgot the dead child with its queue); its live
+    // sibling kept going until the run's end.
+    assert!(!root.heartbeat_seen().contains_key(&ProcessId(1)));
+    let orphan = dep.app(ProcessId(3));
+    let last_1 = orphan.heartbeat_seen().get(&ProcessId(1)).copied().unwrap();
     let last_2 = root.heartbeat_seen().get(&ProcessId(2)).copied().unwrap();
     assert!(
         last_1 < SimTime::from_millis(70),
@@ -172,8 +176,13 @@ fn figure2_scenario_over_the_network_with_p3_crash() {
     ]);
     let cfg = DeployConfig {
         interval_spacing: SimTime::from_millis(20),
-        // Fast failure detector: repair completes before x1 arrives at P2.
+        // Fast failure detector: repair completes before x1 arrives at P2,
+        // with beacons well inside the timeout.
         repair_delay: SimTime::from_millis(5),
+        monitor: MonitorConfig {
+            heartbeat_period: Some(SimTime::from_millis(1)),
+            ..Default::default()
+        },
         ..config(11)
     };
     // The completion order is x2, x3, x5, x4, x1 → x1 completes at 100ms.
@@ -258,6 +267,11 @@ fn non_fifo_reordering_is_tolerated() {
             },
         },
         interval_spacing: SimTime::from_millis(1),
+        // Links slower than any suspicion timeout: no failure detector.
+        monitor: MonitorConfig {
+            heartbeat_period: None,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let mut dep = Deployment::new(topo, tree.clone(), &exec, cfg);
@@ -273,7 +287,6 @@ fn non_fifo_reordering_is_tolerated() {
 
 #[test]
 fn lossy_links_with_reliability_layer_lose_nothing() {
-    use ftscp_core::monitor::MonitorConfig;
     let n = 7;
     let exec = RandomExecution::builder(n)
         .intervals_per_process(6)
@@ -337,6 +350,11 @@ fn lossy_links_without_reliability_lose_detections() {
             },
         },
         interval_spacing: SimTime::from_millis(10),
+        // Lost beacons would fake silences: no failure detector.
+        monitor: MonitorConfig {
+            heartbeat_period: None,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let mut dep = Deployment::new(topo, tree.clone(), &exec, cfg);
@@ -352,8 +370,7 @@ fn lossy_links_without_reliability_lose_detections() {
 }
 
 #[test]
-fn heartbeat_driven_repair_matches_scheduled_outcome() {
-    use ftscp_core::deploy::RepairMode;
+fn internal_crash_is_repaired_around() {
     let n = 15;
     let exec = RandomExecution::builder(n)
         .intervals_per_process(8)
@@ -361,39 +378,25 @@ fn heartbeat_driven_repair_matches_scheduled_outcome() {
         .build();
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
-
-    let run = |mode: RepairMode| {
-        let cfg = DeployConfig {
-            repair_delay: SimTime::from_millis(150),
-            repair_mode: mode,
-            ..config(61)
-        };
-        let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
-        dep.schedule_crash(ProcessId(3), SimTime::from_millis(200));
-        dep.run();
-        (
-            dep.tree().node_count(),
-            dep.tree().contains(NodeId(3)),
-            dep.detections().len(),
-            dep.detections().last().map(|d| d.covered_processes().len()),
-        )
+    let cfg = DeployConfig {
+        repair_delay: SimTime::from_millis(150),
+        ..config(61)
     };
-
-    let scheduled = run(RepairMode::Scheduled);
-    let heartbeat = run(RepairMode::HeartbeatDriven);
-    // Identical structural outcome; detection counts may differ by the
-    // round in flight at repair time, but both keep detecting and end on
-    // the same survivor coverage.
-    assert_eq!(scheduled.0, heartbeat.0, "same final tree size");
-    assert!(!scheduled.1 && !heartbeat.1, "node 3 removed in both");
-    assert!(scheduled.2 > 0 && heartbeat.2 > 0);
-    assert_eq!(scheduled.3, heartbeat.3, "same final coverage");
+    let mut dep = Deployment::new(topo, tree, &exec, cfg);
+    dep.schedule_crash(ProcessId(3), SimTime::from_millis(200));
+    dep.run();
+    // The tree closes over node 3's orphans, detection goes on, and it
+    // ends on the survivors' coverage.
+    assert_eq!(dep.tree().node_count(), n - 1, "orphans re-attached");
+    assert!(!dep.tree().contains(NodeId(3)), "node 3 removed");
+    let dets = dep.detections();
+    assert!(!dets.is_empty());
+    assert_eq!(dets.last().unwrap().covered_processes().len(), n - 1);
 }
 
 #[test]
-fn heartbeat_driven_repair_without_false_positives() {
-    use ftscp_core::deploy::RepairMode;
-    // No crashes at all: heartbeat-driven mode must never mutate the tree.
+fn repair_without_false_positives() {
+    // No crashes at all: the failure detector must never mutate the tree.
     let n = 7;
     let exec = RandomExecution::builder(n)
         .intervals_per_process(5)
@@ -401,11 +404,7 @@ fn heartbeat_driven_repair_without_false_positives() {
         .build();
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
-    let cfg = DeployConfig {
-        repair_mode: RepairMode::HeartbeatDriven,
-        ..config(3)
-    };
-    let mut dep = Deployment::new(topo, tree.clone(), &exec, cfg);
+    let mut dep = Deployment::new(topo, tree.clone(), &exec, config(3));
     dep.run();
     assert_eq!(dep.tree().node_count(), n);
     assert_eq!(dep.detections().len(), 5, "all rounds detected");
@@ -416,11 +415,9 @@ fn heartbeat_driven_repair_without_false_positives() {
 
 #[test]
 fn crash_recovery_over_the_network() {
-    use ftscp_core::deploy::RepairMode;
     // Node 5 crashes at 150ms and reboots from its checkpoint at 400ms;
-    // from then on, rounds cover all 15 processes again — whether the
-    // harness or the monitors' own suspicion repaired the crash, the
-    // restart rejoins through the adoption handshake.
+    // from then on, rounds cover all 15 processes again: the restart
+    // rejoins through the adoption handshake.
     let n = 15;
     let rounds = 8;
     let exec = RandomExecution::builder(n)
@@ -429,50 +426,82 @@ fn crash_recovery_over_the_network() {
         .build();
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
-    for repair_mode in [RepairMode::Scheduled, RepairMode::HeartbeatDriven] {
-        let cfg = DeployConfig {
-            repair_mode,
-            ..config(51)
-        };
-        let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
-        dep.enable_checkpointing();
-        dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
-        dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
-        dep.run();
+    let mut dep = Deployment::new(topo, tree, &exec, config(51));
+    dep.enable_checkpointing();
+    dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
+    dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
+    dep.run();
 
-        let dets = dep.detections();
-        assert!(!dets.is_empty());
-        // Some detections happened without node 5 (during the outage, the
-        // round in flight at the crash also loses whatever nodes 11/12 had
-        // already aggregated into messages addressed to the dead node 5)...
-        assert!(
-            dets.iter().any(|d| d.covered_processes().len() < n),
-            "{repair_mode:?}: outage detections exclude the crashed node"
-        );
-        // ...and the final ones include it again.
-        assert_eq!(
-            dets.last().unwrap().covered_processes().len(),
-            n,
-            "{repair_mode:?}: full coverage after recovery"
-        );
-        // The tree holds all 15 nodes again, with node 5 rejoined as a leaf.
-        assert_eq!(dep.tree().node_count(), n, "{repair_mode:?}");
-        assert!(dep.tree().is_leaf(NodeId(5)), "{repair_mode:?}");
-        // Every detection remains valid.
-        for d in &dets {
-            let members: Vec<_> = d
-                .coverage
-                .iter()
-                .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
-                .collect();
-            assert!(ftscp_intervals::definitely_holds(&members));
-        }
+    let dets = dep.detections();
+    assert!(!dets.is_empty());
+    // Some detections happened without node 5 (during the outage, the
+    // round in flight at the crash also loses whatever nodes 11/12 had
+    // already aggregated into messages addressed to the dead node 5)...
+    assert!(
+        dets.iter().any(|d| d.covered_processes().len() < n),
+        "outage detections exclude the crashed node"
+    );
+    // ...and the final ones include it again.
+    assert_eq!(
+        dets.last().unwrap().covered_processes().len(),
+        n,
+        "full coverage after recovery"
+    );
+    // The tree holds all 15 nodes again, with node 5 rejoined as a leaf.
+    assert_eq!(dep.tree().node_count(), n);
+    assert!(dep.tree().is_leaf(NodeId(5)));
+    // Every detection remains valid.
+    for d in &dets {
+        let members: Vec<_> = d
+            .coverage
+            .iter()
+            .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
+            .collect();
+        assert!(ftscp_intervals::definitely_holds(&members));
     }
 }
 
 #[test]
+fn a_restarted_root_rejoins_below_its_heir() {
+    // Root 0 crashes at 150ms; heir 1 promotes itself and knocks at 0
+    // every round. 0 reboots at 400ms and rejoins under a node of 1's
+    // tree, so neither may adopt the other: the tree keeps one root and
+    // the last detection covers all 15 processes.
+    let n = 15;
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(8)
+        .seed(51)
+        .build();
+    let topo = Topology::dary_tree(n, 2, 1);
+    let tree = SpanningTree::balanced_dary(n, 2);
+    let mut dep = Deployment::new(topo, tree, &exec, config(51));
+    dep.enable_checkpointing();
+    dep.schedule_crash(ProcessId(0), SimTime::from_millis(150));
+    dep.schedule_recovery(ProcessId(0), SimTime::from_millis(400));
+    dep.run();
+
+    let root_of = |mut v: ProcessId| {
+        for _ in 0..n {
+            match dep.app(v).parent() {
+                Some(p) => v = p,
+                None => return Some(v),
+            }
+        }
+        None
+    };
+    for v in ProcessId::all(n) {
+        assert_eq!(root_of(v), Some(ProcessId(1)), "node {v:?} reaches heir 1");
+    }
+    let dets = dep.detections();
+    assert_eq!(
+        dets.last().unwrap().covered_processes().len(),
+        n,
+        "full coverage after the restart"
+    );
+}
+
+#[test]
 fn a_restart_behind_a_cut_rejoins_once_the_cut_heals() {
-    use ftscp_core::deploy::RepairMode;
     use ftscp_simnet::FaultPlan;
     // Node 5 reboots at 400ms cut off from everyone until 700ms: its first
     // knocks are lost, and the rejoin completes only because it keeps
@@ -487,37 +516,31 @@ fn a_restart_behind_a_cut_rejoins_once_the_cut_heals() {
     let cut = FaultPlan::new()
         .partition_at(SimTime::from_millis(390), &[NodeId(5)])
         .heal_at(SimTime::from_millis(700));
-    for repair_mode in [RepairMode::Scheduled, RepairMode::HeartbeatDriven] {
-        let cfg = DeployConfig {
-            repair_mode,
-            ..config(51)
-        };
-        let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
-        dep.enable_checkpointing();
-        dep.apply_fault_plan(&cut);
-        dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
-        dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
-        dep.run();
+    let mut dep = Deployment::new(topo, tree, &exec, config(51));
+    dep.enable_checkpointing();
+    dep.apply_fault_plan(&cut);
+    dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
+    dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
+    dep.run();
 
-        let adopter = dep.app(ProcessId(5)).parent().expect("node 5 has a parent");
-        assert!(
-            dep.app(adopter).engine().has_child(ProcessId(5)),
-            "{repair_mode:?}: the adopter holds a queue for node 5"
-        );
-        let dets = dep.detections();
-        assert_eq!(
-            dets.last().unwrap().covered_processes().len(),
-            n,
-            "{repair_mode:?}: full coverage after the cut heals"
-        );
-        for d in &dets {
-            let members: Vec<_> = d
-                .coverage
-                .iter()
-                .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
-                .collect();
-            assert!(ftscp_intervals::definitely_holds(&members));
-        }
+    let adopter = dep.app(ProcessId(5)).parent().expect("node 5 has a parent");
+    assert!(
+        dep.app(adopter).engine().has_child(ProcessId(5)),
+        "the adopter holds a queue for node 5"
+    );
+    let dets = dep.detections();
+    assert_eq!(
+        dets.last().unwrap().covered_processes().len(),
+        n,
+        "full coverage after the cut heals"
+    );
+    for d in &dets {
+        let members: Vec<_> = d
+            .coverage
+            .iter()
+            .map(|r| exec.intervals[r.process.index()][r.seq as usize].clone())
+            .collect();
+        assert!(ftscp_intervals::definitely_holds(&members));
     }
 }
 
@@ -543,10 +566,10 @@ fn recovery_without_checkpointing_stays_down() {
 
 #[test]
 fn overlapping_failures_reattach_stranded_subtrees() {
-    // Crash 0 (the root) lands BEFORE crash 5's repair completes, so the
-    // first repair runs with a dead, unrepaired root: node 5's orphan
-    // subtrees cannot find the main tree and are temporarily partitioned.
-    // The second repair must retry and re-attach them.
+    // Crash 0 (the root) lands while node 5's orphans are still spending
+    // their knock budget (their suspicion timeout is 250ms): the root's
+    // heir must promote itself and the orphans, whose ladders name it
+    // above the dead root, must still find the main tree.
     let n = 31;
     let exec = RandomExecution::builder(n)
         .intervals_per_process(6)
@@ -564,15 +587,8 @@ fn overlapping_failures_reattach_stranded_subtrees() {
     dep.schedule_crash(ProcessId(0), SimTime::from_millis(400)); // < 200+250
     dep.run();
 
-    // While partitioned, the stranded forests detected their own partial
-    // predicates...
     let dets = dep.detections();
-    assert!(
-        dets.iter().any(|d| d.covered_processes().len() <= 3),
-        "partitioned forests detect their own partial predicate"
-    );
-    // ...and after the second repair, global detections cover all 29
-    // survivors again.
+    // Global detections end covering all 29 survivors.
     let last = dets.last().expect("detections continued");
     assert_eq!(last.covered_processes().len(), n - 2, "fully re-attached");
     // The final tree is one connected forest over the survivors.

@@ -6,7 +6,7 @@
 //! detected (liveness over the live portion) — plus determinism: the same
 //! seed and the same plan replay the identical detection sequence.
 
-use ftscp_core::deploy::{DeployConfig, Deployment, RepairMode};
+use ftscp_core::deploy::{DeployConfig, Deployment};
 use ftscp_core::faultcheck::{detection_fingerprint, verify_detections, verify_no_silent_drops};
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::HierarchicalDetector;
@@ -143,10 +143,7 @@ fn internal_crash_hold_prevents_narrow_detections_during_readoption() {
     let n = 15;
     for seed in [0u64, 9, 23] {
         let (exec, topo, tree) = workload(n, 20, seed);
-        let cfg = DeployConfig {
-            repair_mode: RepairMode::HeartbeatDriven,
-            ..config(seed)
-        };
+        let cfg = DeployConfig { ..config(seed) };
         let mut dep = Deployment::new(topo, tree, &exec, cfg);
         dep.apply_fault_plan(&FaultPlan::new().crash_at(SimTime::from_millis(60), NodeId(1)));
         dep.run();
@@ -326,10 +323,7 @@ fn fast_clock_skew_completes_losslessly() {
 fn simultaneous_internal_crash_storm_stays_safe_and_deterministic() {
     let n = 15;
     let (exec, topo, tree) = workload(n, 8, 61);
-    let cfg = DeployConfig {
-        repair_mode: RepairMode::HeartbeatDriven,
-        ..config(61)
-    };
+    let cfg = DeployConfig { ..config(61) };
     let storm = FaultPlan::new()
         .crash_at(SimTime::from_millis(150), NodeId(1))
         .crash_at(SimTime::from_millis(150), NodeId(3));
@@ -367,10 +361,7 @@ fn simultaneous_internal_crash_storm_stays_safe_and_deterministic() {
 fn simultaneous_internal_crash_storm_recovers_all_survivors() {
     let n = 15;
     let (exec, topo, tree) = workload(n, 8, 61);
-    let cfg = DeployConfig {
-        repair_mode: RepairMode::HeartbeatDriven,
-        ..config(61)
-    };
+    let cfg = DeployConfig { ..config(61) };
     let mut dep = Deployment::new(topo, tree, &exec, cfg);
     dep.apply_fault_plan(
         &FaultPlan::new()
@@ -395,7 +386,6 @@ fn short_partition_under_heartbeat_repair_is_lossless() {
     let n = 15;
     let (exec, topo, tree) = workload(n, 8, 67);
     let cfg = DeployConfig {
-        repair_mode: RepairMode::HeartbeatDriven,
         monitor: MonitorConfig {
             retransmit_period: Some(SimTime::from_millis(15)),
             ..Default::default()
@@ -433,53 +423,59 @@ fn short_partition_under_heartbeat_repair_is_lossless() {
     );
 }
 
-/// A partition *longer* than the suspicion timeout: both sides start
-/// repairing around each other (the root prunes the severed subtree's
-/// queues), yet after the heal resumed heartbeats and re-reports must
-/// stitch the subtree back in and restore full coverage. This narrows
+/// A partition *longer* than the suspicion timeout: both sides repair
+/// around each other (the root prunes the severed subtree's queues, and
+/// the subtree's top, its ladder dead behind the cut, roots it as a
+/// forest), yet after the heal its re-knock and re-reports must stitch
+/// the subtree back in and restore full coverage — whether the cut lands
+/// on a beacon round (50 ms) or between two (60 ms). This narrows
 /// ROADMAP's partition-rejoin item: the single-cut subtree scenario
 /// recovers today; divergent multi-cut membership remains open.
 #[test]
 fn long_partition_under_heartbeat_repair_rejoins_after_heal() {
     let n = 15;
-    let (exec, topo, tree) = workload(n, 8, 67);
-    let cfg = DeployConfig {
-        repair_mode: RepairMode::HeartbeatDriven,
-        monitor: MonitorConfig {
-            retransmit_period: Some(SimTime::from_millis(15)),
-            ..Default::default()
-        },
-        ..config(67)
-    };
-    let mut dep = Deployment::new(topo, tree, &exec, cfg);
-    dep.apply_fault_plan(
-        &FaultPlan::new()
-            .partition_at(
-                SimTime::from_millis(50),
-                &[
-                    NodeId(2),
-                    NodeId(5),
-                    NodeId(6),
-                    NodeId(11),
-                    NodeId(12),
-                    NodeId(13),
-                    NodeId(14),
-                ],
-            )
-            .heal_at(SimTime::from_millis(400)),
-    );
-    dep.run();
-    let dets = dep.detections();
-    assert!(verify_detections(&exec, &dets).is_empty(), "safety holds");
-    assert!(
-        dep.metrics().undeliverable > 0,
-        "the cut actually blocked traffic"
-    );
-    assert_eq!(
-        dets.last().unwrap().covered_processes().len(),
-        n,
-        "full coverage returns after the heal"
-    );
+    for cut_ms in [50, 60] {
+        let (exec, topo, tree) = workload(n, 8, 67);
+        let cfg = DeployConfig {
+            monitor: MonitorConfig {
+                retransmit_period: Some(SimTime::from_millis(15)),
+                ..Default::default()
+            },
+            ..config(67)
+        };
+        let mut dep = Deployment::new(topo, tree, &exec, cfg);
+        dep.apply_fault_plan(
+            &FaultPlan::new()
+                .partition_at(
+                    SimTime::from_millis(cut_ms),
+                    &[
+                        NodeId(2),
+                        NodeId(5),
+                        NodeId(6),
+                        NodeId(11),
+                        NodeId(12),
+                        NodeId(13),
+                        NodeId(14),
+                    ],
+                )
+                .heal_at(SimTime::from_millis(400)),
+        );
+        dep.run();
+        let dets = dep.detections();
+        assert!(
+            verify_detections(&exec, &dets).is_empty(),
+            "{cut_ms} ms: safety holds"
+        );
+        assert!(
+            dep.metrics().undeliverable > 0,
+            "{cut_ms} ms: the cut actually blocked traffic"
+        );
+        assert_eq!(
+            dets.last().unwrap().covered_processes().len(),
+            n,
+            "{cut_ms} ms: full coverage returns after the heal"
+        );
+    }
 }
 
 proptest! {

@@ -2,10 +2,10 @@
 //! the simnet test harness (no full simulation), and of the
 //! [`MonitorCore`] under it, driven through an [`Outbox`].
 
-use ftscp_core::membership::RepairStep;
+use ftscp_core::membership::MembershipEvent;
 use ftscp_core::monitor::{MonitorApp, MonitorConfig};
 use ftscp_core::protocol::DetectMsg;
-use ftscp_core::transport::{MonitorCore, Outbox};
+use ftscp_core::transport::{Duty, MonitorCore, Outbox};
 use ftscp_intervals::Interval;
 use ftscp_simnet::sim::testkit;
 use ftscp_simnet::{Application, NodeId, SimTime};
@@ -108,56 +108,58 @@ fn resync_fast_forwards_the_stream() {
     assert_eq!(app.core().engine().child_enqueued(), 2);
 }
 
+/// An accepted adoption re-parents the node and re-reports what it has:
+/// nothing before its first output, then its last output as a resync.
 #[test]
-fn set_parent_re_reports_last_output() {
-    let mut app = interior();
-    // Complete a subtree solution so last_output exists: child interval +
-    // local interval via direct schedule is absent; use child + remove to
-    // force a solution: child reports, then local queue… simpler: child is
-    // the only queue after removing the local? Q0 always exists. Use a
-    // 2-wide overlap: deliver child interval, then local interval through
-    // the timer path is unavailable — instead check that with no output
-    // yet, a new parent gets nothing.
-    let effects = testkit::drive(NodeId(1), SimTime(200), 10, &[], |ctx| {
-        app.apply_repair(RepairStep::SetParent(Some(ProcessId(7))), ctx);
-    });
-    assert!(effects.sends.is_empty(), "nothing to re-report yet");
-    assert_eq!(app.core().parent(), Some(ProcessId(7)));
-
-    // Produce an output: overlap child + local by removing the child
-    // queue? Instead feed both queues: local intervals only arrive via
-    // schedule, so emulate a leaf: a monitor with no children forwards
-    // local intervals — construct one with a schedule and fire its timer.
-    let leaf_iv = iv(2, 0, &[0, 0, 1], &[0, 0, 2]);
-    let mut leaf = MonitorApp::new(
-        ProcessId(2),
-        Some(ProcessId(1)),
-        &[],
-        1,
-        vec![(SimTime(50), leaf_iv)],
+fn an_adoption_re_reports_the_last_output() {
+    let adopt = |core: &mut MonitorCore, adopter: u32, t: SimTime| {
+        let adopter = ProcessId(adopter);
+        core.rejoin(adopter, &mut Outbox::new(t));
+        let ack = DetectMsg::AdoptAck {
+            from: adopter,
+            child: core.me(),
+            epoch: core.membership().epoch(),
+            accepted: true,
+        };
+        let mut out = Outbox::new(t);
+        core.on_message(ack, &mut out);
+        assert_eq!(core.parent(), Some(adopter));
+        out.sent
+    };
+    let mut interior = MonitorCore::new(
+        ProcessId(1),
+        Some(ProcessId(9)),
+        &[ProcessId(0)],
+        2,
         cfg_plain(),
     );
-    let effects = testkit::drive(NodeId(2), SimTime(0), 10, &[], |ctx| leaf.on_init(ctx));
-    assert_eq!(effects.timers.len(), 1, "interval timer armed");
-    let effects = testkit::drive(NodeId(2), SimTime(50), 10, &[], |ctx| {
-        leaf.on_timer(ctx, effects.timers[0].1)
-    });
-    assert_eq!(effects.sends.len(), 1, "leaf forwarded its interval");
-    assert!(matches!(
-        effects.sends[0].1,
-        DetectMsg::Interval { resync: false, .. }
-    ));
+    let sent = adopt(&mut interior, 7, SimTime(200));
+    assert!(
+        matches!(sent[..], [(_, DetectMsg::ReReport { .. })]),
+        "nothing to re-report yet: {sent:?}"
+    );
 
-    // Now re-parent the leaf: it re-reports with resync.
-    let effects = testkit::drive(NodeId(2), SimTime(60), 10, &[], |ctx| {
-        leaf.apply_repair(RepairStep::SetParent(Some(ProcessId(3))), ctx);
-    });
-    assert_eq!(effects.sends.len(), 1);
-    assert_eq!(effects.sends[0].0, NodeId(3));
-    assert!(matches!(
-        effects.sends[0].1,
-        DetectMsg::Interval { resync: true, .. }
-    ));
+    let mut leaf = MonitorCore::new(ProcessId(2), Some(ProcessId(1)), &[], 1, cfg_plain());
+    let mut out = Outbox::new(SimTime(50));
+    leaf.observe_local(iv(2, 0, &[0, 0, 1], &[0, 0, 2]), &mut out);
+    assert!(
+        matches!(
+            out.sent[..],
+            [(_, DetectMsg::Interval { resync: false, .. })]
+        ),
+        "leaf forwarded its interval"
+    );
+    let sent = adopt(&mut leaf, 3, SimTime(60));
+    assert!(
+        matches!(
+            sent[..],
+            [
+                (ProcessId(3), DetectMsg::ReReport { .. }),
+                (ProcessId(3), DetectMsg::Interval { resync: true, .. })
+            ]
+        ),
+        "the re-report opens the stream at the adopter: {sent:?}"
+    );
 }
 
 /// A reboot from stable storage rejoins through the adoption handshake:
@@ -236,32 +238,51 @@ fn suspicion_without_heartbeats_arms_no_timer() {
     );
 }
 
+/// The root's only heir promotes itself when the root falls silent: its
+/// last output, shipped only to the dead root, resurfaces as a detection,
+/// and every heartbeat round then knocks at the lost root.
 #[test]
-fn promote_root_records_detections_locally() {
-    // A leaf with one interval forwarded becomes root: its reseeded last
-    // output turns into a local detection.
-    let leaf_iv = iv(2, 0, &[0, 0, 1], &[0, 0, 2]);
-    let mut leaf = MonitorApp::new(
-        ProcessId(2),
-        Some(ProcessId(1)),
-        &[],
-        1,
-        vec![(SimTime(50), leaf_iv)],
-        cfg_plain(),
+fn the_only_heir_promotes_and_detects_its_last_output() {
+    let (root, heir) = (ProcessId(1), ProcessId(2));
+    let config = MonitorConfig {
+        heartbeat_period: Some(SimTime(50)),
+        suspect_timeout: Some(SimTime(100)),
+        ..cfg_plain()
+    };
+    let mut core = MonitorCore::new(heir, Some(root), &[], 1, config);
+    let beacon = DetectMsg::Heartbeat {
+        from: root,
+        epoch: 0,
+        parent: None,
+        ancestors: vec![heir],
+    };
+    core.on_message(beacon, &mut Outbox::new(SimTime(0)));
+    core.observe_local(
+        iv(2, 0, &[0, 0, 1], &[0, 0, 2]),
+        &mut Outbox::new(SimTime(10)),
     );
-    let effects = testkit::drive(NodeId(2), SimTime(0), 10, &[], |ctx| leaf.on_init(ctx));
-    testkit::drive(NodeId(2), SimTime(50), 10, &[], |ctx| {
-        leaf.on_timer(ctx, effects.timers[0].1)
-    });
-    assert!(leaf.core().detections().is_empty());
-    testkit::drive(NodeId(2), SimTime(70), 10, &[], |ctx| {
-        leaf.apply_repair(RepairStep::PromoteRoot, ctx);
-    });
+    assert!(core.detections().is_empty());
+
+    let (_, events) = core.on_duty(Duty::Suspect, &mut Outbox::new(SimTime(200)));
     assert_eq!(
-        leaf.core().detections().len(),
+        events,
+        vec![MembershipEvent::Promoted { dead_parent: root }]
+    );
+    assert_eq!(core.parent(), None);
+    assert_eq!(
+        core.detections().len(),
         1,
         "the un-consumed output resurfaces as a detection at the new root"
     );
+    let mut out = Outbox::new(SimTime(250));
+    core.on_duty(Duty::Heartbeat, &mut out);
+    let epoch = core.membership().epoch();
+    let knock = DetectMsg::Adopt {
+        child: heir,
+        epoch,
+        dead_parent: None,
+    };
+    assert_eq!(out.sent, vec![(root, knock)], "re-knocks the lost root");
 }
 
 #[test]

@@ -152,12 +152,14 @@ fn main() {
         println!("  reproduce: ftscp_dst --shrink {}", report.seed);
     }
     println!(
-        "campaign: {} seeds [{}..{}), {} failures, aggregate fingerprint {:#018x}",
+        "campaign: {} seeds [{}..{}), {} failures, aggregate fingerprint {:#018x}, covered {}/{}",
         count,
         args.start_seed,
         args.start_seed + count as u64,
         failures.len(),
-        summary.aggregate
+        summary.aggregate,
+        summary.covered(),
+        count
     );
     std::process::exit(i32::from(!failures.is_empty()));
 }

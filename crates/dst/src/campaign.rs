@@ -1,10 +1,9 @@
 //! The randomized campaign: seed → case → verified run.
 //!
-//! A [`CampaignCase`] — workload, topology, repair mode, and
-//! [`FaultPlan`] — is a pure function of its seed, so any failing seed
-//! replays byte-for-byte on any machine and shrinks deterministically
-//! (see [`crate::shrink`]). Each case runs through the full
-//! [`Deployment`] twice and is checked for:
+//! A [`CampaignCase`] — workload, topology and [`FaultPlan`] — is a pure
+//! function of its seed, so any failing seed replays byte-for-byte on any
+//! machine and shrinks deterministically (see [`crate::shrink`]). Each
+//! case runs through the full [`Deployment`] twice and is checked for:
 //!
 //! * **validity** — every emitted solution passes
 //!   `faultcheck::verify_detections` (overlapping intervals, real
@@ -14,8 +13,8 @@
 //! * **losslessness** — when the plan is lossless (no crashes, every
 //!   partition healed), no surviving node may end the run with
 //!   undelivered reports;
-//! * **exactness** — a fault-free scheduled-repair case must reproduce
-//!   the offline [`HierarchicalDetector`] reference verbatim;
+//! * **exactness** — a fault-free case must reproduce the offline
+//!   [`HierarchicalDetector`] reference verbatim;
 //! * **multi-tenancy** — a seed-derived fleet of 1–8 registry tenants
 //!   (tenant 0 full, the rest member-restricted) replays the same
 //!   workload through [`PredicateRegistry`] under the plan's crashes;
@@ -23,13 +22,15 @@
 //!   `faultcheck::verify_detections` and the whole fleet must replay
 //!   deterministically.
 //!
-//! Deliberately absent: a *completeness* check under faults. A run that
+//! Deliberately not a check: *completeness* under faults. A run that
 //! emits narrower-but-valid solutions after a crash passes — whether
 //! every live subtree is still represented is the explorer's domain
 //! ([`mod@crate::explore`]), which runs a few real cores exhaustively.
+//! The campaign only tallies it: [`CaseReport::covered`] says whether
+//! the run's last detection covers every process alive at its end.
 
 use ftscp_analysis::shard::run_sharded;
-use ftscp_core::deploy::{DeployConfig, Deployment, RepairMode};
+use ftscp_core::deploy::{DeployConfig, Deployment};
 use ftscp_core::faultcheck::{detection_fingerprint, verify_detections, verify_no_silent_drops};
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::registry::{PredicateRegistry, TenantSpec};
@@ -81,8 +82,6 @@ pub struct CampaignCase {
     pub skip_prob: f64,
     /// Probability an interval gets no concurrent partner.
     pub solo_prob: f64,
-    /// How crashed monitors are repaired.
-    pub repair_mode: RepairMode,
     /// Registry tenants run alongside the deployment (1–8). Tenant 0 is
     /// always the full conjunction; the rest get member sets derived
     /// from the seed by [`CampaignCase::tenant_specs`].
@@ -98,13 +97,13 @@ impl CampaignCase {
     /// the campaign keeps hammering the structurally distinct
     /// configurations (shallow/deep trees, binary/ternary fan-out,
     /// sparse/dense workloads) instead of diffusing over near-identical
-    /// ones. Heartbeat-driven repair is paired with crash-only plans, which
-    /// buys nothing today: every scripted fault lands inside
-    /// `10·(rounds + 1)` ≤ 70 ms while the suspicion timeout is
-    /// `repair_delay` = 120 ms — no cut outlasts it, so the campaign cannot
-    /// produce a false suspicion at all (forced heartbeat repair with full
-    /// plans: 0 failures on seeds [0, 3000); ROADMAP item 4). The pairing
-    /// stays because changing the derivation moves every fingerprint.
+    /// ones. Every case gets the full fault plan — crashes, restarts,
+    /// partitions, duplication, reordering and timer skew — and the
+    /// monitors repair through their own protocol, the only one there is.
+    /// Every scripted fault lands inside `10·(rounds + 1)` ≤ 70 ms (a
+    /// restart up to half that later) while the suspicion timeout is
+    /// `repair_delay` = 120 ms, so no cut outlasts it and the campaign
+    /// produces no false suspicion (ROADMAP item 5 lengthens the plans).
     pub fn from_seed(seed: u64) -> CampaignCase {
         let mut rng = StdRng::seed_from_u64(seed ^ CASE_SALT);
         let n = *[4usize, 5, 7, 9, 12].choose(&mut rng).unwrap();
@@ -112,20 +111,11 @@ impl CampaignCase {
         let rounds = rng.gen_range(2..=6usize);
         let skip_prob = *[0.0, 0.0, 0.1, 0.3].choose(&mut rng).unwrap();
         let solo_prob = *[0.0, 0.0, 0.1, 0.3].choose(&mut rng).unwrap();
-        let repair_mode = if rng.gen_bool(0.35) {
-            RepairMode::HeartbeatDriven
-        } else {
-            RepairMode::Scheduled
-        };
         // Interval spacing is 10ms (the deployment default), so the
         // workload occupies roughly rounds * 10ms; faults beyond that
         // horizon would fire into a drained network.
         let horizon = SimTime::from_millis(10 * (rounds as u64 + 1));
-        let mut params = FaultPlanParams::for_network(n, horizon);
-        if repair_mode == RepairMode::HeartbeatDriven {
-            params = params.crash_only();
-        }
-        let plan = FaultPlan::randomized(&params, seed);
+        let plan = FaultPlan::randomized(&FaultPlanParams::for_network(n, horizon), seed);
         let tenants = 1 + (mix64(seed ^ TENANT_SALT) % 8) as usize;
         CampaignCase {
             seed,
@@ -134,7 +124,6 @@ impl CampaignCase {
             rounds,
             skip_prob,
             solo_prob,
-            repair_mode,
             tenants,
             plan,
         }
@@ -188,7 +177,6 @@ impl CampaignCase {
                 retransmit_period: Some(SimTime::from_millis(15)),
                 ..Default::default()
             },
-            repair_mode: self.repair_mode,
             ..Default::default()
         }
     }
@@ -214,6 +202,9 @@ pub struct CaseReport {
     pub detections: usize,
     /// Human-readable invariant violations; empty means the case passed.
     pub violations: Vec<String>,
+    /// Completeness, tallied and not checked: the run's last detection
+    /// (by time) covers every process alive at the end of the run.
+    pub covered: bool,
 }
 
 /// True iff the plan can lose no monitor traffic: nobody crashes and
@@ -336,7 +327,7 @@ pub fn run_case(case: &CampaignCase, hook: Option<&ViolationHook>) -> CaseReport
     if lossless(&case.plan) {
         violations.extend(verify_no_silent_drops(&dep));
     }
-    if case.plan.is_empty() && case.repair_mode == RepairMode::Scheduled {
+    if case.plan.is_empty() {
         let mut reference = HierarchicalDetector::new(&tree);
         for iv in exec.intervals_interleaved() {
             reference.feed(iv.clone());
@@ -374,11 +365,16 @@ pub fn run_case(case: &CampaignCase, hook: Option<&ViolationHook>) -> CaseReport
         }
     }
 
+    let covered = dets.last().is_some_and(|d| {
+        let members = d.covered_processes();
+        ProcessId::all(case.n).all(|p| !dep.is_alive(p) || members.contains(&p))
+    });
     CaseReport {
         seed: case.seed,
         fingerprint,
         detections: dets.len(),
         violations,
+        covered,
     }
 }
 
@@ -394,6 +390,11 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
+    /// Cases whose last detection covers every live process.
+    pub fn covered(&self) -> usize {
+        self.reports.iter().filter(|r| r.covered).count()
+    }
+
     /// Reports that found at least one violation.
     pub fn failures(&self) -> Vec<&CaseReport> {
         self.reports
@@ -441,24 +442,6 @@ mod tests {
         for seed in [0u64, 1, 17, 999_983] {
             assert_eq!(CampaignCase::from_seed(seed), CampaignCase::from_seed(seed));
         }
-    }
-
-    #[test]
-    fn heartbeat_cases_get_crash_only_plans() {
-        let mut saw_hb = false;
-        for seed in 0..200u64 {
-            let case = CampaignCase::from_seed(seed);
-            if case.repair_mode == RepairMode::HeartbeatDriven {
-                saw_hb = true;
-                for (_, op) in case.plan.sorted_ops() {
-                    assert!(
-                        matches!(op, FaultOp::Crash(_) | FaultOp::Restart(_)),
-                        "seed {seed}: heartbeat-driven case scheduled {op:?}"
-                    );
-                }
-            }
-        }
-        assert!(saw_hb, "the palette never produced a heartbeat case");
     }
 
     #[test]

@@ -74,37 +74,52 @@ pub struct Row {
 }
 
 const CHAIN4: &[Option<u32>] = &[None, Some(0), Some(1), Some(2)];
+const FORK5: &[Option<u32>] = &[None, Some(0), Some(1), Some(1), Some(0)];
 
 /// The model-check matrix. A row's expected classes are what the protocol
 /// does today (`docs/DST.md` §2), not what it should do.
-pub const MATRIX: [Row; 4] = [
+pub const MATRIX: [Row; 6] = [
     Row {
         name: "chain4 1 crash 1 dup",
         parents: CHAIN4,
         budget: [1, 0, 1, 0],
         window: 8,
-        expect: &[Rootless],
+        expect: &[],
     },
     Row {
         name: "fork5 1 crash two orphans",
-        parents: &[None, Some(0), Some(1), Some(1), Some(0)],
+        parents: FORK5,
         budget: [1, 0, 0, 0],
         window: 1,
-        expect: &[Rootless],
+        expect: &[],
+    },
+    Row {
+        name: "fork5 root and heir crash",
+        parents: FORK5,
+        budget: [2, 0, 0, 0],
+        window: 1,
+        expect: &[],
     },
     Row {
         name: "chain4 storm 2 crashes",
         parents: CHAIN4,
         budget: [2, 0, 0, 0],
         window: 1,
-        expect: &[Missed, Rootless, Uncovered],
+        expect: &[Missed, Uncovered],
     },
     Row {
         name: "chain4 2 crashes 1 restart 1 drop",
         parents: CHAIN4,
         budget: [2, 1, 0, 1],
         window: 1,
-        expect: &[Missed, Rootless, Knocking, Hintless, Unqueued, Uncovered],
+        expect: &[Missed, Knocking, Uncovered],
+    },
+    Row {
+        name: "chain3 root crash and restart",
+        parents: &[None, Some(0), Some(1)],
+        budget: [1, 1, 0, 0],
+        window: 6,
+        expect: &[Missed, Uncovered],
     },
 ];
 

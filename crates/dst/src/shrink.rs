@@ -4,7 +4,7 @@
 //!
 //! The shrinker never re-derives anything from the seed — it edits the
 //! concrete case (drop a fault op, shrink the network, thin the
-//! workload, simplify the repair mode) and keeps an edit only if the
+//! workload, simplify its shape knobs) and keeps an edit only if the
 //! caller's `still_fails` predicate holds on the edited case. Running
 //! the candidates to a fixpoint yields a *locally* minimal case: no
 //! single remaining edit preserves the failure. That is usually a
@@ -12,7 +12,6 @@
 //! fault sequence off the plan directly.
 
 use crate::campaign::CampaignCase;
-use ftscp_core::deploy::RepairMode;
 use ftscp_simnet::{FaultOp, FaultPlan, SimTime};
 
 fn plan_from_ops(ops: &[(SimTime, FaultOp)]) -> FaultPlan {
@@ -100,11 +99,6 @@ fn candidates(case: &CampaignCase) -> Vec<CampaignCase> {
     }
 
     // Simplify shape knobs.
-    if case.repair_mode == RepairMode::HeartbeatDriven {
-        let mut c = case.clone();
-        c.repair_mode = RepairMode::Scheduled;
-        out.push(c);
-    }
     if case.skip_prob > 0.0 {
         let mut c = case.clone();
         c.skip_prob = 0.0;
@@ -201,7 +195,6 @@ fn render_plan(plan: &FaultPlan, indent: &str) -> String {
 pub fn render_regression(case: &CampaignCase) -> String {
     format!(
         r#"// Shrunk by `ftscp_dst --shrink {seed}`. Needs:
-// use ftscp_core::deploy::RepairMode;
 // use ftscp_dst::{{run_case, CampaignCase}};
 // use ftscp_simnet::{{FaultOp, FaultPlan, NodeId, SimTime}};
 #[test]
@@ -213,7 +206,6 @@ fn shrunk_regression_seed_{seed}() {{
         rounds: {rounds},
         skip_prob: {skip},
         solo_prob: {solo},
-        repair_mode: RepairMode::{mode:?},
         tenants: {tenants},
         plan: {plan},
     }};
@@ -227,7 +219,6 @@ fn shrunk_regression_seed_{seed}() {{
         rounds = case.rounds,
         skip = render_f64(case.skip_prob),
         solo = render_f64(case.solo_prob),
-        mode = case.repair_mode,
         tenants = case.tenants,
         plan = render_plan(&case.plan, "            "),
     )
@@ -246,7 +237,6 @@ mod tests {
             rounds: 5,
             skip_prob: 0.1,
             solo_prob: 0.3,
-            repair_mode: RepairMode::HeartbeatDriven,
             tenants: 5,
             plan: FaultPlan::new()
                 .crash_at(SimTime(1_000), NodeId(5))
@@ -265,7 +255,6 @@ mod tests {
         assert_eq!(shrunk.rounds, 1);
         assert_eq!(shrunk.skip_prob, 0.0);
         assert_eq!(shrunk.solo_prob, 0.0);
-        assert_eq!(shrunk.repair_mode, RepairMode::Scheduled);
         assert_eq!(shrunk.degree, 2);
         assert_eq!(shrunk.tenants, 1, "fleet thinned to the full tenant");
         // n can't shrink below the highest referenced node.
@@ -302,7 +291,6 @@ mod tests {
         assert!(text.contains("fn shrunk_regression_seed_7()"));
         assert!(text.contains(".crash_at(SimTime(1000), NodeId(5))"));
         assert!(text.contains(".skew_timers_at(SimTime(0), NodeId(4), 5, 4)"));
-        assert!(text.contains("RepairMode::HeartbeatDriven"));
         assert!(text.contains("skip_prob: 0.1,"));
         assert!(text.contains("tenants: 5,"));
     }

@@ -2,7 +2,6 @@
 //! driver, a clean fixed seed range, and the shrinker demonstrated
 //! end-to-end on a deliberately injected violation.
 
-use ftscp_core::deploy::RepairMode;
 use ftscp_dst::campaign::{run_campaign, run_case, CampaignCase, ViolationHook};
 use ftscp_dst::shrink::{render_regression, shrink_case};
 use ftscp_simnet::{FaultPlan, NodeId, SimTime};
@@ -54,7 +53,6 @@ fn shrinker_minimizes_the_injected_violation() {
     assert_eq!(shrunk.plan.len(), 1);
     assert_eq!(shrunk.n, 2, "network floor: the victim plus a root");
     assert_eq!(shrunk.rounds, 1);
-    assert_eq!(shrunk.repair_mode, RepairMode::Scheduled);
     assert_eq!(shrunk.tenants, 1, "the fleet is irrelevant to the crash");
 
     let rendered = render_regression(&shrunk);
@@ -75,7 +73,6 @@ fn shrunk_regression_seed_3() {
         rounds: 1,
         skip_prob: 0.0,
         solo_prob: 0.0,
-        repair_mode: RepairMode::Scheduled,
         tenants: 1,
         plan: FaultPlan::new().crash_at(SimTime(13647), NodeId(1)),
     };

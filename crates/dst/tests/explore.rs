@@ -41,8 +41,13 @@ fn fork_whose_internal_node_leaves_two_orphans() {
 }
 
 #[test]
+fn fork_whose_root_dies_with_its_first_heir() {
+    pinned(MATRIX[2]);
+}
+
+#[test]
 fn two_crash_storm() {
-    let report = pinned(MATRIX[2]);
+    let report = pinned(MATRIX[3]);
     // The hold on the dead child expires while the orphan below the
     // second corpse is still knocking: both crashes, nothing else.
     let missed = &report.found[&Class::Missed];
@@ -55,7 +60,7 @@ fn two_crash_storm() {
 
 #[test]
 fn crash_restart_and_an_adopter_that_dies_before_its_ack() {
-    let report = pinned(MATRIX[3]);
+    let report = pinned(MATRIX[4]);
     let knocking = &report.found[&Class::Knocking];
     let restart = knocking.iter().position(|step| step.contains("RESTART"));
     let crash = knocking.iter().rposition(|step| step.contains("CRASH"));
@@ -63,4 +68,20 @@ fn crash_restart_and_an_adopter_that_dies_before_its_ack() {
         restart < crash,
         "the adopter dies after the rejoin: {knocking:?}"
     );
+}
+
+#[test]
+fn root_restarted_after_its_heir_promoted() {
+    // The dead root can restart only once its heir no longer sits below
+    // it, so each such restart meets the heir's re-knock, and neither
+    // adopts the other: no `Rootless`. What the row does find is F2, the
+    // crashed internal node restarting into its old parent's queue.
+    let report = pinned(MATRIX[5]);
+    for class in [Class::Missed, Class::Uncovered] {
+        let trace = &report.found[&class];
+        let f2 = trace
+            .iter()
+            .any(|step| step.contains("RESTART 1 rejoin at 0"));
+        assert!(f2, "{trace:?}");
+    }
 }

@@ -393,8 +393,13 @@ impl QueueBank {
         }
         // The remaining heads were already mutually pruned against each
         // other, but the removed queue's emptiness may have been the only
-        // thing blocking a solution. Re-run with every non-empty queue
-        // marked updated so the solution check fires.
+        // thing blocking a solution.
+        self.rerun_detection()
+    }
+
+    /// Re-runs the detection loop with every non-empty queue marked
+    /// updated, so the solution check fires.
+    fn rerun_detection(&mut self) -> Vec<Solution> {
         let updated: BTreeSet<usize> = self
             .slots
             .iter()
@@ -439,6 +444,29 @@ impl QueueBank {
         } else {
             Vec::new()
         }
+    }
+
+    /// Puts the members of a solution this bank emitted back at the heads
+    /// of their queues (each `(slot, interval)`, skipped if still there or
+    /// the queue is gone), forgets they were emitted and re-runs the
+    /// detection loop: §III-F failover of a solution shipped to a parent
+    /// that died with it.
+    pub fn requeue(&mut self, members: Vec<(SlotId, Interval)>) -> Vec<Solution> {
+        for (slot, interval) in members {
+            let Some(q) = self.slots.get_mut(slot.0 as usize).and_then(Option::as_mut) else {
+                continue;
+            };
+            let id = trace_id(&interval);
+            self.emitted.remove(&id);
+            if q.items.front().map(trace_id) != Some(id) {
+                q.items.push_front(interval);
+                self.resident += 1;
+            }
+        }
+        if self.mode == SweepMode::Aggregate {
+            self.summary.touch();
+        }
+        self.rerun_detection()
     }
 
     fn slot(&self, slot: SlotId) -> Option<&QueueSlot> {
@@ -793,6 +821,33 @@ mod tests {
         let sols = bank.remove_queue(SlotId(2));
         assert_eq!(sols.len(), 1, "partial predicate detected after failure");
         assert_eq!(bank.queue_count(), 2);
+    }
+
+    #[test]
+    fn requeued_solution_is_detected_again_with_a_new_queue() {
+        let (a0, b0) = (
+            iv(0, 0, &[1, 0, 0], &[4, 3, 3]),
+            iv(1, 0, &[2, 1, 1], &[3, 4, 4]),
+        );
+        let mut bank = QueueBank::new(2);
+        bank.enqueue(SlotId(0), a0.clone());
+        let sols = bank.enqueue(SlotId(1), b0.clone());
+        assert_eq!(sols.len(), 1);
+        // The solution went to a parent that died; a sibling's queue opens
+        // empty, and the members go back to their queues' heads.
+        let sibling = bank.add_queue();
+        let members = vec![(SlotId(0), a0.clone()), (SlotId(1), b0.clone())];
+        assert!(bank.requeue(members).is_empty(), "the empty queue blocks");
+        assert_eq!(bank.resident(), 2);
+        let sols = bank.enqueue(sibling, iv(2, 0, &[2, 2, 1], &[3, 3, 4]));
+        assert_eq!(sols.len(), 1, "detected again, with the sibling");
+        assert_eq!(sols[0].intervals.len(), 3);
+        // Without anything to wait for, the members are detected at once.
+        let mut bank = QueueBank::new(2);
+        bank.enqueue(SlotId(0), a0.clone());
+        bank.enqueue(SlotId(1), b0.clone());
+        let sols = bank.requeue(vec![(SlotId(0), a0), (SlotId(1), b0)]);
+        assert_eq!(sols.len(), 1, "re-emitted, not suppressed");
     }
 
     #[test]

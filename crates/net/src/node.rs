@@ -632,20 +632,27 @@ impl ReactorState {
     /// arrives over an uplink already dialed there. Otherwise the knock
     /// found no route: the uplink is re-targeted and the current socket
     /// severed, the backoff timer dials the candidate, and
-    /// `open_uplink_session` knocks once the candidate answers.
+    /// `open_uplink_session` knocks once the candidate answers. A core
+    /// that promoted itself gets its uplink re-aimed at the parent it
+    /// lost: the backoff timer re-dials it, and once it answers the core's
+    /// heartbeat re-knock takes the node back.
     fn follow_membership(&mut self, events: Vec<MembershipEvent>) {
         for event in events {
-            // An orphaned node just keeps serving its subtree.
-            let MembershipEvent::AdoptionStarted { target } = event else {
-                continue;
+            let target = match event {
+                MembershipEvent::AdoptionStarted { target } => target,
+                MembershipEvent::Promoted { dead_parent } => dead_parent,
+                MembershipEvent::ChildDropped(_) => continue,
             };
             if matches!(self.uplink, Uplink::Up { peer } if peer == target) {
                 continue;
             }
             // A target with no known address burns its knock budget in
             // the core and falls down the ladder — on TCP an id without an
-            // address is unreachable.
-            if let Some(&addr) = self.hint_addrs.get(&target) {
+            // address is unreachable. The heirs a root names are such ids:
+            // a `Hello` carries no listen address.
+            let hinted = self.hint_addrs.get(&target).copied();
+            let configured = self.config.parent.filter(|&(p, _)| p == target);
+            if let Some(addr) = hinted.or(configured.map(|(_, a)| a)) {
                 self.uplink_target = Some((target, addr));
                 self.close_conn(UPLINK_CONN);
             }

@@ -335,17 +335,6 @@ impl FaultPlanParams {
             skew_prob: 0.3,
         }
     }
-
-    /// Restricts the plan to crash/restart faults only (no partitions,
-    /// duplication, reordering, or skew) — used by campaign modes whose
-    /// remaining fault coverage is tracked as a known-open ROADMAP item.
-    pub fn crash_only(mut self) -> Self {
-        self.max_partitions = 0;
-        self.duplication_prob = 0.0;
-        self.reorder_prob = 0.0;
-        self.skew_prob = 0.0;
-        self
-    }
 }
 
 /// The live fault state a simulation consults while routing and timing.
@@ -578,18 +567,5 @@ mod tests {
         assert_eq!(faults.timer_delay(NodeId(1), SimTime(0)), SimTime(0));
         // Exact multiples are untouched by the rounding.
         assert_eq!(faults.timer_delay(NodeId(1), SimTime(300)), SimTime(200));
-    }
-
-    #[test]
-    fn crash_only_plans_carry_no_other_primitives() {
-        let params = FaultPlanParams::for_network(6, SimTime::from_millis(200)).crash_only();
-        for seed in 0..128 {
-            for (_, op) in FaultPlan::randomized(&params, seed).sorted_ops() {
-                assert!(
-                    matches!(op, FaultOp::Crash(_) | FaultOp::Restart(_)),
-                    "seed {seed}: unexpected op {op:?}"
-                );
-            }
-        }
     }
 }

@@ -2,13 +2,13 @@
 //! simnet counter pinned — the heartbeat-driven crash and the centralized
 //! grid to what the simulator produced before its per-event overhead was
 //! taken out (BFS per send, heap of whole events, map-keyed link
-//! counters), the scheduled repair and restart to the handshake a
-//! restarted node rejoins through. A change to routing, event order, RNG
+//! counters), the root crash and restart to the succession and the
+//! handshake the monitors repair through. A change to routing, event order, RNG
 //! draws or per-link counting moves a number here before it moves a
 //! fingerprint elsewhere.
 
 use ftscp::baselines::centralized::CentralizedDeployment;
-use ftscp::core::deploy::{DeployConfig, Deployment, RepairMode};
+use ftscp::core::deploy::{DeployConfig, Deployment};
 use ftscp::core::faultcheck::detection_fingerprint;
 use ftscp::core::monitor::MonitorConfig;
 use ftscp::simnet::{LinkModel, NetMetrics, SimConfig, SimTime, Topology};
@@ -62,7 +62,7 @@ fn heartbeat_driven_crash_accounting_is_pinned() {
             ..MonitorConfig::default()
         },
         repair_delay: SimTime::from_millis(120),
-        repair_mode: RepairMode::HeartbeatDriven,
+        ..DeployConfig::default()
     };
     let mut dep = Deployment::new(
         Topology::dary_tree(n, 3, 1),
@@ -74,23 +74,22 @@ fn heartbeat_driven_crash_accounting_is_pinned() {
     dep.run();
     assert_eq!(
         counters(dep.metrics(), dep.events_processed()),
-        [40_894, 40_814, 40_894, 918_868, 58, 4, 1_082, 84_786]
+        [40_982, 40_903, 40_982, 1_205_371, 58, 3, 1_082, 84_909]
     );
     let dets = dep.detections();
     assert_eq!(dets.len(), 12);
-    assert_eq!(detection_fingerprint(&dets), 0x3f5a_faac_3ed4_6460);
+    assert_eq!(detection_fingerprint(&dets), 0x3fc9_c449_ef3a_8384);
 }
 
-/// The clairvoyant (`Scheduled`) repair path with stable storage: root 0
-/// dies, then internal node 2, which later reboots from its checkpoint and
-/// rejoins as a leaf under node 7. The two crash repairs are applied by
-/// call and send nothing of their own. The rejoin is the adoption
-/// handshake: three one-hop messages, `Adopt` (13 B), `AdoptAck` (17 B)
-/// and `ReReport` (12 B), each a delivered event, ahead of the re-report.
-/// Their delay draws shift the times of the last two detections, not
-/// what they cover.
+/// A root crash and a restart with stable storage: root 0 dies and its
+/// heir, node 1, promotes itself while its siblings 2 and 3 climb the
+/// heir line to it — multi-hop sends, siblings are not topology
+/// neighbours — and re-knocks at the dead root every heartbeat round from
+/// then on (the undeliverable sends). Then internal node 2 dies, and later
+/// reboots from its checkpoint and rejoins as a leaf under node 7 through
+/// the adoption handshake.
 #[test]
-fn scheduled_repair_and_restart_accounting_is_pinned() {
+fn root_crash_repair_and_restart_accounting_is_pinned() {
     let n = 40;
     let exec = RandomExecution::builder(n)
         .intervals_per_process(12)
@@ -104,7 +103,7 @@ fn scheduled_repair_and_restart_accounting_is_pinned() {
             ..MonitorConfig::default()
         },
         repair_delay: SimTime::from_millis(60),
-        repair_mode: RepairMode::Scheduled,
+        ..DeployConfig::default()
     };
     let mut dep = Deployment::new(
         Topology::dary_tree(n, 3, 1),
@@ -119,12 +118,13 @@ fn scheduled_repair_and_restart_accounting_is_pinned() {
     dep.run();
     assert_eq!(
         counters(dep.metrics(), dep.events_processed()),
-        [40_236, 40_155, 40_236, 1_083_252, 32, 6, 1_060, 61_066]
+        [40_329, 40_247, 44_496, 1_446_166, 559, 7, 3_059, 74_810]
     );
+    assert_eq!(dep.tree().root(), ProcessId(1), "the heir took over");
     assert_eq!(dep.app(ProcessId(2)).parent(), Some(ProcessId(7)));
     let dets = dep.detections();
-    assert_eq!(dets.len(), 11);
-    assert_eq!(detection_fingerprint(&dets), 0x1113_ae1b_de69_af52);
+    assert_eq!(dets.len(), 8);
+    assert_eq!(detection_fingerprint(&dets), 0x0c45_0501_19e8_cbea);
 }
 
 /// Every report is multi-hop — the sink is a corner of a 6 × 6 grid — so
