@@ -219,31 +219,6 @@ impl NodeEngine {
         self.child_slots.contains_key(&child)
     }
 
-    /// §III-F failover: when this node is promoted to root, the aggregate
-    /// it last shipped upward may never have been consumed (the parent
-    /// died with it) and this node holds the only copy. Re-publish it as a
-    /// detection at the new root — the solution it represents *was* a
-    /// genuine satisfaction over this subtree. No-op if the node never
-    /// produced output.
-    ///
-    /// Detection semantics across failovers are therefore *at-least-once*:
-    /// if the dead parent had already consumed the aggregate into a
-    /// higher-level detection, the occurrence is re-reported here (the
-    /// paper leaves this corner unspecified; losing it silently would be
-    /// worse).
-    pub fn reseed_last_output(&mut self) -> Vec<EngineOutput> {
-        debug_assert!(self.is_root, "reseed is a promotion-time operation");
-        let Some(last) = self.last_output.take() else {
-            return Vec::new();
-        };
-        let solution = Solution {
-            intervals: vec![last],
-            index: self.solutions_found,
-        };
-        self.solutions_found += 1;
-        vec![EngineOutput::Detected(solution)]
-    }
-
     /// §III-F failover: offers the members of `solution`, the last one
     /// shipped to a parent that died with it, again to the queues they
     /// came from ([`QueueBank::requeue`]); one whose queue is gone drops.

@@ -1,7 +1,7 @@
 //! [`HierarchicalDetector`] — a whole tree of engines, driven in memory.
 
 use crate::engine::{EngineOutput, NodeEngine};
-use crate::membership::{rejoin_adopter, repair_plan, RepairStep};
+use crate::membership::{rejoin_adopter, repair_tree, ANCESTOR_HINT_CAP};
 use crate::report::GlobalDetection;
 use ftscp_intervals::Interval;
 use ftscp_simnet::{SimTime, Topology};
@@ -21,9 +21,9 @@ use std::collections::VecDeque;
 pub struct HierarchicalDetector {
     tree: SpanningTree,
     engines: Vec<Option<NodeEngine>>,
-    /// Orphan subtree roots a partition stranded, retried at every
-    /// later failure.
-    pending_orphans: Vec<ProcessId>,
+    /// The members of the last solution each child of a root shipped to
+    /// it, indexed by node: an heir requeues its own when the root dies.
+    last_solution: Vec<Vec<Interval>>,
     detections: Vec<GlobalDetection>,
     /// Per-node subtree-level solution counts (partial predicate
     /// detections), indexed by node.
@@ -49,7 +49,7 @@ impl HierarchicalDetector {
         HierarchicalDetector {
             tree: tree.clone(),
             engines,
-            pending_orphans: Vec::new(),
+            last_solution: vec![Vec::new(); n],
             detections: Vec::new(),
             node_solutions: vec![0; n],
             ops,
@@ -155,12 +155,15 @@ impl HierarchicalDetector {
                     self.detections
                         .push(GlobalDetection::new(node, sol, SimTime(self.feeds)));
                 }
-                EngineOutput::ToParent { interval, .. } => {
+                EngineOutput::ToParent { interval, solution } => {
                     self.node_solutions[node.index()] += 1;
                     let Some(parent) = self.tree.parent(node) else {
                         continue;
                     };
                     if let Some(engine) = self.engines[parent.index()].as_mut() {
+                        if engine.is_root() {
+                            self.last_solution[node.index()] = solution.intervals;
+                        }
                         let outs = engine.on_child_interval(node, interval);
                         for o in outs {
                             queue.push_back((parent, o));
@@ -171,72 +174,68 @@ impl HierarchicalDetector {
         }
     }
 
-    /// §III-F: `node` crash-stops. The tree is repaired (orphan subtrees
-    /// re-attach through `topology` neighbors; ones a partition strands
-    /// become forest roots and are retried at the next failure) and
-    /// [`repair_plan`]'s steps are applied. Detections released by the
-    /// repair are recorded as usual.
+    /// §III-F: `node` crash-stops. Its orphans settle where the protocol's
+    /// handshake puts them ([`ladder_adopters`](crate::membership::ladder_adopters)),
+    /// and the effects are applied in the protocol's order: the adopters
+    /// open queues and a promoted orphan becomes a root, an heir requeuing
+    /// the last solution it shipped to the dead root (as
+    /// `MonitorCore::promote` does before any sibling's re-report lands;
+    /// the queues it opens for its sibling heirs are the adoptions, since a
+    /// hold for a sibling that went elsewhere only expires); then the dead
+    /// child's queue goes, so nothing is released without the orphan; then
+    /// each adopted orphan re-reports its last output. Detections released
+    /// by the repair are recorded as usual.
     pub fn fail_node(&mut self, node: ProcessId, topology: &Topology) {
         if self.engines[node.index()].is_none() {
             return;
         }
         self.engines[node.index()] = None;
+        self.last_solution[node.index()] = Vec::new();
         let alive: Vec<bool> = self.engines.iter().map(Option::is_some).collect();
-        let engines = &self.engines;
-        let plan = repair_plan(
-            &mut self.tree,
-            &mut self.pending_orphans,
-            node,
-            topology,
-            &alive,
-            |n| {
-                engines[n.index()]
-                    .as_ref()
-                    .map_or(&[], NodeEngine::children)
-            },
-        );
-        for (node, step) in plan {
-            self.apply(node, step);
+        let former_parent = self.tree.parent(node);
+        let adopters = repair_tree(&mut self.tree, topology, &alive, node);
+        for &(orphan, adopter) in &adopters {
+            if let Some(adopter) = adopter {
+                self.engine_mut(adopter).add_child(orphan);
+            }
+        }
+        // A dead root's heirs are the first `ANCESTOR_HINT_CAP` of its
+        // children, the ones its beacons named.
+        for (rank, &(orphan, adopter)) in adopters.iter().enumerate() {
+            if adopter.is_some() {
+                continue;
+            }
+            self.engine_mut(orphan).set_root(true);
+            if former_parent.is_none() && rank < ANCESTOR_HINT_CAP {
+                let last = std::mem::take(&mut self.last_solution[orphan.index()]);
+                let outs = self.engine_mut(orphan).requeue(last);
+                self.propagate(orphan, outs);
+            }
+        }
+        if let Some(parent) = former_parent {
+            let outs = self.engine_mut(parent).remove_child(node);
+            self.propagate(parent, outs);
+        }
+        for &(orphan, adopter) in &adopters {
+            if let Some(adopter) = adopter {
+                self.re_report(orphan, adopter);
+            }
         }
     }
 
-    /// Applies one repair step to `node`'s engine (none if it is down)
-    /// and propagates what it releases. A node given a new parent
-    /// re-sends its last output so the parent's fresh queue is seeded
-    /// (§III-B: "P2 will report its later aggregated interval ... to its
-    /// new parent, P4").
-    fn apply(&mut self, node: ProcessId, step: RepairStep) {
-        let Some(engine) = self.engines[node.index()].as_mut() else {
+    fn engine_mut(&mut self, node: ProcessId) -> &mut NodeEngine {
+        self.engines[node.index()].as_mut().expect("live node")
+    }
+
+    /// `node`'s new parent receives its last output, so the fresh queue is
+    /// seeded (§III-B: "P2 will report its later aggregated interval ...
+    /// to its new parent, P4").
+    fn re_report(&mut self, node: ProcessId, parent: ProcessId) {
+        let Some(last) = self.engine_mut(node).last_output().cloned() else {
             return;
         };
-        match step {
-            RepairStep::RemoveChild(child) => {
-                let outs = engine.remove_child(child);
-                self.propagate(node, outs);
-            }
-            RepairStep::AddChild(child) => {
-                if !engine.has_child(child) {
-                    engine.add_child(child);
-                }
-            }
-            RepairStep::PromoteRoot => {
-                // The last (possibly un-consumed) output is re-published
-                // as a detection.
-                engine.set_root(true);
-                let outs = engine.reseed_last_output();
-                self.propagate(node, outs);
-            }
-            RepairStep::SetParent(parent) => {
-                engine.set_root(parent.is_none());
-                let last = engine.last_output().cloned();
-                if let (Some(parent), Some(interval)) = (parent, last) {
-                    if let Some(p_engine) = self.engines[parent.index()].as_mut() {
-                        let outs = p_engine.on_child_interval(node, interval);
-                        self.propagate(parent, outs);
-                    }
-                }
-            }
-        }
+        let outs = self.engine_mut(parent).on_child_interval(node, last);
+        self.propagate(parent, outs);
     }
 
     /// Snapshot of `node`'s engine state, for persistence-based recovery
@@ -282,8 +281,8 @@ impl HierarchicalDetector {
 
         // The in-memory twin of the handshake: the adopter's `Adopt`
         // opens the queue, the `AdoptAck` re-parents and re-reports.
-        self.apply(parent, RepairStep::AddChild(node));
-        self.apply(node, RepairStep::SetParent(Some(parent)));
+        self.engine_mut(parent).add_child(node);
+        self.re_report(node, parent);
         Ok(())
     }
 

@@ -1,5 +1,6 @@
 //! Decentralized tree membership: epochs, the suspicion → adoption
-//! handshake, succession, and the clairvoyant [`repair_plan`].
+//! handshake, succession, and the ladder rule they implement
+//! ([`ladder_adopters`]).
 //!
 //! The paper assumes spanning-tree repair as a substrate (§III-F) but
 //! says nothing about *who* performs it. Until this module existed the
@@ -16,9 +17,7 @@
 //! * heartbeats to children also carry the sender's **ancestor chain**
 //!   (its parent plus the rungs above, relayed one edge per beacon), so
 //!   every child passively learns its *grandparent* — the preferred
-//!   adopter of §III-F's reattachment rule (the same preference
-//!   [`tree::reconnect`](ftscp_tree::SpanningTree::handle_failure)
-//!   encodes for the clairvoyant oracle) — and, behind it, the full
+//!   adopter of §III-F's reattachment rule — and, behind it, the full
 //!   fallback ladder of great-grandparents for the storm where the
 //!   grandparent died with the parent;
 //! * a root has no rungs above it and beacons its **heirs** there
@@ -53,15 +52,15 @@
 //! carries `dead_parent`, so it does not rely on the separate `Suspect`
 //! arriving first over a non-FIFO transport).
 //!
-//! The clairvoyant repair survives as [`repair_plan`]: one list of
-//! [`RepairStep`]s, computed from the repaired tree, that the in-memory
-//! `HierarchicalDetector` applies by call. No wire carries a step, and no
-//! monitor applies one.
+//! What the handshake settles to after one crash is a pure function of
+//! the tree, the topology and who is alive: [`ladder_adopters`]. The
+//! message-free `HierarchicalDetector` and `PredicateRegistry` repair by
+//! it, so every deployment and the in-memory reference build one tree.
 
 use ftscp_simnet::Topology;
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Where a node stands in the repair protocol.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -348,102 +347,72 @@ pub(crate) fn rejoin_adopter(
     neighbours.find(|&nb| tree.contains(nb) && alive(nb))
 }
 
-/// One reconfiguration of one in-memory engine, decided by a clairvoyant
-/// repair ([`repair_plan`]) and applied by call — never sent — by
-/// `HierarchicalDetector`. Each step is the oracle twin of a handshake
-/// effect: [`RemoveChild`](Self::RemoveChild) plays `Suspect`,
-/// [`AddChild`](Self::AddChild) plays `Adopt`, and
-/// [`SetParent`](Self::SetParent) plays `AdoptAck` + `ReReport`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairStep {
-    /// Drop this child and its queue (it failed or was re-parented).
-    RemoveChild(ProcessId),
-    /// Adopt this child: open an empty queue for it.
-    AddChild(ProcessId),
-    /// Become the root of the tree; the last output, shipped only to the
-    /// dead root, is folded back into detection.
-    PromoteRoot,
-    /// The node's parent is now this one (`None`: a forest root). The
-    /// node re-reports its last output to a new parent (§III-B).
-    SetParent(Option<ProcessId>),
-}
-
-/// The plan of one clairvoyant repair after `failed` crash-stopped, in
-/// the order it must be applied. Repairs `tree` (the shared
-/// [`SpanningTree::handle_failure`] computation), retries every orphan
-/// that `stranded` holds from earlier, overlapping failures (and
-/// leaves there the ones still partitioned), then reconciles every
-/// affected monitor with the repaired tree.
+/// The protocol's repair rule (§III-F) as a pure function: where each
+/// orphan of `failed` settles once the handshake has run. Returns every
+/// live child of `failed`, in ascending id, with its adopter; `None`
+/// means the orphan roots its subtree.
 ///
-/// `engine_children` reports the monitors' *current* child sets — the
-/// plan only patches real differences, so repeated repairs are
-/// idempotent. Order is part of the determinism contract: the dead
-/// child's queue drop (or, when the root died, the promotion — a single
-/// failure has one or the other), then adoptions/removals per affected
-/// node, then the re-parent steps that trigger re-reports into the
-/// adopters' fresh queues.
-pub fn repair_plan<'a>(
-    tree: &mut SpanningTree,
-    stranded: &mut Vec<ProcessId>,
-    failed: ProcessId,
+/// An orphan's ladder is the chain `failed` beaconed: its ancestors,
+/// nearest first, then the heirs of its tree's root (that root's
+/// children, by id), or the heirs alone when `failed` is a root, capped
+/// at [`ANCESTOR_HINT_CAP`]. The orphan adopts under the first rung that
+/// is alive and that `topology` reaches over live nodes; a rung that is
+/// its own id, met first, or a ladder run out, promotes it. `alive` must
+/// be `false` for `failed`.
+pub fn ladder_adopters(
+    tree: &SpanningTree,
     topology: &Topology,
     alive: &[bool],
-    engine_children: impl Fn(ProcessId) -> &'a [ProcessId],
-) -> Vec<(ProcessId, RepairStep)> {
-    let old_parents: Vec<Option<ProcessId>> = ProcessId::all(tree.capacity())
-        .map(|n| tree.parent(n))
-        .collect();
-    let mut report = tree.handle_failure(failed, topology, alive);
-    // Overlapping failures can strand orphan subtrees (e.g. a repair
-    // that runs while the root's own crash is still unrepaired). Retry
-    // every previously partitioned orphan now, and merge the outcome into
-    // this repair's report; the ones still stranded wait for the next.
-    stranded.extend(report.partitioned.iter().copied());
-    stranded.sort_unstable();
-    stranded.dedup();
-    let retry = tree.reattach_orphans(stranded, topology, alive);
-    *stranded = retry.partitioned;
-    report.affected.extend(retry.affected);
-    report.affected.sort_unstable();
-    report.affected.dedup();
-    let affected: Vec<ProcessId> = report
-        .affected
+    failed: ProcessId,
+) -> Vec<(ProcessId, Option<ProcessId>)> {
+    let mut chain = Vec::new();
+    let mut top = failed;
+    while let Some(p) = tree.parent(top) {
+        chain.push(p);
+        top = p;
+    }
+    let mut heirs = tree.children(top).to_vec();
+    heirs.sort_unstable();
+    chain.extend(heirs);
+    chain.truncate(ANCESTOR_HINT_CAP);
+    let mut orphans = tree.children(failed).to_vec();
+    orphans.retain(|c| alive[c.index()]);
+    orphans.sort_unstable();
+    orphans
         .into_iter()
-        .filter(|&a| tree.contains(a))
-        .collect();
+        .map(|orphan| {
+            let reached = |&r: &ProcessId| topology.shortest_path(orphan, r, alive).is_some();
+            let rung = chain.iter().copied().find(reached);
+            (orphan, rung.filter(|&r| r != orphan))
+        })
+        .collect()
+}
 
-    let mut plan = Vec::new();
-    // 1. The former parent drops the dead child's queue, or the promoted
-    //    root takes over.
-    if let Some(p) = report.former_parent {
-        plan.push((p, RepairStep::RemoveChild(failed)));
-    }
-    if let Some(new_root) = report.new_root {
-        plan.push((new_root, RepairStep::PromoteRoot));
-    }
-    // 2. Affected nodes reconcile children: removals and adoptions before
-    //    any `RepairStep::SetParent`, whose re-report must land in an
-    //    open queue.
-    for &aff in &affected {
-        let tree_children: BTreeSet<ProcessId> = tree.children(aff).iter().copied().collect();
-        let engine_children: BTreeSet<ProcessId> = engine_children(aff).iter().copied().collect();
-        for &gone in engine_children.difference(&tree_children) {
-            if gone != failed {
-                plan.push((aff, RepairStep::RemoveChild(gone)));
-            }
-        }
-        for &new in tree_children.difference(&engine_children) {
-            plan.push((aff, RepairStep::AddChild(new)));
+/// Removes `failed` from `tree` and re-attaches its orphans where
+/// [`ladder_adopters`] puts them, which it returns. When the root failed,
+/// its first promoted heir roots the tree (failing that, the lowest-id
+/// forest root left); every other promoted orphan stays a forest root.
+pub(crate) fn repair_tree(
+    tree: &mut SpanningTree,
+    topology: &Topology,
+    alive: &[bool],
+    failed: ProcessId,
+) -> Vec<(ProcessId, Option<ProcessId>)> {
+    let adopters = ladder_adopters(tree, topology, alive, failed);
+    tree.detach_node(failed);
+    for &(orphan, adopter) in &adopters {
+        if let Some(adopter) = adopter {
+            tree.attach(orphan, adopter);
         }
     }
-    // 3. Re-parent steps (trigger re-reports).
-    for &aff in &affected {
-        let new_parent = tree.parent(aff);
-        if new_parent != old_parents[aff.index()] {
-            plan.push((aff, RepairStep::SetParent(new_parent)));
+    if failed == tree.root() {
+        let promoted = adopters.iter().find(|(_, a)| a.is_none()).map(|&(o, _)| o);
+        let forest = || tree.nodes().into_iter().find(|&n| tree.parent(n).is_none());
+        if let Some(root) = promoted.or_else(forest) {
+            tree.set_root(root);
         }
     }
-    plan
+    adopters
 }
 
 #[cfg(test)]
@@ -579,6 +548,63 @@ mod tests {
         m.finish_adoption();
         assert!(m.failed_targets().is_empty());
         assert_eq!(m.adoption_attempts(), 0);
+    }
+
+    #[test]
+    fn a_partitioned_root_crash_roots_each_component_at_its_lowest_heir() {
+        // Root 0 over heirs 1..=4; without 0, {1, 3} and {2, 4} are cut
+        // apart. Each component's lowest heir roots it.
+        let edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 4)];
+        let topology = Topology::from_edges(5, &edges);
+        let tree = SpanningTree::bfs(&topology, ProcessId(0));
+        let alive = [false, true, true, true, true];
+        let p = ProcessId;
+        assert_eq!(
+            ladder_adopters(&tree, &topology, &alive, p(0)),
+            [
+                (p(1), None),
+                (p(2), None),
+                (p(3), Some(p(1))),
+                (p(4), Some(p(2)))
+            ]
+        );
+    }
+
+    #[test]
+    fn the_ladder_stops_at_the_hint_cap() {
+        // Root 0 over ten heirs: 1..=8 are chained together, 9 and 10 only
+        // to each other. The root beacons its first eight heirs alone, so
+        // 9 and 10 find no rung once it dies and each roots its subtree.
+        let mut edges = vec![(9, 10)];
+        edges.extend((1..=10).map(|h| (0, h)));
+        edges.extend((1..8).map(|h| (h, h + 1)));
+        let topology = Topology::from_edges(11, &edges);
+        let tree = SpanningTree::bfs(&topology, ProcessId(0));
+        let mut alive = [true; 11];
+        alive[0] = false;
+        let adopters = ladder_adopters(&tree, &topology, &alive, ProcessId(0));
+        assert_eq!(adopters.len(), 10);
+        assert_eq!(adopters[0], (ProcessId(1), None));
+        for &(heir, adopter) in &adopters[1..8] {
+            assert_eq!(adopter, Some(ProcessId(1)), "{heir} under the first heir");
+        }
+        assert_eq!(adopters[8..], [(ProcessId(9), None), (ProcessId(10), None)]);
+    }
+
+    #[test]
+    fn a_childless_root_hands_the_tree_to_a_forest_root() {
+        // The line 0 - 1 - 2: node 1's death cuts 2 off, so 2 roots its
+        // subtree; the root's death then leaves 2 the tree's root, and
+        // 2's leaves the tree empty.
+        let topology = Topology::line(3);
+        let mut tree = SpanningTree::bfs(&topology, ProcessId(0));
+        let mut alive = [true; 3];
+        for (victim, root) in [(1, 0), (0, 2), (2, 2)] {
+            alive[victim] = false;
+            repair_tree(&mut tree, &topology, &alive, ProcessId(victim as u32));
+            assert_eq!(tree.root(), ProcessId(root), "after {victim} died");
+        }
+        assert_eq!(tree.node_count(), 0);
     }
 
     #[test]

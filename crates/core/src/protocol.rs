@@ -17,8 +17,9 @@ use ftscp_vclock::{ProcessId, VectorClock};
 /// the decentralized §III-F repair handshake — see
 /// [`crate::membership`]. A root's `Heartbeat` names its heirs where a
 /// non-root's carries the rungs above its parent. Only the in-memory
-/// `HierarchicalDetector` repairs without messages, by
-/// [`RepairStep`](crate::membership::RepairStep)s applied by call.
+/// `HierarchicalDetector` and `PredicateRegistry` repair without
+/// messages: they apply by call the rule the handshake settles to,
+/// [`ladder_adopters`](crate::membership::ladder_adopters).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DetectMsg {
     /// A completed interval (raw from a leaf, aggregated from an interior

@@ -44,6 +44,7 @@
 //! [`ingest`]: PredicateRegistry::ingest
 //! [`ingest_broadcast`]: PredicateRegistry::ingest_broadcast
 
+use crate::membership::repair_tree;
 use crate::report::GlobalDetection;
 use ftscp_intervals::{Interval, QueueBank, SlotId, Solution};
 use ftscp_simnet::{SimTime, Topology};
@@ -339,11 +340,14 @@ impl PredicateRegistry {
         }
     }
 
-    /// §III-F: `node` crash-stops. The shared tree is repaired once (so
-    /// later detections are reported at a live root); every tenant that
-    /// has `node` as a member drops its queue — the solutions that
-    /// releases are recorded — and the tenants that do not are not
-    /// touched. From here on an event of `node` is ignored on every path.
+    /// §III-F: `node` crash-stops. The shared tree is repaired once, by the
+    /// protocol's ladder rule
+    /// ([`ladder_adopters`](crate::membership::ladder_adopters)), so later
+    /// detections are reported at a live root (the first heir, when the
+    /// root died); every tenant that has `node` as a member drops its
+    /// queue — the solutions that releases are recorded — and the tenants
+    /// that do not are not touched. From here on an event of `node` is
+    /// ignored on every path.
     pub fn fail_node(&mut self, node: ProcessId, topology: &Topology) {
         if !in_tree(&self.tree, node) {
             return;
@@ -351,7 +355,7 @@ impl PredicateRegistry {
         let alive: Vec<bool> = ProcessId::all(self.tree.capacity())
             .map(|p| p != node && self.tree.contains(p))
             .collect();
-        self.tree.handle_failure(node, topology, &alive);
+        repair_tree(&mut self.tree, topology, &alive, node);
         let root = self.tree.root();
         for (tenant, slot) in std::mem::take(&mut self.index[node.index()]) {
             let tenant = &mut self.slots[tenant as usize];

@@ -64,6 +64,67 @@ fn deployment_matches_in_memory_detector() {
     }
 }
 
+/// One crash, two repairs: on every shape, topology and victim, the tree
+/// the protocol settles to on the simulated network is the one
+/// `HierarchicalDetector::fail_node` builds, parent for parent, and the
+/// last detection at the main root covers the same processes in both.
+#[test]
+fn one_crash_repairs_like_the_in_memory_detector() {
+    let crash = SimTime::from_millis(300);
+    let mut cases = 0;
+    for (n, d) in [(7, 2), (15, 2), (13, 3), (21, 4), (31, 2)] {
+        let rounds = 1_200 / (10 * n) + 2;
+        let exec = RandomExecution::builder(n)
+            .intervals_per_process(rounds)
+            .seed(7)
+            .build();
+        let tree = SpanningTree::balanced_dary(n, d);
+        for crosslinks in [0, 1] {
+            let topo = Topology::dary_tree(n, d, crosslinks);
+            for victim in ProcessId::all(n) {
+                let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, config(7));
+                dep.schedule_crash(victim, crash);
+                dep.run();
+
+                // The in-memory twin: the intervals completed before the
+                // crash, the crash, then the survivors' remainder.
+                let fed = (crash.0 / DeployConfig::default().interval_spacing.0) as usize;
+                let mut det = HierarchicalDetector::new(&tree);
+                let all = exec.intervals_interleaved();
+                for iv in &all[..fed] {
+                    det.feed((*iv).clone());
+                }
+                det.fail_node(victim, &topo);
+                for iv in all[fed..].iter().filter(|iv| iv.source != victim) {
+                    det.feed((*iv).clone());
+                }
+
+                let case = format!("n={n} d={d} crosslinks={crosslinks} victim={victim:?}");
+                for v in ProcessId::all(n).filter(|&v| v != victim) {
+                    assert_eq!(
+                        dep.app(v).parent(),
+                        det.tree().parent(v),
+                        "{case}: parent of {v:?}"
+                    );
+                }
+                let last_at = |dets: &[ftscp_core::GlobalDetection], root| {
+                    dets.iter()
+                        .rev()
+                        .find(|d| d.at_node == root)
+                        .map(|d| d.covered_processes())
+                };
+                let root = det.tree().root();
+                assert_eq!(dep.tree().root(), root, "{case}: main root");
+                let want = last_at(det.root_solutions(), root);
+                assert!(want.is_some(), "{case}: the main root detects");
+                assert_eq!(last_at(&dep.detections(), root), want, "{case}");
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 174);
+}
+
 /// A simulator/tree `NodeId` *is* a `ProcessId`: the tree's own child
 /// slice goes wherever the detection layer wants `&[ProcessId]`, with no
 /// conversion. Mostly a compile-time pin — it stops building the day the

@@ -75,11 +75,11 @@ fn figure2_failure_of_p3_preserves_partial_detection() {
     }
     assert!(det.root_solutions().is_empty());
 
-    // P3 (node 2, the root) fails; P2 is promoted (larger subtree) and P4
+    // P3 (node 2, the root) fails; P2 is promoted (first heir) and P4
     // re-attaches under it via the P2–P4 topology link.
     det.fail_node(ProcessId(2), &topo);
     assert_eq!(det.tree().root(), NodeId(1), "P2 promoted");
-    assert!(det.tree().children(NodeId(1)).contains(&NodeId(3)));
+    assert_eq!(det.tree().children(NodeId(1)), &[NodeId(0), NodeId(3)]);
 
     // Now x1 completes: the partial predicate over {P1, P2, P4} fires.
     for iv in x1_feed {

@@ -30,9 +30,9 @@
 //!                 u8 n_ancestors, n × (u32 id, u16 addr_len, addr bytes)
 //! ```
 //!
-//! Subtags 3–6 are retired: they carried the simulated harness's four
-//! tree-repair control messages, which are now `RepairStep`s the harness
-//! applies by call and no `DetectMsg` at all. A TCP tree repairs itself
+//! Subtags 3–6 are retired: they carried a clairvoyant harness's four
+//! tree-repair control messages, and no monitor sends or applies such a
+//! message any more. Every tree, simulated or TCP, repairs itself
 //! through `Suspect`/`Adopt`/`AdoptAck`/`ReReport`, and a frame carrying
 //! 3–6 is refused like the unassigned subtag 7.
 //!

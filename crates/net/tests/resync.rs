@@ -328,10 +328,10 @@ fn dense_frame_kills_only_its_own_connection() {
     assert_eq!(coverages(&sim), coverages(&report.detections));
 }
 
-/// Detect subtags 3–6 are retired: they once carried the simulated
+/// Detect subtags 3–6 are retired: they once carried a clairvoyant
 /// harness's tree-repair control messages (the bytes below are a root
-/// promotion and a child removal as they were laid out), which are now
-/// `RepairStep`s applied by call. Acted on from a socket they would let
+/// promotion and a child removal as they were laid out), and nothing
+/// sends or applies them any more. Acted on from a socket they would let
 /// anyone who can connect drop a live child's queue — releasing solutions
 /// that never saw its subtree — or promote a root. The node refuses them
 /// like any unknown frame and is otherwise untouched.

@@ -388,13 +388,13 @@ impl SpanningTree {
         self.children[parent.index()].push(node);
     }
 
-    // ----- mutation (used by reconnect) -----
-
-    pub(crate) fn detach_node(&mut self, node: NodeId) {
+    /// Removes `node` from the tree: its parent drops it, and each of its
+    /// children becomes the parentless root of its own subtree until a
+    /// repair re-attaches it ([`attach`](Self::attach)).
+    pub fn detach_node(&mut self, node: NodeId) {
         if let Some(p) = self.parent[node.index()].take() {
             self.children[p.index()].retain(|&c| c != node);
         }
-        // The node's children become orphan subtree roots.
         let kids = std::mem::take(&mut self.children[node.index()]);
         for c in kids {
             self.parent[c.index()] = None;
@@ -402,41 +402,17 @@ impl SpanningTree {
         self.in_tree[node.index()] = false;
     }
 
-    #[cfg(test)]
-    pub(crate) fn detach_edge_to_parent(&mut self, node: NodeId) {
-        if let Some(p) = self.parent[node.index()].take() {
-            self.children[p.index()].retain(|&c| c != node);
-        }
-    }
-
-    /// Reverses parent pointers along the path `new_root .. old_root`,
-    /// making `new_root` the root of its subtree.
-    pub(crate) fn reroot_subtree(&mut self, new_root: NodeId) {
-        // Collect the path up to the (current) subtree root.
-        let mut path = vec![new_root];
-        let mut cur = new_root;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        // Reverse each edge on the path.
-        for w in path.windows(2) {
-            let (child, par) = (w[0], w[1]);
-            // par loses child; child gains par.
-            self.children[par.index()].retain(|&c| c != child);
-            self.children[child.index()].push(par);
-            self.parent[par.index()] = Some(child);
-        }
-        self.parent[new_root.index()] = None;
-    }
-
-    pub(crate) fn attach(&mut self, child: NodeId, parent: NodeId) {
+    /// Hangs the parentless `child`, with its subtree, under `parent`. The
+    /// edge need not be a topology edge: a repaired tree's parent may be
+    /// several hops away.
+    pub fn attach(&mut self, child: NodeId, parent: NodeId) {
         debug_assert!(self.parent[child.index()].is_none());
         self.parent[child.index()] = Some(parent);
         self.children[parent.index()].push(child);
     }
 
-    pub(crate) fn set_root(&mut self, root: NodeId) {
+    /// Names `root`, a parentless node of the tree, its root.
+    pub fn set_root(&mut self, root: NodeId) {
         debug_assert!(self.in_tree[root.index()]);
         self.root = root;
     }
@@ -564,18 +540,6 @@ mod tests {
         assert!(!tree.contains(NodeId(4)), "orphan out until adopted");
         assert_eq!(tree.children(NodeId(0)), &[NodeId(1)]);
         assert_eq!(tree.parent(NodeId(3)), Some(NodeId(1)));
-    }
-
-    #[test]
-    fn reroot_reverses_path() {
-        let mut tree = SpanningTree::balanced_dary(7, 2);
-        // Detach subtree rooted at 1 and re-root it at leaf 3.
-        tree.detach_edge_to_parent(NodeId(1));
-        tree.reroot_subtree(NodeId(3));
-        assert_eq!(tree.parent(NodeId(3)), None);
-        assert_eq!(tree.parent(NodeId(1)), Some(NodeId(3)));
-        assert_eq!(tree.parent(NodeId(4)), Some(NodeId(1)));
-        assert!(tree.children(NodeId(3)).contains(&NodeId(1)));
     }
 
     #[test]
