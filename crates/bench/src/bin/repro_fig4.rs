@@ -1,7 +1,8 @@
-//! Reproduces **Figure 4**: message complexity of hierarchical (Eq. (11))
-//! vs centralized (Eq. (12)/(14)) detection, `d = 2`, `p = 20`,
-//! `α ∈ {0.1, 0.45}`, as a function of the tree height `h` — plus measured
-//! validation runs at simulable sizes.
+//! Reproduces **Figures 4 and 5**: message complexity of hierarchical
+//! (Eq. (11)) vs centralized (Eq. (12)/(14)) detection, `p = 20`,
+//! `α ∈ {0.1, 0.45}`, as a function of the tree height `h`, for `d = 2`
+//! (Figure 4) and `d = 4` (Figure 5) — each with measured validation runs
+//! at simulable sizes.
 //!
 //! ```text
 //! cargo run -p ftscp-bench --release --bin repro_fig4
@@ -96,10 +97,15 @@ fn measured(d: usize, heights: &[u32], skips: &[(f64, f64)]) {
 }
 
 fn main() {
+    let skips = [(0.0, 0.0), (0.3, 0.2)];
     analytic(2, 14);
-    measured(2, &[3, 4, 5, 6], &[(0.0, 0.0), (0.3, 0.2)]);
+    measured(2, &[3, 4, 5, 6], &skips);
     println!("\nShape check (paper's Figure 4 claims):");
     println!("  * centralized grows faster than hierarchical in h — ratio increases;");
     println!("  * smaller α ⇒ fewer hierarchical messages;");
-    println!("  * p is a linear factor in both curves.");
+    println!("  * p is a linear factor in both curves.\n");
+    analytic(4, 7);
+    measured(4, &[2, 3, 4], &skips);
+    println!("\nShape check (Figure 5): larger d amplifies both curves,");
+    println!("and the centralized/hierarchical gap still widens with h.");
 }

@@ -52,8 +52,10 @@
 //! carries `dead_parent`, so it does not rely on the separate `Suspect`
 //! arriving first over a non-FIFO transport).
 //!
-//! What the handshake settles to after one crash is a pure function of
-//! the tree, the topology and who is alive: [`ladder_adopters`]. The
+//! There is one ladder: the chain the parent last beaconed, which an
+//! orphan climbs nearest-first and [`ladder`] builds from the tree. What
+//! the handshake settles to after a crash is a pure function of the
+//! tree, the topology and who is alive: [`ladder_adopters`]. The
 //! message-free `HierarchicalDetector` and `PredicateRegistry` repair by
 //! it, so every deployment and the in-memory reference build one tree.
 
@@ -105,11 +107,12 @@ pub enum MembershipEvent {
 }
 
 /// Knocks an orphan sends at one adoption target before giving up on it
-/// and falling back to an older hint (or declaring itself orphaned). The
-/// suspicion driver re-knocks every `timeout / 2`, so a cap of 4 gives a
-/// slow-but-alive adopter two full suspicion periods to answer; a *dead*
-/// adopter (the grandparent died with the parent) stops being dialed
-/// after the fourth knock instead of forever.
+/// and falling back to the next rung of its ancestor chain (or promoting
+/// itself when the chain runs out). The suspicion driver re-knocks every
+/// `timeout / 2`, so a cap of 4 gives a slow-but-alive adopter two full
+/// suspicion periods to answer; a *dead* adopter (the grandparent died
+/// with the parent) stops being dialed after the fourth knock instead of
+/// forever.
 pub const ADOPT_ATTEMPT_CAP: u32 = 4;
 
 /// Longest ancestor chain carried on a heartbeat (and remembered from
@@ -119,8 +122,9 @@ pub const ADOPT_ATTEMPT_CAP: u32 = 4;
 pub const ANCESTOR_HINT_CAP: usize = 8;
 
 /// Per-node membership view: own epoch, the freshest epoch heard from
-/// each peer, the grandparent hint history, and the repair state machine.
-/// Every field is logical state, so `Hash` is its digest.
+/// each peer, the ancestor chain the parent last beaconed (the one
+/// adoption ladder), and the repair state machine. Every field is logical
+/// state, so `Hash` is its digest.
 #[derive(Clone, Debug, Hash)]
 pub struct Membership {
     epoch: u64,
@@ -132,16 +136,12 @@ pub struct Membership {
     /// so chains propagate one edge per beacon down the tree. May go
     /// stale across a re-parenting until the new parent's first beacon
     /// overwrites it — chains are hints, and the knock budget handles
-    /// hints that turn out to be corpses.
+    /// hints that turn out to be corpses. It is also the adoption ladder:
+    /// an orphan climbs it nearest-first, the list [`ladder`] builds from
+    /// the tree.
     above_parent: Vec<ProcessId>,
-    /// Every distinct grandparent hint ever heard, most recent last — the
-    /// fallback-adopter ladder when the freshest hint turns out to be a
-    /// corpse (the parent re-parented over its lifetime, so older hints
-    /// name other live ancestors).
-    hint_history: Vec<ProcessId>,
     /// Adoption targets that exhausted their knock budget during the
-    /// current outage; never dialed again until an adoption succeeds or
-    /// a genuinely new hint arrives.
+    /// current outage; never dialed again until an adoption succeeds.
     failed_targets: Vec<ProcessId>,
     /// Knocks sent at the current adoption target (bounded by
     /// [`ADOPT_ATTEMPT_CAP`]).
@@ -156,7 +156,6 @@ impl Membership {
             epoch,
             peer_epochs: BTreeMap::new(),
             above_parent: Vec::new(),
-            hint_history: Vec::new(),
             failed_targets: Vec::new(),
             attempts: 0,
             state: RepairState::Stable,
@@ -178,34 +177,17 @@ impl Membership {
         matches!(self.state, RepairState::Adopting { .. })
     }
 
-    /// Folds one adoption hint into the ladder (most recent last; a
-    /// never-seen hint clears the failed-target memory).
-    fn note_hint(&mut self, hint: ProcessId) {
-        if self.hint_history.last() != Some(&hint) {
-            if !self.hint_history.contains(&hint) {
-                self.failed_targets.clear();
-            }
-            self.hint_history.retain(|&h| h != hint);
-            self.hint_history.push(hint);
-        }
-    }
-
     /// Records the full ancestor chain carried by the parent's heartbeat,
     /// in the two pieces the beacon carries it in: `nearest`, the
     /// parent's own parent, then `above`, the rungs beyond it — together
     /// this node's ancestors above its own parent, nearest first
     /// ([grandparent, great-grandparent, …]; empty when the parent is a
-    /// root). The nearest rung becomes the grandparent hint, every rung
-    /// enters the fallback ladder (farthest folded first, so
-    /// [`next_adoption_candidate`](Self::next_adoption_candidate) dials
-    /// nearest-first), and the capped chain is kept for relay on this
-    /// node's own heartbeats.
+    /// root). The capped chain replaces the previous one: it is both the
+    /// ladder [`next_adoption_candidate`](Self::next_adoption_candidate)
+    /// climbs and what this node's own heartbeats relay.
     pub fn note_ancestors(&mut self, nearest: Option<ProcessId>, above: &[ProcessId]) {
         let room = ANCESTOR_HINT_CAP - usize::from(nearest.is_some());
         let above = &above[..above.len().min(room)];
-        for &a in above.iter().rev().chain(&nearest) {
-            self.note_hint(a);
-        }
         self.above_parent.clear();
         self.above_parent.extend(nearest);
         self.above_parent.extend_from_slice(above);
@@ -216,12 +198,6 @@ impl Membership {
     /// the grandparent.
     pub fn ancestor_chain(&self) -> &[ProcessId] {
         &self.above_parent
-    }
-
-    /// The fallback-adopter ladder: every distinct grandparent hint ever
-    /// heard, most recent last.
-    pub fn hint_history(&self) -> &[ProcessId] {
-        &self.hint_history
     }
 
     /// Adoption targets written off during the current outage.
@@ -242,14 +218,13 @@ impl Membership {
         self.attempts <= ADOPT_ATTEMPT_CAP
     }
 
-    /// The freshest hint that is still worth dialing: most recent first,
-    /// skipping the dead parent being replaced and every target already
-    /// written off. The node's own id is a rung like any other: reaching
-    /// it means the node is next in a dead root's succession line.
+    /// The nearest rung of the ancestor chain that is still worth
+    /// dialing, skipping the dead parent being replaced and every target
+    /// already written off. The node's own id is a rung like any other:
+    /// reaching it means the node is next in a dead root's succession line.
     pub fn next_adoption_candidate(&self, dead_parent: Option<ProcessId>) -> Option<ProcessId> {
-        self.hint_history
+        self.above_parent
             .iter()
-            .rev()
             .copied()
             .find(|&c| Some(c) != dead_parent && !self.failed_targets.contains(&c))
     }
@@ -347,26 +322,15 @@ pub(crate) fn rejoin_adopter(
     neighbours.find(|&nb| tree.contains(nb) && alive(nb))
 }
 
-/// The protocol's repair rule (§III-F) as a pure function: where each
-/// orphan of `failed` settles once the handshake has run. Returns every
-/// live child of `failed`, in ascending id, with its adopter; `None`
-/// means the orphan roots its subtree.
-///
-/// An orphan's ladder is the chain `failed` beaconed: its ancestors,
-/// nearest first, then the heirs of its tree's root (that root's
-/// children, by id), or the heirs alone when `failed` is a root, capped
-/// at [`ANCESTOR_HINT_CAP`]. The orphan adopts under the first rung that
-/// is alive and that `topology` reaches over live nodes; a rung that is
-/// its own id, met first, or a ladder run out, promotes it. `alive` must
-/// be `false` for `failed`.
-pub fn ladder_adopters(
-    tree: &SpanningTree,
-    topology: &Topology,
-    alive: &[bool],
-    failed: ProcessId,
-) -> Vec<(ProcessId, Option<ProcessId>)> {
+/// The chain `node` beacons to its children, built from `tree`: its
+/// ancestors, nearest first, then the heirs of its tree's root (that
+/// root's children, by id), or the heirs alone when `node` is a root,
+/// capped at [`ANCESTOR_HINT_CAP`]. Once beacons have settled, a child's
+/// [`Membership::ancestor_chain`] is `ladder(tree, parent)`: the ladder
+/// it climbs when that parent dies.
+pub fn ladder(tree: &SpanningTree, node: ProcessId) -> Vec<ProcessId> {
     let mut chain = Vec::new();
-    let mut top = failed;
+    let mut top = node;
     while let Some(p) = tree.parent(top) {
         chain.push(p);
         top = p;
@@ -375,6 +339,26 @@ pub fn ladder_adopters(
     heirs.sort_unstable();
     chain.extend(heirs);
     chain.truncate(ANCESTOR_HINT_CAP);
+    chain
+}
+
+/// The protocol's repair rule (§III-F) as a pure function: where each
+/// orphan of `failed` settles once the handshake has run. Returns every
+/// live child of `failed`, in ascending id, with its adopter; `None`
+/// means the orphan roots its subtree.
+///
+/// An orphan climbs [`ladder`]`(tree, failed)`, the chain `failed`
+/// beaconed, and adopts under the first rung that is alive and that
+/// `topology` reaches over live nodes; a rung that is its own id, met
+/// first, or a ladder run out, promotes it. `alive` must be `false` for
+/// `failed`.
+pub fn ladder_adopters(
+    tree: &SpanningTree,
+    topology: &Topology,
+    alive: &[bool],
+    failed: ProcessId,
+) -> Vec<(ProcessId, Option<ProcessId>)> {
+    let chain = ladder(tree, failed);
     let mut orphans = tree.children(failed).to_vec();
     orphans.retain(|c| alive[c.index()]);
     orphans.sort_unstable();
@@ -390,8 +374,9 @@ pub fn ladder_adopters(
 
 /// Removes `failed` from `tree` and re-attaches its orphans where
 /// [`ladder_adopters`] puts them, which it returns. When the root failed,
-/// its first promoted heir roots the tree (failing that, the lowest-id
-/// forest root left); every other promoted orphan stays a forest root.
+/// the lowest-id parentless node left roots the tree (the rule
+/// `Deployment` mirrors its simulated tree by); every other promoted
+/// orphan stays a forest root.
 pub(crate) fn repair_tree(
     tree: &mut SpanningTree,
     topology: &Topology,
@@ -406,9 +391,7 @@ pub(crate) fn repair_tree(
         }
     }
     if failed == tree.root() {
-        let promoted = adopters.iter().find(|(_, a)| a.is_none()).map(|&(o, _)| o);
-        let forest = || tree.nodes().into_iter().find(|&n| tree.parent(n).is_none());
-        if let Some(root) = promoted.or_else(forest) {
+        if let Some(root) = tree.nodes().into_iter().find(|&n| tree.parent(n).is_none()) {
             tree.set_root(root);
         }
     }
@@ -451,41 +434,44 @@ mod tests {
 
     #[test]
     fn hint_ladder_and_failed_target_memory() {
+        let p = ProcessId;
         let mut m = Membership::new(0);
-        m.note_ancestors(Some(ProcessId(7)), &[]);
-        m.note_ancestors(Some(ProcessId(8)), &[]);
-        m.note_ancestors(Some(ProcessId(7)), &[]); // re-heard: moves to most-recent
-        assert_eq!(m.hint_history(), &[ProcessId(8), ProcessId(7)]);
+        // An older beacon named grandparent 9; the parent re-parented
+        // since, and its latest beacon names 7 over 8.
+        m.note_ancestors(Some(p(9)), &[]);
+        m.note_ancestors(Some(p(7)), &[p(8)]);
+        assert_eq!(m.next_adoption_candidate(Some(p(0))), Some(p(7)));
         assert_eq!(
-            m.next_adoption_candidate(Some(ProcessId(0))),
-            Some(ProcessId(7)),
-            "most recent hint dialed first"
+            m.next_adoption_candidate(Some(p(7))),
+            Some(p(8)),
+            "the dead parent is no rung"
         );
-        m.begin_adoption(ProcessId(7), Some(ProcessId(0)));
+        m.begin_adoption(p(7), Some(p(0)));
         m.abandon_adoption_target();
-        assert_eq!(m.failed_targets(), &[ProcessId(7)]);
+        assert_eq!(m.failed_targets(), &[p(7)]);
         assert_eq!(
-            m.next_adoption_candidate(Some(ProcessId(0))),
-            Some(ProcessId(8)),
-            "fallback skips the written-off target"
+            m.next_adoption_candidate(Some(p(0))),
+            Some(p(8)),
+            "fallback is the next rung of the beaconed chain"
         );
-        m.begin_adoption(ProcessId(8), Some(ProcessId(0)));
+        m.begin_adoption(p(8), Some(p(0)));
         m.abandon_adoption_target();
         assert_eq!(
-            m.next_adoption_candidate(Some(ProcessId(0))),
+            m.next_adoption_candidate(Some(p(0))),
             None,
-            "ladder exhausted"
+            "ladder exhausted: 9, heard only in an older beacon, is never knocked"
         );
-        // A re-heard old hint does not forgive a written-off target...
-        m.note_ancestors(Some(ProcessId(8)), &[]);
-        assert_eq!(m.next_adoption_candidate(Some(ProcessId(0))), None);
-        // ...but a genuinely new hint re-opens every path.
-        m.note_ancestors(Some(ProcessId(9)), &[]);
+        // A re-heard beacon does not forgive a written-off target...
+        m.note_ancestors(Some(p(7)), &[p(8)]);
+        assert_eq!(m.next_adoption_candidate(Some(p(0))), None);
+        // ...nor does a new one, whose fresh rung is dialed all the same.
+        m.note_ancestors(Some(p(9)), &[p(7)]);
+        assert_eq!(m.failed_targets(), &[p(7), p(8)]);
+        assert_eq!(m.next_adoption_candidate(Some(p(0))), Some(p(9)));
+        // A target that answers ends the outage and its memory.
+        m.begin_adoption(p(9), Some(p(0)));
+        m.finish_adoption();
         assert!(m.failed_targets().is_empty());
-        assert_eq!(
-            m.next_adoption_candidate(Some(ProcessId(0))),
-            Some(ProcessId(9))
-        );
     }
 
     #[test]
@@ -516,9 +502,9 @@ mod tests {
             "…all the way to the root"
         );
         // Repeated identical beacons keep the ladder stable.
-        let ladder = m.hint_history().to_vec();
+        let ladder = m.ancestor_chain().to_vec();
         m.note_ancestors(Some(ProcessId(2)), &[ProcessId(1), ProcessId(0)]);
-        assert_eq!(m.hint_history(), &ladder[..]);
+        assert_eq!(m.ancestor_chain(), &ladder[..]);
         // A root parent's beacon clears the chain (nothing above it).
         m.note_ancestors(None, &[]);
         assert_eq!(m.ancestor_chain().first(), None);

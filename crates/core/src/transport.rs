@@ -579,8 +579,8 @@ impl MonitorCore {
                     }
                     // Budget exhausted: the target never answered — it
                     // died with the parent. Write it off and fall back
-                    // down the hint ladder instead of dialing a corpse
-                    // forever.
+                    // to the next rung of the chain instead of dialing a
+                    // corpse forever.
                     self.membership.abandon_adoption_target();
                 }
                 match self.membership.next_adoption_candidate(Some(peer)) {
@@ -1382,15 +1382,16 @@ mod tests {
             suspecting(SimTime::from_millis(100)),
         );
         let mut t = RecTransport::default();
-        // The parent re-parented over its lifetime: hints 7 then 8.
-        for (at, gp) in [(0u64, 7u32), (10, 8)] {
+        // The parent re-parented over its lifetime: its older beacon named
+        // grandparent 9, its latest names 8 with 7 above it.
+        for (at, gp, above) in [(0u64, 9u32, vec![]), (10, 8, vec![ProcessId(7)])] {
             t.now = SimTime::from_millis(at);
             core.on_message(
                 DetectMsg::Heartbeat {
                     from: ProcessId(0),
                     epoch: 0,
                     parent: Some(ProcessId(gp)),
-                    ancestors: vec![],
+                    ancestors: above,
                 },
                 &mut t,
             );
@@ -1403,7 +1404,7 @@ mod tests {
             vec![MembershipEvent::AdoptionStarted {
                 target: ProcessId(8)
             }],
-            "freshest hint dialed first"
+            "nearest rung dialed first"
         );
         let epoch8 = core.membership().epoch();
         assert!(sent.ends_with(&knock(8, epoch8)), "the round knocks");
@@ -1418,17 +1419,24 @@ mod tests {
             );
             assert!(sent.ends_with(&knock(8, epoch8)), "every round knocks");
         }
-        // Budget spent: 8 is written off, the older hint 7 takes over.
+        // Budget spent: 8 is written off, the next rung 7 takes over.
         let (retarget, sent) = tick(&mut core, &mut t);
         assert_eq!(
             retarget,
             vec![MembershipEvent::AdoptionStarted {
                 target: ProcessId(7)
             }],
-            "falls back to the older hint instead of dialing the corpse forever"
+            "falls back up the beaconed chain instead of dialing the corpse forever"
         );
         assert_eq!(core.membership().failed_targets(), &[ProcessId(8)]);
         assert!(sent.ends_with(&knock(7, core.membership().epoch())));
+        // Were 7 dead too, the chain would run out: 9, heard only in the
+        // older beacon, is never knocked.
+        let mut spent = core.clone();
+        for _ in 0..ADOPT_ATTEMPT_CAP {
+            let (_, sent) = tick(&mut spent, &mut t);
+            assert!(sent.iter().all(|s| s.0 != ProcessId(9)), "9 knocked");
+        }
         // A late ack from the abandoned target answers a closed attempt.
         core.on_message(
             DetectMsg::AdoptAck {

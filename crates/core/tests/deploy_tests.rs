@@ -2,6 +2,7 @@
 //! non-FIFO multi-hop network.
 
 use ftscp_core::deploy::{DeployConfig, Deployment};
+use ftscp_core::membership::ladder;
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::HierarchicalDetector;
 use ftscp_simnet::{LinkModel, NodeId, SimConfig, SimTime, Topology};
@@ -64,65 +65,110 @@ fn deployment_matches_in_memory_detector() {
     }
 }
 
-/// One crash, two repairs: on every shape, topology and victim, the tree
-/// the protocol settles to on the simulated network is the one
-/// `HierarchicalDetector::fail_node` builds, parent for parent, and the
-/// last detection at the main root covers the same processes in both.
-#[test]
-fn one_crash_repairs_like_the_in_memory_detector() {
-    let crash = SimTime::from_millis(300);
+/// For every shape, topology (`crosslinks` 0 and 1) and victim list
+/// `victims(n)` names, crashes the victims in turn, at 300 ms and then at
+/// 1 000 ms, on the simulated network and in
+/// `HierarchicalDetector::fail_node`, and asserts the two repairs agree:
+/// every survivor's parent, the main root, the processes the last
+/// main-root detection covers, and every live, attached node's ancestor
+/// chain, which is `membership::ladder` of its parent. Each run lasts
+/// about `run_ms`. Returns the number of cases.
+fn repairs_like_the_in_memory_detector(
+    shapes: &[(usize, usize)],
+    run_ms: usize,
+    victims: impl Fn(usize) -> Vec<Vec<ProcessId>>,
+) -> usize {
     let mut cases = 0;
-    for (n, d) in [(7, 2), (15, 2), (13, 3), (21, 4), (31, 2)] {
-        let rounds = 1_200 / (10 * n) + 2;
+    for &(n, d) in shapes {
         let exec = RandomExecution::builder(n)
-            .intervals_per_process(rounds)
+            .intervals_per_process(run_ms / (10 * n) + 2)
             .seed(7)
             .build();
         let tree = SpanningTree::balanced_dary(n, d);
-        for crosslinks in [0, 1] {
+        for (crosslinks, victims) in [0, 1]
+            .into_iter()
+            .flat_map(|x| victims(n).into_iter().map(move |v| (x, v)))
+        {
             let topo = Topology::dary_tree(n, d, crosslinks);
-            for victim in ProcessId::all(n) {
-                let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, config(7));
-                dep.schedule_crash(victim, crash);
-                dep.run();
-
-                // The in-memory twin: the intervals completed before the
-                // crash, the crash, then the survivors' remainder.
-                let fed = (crash.0 / DeployConfig::default().interval_spacing.0) as usize;
-                let mut det = HierarchicalDetector::new(&tree);
-                let all = exec.intervals_interleaved();
-                for iv in &all[..fed] {
-                    det.feed((*iv).clone());
-                }
-                det.fail_node(victim, &topo);
-                for iv in all[fed..].iter().filter(|iv| iv.source != victim) {
-                    det.feed((*iv).clone());
-                }
-
-                let case = format!("n={n} d={d} crosslinks={crosslinks} victim={victim:?}");
-                for v in ProcessId::all(n).filter(|&v| v != victim) {
-                    assert_eq!(
-                        dep.app(v).parent(),
-                        det.tree().parent(v),
-                        "{case}: parent of {v:?}"
-                    );
-                }
-                let last_at = |dets: &[ftscp_core::GlobalDetection], root| {
-                    dets.iter()
-                        .rev()
-                        .find(|d| d.at_node == root)
-                        .map(|d| d.covered_processes())
-                };
-                let root = det.tree().root();
-                assert_eq!(dep.tree().root(), root, "{case}: main root");
-                let want = last_at(det.root_solutions(), root);
-                assert!(want.is_some(), "{case}: the main root detects");
-                assert_eq!(last_at(&dep.detections(), root), want, "{case}");
-                cases += 1;
+            let crashes = || {
+                victims
+                    .iter()
+                    .copied()
+                    .zip([300, 1_000].map(SimTime::from_millis))
+            };
+            let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, config(7));
+            for (victim, at) in crashes() {
+                dep.schedule_crash(victim, at);
             }
+            dep.run();
+
+            // The in-memory twin: each crash lands before the first
+            // interval completed after it, and the dead feed nothing.
+            let spacing = DeployConfig::default().interval_spacing;
+            let mut det = HierarchicalDetector::new(&tree);
+            for (i, iv) in exec.intervals_interleaved().into_iter().enumerate() {
+                for (victim, _) in crashes().filter(|&(_, at)| at.0 / spacing.0 == i as u64) {
+                    det.fail_node(victim, &topo);
+                }
+                if det.tree().contains(iv.source) {
+                    det.feed(iv.clone());
+                }
+            }
+
+            let case = format!("n={n} d={d} crosslinks={crosslinks} victims={victims:?}");
+            for v in ProcessId::all(n).filter(|v| !victims.contains(v)) {
+                let parent = det.tree().parent(v);
+                assert_eq!(dep.app(v).parent(), parent, "{case}: parent of {v:?}");
+                if let Some(parent) = parent {
+                    let chain = dep.app(v).membership().ancestor_chain();
+                    assert_eq!(chain, ladder(det.tree(), parent), "{case}: chain of {v:?}");
+                }
+            }
+            let last_at = |dets: &[ftscp_core::GlobalDetection], root| {
+                dets.iter()
+                    .rev()
+                    .find(|d| d.at_node == root)
+                    .map(|d| d.covered_processes())
+            };
+            let root = det.tree().root();
+            assert_eq!(dep.tree().root(), root, "{case}: main root");
+            let want = last_at(det.root_solutions(), root);
+            assert!(want.is_some(), "{case}: the main root detects");
+            assert_eq!(last_at(&dep.detections(), root), want, "{case}");
+            cases += 1;
         }
     }
-    assert_eq!(cases, 174);
+    cases
+}
+
+/// One crash, two repairs: on every shape, topology and victim, the tree
+/// the protocol settles to on the simulated network is the one
+/// `HierarchicalDetector::fail_node` builds.
+#[test]
+fn one_crash_repairs_like_the_in_memory_detector() {
+    let shapes = [(7, 2), (15, 2), (13, 3), (21, 4), (31, 2)];
+    let singles = |n| ProcessId::all(n).map(|v| vec![v]).collect();
+    assert_eq!(
+        repairs_like_the_in_memory_detector(&shapes, 1_200, singles),
+        174
+    );
+}
+
+/// Two crashes, the tree settled in between: after every ordered pair of
+/// victims the protocol's tree, root and ladders are still the in-memory
+/// detector's.
+#[test]
+fn two_crashes_repair_like_the_in_memory_detector() {
+    let pairs = |n| {
+        let all = || ProcessId::all(n);
+        all()
+            .flat_map(|a| all().filter(move |&b| b != a).map(move |b| vec![a, b]))
+            .collect()
+    };
+    assert_eq!(
+        repairs_like_the_in_memory_detector(&[(7, 2), (13, 3)], 2_600, pairs),
+        396
+    );
 }
 
 /// A simulator/tree `NodeId` *is* a `ProcessId`: the tree's own child

@@ -327,12 +327,13 @@ struct ReactorState {
     uplink_target: Option<(ProcessId, SocketAddr)>,
     /// The first uplink session is not a *re*connect.
     uplink_ever_up: bool,
-    /// Address book built from the parent's `Uplink` frames: every
-    /// ancestor ever hinted, by id. The core's membership ladder picks
-    /// *which* ancestor to adopt toward (freshest hint first, written-off
-    /// targets skipped); this map answers *where* to dial it — so a
-    /// fallback target from an older hint is reachable even after the
-    /// freshest one turned out to be dead.
+    /// Address book from the parent's last `Uplink` frame: every rung it
+    /// named, plus the parent's own address (before the first frame, the
+    /// configured parent's alone), by id. The core's ladder picks *which*
+    /// ancestor to adopt toward (nearest rung first, written-off targets
+    /// skipped); this map answers *where* to dial it, and where to
+    /// re-knock the parent should the node promote itself over it. Each
+    /// frame replaces the book, so it holds one chain.
     hint_addrs: BTreeMap<ProcessId, SocketAddr>,
     feeds_done: usize,
     child_fins: BTreeSet<ProcessId>,
@@ -356,6 +357,7 @@ impl ReactorState {
         ReactorState {
             core,
             uplink_target: config.parent,
+            hint_addrs: config.parent.into_iter().collect(),
             config,
             start: Instant::now(),
             poller,
@@ -365,7 +367,6 @@ impl ReactorState {
             peer_conn: HashMap::new(),
             uplink: Uplink::Idle,
             uplink_ever_up: false,
-            hint_addrs: BTreeMap::new(),
             feeds_done: 0,
             child_fins: BTreeSet::new(),
             fin_sent: false,
@@ -650,9 +651,7 @@ impl ReactorState {
             // the core and falls down the ladder — on TCP an id without an
             // address is unreachable. The heirs a root names are such ids:
             // a `Hello` carries no listen address.
-            let hinted = self.hint_addrs.get(&target).copied();
-            let configured = self.config.parent.filter(|&(p, _)| p == target);
-            if let Some(addr) = hinted.or(configured.map(|(_, a)| a)) {
+            if let Some(&addr) = self.hint_addrs.get(&target) {
                 self.uplink_target = Some((target, addr));
                 self.close_conn(UPLINK_CONN);
             }
@@ -722,10 +721,13 @@ impl ReactorState {
                 if conn != UPLINK_CONN {
                     return; // the hint only makes sense from the parent direction
                 }
-                // Every rung lands in the address book: the grandparent
-                // and the relayed chain above it alike. Unparseable
-                // addresses are dropped — a rung without an address just
-                // burns its knock budget as before.
+                // The frame's rungs, the grandparent and the relayed chain
+                // above it, replace the address book; the parent's own
+                // address stays for a re-knock. Unparseable addresses are
+                // dropped — a rung without an address just burns its
+                // knock budget.
+                self.hint_addrs.clear();
+                self.hint_addrs.extend(self.uplink_target);
                 for (p, addr) in parent.into_iter().chain(ancestors) {
                     if let Ok(a) = addr.parse() {
                         self.hint_addrs.insert(p, a);
@@ -860,6 +862,44 @@ mod tests {
         core.on_duty(Duty::Suspect, &mut t);
         assert_eq!(core.held_children(), vec![ProcessId(2)]);
         assert!(core.engine().has_child(ProcessId(2)), "queue still held");
+    }
+
+    #[test]
+    fn each_uplink_frame_replaces_the_address_book() {
+        let addr = |port| SocketAddr::from(([127, 0, 0, 1], port));
+        let rung = |p, port| (ProcessId(p), addr(port).to_string());
+        let uplink = |parent, ancestors| NetMsg::Uplink {
+            parent: Some(parent),
+            ancestors,
+        };
+        let config = NodeConfig::new(ProcessId(1), Some((ProcessId(0), addr(1000))));
+        let mut st = ReactorState::new(config, Poller::new().expect("poller"), Arc::default());
+        let book = |st: &ReactorState| st.hint_addrs.keys().map(|p| p.0).collect::<Vec<_>>();
+        let target = |st: &ReactorState| st.uplink_target.map(|(p, a)| (p.0, a.port()));
+
+        st.handle_msg(UPLINK_CONN, uplink(rung(5, 1005), vec![rung(6, 1006)]));
+        assert_eq!(book(&st), [0, 5, 6]);
+        // The parent re-parented: its next frame names 4 alone.
+        st.handle_msg(UPLINK_CONN, uplink(rung(4, 1004), Vec::new()));
+        assert_eq!(book(&st), [0, 4], "5 and 6 go with the old chain");
+
+        // Parent 0 dies and the node adopts under 4, an address it was
+        // never configured with; 4's frame names 3.
+        let adopt = |t| MembershipEvent::AdoptionStarted {
+            target: ProcessId(t),
+        };
+        st.follow_membership(vec![adopt(4)]);
+        assert_eq!(target(&st), Some((4, 1004)));
+        st.handle_msg(UPLINK_CONN, uplink(rung(3, 1003), Vec::new()));
+        assert_eq!(book(&st), [3, 4], "the parent's own address stays");
+        // 4 dies too, 3 never answers, and the node promotes over 4: the
+        // uplink re-aims at 4 for the re-knock.
+        st.follow_membership(vec![adopt(3)]);
+        assert_eq!(target(&st), Some((3, 1003)));
+        st.follow_membership(vec![MembershipEvent::Promoted {
+            dead_parent: ProcessId(4),
+        }]);
+        assert_eq!(target(&st), Some((4, 1004)));
     }
 
     #[test]
