@@ -25,7 +25,6 @@ use crate::prune;
 use crate::solution::Solution;
 use crate::summary::SweepSummary;
 use ftscp_vclock::{order, OpCounter};
-use std::collections::BTreeSet;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -251,6 +250,24 @@ pub struct QueueBank {
     /// Intervals resident across all queues, kept in step with every push
     /// and pop so the peak statistic costs `O(1)` per enqueue.
     resident: usize,
+    /// Buffers the detection loop reuses from call to call.
+    buffers: LoopBuffers,
+}
+
+/// The detection loop's working sets, owned by the bank so a call
+/// allocates nothing for them once they have grown to the bank's width.
+#[derive(Clone, Debug, Default)]
+struct LoopBuffers {
+    /// Queues whose head changed, ascending and distinct: the sweep's
+    /// input. Empty between calls; callers push the seed queues.
+    updated: Vec<usize>,
+    /// Heads the current sweep marked for deletion.
+    doomed: Vec<usize>,
+    /// `(queue, culprit)` in marking order, first entry per queue wins.
+    /// Filled only while tracing.
+    culprits: Vec<(usize, TraceId)>,
+    /// The live queues, ascending: a solution's members in order.
+    live: Vec<usize>,
 }
 
 impl QueueBank {
@@ -267,6 +284,7 @@ impl QueueBank {
             mode: SweepMode::default(),
             summary: SweepSummary::new(),
             resident: 0,
+            buffers: LoopBuffers::default(),
         }
     }
 
@@ -400,17 +418,14 @@ impl QueueBank {
     /// Re-runs the detection loop with every non-empty queue marked
     /// updated, so the solution check fires.
     fn rerun_detection(&mut self) -> Vec<Solution> {
-        let updated: BTreeSet<usize> = self
+        let non_empty = self
             .slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.as_ref().is_some_and(|q| !q.items.is_empty()))
-            .map(|(i, _)| i)
-            .collect();
-        if updated.is_empty() {
-            return Vec::new();
-        }
-        self.run_detection(updated)
+            .map(|(i, _)| i);
+        self.buffers.updated.extend(non_empty);
+        self.run_detection()
     }
 
     /// Algorithm 1, lines (1)–(3): enqueue an interval onto queue `slot`
@@ -440,7 +455,8 @@ impl QueueBank {
         if new_len == 1 {
             // No `touch()`: the queue was empty, so the summary holds no
             // head of it.
-            self.run_detection(BTreeSet::from([idx]))
+            self.buffers.updated.push(idx);
+            self.run_detection()
         } else {
             Vec::new()
         }
@@ -460,7 +476,10 @@ impl QueueBank {
             self.emitted.remove(&id);
             if q.items.front().map(trace_id) != Some(id) {
                 q.items.push_front(interval);
+                q.peak_len = q.peak_len.max(q.items.len());
+                self.stats.peak_queue_len = self.stats.peak_queue_len.max(q.items.len());
                 self.resident += 1;
+                self.stats.peak_resident = self.stats.peak_resident.max(self.resident);
             }
         }
         if self.mode == SweepMode::Aggregate {
@@ -473,8 +492,8 @@ impl QueueBank {
         self.slots.get(slot.0 as usize).and_then(|s| s.as_ref())
     }
 
-    /// Pops queue `idx`'s head, returning its trace identity.
-    fn pop_head(&mut self, idx: usize, swept: bool) -> Option<TraceId> {
+    /// Pops queue `idx`'s head.
+    fn pop_head(&mut self, idx: usize, swept: bool) -> Option<Interval> {
         let q = self.slots[idx].as_mut()?;
         let iv = q.items.pop_front()?;
         q.discarded += 1;
@@ -487,7 +506,7 @@ impl QueueBank {
         if self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
-        Some(trace_id(&iv))
+        Some(iv)
     }
 
     /// Serializable snapshot of the bank's full state — for checkpointing
@@ -571,16 +590,26 @@ impl QueueBank {
     }
 
     /// The main loop: pairwise sweep to fixpoint, then solution emission and
-    /// Eq. (10) pruning, repeated while progress is possible.
-    fn run_detection(&mut self, mut updated: BTreeSet<usize>) -> Vec<Solution> {
+    /// Eq. (10) pruning, repeated while progress is possible. The sweep
+    /// starts from the queues the caller pushed onto `buffers.updated`.
+    fn run_detection(&mut self) -> Vec<Solution> {
+        let mut buffers = std::mem::take(&mut self.buffers);
+        let solutions = self.detect(&mut buffers);
+        self.buffers = buffers;
+        solutions
+    }
+
+    /// [`run_detection`](Self::run_detection) on buffers taken out of the
+    /// bank, so the loop can borrow them beside `self`.
+    fn detect(&mut self, s: &mut LoopBuffers) -> Vec<Solution> {
+        let tracing = self.trace.is_some();
         let mut solutions = Vec::new();
         loop {
             // Lines (4)–(17): sweep until no queue is updated.
-            while !updated.is_empty() {
-                let mut new_updated: BTreeSet<usize> = BTreeSet::new();
-                let mut culprits: std::collections::BTreeMap<usize, TraceId> =
-                    std::collections::BTreeMap::new();
-                for &a in &updated {
+            while !s.updated.is_empty() {
+                s.doomed.clear();
+                s.culprits.clear();
+                for &a in &s.updated {
                     let Some(x_id) = self.slots[a]
                         .as_ref()
                         .and_then(|q| q.items.front())
@@ -621,104 +650,114 @@ impl QueueBank {
                         // Line (12): min(x) ≮ max(y) ⇒ y can never join a
                         // solution with x or any successor of x.
                         if !x_lt {
-                            new_updated.insert(b);
-                            culprits.entry(b).or_insert(x_id);
+                            s.doomed.push(b);
+                            if tracing {
+                                s.culprits.push((b, x_id));
+                            }
                         }
                         // Line (14): min(y) ≮ max(x) ⇒ x is doomed likewise.
                         if !y_lt {
-                            new_updated.insert(a);
-                            let y_id = self.slots[b]
-                                .as_ref()
-                                .and_then(|q| q.items.front())
-                                .map(trace_id)
-                                .expect("head_verdict saw a head");
-                            culprits.entry(a).or_insert(y_id);
+                            s.doomed.push(a);
+                            if tracing {
+                                let y_id = self.slots[b]
+                                    .as_ref()
+                                    .and_then(|q| q.items.front())
+                                    .map(trace_id)
+                                    .expect("head_verdict saw a head");
+                                s.culprits.push((a, y_id));
+                            }
                         }
                     }
                 }
                 // Line (16): delete the heads marked this sweep.
-                for &c in &new_updated {
-                    if let Some(id) = self.pop_head(c, true) {
-                        if let Some(&culprit) = culprits.get(&c) {
-                            self.record(BankEvent::Swept {
-                                slot: SlotId(c as u32),
-                                id,
-                                culprit,
-                            });
-                        }
+                s.doomed.sort_unstable();
+                s.doomed.dedup();
+                for &c in &s.doomed {
+                    let Some(iv) = self.pop_head(c, true) else {
+                        continue;
+                    };
+                    if let Some(&(_, culprit)) = s.culprits.iter().find(|(q, _)| *q == c) {
+                        self.record(BankEvent::Swept {
+                            slot: SlotId(c as u32),
+                            id: trace_id(&iv),
+                            culprit,
+                        });
                     }
                 }
-                updated = new_updated;
+                std::mem::swap(&mut s.updated, &mut s.doomed);
             }
 
             // Line (18): solution iff every live queue is non-empty.
-            let all_non_empty = self.slots.iter().flatten().all(|q| !q.items.is_empty());
-            if self.active == 0 || !all_non_empty {
+            s.live.clear();
+            let live = self.slots.iter().enumerate().filter(|(_, q)| q.is_some());
+            s.live.extend(live.map(|(i, _)| i));
+            let head = |i: usize| self.slots[i].as_ref().and_then(|q| q.items.front());
+            if s.live.is_empty() || s.live.iter().any(|&i| head(i).is_none()) {
                 return solutions;
             }
 
-            let heads: Vec<Interval> = self
-                .slots
-                .iter()
-                .flatten()
-                .map(|q| q.items.front().expect("checked non-empty").clone())
-                .collect();
-            let head_indices: Vec<usize> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_some())
-                .map(|(i, _)| i)
-                .collect();
-
+            // Lines (23)–(33): the Eq. (10) removal set, computed while the
+            // heads are still borrowed so the solution can take the pruned
+            // ones by move.
+            let heads: Vec<&Interval> = s.live.iter().filter_map(|&i| head(i)).collect();
             debug_assert!(
                 crate::overlap::definitely_holds(&heads),
                 "sweep fixpoint must leave mutually overlapping heads"
             );
-
-            // Lines (23)–(33): the Eq. (10) removal set, computed while the
-            // heads are still borrowed so the solution can take them by move.
-            let refs: Vec<&Interval> = heads.iter().collect();
             let removable = match self.mode {
-                SweepMode::Aggregate => prune::approximate_removals_aggregate(&refs, &self.ops),
-                SweepMode::Full => prune::approximate_removals(&refs, &self.ops),
+                SweepMode::Aggregate => prune::approximate_removals_aggregate(&heads, &self.ops),
+                SweepMode::Full => prune::approximate_removals(&heads, &self.ops),
             };
 
             // Emit only if some member is fresh (see `emitted`).
-            let members: Vec<TraceId> = heads.iter().map(trace_id).collect();
-            if members.iter().any(|id| !self.emitted.contains(id)) {
-                self.emitted.extend(&members);
-                self.record(BankEvent::SolutionEmitted {
-                    index: self.solution_counter,
-                    members,
+            let mut fresh = false;
+            for x in &heads {
+                fresh |= self.emitted.insert(trace_id(x));
+            }
+            if let Some(trace) = self.trace.as_mut() {
+                let members = heads.iter().map(|x| trace_id(x)).collect();
+                trace.push(if fresh {
+                    BankEvent::SolutionEmitted {
+                        index: self.solution_counter,
+                        members,
+                    }
+                } else {
+                    BankEvent::SolutionSuppressed { members }
                 });
+            }
+
+            // Pop the pruned heads into the solution; clone only the heads
+            // that stay. Continue with the pruned queues.
+            debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
+            let mut intervals = Vec::with_capacity(if fresh { heads.len() } else { 0 });
+            let mut removable = removable.into_iter().peekable();
+            for (r, &idx) in s.live.iter().enumerate() {
+                if removable.next_if_eq(&r).is_some() {
+                    let iv = self.pop_head(idx, false).expect("a solution member");
+                    self.record(BankEvent::Pruned {
+                        slot: SlotId(idx as u32),
+                        id: trace_id(&iv),
+                    });
+                    s.updated.push(idx);
+                    if fresh {
+                        intervals.push(iv);
+                    }
+                } else if fresh {
+                    let stays = self.slots[idx].as_ref().and_then(|q| q.items.front());
+                    intervals.push(stays.expect("a solution member").clone());
+                }
+            }
+            if fresh {
                 solutions.push(Solution {
-                    intervals: heads,
+                    intervals,
                     index: self.solution_counter,
                 });
                 self.solution_counter += 1;
                 self.stats.solutions += 1;
-            } else {
-                self.record(BankEvent::SolutionSuppressed { members });
             }
-
-            // Continue with the pruned queues.
-            debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
-            let mut pruned = BTreeSet::new();
-            for r in &removable {
-                let idx = head_indices[*r];
-                if let Some(id) = self.pop_head(idx, false) {
-                    self.record(BankEvent::Pruned {
-                        slot: SlotId(idx as u32),
-                        id,
-                    });
-                }
-                pruned.insert(idx);
-            }
-            if pruned.is_empty() {
+            if s.updated.is_empty() {
                 return solutions; // unreachable by Theorem 4; belt & braces
             }
-            updated = pruned;
         }
     }
 }
@@ -848,6 +887,33 @@ mod tests {
         bank.enqueue(SlotId(1), b0.clone());
         let sols = bank.requeue(vec![(SlotId(0), a0), (SlotId(1), b0)]);
         assert_eq!(sols.len(), 1, "re-emitted, not suppressed");
+    }
+
+    #[test]
+    fn requeued_members_count_toward_the_peaks() {
+        let (a0, b0) = (
+            iv(0, 0, &[1, 0, 0], &[4, 3, 3]),
+            iv(1, 0, &[2, 1, 1], &[3, 4, 4]),
+        );
+        let mut bank = QueueBank::new(2);
+        bank.enqueue(SlotId(0), a0.clone());
+        assert_eq!(bank.enqueue(SlotId(1), b0.clone()).len(), 1);
+        assert_eq!(bank.resident(), 0, "concurrent maxes: both pruned");
+        // An empty sibling queue blocks detection while queue 1 backs up
+        // behind the members that come back.
+        bank.add_queue();
+        bank.enqueue(SlotId(1), iv(1, 1, &[3, 5, 4], &[3, 6, 4]));
+        bank.enqueue(SlotId(1), iv(1, 2, &[3, 7, 4], &[3, 8, 4]));
+        assert_eq!(bank.stats().peak_resident, 2);
+        assert!(bank
+            .requeue(vec![(SlotId(0), a0), (SlotId(1), b0)])
+            .is_empty());
+        assert_eq!(bank.resident(), 4);
+        let stats = bank.stats();
+        assert_eq!((stats.peak_resident, stats.peak_queue_len), (4, 3));
+        let slots = bank.snapshot().slots;
+        let peak_len = |i: usize| slots[i].as_ref().map(|q| q.peak_len);
+        assert_eq!((peak_len(0), peak_len(1)), (Some(1), Some(3)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! interval sets (Eqs. (1) and (2) of the paper).
 
 use crate::interval::Interval;
+use std::borrow::Borrow;
 
 /// Pairwise overlap: `min(x) < max(y) ∧ min(y) < max(x)`.
 ///
@@ -12,11 +13,12 @@ pub fn overlap(x: &Interval, y: &Interval) -> bool {
 }
 
 /// `Definitely(Φ)` over a set `X`: `∀ x_i, x_j ∈ X (i ≠ j): min(x_i) <
-/// max(x_j)` (Eq. (2)). The empty set and singletons hold vacuously.
-pub fn definitely_holds(set: &[Interval]) -> bool {
+/// max(x_j)` (Eq. (2)). The empty set and singletons hold vacuously. The
+/// set may hold the intervals or borrow them.
+pub fn definitely_holds<I: Borrow<Interval>>(set: &[I]) -> bool {
     for (i, x) in set.iter().enumerate() {
         for y in set.iter().skip(i + 1) {
-            if !overlap(x, y) {
+            if !overlap(x.borrow(), y.borrow()) {
                 return false;
             }
         }
@@ -105,7 +107,7 @@ mod tests {
 
     #[test]
     fn trivial_sets_hold() {
-        assert!(definitely_holds(&[]));
+        assert!(definitely_holds::<Interval>(&[]));
         assert!(possibly_holds(&[]));
         let x = iv(0, 0, &[1, 0], &[2, 0]);
         assert!(definitely_holds(std::slice::from_ref(&x)));

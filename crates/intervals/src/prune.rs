@@ -19,6 +19,12 @@
 //! which is **safe** (Theorem 3: `max(x_j) < min(succ(x_j))`, so Eq. (10)
 //! implies Eq. (9)) and **live** (Theorem 4: the heads' `max` cuts cannot
 //! form a `<`-cycle, so at least one head always qualifies).
+//!
+//! The bank's engine evaluates Eq. (10) as
+//! [`approximate_removals_aggregate`], which uses the same observation the
+//! other way round: a member whose `max` is strictly the largest value of
+//! some component can disqualify no one, so on a wide solution only the
+//! few members that lead nothing are compared against.
 
 use crate::interval::Interval;
 use ftscp_vclock::{order, OpCounter, VectorClock};
@@ -60,103 +66,76 @@ pub fn approximate_removals(solution: &[&Interval], ops: &OpCounter) -> Vec<usiz
     removable
 }
 
-/// Solution sizes below this skip the `⊓`-summary gate inside
-/// [`approximate_removals_aggregate`]: with `k` members the gate costs
-/// `⌈n/8⌉` words per member while the chunked pairwise row typically
-/// resolves a disqualification within a word or two (max-cuts of a
-/// solution are mostly concurrent, and concurrency exits early), so the
-/// gate only earns its keep on wide banks — above all the centralized
-/// sink, where `k = n`.
+/// Solution sizes below this skip the strict-leader pass inside
+/// [`approximate_removals_aggregate`] and run the full chunked pairwise
+/// row. The pass costs a fold over every member's `max` and a
+/// `⌈n/8⌉`-word scan whatever `k` is; the row it shortens costs at most
+/// `k(k−1)` comparisons, most of which settle in their first word because
+/// the max-cuts of a solution are mostly concurrent. The pass pays off on
+/// wide banks — a tenant that watches many processes, and above all the
+/// centralized sink, where `k = n` — and the threshold keeps every narrower
+/// bank (each node of a hierarchy of fan-out ≤ 7) billing the plain row.
 pub const PRUNE_GATE_MIN_MEMBERS: usize = 9;
 
-/// [`approximate_removals`] evaluated against a `⊓`-summary with a
-/// pairwise fallback — **identical removal decisions**, different cost.
+/// [`approximate_removals`] with the disqualifiers that cannot disqualify
+/// anyone struck out first — **identical removal decisions**, different
+/// cost.
 ///
-/// Per component the two smallest `max(x_j)` values (and their owners) are
-/// aggregated once — merge work, unbilled exactly like interval
-/// aggregation. A member `x_i` is then *certified removable* by one
-/// chunked scan if some component of `max(x_i)` lies strictly below every
-/// other member's max (`∃c: max(x_i)[c] < min_{j≠i} max(x_j)[c]` ⇒ no
-/// `max(x_j)` can be component-wise `≤ max(x_i)`, so Eq. (10) keeps `i`
-/// qualified against every `j`). Members the gate cannot certify fall back
-/// to the exact pairwise row, run through the word-chunked comparator.
-/// Small solutions (`k <` [`PRUNE_GATE_MIN_MEMBERS`]) go straight to the
-/// fallback, where the pairwise row is strictly cheaper.
+/// A member whose `max` is strictly the largest value of some component
+/// `c` disqualifies no one: `max(x_j)[c] > max(x_i)[c]` for every other
+/// `i`, so `max(x_j) ≮ max(x_i)` (the idea behind Theorem 4). From
+/// `k ≥` [`PRUNE_GATE_MIN_MEMBERS`] members on, the per-component top two
+/// of the members' `max` clocks are folded once (merge work, unbilled
+/// exactly like interval aggregation), one billed scan of one unit per
+/// [`CHUNK_WIDTH`](ftscp_vclock::order::CHUNK_WIDTH)-component word marks
+/// every member that strictly leads some component, and each member's
+/// Eq. (10) row then runs through the word-chunked comparator against the
+/// unmarked members only. On a wide solution nearly every member leads its
+/// own process's component, so the `k(k−1)` row shrinks to a handful of
+/// comparisons. Smaller solutions run the full chunked row.
 pub fn approximate_removals_aggregate(solution: &[&Interval], ops: &OpCounter) -> Vec<usize> {
-    let k = solution.len();
-    let gate = (k >= PRUNE_GATE_MIN_MEMBERS).then(|| two_smallest_maxes(solution));
-    (0..k)
-        .filter(|&i| member_qualifies_aggregate(i, solution, gate.as_ref(), ops))
+    let leaders = (solution.len() >= PRUNE_GATE_MIN_MEMBERS).then(|| strict_leaders(solution, ops));
+    let may_disqualify = |j: usize| leaders.as_ref().is_none_or(|l| !l[j]);
+    (0..solution.len())
+        .filter(|&i| {
+            let x = solution[i];
+            !solution.iter().enumerate().any(|(j, y)| {
+                j != i
+                    && may_disqualify(j)
+                    && order::strictly_less_chunked_counted(&y.hi, &x.hi, ops)
+            })
+        })
         .collect()
 }
 
-/// The per-component two-smallest-max aggregation backing the prune gate:
-/// `min1[c]` is the smallest `max(x_j)[c]` with its owner in
-/// `min1_owner[c]`, `min2[c]` the second smallest (duplicates of the
-/// minimum land in `min2`, owned by a later member, since each column
-/// folds members in `j` order).
-fn two_smallest_maxes(solution: &[&Interval]) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
-    let w = solution[0].hi.len();
-    let mut min1 = vec![u32::MAX; w];
-    let mut min1_owner = vec![usize::MAX; w];
-    let mut min2 = vec![u32::MAX; w];
-    for (j, y) in solution.iter().enumerate() {
-        let hi = y.hi.components();
-        for c in 0..w {
-            let v = hi[c];
-            if v < min1[c] {
-                min2[c] = min1[c];
-                min1[c] = v;
-                min1_owner[c] = j;
-            } else if v < min2[c] {
-                min2[c] = v;
-            }
-        }
-    }
-    (min1, min1_owner, min2)
-}
-
-/// One member's Eq. (10) evaluation: the billed certified scan against the
-/// two-smallest aggregation (when gating), then the chunked pairwise
-/// fallback.
-fn member_qualifies_aggregate(
-    i: usize,
-    solution: &[&Interval],
-    gate: Option<&(Vec<u32>, Vec<usize>, Vec<u32>)>,
-    ops: &OpCounter,
-) -> bool {
+/// `leads[j]` iff `max(x_j)` is strictly the largest value of some
+/// component. The per-component top two are folded unbilled (a tie for the
+/// top lands in the second place, so a tied component leads no one); the
+/// scan that reads them off bills one unit per 8-component word.
+fn strict_leaders(solution: &[&Interval], ops: &OpCounter) -> Vec<bool> {
     use ftscp_vclock::order::CHUNK_WIDTH;
 
-    let x = solution[i];
-    if let Some((min1, min1_owner, min2)) = gate {
-        let width = min1.len();
-        let hi = x.hi.components();
-        let mut words = 0u64;
-        let mut certified = false;
-        let mut c = 0;
-        while c < width && !certified {
-            words += 1;
-            let end = (c + CHUNK_WIDTH).min(width);
-            while c < end {
-                let excl = if min1_owner[c] == i { min2[c] } else { min1[c] };
-                certified |= hi[c] < excl;
-                c += 1;
+    // (top, owner of top, second): zero is a safe floor for the second
+    // place once two members are folded, and a column of zeros leads no one.
+    let width = solution[0].hi.len();
+    let mut top = vec![(0u32, usize::MAX, 0u32); width];
+    for (j, y) in solution.iter().enumerate() {
+        for (t, &v) in top.iter_mut().zip(y.hi.components()) {
+            if v > t.0 {
+                *t = (v, j, t.0);
+            } else if v > t.2 {
+                t.2 = v;
             }
         }
-        ops.add(words);
-        if certified {
-            return true;
+    }
+    ops.add(width.div_ceil(CHUNK_WIDTH) as u64);
+    let mut leads = vec![false; solution.len()];
+    for &(first, owner, second) in &top {
+        if first > second {
+            leads[owner] = true;
         }
     }
-    for (j, y) in solution.iter().enumerate() {
-        if i == j {
-            continue;
-        }
-        if order::strictly_less_chunked_counted(&y.hi, &x.hi, ops) {
-            return false;
-        }
-    }
-    true
+    leads
 }
 
 /// Eq. (9) with hindsight: given each member's successor's low bound (where
@@ -299,12 +278,113 @@ mod tests {
         }
     }
 
+    /// Solution sets of real executions — dense, sparse (skip 0.3 / solo
+    /// 0.2) and with noise messages — over banks of `k ∈ 9..=16` of the
+    /// `n` processes and over all of them: the strict-leader pass must
+    /// make the pairwise row's decisions on every one. A sparse execution
+    /// rarely yields a solution that wide (all its members must join one
+    /// round: 1 in 2⁹ at `k = 9`), so every shape also contributes, per
+    /// `r`, the set of the members' `r`-th intervals; Eq. (10) reads only
+    /// the maxes, so the two rules must agree on those too.
+    #[test]
+    fn aggregate_removals_equal_pairwise_on_random_executions() {
+        use crate::bank::{QueueBank, SlotId};
+        use ftscp_workload::RandomExecution;
+
+        let agree = |set: &[Interval], what: &str| {
+            let refs: Vec<&Interval> = set.iter().collect();
+            let ops = OpCounter::new();
+            assert_eq!(
+                approximate_removals_aggregate(&refs, &ops),
+                approximate_removals(&refs, &ops),
+                "{what}"
+            );
+        };
+        let n = 24;
+        let shapes = [(0.0, 0.0, 0.0), (0.3, 0.2, 0.0), (0.0, 0.0, 0.6)];
+        for (shape, (skip, solo, noise)) in shapes.into_iter().enumerate() {
+            let exec = RandomExecution::builder(n)
+                .intervals_per_process(12)
+                .skip_prob(skip)
+                .solo_prob(solo)
+                .noise_events(2)
+                .noise_msg_prob(noise)
+                .seed(shape as u64 + 1)
+                .build();
+            let mut solutions = 0;
+            for k in (9..=16).chain([n]) {
+                let mut bank = QueueBank::new(k);
+                for x in exec.intervals_interleaved() {
+                    if x.source.index() < k {
+                        let x = Interval::local(x.source, x.seq, x.lo.clone(), x.hi.clone());
+                        for s in bank.enqueue(SlotId(x.source.0), x) {
+                            agree(
+                                &s.intervals,
+                                &format!("shape {shape}, k = {k}, #{}", s.index),
+                            );
+                            solutions += 1;
+                        }
+                    }
+                }
+                for r in 0.. {
+                    let set: Vec<Interval> = ProcessId::all(k)
+                        .filter_map(|p| exec.intervals_of(p).get(r))
+                        .map(|x| Interval::local(x.source, x.seq, x.lo.clone(), x.hi.clone()))
+                        .collect();
+                    if set.is_empty() {
+                        break;
+                    }
+                    agree(&set, &format!("shape {shape}, k = {k}, r = {r}"));
+                }
+            }
+            assert!(
+                skip > 0.0 || solutions > 0,
+                "shape {shape}: no solution drawn"
+            );
+        }
+    }
+
+    /// Two members tie for the top of every component, so no member
+    /// strictly leads anything: the pass marks no one and every member
+    /// runs the whole chunked pairwise row.
+    #[test]
+    fn tied_maxes_fall_back_to_the_pairwise_row() {
+        let k = PRUNE_GATE_MIN_MEMBERS;
+        let members: Vec<Interval> = (0..k)
+            .map(|p| {
+                let hi = if p < 2 {
+                    vec![9u32; k]
+                } else {
+                    let mut hi = vec![1u32; k];
+                    hi[p] = 5;
+                    hi
+                };
+                iv(p as u32, 0, &vec![0u32; k], &hi)
+            })
+            .collect();
+        let refs: Vec<&Interval> = members.iter().collect();
+        let ops = OpCounter::new();
+        let rm = approximate_removals_aggregate(&refs, &ops);
+        assert_eq!(rm, approximate_removals(&refs, &OpCounter::new()));
+        assert_eq!(rm, (2..k).collect::<Vec<_>>(), "the tied tops are kept");
+        // The scan's words, then the row of every member against every
+        // other, each stopping at its first disqualifier.
+        let row = OpCounter::new();
+        for (i, x) in refs.iter().enumerate() {
+            let _ = refs
+                .iter()
+                .enumerate()
+                .any(|(j, y)| j != i && order::strictly_less_chunked_counted(&y.hi, &x.hi, &row));
+        }
+        assert_eq!(ops.get(), k.div_ceil(8) as u64 + row.get());
+    }
+
+    /// A dense solution whose members each strictly lead their own
+    /// process's component: the pass marks every member, so the prune
+    /// bills the scan's `⌈n/8⌉` words and compares no pair.
     #[test]
     fn aggregate_removals_gate_engages_on_wide_solutions() {
-        // k = n members with mutually concurrent maxes: every member owns
-        // the strictly-smallest max at every component except its own, so
-        // the gate certifies all of them without pairwise work.
-        let k = PRUNE_GATE_MIN_MEMBERS + 3;
+        let k = 2 * PRUNE_GATE_MIN_MEMBERS - 1;
         let members: Vec<Interval> = (0..k)
             .map(|p| {
                 let mut lo = vec![0u32; k];
@@ -322,8 +402,8 @@ mod tests {
             (0..k).collect::<Vec<_>>(),
             "all concurrent: all removable"
         );
-        // Each member is certified by one ⌈k/8⌉-word scan; the pairwise
-        // rule would have billed k−1 comparisons per member instead.
+        assert_eq!(ops.get(), k.div_ceil(8) as u64);
+        // The pairwise rule bills k−1 comparisons per member instead.
         let pair_ops = OpCounter::new();
         approximate_removals(&refs, &pair_ops);
         assert!(
