@@ -289,7 +289,8 @@ impl NodeEngine {
 
     /// Feeds what decides the engine's future outputs into `h`: the root
     /// flag, the output sequence, the last output, each queue's contents
-    /// keyed by owner, not slot, and the emitted-member set, sorted.
+    /// keyed by owner, not slot, and the emitted-member set (which a
+    /// snapshot lists sorted).
     pub fn digest(&self, h: &mut impl Hasher) {
         let snap = self.bank.snapshot();
         let queue = |slot: SlotId| snap.slots[slot.0 as usize].as_ref().map(|q| &q.items);
@@ -298,9 +299,7 @@ impl NodeEngine {
         for (child, &slot) in &self.child_slots {
             (child, queue(slot)).hash(h);
         }
-        let mut emitted = snap.emitted;
-        emitted.sort_unstable();
-        emitted.hash(h);
+        snap.emitted.hash(h);
     }
 
     fn emit(&mut self, solutions: Vec<Solution>) -> Vec<EngineOutput> {

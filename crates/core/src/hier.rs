@@ -39,11 +39,12 @@ impl HierarchicalDetector {
         let n = tree.capacity();
         let ops = OpCounter::new();
         let mut engines: Vec<Option<NodeEngine>> = (0..n).map(|_| None).collect();
+        let height = tree.height();
         for node in tree.nodes() {
             let is_root = node == tree.root();
             let mut engine =
                 NodeEngine::new(node, tree.children(node), is_root).with_ops_counter(ops.clone());
-            engine.set_level((tree.height() - tree.depth(node)) as u32);
+            engine.set_level((height - tree.depth(node)) as u32);
             engines[node.index()] = Some(engine);
         }
         HierarchicalDetector {

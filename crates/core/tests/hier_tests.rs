@@ -171,6 +171,31 @@ fn detection_happens_at_every_level() {
 }
 
 #[test]
+fn engine_levels_are_height_minus_depth() {
+    let mut trees: Vec<SpanningTree> = [(1, 2), (7, 2), (85, 4), (400, 3)]
+        .into_iter()
+        .map(|(n, d)| SpanningTree::balanced_dary(n, d))
+        .collect();
+    for seed in [3, 11] {
+        for topo in [
+            Topology::random_geometric(150, 0.14, seed),
+            Topology::scale_free(200, 2, seed),
+        ] {
+            trees.push(SpanningTree::bfs(&topo, NodeId(0)));
+        }
+    }
+    for tree in &trees {
+        let det = HierarchicalDetector::new(tree);
+        let height = tree.height();
+        for node in tree.nodes() {
+            let level = det.checkpoint_node(node).expect("alive").level as usize;
+            assert_eq!(level, height - tree.depth(node), "level of {node}");
+            assert_eq!(level, tree.level(node), "tree level of {node}");
+        }
+    }
+}
+
+#[test]
 fn leaf_failure_only_narrows_coverage() {
     let n = 7;
     let rounds = 4;

@@ -112,7 +112,8 @@ pub struct BankSnapshot {
     pub stats: BankStats,
     /// Monotone solution counter.
     pub solution_counter: u64,
-    /// Emitted-member identity set.
+    /// Emitted-member identity set, sorted, so that two banks in one
+    /// state give equal snapshots.
     pub emitted: Vec<(u32, u64, bool)>,
 }
 
@@ -514,6 +515,8 @@ impl QueueBank {
     /// where it left off (crash-*recovery*, complementing the paper's
     /// crash-stop tolerance).
     pub fn snapshot(&self) -> BankSnapshot {
+        let mut emitted: Vec<TraceId> = self.emitted.iter().copied().collect();
+        emitted.sort_unstable();
         BankSnapshot {
             slots: self
                 .slots
@@ -529,7 +532,7 @@ impl QueueBank {
                 .collect(),
             stats: self.stats,
             solution_counter: self.solution_counter,
-            emitted: self.emitted.iter().copied().collect(),
+            emitted,
         }
     }
 
@@ -1042,6 +1045,24 @@ mod tests {
             released.is_empty(),
             "subset {{q0,q1}} of the emitted solution must not re-emit"
         );
+    }
+
+    #[test]
+    fn snapshots_of_equal_banks_are_equal() {
+        // Each bank's emitted set hashes with its own random keys; the
+        // snapshot must not leak that order.
+        let feed = || {
+            let mut bank = QueueBank::new(2);
+            for k in 0..40u32 {
+                let (lo, hi) = (2 * k, 2 * k + 1);
+                bank.enqueue(SlotId(0), iv(0, k as u64, &[lo, lo], &[hi + 1, hi]));
+                bank.enqueue(SlotId(1), iv(1, k as u64, &[lo, lo], &[hi, hi + 1]));
+            }
+            bank.snapshot().emitted
+        };
+        let emitted = feed();
+        assert!(emitted.len() >= 40, "the stream emits: {}", emitted.len());
+        assert_eq!(emitted, feed());
     }
 
     #[test]

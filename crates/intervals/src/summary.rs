@@ -57,11 +57,10 @@
 //! units per [`CHUNK_WIDTH`]-component word, matching
 //! [`compare_chunked_counted`](ftscp_vclock::order::compare_chunked_counted).
 
-use ftscp_vclock::{order::CHUNK_WIDTH, OpCounter};
-
-/// Components per branch-free pass of [`certify_scan`]: long enough for
-/// the autovectorizer, short enough that a violating head stops early.
-const BLOCK: usize = 8 * CHUNK_WIDTH;
+use ftscp_vclock::{
+    order::{BLOCK, CHUNK_WIDTH},
+    OpCounter,
+};
 
 /// `(violated, lo < v somewhere, u < hi somewhere)` over equal-length
 /// slices, where *violated* means `lo ≤ v` or `u ≤ hi` fails in some
@@ -86,9 +85,10 @@ fn scan_flags(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32]) -> (bool, bool, bool
 /// with a strict witness each) over equal-width slices, billing `ops` two
 /// units per [`CHUNK_WIDTH`]-component word up to and including the first
 /// word that violates a `≤` direction (a trailing partial word counts as
-/// one). The scan runs [`BLOCK`] components at a time and looks for the
-/// word only inside a block that reported a violation; billing counts
-/// words, not the work done to find them.
+/// one). The scan runs [`BLOCK`] components at a time, the blocks of the
+/// clock-order scan, and looks for the word only inside a block that
+/// reported a violation; billing counts words, not the work done to find
+/// them.
 fn certify_scan(lo: &[u32], hi: &[u32], v: &[u32], u: &[u32], ops: &OpCounter) -> bool {
     let width = lo.len();
     debug_assert!(hi.len() == width && v.len() == width && u.len() == width);

@@ -313,17 +313,29 @@ impl SpanningTree {
     }
 
     /// Number of levels (`h` in the paper: a root-only tree has height 1,
-    /// leaves are level 1, the root is level `h`).
+    /// leaves are level 1, the root is level `h`). One `O(n)` pass down
+    /// from every parentless node, where [`depth`](Self::depth) per node
+    /// would walk each parent chain once per node below it.
     pub fn height(&self) -> usize {
+        let mut depth = vec![0; self.parent.len()];
+        let mut stack: Vec<usize> = (0..self.parent.len())
+            .filter(|&i| self.parent[i].is_none())
+            .collect();
+        while let Some(u) = stack.pop() {
+            for c in &self.children[u] {
+                depth[c.index()] = depth[u] + 1;
+                stack.push(c.index());
+            }
+        }
         (0..self.parent.len())
             .filter(|&i| self.in_tree[i])
-            .map(|i| self.depth(NodeId(i as u32)) + 1)
+            .map(|i| depth[i] + 1)
             .max()
             .unwrap_or(0)
     }
 
     /// Level of a node in the paper's numbering: leaves-deepest = 1, root =
-    /// height. Computed as `height - depth`.
+    /// height. Computed as `height - depth`, in `O(n)`.
     pub fn level(&self, node: NodeId) -> usize {
         self.height() - self.depth(node)
     }
@@ -540,6 +552,39 @@ mod tests {
         assert!(!tree.contains(NodeId(4)), "orphan out until adopted");
         assert_eq!(tree.children(NodeId(0)), &[NodeId(1)]);
         assert_eq!(tree.parent(NodeId(3)), Some(NodeId(1)));
+    }
+
+    #[test]
+    fn height_is_the_longest_parent_chain() {
+        let longest = |tree: &SpanningTree| {
+            tree.nodes()
+                .into_iter()
+                .map(|v| tree.depth(v) + 1)
+                .max()
+                .unwrap_or(0)
+        };
+        let mut trees: Vec<SpanningTree> = [(1, 2), (7, 2), (100, 3), (1024, 4), (30, 1)]
+            .into_iter()
+            .map(|(n, d)| SpanningTree::balanced_dary(n, d))
+            .collect();
+        for seed in [1, 7] {
+            for topo in [
+                Topology::random_geometric(200, 0.12, seed),
+                Topology::scale_free(300, 2, seed),
+            ] {
+                trees.push(SpanningTree::bfs(&topo, NodeId(seed as u32)));
+            }
+        }
+        // A forest: detaching an inner node leaves parentless subtrees;
+        // then one of them re-attached elsewhere, as a repair does.
+        let mut forest = SpanningTree::balanced_dary(40, 2);
+        forest.detach_node(NodeId(1));
+        trees.push(forest.clone());
+        forest.attach(NodeId(3), NodeId(30));
+        trees.push(forest);
+        for tree in &trees {
+            assert_eq!(tree.height(), longest(tree));
+        }
     }
 
     #[test]

@@ -9,10 +9,27 @@
 //!   (Eq. (10)).
 //!
 //! Each comparison of two length-`n` vectors inspects up to `n` components;
-//! §IV-C of the paper charges `O(n)` per comparison. The `*_counted`
-//! functions bill the *exact* number of components inspected to an
-//! [`OpCounter`], which is how the benchmark harness reproduces the paper's
-//! time-complexity accounting.
+//! §IV-C of the paper charges `O(n)` per comparison. Every comparator here
+//! runs one scan over the two vectors, which reports the order flags or,
+//! once both flags hold (the clocks are concurrent), the
+//! [`CHUNK_WIDTH`]-component word in which they first did. The entry points
+//! differ only in what they make of that result:
+//!
+//! * [`compare`] returns the verdict;
+//! * [`compare_counted`] also bills an [`OpCounter`] the number of
+//!   components a component-by-component loop inspects — up to the
+//!   deciding component, which it finds inside the deciding word. That is
+//!   the paper's unit, and how the benchmark harness reproduces its
+//!   time-complexity accounting;
+//! * [`compare_chunked_counted`] bills one unit per word up to the
+//!   deciding word instead, the unit of the sweep.
+//!
+//! The scan walks the first [`BLOCK`] components as packed word pairs and
+//! stops at the word that decides; every later block is skipped if equal,
+//! else scanned in one branch-free pass and walked word by word only if
+//! it decided. The bills count components or words up to the deciding
+//! one, never the work done to find it, so they do not depend on the
+//! traversal.
 
 use crate::clock::VectorClock;
 use crate::counter::OpCounter;
@@ -30,78 +47,16 @@ pub enum ClockOrd {
     Concurrent,
 }
 
-/// Full comparison of `a` and `b` under the component order.
-pub fn compare(a: &VectorClock, b: &VectorClock) -> ClockOrd {
-    debug_assert_eq!(a.len(), b.len(), "clock width mismatch");
-    let mut less = false;
-    let mut greater = false;
-    for i in 0..a.len() {
-        let (x, y) = (a.get(i), b.get(i));
-        if x < y {
-            less = true;
-        } else if x > y {
-            greater = true;
-        }
-        if less && greater {
-            return ClockOrd::Concurrent;
-        }
-    }
-    match (less, greater) {
-        (false, false) => ClockOrd::Equal,
-        (true, false) => ClockOrd::Less,
-        (false, true) => ClockOrd::Greater,
-        (true, true) => unreachable!("early return above"),
-    }
-}
-
-/// Strict order `a < b` (happens-before on event timestamps).
-pub fn strictly_less(a: &VectorClock, b: &VectorClock) -> bool {
-    compare(a, b) == ClockOrd::Less
-}
-
-/// True iff `a` and `b` are incomparable.
-pub fn concurrent(a: &VectorClock, b: &VectorClock) -> bool {
-    compare(a, b) == ClockOrd::Concurrent
-}
-
-/// Instrumented [`compare`]: bills one unit per component inspected to
-/// `ops`.
-pub fn compare_counted(a: &VectorClock, b: &VectorClock, ops: &OpCounter) -> ClockOrd {
-    debug_assert_eq!(a.len(), b.len(), "clock width mismatch");
-    let mut less = false;
-    let mut greater = false;
-    let mut inspected = 0u64;
-    let mut result = None;
-    for i in 0..a.len() {
-        inspected += 1;
-        let (x, y) = (a.get(i), b.get(i));
-        if x < y {
-            less = true;
-        } else if x > y {
-            greater = true;
-        }
-        if less && greater {
-            result = Some(ClockOrd::Concurrent);
-            break;
-        }
-    }
-    ops.add(inspected);
-    result.unwrap_or_else(|| match (less, greater) {
-        (false, false) => ClockOrd::Equal,
-        (true, false) => ClockOrd::Less,
-        (false, true) => ClockOrd::Greater,
-        (true, true) => unreachable!("early return above"),
-    })
-}
-
-/// Instrumented strict order `a < b`.
-pub fn strictly_less_counted(a: &VectorClock, b: &VectorClock, ops: &OpCounter) -> bool {
-    compare_counted(a, b, ops) == ClockOrd::Less
-}
-
 /// Components folded per billed unit by the word-chunked comparator: one
 /// 256-bit lane of `u32`s, the natural width of the autovectorized loop.
 pub const CHUNK_WIDTH: usize = 8;
+
+/// Components per block of the clock-order scan: eight billed
+/// [`CHUNK_WIDTH`]-component words, long enough for the autovectorizer,
+/// short enough that a deciding component stops the scan early. The gate
+/// scan of `ftscp-intervals` (`summary::certify_scan`) runs the same
+/// blocks.
+pub const BLOCK: usize = 8 * CHUNK_WIDTH;
 
 /// Per-lane order flags of one [`CHUNK_WIDTH`]-component chunk, computed
 /// over `u64` machine words holding two adjacent `u32` components each.
@@ -109,8 +64,8 @@ pub const CHUNK_WIDTH: usize = 8;
 /// A single 64-bit equality test retires both packed components at once —
 /// the common all-equal pair contributes nothing to either flag and skips
 /// its lane compares entirely; only differing pairs fall through to the
-/// per-half `<`/`>` tests. Returns `(less, greater)` exactly as the
-/// unpacked per-lane loop would.
+/// per-half `<`/`>` tests. Returns `(less, greater)` exactly as
+/// [`lane_flags`] would.
 #[inline]
 fn chunk_flags_u64(wa: &[u32], wb: &[u32]) -> (bool, bool) {
     let mut l = 0u32;
@@ -128,54 +83,183 @@ fn chunk_flags_u64(wa: &[u32], wb: &[u32]) -> (bool, bool) {
     (l != 0, g != 0)
 }
 
-/// Word-chunked [`compare`]: identical verdict to the scalar comparator,
-/// different traversal and different cost unit.
-///
-/// The loop folds [`CHUNK_WIDTH`] components per iteration, packed two
-/// components per `u64` machine word (`chunk_flags_u64`): an equal pair
-/// is retired by one 64-bit compare, and only differing pairs pay the
-/// per-half order tests. Early exit happens at chunk granularity once
-/// both order flags are set (concurrency is decided). Billing follows the
-/// traversal: **one unit per [`CHUNK_WIDTH`]-component chunk inspected**
-/// (`⌈n / 8⌉` for a full scan), the hardware-honest cost of the word
-/// loop, vs. the scalar comparator's one unit per component (§IV-C's
-/// accounting, kept as the fixed baseline in [`compare_counted`]). The
-/// packing is an implementation detail: the billed unit is unchanged, so
-/// counter totals stay comparable across revisions.
-pub fn compare_chunked_counted(a: &VectorClock, b: &VectorClock, ops: &OpCounter) -> ClockOrd {
-    debug_assert_eq!(a.len(), b.len(), "clock width mismatch");
-    let (xs, ys) = (a.components(), b.components());
-    let mut less = false;
-    let mut greater = false;
-    let mut words = 0u64;
-    let mut ca = xs.chunks_exact(CHUNK_WIDTH);
-    let mut cb = ys.chunks_exact(CHUNK_WIDTH);
-    for (wa, wb) in ca.by_ref().zip(cb.by_ref()) {
-        words += 1;
-        let (l, g) = chunk_flags_u64(wa, wb);
+/// `(less, greater)` of two equal-length slices: whether some component of
+/// `xs` is below, or above, its counterpart in `ys`. Plain lanes with no
+/// branch and no early exit, so the loop vectorizes.
+#[inline]
+fn lane_flags(xs: &[u32], ys: &[u32]) -> (bool, bool) {
+    let ys = &ys[..xs.len()];
+    let (mut l, mut g) = (false, false);
+    for (x, y) in xs.iter().zip(ys) {
+        l |= x < y;
+        g |= x > y;
+    }
+    (l, g)
+}
+
+/// What the clock-order scan found.
+enum Scan {
+    /// Both flags first hold inside the word that starts at component
+    /// `word`; `less` and `greater` are the flags of the components before
+    /// that word. The clocks are concurrent.
+    Decided {
+        word: usize,
+        less: bool,
+        greater: bool,
+    },
+    /// Both flags never hold: `(less, greater)` over every component.
+    Flags(bool, bool),
+}
+
+/// Walks `xs` against `ys` word by word ([`chunk_flags_u64`]), starting
+/// from the flags `less` / `greater` of whatever came before `xs`, and
+/// stops at the word after which both hold; `xs` starts at component
+/// `offset` of the clock. A trailing partial word is folded lane by lane.
+#[inline(always)]
+fn walk_words(xs: &[u32], ys: &[u32], offset: usize, mut less: bool, mut greater: bool) -> Scan {
+    let mut wa = xs.chunks_exact(CHUNK_WIDTH);
+    let mut wb = ys.chunks_exact(CHUNK_WIDTH);
+    for (w, (a, b)) in wa.by_ref().zip(wb.by_ref()).enumerate() {
+        let (l, g) = chunk_flags_u64(a, b);
+        if (less | l) && (greater | g) {
+            let word = offset + w * CHUNK_WIDTH;
+            return Scan::Decided {
+                word,
+                less,
+                greater,
+            };
+        }
         less |= l;
         greater |= g;
-        if less && greater {
-            break;
+    }
+    let (ra, rb) = (wa.remainder(), wb.remainder());
+    let (l, g) = lane_flags(ra, rb);
+    if (less | l) && (greater | g) {
+        let word = offset + xs.len() - ra.len();
+        return Scan::Decided {
+            word,
+            less,
+            greater,
+        };
+    }
+    Scan::Flags(less | l, greater | g)
+}
+
+/// The one clock-order scan behind every comparator (see the module
+/// docs). The first [`BLOCK`] components are walked word by word, which
+/// stops at the word that decides: a comparison of two maxima (Eq. (10))
+/// is often decided there, and an equal pair costs one 64-bit compare.
+/// Every later block is one slice equality test — two heads usually agree
+/// on whole blocks, and an equal block sets no flag — and, if it differs,
+/// one branch-free pass ([`lane_flags`]); only a block that decided is
+/// walked again, word by word.
+#[inline(always)]
+fn scan(xs: &[u32], ys: &[u32]) -> Scan {
+    let n = xs.len();
+    let ys = &ys[..n];
+    let head = n.min(BLOCK);
+    let (mut less, mut greater) = match walk_words(&xs[..head], &ys[..head], 0, false, false) {
+        Scan::Flags(l, g) => (l, g),
+        decided => return decided,
+    };
+    for start in (head..n).step_by(BLOCK) {
+        let end = (start + BLOCK).min(n);
+        let (xb, yb) = (&xs[start..end], &ys[start..end]);
+        if xb == yb {
+            continue;
         }
-    }
-    if !(less && greater) {
-        let (ra, rb) = (ca.remainder(), cb.remainder());
-        if !ra.is_empty() {
-            words += 1;
-            for (x, y) in ra.iter().zip(rb) {
-                less |= x < y;
-                greater |= x > y;
-            }
+        let (l, g) = lane_flags(xb, yb);
+        if (less | l) && (greater | g) {
+            // The block decided, so the walk stops inside it.
+            return walk_words(xb, yb, start, less, greater);
         }
+        less |= l;
+        greater |= g;
     }
-    ops.add(words);
-    match (less, greater) {
-        (false, false) => ClockOrd::Equal,
-        (true, false) => ClockOrd::Less,
-        (false, true) => ClockOrd::Greater,
-        (true, true) => ClockOrd::Concurrent,
+    Scan::Flags(less, greater)
+}
+
+/// The component at which both flags first hold, inside the word a
+/// [`Scan::Decided`] names: the later of the first lanes that set each
+/// flag the components before the word had not set.
+fn locate(xs: &[u32], ys: &[u32], word: usize, less: bool, greater: bool) -> usize {
+    let end = (word + CHUNK_WIDTH).min(xs.len());
+    let (mut lm, mut gm) = (0u32, 0u32);
+    for (i, (x, y)) in xs[word..end].iter().zip(&ys[word..end]).enumerate() {
+        lm |= u32::from(x < y) << i;
+        gm |= u32::from(x > y) << i;
     }
+    let first = |before: bool, mask: u32| if before { 0 } else { mask.trailing_zeros() };
+    word + first(less, lm).max(first(greater, gm)) as usize
+}
+
+/// The verdict of a scan.
+fn verdict(scan: &Scan) -> ClockOrd {
+    match *scan {
+        Scan::Decided { .. } => ClockOrd::Concurrent,
+        Scan::Flags(false, false) => ClockOrd::Equal,
+        Scan::Flags(true, false) => ClockOrd::Less,
+        Scan::Flags(false, true) => ClockOrd::Greater,
+        Scan::Flags(true, true) => unreachable!("both flags hold only in a decided word"),
+    }
+}
+
+/// Full comparison of `a` and `b` under the component order.
+pub fn compare(a: &VectorClock, b: &VectorClock) -> ClockOrd {
+    debug_assert_eq!(a.len(), b.len(), "clock width mismatch");
+    verdict(&scan(a.components(), b.components()))
+}
+
+/// Strict order `a < b` (happens-before on event timestamps).
+pub fn strictly_less(a: &VectorClock, b: &VectorClock) -> bool {
+    compare(a, b) == ClockOrd::Less
+}
+
+/// True iff `a` and `b` are incomparable.
+pub fn concurrent(a: &VectorClock, b: &VectorClock) -> bool {
+    compare(a, b) == ClockOrd::Concurrent
+}
+
+/// Instrumented [`compare`]: bills `ops` one unit per component a
+/// component-by-component loop inspects — up to and including the one at
+/// which concurrency is decided, all `n` otherwise (§IV-C's unit).
+pub fn compare_counted(a: &VectorClock, b: &VectorClock, ops: &OpCounter) -> ClockOrd {
+    debug_assert_eq!(a.len(), b.len(), "clock width mismatch");
+    let (xs, ys) = (a.components(), b.components());
+    let scan = scan(xs, ys);
+    ops.add(match scan {
+        Scan::Decided {
+            word,
+            less,
+            greater,
+        } => locate(xs, ys, word, less, greater) as u64 + 1,
+        Scan::Flags(..) => xs.len() as u64,
+    });
+    verdict(&scan)
+}
+
+/// Instrumented strict order `a < b`.
+pub fn strictly_less_counted(a: &VectorClock, b: &VectorClock, ops: &OpCounter) -> bool {
+    compare_counted(a, b, ops) == ClockOrd::Less
+}
+
+/// Word-chunked [`compare`]: the same scan and verdict, a different cost
+/// unit — **one unit per [`CHUNK_WIDTH`]-component word** up to and
+/// including the word in which concurrency is decided, `⌈n / 8⌉`
+/// otherwise (a trailing partial word counts as one). That is the
+/// hardware-honest cost of a word loop, against [`compare_counted`]'s one
+/// unit per component (§IV-C's accounting, kept as the fixed baseline).
+/// How the scan walks the words — packed pairs in the first [`BLOCK`],
+/// branch-free blocks after it — does not enter the bill, so counter
+/// totals stay comparable across revisions.
+pub fn compare_chunked_counted(a: &VectorClock, b: &VectorClock, ops: &OpCounter) -> ClockOrd {
+    debug_assert_eq!(a.len(), b.len(), "clock width mismatch");
+    let scan = scan(a.components(), b.components());
+    ops.add(match scan {
+        Scan::Decided { word, .. } => word / CHUNK_WIDTH + 1,
+        Scan::Flags(..) => a.len().div_ceil(CHUNK_WIDTH),
+    } as u64);
+    verdict(&scan)
 }
 
 /// Word-chunked instrumented strict order `a < b` — same verdict as
@@ -270,6 +354,92 @@ mod tests {
             ClockOrd::Concurrent
         );
         assert_eq!(ops.get(), 1, "decided inside the first word");
+    }
+
+    /// The plain per-component loop every comparator is held to: its
+    /// verdict, the components it inspects, and the words those span.
+    fn reference(a: &[u32], b: &[u32]) -> (ClockOrd, u64, u64) {
+        let (mut less, mut greater, mut inspected) = (false, false, 0usize);
+        for (x, y) in a.iter().zip(b) {
+            inspected += 1;
+            if x < y {
+                less = true;
+            } else if x > y {
+                greater = true;
+            }
+            if less && greater {
+                break;
+            }
+        }
+        let ord = match (less, greater) {
+            (false, false) => ClockOrd::Equal,
+            (true, false) => ClockOrd::Less,
+            (false, true) => ClockOrd::Greater,
+            (true, true) => ClockOrd::Concurrent,
+        };
+        let words = inspected.div_ceil(CHUNK_WIDTH);
+        (ord, inspected as u64, words as u64)
+    }
+
+    /// Holds all three comparators to [`reference`] on `(a, b)` and on
+    /// `(b, a)`, verdict and bill, and returns the reference verdict.
+    fn check(a: &VectorClock, b: &VectorClock, what: &str) -> ClockOrd {
+        for (x, y) in [(a, b), (b, a)] {
+            let (ord, components, words) = reference(x.components(), y.components());
+            assert_eq!(compare(x, y), ord, "compare, {what}");
+            let ops = OpCounter::new();
+            assert_eq!(compare_counted(x, y, &ops), ord, "compare_counted, {what}");
+            assert_eq!(ops.get(), components, "compare_counted bill, {what}");
+            let ops = OpCounter::new();
+            assert_eq!(compare_chunked_counted(x, y, &ops), ord, "chunked, {what}");
+            assert_eq!(ops.get(), words, "chunked bill, {what}");
+        }
+        reference(a.components(), b.components()).0
+    }
+
+    #[test]
+    fn one_scan_matches_the_per_component_loop_in_verdict_and_bill() {
+        for width in [1usize, 7, 8, 9, 63, 64, 65, 72, 127, 128, 129, 1024] {
+            // Mostly equal pairs (the packed loop's shortcut) and a
+            // background where every pair differs.
+            let base: Vec<u32> = (0..width as u32).map(|i| i * 7 % 11).collect();
+            let above: Vec<u32> = base.iter().map(|x| x + 1).collect();
+            let a = vc(&base);
+            assert_eq!(check(&a, &vc(&base), "equal"), ClockOrd::Equal);
+            assert_eq!(check(&a, &a.clone(), "shared storage"), ClockOrd::Equal);
+            assert_eq!(check(&a, &vc(&above), "above everywhere"), ClockOrd::Less);
+            for d in 0..width {
+                // One-sided: a lone strict component at `d`.
+                let mut b = base.clone();
+                b[d] += 1;
+                assert_eq!(check(&a, &vc(&b), "one-sided"), ClockOrd::Less);
+                if d == 0 {
+                    continue;
+                }
+                // Concurrency decided at `d`: a first witness before it
+                // (at the start, mid-way or just before), with and
+                // without later differing components behind it.
+                for first in [0, d / 2, d - 1] {
+                    for noisy in [false, true] {
+                        let (mut x, mut y) = (base.clone(), base.clone());
+                        x[first] += 1;
+                        y[d] += 1;
+                        if noisy {
+                            for j in (d + 1..width).step_by(3) {
+                                [&mut x, &mut y][j % 2][j] += 2;
+                            }
+                        }
+                        let what = format!("width {width}, decided at {d} after {first}");
+                        assert_eq!(check(&vc(&x), &vc(&y), &what), ClockOrd::Concurrent);
+                    }
+                }
+                // Every pair differs: below everywhere but at `d`.
+                let mut x = base.clone();
+                x[d] += 2;
+                let what = format!("width {width}, differing, decided at {d}");
+                assert_eq!(check(&vc(&x), &vc(&above), &what), ClockOrd::Concurrent);
+            }
+        }
     }
 
     #[test]
