@@ -1,19 +1,17 @@
 //! [`ExecutionBuilder`] — an event-level DSL for crafting executions.
 
-use crate::execution::{EventRecord, Execution};
+use crate::execution::{apply, zero_clocks, Execution, Step, StepKind};
 use ftscp_intervals::Interval;
 use ftscp_vclock::{ProcessId, VectorClock};
-use std::collections::HashMap;
 
-/// Handle to an in-flight message (returned by [`ExecutionBuilder::send`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct MsgHandle(u64);
+pub use crate::execution::MsgHandle;
 
 /// Builds an execution event by event, computing vector clocks with the
 /// update rules of §II-A. Predicate state is toggled with
 /// [`begin_interval`](ExecutionBuilder::begin_interval) /
 /// [`end_interval`](ExecutionBuilder::end_interval); every operation records
-/// an event.
+/// one [`Step`]. The only clocks it keeps are each process's current one,
+/// the interval bounds and the stamps of messages in flight.
 ///
 /// ```
 /// use ftscp_workload::ExecutionBuilder;
@@ -35,18 +33,16 @@ pub struct MsgHandle(u64);
 /// ```
 pub struct ExecutionBuilder {
     n: usize,
+    /// Current clock per process: the stamp of its last event.
     clocks: Vec<VectorClock>,
     pred: Vec<bool>,
     /// Stamp at which the open interval started, per process.
     open_lo: Vec<Option<VectorClock>>,
-    /// Stamp of the most recent event, per process.
-    last_stamp: Vec<Option<VectorClock>>,
     intervals: Vec<Vec<Interval>>,
-    events: Vec<Vec<EventRecord>>,
+    steps: Vec<Step>,
     completion_order: Vec<(ProcessId, u64)>,
-    inflight: HashMap<MsgHandle, (ProcessId, VectorClock)>,
-    next_msg: u64,
-    messages: u64,
+    /// One slot per message sent, holding its stamp until delivery.
+    inflight: Vec<Option<VectorClock>>,
 }
 
 impl ExecutionBuilder {
@@ -54,32 +50,29 @@ impl ExecutionBuilder {
     pub fn new(n: usize) -> Self {
         ExecutionBuilder {
             n,
-            clocks: (0..n).map(|_| VectorClock::new(n)).collect(),
+            clocks: zero_clocks(n),
             pred: vec![false; n],
             open_lo: vec![None; n],
-            last_stamp: vec![None; n],
             intervals: vec![Vec::new(); n],
-            events: vec![Vec::new(); n],
+            steps: Vec::new(),
             completion_order: Vec::new(),
-            inflight: HashMap::new(),
-            next_msg: 0,
-            messages: 0,
+            inflight: Vec::new(),
         }
     }
 
-    fn record_event(&mut self, p: ProcessId) {
-        let stamp = self.clocks[p.index()].clone();
-        self.last_stamp[p.index()] = Some(stamp.clone());
-        self.events[p.index()].push(EventRecord {
-            vc: stamp,
+    fn step(&mut self, p: ProcessId, kind: StepKind) {
+        let step = Step {
+            process: p,
             pred: self.pred[p.index()],
-        });
+            kind,
+        };
+        apply(&mut self.clocks, &mut self.inflight, step).unwrap_or_else(|e| panic!("{e}"));
+        self.steps.push(step);
     }
 
     /// An internal event at `p` (no predicate change).
     pub fn internal(&mut self, p: ProcessId) {
-        self.clocks[p.index()].tick(p);
-        self.record_event(p);
+        self.step(p, StepKind::Tick);
     }
 
     /// An internal event at which `p`'s local predicate becomes true; the
@@ -91,14 +84,13 @@ impl ExecutionBuilder {
     pub fn begin_interval(&mut self, p: ProcessId) {
         assert!(!self.pred[p.index()], "{p}: interval already open");
         self.pred[p.index()] = true;
-        self.clocks[p.index()].tick(p);
-        self.record_event(p);
+        self.step(p, StepKind::Tick);
         self.open_lo[p.index()] = Some(self.clocks[p.index()].clone());
     }
 
     /// An internal event at which `p`'s local predicate becomes false; the
     /// interval's `max` is the stamp of the *previous* event (the last one
-    /// at which the predicate still held).
+    /// at which the predicate still held), which is `p`'s current clock.
     ///
     /// # Panics
     ///
@@ -106,29 +98,22 @@ impl ExecutionBuilder {
     pub fn end_interval(&mut self, p: ProcessId) {
         assert!(self.pred[p.index()], "{p}: no open interval");
         let lo = self.open_lo[p.index()].take().expect("open interval");
-        let hi = self.last_stamp[p.index()]
-            .clone()
-            .expect("interval spans at least its opening event");
+        let hi = self.clocks[p.index()].clone();
         let seq = self.intervals[p.index()].len() as u64;
         self.intervals[p.index()].push(Interval::local(p, seq, lo, hi));
         self.completion_order.push((p, seq));
         // The closing toggle itself is an event (predicate now false).
         self.pred[p.index()] = false;
-        self.clocks[p.index()].tick(p);
-        self.record_event(p);
+        self.step(p, StepKind::Tick);
     }
 
     /// A send event at `from`; the message can later be delivered with
     /// [`recv`](ExecutionBuilder::recv). Channels are non-FIFO: deliver
     /// handles in any order.
     pub fn send(&mut self, from: ProcessId, to: ProcessId) -> MsgHandle {
-        self.clocks[from.index()].tick(from);
-        self.record_event(from);
-        let h = MsgHandle(self.next_msg);
-        self.next_msg += 1;
-        self.messages += 1;
-        self.inflight
-            .insert(h, (to, self.clocks[from.index()].clone()));
+        let id = u32::try_from(self.inflight.len()).expect("at most 2^32 messages");
+        let h = MsgHandle { id, to };
+        self.step(from, StepKind::Send(h));
         h
     }
 
@@ -139,10 +124,7 @@ impl ExecutionBuilder {
     /// Panics if the handle was already delivered or `to` does not match
     /// the destination given at send time.
     pub fn recv(&mut self, to: ProcessId, h: MsgHandle) {
-        let (dst, stamp) = self.inflight.remove(&h).expect("message already delivered");
-        assert_eq!(dst, to, "delivering to the wrong process");
-        self.clocks[to.index()].receive(to, &stamp);
-        self.record_event(to);
+        self.step(to, StepKind::Recv(h));
     }
 
     /// Current clock of `p` (for assertions in tests).
@@ -157,28 +139,17 @@ impl ExecutionBuilder {
     /// Panics if any interval is still open or any message undelivered —
     /// both would make the execution's causal record incomplete.
     pub fn finish(self) -> Execution {
+        let undelivered = self.inflight.iter().filter(|m| m.is_some()).count();
         assert!(
-            self.open_lo.iter().all(|o| o.is_none()),
-            "finish with open interval"
+            undelivered == 0,
+            "finish with {undelivered} undelivered messages"
         );
-        assert!(
-            self.inflight.is_empty(),
-            "finish with {} undelivered messages",
-            self.inflight.len()
-        );
-        Execution {
-            n: self.n,
-            intervals: self.intervals,
-            events: self.events,
-            completion_order: self.completion_order,
-            messages: self.messages,
-        }
+        self.finish_lossy()
     }
 
     /// Like [`finish`](ExecutionBuilder::finish) but tolerates undelivered
-    /// messages (they are simply dropped from the record).
-    pub fn finish_lossy(mut self) -> Execution {
-        self.inflight.clear();
+    /// messages (their sends stay in the log; nothing receives them).
+    pub fn finish_lossy(self) -> Execution {
         assert!(
             self.open_lo.iter().all(|o| o.is_none()),
             "finish with open interval"
@@ -186,9 +157,9 @@ impl ExecutionBuilder {
         Execution {
             n: self.n,
             intervals: self.intervals,
-            events: self.events,
+            steps: self.steps,
             completion_order: self.completion_order,
-            messages: self.messages,
+            messages: self.inflight.len() as u64,
         }
     }
 }

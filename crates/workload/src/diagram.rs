@@ -42,8 +42,8 @@ impl Default for DiagramOptions {
 
 /// Renders the execution as one row per process.
 pub fn render(exec: &Execution, opts: &DiagramOptions) -> String {
-    let raw_width = exec
-        .events
+    let events = exec.events();
+    let raw_width = events
         .iter()
         .flatten()
         .map(|e| col(&e.vc))
@@ -59,11 +59,11 @@ pub fn render(exec: &Execution, opts: &DiagramOptions) -> String {
     let c = |vc: &VectorClock| ((col(vc) as f64 / scale) as usize).min(width - 1);
 
     let mut out = String::new();
-    for p in 0..exec.n {
+    for (p, history) in events.iter().enumerate() {
         let pid = ProcessId(p as u32);
         let mut row: Vec<char> = vec!['─'; width];
         // Event ticks.
-        for e in &exec.events[p] {
+        for e in history {
             row[c(&e.vc)] = '·';
         }
         // Intervals as solid runs; highlighted ones get the solution digit.

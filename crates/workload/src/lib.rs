@@ -18,11 +18,16 @@
 //!   Participation/solo probabilities steer the effective `α`.
 //! * [`scenarios`] — ready-made executions for the paper's figures.
 //!
-//! The output type [`Execution`] carries both the per-process interval
-//! sequences (what the detection algorithms consume) and the full
-//! per-process event history (what the brute-force lattice oracle in
-//! `ftscp-baselines` consumes), plus a causally consistent interleaving
-//! order for feeding on-line detectors.
+//! The output type [`Execution`] carries the per-process interval
+//! sequences (what the detection algorithms consume), a causally
+//! consistent interleaving order for feeding on-line detectors, and the
+//! execution's events as a log of [`Step`]s: process, kind (tick, send or
+//! receive) and the predicate after it, with no clock. The interval bounds
+//! are the only clocks it stores, as the paper's cost model (§IV) charges
+//! one timestamp per interval rather than per event.
+//! [`Execution::events`] replays the per-process event histories with
+//! their stamps for the consumers that need them: the brute-force lattice
+//! oracle in `ftscp-baselines` and the [`diagram`] renderer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +40,6 @@ pub mod scenarios;
 pub mod threshold;
 
 pub use builder::ExecutionBuilder;
-pub use execution::{EventRecord, Execution};
+pub use execution::{EventRecord, Execution, Step, StepKind};
 pub use random::RandomExecution;
 pub use threshold::{GossipPattern, SensorFleet};
