@@ -31,6 +31,9 @@ pub struct HierarchicalDetector {
     ops: OpCounter,
     /// Logical feed counter used as the detection "time".
     feeds: u64,
+    /// [`propagate`](Self::propagate)'s work queue, empty between calls
+    /// and kept so a feed does not build one.
+    work: VecDeque<(ProcessId, EngineOutput)>,
 }
 
 impl HierarchicalDetector {
@@ -55,6 +58,7 @@ impl HierarchicalDetector {
             node_solutions: vec![0; n],
             ops,
             feeds: 0,
+            work: VecDeque::new(),
         }
     }
 
@@ -132,23 +136,21 @@ impl HierarchicalDetector {
     /// Intervals of each process must be fed in their per-process order;
     /// interleaving across processes is free.
     ///
-    /// Intervals owned by failed/removed nodes are ignored.
+    /// Intervals owned by failed/removed nodes, or by a process outside
+    /// the tree, are ignored.
     pub fn feed(&mut self, interval: Interval) {
         self.feeds += 1;
         let owner = interval.source;
-        if self.engines[owner.index()].is_none() {
+        let Some(engine) = self.engines.get_mut(owner.index()).and_then(Option::as_mut) else {
             return;
-        }
-        let outputs = self.engines[owner.index()]
-            .as_mut()
-            .expect("checked")
-            .on_local_interval(interval);
+        };
+        let outputs = engine.on_local_interval(interval);
         self.propagate(owner, outputs);
     }
 
     fn propagate(&mut self, from: ProcessId, outputs: Vec<EngineOutput>) {
-        let mut queue: VecDeque<(ProcessId, EngineOutput)> =
-            outputs.into_iter().map(|o| (from, o)).collect();
+        let mut queue = std::mem::take(&mut self.work);
+        queue.extend(outputs.into_iter().map(|o| (from, o)));
         while let Some((node, out)) = queue.pop_front() {
             match out {
                 EngineOutput::Detected(sol) => {
@@ -166,13 +168,12 @@ impl HierarchicalDetector {
                             self.last_solution[node.index()] = solution.intervals;
                         }
                         let outs = engine.on_child_interval(node, interval);
-                        for o in outs {
-                            queue.push_back((parent, o));
-                        }
+                        queue.extend(outs.into_iter().map(|o| (parent, o)));
                     }
                 }
             }
         }
+        self.work = queue;
     }
 
     /// §III-F: `node` crash-stops. Its orphans settle where the protocol's
@@ -185,9 +186,10 @@ impl HierarchicalDetector {
     /// hold for a sibling that went elsewhere only expires); then the dead
     /// child's queue goes, so nothing is released without the orphan; then
     /// each adopted orphan re-reports its last output. Detections released
-    /// by the repair are recorded as usual.
+    /// by the repair are recorded as usual. A node that already failed, or
+    /// one outside the tree, is ignored.
     pub fn fail_node(&mut self, node: ProcessId, topology: &Topology) {
-        if self.engines[node.index()].is_none() {
+        if self.engines.get(node.index()).is_none_or(Option::is_none) {
             return;
         }
         self.engines[node.index()] = None;

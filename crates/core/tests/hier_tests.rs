@@ -405,3 +405,30 @@ fn cascading_failures_down_to_two_nodes() {
     // The final tree holds the two survivors.
     assert_eq!(det.tree().node_count(), 2);
 }
+
+#[test]
+fn a_source_outside_the_tree_is_ignored() {
+    // A 3-node tree fed (and told to fail) process 9: nothing happens, as
+    // in the registry, and the tree goes on detecting.
+    let tree = SpanningTree::balanced_dary(3, 2);
+    let topo = Topology::dary_tree(3, 2, 1);
+    let exec = RandomExecution::builder(3)
+        .intervals_per_process(4)
+        .seed(5)
+        .build();
+    let mut det = HierarchicalDetector::new(&tree);
+    let stray = exec.intervals_interleaved()[0].clone();
+    det.feed(ftscp_intervals::Interval::local(
+        ProcessId(9),
+        0,
+        stray.lo.clone(),
+        stray.hi.clone(),
+    ));
+    det.fail_node(ProcessId(9), &topo);
+    assert_eq!((det.resident(), det.tree().node_count()), (0, 3));
+    for iv in exec.intervals_interleaved() {
+        det.feed(iv.clone());
+    }
+    assert_eq!(det.root_solutions().len(), 4);
+    assert_valid(&exec, &det);
+}

@@ -4,20 +4,21 @@
 //! of that overhead is the allocator (`docs/PERF.md` §4): the pruned-view
 //! registry this replaced paid 32.2 heap allocations per touch (33.7 in a
 //! debug build), the flat bank paid 4.8 (7.3 in a debug build) while its
-//! detection loop built `BTreeSet`s and cloned every solution member, and
-//! pays 2.2 (4.7 in a debug build, where the `⊓`-summary's
-//! `debug_assert!` re-folds its row anew on every gate visit) now
-//! that the loop reuses the bank's buffers and moves the pruned heads into
-//! the `Solution`. What is left per touch is the routed `Interval::clone`
-//! (its coverage `Vec`) and about a tenth of a solution: the borrowed
-//! heads, the removal set, the `Solution`'s members with a clone of each
-//! head that stays, the strict-leader rows of a `k ≥ 9` prune, and the
-//! detection record. The test holds the line at 5 in either profile, and
-//! then holds the registry's live bytes flat over a stream that leaves
-//! nothing behind: whatever an event allocates must be freed once its
-//! interval is swept. It is a binary of its own because it installs a
-//! counting global allocator; nothing else may run in this process, so
-//! both phases share the one `#[test]`.
+//! detection loop built `BTreeSet`s and cloned every solution member, then
+//! 2.2 (4.7 in a debug build, where the `⊓`-summary's `debug_assert!`
+//! re-folds its row anew on every gate visit) once the loop reused the
+//! bank's buffers and moved the pruned heads into the `Solution`. It pays
+//! 1.64 (4.14 in a debug build) now that the heads list, the removal set
+//! and the strict-leader rows are reused too and the emitted set keeps
+//! seq ranges instead of hashing every member. What is left per touch is
+//! the routed `Interval::clone` (its coverage `Vec`) and about a tenth of
+//! a solution: the `Solution`'s members with a clone of each head that
+//! stays, and the detection record. The test holds the line just above
+//! those measurements in each profile, and then holds the registry's live
+//! bytes flat over a stream that leaves nothing behind: whatever an event
+//! allocates must be freed once its interval is swept. It is a binary of
+//! its own because it installs a counting global allocator; nothing else
+//! may run in this process, so both phases share the one `#[test]`.
 
 use ftscp_core::registry::{PredicateId, PredicateRegistry, TenantSpec};
 use ftscp_intervals::Interval;
@@ -72,6 +73,10 @@ const N: usize = 64;
 const ROUNDS: usize = 24;
 const TENANTS: usize = 1_000;
 
+/// The bound per profile: a debug build keeps the `⊓`-summary's
+/// `debug_assert!` re-derivation, which allocates.
+const BUDGET: f64 = if cfg!(debug_assertions) { 4.2 } else { 1.7 };
+
 /// The `mem_tenants` fleet shape: tenant 0 watches everyone, the rest 4–16
 /// random processes.
 fn specs() -> Vec<TenantSpec> {
@@ -122,8 +127,9 @@ fn ingest_allocation_budget_and_live_bytes_plateau() {
     let per_touch = allocations as f64 / touches as f64;
     println!("{allocations} allocations / {touches} touches = {per_touch:.2}");
     assert!(
-        per_touch <= 5.0,
-        "{per_touch:.2} allocations per tenant touch ({allocations} over {touches} touches)"
+        per_touch <= BUDGET,
+        "{per_touch:.2} allocations per tenant touch ({allocations} over {touches} touches), \
+         budget {BUDGET}"
     );
 
     // Phase 2: an event whose interval has been swept leaves no bytes

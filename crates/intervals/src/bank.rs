@@ -25,7 +25,6 @@ use crate::prune;
 use crate::solution::Solution;
 use crate::summary::SweepSummary;
 use ftscp_vclock::{order, OpCounter};
-use std::collections::HashSet;
 use std::collections::VecDeque;
 
 /// Stable identifier of one queue within a [`QueueBank`].
@@ -236,7 +235,9 @@ pub struct QueueBank {
     /// fresh member is necessarily a subset of an earlier solution (heads
     /// only ever pop), i.e. a duplicate occurrence released by a queue
     /// removal — it is pruned but not re-emitted.
-    emitted: HashSet<(u32, u64, bool)>,
+    emitted: EmittedSet,
+    /// Live queues that are empty: line (18) waits while it is non-zero.
+    empty_live: usize,
     /// Decision trace (None = disabled).
     trace: Option<Vec<BankEvent>>,
     /// Sweep evaluation strategy.
@@ -244,9 +245,10 @@ pub struct QueueBank {
     /// Running `⊓`-summary of the live heads. Maintained only under
     /// [`SweepMode::Aggregate`]; transient (never snapshotted, rebuilt
     /// from the live heads on the next sweep after a restore or a mode
-    /// selection). Its rule: [`touch`](SweepSummary::touch) whenever a
-    /// head it may hold can have changed — never for a head arriving in an
-    /// empty queue, which it cannot hold.
+    /// selection). Its rules: [`touch`](SweepSummary::touch) whenever a
+    /// head it may hold can have changed, and
+    /// [`arrived`](SweepSummary::arrived) — not `touch` — for a head
+    /// arriving in an empty queue, which it cannot hold.
     summary: SweepSummary,
     /// Intervals resident across all queues, kept in step with every push
     /// and pop so the peak statistic costs `O(1)` per enqueue.
@@ -269,6 +271,149 @@ struct LoopBuffers {
     culprits: Vec<(usize, TraceId)>,
     /// The live queues, ascending: a solution's members in order.
     live: Vec<usize>,
+    /// A solution's heads, in `live` order. Empty between calls: it holds
+    /// borrows only while a solution is being emitted.
+    heads: Vec<&'static Interval>,
+    /// The Eq. (10) removal set: indices into `heads`.
+    removable: Vec<usize>,
+    /// The strict-leader rows of a wide prune.
+    prune: prune::PruneBuffers,
+}
+
+/// `v`, emptied, as a vector of another borrow's lifetime on the same
+/// allocation: the loop's `heads` outlive no call, but their buffer does.
+fn recycle<'b, T>(mut v: Vec<&T>) -> Vec<&'b T> {
+    v.clear();
+    // An empty `IntoIter` of pointers collected into pointers: the standard
+    // library reuses the allocation in place, and the closure never runs.
+    v.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// Closed `(first, last)` seq ranges of one emitted-set key.
+type SeqRanges = Vec<(u64, u64)>;
+
+/// The identities `(source, seq, aggregated?)` a bank has emitted, as
+/// sorted, disjoint, closed seq ranges per `(source, aggregated?)` key.
+///
+/// A queue's intervals reach a solution in seq order, so emitted seqs
+/// mostly extend the last range of their key: an insert is a binary search
+/// over the keys and an `O(1)` tail step. Only a swept interval — one
+/// never emitted — leaves a gap, so memory grows with the gaps a stream
+/// sweeps, not with its solutions. Ranges are closed so that seq
+/// `u64::MAX` needs no end past it.
+#[derive(Clone, Debug, Default)]
+struct EmittedSet {
+    /// `(key, ranges)` sorted by key. Each `ranges` is non-empty, sorted,
+    /// and no two of its ranges overlap or touch.
+    keys: Vec<((u32, bool), SeqRanges)>,
+}
+
+impl EmittedSet {
+    /// Adds `id`; `true` iff it was not present.
+    fn insert(&mut self, (source, seq, aggregated): TraceId) -> bool {
+        let key = (source, aggregated);
+        let k = match self.keys.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(k) => k,
+            Err(k) => {
+                self.keys.insert(k, (key, vec![(seq, seq)]));
+                return true;
+            }
+        };
+        let ranges = &mut self.keys[k].1;
+        let last = ranges.last_mut().expect("a key holds a range");
+        if seq > last.1 {
+            if seq == last.1 + 1 {
+                last.1 = seq;
+            } else {
+                ranges.push((seq, seq));
+            }
+            return true;
+        }
+        if seq >= last.0 {
+            return false;
+        }
+        // Before the last range: the first range that ends at or after
+        // `seq` holds it, or `seq` falls in the gap before that range.
+        let i = ranges.partition_point(|r| r.1 < seq);
+        if ranges[i].0 <= seq {
+            return false;
+        }
+        let joins_left = i > 0 && ranges[i - 1].1 + 1 == seq;
+        let joins_right = ranges[i].0 == seq + 1;
+        match (joins_left, joins_right) {
+            (true, true) => {
+                ranges[i - 1].1 = ranges[i].1;
+                ranges.remove(i);
+            }
+            (true, false) => ranges[i - 1].1 = seq,
+            (false, true) => ranges[i].0 = seq,
+            (false, false) => ranges.insert(i, (seq, seq)),
+        }
+        true
+    }
+
+    /// Removes `id`, splitting its range; `true` iff it was present.
+    fn remove(&mut self, (source, seq, aggregated): TraceId) -> bool {
+        let key = (source, aggregated);
+        let Ok(k) = self.keys.binary_search_by_key(&key, |&(k, _)| k) else {
+            return false;
+        };
+        let ranges = &mut self.keys[k].1;
+        let i = ranges.partition_point(|r| r.1 < seq);
+        let Some(&(first, last)) = ranges.get(i) else {
+            return false;
+        };
+        if seq < first {
+            return false;
+        }
+        match (seq == first, seq == last) {
+            (true, true) => {
+                ranges.remove(i);
+                if ranges.is_empty() {
+                    self.keys.remove(k);
+                }
+            }
+            (true, false) => ranges[i].0 = seq + 1,
+            (false, true) => ranges[i].1 = seq - 1,
+            (false, false) => {
+                ranges[i].1 = seq - 1;
+                ranges.insert(i + 1, (seq + 1, last));
+            }
+        }
+        true
+    }
+
+    /// Every identity, sorted: the list a [`BankSnapshot`] carries.
+    fn to_sorted_vec(&self) -> Vec<TraceId> {
+        let mut ids: Vec<TraceId> = self
+            .keys
+            .iter()
+            .flat_map(|&((source, aggregated), ref ranges)| {
+                let seqs = ranges.iter().flat_map(|&(first, last)| first..=last);
+                seqs.map(move |seq| (source, seq, aggregated))
+            })
+            .collect();
+        // Keys order by `aggregated` before `seq`; identities the other
+        // way round.
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Ranges held over all keys.
+    #[cfg(test)]
+    fn range_count(&self) -> usize {
+        self.keys.iter().map(|(_, r)| r.len()).sum()
+    }
+}
+
+impl FromIterator<TraceId> for EmittedSet {
+    fn from_iter<I: IntoIterator<Item = TraceId>>(ids: I) -> Self {
+        let mut set = EmittedSet::default();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
 }
 
 impl QueueBank {
@@ -280,7 +425,8 @@ impl QueueBank {
             ops: OpCounter::new(),
             stats: BankStats::default(),
             solution_counter: 0,
-            emitted: HashSet::new(),
+            emitted: EmittedSet::default(),
+            empty_live: queues,
             trace: None,
             mode: SweepMode::default(),
             summary: SweepSummary::new(),
@@ -379,6 +525,7 @@ impl QueueBank {
             if self.slots[i].is_none() {
                 self.slots[i] = Some(QueueSlot::default());
                 self.active += 1;
+                self.empty_live += 1;
                 let slot = SlotId(i as u32);
                 self.record(BankEvent::QueueAdded { slot });
                 return slot;
@@ -386,6 +533,7 @@ impl QueueBank {
         }
         self.slots.push(Some(QueueSlot::default()));
         self.active += 1;
+        self.empty_live += 1;
         let slot = SlotId((self.slots.len() - 1) as u32);
         self.record(BankEvent::QueueAdded { slot });
         slot
@@ -403,7 +551,11 @@ impl QueueBank {
         if self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
-        self.resident -= self.queue_len(slot);
+        let len = self.queue_len(slot);
+        self.resident -= len;
+        if len == 0 {
+            self.empty_live -= 1;
+        }
         self.slots[idx] = None;
         self.active -= 1;
         self.record(BankEvent::QueueRemoved { slot });
@@ -455,7 +607,12 @@ impl QueueBank {
 
         if new_len == 1 {
             // No `touch()`: the queue was empty, so the summary holds no
-            // head of it.
+            // head of it; announcing the head spares the next visit a scan
+            // for it.
+            self.empty_live -= 1;
+            if self.mode == SweepMode::Aggregate {
+                self.summary.arrived(idx);
+            }
             self.buffers.updated.push(idx);
             self.run_detection()
         } else {
@@ -474,8 +631,11 @@ impl QueueBank {
                 continue;
             };
             let id = trace_id(&interval);
-            self.emitted.remove(&id);
+            self.emitted.remove(id);
             if q.items.front().map(trace_id) != Some(id) {
+                if q.items.is_empty() {
+                    self.empty_live -= 1;
+                }
                 q.items.push_front(interval);
                 q.peak_len = q.peak_len.max(q.items.len());
                 self.stats.peak_queue_len = self.stats.peak_queue_len.max(q.items.len());
@@ -498,6 +658,9 @@ impl QueueBank {
         let q = self.slots[idx].as_mut()?;
         let iv = q.items.pop_front()?;
         q.discarded += 1;
+        if q.items.is_empty() {
+            self.empty_live += 1;
+        }
         self.resident -= 1;
         if swept {
             self.stats.swept += 1;
@@ -515,8 +678,6 @@ impl QueueBank {
     /// where it left off (crash-*recovery*, complementing the paper's
     /// crash-stop tolerance).
     pub fn snapshot(&self) -> BankSnapshot {
-        let mut emitted: Vec<TraceId> = self.emitted.iter().copied().collect();
-        emitted.sort_unstable();
         BankSnapshot {
             slots: self
                 .slots
@@ -532,7 +693,7 @@ impl QueueBank {
                 .collect(),
             stats: self.stats,
             solution_counter: self.solution_counter,
-            emitted,
+            emitted: self.emitted.to_sorted_vec(),
         }
     }
 
@@ -559,10 +720,16 @@ impl QueueBank {
             .collect();
         let active = slots.iter().filter(|s| s.is_some()).count();
         let resident = slots.iter().flatten().map(|q| q.items.len()).sum();
+        let empty_live = slots
+            .iter()
+            .flatten()
+            .filter(|q| q.items.is_empty())
+            .count();
         QueueBank {
             slots,
             active,
             resident,
+            empty_live,
             stats: snapshot.stats,
             solution_counter: snapshot.solution_counter,
             emitted: snapshot.emitted.into_iter().collect(),
@@ -691,26 +858,44 @@ impl QueueBank {
             }
 
             // Line (18): solution iff every live queue is non-empty.
+            let head = |i: usize| self.slots[i].as_ref().and_then(|q| q.items.front());
+            debug_assert_eq!(
+                self.empty_live,
+                self.slots
+                    .iter()
+                    .flatten()
+                    .filter(|q| q.items.is_empty())
+                    .count(),
+                "the empty-queue count drifted from the queues"
+            );
+            if self.empty_live > 0 || self.active == 0 {
+                return solutions;
+            }
             s.live.clear();
             let live = self.slots.iter().enumerate().filter(|(_, q)| q.is_some());
             s.live.extend(live.map(|(i, _)| i));
-            let head = |i: usize| self.slots[i].as_ref().and_then(|q| q.items.front());
-            if s.live.is_empty() || s.live.iter().any(|&i| head(i).is_none()) {
-                return solutions;
-            }
 
             // Lines (23)–(33): the Eq. (10) removal set, computed while the
             // heads are still borrowed so the solution can take the pruned
             // ones by move.
-            let heads: Vec<&Interval> = s.live.iter().filter_map(|&i| head(i)).collect();
+            let mut heads = recycle(std::mem::take(&mut s.heads));
+            heads.extend(s.live.iter().filter_map(|&i| head(i)));
             debug_assert!(
                 crate::overlap::definitely_holds(&heads),
                 "sweep fixpoint must leave mutually overlapping heads"
             );
-            let removable = match self.mode {
-                SweepMode::Aggregate => prune::approximate_removals_aggregate(&heads, &self.ops),
-                SweepMode::Full => prune::approximate_removals(&heads, &self.ops),
-            };
+            s.removable.clear();
+            match self.mode {
+                SweepMode::Aggregate => prune::approximate_removals_aggregate(
+                    &heads,
+                    &self.ops,
+                    &mut s.prune,
+                    &mut s.removable,
+                ),
+                SweepMode::Full => s
+                    .removable
+                    .extend(prune::approximate_removals(&heads, &self.ops)),
+            }
 
             // Emit only if some member is fresh (see `emitted`).
             let mut fresh = false;
@@ -731,9 +916,10 @@ impl QueueBank {
 
             // Pop the pruned heads into the solution; clone only the heads
             // that stay. Continue with the pruned queues.
-            debug_assert!(!removable.is_empty(), "Theorem 4: at least one removal");
+            debug_assert!(!s.removable.is_empty(), "Theorem 4: at least one removal");
             let mut intervals = Vec::with_capacity(if fresh { heads.len() } else { 0 });
-            let mut removable = removable.into_iter().peekable();
+            s.heads = recycle(heads);
+            let mut removable = s.removable.iter().copied().peekable();
             for (r, &idx) in s.live.iter().enumerate() {
                 if removable.next_if_eq(&r).is_some() {
                     let iv = self.pop_head(idx, false).expect("a solution member");
@@ -1049,8 +1235,9 @@ mod tests {
 
     #[test]
     fn snapshots_of_equal_banks_are_equal() {
-        // Each bank's emitted set hashes with its own random keys; the
-        // snapshot must not leak that order.
+        // Two banks fed the same stream hold the same emitted identities:
+        // their snapshots must list them in one order, however the set
+        // stores them.
         let feed = || {
             let mut bank = QueueBank::new(2);
             for k in 0..40u32 {
@@ -1063,6 +1250,106 @@ mod tests {
         let emitted = feed();
         assert!(emitted.len() >= 40, "the stream emits: {}", emitted.len());
         assert_eq!(emitted, feed());
+    }
+
+    /// Random inserts, removes (out of order too), snapshots and restores
+    /// against a `HashSet` reference: every answer and every sorted list
+    /// must agree.
+    #[test]
+    fn emitted_ranges_answer_like_a_hash_set() {
+        use std::collections::HashSet;
+
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let sorted = |set: &HashSet<TraceId>| {
+            let mut ids: Vec<TraceId> = set.iter().copied().collect();
+            ids.sort_unstable();
+            ids
+        };
+        let (mut inserted, mut removed) = (0, 0);
+        for _ in 0..50 {
+            let (mut set, mut reference) = (EmittedSet::default(), HashSet::new());
+            // Mostly ascending per key, as a bank emits; now and then a
+            // seq from anywhere below, and the extremes of the range.
+            let mut next = [0u64; 3];
+            for _ in 0..400 {
+                let source = (rng() % 3) as u32;
+                let aggregated = rng() % 4 == 0;
+                let seq = match rng() % 10 {
+                    0..=5 => {
+                        next[source as usize] += rng() % 3;
+                        next[source as usize]
+                    }
+                    6 | 7 => rng() % (next[source as usize] + 2),
+                    8 => u64::MAX - rng() % 3,
+                    _ => rng() % 3,
+                };
+                let id = (source, seq, aggregated);
+                if rng() % 3 == 0 {
+                    let got = set.remove(id);
+                    assert_eq!(got, reference.remove(&id), "remove {id:?}");
+                    removed += usize::from(got);
+                } else {
+                    let got = set.insert(id);
+                    assert_eq!(got, reference.insert(id), "insert {id:?}");
+                    inserted += usize::from(got);
+                }
+                if rng() % 50 == 0 {
+                    let snapshot = set.to_sorted_vec();
+                    assert_eq!(snapshot, sorted(&reference));
+                    set = snapshot.into_iter().collect();
+                }
+            }
+            assert_eq!(set.to_sorted_vec(), sorted(&reference));
+            let ranges = set.keys.iter().flat_map(|(_, r)| r);
+            assert!(ranges.clone().all(|&(first, last)| first <= last));
+            for (_, r) in &set.keys {
+                assert!(!r.is_empty(), "an empty key is dropped");
+                assert!(
+                    r.windows(2).all(|w| w[0].1 + 1 < w[1].0),
+                    "ranges sorted, disjoint and apart: {r:?}"
+                );
+            }
+        }
+        assert!(
+            inserted > 5_000 && removed > 1_000,
+            "{inserted} / {removed}"
+        );
+    }
+
+    #[test]
+    fn recycled_heads_keep_their_allocation() {
+        let (a, b) = (1u32, 2u32);
+        let heads = vec![&a, &b];
+        let (ptr, capacity) = (heads.as_ptr() as usize, heads.capacity());
+        let heads: Vec<&u32> = recycle(heads);
+        assert!(heads.is_empty());
+        assert_eq!((heads.as_ptr() as usize, heads.capacity()), (ptr, capacity));
+    }
+
+    #[test]
+    fn a_dense_stream_keeps_one_range_per_source() {
+        // Every round a solution of three concurrent heads, all pruned:
+        // 30 000 emitted identities, three ranges.
+        let mut bank = QueueBank::new(3);
+        let mut solutions = 0;
+        for round in 0..10_000u32 {
+            for p in 0..3u32 {
+                let mut lo = [3 * round; 3];
+                lo[p as usize] += 1;
+                let hi = [3 * round + 2; 3];
+                let x = iv(p, round.into(), &lo, &hi);
+                solutions += bank.enqueue(SlotId(p), x).len();
+            }
+        }
+        assert_eq!(solutions, 10_000);
+        assert_eq!(bank.emitted.range_count(), 3);
+        assert_eq!(bank.snapshot().emitted.len(), 30_000);
     }
 
     #[test]

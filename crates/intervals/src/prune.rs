@@ -93,49 +93,71 @@ pub const PRUNE_GATE_MIN_MEMBERS: usize = 9;
 /// unmarked members only. On a wide solution nearly every member leads its
 /// own process's component, so the `k(k−1)` row shrinks to a handful of
 /// comparisons. Smaller solutions run the full chunked row.
-pub fn approximate_removals_aggregate(solution: &[&Interval], ops: &OpCounter) -> Vec<usize> {
-    let leaders = (solution.len() >= PRUNE_GATE_MIN_MEMBERS).then(|| strict_leaders(solution, ops));
-    let may_disqualify = |j: usize| leaders.as_ref().is_none_or(|l| !l[j]);
-    (0..solution.len())
-        .filter(|&i| {
-            let x = solution[i];
-            !solution.iter().enumerate().any(|(j, y)| {
-                j != i
-                    && may_disqualify(j)
-                    && order::strictly_less_chunked_counted(&y.hi, &x.hi, ops)
-            })
+///
+/// The indices are appended to `removable`, ascending; `buffers` holds the
+/// strict-leader pass's rows, so a caller that keeps both allocates
+/// nothing once they have grown to its widest solution.
+pub fn approximate_removals_aggregate(
+    solution: &[&Interval],
+    ops: &OpCounter,
+    buffers: &mut PruneBuffers,
+    removable: &mut Vec<usize>,
+) {
+    let gated = solution.len() >= PRUNE_GATE_MIN_MEMBERS;
+    if gated {
+        buffers.strict_leaders(solution, ops);
+    }
+    let may_disqualify = |j: usize| !gated || !buffers.leads[j];
+    removable.extend((0..solution.len()).filter(|&i| {
+        let x = solution[i];
+        !solution.iter().enumerate().any(|(j, y)| {
+            j != i && may_disqualify(j) && order::strictly_less_chunked_counted(&y.hi, &x.hi, ops)
         })
-        .collect()
+    }));
 }
 
-/// `leads[j]` iff `max(x_j)` is strictly the largest value of some
-/// component. The per-component top two are folded unbilled (a tie for the
-/// top lands in the second place, so a tied component leads no one); the
-/// scan that reads them off bills one unit per 8-component word.
-fn strict_leaders(solution: &[&Interval], ops: &OpCounter) -> Vec<bool> {
-    use ftscp_vclock::order::CHUNK_WIDTH;
+/// The rows of [`approximate_removals_aggregate`]'s strict-leader pass,
+/// kept by the caller from call to call.
+#[derive(Clone, Debug, Default)]
+pub struct PruneBuffers {
+    /// Per component: (top, owner of top, second).
+    top: Vec<(u32, usize, u32)>,
+    /// Per member: whether it strictly leads some component.
+    leads: Vec<bool>,
+}
 
-    // (top, owner of top, second): zero is a safe floor for the second
-    // place once two members are folded, and a column of zeros leads no one.
-    let width = solution[0].hi.len();
-    let mut top = vec![(0u32, usize::MAX, 0u32); width];
-    for (j, y) in solution.iter().enumerate() {
-        for (t, &v) in top.iter_mut().zip(y.hi.components()) {
-            if v > t.0 {
-                *t = (v, j, t.0);
-            } else if v > t.2 {
-                t.2 = v;
+impl PruneBuffers {
+    /// Sets `leads[j]` iff `max(x_j)` is strictly the largest value of some
+    /// component. The per-component top two are folded unbilled (a tie for
+    /// the top lands in the second place, so a tied component leads no
+    /// one); the scan that reads them off bills one unit per 8-component
+    /// word.
+    fn strict_leaders(&mut self, solution: &[&Interval], ops: &OpCounter) {
+        use ftscp_vclock::order::CHUNK_WIDTH;
+
+        // Zero is a safe floor for the second place once two members are
+        // folded, and a column of zeros leads no one.
+        let width = solution[0].hi.len();
+        self.top.clear();
+        self.top.resize(width, (0u32, usize::MAX, 0u32));
+        for (j, y) in solution.iter().enumerate() {
+            for (t, &v) in self.top.iter_mut().zip(y.hi.components()) {
+                if v > t.0 {
+                    *t = (v, j, t.0);
+                } else if v > t.2 {
+                    t.2 = v;
+                }
+            }
+        }
+        ops.add(width.div_ceil(CHUNK_WIDTH) as u64);
+        self.leads.clear();
+        self.leads.resize(solution.len(), false);
+        for &(first, owner, second) in &self.top {
+            if first > second {
+                self.leads[owner] = true;
             }
         }
     }
-    ops.add(width.div_ceil(CHUNK_WIDTH) as u64);
-    let mut leads = vec![false; solution.len()];
-    for &(first, owner, second) in &top {
-        if first > second {
-            leads[owner] = true;
-        }
-    }
-    leads
 }
 
 /// Eq. (9) with hindsight: given each member's successor's low bound (where
@@ -184,6 +206,13 @@ pub fn exact_removals(
 mod tests {
     use super::*;
     use ftscp_vclock::ProcessId;
+
+    /// [`approximate_removals_aggregate`] on fresh buffers.
+    fn aggregate_removals(solution: &[&Interval], ops: &OpCounter) -> Vec<usize> {
+        let mut removable = Vec::new();
+        approximate_removals_aggregate(solution, ops, &mut PruneBuffers::default(), &mut removable);
+        removable
+    }
 
     fn iv(p: u32, seq: u64, lo: &[u32], hi: &[u32]) -> Interval {
         Interval::local(
@@ -258,6 +287,10 @@ mod tests {
             state ^= state << 17;
             state
         };
+        // One set of buffers across every round, as a bank keeps them:
+        // rows left by a wider or longer solution must not leak into the
+        // next one.
+        let (mut buffers, mut reused) = (PruneBuffers::default(), Vec::new());
         for round in 0..300 {
             let k = 1 + (rng() % 14) as usize; // spans the gate threshold
             let n = 1 + (rng() % 20) as usize;
@@ -270,8 +303,10 @@ mod tests {
                 .collect();
             let refs: Vec<&Interval> = members.iter().collect();
             let ops = OpCounter::new();
+            reused.clear();
+            approximate_removals_aggregate(&refs, &ops, &mut buffers, &mut reused);
             assert_eq!(
-                approximate_removals_aggregate(&refs, &ops),
+                reused,
                 approximate_removals(&refs, &ops),
                 "divergence in round {round} (k = {k}, n = {n})"
             );
@@ -295,7 +330,7 @@ mod tests {
             let refs: Vec<&Interval> = set.iter().collect();
             let ops = OpCounter::new();
             assert_eq!(
-                approximate_removals_aggregate(&refs, &ops),
+                aggregate_removals(&refs, &ops),
                 approximate_removals(&refs, &ops),
                 "{what}"
             );
@@ -364,7 +399,7 @@ mod tests {
             .collect();
         let refs: Vec<&Interval> = members.iter().collect();
         let ops = OpCounter::new();
-        let rm = approximate_removals_aggregate(&refs, &ops);
+        let rm = aggregate_removals(&refs, &ops);
         assert_eq!(rm, approximate_removals(&refs, &OpCounter::new()));
         assert_eq!(rm, (2..k).collect::<Vec<_>>(), "the tied tops are kept");
         // The scan's words, then the row of every member against every
@@ -396,7 +431,7 @@ mod tests {
             .collect();
         let refs: Vec<&Interval> = members.iter().collect();
         let ops = OpCounter::new();
-        let rm = approximate_removals_aggregate(&refs, &ops);
+        let rm = aggregate_removals(&refs, &ops);
         assert_eq!(
             rm,
             (0..k).collect::<Vec<_>>(),

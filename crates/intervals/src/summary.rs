@@ -36,21 +36,31 @@
 //! live heads except `a`": if `a` is not included it folds in the live
 //! heads the row does not hold yet; otherwise it starts over from the live
 //! heads. Either way the row scanned is, component for component, `⊓` over
-//! the other live heads, so verdicts and billing do not depend on which
-//! way it was reached. Debug builds re-derive the row from the included
-//! slots' current heads on every visit, so a missed `touch()` fails the
-//! first test that reaches it instead of skewing a verdict.
+//! the other live heads (`min` and `max` folds commute), so verdicts and
+//! billing do not depend on which way it was reached. Debug builds
+//! re-derive the row from the included slots' current heads on every
+//! visit, so a missed `touch()` fails the first test that reaches it
+//! instead of skewing a verdict.
 //!
-//! The owner's side is one rule: `touch()` whenever an included head can
+//! Which live heads the row does not hold yet is known without a scan
+//! while the row is *complete*: from the first visit after a `touch()`
+//! (which scans every slot once) on, the heads outside the row are the
+//! last visitor's and those announced by
+//! [`arrived`](SweepSummary::arrived), and a visit folds only those. A
+//! visit therefore costs `O(width)` for each head it folds and `O(1)`
+//! besides, however many queues the bank has.
+//!
+//! The owner's side is two rules: `touch()` whenever an included head can
 //! have changed — a head popped (to a successor or to empty), a queue
-//! removed. An enqueue into an *empty* queue needs no `touch()`: an empty
-//! slot has no head, so it is not in the row, and the invariant is about
-//! included heads only; the new head is simply folded by the next visit of
-//! another slot. A round in which `k` queues receive their heads one after
-//! the other therefore folds each head once (`k − 1` folds, where a
-//! rebuild per visit folds `0 + 1 + … + (k − 1)`), a single-queue bank
-//! never folds at all, and storage is `2 · width` components however many
-//! slots there are.
+//! removed — and `arrived(slot)` whenever a head lands in an *empty*
+//! queue. An empty slot has no head, so it is not in the row, and the
+//! invariant is about included heads only; the new head is simply folded
+//! by the next visit of another slot. A round in which `k` queues receive
+//! their heads one after the other therefore folds each head once (`k − 1`
+//! folds, where a rebuild per visit folds `0 + 1 + … + (k − 1)`), a
+//! single-queue bank never folds at all, and storage is `2 · width`
+//! components however many slots there are. Debug builds check on every
+//! visit that no live head outside the row went unannounced.
 //!
 //! Folding is *maintenance*, billed like the `⊓`-aggregation it is (i.e.
 //! not counted as overlap-comparison work); the gate's own scans bill two
@@ -125,6 +135,12 @@ pub struct SweepSummary {
     included: Vec<bool>,
     /// Number of included slots; at 0 the row's contents mean nothing.
     count: usize,
+    /// Whether every live head is included or listed in `pending`: set by
+    /// the scan of the first visit after a [`touch`](Self::touch).
+    complete: bool,
+    /// While the row is complete, the live heads it does not hold: the
+    /// last visitor's and every [`arrived`](Self::arrived) one since.
+    pending: Vec<usize>,
     /// `V = ⊓ max(head_b)` over the included slots.
     v: Vec<u32>,
     /// `U = ⊔ min(head_b)` over the included slots.
@@ -139,11 +155,23 @@ impl SweepSummary {
 
     /// Empties the row. Called whenever an included head can have changed
     /// — head pop, queue removal, anything that swaps the heads wholesale —
-    /// it costs two stores; the next certify starts over from the live
+    /// it costs a few stores; the next certify starts over from the live
     /// heads.
     pub fn touch(&mut self) {
         self.included.clear();
         self.count = 0;
+        self.complete = false;
+        self.pending.clear();
+    }
+
+    /// Announces that a head landed in slot `slot`'s empty queue, so the
+    /// next visit of another slot folds it without scanning for it. Costs
+    /// one push while the row is complete and nothing otherwise (the next
+    /// visit scans every slot anyway).
+    pub fn arrived(&mut self, slot: usize) {
+        if self.complete {
+            self.pending.push(slot);
+        }
     }
 
     /// Absorbs slot `b`'s head into the row.
@@ -202,7 +230,9 @@ impl SweepSummary {
     ///
     /// `head(b)` must give the *current* `(lo, hi)` component slices of
     /// slot `b`'s head for every `b < slots` (`None` for a removed or
-    /// empty queue), and `slot` must have one.
+    /// empty queue), and `slot` must have one. Every head that landed in an
+    /// empty queue since the last [`touch`](Self::touch) must have been
+    /// announced with [`arrived`](Self::arrived).
     ///
     /// Bills `ops` two units per [`CHUNK_WIDTH`]-component word inspected
     /// (one per direction of the overlap condition), matching the chunked
@@ -227,13 +257,28 @@ impl SweepSummary {
             self.touch();
         }
         self.included.resize(slots, false);
-        for b in 0..slots {
+        // A complete row lacks only the pending heads; otherwise any slot
+        // may hold one, and this visit makes the row complete.
+        let mut pending = std::mem::take(&mut self.pending);
+        if !self.complete {
+            pending.clear();
+            pending.extend(0..slots);
+            self.complete = true;
+        }
+        for &b in &pending {
             if b != slot && !self.included[b] {
                 if let Some((l, h)) = head(b) {
                     self.fold(b, l, h);
                 }
             }
         }
+        pending.clear();
+        pending.push(slot);
+        self.pending = pending;
+        debug_assert!(
+            (0..slots).all(|b| b == slot || self.included[b] || head(b).is_none()),
+            "a head arrived without arrived()"
+        );
         if self.count == 0 {
             return true;
         }
@@ -434,8 +479,11 @@ mod tests {
                     let mut visit = vec![slot];
                     match (rng() % 6, heads[slot].is_some()) {
                         // A head appears in an empty (or removed and now
-                        // reused) slot: no touch.
-                        (_, false) => heads[slot] = Some(fresh_head(&mut rng, width)),
+                        // reused) slot: no touch, only the announcement.
+                        (_, false) => {
+                            heads[slot] = Some(fresh_head(&mut rng, width));
+                            sum.arrived(slot);
+                        }
                         // The head pops to a successor.
                         (0..=2, true) => {
                             heads[slot] = Some(fresh_head(&mut rng, width));
