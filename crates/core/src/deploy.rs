@@ -150,13 +150,12 @@ impl Deployment {
         self.sim.schedule_crash(node, at);
     }
 
-    /// Schedules `node` to reboot from its stable checkpoint at `at`
-    /// (crash-**recovery**; requires the monitors to have been built with
-    /// checkpointing — see [`Deployment::enable_checkpointing`]). It
-    /// rejoins as a leaf through the adoption handshake
-    /// ([`MonitorCore::rejoin`]) under its first live topology neighbour in
-    /// the tree; a node the tree still holds at `at`, or one without a
-    /// checkpoint, stays down.
+    /// Schedules `node` to reboot at `at` (crash-**recovery**): its monitor
+    /// comes back with the detector state its crash froze
+    /// ([`MonitorCore::reboot`]) and rejoins as a leaf through the adoption
+    /// handshake ([`MonitorCore::rejoin`]) under its first live topology
+    /// neighbour in the tree. A node the tree still holds at `at` is left
+    /// alone, and one with no live neighbour in the tree stays down.
     pub fn schedule_recovery(&mut self, node: ProcessId, at: SimTime) {
         self.recovery_plan.push((at, node));
         self.recovery_plan.sort_by_key(|&(t, _)| t);
@@ -164,8 +163,8 @@ impl Deployment {
 
     /// Installs a [`FaultPlan`] across both layers of the deployment:
     /// `Crash` operations become scheduled crash-stops, `Restart`
-    /// operations become scheduled recoveries (checkpoint reboot + leaf
-    /// rejoin — enable checkpointing first for a node to come back), and
+    /// operations become scheduled recoveries (reboot + leaf rejoin, see
+    /// [`schedule_recovery`](Self::schedule_recovery)), and
     /// every remaining operation (partitions, duplication, reordering,
     /// timer skew) is installed directly into the network simulation. Like the simulator-level plan, this draws no
     /// randomness: `(deployment config, seed, plan)` replays identically.
@@ -180,15 +179,6 @@ impl Deployment {
         }
         if !residual.is_empty() {
             self.sim.apply_fault_plan(&residual);
-        }
-    }
-
-    /// Enables write-through engine checkpointing on every node (stable
-    /// storage for crash-recovery).
-    pub fn enable_checkpointing(&mut self) {
-        for node in ProcessId::all(self.sim.len()) {
-            self.sim
-                .with_app_ctx(node, |app, _ctx| app.enable_checkpointing());
         }
     }
 
@@ -232,13 +222,12 @@ impl Deployment {
     }
 
     /// A scheduled restart: pick the adopter, revive the node, reboot its
-    /// monitor from stable storage (which knocks on the adopter) and mirror
-    /// the rejoin in the harness's tree. The handshake does the rest.
+    /// monitor (which knocks on the adopter) and mirror the rejoin in the
+    /// harness's tree. The handshake does the rest.
     fn recover(&mut self, node: ProcessId) {
-        // Never crashed, still held by the tree, or no stable storage to
-        // reboot from: a node does not come back with inconsistent state.
-        let down = !self.sim.is_alive(node) && !self.tree.contains(node);
-        if !down || self.sim.app(node).stable_checkpoint().is_none() {
+        // Never crashed, or still held by the tree: a node does not come
+        // back with inconsistent state.
+        if self.sim.is_alive(node) || self.tree.contains(node) {
             return;
         }
         // Find an adopter first; without one the node stays down.
@@ -247,7 +236,7 @@ impl Deployment {
 
         self.sim.revive(node);
         self.sim.with_app_ctx(node, |app, ctx| {
-            app.reboot_from_checkpoint(adopter, ctx);
+            app.reboot(adopter, ctx);
         });
         self.tree.rejoin_leaf(node, adopter);
     }

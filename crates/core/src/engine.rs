@@ -1,6 +1,6 @@
 //! [`NodeEngine`] — Algorithm 1 at a single tree node.
 
-use ftscp_intervals::{aggregate, BankSnapshot, Interval, QueueBank, SlotId, Solution};
+use ftscp_intervals::{aggregate, Interval, QueueBank, SlotId, Solution};
 use ftscp_vclock::{OpCounter, ProcessId};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -102,6 +102,11 @@ impl NodeEngine {
     /// Drains the decision trace (empty unless tracing is enabled).
     pub fn take_trace(&mut self) -> Vec<ftscp_intervals::BankEvent> {
         self.bank.take_trace()
+    }
+
+    /// The hierarchy level used to tag aggregations (leaf = 1).
+    pub fn level(&self) -> u32 {
+        self.level
     }
 
     /// Sets the hierarchy level used to tag aggregations (leaf = 1).
@@ -234,72 +239,35 @@ impl NodeEngine {
         self.emit(solutions)
     }
 
-    /// Serializable checkpoint of the full engine state. A node that
-    /// persists checkpoints can *recover* after a reboot instead of being
-    /// treated as permanently failed — complementing the paper's
-    /// crash-stop model with crash-recovery.
-    pub fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint {
-            node: self.node,
-            bank: self.bank.snapshot(),
-            local_slot: self.local_slot,
-            child_slots: self.child_slots.iter().map(|(k, v)| (*k, *v)).collect(),
-            is_root: self.is_root,
-            level: self.level,
-            solutions_found: self.solutions_found,
-            locals_enqueued: self.locals_enqueued,
-            child_enqueued: self.child_enqueued,
-            last_output: self.last_output.clone(),
+    /// Reboots the node in place as a leaf: a non-root at level 1 whose
+    /// child queues are dropped (their subtrees were re-parented while it
+    /// was down). Everything else is what the crash froze: `Q_0`, the
+    /// output counter, the emitted set and the last output. What the drops
+    /// release is discarded: solutions over the node's own pre-crash
+    /// intervals in `Q_0`, which §III-F lets a crash lose. Counters,
+    /// tracing and the sweep mode carry over; none of them changes an
+    /// outcome.
+    pub fn reboot(&mut self) {
+        self.set_root(false);
+        self.set_level(1);
+        for child in self.children().to_vec() {
+            self.remove_child(child);
         }
-    }
-
-    /// Restores an engine from a [`checkpoint`](Self::checkpoint).
-    pub fn restore(cp: EngineCheckpoint) -> NodeEngine {
-        let child_slots: BTreeMap<ProcessId, SlotId> = cp.child_slots.into_iter().collect();
-        let children: Vec<ProcessId> = child_slots.keys().copied().collect();
-        NodeEngine {
-            node: cp.node,
-            bank: QueueBank::restore(cp.bank),
-            local_slot: cp.local_slot,
-            child_slots,
-            children,
-            is_root: cp.is_root,
-            level: cp.level,
-            solutions_found: cp.solutions_found,
-            locals_enqueued: cp.locals_enqueued,
-            child_enqueued: cp.child_enqueued,
-            last_output: cp.last_output,
-        }
-    }
-
-    /// Restores a rebooted node that rejoins as a leaf: a non-root at
-    /// level 1 whose child queues are dropped (their subtrees were
-    /// re-parented while it was down). What the drops release is
-    /// discarded: solutions over the node's own pre-crash intervals in
-    /// `Q_0`, which §III-F lets a crash lose.
-    pub fn restore_as_leaf(cp: EngineCheckpoint) -> NodeEngine {
-        let mut engine = NodeEngine::restore(cp);
-        engine.set_root(false);
-        engine.set_level(1);
-        for child in engine.children().to_vec() {
-            engine.remove_child(child);
-        }
-        engine
     }
 
     /// Feeds what decides the engine's future outputs into `h`: the root
     /// flag, the output sequence, the last output, each queue's contents
-    /// keyed by owner, not slot, and the emitted-member set (which a
-    /// snapshot lists sorted).
+    /// keyed by owner, not slot, and the emitted-member set, each hashed
+    /// where it lies.
     pub fn digest(&self, h: &mut impl Hasher) {
-        let snap = self.bank.snapshot();
-        let queue = |slot: SlotId| snap.slots[slot.0 as usize].as_ref().map(|q| &q.items);
         (self.node, self.is_root, self.level, self.solutions_found).hash(h);
-        (&self.last_output, queue(self.local_slot)).hash(h);
+        self.last_output.hash(h);
+        self.bank.hash_queue(self.local_slot, h);
         for (child, &slot) in &self.child_slots {
-            (child, queue(slot)).hash(h);
+            child.hash(h);
+            self.bank.hash_queue(slot, h);
         }
-        snap.emitted.hash(h);
+        self.bank.hash_emitted(h);
     }
 
     fn emit(&mut self, solutions: Vec<Solution>) -> Vec<EngineOutput> {
@@ -335,31 +303,6 @@ impl NodeEngine {
     }
 }
 
-/// Serializable engine state (see [`NodeEngine::checkpoint`]).
-#[derive(Clone, Debug)]
-pub struct EngineCheckpoint {
-    /// Owning node.
-    pub node: ProcessId,
-    /// Queue-bank state.
-    pub bank: BankSnapshot,
-    /// Slot of the local queue `Q_0`.
-    pub local_slot: SlotId,
-    /// Child → slot mapping.
-    pub child_slots: Vec<(ProcessId, SlotId)>,
-    /// Root flag.
-    pub is_root: bool,
-    /// Hierarchy level.
-    pub level: u32,
-    /// Output counter.
-    pub solutions_found: u64,
-    /// Lifetime local enqueues.
-    pub locals_enqueued: u64,
-    /// Lifetime child enqueues.
-    pub child_enqueued: u64,
-    /// The last forwarded interval.
-    pub last_output: Option<Interval>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,23 +332,25 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_resumes_identically() {
-        let mut e = NodeEngine::new(ProcessId(1), &[ProcessId(0)], false);
-        e.on_child_interval(ProcessId(0), iv(0, 0, &[1, 0], &[6, 5]));
-        // Mid-flight: local queue empty, child head resident.
-        let cp = e.checkpoint();
-        let mut restored = NodeEngine::restore(cp);
-        assert_eq!(restored.node(), e.node());
-        assert_eq!(restored.children(), e.children());
-        assert_eq!(restored.resident(), e.resident());
-        assert_eq!(restored.last_output().cloned(), e.last_output().cloned());
-        let a = e.on_local_interval(iv(1, 0, &[2, 1], &[5, 6]));
-        let b = restored.on_local_interval(iv(1, 0, &[2, 1], &[5, 6]));
-        match (&a[0], &b[0]) {
-            (
-                EngineOutput::ToParent { interval: x, .. },
-                EngineOutput::ToParent { interval: y, .. },
-            ) => assert_eq!(x, y),
+    fn reboot_keeps_q0_and_the_output_counter_and_drops_the_children() {
+        let mut e = NodeEngine::new(ProcessId(1), &[ProcessId(0)], true);
+        e.set_level(2);
+        e.on_child_interval(ProcessId(0), iv(0, 0, &[1, 0], &[4, 3]));
+        e.on_local_interval(iv(1, 0, &[2, 1], &[3, 4]));
+        // Mid-flight: `Q_0` holds a head that child 0's empty queue blocks.
+        assert!(e.on_local_interval(iv(1, 1, &[5, 1], &[6, 4])).is_empty());
+        e.reboot();
+        assert!(!e.is_root());
+        assert_eq!(e.level(), 1);
+        assert!(e.children().is_empty() && !e.has_child(ProcessId(0)));
+        // The child queue's drop released `Q_0`'s head: the reboot sent it
+        // nowhere, but it took the next output seq and is the last output.
+        assert_eq!(e.solutions_found(), 2);
+        let last = e.last_output().expect("the released head");
+        assert_eq!((last.source, last.seq), (ProcessId(1), 1));
+        let out = e.on_local_interval(iv(1, 2, &[7, 1], &[8, 4]));
+        match &out[..] {
+            [EngineOutput::ToParent { interval, .. }] => assert_eq!(interval.seq, 2),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -241,46 +241,46 @@ impl HierarchicalDetector {
         self.propagate(parent, outs);
     }
 
-    /// Snapshot of `node`'s engine state, for persistence-based recovery
-    /// (`None` if the node has failed/been removed).
-    pub fn checkpoint_node(&self, node: ProcessId) -> Option<crate::engine::EngineCheckpoint> {
-        self.engines[node.index()].as_ref().map(|e| e.checkpoint())
+    /// A copy of `node`'s engine: what the node holds if it crashes now,
+    /// for [`rejoin_node`](Self::rejoin_node) (`None` if the node has
+    /// failed or is outside the tree).
+    pub fn checkpoint_node(&self, node: ProcessId) -> Option<NodeEngine> {
+        self.engines.get(node.index())?.clone()
     }
 
     /// Crash-**recovery** (beyond the paper's crash-stop model): a node
-    /// that persisted an [`EngineCheckpoint`](crate::engine::EngineCheckpoint)
-    /// reboots and rejoins the tree as a leaf under its first live
-    /// topology neighbour in the tree, as on the simulated network. Its
-    /// local queue, output counter, and dedup state are restored from the
-    /// checkpoint (so nothing is double-reported); its former child queues
+    /// reboots `engine`, the one its crash froze, and rejoins the tree as a
+    /// leaf under its first live topology neighbour in the tree, as on the
+    /// simulated network. Its local queue, output counter, and dedup state
+    /// carry over (so nothing is double-reported); its former child queues
     /// are dropped (those subtrees were re-parented when it failed), and
     /// what that releases is discarded, as a rebooted monitor discards it
-    /// (see [`NodeEngine::restore_as_leaf`]). Its last output is
-    /// re-reported to the new parent.
+    /// (see [`NodeEngine::reboot`]). Its last output is re-reported to the
+    /// new parent.
     ///
-    /// Returns `Err` if the node is still alive or no alive neighbor is in
-    /// the tree.
+    /// Returns `Err` if the node is outside the tree or still alive, if
+    /// `engine` is another node's, or if no alive neighbor is in the tree.
     pub fn rejoin_node(
         &mut self,
         node: ProcessId,
-        checkpoint: crate::engine::EngineCheckpoint,
+        mut engine: NodeEngine,
         topology: &Topology,
     ) -> Result<(), String> {
-        if self.engines[node.index()].is_some() {
-            return Err(format!("{node} is still alive"));
+        match self.engines.get(node.index()) {
+            None => return Err(format!("{node} is outside the tree")),
+            Some(Some(_)) => return Err(format!("{node} is still alive")),
+            Some(None) => {}
         }
-        if checkpoint.node != node {
-            return Err(format!(
-                "checkpoint belongs to {}, not {node}",
-                checkpoint.node
-            ));
+        if engine.node() != node {
+            return Err(format!("engine belongs to {}, not {node}", engine.node()));
         }
         let alive = |nb: ProcessId| self.engines[nb.index()].is_some();
         let parent = rejoin_adopter(node, topology, &self.tree, alive)
             .ok_or_else(|| format!("{node} has no alive tree neighbor"))?;
 
         self.tree.rejoin_leaf(node, parent);
-        self.engines[node.index()] = Some(NodeEngine::restore_as_leaf(checkpoint));
+        engine.reboot();
+        self.engines[node.index()] = Some(engine);
 
         // The in-memory twin of the handshake: the adopter's `Adopt`
         // opens the queue, the `AdoptAck` re-parents and re-reports.

@@ -6,11 +6,13 @@
 //! live in the transport-agnostic [`MonitorCore`]; this wrapper adds only
 //! what is simulator-specific: the local interval *schedule* (the
 //! simulated application whose predicate we monitor), one simulator timer
-//! per duty, and crash/reboot checkpointing. The TCP runtime in
+//! per duty, and the reboot of a crashed node. The simulator never calls a
+//! crashed app, so its core still holds the state the crash froze; a
+//! restart reboots that core in place, which is what stable storage
+//! written through on every step would give back. The TCP runtime in
 //! `ftscp-net` wraps the very same core, which is what makes the two
 //! backends differentially comparable.
 
-use crate::engine::EngineCheckpoint;
 use crate::protocol::DetectMsg;
 use crate::transport::{Duty, MonitorCore};
 use ftscp_intervals::Interval;
@@ -71,16 +73,12 @@ impl Default for MonitorConfig {
 }
 
 /// The per-node monitor on the simulated network: a [`MonitorCore`] plus
-/// the node's local interval schedule and timer/checkpoint plumbing.
+/// the node's local interval schedule and timer plumbing.
 pub struct MonitorApp {
     core: MonitorCore,
     /// Local intervals this node will observe, with completion times
     /// (the simulated "application" whose predicate we monitor).
     schedule: VecDeque<(SimTime, Interval)>,
-    /// Last persisted checkpoint ("stable storage"): taken after every
-    /// engine-state change when checkpointing is enabled.
-    stable_checkpoint: Option<EngineCheckpoint>,
-    checkpointing: bool,
 }
 
 impl MonitorApp {
@@ -98,36 +96,14 @@ impl MonitorApp {
         MonitorApp {
             core: MonitorCore::new(me, parent, children, level, config),
             schedule: schedule.into(),
-            stable_checkpoint: None,
-            checkpointing: false,
         }
     }
 
-    /// Enables write-through checkpointing: after every state change the
-    /// engine image is "persisted" (kept aside), surviving a crash of the
-    /// in-memory state. Models a node with stable storage.
-    pub fn enable_checkpointing(&mut self) {
-        self.checkpointing = true;
-        self.persist();
-    }
-
-    /// The last persisted checkpoint, if checkpointing is enabled.
-    pub fn stable_checkpoint(&self) -> Option<&EngineCheckpoint> {
-        self.stable_checkpoint.as_ref()
-    }
-
-    /// Reboot from stable storage as a leaf and rejoin under `adopter`
-    /// ([`MonitorCore::reboot`], [`MonitorCore::rejoin`]); the schedule
-    /// goes on from now and the timers are re-armed. False: no checkpoint.
-    pub fn reboot_from_checkpoint(
-        &mut self,
-        adopter: ProcessId,
-        ctx: &mut Ctx<'_, DetectMsg>,
-    ) -> bool {
-        let Some(cp) = self.stable_checkpoint.clone() else {
-            return false;
-        };
-        self.core.reboot(cp);
+    /// Reboot as a leaf and rejoin under `adopter` ([`MonitorCore::reboot`],
+    /// [`MonitorCore::rejoin`]); the schedule goes on from now and the
+    /// timers are re-armed.
+    pub fn reboot(&mut self, adopter: ProcessId, ctx: &mut Ctx<'_, DetectMsg>) {
+        self.core.reboot();
         self.core.rejoin(adopter, ctx);
         // Intervals that would have completed during the outage never
         // happened (the node was down): drop them.
@@ -136,7 +112,6 @@ impl MonitorApp {
             self.schedule.pop_front();
         }
         self.arm_timers(ctx);
-        true
     }
 
     /// The wrapped core: engine, parent, membership view and counters.
@@ -147,12 +122,6 @@ impl MonitorApp {
     /// Local intervals not yet observed (schedule remainder).
     pub fn pending_schedule_len(&self) -> usize {
         self.schedule.len()
-    }
-
-    fn persist(&mut self) {
-        if self.checkpointing {
-            self.stable_checkpoint = Some(self.core.engine().checkpoint());
-        }
     }
 
     fn arm_next_interval(&mut self, ctx: &mut Ctx<'_, DetectMsg>) {
@@ -184,7 +153,6 @@ impl Application for MonitorApp {
                 let (_, interval) = self.schedule.pop_front().expect("peeked");
                 self.core.observe_local(interval, ctx);
             }
-            self.persist();
             self.arm_next_interval(ctx);
             return;
         }
@@ -194,10 +162,7 @@ impl Application for MonitorApp {
         else {
             return;
         };
-        let (next, events) = self.core.on_duty(duty, ctx);
-        if !events.is_empty() {
-            self.persist();
-        }
+        let (next, _) = self.core.on_duty(duty, ctx);
         if let Some(delay) = next {
             ctx.set_timer(delay, token);
         }
@@ -205,7 +170,6 @@ impl Application for MonitorApp {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, DetectMsg>, _from: ProcessId, msg: DetectMsg) {
         self.core.on_message(msg, ctx);
-        self.persist();
     }
 
     fn msg_size(msg: &DetectMsg) -> usize {

@@ -22,7 +22,7 @@
 //! cannot drift: the differential test in `ftscp-net` asserts identical
 //! detection fingerprints for the same workload run through either one.
 
-use crate::engine::{EngineCheckpoint, EngineOutput, NodeEngine};
+use crate::engine::{EngineOutput, NodeEngine};
 use crate::membership::{Membership, MembershipEvent, RepairState, ANCESTOR_HINT_CAP};
 use crate::monitor::MonitorConfig;
 use crate::protocol::{ConnCodec, DetectMsg, INTERVAL_MSG_OVERHEAD};
@@ -377,18 +377,19 @@ impl MonitorCore {
         }
     }
 
-    /// Reboot from stable storage. The engine comes back from `checkpoint`
-    /// as a leaf: its children were re-parented during the downtime, so
-    /// their stale queues are dropped, and what that releases is discarded
-    /// (see [`NodeEngine::restore_as_leaf`]). There is no parent until
+    /// Reboot after a crash. The engine keeps what the crash froze — what
+    /// stable storage written through on every step would hold — and
+    /// comes back as a leaf: its children were re-parented during the
+    /// downtime, so their stale queues are dropped, and what that releases
+    /// is discarded (see [`NodeEngine::reboot`]). There is no parent until
     /// [`rejoin`](Self::rejoin) names the adopter, and the volatile state
     /// starts over: reorder buffers, the unacked backlog, the retransmit
     /// backoff, the uplink codec, heartbeats heard and held children. So
     /// does the incarnation: the epoch moves past the crashed life's, so
     /// peers treat its beacons as stale, and peer-epoch observations are
     /// lost.
-    pub fn reboot(&mut self, checkpoint: EngineCheckpoint) {
-        self.engine = NodeEngine::restore_as_leaf(checkpoint);
+    pub fn reboot(&mut self) {
+        self.engine.reboot();
         self.parent = None;
         self.reorder.clear();
         self.unacked.clear();

@@ -522,7 +522,7 @@ fn repair_without_false_positives() {
 
 #[test]
 fn crash_recovery_over_the_network() {
-    // Node 5 crashes at 150ms and reboots from its checkpoint at 400ms;
+    // Node 5 crashes at 150ms and reboots at 400ms;
     // from then on, rounds cover all 15 processes again: the restart
     // rejoins through the adoption handshake.
     let n = 15;
@@ -534,7 +534,6 @@ fn crash_recovery_over_the_network() {
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
     let mut dep = Deployment::new(topo, tree, &exec, config(51));
-    dep.enable_checkpointing();
     dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
     dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
     dep.run();
@@ -582,7 +581,6 @@ fn a_restarted_root_rejoins_below_its_heir() {
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
     let mut dep = Deployment::new(topo, tree, &exec, config(51));
-    dep.enable_checkpointing();
     dep.schedule_crash(ProcessId(0), SimTime::from_millis(150));
     dep.schedule_recovery(ProcessId(0), SimTime::from_millis(400));
     dep.run();
@@ -624,7 +622,6 @@ fn a_restart_behind_a_cut_rejoins_once_the_cut_heals() {
         .partition_at(SimTime::from_millis(390), &[NodeId(5)])
         .heal_at(SimTime::from_millis(700));
     let mut dep = Deployment::new(topo, tree, &exec, config(51));
-    dep.enable_checkpointing();
     dep.apply_fault_plan(&cut);
     dep.schedule_crash(ProcessId(5), SimTime::from_millis(150));
     dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
@@ -651,24 +648,62 @@ fn a_restart_behind_a_cut_rejoins_once_the_cut_heals() {
     }
 }
 
+/// A recovery leaves alone a node the tree still holds: one that never
+/// crashed, and a crashed root whose heir has not yet promoted itself (the
+/// harness keeps its last tree while no root is claimed). Either way the
+/// run is the run without the recovery.
 #[test]
-fn recovery_without_checkpointing_stays_down() {
+fn a_recovery_of_a_node_the_tree_still_holds_does_nothing() {
     let n = 7;
     let exec = RandomExecution::builder(n)
         .intervals_per_process(4)
         .seed(5)
         .build();
-    let topo = Topology::dary_tree(n, 2, 1);
-    let tree = SpanningTree::balanced_dary(n, 2);
-    let mut dep = Deployment::new(topo, tree, &exec, config(5));
-    // No enable_checkpointing().
-    dep.schedule_crash(ProcessId(5), SimTime::from_millis(50));
-    dep.schedule_recovery(ProcessId(5), SimTime::from_millis(150));
-    dep.run();
-    assert!(
-        !dep.tree().contains(NodeId(5)),
-        "no stable storage ⇒ no rejoin"
-    );
+    let run = |node: ProcessId, crash: bool, recover: bool| {
+        let topo = Topology::dary_tree(n, 2, 1);
+        let tree = SpanningTree::balanced_dary(n, 2);
+        let mut dep = Deployment::new(topo, tree, &exec, config(5));
+        if crash {
+            dep.schedule_crash(node, SimTime::from_millis(50));
+        }
+        if recover {
+            // Inside the 120ms suspicion timeout of a crash at 50ms.
+            dep.schedule_recovery(node, SimTime::from_millis(100));
+        }
+        dep.run();
+        (dep.detections(), dep.events_processed(), dep.is_alive(node))
+    };
+    let live = run(ProcessId(5), false, true);
+    assert_eq!(live, run(ProcessId(5), false, false));
+    assert!(live.2, "node 5 never went down");
+    let root = run(ProcessId(0), true, true);
+    assert_eq!(root, run(ProcessId(0), true, false));
+    assert!(!root.2, "the crashed root stays down");
+}
+
+/// A recovery of a node with no live neighbour in the tree leaves it down:
+/// on the bare tree topology node 5's one neighbour is its dead parent 2.
+#[test]
+fn a_node_with_no_live_tree_neighbour_stays_down() {
+    let n = 7;
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(4)
+        .seed(5)
+        .build();
+    let run = |crash_parent: bool| {
+        let topo = Topology::dary_tree(n, 2, 0);
+        let tree = SpanningTree::balanced_dary(n, 2);
+        let mut dep = Deployment::new(topo, tree, &exec, config(5));
+        if crash_parent {
+            dep.schedule_crash(ProcessId(2), SimTime::from_millis(40));
+        }
+        dep.schedule_crash(ProcessId(5), SimTime::from_millis(50));
+        dep.schedule_recovery(ProcessId(5), SimTime::from_millis(400));
+        dep.run();
+        (dep.is_alive(ProcessId(5)), dep.tree().contains(NodeId(5)))
+    };
+    assert_eq!(run(false), (true, true), "under a live parent it rejoins");
+    assert_eq!(run(true), (false, false), "no adopter: it stays down");
 }
 
 #[test]

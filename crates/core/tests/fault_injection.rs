@@ -162,14 +162,13 @@ fn internal_crash_hold_prevents_narrow_detections_during_readoption() {
     }
 }
 
-/// Restart primitive: a crash-restart pair reboots the node from its
-/// checkpoint, rejoins it as a leaf, and full coverage returns.
+/// Restart primitive: a crash-restart pair reboots the node with the state
+/// its crash froze, rejoins it as a leaf, and full coverage returns.
 #[test]
 fn restart_injection_rejoins_and_restores_full_coverage() {
     let n = 15;
     let (exec, topo, tree) = workload(n, 8, 51);
     let mut dep = Deployment::new(topo, tree, &exec, config(51));
-    dep.enable_checkpointing();
     dep.apply_fault_plan(
         &FaultPlan::new()
             .crash_at(SimTime::from_millis(150), NodeId(5))
@@ -502,9 +501,6 @@ proptest! {
         };
         let run = || {
             let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
-            if !plan.restarts().is_empty() {
-                dep.enable_checkpointing();
-            }
             dep.apply_fault_plan(&plan);
             dep.run();
             detection_fingerprint(&dep.detections())

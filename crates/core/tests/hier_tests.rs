@@ -2,7 +2,7 @@
 //! Figure 2 scenario and on random executions.
 
 use ftscp_core::faultcheck::verify_detections;
-use ftscp_core::HierarchicalDetector;
+use ftscp_core::{HierarchicalDetector, NodeEngine};
 use ftscp_intervals::IntervalRef;
 use ftscp_simnet::{NodeId, Topology};
 use ftscp_tree::SpanningTree;
@@ -188,7 +188,7 @@ fn engine_levels_are_height_minus_depth() {
         let det = HierarchicalDetector::new(tree);
         let height = tree.height();
         for node in tree.nodes() {
-            let level = det.checkpoint_node(node).expect("alive").level as usize;
+            let level = det.checkpoint_node(node).expect("alive").level() as usize;
             assert_eq!(level, height - tree.depth(node), "level of {node}");
             assert_eq!(level, tree.level(node), "tree level of {node}");
         }
@@ -293,13 +293,13 @@ fn crash_recovery_rejoins_and_detection_resumes() {
     let all: Vec<_> = exec.intervals_interleaved().into_iter().cloned().collect();
     let third = all.len() / 3;
 
-    // Phase 1: two rounds; then node 5 checkpoints and crashes.
+    // Phase 1: two rounds; then node 5 crashes.
     for iv in &all[..third] {
         det.feed(iv.clone());
     }
-    // In a real deployment the node persists this itself; here we take it
-    // just before the crash.
-    let checkpoint = det.checkpoint_node(ProcessId(5)).expect("node alive");
+    // In a real deployment the crash freezes the node's engine; here we
+    // copy it just before the crash.
+    let frozen = det.checkpoint_node(ProcessId(5)).expect("node alive");
     det.fail_node(ProcessId(5), &topo);
 
     // Phase 2: detection continues without node 5 (coverage n-1).
@@ -311,9 +311,9 @@ fn crash_recovery_rejoins_and_detection_resumes() {
     let mid_detections = det.root_solutions().len();
     assert!(mid_detections > 0);
 
-    // Phase 3: node 5 reboots from its checkpoint and rejoins; rounds in
+    // Phase 3: node 5 reboots the engine its crash froze and rejoins; rounds in
     // which it participates cover all n processes again.
-    det.rejoin_node(ProcessId(5), checkpoint, &topo).unwrap();
+    det.rejoin_node(ProcessId(5), frozen, &topo).unwrap();
     assert!(det.tree().contains(NodeId(5)));
     for iv in &all[2 * third..] {
         det.feed(iv.clone());
@@ -345,10 +345,10 @@ fn rejoin_discards_what_dropping_the_child_queues_releases() {
     // Node 1's own interval waits on its children 3 and 4, which never
     // report.
     det.feed(exec.intervals[1][0].clone());
-    let checkpoint = det.checkpoint_node(ProcessId(1)).expect("node alive");
+    let frozen = det.checkpoint_node(ProcessId(1)).expect("node alive");
     det.fail_node(ProcessId(1), &topo);
     let before = det.solutions_at(ProcessId(1));
-    det.rejoin_node(ProcessId(1), checkpoint, &topo).unwrap();
+    det.rejoin_node(ProcessId(1), frozen, &topo).unwrap();
     assert!(det.tree().is_leaf(NodeId(1)));
     assert_eq!(det.solutions_at(ProcessId(1)), before);
 }
@@ -363,14 +363,29 @@ fn rejoin_rejects_bad_requests() {
     // Alive node cannot rejoin.
     assert!(det.rejoin_node(ProcessId(5), cp5.clone(), &topo).is_err());
     det.fail_node(ProcessId(5), &topo);
-    // Wrong checkpoint owner rejected.
+    // Another node's engine rejected.
     let cp3 = det.checkpoint_node(ProcessId(3)).unwrap();
     assert!(det.rejoin_node(ProcessId(5), cp3, &topo).is_err());
-    // Correct checkpoint accepted.
+    // Its own engine accepted.
     assert!(det.rejoin_node(ProcessId(5), cp5, &topo).is_ok());
-    // Dead-node checkpoint requests error.
+    // A dead node has no engine to copy.
     det.fail_node(ProcessId(6), &topo);
     assert!(det.checkpoint_node(ProcessId(6)).is_none());
+}
+
+/// A process outside the tree has no engine to copy and none to reboot:
+/// both calls answer instead of indexing past the tree, as `feed` and
+/// `fail_node` ignore such a process.
+#[test]
+fn checkpoint_and_rejoin_refuse_a_process_outside_the_tree() {
+    let n = 7;
+    let topo = Topology::dary_tree(n, 2, 1);
+    let mut det = HierarchicalDetector::new(&SpanningTree::balanced_dary(n, 2));
+    assert!(det.checkpoint_node(ProcessId(9)).is_none());
+    let stranger = NodeEngine::new(ProcessId(9), &[], false);
+    let err = det.rejoin_node(ProcessId(9), stranger, &topo).unwrap_err();
+    assert!(err.contains("outside the tree"), "{err}");
+    assert_eq!(det.tree().node_count(), n);
 }
 
 #[test]

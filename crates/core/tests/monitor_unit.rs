@@ -162,7 +162,7 @@ fn an_adoption_re_reports_the_last_output() {
     );
 }
 
-/// A reboot from stable storage rejoins through the adoption handshake:
+/// A reboot rejoins through the adoption handshake:
 /// the rebooted node knocks on its adopter, and the adopter's `AdoptAck`
 /// re-parents it and restarts its report stream from a resync.
 #[test]
@@ -176,14 +176,13 @@ fn a_reboot_rejoins_through_the_adoption_handshake() {
         vec![(SimTime(50), iv(2, 0, &[0, 0, 1], &[0, 0, 2]))],
         cfg_plain(),
     );
-    leaf.enable_checkpointing();
     let effects = testkit::drive(me, SimTime(0), 10, &[], |ctx| leaf.on_init(ctx));
     testkit::drive(me, SimTime(50), 10, &[], |ctx| {
         leaf.on_timer(ctx, effects.timers[0].1)
     });
 
     let effects = testkit::drive(me, SimTime(100), 10, &[], |ctx| {
-        assert!(leaf.reboot_from_checkpoint(adopter, ctx));
+        leaf.reboot(adopter, ctx);
     });
     let epoch = leaf.core().membership().epoch();
     let adopt = DetectMsg::Adopt {

@@ -16,12 +16,14 @@
 //! `MonitorCore`s, prints each row's state count, failure classes and
 //! their shortest traces, and exits non-zero if any row's classes differ
 //! from its expected ones (in either direction) or a search truncated.
-//! Its last line is the wall time; everything above it is byte-stable.
+//! Each row ends with its own wall time (`  wall … s`) and the run with
+//! the total (`wall … s`); every other line is byte-stable.
 
 use ftscp_dst::campaign::{run_campaign, run_case, CampaignCase, ViolationHook};
 use ftscp_dst::explore::{explore, MATRIX};
 use ftscp_dst::shrink::{render_regression, shrink_case};
 use ftscp_simnet::NodeId;
+use std::time::Instant;
 
 struct Args {
     seeds: usize,
@@ -78,9 +80,10 @@ fn parse_args() -> Args {
 }
 
 fn model_check() -> i32 {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut ok = true;
     for row in MATRIX {
+        let row_started = Instant::now();
         let report = explore(row);
         let classes: Vec<_> = report.found.keys().copied().collect();
         let verdict = match (report.truncated, classes == row.expect) {
@@ -95,6 +98,7 @@ fn model_check() -> i32 {
         for (class, trace) in &report.found {
             println!("  {class:?}: {}", trace.join(" -> "));
         }
+        println!("  wall {:.1} s", row_started.elapsed().as_secs_f64());
         ok &= verdict == "ok";
     }
     let summary = ["verdict matrix DIVERGED", "all verdicts as expected"];

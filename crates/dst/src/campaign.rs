@@ -313,9 +313,6 @@ pub fn run_case(case: &CampaignCase, hook: Option<&ViolationHook>) -> CaseReport
     let cfg = case.deploy_config();
     let execute = || {
         let mut dep = Deployment::new(topo.clone(), tree.clone(), &exec, cfg);
-        if !case.plan.restarts().is_empty() {
-            dep.enable_checkpointing();
-        }
         dep.apply_fault_plan(&case.plan);
         dep.run();
         dep

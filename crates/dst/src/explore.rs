@@ -214,6 +214,9 @@ impl State {
     fn send(&mut self, out: Outbox) {
         for (dst, msg) in out.sent {
             if self.nodes[dst.index()].alive {
+                // The `Debug` text, not the message: the key orders the
+                // beacons the reduction delivers first, and the pinned
+                // state counts follow that order (docs/DST.md §2).
                 let mut h = DefaultHasher::new();
                 format!("{msg:?}").hash(&mut h);
                 let (dst, sent, digest) = (dst.index(), self.now, h.finish());
@@ -403,8 +406,7 @@ impl Explorer {
             Act::Restart(v, adopter) => {
                 s.budget[1] -= 1;
                 let node = &mut s.nodes[v];
-                let checkpoint = node.core.engine().checkpoint();
-                node.core.reboot(checkpoint);
+                node.core.reboot();
                 node.core.rejoin(ProcessId(adopter as u32), &mut out);
                 node.alive = true;
                 let due = node.core.duties().map(|(d, delay)| (s.now + delay.0, d));

@@ -44,10 +44,7 @@ pub mod summary;
 pub mod theorems;
 
 pub use aggregate::aggregate;
-pub use bank::{
-    render_trace, BankEvent, BankSnapshot, BankStats, QueueBank, SlotId, SlotSnapshot, SweepMode,
-    TraceId,
-};
+pub use bank::{render_trace, BankEvent, BankStats, QueueBank, SlotId, SweepMode, TraceId};
 pub use interval::{Interval, IntervalKind, IntervalRef};
 pub use overlap::{definitely_holds, overlap, possibly_holds};
 pub use prune::PruneRule;

@@ -37,7 +37,7 @@ pub enum FaultOp {
     /// Crash-stop `node`: it processes no further events.
     Crash(NodeId),
     /// Revive `node`. Its in-memory state is untouched and its pre-crash
-    /// timers stay dead; modelling a reboot (checkpoint restore, timer
+    /// timers stay dead; modelling a reboot (what state survives, timer
     /// re-arm) is the application/deployment layer's job.
     Restart(NodeId),
     /// Install a cut isolating `side` from the complement: every topology
@@ -186,8 +186,8 @@ impl FaultPlan {
     ///   `storm_prob` (a k-simultaneous failure storm, the compound
     ///   scenario scripted suites never cover);
     /// * each victim restarts later with probability `restart_prob`
-    ///   (crash-recovery; the deployment must have checkpointing for
-    ///   state to survive);
+    ///   (crash-recovery; what state survives is the deployment's
+    ///   choice);
     /// * up to `max_partitions` non-overlapping partition windows, each
     ///   cutting a random proper subset of the network and healing
     ///   before the next opens;

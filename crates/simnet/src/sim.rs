@@ -277,7 +277,7 @@ impl<A: Application> Simulation<A> {
     /// Revives a crashed node immediately (crash-*recovery* support) as a
     /// new incarnation: it may send/receive from now on, and no timer its
     /// crashed incarnation armed ever fires. Its application's in-memory
-    /// state is untouched — modelling a reboot (restoring a checkpoint,
+    /// state is untouched — modelling a reboot (what state survives,
     /// re-arming timers) is the application's job.
     pub fn revive(&mut self, node: NodeId) {
         let i = node.index();

@@ -81,12 +81,12 @@ fn heartbeat_driven_crash_accounting_is_pinned() {
     assert_eq!(detection_fingerprint(&dets), 0x3fc9_c449_ef3a_8384);
 }
 
-/// A root crash and a restart with stable storage: root 0 dies and its
+/// A root crash and a restart: root 0 dies and its
 /// heir, node 1, promotes itself while its siblings 2 and 3 climb the
 /// heir line to it — multi-hop sends, siblings are not topology
 /// neighbours — and re-knocks at the dead root every heartbeat round from
 /// then on (the undeliverable sends). Then internal node 2 dies, and later
-/// reboots from its checkpoint and rejoins as a leaf under node 7 through
+/// reboots with the state its crash froze and rejoins as a leaf under node 7 through
 /// the adoption handshake.
 #[test]
 fn root_crash_repair_and_restart_accounting_is_pinned() {
@@ -111,7 +111,6 @@ fn root_crash_repair_and_restart_accounting_is_pinned() {
         &exec,
         cfg,
     );
-    dep.enable_checkpointing();
     dep.schedule_crash(ProcessId(0), SimTime(100_333));
     dep.schedule_crash(ProcessId(2), SimTime(220_555));
     dep.schedule_recovery(ProcessId(2), SimTime(380_111));
