@@ -242,11 +242,14 @@ impl NodeEngine {
     /// Reboots the node in place as a leaf: a non-root at level 1 whose
     /// child queues are dropped (their subtrees were re-parented while it
     /// was down). Everything else is what the crash froze: `Q_0`, the
-    /// output counter, the emitted set and the last output. What the drops
-    /// release is discarded: solutions over the node's own pre-crash
-    /// intervals in `Q_0`, which §III-F lets a crash lose. Counters,
-    /// tracing and the sweep mode carry over; none of them changes an
-    /// outcome.
+    /// output counter, the emitted-head marks and the last output. The
+    /// drops can release solutions over the node's own intervals in `Q_0`
+    /// (a head already emitted is suppressed as usual). None is sent, but
+    /// each takes the next output seq and the last one becomes the last
+    /// output, which a rejoin re-reports to the adopter: the pre-crash
+    /// output covered children that now report elsewhere, and a rebooted
+    /// leaf's freshest output is its own. Counters, tracing and the sweep
+    /// mode carry over; none of them changes an outcome.
     pub fn reboot(&mut self) {
         self.set_root(false);
         self.set_level(1);
@@ -256,8 +259,8 @@ impl NodeEngine {
     }
 
     /// Feeds what decides the engine's future outputs into `h`: the root
-    /// flag, the output sequence, the last output, each queue's contents
-    /// keyed by owner, not slot, and the emitted-member set, each hashed
+    /// flag, the output sequence, the last output, and each queue's
+    /// contents and emitted-head mark keyed by owner, not slot, each hashed
     /// where it lies.
     pub fn digest(&self, h: &mut impl Hasher) {
         (self.node, self.is_root, self.level, self.solutions_found).hash(h);
@@ -267,7 +270,6 @@ impl NodeEngine {
             child.hash(h);
             self.bank.hash_queue(slot, h);
         }
-        self.bank.hash_emitted(h);
     }
 
     fn emit(&mut self, solutions: Vec<Solution>) -> Vec<EngineOutput> {
@@ -353,6 +355,52 @@ mod tests {
             [EngineOutput::ToParent { interval, .. }] => assert_eq!(interval.seq, 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// An interior node 1 over child 0 whose `Q_0` head, a long local
+    /// interval, was emitted with `first_child`'s interval and kept by
+    /// Eq. (10), which pruned the child's.
+    fn kept_head_engine(first_child: Interval) -> NodeEngine {
+        let mut e = NodeEngine::new(ProcessId(1), &[ProcessId(0)], false);
+        e.on_local_interval(iv(1, 0, &[1, 2], &[9, 9]));
+        assert_eq!(e.on_child_interval(ProcessId(0), first_child).len(), 1);
+        assert_eq!(e.resident(), 1, "the local head stays");
+        e
+    }
+
+    fn digest_of(e: &NodeEngine) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        e.digest(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn engines_whose_state_agrees_digest_alike_whatever_they_emitted_before() {
+        // Different first child members, then one more solution each over
+        // the same child interval: the queues, the emitted-head marks, the
+        // output counters and the last outputs agree.
+        let mut a = kept_head_engine(iv(0, 0, &[2, 1], &[3, 3]));
+        let mut b = kept_head_engine(iv(0, 7, &[2, 1], &[4, 3]));
+        assert_ne!(a.last_output(), b.last_output());
+        for e in [&mut a, &mut b] {
+            let second = e.on_child_interval(ProcessId(0), iv(0, 8, &[5, 4], &[6, 5]));
+            assert_eq!((second.len(), e.resident()), (1, 1));
+        }
+        assert_eq!(a.last_output(), b.last_output());
+        assert_eq!(a.solutions_found(), b.solutions_found());
+        assert_eq!(digest_of(&a), digest_of(&b));
+    }
+
+    #[test]
+    fn reboot_does_not_re_emit_a_kept_head() {
+        let mut e = kept_head_engine(iv(0, 0, &[2, 1], &[3, 3]));
+        let last = e.last_output().cloned();
+        // Dropping child 0's empty queue leaves `Q_0`'s head alone: it was
+        // emitted already, so it is pruned and nothing is released.
+        e.reboot();
+        assert_eq!(e.solutions_found(), 1);
+        assert_eq!(e.last_output().cloned(), last);
+        assert_eq!(e.resident(), 0);
     }
 
     #[test]

@@ -253,10 +253,11 @@ impl HierarchicalDetector {
     /// leaf under its first live topology neighbour in the tree, as on the
     /// simulated network. Its local queue, output counter, and dedup state
     /// carry over (so nothing is double-reported); its former child queues
-    /// are dropped (those subtrees were re-parented when it failed), and
-    /// what that releases is discarded, as a rebooted monitor discards it
-    /// (see [`NodeEngine::reboot`]). Its last output is re-reported to the
-    /// new parent.
+    /// are dropped (those subtrees were re-parented when it failed). What
+    /// that releases is not propagated, but its last solution becomes the
+    /// node's last output, as on a rebooted monitor (see
+    /// [`NodeEngine::reboot`]). That last output is re-reported to the new
+    /// parent.
     ///
     /// Returns `Err` if the node is outside the tree or still alive, if
     /// `engine` is another node's, or if no alive neighbor is in the tree.

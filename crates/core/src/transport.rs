@@ -380,8 +380,9 @@ impl MonitorCore {
     /// Reboot after a crash. The engine keeps what the crash froze — what
     /// stable storage written through on every step would hold — and
     /// comes back as a leaf: its children were re-parented during the
-    /// downtime, so their stale queues are dropped, and what that releases
-    /// is discarded (see [`NodeEngine::reboot`]). There is no parent until
+    /// downtime, so their stale queues are dropped; what that releases is
+    /// not sent, but its last solution becomes the last output the rejoin
+    /// re-reports (see [`NodeEngine::reboot`]). There is no parent until
     /// [`rejoin`](Self::rejoin) names the adopter, and the volatile state
     /// starts over: reorder buffers, the unacked backlog, the retransmit
     /// backoff, the uplink codec, heartbeats heard and held children. So

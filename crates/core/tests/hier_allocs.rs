@@ -6,14 +6,13 @@
 //! vector and forwarded interval, each inner solution's members and
 //! `⊓`-aggregate, and the root's detection record. Everything else —
 //! `propagate`'s work queue, the banks' heads list, Eq. (10) removal set
-//! and strict-leader rows, and the emitted-identity set, which a dense
-//! stream keeps at one seq range per source — is reused or stays flat:
-//! 6.49 allocations per feed in a release build and 8.03 in a debug build,
-//! where a fresh work queue per feed, fresh removal sets and a hashed
-//! emitted set cost 9.06 and 10.60. The test pins the mean per feed just
-//! above its measured value in either profile. It is a binary of its own
-//! because it installs a counting global allocator; nothing else may run
-//! in this process.
+//! and strict-leader rows, and the banks' one emitted mark per queue head —
+//! is reused or stays flat: 6.49 allocations per feed in a release build
+//! and 8.03 in a debug build, where a fresh work queue per feed, fresh
+//! removal sets and a hashed emitted-identity set cost 9.06 and 10.60. The
+//! test pins the mean per feed just above its measured value in either
+//! profile. It is a binary of its own because it installs a counting
+//! global allocator; nothing else may run in this process.
 
 use ftscp_core::HierarchicalDetector;
 use ftscp_intervals::Interval;

@@ -3,10 +3,10 @@
 
 use ftscp_core::faultcheck::verify_detections;
 use ftscp_core::{HierarchicalDetector, NodeEngine};
-use ftscp_intervals::IntervalRef;
+use ftscp_intervals::{Interval, IntervalRef};
 use ftscp_simnet::{NodeId, Topology};
 use ftscp_tree::SpanningTree;
-use ftscp_vclock::ProcessId;
+use ftscp_vclock::{ProcessId, VectorClock};
 use ftscp_workload::{scenarios, Execution, RandomExecution};
 
 /// The Figure 2 spanning tree: P3 (node 2) roots, children P2 (1) and
@@ -328,29 +328,55 @@ fn crash_recovery_rejoins_and_detection_resumes() {
     assert_valid(&exec, &det);
 }
 
-/// A rebooted internal node drops its former children's queues, and what
-/// that releases — here a local interval the children's empty queues had
-/// blocked — is discarded, as a rebooted monitor discards it: the rejoin
-/// counts no solution at the node.
+/// A rebooted internal node drops its former children's queues. What that
+/// releases is not propagated, but it takes the node's next output seq and
+/// becomes its last output, so the rejoin re-reports it to the adopter: the
+/// released head, not the pre-crash output, which covered children that now
+/// report elsewhere.
 #[test]
-fn rejoin_discards_what_dropping_the_child_queues_releases() {
+fn rejoin_re_reports_what_dropping_the_child_queues_releases() {
     let n = 7;
     let topo = Topology::dary_tree(n, 2, 1);
     let tree = SpanningTree::balanced_dary(n, 2);
     let mut det = HierarchicalDetector::new(&tree);
-    let exec = RandomExecution::builder(n)
-        .intervals_per_process(1)
-        .seed(3)
-        .build();
-    // Node 1's own interval waits on its children 3 and 4, which never
-    // report.
-    det.feed(exec.intervals[1][0].clone());
+    // Round `r` of process `p`: the intervals of a round overlap pairwise
+    // with concurrent maxes, and each round precedes the next.
+    let round = |p: usize, r: u32| {
+        let (mut lo, mut hi) = (vec![10 * r + 1; n], vec![10 * r + 8; n]);
+        lo[p] += 1;
+        hi[p] += 1;
+        let clock = VectorClock::from_components;
+        Interval::local(ProcessId(p as u32), r.into(), clock(lo), clock(hi))
+    };
+    for p in 0..n {
+        det.feed(round(p, 0));
+    }
+    assert_eq!(det.root_solutions().len(), 1);
+    // Node 1's round-1 interval waits on its children 3 and 4.
+    det.feed(round(1, 1));
     let frozen = det.checkpoint_node(ProcessId(1)).expect("node alive");
+    let pre_crash = frozen.last_output().expect("round 0 went up");
+    assert_eq!((pre_crash.seq, pre_crash.coverage.len()), (0, 3));
     det.fail_node(ProcessId(1), &topo);
     let before = det.solutions_at(ProcessId(1));
     det.rejoin_node(ProcessId(1), frozen, &topo).unwrap();
     assert!(det.tree().is_leaf(NodeId(1)));
-    assert_eq!(det.solutions_at(ProcessId(1)), before);
+    assert_eq!(det.solutions_at(ProcessId(1)), before, "nothing propagated");
+    let adopter = det.tree().parent(ProcessId(1)).expect("rejoined");
+    assert_eq!(adopter, ProcessId(0), "the root adopts");
+    // The root detects round 1 with the released head as child 1's member.
+    for p in (0..n).filter(|&p| p != 1) {
+        det.feed(round(p, 1));
+    }
+    assert_eq!(det.root_solutions().len(), 2);
+    let detection = det.root_solutions().last().unwrap();
+    assert_eq!(detection.covered_processes().len(), n);
+    let members = &detection.solution.intervals;
+    let re_reported = members.iter().find(|iv| iv.source == ProcessId(1));
+    let re_reported = re_reported.expect("child 1's member");
+    assert_eq!(re_reported.seq, 1, "the post-reboot output seq");
+    assert!(!re_reported.is_aggregated());
+    assert_eq!(re_reported.coverage, vec![iv_ref(1, 1)]);
 }
 
 #[test]

@@ -116,8 +116,8 @@ pub enum BankEvent {
         /// Member identities.
         members: Vec<TraceId>,
     },
-    /// Heads mutually overlapped but every member had already been part
-    /// of an emitted solution (a queue-removal release): suppressed as a
+    /// Heads mutually overlapped but every member was a member of the
+    /// last emitted solution (a queue-removal release): suppressed as a
     /// duplicate occurrence.
     SolutionSuppressed {
         /// Member identities.
@@ -196,13 +196,12 @@ pub struct QueueBank {
     active: usize,
     ops: OpCounter,
     stats: BankStats,
-    solution_counter: u64,
-    /// Identities `(source, seq, aggregated?)` of every interval that has
-    /// been a member of an emitted solution. A candidate solution with no
-    /// fresh member is necessarily a subset of an earlier solution (heads
-    /// only ever pop), i.e. a duplicate occurrence released by a queue
-    /// removal — it is pruned but not re-emitted.
-    emitted: EmittedSet,
+    /// Per slot: its head has been a member of an emitted solution. An
+    /// emission marks every live head; a pop, an opened slot and a requeue
+    /// clear the mark. Heads only pop, so a candidate whose heads are all
+    /// marked is a subset of the last emission — a duplicate occurrence
+    /// released by a queue removal — and is pruned but not re-emitted.
+    head_emitted: Vec<bool>,
     /// Live queues that are empty: line (18) waits while it is non-zero.
     empty_live: usize,
     /// Decision trace (None = disabled).
@@ -255,107 +254,6 @@ fn recycle<'b, T>(mut v: Vec<&T>) -> Vec<&'b T> {
     v.into_iter().map(|_| unreachable!()).collect()
 }
 
-/// Closed `(first, last)` seq ranges of one emitted-set key.
-type SeqRanges = Vec<(u64, u64)>;
-
-/// The identities `(source, seq, aggregated?)` a bank has emitted, as
-/// sorted, disjoint, closed seq ranges per `(source, aggregated?)` key.
-///
-/// A queue's intervals reach a solution in seq order, so emitted seqs
-/// mostly extend the last range of their key: an insert is a binary search
-/// over the keys and an `O(1)` tail step. Only a swept interval — one
-/// never emitted — leaves a gap, so memory grows with the gaps a stream
-/// sweeps, not with its solutions. Ranges are closed so that seq
-/// `u64::MAX` needs no end past it.
-#[derive(Clone, Debug, Default)]
-struct EmittedSet {
-    /// `(key, ranges)` sorted by key. Each `ranges` is non-empty, sorted,
-    /// and no two of its ranges overlap or touch.
-    keys: Vec<((u32, bool), SeqRanges)>,
-}
-
-impl EmittedSet {
-    /// Adds `id`; `true` iff it was not present.
-    fn insert(&mut self, (source, seq, aggregated): TraceId) -> bool {
-        let key = (source, aggregated);
-        let k = match self.keys.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(k) => k,
-            Err(k) => {
-                self.keys.insert(k, (key, vec![(seq, seq)]));
-                return true;
-            }
-        };
-        let ranges = &mut self.keys[k].1;
-        let last = ranges.last_mut().expect("a key holds a range");
-        if seq > last.1 {
-            if seq == last.1 + 1 {
-                last.1 = seq;
-            } else {
-                ranges.push((seq, seq));
-            }
-            return true;
-        }
-        if seq >= last.0 {
-            return false;
-        }
-        // Before the last range: the first range that ends at or after
-        // `seq` holds it, or `seq` falls in the gap before that range.
-        let i = ranges.partition_point(|r| r.1 < seq);
-        if ranges[i].0 <= seq {
-            return false;
-        }
-        let joins_left = i > 0 && ranges[i - 1].1 + 1 == seq;
-        let joins_right = ranges[i].0 == seq + 1;
-        match (joins_left, joins_right) {
-            (true, true) => {
-                ranges[i - 1].1 = ranges[i].1;
-                ranges.remove(i);
-            }
-            (true, false) => ranges[i - 1].1 = seq,
-            (false, true) => ranges[i].0 = seq,
-            (false, false) => ranges.insert(i, (seq, seq)),
-        }
-        true
-    }
-
-    /// Removes `id`, splitting its range; `true` iff it was present.
-    fn remove(&mut self, (source, seq, aggregated): TraceId) -> bool {
-        let key = (source, aggregated);
-        let Ok(k) = self.keys.binary_search_by_key(&key, |&(k, _)| k) else {
-            return false;
-        };
-        let ranges = &mut self.keys[k].1;
-        let i = ranges.partition_point(|r| r.1 < seq);
-        let Some(&(first, last)) = ranges.get(i) else {
-            return false;
-        };
-        if seq < first {
-            return false;
-        }
-        match (seq == first, seq == last) {
-            (true, true) => {
-                ranges.remove(i);
-                if ranges.is_empty() {
-                    self.keys.remove(k);
-                }
-            }
-            (true, false) => ranges[i].0 = seq + 1,
-            (false, true) => ranges[i].1 = seq - 1,
-            (false, false) => {
-                ranges[i].1 = seq - 1;
-                ranges.insert(i + 1, (seq + 1, last));
-            }
-        }
-        true
-    }
-
-    /// Ranges held over all keys.
-    #[cfg(test)]
-    fn range_count(&self) -> usize {
-        self.keys.iter().map(|(_, r)| r.len()).sum()
-    }
-}
-
 impl QueueBank {
     /// A bank with `queues` initial queues (slots `0..queues`).
     pub fn new(queues: usize) -> Self {
@@ -364,8 +262,7 @@ impl QueueBank {
             active: queues,
             ops: OpCounter::new(),
             stats: BankStats::default(),
-            solution_counter: 0,
-            emitted: EmittedSet::default(),
+            head_emitted: vec![false; queues],
             empty_live: queues,
             trace: None,
             mode: SweepMode::default(),
@@ -441,17 +338,11 @@ impl QueueBank {
         self.slot(slot).and_then(|q| q.front())
     }
 
-    /// Feeds queue `slot`'s contents, front first, into `h` (`None` if the
-    /// slot was removed).
+    /// Feeds into `h` queue `slot`'s contents, front first, with its
+    /// emitted-head mark (`None` if the slot was removed).
     pub fn hash_queue(&self, slot: SlotId, h: &mut impl Hasher) {
-        self.slot(slot).hash(h);
-    }
-
-    /// Feeds the emitted-member set into `h` as its seq ranges where they
-    /// lie: sorted, disjoint and never touching, so two banks that emitted
-    /// the same members hash alike.
-    pub fn hash_emitted(&self, h: &mut impl Hasher) {
-        self.emitted.keys.hash(h);
+        let idx = slot.0 as usize;
+        self.slot(slot).map(|q| (q, self.head_emitted[idx])).hash(h);
     }
 
     /// Total intervals currently resident across all queues.
@@ -473,6 +364,7 @@ impl QueueBank {
         for i in 0..self.slots.len() {
             if self.slots[i].is_none() {
                 self.slots[i] = Some(VecDeque::new());
+                self.head_emitted[i] = false;
                 self.active += 1;
                 self.empty_live += 1;
                 let slot = SlotId(i as u32);
@@ -481,6 +373,7 @@ impl QueueBank {
             }
         }
         self.slots.push(Some(VecDeque::new()));
+        self.head_emitted.push(false);
         self.active += 1;
         self.empty_live += 1;
         let slot = SlotId((self.slots.len() - 1) as u32);
@@ -574,12 +467,18 @@ impl QueueBank {
     /// that died with it.
     pub fn requeue(&mut self, members: Vec<(SlotId, Interval)>) -> Vec<Solution> {
         for (slot, interval) in members {
-            let Some(q) = self.slots.get_mut(slot.0 as usize).and_then(Option::as_mut) else {
+            let idx = slot.0 as usize;
+            let Some(q) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-            let id = trace_id(&interval);
-            self.emitted.remove(id);
-            if q.front().map(trace_id) != Some(id) {
+            if q.front().map(trace_id) != Some(trace_id(&interval)) {
+                // An heir requeues its latest emission: a member that left
+                // its queue was pruned, and what arrived behind it since
+                // has not been emitted.
+                debug_assert!(
+                    !self.head_emitted[idx],
+                    "requeue in front of an emitted head of queue {slot:?}"
+                );
                 if q.is_empty() {
                     self.empty_live -= 1;
                 }
@@ -588,6 +487,7 @@ impl QueueBank {
                 self.resident += 1;
                 self.stats.peak_resident = self.stats.peak_resident.max(self.resident);
             }
+            self.head_emitted[idx] = false;
         }
         if self.mode == SweepMode::Aggregate {
             self.summary.touch();
@@ -603,6 +503,7 @@ impl QueueBank {
     fn pop_head(&mut self, idx: usize, swept: bool) -> Option<Interval> {
         let q = self.slots[idx].as_mut()?;
         let iv = q.pop_front()?;
+        self.head_emitted[idx] = false;
         if q.is_empty() {
             self.empty_live += 1;
         }
@@ -771,16 +672,17 @@ impl QueueBank {
                     .extend(prune::approximate_removals(&heads, &self.ops)),
             }
 
-            // Emit only if some member is fresh (see `emitted`).
-            let mut fresh = false;
-            for x in &heads {
-                fresh |= self.emitted.insert(trace_id(x));
+            // Emit only if some head is fresh (see `head_emitted`); either
+            // way, every live head has now been emitted.
+            let fresh = s.live.iter().any(|&i| !self.head_emitted[i]);
+            for &i in &s.live {
+                self.head_emitted[i] = true;
             }
             if let Some(trace) = self.trace.as_mut() {
                 let members = heads.iter().map(|x| trace_id(x)).collect();
                 trace.push(if fresh {
                     BankEvent::SolutionEmitted {
-                        index: self.solution_counter,
+                        index: self.stats.solutions,
                         members,
                     }
                 } else {
@@ -813,9 +715,8 @@ impl QueueBank {
             if fresh {
                 solutions.push(Solution {
                     intervals,
-                    index: self.solution_counter,
+                    index: self.stats.solutions,
                 });
-                self.solution_counter += 1;
                 self.stats.solutions += 1;
             }
             if s.updated.is_empty() {
@@ -1083,92 +984,22 @@ mod tests {
         );
     }
 
-    /// Every identity a set holds, sorted.
-    fn expand(set: &EmittedSet) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = set
-            .keys
-            .iter()
-            .flat_map(|&((source, aggregated), ref ranges)| {
-                let seqs = ranges.iter().flat_map(|&(first, last)| first..=last);
-                seqs.map(move |seq| (source, seq, aggregated))
-            })
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Random inserts and removes (out of order too) against a `HashSet`
-    /// reference: every answer and every sorted list must agree, and a set
-    /// built from the reference in another order must hold the very same
-    /// ranges (which is what lets a digest hash them).
     #[test]
-    fn emitted_ranges_answer_like_a_hash_set() {
-        use std::collections::HashSet;
-
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let sorted = |set: &HashSet<TraceId>| {
-            let mut ids: Vec<TraceId> = set.iter().copied().collect();
-            ids.sort_unstable();
-            ids
-        };
-        let (mut inserted, mut removed) = (0, 0);
-        for _ in 0..50 {
-            let (mut set, mut reference) = (EmittedSet::default(), HashSet::new());
-            // Mostly ascending per key, as a bank emits; now and then a
-            // seq from anywhere below, and the extremes of the range.
-            let mut next = [0u64; 3];
-            for _ in 0..400 {
-                let source = (rng() % 3) as u32;
-                let aggregated = rng() % 4 == 0;
-                let seq = match rng() % 10 {
-                    0..=5 => {
-                        next[source as usize] += rng() % 3;
-                        next[source as usize]
-                    }
-                    6 | 7 => rng() % (next[source as usize] + 2),
-                    8 => u64::MAX - rng() % 3,
-                    _ => rng() % 3,
-                };
-                let id = (source, seq, aggregated);
-                if rng() % 3 == 0 {
-                    let got = set.remove(id);
-                    assert_eq!(got, reference.remove(&id), "remove {id:?}");
-                    removed += usize::from(got);
-                } else {
-                    let got = set.insert(id);
-                    assert_eq!(got, reference.insert(id), "insert {id:?}");
-                    inserted += usize::from(got);
-                }
-                if rng() % 50 == 0 {
-                    assert_eq!(expand(&set), sorted(&reference));
-                    let mut rebuilt = EmittedSet::default();
-                    for &id in sorted(&reference).iter().rev() {
-                        rebuilt.insert(id);
-                    }
-                    assert_eq!(rebuilt.keys, set.keys);
-                }
-            }
-            assert_eq!(expand(&set), sorted(&reference));
-            let ranges = set.keys.iter().flat_map(|(_, r)| r);
-            assert!(ranges.clone().all(|&(first, last)| first <= last));
-            for (_, r) in &set.keys {
-                assert!(!r.is_empty(), "an empty key is dropped");
-                assert!(
-                    r.windows(2).all(|w| w[0].1 + 1 < w[1].0),
-                    "ranges sorted, disjoint and apart: {r:?}"
-                );
-            }
-        }
-        assert!(
-            inserted > 5_000 && removed > 1_000,
-            "{inserted} / {removed}"
-        );
+    fn a_reused_slot_opens_unmarked() {
+        // c0 has the least max: Eq. (10) prunes it alone, so a0 and b0
+        // stay as emitted heads.
+        let mut bank = QueueBank::new(3);
+        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 9, 8]));
+        bank.enqueue(SlotId(1), iv(1, 0, &[0, 1, 0], &[9, 9, 8]));
+        let sols = bank.enqueue(SlotId(2), iv(2, 0, &[0, 0, 1], &[5, 5, 5]));
+        assert_eq!((sols.len(), bank.resident()), (1, 2));
+        // Slot 0 goes with its emitted head and comes back for an adopted
+        // child; once queue 2 goes too, the new head and b0 overlap.
+        assert!(bank.remove_queue(SlotId(0)).is_empty());
+        assert_eq!(bank.add_queue(), SlotId(0));
+        bank.enqueue(SlotId(0), iv(3, 0, &[2, 2, 2], &[9, 9, 9]));
+        let sols = bank.remove_queue(SlotId(2));
+        assert_eq!(sols.len(), 1, "the reused slot's head is fresh");
     }
 
     #[test]
@@ -1179,26 +1010,6 @@ mod tests {
         let heads: Vec<&u32> = recycle(heads);
         assert!(heads.is_empty());
         assert_eq!((heads.as_ptr() as usize, heads.capacity()), (ptr, capacity));
-    }
-
-    #[test]
-    fn a_dense_stream_keeps_one_range_per_source() {
-        // Every round a solution of three concurrent heads, all pruned:
-        // 30 000 emitted identities, three ranges.
-        let mut bank = QueueBank::new(3);
-        let mut solutions = 0;
-        for round in 0..10_000u32 {
-            for p in 0..3u32 {
-                let mut lo = [3 * round; 3];
-                lo[p as usize] += 1;
-                let hi = [3 * round + 2; 3];
-                let x = iv(p, round.into(), &lo, &hi);
-                solutions += bank.enqueue(SlotId(p), x).len();
-            }
-        }
-        assert_eq!(solutions, 10_000);
-        assert_eq!(bank.emitted.range_count(), 3);
-        assert_eq!(expand(&bank.emitted).len(), 30_000);
     }
 
     #[test]
