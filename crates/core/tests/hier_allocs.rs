@@ -8,9 +8,11 @@
 //! `propagate`'s work queue, the banks' heads list, Eq. (10) removal set
 //! and strict-leader rows, and the banks' one emitted mark per queue head —
 //! is reused or stays flat: 6.49 allocations per feed in a release build
-//! and 8.03 in a debug build, where a fresh work queue per feed, fresh
+//! and 7.77 in a debug build, where a fresh work queue per feed, fresh
 //! removal sets and a hashed emitted-identity set cost 9.06 and 10.60. The
-//! test pins the mean per feed just above its measured value in either
+//! debug build paid 8.03 while every sweep visit consulted the
+//! `⊓`-summary, whose debug check re-derives its row on each consultation.
+//! The test pins the mean per feed just above its measured value in either
 //! profile. It is a binary of its own because it installs a counting
 //! global allocator; nothing else may run in this process.
 
@@ -55,7 +57,7 @@ const ROUNDS: usize = 2_000;
 
 /// The bound per profile: a debug build keeps the `⊓`-summary's and the
 /// bank's `debug_assert!` re-derivations, which allocate.
-const BUDGET: f64 = if cfg!(debug_assertions) { 8.1 } else { 6.6 };
+const BUDGET: f64 = if cfg!(debug_assertions) { 7.8 } else { 6.5 };
 
 #[test]
 fn feed_allocation_budget() {

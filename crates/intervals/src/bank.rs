@@ -24,7 +24,7 @@ use crate::interval::Interval;
 use crate::prune;
 use crate::solution::Solution;
 use crate::summary::SweepSummary;
-use ftscp_vclock::{order, OpCounter};
+use ftscp_vclock::{order, order::CHUNK_WIDTH, OpCounter, VectorClock};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -66,18 +66,36 @@ pub enum SweepMode {
     ///
     /// [`Aggregate`]: SweepMode::Aggregate
     Full,
-    /// The engine every deployment runs. Maintain a running per-component
-    /// `⊓`-summary of the queue heads ([`SweepSummary`], Theorem 1 /
-    /// Lemma 1) and test each sweep visit against the summary in `O(n)`
-    /// instead of against all `k − 1` other heads, falling back to the
-    /// exact pairwise row only when the summary cannot certify the visit
-    /// clean — i.e. only to identify *which* head to delete. All
-    /// comparisons (gate and fallback) run through the word-chunked
-    /// comparator and bill per
-    /// [`CHUNK_WIDTH`](ftscp_vclock::order::CHUNK_WIDTH)-component word.
-    /// Deletion, emission, and prune decisions are bit-identical to
-    /// [`SweepMode::Full`] — only the traversal and the operation count
-    /// change.
+    /// The engine every deployment runs. Each overlap test `lo(x) < hi(y)`
+    /// of the pairwise row is decided on the components of the processes
+    /// `x` covers instead of on all `n` (Fidge and Mattern's own-component
+    /// property, plus a `≠` scan for strictness), and each sweep
+    /// visit takes whichever of two paths bills less:
+    ///
+    /// * the **restricted row** against every other live head, which reads
+    ///   `(h − 1)·|C(x)| + Σ_{y≠x} |C(y)|` components over `h` live heads
+    ///   (`C` a head's coverage), billed one unit per component read;
+    /// * the **`⊓`-gate**: one test of the visitor against a running
+    ///   per-component `⊓`-summary of the other heads ([`SweepSummary`],
+    ///   Theorem 1 / Lemma 1), billed two units per
+    ///   [`CHUNK_WIDTH`]-component word, `2·⌈n/8⌉` for a whole pass. A gate
+    ///   that cannot certify the visit clean falls back to the restricted
+    ///   row, solely to identify *which* head to delete.
+    ///
+    /// The visit takes the row when it reads fewer components than a gate
+    /// pass bills, so narrow banks and the lower levels of a tree never
+    /// consult the summary, and wide banks of wide heads stay on the gate.
+    /// A head whose coverage is empty or names a component `≥ n` is tested
+    /// `n`-wide by the word-chunked comparator instead.
+    ///
+    /// **Precondition:** every head's `lo` is the join of the start events
+    /// of the local intervals its coverage lists — true of every local
+    /// interval of a vector-clocked execution and of every `⊓` of such
+    /// intervals. Under it, deletion, emission, and prune decisions are
+    /// bit-identical to [`SweepMode::Full`]; only the traversal and the
+    /// operation count change. Debug builds check every restricted verdict
+    /// against the `n`-wide order. Arbitrary clock data that breaks the
+    /// precondition belongs on a `Full` bank.
     #[default]
     Aggregate,
 }
@@ -189,6 +207,11 @@ pub fn render_trace(events: &[BankEvent]) -> String {
 }
 
 /// The queue bank: Algorithm 1's per-node state and detection loop.
+///
+/// Its default engine, [`SweepMode::Aggregate`], decides overlap tests on
+/// the heads' coverage and so assumes what a vector-clocked execution
+/// guarantees: an interval's `lo` is the join of the start events of the
+/// local intervals its coverage lists (see [`SweepMode::Aggregate`]).
 #[derive(Clone, Debug)]
 pub struct QueueBank {
     /// One FIFO queue per slot, front = head; `None` = removed slot.
@@ -202,8 +225,14 @@ pub struct QueueBank {
     /// marked is a subset of the last emission — a duplicate occurrence
     /// released by a queue removal — and is pruned but not re-emitted.
     head_emitted: Vec<bool>,
-    /// Live queues that are empty: line (18) waits while it is non-zero.
-    empty_live: usize,
+    /// Sum of the live heads' coverage lengths: what a restricted pairwise
+    /// row reads, kept in step with every head change so a visit prices
+    /// its row in `O(1)`.
+    covered: usize,
+    /// The slots whose queue has a head: a pairwise row visits these, not
+    /// every slot, so a row over `h` heads costs `O(h)` and not `O(k)`,
+    /// and line (18) waits while fewer than the live queues have one.
+    with_head: SlotSet,
     /// Decision trace (None = disabled).
     trace: Option<Vec<BankEvent>>,
     /// Sweep evaluation strategy.
@@ -220,6 +249,47 @@ pub struct QueueBank {
     resident: usize,
     /// Buffers the detection loop reuses from call to call.
     buffers: LoopBuffers,
+}
+
+/// A set of slot indices, one bit each, iterated in ascending order.
+#[derive(Clone, Debug, Default)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        if let Some(word) = self.words.get_mut(i / 64) {
+            *word &= !(1 << (i % 64));
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            let rest = |b: &u64| Some(b & (b - 1)).filter(|&r| r != 0);
+            std::iter::successors(Some(bits).filter(|&b| b != 0), rest)
+                .map(move |b| w * 64 + b.trailing_zeros() as usize)
+        })
+    }
 }
 
 /// The detection loop's working sets, owned by the bank so a call
@@ -254,6 +324,56 @@ fn recycle<'b, T>(mut v: Vec<&T>) -> Vec<&'b T> {
     v.into_iter().map(|_| unreachable!()).collect()
 }
 
+/// `lo(x) < hi` decided on the components of the processes `x` covers,
+/// adding to `bill` one unit per component read.
+///
+/// Fidge and Mattern's own-component property: for an event `e` at
+/// process `p` and a cut `f` (an event or a meet of events, as any `hi`
+/// is), `V(e) ≤ V(f)` iff `V(e)[p] ≤ V(f)[p]`. When `lo(x)` is the join of
+/// the start events of the local intervals its coverage lists, `lo(x) ≤ hi`
+/// therefore holds iff it holds on the covered components. Strictness
+/// needs more: a covered component with `<` settles it, and failing one,
+/// an early-exit scan of the whole clocks for a difference does. The `≤`
+/// part alone is not enough even between disjoint subtrees: `lo(x)` can
+/// equal a sibling's `hi` exactly.
+///
+/// A coverage that is empty or names a component `≥ n` cannot be read
+/// this way; the pair goes to the `n`-wide word-chunked comparator, which
+/// bills `ops` per word on top of the components already read. Debug
+/// builds check every verdict against the `n`-wide order.
+fn covered_less(x: &Interval, hi: &VectorClock, ops: &OpCounter, bill: &mut u64) -> bool {
+    let (lo, up) = (x.lo.components(), hi.components());
+    let mut strict = false;
+    let mut fits = !x.coverage.is_empty();
+    for c in x.coverage.iter().map(|r| r.process.index()) {
+        let (Some(&l), Some(&h)) = (lo.get(c), up.get(c)) else {
+            fits = false;
+            break;
+        };
+        *bill += 1;
+        if l > h {
+            return false;
+        }
+        strict |= l < h;
+    }
+    if !fits {
+        return order::strictly_less_chunked_counted(&x.lo, hi, ops);
+    }
+    if !strict {
+        // `lo(x) ≤ hi` everywhere: strict iff the clocks differ anywhere.
+        let differ = lo.iter().zip(up).position(|(l, h)| l != h);
+        *bill += differ.map_or(lo.len(), |i| i + 1) as u64;
+        strict = differ.is_some();
+    }
+    debug_assert_eq!(
+        strict,
+        order::strictly_less(&x.lo, hi),
+        "coverage-restricted verdict diverged for {x:?} against {hi:?}: \
+         lo is not the join of its covered starts"
+    );
+    strict
+}
+
 impl QueueBank {
     /// A bank with `queues` initial queues (slots `0..queues`).
     pub fn new(queues: usize) -> Self {
@@ -263,7 +383,8 @@ impl QueueBank {
             ops: OpCounter::new(),
             stats: BankStats::default(),
             head_emitted: vec![false; queues],
-            empty_live: queues,
+            covered: 0,
+            with_head: SlotSet::default(),
             trace: None,
             mode: SweepMode::default(),
             summary: SweepSummary::new(),
@@ -366,7 +487,6 @@ impl QueueBank {
                 self.slots[i] = Some(VecDeque::new());
                 self.head_emitted[i] = false;
                 self.active += 1;
-                self.empty_live += 1;
                 let slot = SlotId(i as u32);
                 self.record(BankEvent::QueueAdded { slot });
                 return slot;
@@ -375,7 +495,6 @@ impl QueueBank {
         self.slots.push(Some(VecDeque::new()));
         self.head_emitted.push(false);
         self.active += 1;
-        self.empty_live += 1;
         let slot = SlotId((self.slots.len() - 1) as u32);
         self.record(BankEvent::QueueAdded { slot });
         slot
@@ -393,11 +512,9 @@ impl QueueBank {
         if self.mode == SweepMode::Aggregate {
             self.summary.touch();
         }
-        let len = self.queue_len(slot);
-        self.resident -= len;
-        if len == 0 {
-            self.empty_live -= 1;
-        }
+        self.resident -= self.queue_len(slot);
+        self.covered -= self.head(slot).map_or(0, |h| h.coverage.len());
+        self.with_head.remove(idx);
         self.slots[idx] = None;
         self.active -= 1;
         self.record(BankEvent::QueueRemoved { slot });
@@ -413,13 +530,7 @@ impl QueueBank {
     /// Re-runs the detection loop with every non-empty queue marked
     /// updated, so the solution check fires.
     fn rerun_detection(&mut self) -> Vec<Solution> {
-        let non_empty = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.as_ref().is_some_and(|q| !q.is_empty()))
-            .map(|(i, _)| i);
-        self.buffers.updated.extend(non_empty);
+        self.buffers.updated.extend(self.with_head.iter());
         self.run_detection()
     }
 
@@ -437,6 +548,7 @@ impl QueueBank {
             .as_mut()
             .unwrap_or_else(|| panic!("enqueue on removed queue {slot:?}"));
         let id = trace_id(&interval);
+        let cover = interval.coverage.len();
         q.push_back(interval);
         let new_len = q.len();
         self.stats.enqueued += 1;
@@ -449,7 +561,8 @@ impl QueueBank {
             // No `touch()`: the queue was empty, so the summary holds no
             // head of it; announcing the head spares the next visit a scan
             // for it.
-            self.empty_live -= 1;
+            self.covered += cover;
+            self.with_head.insert(idx);
             if self.mode == SweepMode::Aggregate {
                 self.summary.arrived(idx);
             }
@@ -479,9 +592,9 @@ impl QueueBank {
                     !self.head_emitted[idx],
                     "requeue in front of an emitted head of queue {slot:?}"
                 );
-                if q.is_empty() {
-                    self.empty_live -= 1;
-                }
+                self.with_head.insert(idx);
+                let behind = q.front().map_or(0, |h| h.coverage.len());
+                self.covered = self.covered - behind + interval.coverage.len();
                 q.push_front(interval);
                 self.stats.peak_queue_len = self.stats.peak_queue_len.max(q.len());
                 self.resident += 1;
@@ -504,8 +617,10 @@ impl QueueBank {
         let q = self.slots[idx].as_mut()?;
         let iv = q.pop_front()?;
         self.head_emitted[idx] = false;
-        if q.is_empty() {
-            self.empty_live += 1;
+        self.covered -= iv.coverage.len();
+        match q.front() {
+            Some(next) => self.covered += next.coverage.len(),
+            None => self.with_head.remove(idx),
         }
         self.resident -= 1;
         if swept {
@@ -519,26 +634,33 @@ impl QueueBank {
         Some(iv)
     }
 
-    /// Returns `(min(x) < max(y), min(y) < max(x))` for `x = head(a)`,
-    /// `y = head(b)`, or `None` if either queue lacks a head.
+    /// Returns `(min(x) < max(y), min(y) < max(x))` for two heads.
     ///
-    /// [`SweepMode::Full`] bills per component, exactly like the paper;
-    /// under [`SweepMode::Aggregate`] this is the pairwise fallback row
-    /// (the summary gate failed) and runs through the word-chunked
-    /// comparator.
-    fn head_verdict(&self, a: usize, b: usize) -> Option<(bool, bool)> {
-        let x = self.slots.get(a)?.as_ref()?.front()?;
-        let y = self.slots.get(b)?.as_ref()?.front()?;
-        Some(match self.mode {
+    /// [`SweepMode::Full`] compares `n`-wide and bills `ops` per
+    /// component, exactly like the paper; under [`SweepMode::Aggregate`]
+    /// each test is decided on the coverage of its `min` side
+    /// ([`covered_less`]), adding the components it reads to `bill`.
+    fn head_verdict(&self, x: &Interval, y: &Interval, bill: &mut u64) -> (bool, bool) {
+        match self.mode {
             SweepMode::Full => (
                 order::strictly_less_counted(&x.lo, &y.hi, &self.ops),
                 order::strictly_less_counted(&y.lo, &x.hi, &self.ops),
             ),
             SweepMode::Aggregate => (
-                order::strictly_less_chunked_counted(&x.lo, &y.hi, &self.ops),
-                order::strictly_less_chunked_counted(&y.lo, &x.hi, &self.ops),
+                covered_less(x, &y.hi, &self.ops, bill),
+                covered_less(y, &x.hi, &self.ops, bill),
             ),
-        })
+        }
+    }
+
+    /// Whether a visit of head `x` bills less through the `⊓`-gate than
+    /// through the restricted row: the row reads `(h − 1)·|C(x)|`
+    /// components for `x`'s side and every other live head's coverage for
+    /// theirs, a gate pass bills two units per word.
+    fn gate_is_cheaper(&self, x: &Interval) -> bool {
+        let (live, cover) = (self.with_head.len(), x.coverage.len());
+        let row = (live - 1) * cover + (self.covered - cover);
+        row >= 2 * x.width().div_ceil(CHUNK_WIDTH)
     }
 
     /// The main loop: pairwise sweep to fixpoint, then solution emission and
@@ -562,13 +684,13 @@ impl QueueBank {
                 s.doomed.clear();
                 s.culprits.clear();
                 for &a in &s.updated {
-                    let Some(x_id) = self.slots[a].as_ref().and_then(|q| q.front()).map(trace_id)
-                    else {
+                    let Some(x) = self.slots[a].as_ref().and_then(|q| q.front()) else {
                         continue;
                     };
-                    if self.mode == SweepMode::Aggregate {
-                        // One O(n) test against the ⊓-summary replaces the
-                        // O(k·n) pairwise row whenever it certifies that
+                    let x_id = trace_id(x);
+                    if self.mode == SweepMode::Aggregate && self.gate_is_cheaper(x) {
+                        // One O(n) test against the ⊓-summary replaces a
+                        // row that reads more whenever it certifies that
                         // this visit deletes nothing (the overwhelmingly
                         // common case); the pairwise fallback below runs
                         // only to identify which head(s) to delete.
@@ -589,13 +711,16 @@ impl QueueBank {
                         }
                         stats.gate_misses += 1;
                     }
-                    for b in 0..self.slots.len() {
+                    let head = |b: usize| self.slots[b].as_ref().and_then(|q| q.front());
+                    let x = head(a).expect("the visited head");
+                    // The row's bill, added to the shared counter once.
+                    let mut bill = 0;
+                    for b in self.with_head.iter() {
                         if b == a {
                             continue;
                         }
-                        let Some((x_lt, y_lt)) = self.head_verdict(a, b) else {
-                            continue;
-                        };
+                        let y = head(b).expect("a slot with a head");
+                        let (x_lt, y_lt) = self.head_verdict(x, y, &mut bill);
                         // Line (12): min(x) ≮ max(y) ⇒ y can never join a
                         // solution with x or any successor of x.
                         if !x_lt {
@@ -608,14 +733,12 @@ impl QueueBank {
                         if !y_lt {
                             s.doomed.push(a);
                             if tracing {
-                                let y_id = self.slots[b]
-                                    .as_ref()
-                                    .and_then(|q| q.front())
-                                    .map(trace_id)
-                                    .expect("head_verdict saw a head");
-                                s.culprits.push((a, y_id));
+                                s.culprits.push((a, trace_id(y)));
                             }
                         }
+                    }
+                    if bill > 0 {
+                        self.ops.add(bill);
                     }
                 }
                 // Line (16): delete the heads marked this sweep.
@@ -639,16 +762,30 @@ impl QueueBank {
             // Line (18): solution iff every live queue is non-empty.
             let head = |i: usize| self.slots[i].as_ref().and_then(|q| q.front());
             debug_assert_eq!(
-                self.empty_live,
-                self.slots.iter().flatten().filter(|q| q.is_empty()).count(),
-                "the empty-queue count drifted from the queues"
+                self.covered,
+                self.slots
+                    .iter()
+                    .flatten()
+                    .filter_map(|q| q.front())
+                    .map(|h| h.coverage.len())
+                    .sum::<usize>(),
+                "the coverage sum drifted from the heads"
             );
-            if self.empty_live > 0 || self.active == 0 {
+            debug_assert!(
+                (0..self.slots.len().max(64 * self.with_head.words.len())).all(|i| {
+                    let has_head = self
+                        .slots
+                        .get(i)
+                        .is_some_and(|q| q.as_ref().is_some_and(|q| !q.is_empty()));
+                    self.with_head.contains(i) == has_head
+                }),
+                "the slots with a head drifted from the queues"
+            );
+            if self.with_head.len() < self.active || self.active == 0 {
                 return solutions;
             }
             s.live.clear();
-            let live = self.slots.iter().enumerate().filter(|(_, q)| q.is_some());
-            s.live.extend(live.map(|(i, _)| i));
+            s.live.extend(self.with_head.iter());
 
             // Lines (23)–(33): the Eq. (10) removal set, computed while the
             // heads are still borrowed so the solution can take the pruned
@@ -1087,15 +1224,18 @@ mod tests {
 
     #[test]
     fn summary_storage_is_two_rows_however_many_queues() {
-        // 64 queues of 64-wide clocks, every one gated at least once
-        // (round 0 fills the bank, round 1 revisits after the pops).
-        let (k, width) = (64usize, 64usize);
+        // 64 queues of 8-wide clocks, every one gated at least once
+        // (round 0 fills the bank, round 1 revisits after the pops): with
+        // two live heads a row already reads as much as a one-word gate
+        // pass bills, so every visit but the first of a round takes the
+        // gate.
+        let (k, width) = (64usize, 8usize);
         let mut bank = QueueBank::new(k);
         let mut solutions = 0;
         for round in 0..2u32 {
             for p in 0..k {
                 let mut lo = vec![10 * round; width];
-                lo[p] += 1;
+                lo[p % width] += 1;
                 let hi = vec![10 * round + 9; width];
                 solutions += bank
                     .enqueue(SlotId(p as u32), iv(p as u32, round.into(), &lo, &hi))
@@ -1105,6 +1245,109 @@ mod tests {
         assert_eq!(solutions, 2);
         assert!(bank.stats().gate_hits >= 2 * (k as u64 - 1));
         assert_eq!(bank.summary.storage(), 2 * width);
+    }
+
+    /// A three-process execution where `lo(x)` equals a sibling's `hi`:
+    /// P1 and P2 each send to P0, which receives both, sends back to each,
+    /// and each receives. `Y = ⊓` of P1's and P2's intervals has `hi(Y) =
+    /// (3,1,1)`, the clock of P0's first send, where P0's interval `x`
+    /// starts. The covered component (P0's) says `≤`; only the `≠` step
+    /// sees that `lo(x) ≮ hi(Y)`, so line (12) must delete `Y`. Padded with
+    /// idle processes to 17 components the bank prices the row below a
+    /// gate pass and takes it at once; at 3 components it takes the gate,
+    /// which misses and falls back to the row.
+    #[test]
+    fn a_covered_tie_is_not_strict() {
+        for (width, gated) in [(3usize, true), (17, false)] {
+            let clock = |c: [u32; 3]| {
+                let mut v = c.to_vec();
+                v.resize(width, 0);
+                v
+            };
+            let y1 = iv(1, 0, &clock([0, 1, 0]), &clock([3, 2, 1]));
+            let y2 = iv(2, 0, &clock([0, 0, 1]), &clock([4, 1, 2]));
+            let y = crate::aggregate::aggregate(&[y1, y2], ProcessId(1), 0, 1);
+            assert_eq!(y.hi.components()[..3], [3, 1, 1]);
+            let x = iv(0, 0, &clock([3, 1, 1]), &clock([4, 1, 1]));
+            for mode in [SweepMode::Full, SweepMode::Aggregate] {
+                let mut bank = QueueBank::new(2).with_sweep_mode(mode);
+                assert!(bank.enqueue(SlotId(1), y.clone()).is_empty());
+                assert!(bank.enqueue(SlotId(0), x.clone()).is_empty());
+                let stats = bank.stats();
+                assert_eq!(
+                    (bank.queue_len(SlotId(1)), stats.swept),
+                    (0, 1),
+                    "{mode:?} at width {width}: Y must be swept"
+                );
+                assert_eq!(bank.head(SlotId(0)), Some(&x));
+                let gate = (stats.gate_hits, stats.gate_misses);
+                let expected = (0, u64::from(gated && mode == SweepMode::Aggregate));
+                assert_eq!(gate, expected, "{mode:?} at width {width}");
+            }
+        }
+    }
+
+    /// Coverage that cannot index the clocks — a process beyond the width,
+    /// or no coverage at all — is decided by the `n`-wide order, on a bank
+    /// that prices every visit as a row.
+    #[test]
+    fn coverage_beyond_the_width_is_tested_n_wide() {
+        let width = 17;
+        let clock = |c: u32, own: Option<usize>| {
+            let mut v = vec![c; width];
+            if let Some(p) = own {
+                v[p] += 1;
+            }
+            v
+        };
+        let mut uncovered = iv(3, 0, &clock(2, Some(3)), &clock(5, Some(3)));
+        uncovered.coverage.clear();
+        // Each feed with the `(swept, solutions)` it must come to.
+        let feeds = [
+            // Overlapping heads, one of a process outside the clocks.
+            (
+                0,
+                1,
+                vec![
+                    (0, iv(0, 0, &clock(1, Some(0)), &clock(6, None))),
+                    (1, iv(40, 0, &clock(2, None), &clock(7, None))),
+                ],
+            ),
+            // A head that precedes the other, named out of range: swept.
+            (
+                1,
+                0,
+                vec![
+                    (0, iv(0, 0, &clock(1, Some(0)), &clock(2, None))),
+                    (1, iv(99, 0, &clock(3, None), &clock(4, None))),
+                ],
+            ),
+            // A head with no coverage.
+            (
+                0,
+                1,
+                vec![
+                    (0, iv(0, 0, &clock(1, Some(0)), &clock(6, None))),
+                    (1, uncovered),
+                ],
+            ),
+        ];
+        for (case, (swept, solutions, feed)) in feeds.iter().enumerate() {
+            let run = |mode| {
+                let mut bank = QueueBank::new(2).with_sweep_mode(mode);
+                let mut sols = Vec::new();
+                for (slot, x) in feed {
+                    sols.extend(bank.enqueue(SlotId(*slot), x.clone()));
+                }
+                (sols, bank.stats())
+            };
+            let (full, fs) = run(SweepMode::Full);
+            let (agg, gs) = run(SweepMode::Aggregate);
+            assert_eq!(full, agg, "case {case}");
+            assert_eq!((fs.swept, fs.solutions), (*swept, *solutions));
+            assert_eq!((fs.swept, fs.solutions), (gs.swept, gs.solutions));
+            assert_eq!((gs.gate_hits, gs.gate_misses), (0, 0), "rows, not the gate");
+        }
     }
 
     #[test]

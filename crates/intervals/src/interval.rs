@@ -45,6 +45,12 @@ pub enum IntervalKind {
 /// span (`min(x)` in the paper) and `hi` the timestamp of the last
 /// (`max(x)`). For an aggregated interval the bounds are cuts computed by
 /// [`crate::aggregate()`](crate::aggregate::aggregate).
+///
+/// The default sweep engine ([`SweepMode::Aggregate`](crate::SweepMode::Aggregate))
+/// reads `lo` only on the components of the processes `coverage` lists,
+/// which is exact when `lo` is the join of those local intervals' start
+/// events: true of every local interval of a vector-clocked execution
+/// and of every `⊓` of such intervals, not of arbitrary clock data.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// The process that produced the interval: the owner for local

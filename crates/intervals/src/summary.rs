@@ -62,6 +62,13 @@
 //! components however many slots there are. Debug builds check on every
 //! visit that no live head outside the row went unannounced.
 //!
+//! The bank calls `certify` only on visits whose restricted pairwise row
+//! would read more than a gate pass bills
+//! ([`SweepMode::Aggregate`](crate::SweepMode::Aggregate)). A visit that
+//! takes the row leaves the summary as it was, and the rules still hold:
+//! a visited head either landed in an empty queue, and so was announced,
+//! or follows a `touch()`.
+//!
 //! Folding is *maintenance*, billed like the `⊓`-aggregation it is (i.e.
 //! not counted as overlap-comparison work); the gate's own scans bill two
 //! units per [`CHUNK_WIDTH`]-component word, matching

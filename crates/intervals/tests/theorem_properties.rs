@@ -1,10 +1,19 @@
 //! Property tests: the paper's theorems hold for arbitrary well-formed
 //! interval data, and the on-line bank agrees with the offline reference.
+//!
+//! Arbitrary clock data need not come from any execution, so the bank
+//! tests run it on a [`SweepMode::Full`] bank, whose `n`-wide order
+//! assumes nothing about it; their twins feed the default engine, which
+//! decides overlap on the heads' coverage, intervals of generated
+//! executions.
 
 use ftscp_intervals::offline::OfflineDetector;
 use ftscp_intervals::prune::{approximate_removals, exact_removals};
-use ftscp_intervals::{theorems, Interval, PruneRule, QueueBank, SlotId};
+use ftscp_intervals::{
+    theorems, Interval, IntervalRef, PruneRule, QueueBank, SlotId, Solution, SweepMode,
+};
 use ftscp_vclock::{OpCounter, ProcessId, VectorClock};
+use ftscp_workload::RandomExecution;
 use proptest::prelude::*;
 
 const WIDTH: usize = 5;
@@ -100,30 +109,28 @@ proptest! {
     ) {
         let seqs = sequence_queues(seqs);
         let offline = OfflineDetector::new(seqs.clone(), PruneRule::Approximate).run();
+        let bank = QueueBank::new(seqs.len()).with_sweep_mode(SweepMode::Full);
+        let online = feed_interleaved(bank, &seqs, seed);
+        prop_assert_eq!(coverages(&online), coverages(&offline.solutions));
+    }
 
-        let mut bank = QueueBank::new(seqs.len());
-        let mut cursors = vec![0usize; seqs.len()];
-        let mut online = Vec::new();
-        // Deterministic pseudo-random interleaving.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        loop {
-            let pending: Vec<usize> = (0..seqs.len())
-                .filter(|&q| cursors[q] < seqs[q].len())
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let q = pending[(state >> 33) as usize % pending.len()];
-            let iv = seqs[q][cursors[q]].clone();
-            cursors[q] += 1;
-            online.extend(bank.enqueue(SlotId(q as u32), iv));
-        }
-
-        prop_assert_eq!(online.len(), offline.solutions.len());
-        for (a, b) in online.iter().zip(&offline.solutions) {
-            prop_assert_eq!(a.coverage(), b.coverage());
-        }
+    /// The default engine and the offline reference find identical
+    /// solution sequences on the per-process interval streams of generated
+    /// executions — dense or with skips and solos, with noise messages —
+    /// fed in any interleaving that respects queue order. Sinks of more than
+    /// 8 processes take the coverage-restricted row on some visits and the
+    /// `⊓`-gate on others.
+    #[test]
+    fn bank_matches_offline_on_executions(
+        n in 2usize..41,
+        rounds in 1usize..6,
+        (skip, solo, noise) in (0u32..4, 0u32..3, 0u32..6),
+        seed in 0u64..1000,
+    ) {
+        let seqs = execution_queues(n, rounds, (skip, solo, noise), seed);
+        let offline = OfflineDetector::new(seqs.clone(), PruneRule::Approximate).run();
+        let online = feed_interleaved(QueueBank::new(n), &seqs, seed);
+        prop_assert_eq!(coverages(&online), coverages(&offline.solutions));
     }
 
     /// Prune soundness: the approximate on-line rule Eq. (10) never
@@ -203,12 +210,104 @@ fn sequence_queues(seqs: Vec<Vec<Interval>>) -> Vec<Vec<Interval>> {
         .collect()
 }
 
+/// The solutions of `bank` fed `seqs` in a deterministic pseudo-random
+/// interleaving (from `seed`) that respects each queue's order.
+fn feed_interleaved(mut bank: QueueBank, seqs: &[Vec<Interval>], seed: u64) -> Vec<Solution> {
+    let mut cursors = vec![0usize; seqs.len()];
+    let mut online = Vec::new();
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+    loop {
+        let pending: Vec<usize> = (0..seqs.len())
+            .filter(|&q| cursors[q] < seqs[q].len())
+            .collect();
+        if pending.is_empty() {
+            break;
+        }
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let q = pending[(state >> 33) as usize % pending.len()];
+        let iv = seqs[q][cursors[q]].clone();
+        cursors[q] += 1;
+        online.extend(bank.enqueue(SlotId(q as u32), iv));
+    }
+    online
+}
+
+fn coverages(solutions: &[Solution]) -> Vec<Vec<IntervalRef>> {
+    solutions.iter().map(Solution::coverage).collect()
+}
+
+/// The per-process interval streams of a generated `n`-process execution,
+/// with skip, solo and noise-message probabilities in tenths.
+fn execution_queues(
+    n: usize,
+    rounds: usize,
+    (skip, solo, noise): (u32, u32, u32),
+    seed: u64,
+) -> Vec<Vec<Interval>> {
+    let exec = RandomExecution::builder(n)
+        .intervals_per_process(rounds)
+        .skip_prob(f64::from(skip) * 0.1)
+        .solo_prob(f64::from(solo) * 0.1)
+        .noise_msg_prob(f64::from(noise) * 0.1)
+        .seed(seed)
+        .build();
+    ProcessId::all(n)
+        .map(|p| exec.intervals_of(p).to_vec())
+        .collect()
+}
+
+/// Feeds `seqs` to a fresh `mode` bank in ten random interleavings that
+/// respect queue order and asserts each finds the same solutions.
+fn assert_interleaving_invariant(
+    seqs: &[Vec<Interval>],
+    mode: SweepMode,
+    rng: &mut impl rand::Rng,
+) {
+    use rand::seq::SliceRandom;
+
+    let mut reference: Option<Vec<Vec<IntervalRef>>> = None;
+    for trial in 0..10 {
+        let mut bank = QueueBank::new(seqs.len()).with_sweep_mode(mode);
+        let mut feed: Vec<(usize, Interval)> = Vec::new();
+        for (q, seq) in seqs.iter().enumerate() {
+            for iv in seq {
+                feed.push((q, iv.clone()));
+            }
+        }
+        // Random interleaving that preserves per-queue order: shuffle, then
+        // repeatedly take the first interval that is its queue's next.
+        feed.shuffle(rng);
+        let mut next = vec![0usize; seqs.len()];
+        let mut ordered = Vec::new();
+        while !feed.is_empty() {
+            let pos = feed
+                .iter()
+                .position(|(q, iv)| seqs[*q][next[*q]].seq == iv.seq)
+                .expect("some queue head must be feedable");
+            let (q, iv) = feed.remove(pos);
+            next[q] += 1;
+            ordered.push((q, iv));
+        }
+        let mut solutions = Vec::new();
+        for (q, iv) in ordered {
+            solutions.extend(bank.enqueue(SlotId(q as u32), iv));
+        }
+        let coverages = coverages(&solutions);
+        match &reference {
+            None => reference = Some(coverages),
+            Some(r) => assert_eq!(r, &coverages, "trial {trial} diverged"),
+        }
+    }
+}
+
 /// Interleaving order must not matter for the *set* of solutions: the bank
 /// is deterministic given per-queue sequences.
 #[test]
 fn bank_interleaving_invariance() {
     use rand::rngs::StdRng;
-    use rand::{seq::SliceRandom, Rng, SeedableRng};
+    use rand::{Rng, SeedableRng};
 
     let mut rng = StdRng::seed_from_u64(7);
     // Build 3 queues of causally ordered intervals with random gaps.
@@ -232,38 +331,27 @@ fn bank_interleaving_invariance() {
         }
         seqs.push(seq);
     }
+    assert_interleaving_invariant(&seqs, SweepMode::Full, &mut rng);
+}
 
-    let mut reference: Option<Vec<Vec<ftscp_intervals::IntervalRef>>> = None;
-    for trial in 0..10 {
-        let mut bank = QueueBank::new(3);
-        let mut feed: Vec<(usize, Interval)> = Vec::new();
-        for (q, seq) in seqs.iter().enumerate() {
-            for iv in seq {
-                feed.push((q, iv.clone()));
-            }
-        }
-        // Random interleaving that preserves per-queue order: shuffle then
-        // stable-sort by (queue, seq) within each queue via stable pass.
-        feed.shuffle(&mut rng);
-        let mut next_seq = [0u64; 3];
-        let mut ordered = Vec::new();
-        while !feed.is_empty() {
-            let pos = feed
-                .iter()
-                .position(|(q, iv)| iv.seq == next_seq[*q])
-                .expect("some queue head must be feedable");
-            let (q, iv) = feed.remove(pos);
-            next_seq[q] += 1;
-            ordered.push((q, iv));
-        }
-        let mut solutions = Vec::new();
-        for (q, iv) in ordered {
-            solutions.extend(bank.enqueue(SlotId(q as u32), iv));
-        }
-        let coverages: Vec<_> = solutions.iter().map(|s| s.coverage()).collect();
-        match &reference {
-            None => reference = Some(coverages),
-            Some(r) => assert_eq!(r, &coverages, "trial {trial} diverged"),
+/// The default engine is interleaving-invariant on generated executions:
+/// dense, sparse and noisy streams at sinks that take both the restricted
+/// row and the `⊓`-gate.
+#[test]
+fn bank_interleaving_invariance_on_executions() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(7);
+    for (n, shape) in [
+        (3, (0, 0, 2)),
+        (8, (3, 2, 5)),
+        (24, (0, 0, 5)),
+        (40, (3, 2, 2)),
+    ] {
+        for seed in 0..3 {
+            let seqs = execution_queues(n, 5, shape, seed);
+            assert_interleaving_invariant(&seqs, SweepMode::default(), &mut rng);
         }
     }
 }

@@ -22,7 +22,13 @@
 //!   the paper's unit, and how the benchmark harness reproduces its
 //!   time-complexity accounting;
 //! * [`compare_chunked_counted`] bills one unit per word up to the
-//!   deciding word instead, the unit of the sweep.
+//!   deciding word instead, the unit of the sweep's `⊓`-gate and of its
+//!   `n`-wide fallbacks.
+//!
+//! The sweep's pairwise `min(x) < max(y)` tests do not come here: the
+//! default engine of `ftscp-intervals` decides them on the components of
+//! the processes `x` covers and bills one unit per component it reads,
+//! the components of its early-exit `≠` scan included.
 //!
 //! The scan walks the first [`BLOCK`] components as packed word pairs and
 //! stops at the word that decides; every later block is skipped if equal,

@@ -168,3 +168,81 @@ fn default_engine_is_the_gated_aggregate_sweep() {
         "default sweep mode never consulted the summary gate"
     );
 }
+
+/// The default engine decides each overlap test on what its `min` side
+/// covers and takes, per visit, the restricted row or the `⊓`-gate,
+/// whichever bills less; either way it detects exactly what the `n`-wide
+/// `Full` reference detects. Over a 4-ary tree and a central sink at
+/// n ∈ {16, 64, 256}, dense and sparse, with noise messages: equal
+/// fingerprints and solution sequences, the sink's wide bank consulting
+/// the gate on dense rounds, and — once a gate pass bills more than a leaf's parent's
+/// rows read (n ≥ 64) — some leaf's parent never consulting it.
+#[test]
+fn restricted_rows_and_the_gate_detect_like_full() {
+    use ftscp::baselines::CentralizedDetector;
+    use ftscp::intervals::SlotId;
+
+    for n in [16usize, 64, 256] {
+        for (skip, solo) in [(0.0, 0.0), (0.3, 0.2)] {
+            let exec = RandomExecution::builder(n)
+                .intervals_per_process(4)
+                .skip_prob(skip)
+                .solo_prob(solo)
+                .noise_msg_prob(0.4)
+                .seed(n as u64)
+                .build();
+            let what = format!("n = {n}, skip {skip}, solo {solo}");
+            let intervals: Vec<Interval> =
+                exec.intervals_interleaved().into_iter().cloned().collect();
+
+            let tree = SpanningTree::balanced_dary(n, 4);
+            let run = |mode| {
+                let mut det = HierarchicalDetector::new(&tree).with_sweep_mode(mode);
+                for iv in &intervals {
+                    det.feed(iv.clone());
+                }
+                det
+            };
+            let (full, agg) = (run(SweepMode::Full), run(SweepMode::default()));
+            assert_eq!(
+                detection_fingerprint(agg.root_solutions()),
+                detection_fingerprint(full.root_solutions()),
+                "tree, {what}"
+            );
+            assert_eq!(agg.solution_counts(), full.solution_counts(), "{what}");
+            let (fs, gs) = (full.bank_stats_total(), agg.bank_stats_total());
+            assert_eq!((fs.swept, fs.pruned), (gs.swept, gs.pruned), "{what}");
+            if n >= 64 {
+                let gateless_parent = tree.nodes().into_iter().any(|node| {
+                    tree.children(node)
+                        .iter()
+                        .any(|&c| tree.children(c).is_empty())
+                        && {
+                            let s = agg.checkpoint_node(node).expect("alive").bank_stats();
+                            s.gate_hits + s.gate_misses == 0 && s.enqueued > 0
+                        }
+                });
+                assert!(gateless_parent, "no leaf's parent took rows only, {what}");
+            }
+
+            let mut sink = CentralizedDetector::new(n);
+            let mut reference = QueueBank::new(n).with_sweep_mode(SweepMode::Full);
+            let mut expected = Vec::new();
+            for iv in &intervals {
+                sink.feed(iv.clone());
+                expected.extend(reference.enqueue(SlotId(iv.source.0), iv.clone()));
+            }
+            assert_eq!(sink.solutions(), &expected[..], "sink, {what}");
+            if skip == 0.0 {
+                // Sparse rounds leave too few live heads for the gate to
+                // pay at n = 256; dense ones fill the sink.
+                assert!(sink.stats().gate_hits > 0, "the sink never gated, {what}");
+            }
+            assert_eq!(
+                (sink.stats().swept, sink.stats().pruned),
+                (reference.stats().swept, reference.stats().pruned),
+                "{what}"
+            );
+        }
+    }
+}
