@@ -73,8 +73,8 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes CSV to `results/<name>.csv` relative to the workspace, creating
-/// the directory. Returns the path written. Errors are returned, not
+/// Writes CSV to `results/<name>.csv` relative to the current directory,
+/// creating the directory. Returns the path written. Errors are returned, not
 /// panicked, so reproduction binaries can degrade gracefully on read-only
 /// filesystems.
 pub fn write_csv(

@@ -24,9 +24,9 @@
 //! through a 512-connection fan-in on a single epoll loop
 //! (`ftscp_net::scale::run_scale`).
 //!
-//! `--bench-check` regenerates the same grid in memory and exits nonzero
-//! if any gated counter differs — in either direction, to the last digit
-//! — from the committed `BENCH_hotpath.json`: the CI equality gate.
+//! The file holds counts only, so a rerun rewrites it byte for byte (the
+//! two TCP rows record zeros where loopback sockets are unavailable); CI
+//! regenerates it and fails on any `git diff`.
 
 use ftscp_analysis::report::render_table;
 use ftscp_baselines::centralized::CentralizedDeployment;
@@ -73,7 +73,7 @@ fn usage() -> ! {
         "usage: ftscp_sim [--nodes N] [--degree D] [--rounds P] [--skip F] \
          [--solo F] [--seed S] [--loss F] [--crash NODE@MSms]... \
          [--topology tree|grid|geometric|smallworld|scalefree] [--baseline] \
-         | --bench-json | --bench-check | --bench-tenancy"
+         | --bench-json"
     );
     std::process::exit(2);
 }
@@ -828,119 +828,6 @@ fn run_bench_json() {
     );
 }
 
-/// The text of every numeric value of `"key"` inside each
-/// `"section": {...}` object, in file order — a deliberately dumb
-/// extractor for the equality gate (no serde_json in the build
-/// environment; the file is our own hand-formatted flat output). Scoping
-/// to the section keeps a key name shared by two sections (`detections`,
-/// `reconnects`) from matching in the wrong one.
-fn extract_all<'a>(json: &'a str, section: &str, key: &str) -> Vec<&'a str> {
-    let sec_pat = format!("\"{section}\": {{");
-    let key_pat = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&sec_pat) {
-        let body_start = pos + sec_pat.len();
-        let body_end = body_start
-            + rest[body_start..]
-                .find('}')
-                .expect("section object is closed");
-        let body = &rest[body_start..body_end];
-        if let Some(kpos) = body.find(&key_pat) {
-            let tail = &body[kpos + key_pat.len()..];
-            let end = tail
-                .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-                .unwrap_or(tail.len());
-            out.push(&tail[..end]);
-        }
-        rest = &rest[body_end..];
-    }
-    out
-}
-
-/// Every gated counter of `BENCH_hotpath.json`: `(section, key,
-/// needs_sockets)`. All are deterministic — billed comparisons and codec
-/// bytes per grid point, the simulated repair row (recovery traffic and
-/// *simulated* time to first solution), the tenancy rows, and the TCP
-/// rows' frame/byte counters (heartbeats and retransmits off; `reconnects`
-/// is zero — any reconnect under loopback is a reactor bug). A TCP row is
-/// compared only when both the committed file and this machine could run
-/// it; a row of zeros (socketless environment) is recorded, not compared.
-const GATED: [(&str, &str, bool); 20] = [
-    ("overlap_comparisons", "full_sweep", false),
-    ("overlap_comparisons", "aggregate", false),
-    ("bytes_per_interval", "dense", false),
-    ("bytes_per_interval", "delta_standalone", false),
-    ("bytes_per_interval", "delta_stateful", false),
-    ("repair", "detections", false),
-    ("repair", "re_report_msgs", false),
-    ("repair", "re_report_bytes", false),
-    ("repair", "time_to_first_solution_ms", false),
-    ("tenancy_cost", "registry_billed", false),
-    ("tenancy_cost", "relevant_touches", false),
-    ("tenancy_cost", "detections", false),
-    ("tenancy_bytes", "batched_per_interval", false),
-    ("net_loopback", "interval_msgs", true),
-    ("net_loopback", "interval_frames", true),
-    ("net_loopback", "standalone_frames", true),
-    ("net_loopback", "bytes_on_wire", true),
-    ("reactor", "detections", true),
-    ("reactor", "bytes_received", true),
-    ("reactor", "reconnects", true),
-];
-
-/// `--bench-check`: regenerates the whole file in memory and fails
-/// (exit 1) if any [`GATED`] counter differs, in either direction, from
-/// the committed `BENCH_hotpath.json`.
-fn run_bench_check() {
-    let committed = std::fs::read_to_string(BENCH_JSON_PATH)
-        .unwrap_or_else(|e| panic!("read committed {BENCH_JSON_PATH}: {e}"));
-    let current = render_bench_json(
-        &bench_points(),
-        &bench_tenancy(),
-        &bench_net_loopback(),
-        &bench_repair(),
-        &bench_reactor(),
-    );
-
-    let ran = |json: &str, section: &str| extract_all(json, section, "intervals") != ["0"];
-    let mut failures = Vec::new();
-    for (section, key, needs_sockets) in GATED {
-        if needs_sockets && !(ran(&committed, section) && ran(&current, section)) {
-            eprintln!(
-                "bench check: \"{section}.{key}\" not gated (no sockets, here or at baseline)"
-            );
-            continue;
-        }
-        let was = extract_all(&committed, section, key);
-        let now = extract_all(&current, section, key);
-        if was.is_empty() || was.len() != now.len() {
-            failures.push(format!(
-                "committed file has {} values of \"{section}.{key}\", this run {} \
-                 (regenerate with --bench-json)",
-                was.len(),
-                now.len()
-            ));
-        }
-        for (i, (w, n)) in was.iter().zip(&now).enumerate() {
-            if w != n {
-                failures.push(format!("point {i}: \"{section}.{key}\" {w} -> {n}"));
-            }
-        }
-    }
-
-    if failures.is_empty() {
-        eprintln!(
-            "bench check passed: every gated counter equals the committed BENCH_hotpath.json"
-        );
-    } else {
-        for f in &failures {
-            eprintln!("bench check: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -978,18 +865,6 @@ fn parse_args() -> Args {
 fn main() {
     if std::env::args().any(|a| a == "--bench-json") {
         run_bench_json();
-        return;
-    }
-    if std::env::args().any(|a| a == "--bench-check") {
-        run_bench_check();
-        return;
-    }
-    // Standalone tenancy suite (same rows as the `--bench-json`
-    // `tenancy` section, printed as its JSON fragment) for re-measuring
-    // the multi-tenant table — including its sublinearity and
-    // bit-identity assertions — without the full grid.
-    if std::env::args().any(|a| a == "--bench-tenancy") {
-        print!("{}", render_tenancy_json(&bench_tenancy()));
         return;
     }
     let args = parse_args();

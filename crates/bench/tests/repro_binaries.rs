@@ -3,9 +3,12 @@
 
 use std::process::Command;
 
+/// Runs `bin` in the target's scratch directory, so the CSVs it writes
+/// under `results/` never overwrite the committed ones.
 fn run(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin)
         .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
     assert!(
@@ -29,6 +32,41 @@ fn repro_table1_prints_both_sections() {
         let cells: Vec<&str> = line.split('|').map(str::trim).collect();
         assert_eq!(cells[4], cells[5], "det hier == det cent in: {line}");
     }
+
+    let wall = table_rows(&out, "== Table I, wall-clock");
+    assert_eq!(wall.len(), 7, "n = 7 … 511");
+    for row in &wall {
+        assert_eq!(row[4], row[5], "det hier == det sink in: {row:?}");
+    }
+
+    let ablation = table_rows(&out, "== Ablation: prune rule");
+    assert_eq!(ablation.len(), 3, "n = 4, 8, 16");
+    for row in &ablation {
+        let num = |i: usize| row[i].parse::<f64>().expect("numeric cell");
+        assert_eq!(row[1], row[2], "Eq. (10) and Eq. (9) solutions in: {row:?}");
+        assert!(
+            num(4) >= num(3),
+            "Eq. (9) prunes no less per solution: {row:?}"
+        );
+        assert!(num(6) >= num(5), "Eq. (9) compares no less: {row:?}");
+    }
+}
+
+/// The data rows of the table under the section headed `header`, as
+/// trimmed cells.
+fn table_rows(out: &str, header: &str) -> Vec<Vec<String>> {
+    let start = out.find(header).unwrap_or_else(|| panic!("no {header:?}"));
+    let section = &out[start + header.len()..];
+    let section = &section[..section.find("\n== ").unwrap_or(section.len())];
+    section
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .skip(2) // header and separator
+        .map(|l| {
+            let cells = l.trim_matches('|').split('|');
+            cells.map(|c| c.trim().to_string()).collect()
+        })
+        .collect()
 }
 
 #[test]
