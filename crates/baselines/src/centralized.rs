@@ -1,6 +1,7 @@
 //! The centralized repeated-detection algorithm \[12\] (Kshemkalyani,
 //! IPL 2011) — the paper's primary comparator.
 
+use ftscp_intervals::codec::encoded_interval_len;
 use ftscp_intervals::{BankStats, Interval, QueueBank, SlotId, Solution};
 use ftscp_simnet::{
     Application, Ctx, NetMetrics, NodeId, SimConfig, SimTime, Simulation, TimerToken, Topology,
@@ -167,7 +168,7 @@ impl Application for CentralizedApp {
 
     fn msg_size(msg: &SinkMsg) -> usize {
         let SinkMsg::Interval(iv) = msg;
-        8 + iv.wire_size()
+        8 + encoded_interval_len(iv)
     }
 }
 

@@ -187,7 +187,7 @@ fn bench_mode(h: u32, skip: f64, solo: f64, mode: ftscp_intervals::SweepMode) ->
 /// connection state (the live stream).
 fn bench_codec(h: u32, skip: f64, solo: f64) -> CodecRun {
     use ftscp_core::ConnCodec;
-    use ftscp_intervals::codec::{encoded_interval_delta_len, encoded_interval_len};
+    use ftscp_intervals::codec::{encoded_interval_delta_len, encoded_interval_len, Len};
     use std::collections::BTreeMap;
 
     let intervals = bench_workload(h, skip, solo);
@@ -199,8 +199,7 @@ fn bench_codec(h: u32, skip: f64, solo: f64) -> CodecRun {
         dense_bytes += encoded_interval_len(iv);
         standalone_bytes += encoded_interval_delta_len(iv, None);
         let codec = conns.entry(iv.source.0).or_default();
-        stateful_bytes += codec.stateful_len(iv);
-        codec.note_sent(iv);
+        stateful_bytes += Len::of(|len| codec.encode(iv, len));
     }
     CodecRun {
         intervals: intervals.len(),

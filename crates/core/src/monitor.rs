@@ -13,8 +13,9 @@
 //! `ftscp-net` wraps the very same core, which is what makes the two
 //! backends differentially comparable.
 
-use crate::protocol::DetectMsg;
+use crate::protocol::{ConnCodec, DetectMsg};
 use crate::transport::{Duty, MonitorCore};
+use ftscp_intervals::codec::Len;
 use ftscp_intervals::Interval;
 use ftscp_simnet::{Application, Ctx, SimTime, TimerToken};
 use ftscp_vclock::ProcessId;
@@ -172,7 +173,10 @@ impl Application for MonitorApp {
         self.core.on_message(msg, ctx);
     }
 
+    /// The length [`DetectMsg::encode`] writes for `msg` on a fresh
+    /// connection — what TCP would carry. Interval reports bypass this:
+    /// the core bills them against its uplink codec through `send_sized`.
     fn msg_size(msg: &DetectMsg) -> usize {
-        msg.wire_size()
+        Len::of(|len| msg.encode(&mut ConnCodec::new(), len))
     }
 }

@@ -1,11 +1,38 @@
-//! Wire messages of the distributed monitor, and the per-connection
-//! delta codec that shrinks them. Every [`DetectMsg`] is something one
-//! monitor sends another, on the simulated network and over TCP alike:
-//! tree repair included, it is all the protocol there is.
+//! Wire messages of the distributed monitor, their byte layout, and the
+//! per-connection delta codec that shrinks them. Every [`DetectMsg`] is
+//! something one monitor sends another, on the simulated network and over
+//! TCP alike: tree repair included, it is all the protocol there is.
+//!
+//! [`DetectMsg::encode`] is the one statement of what a message weighs.
+//! TCP writes its bytes (inside `net::wire`'s session tag 3); the
+//! simulator bills their count. Interval payloads go through the
+//! connection's [`ConnCodec`]; everything else is fixed-width
+//! little-endian.
+//!
+//! ```text
+//! DetectMsg := u8 subtag, fields…
+//!    0 Interval      := u32 from, u8 resync, interval frame (codec)
+//!    1 Heartbeat     := u32 from, u64 epoch, u8 has_parent, [u32 parent],
+//!                       u8 n_ancestors, n × u32 ancestor
+//!    2 Ack           := u32 from, u64 upto
+//!  3–6 (retired)
+//!    7 (unassigned)
+//!    8 Suspect       := u32 from, u32 suspect
+//!    9 Adopt         := u32 child, u64 epoch, u8 has_dead, [u32 dead_parent]
+//!   10 AdoptAck      := u32 from, u32 child, u64 epoch, u8 accepted
+//!   11 ReReport      := u32 from, u64 epoch
+//!   12 IntervalBatch := u32 from, u8 resync, tenant batch frame (codec)
+//! ```
+//!
+//! Subtags 3–6 are retired: they carried a clairvoyant harness's four
+//! tree-repair control messages, and no monitor sends or applies such a
+//! message any more. Every tree, simulated or TCP, repairs itself
+//! through `Suspect`/`Adopt`/`AdoptAck`/`ReReport`, and a message carrying
+//! 3–6 is refused like the unassigned subtag 7.
 
 use ftscp_intervals::codec::{
     decode_interval_delta, decode_tenant_batch, encode_interval_delta, encode_tenant_batch,
-    encoded_interval_delta_len, DecodeError, Reader, TenantGroup,
+    encoded_interval_delta_len, DecodeError, Reader, Sink, TenantGroup,
 };
 use ftscp_intervals::Interval;
 use ftscp_vclock::{ProcessId, VectorClock};
@@ -134,26 +161,148 @@ pub enum DetectMsg {
 }
 
 impl DetectMsg {
-    /// Approximate wire size in bytes (for the simulator's accounting).
-    pub fn wire_size(&self) -> usize {
+    /// Appends the message — subtag, then fields, as the module doc lays
+    /// them out — to `out`, advancing `codec` if it carries intervals. Run
+    /// into a [`Len`](ftscp_intervals::codec::Len) it is also the size the
+    /// simulator bills, so both runtimes count the same bytes.
+    pub fn encode(&self, codec: &mut ConnCodec, out: &mut impl Sink) {
         match self {
-            DetectMsg::Interval { interval, .. } => 8 + interval.wire_size(),
-            DetectMsg::IntervalBatch { groups, .. } => {
-                8 + 4
-                    + groups
-                        .iter()
-                        .map(|(preds, iv)| 1 + 2 * preds.len() + iv.wire_size())
-                        .sum::<usize>()
+            DetectMsg::Interval {
+                from,
+                interval,
+                resync,
+            } => {
+                out.put(&[0]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&[u8::from(*resync)]);
+                codec.encode(interval, out);
             }
             DetectMsg::Heartbeat {
-                parent, ancestors, ..
-            } => 14 + 4 * (usize::from(parent.is_some()) + ancestors.len()),
-            DetectMsg::Ack { .. } => 16,
-            DetectMsg::Suspect { .. } => 8,
-            DetectMsg::Adopt { dead_parent, .. } => 13 + 4 * usize::from(dead_parent.is_some()),
-            DetectMsg::AdoptAck { .. } => 17,
-            DetectMsg::ReReport { .. } => 12,
+                from,
+                epoch,
+                parent,
+                ancestors,
+            } => {
+                out.put(&[1]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&epoch.to_le_bytes());
+                put_optional(out, *parent);
+                debug_assert!(ancestors.len() <= u8::MAX as usize);
+                out.put(&[ancestors.len() as u8]);
+                for a in ancestors {
+                    out.put(&a.0.to_le_bytes());
+                }
+            }
+            DetectMsg::Ack { from, upto } => {
+                out.put(&[2]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&upto.to_le_bytes());
+            }
+            DetectMsg::Suspect { from, suspect } => {
+                out.put(&[8]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&suspect.0.to_le_bytes());
+            }
+            DetectMsg::Adopt {
+                child,
+                epoch,
+                dead_parent,
+            } => {
+                out.put(&[9]);
+                out.put(&child.0.to_le_bytes());
+                out.put(&epoch.to_le_bytes());
+                put_optional(out, *dead_parent);
+            }
+            DetectMsg::AdoptAck {
+                from,
+                child,
+                epoch,
+                accepted,
+            } => {
+                out.put(&[10]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&child.0.to_le_bytes());
+                out.put(&epoch.to_le_bytes());
+                out.put(&[u8::from(*accepted)]);
+            }
+            DetectMsg::ReReport { from, epoch } => {
+                out.put(&[11]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&epoch.to_le_bytes());
+            }
+            DetectMsg::IntervalBatch {
+                from,
+                groups,
+                resync,
+            } => {
+                out.put(&[12]);
+                out.put(&from.0.to_le_bytes());
+                out.put(&[u8::from(*resync)]);
+                if *resync {
+                    codec.encode_batch_standalone(groups, out);
+                } else {
+                    codec.encode_batch(groups, out);
+                }
+            }
         }
+    }
+
+    /// Reads one message from where `r` stands, advancing `codec` if it
+    /// carries intervals. The retired subtags 3–6 and the unassigned 7
+    /// are refused as unknown.
+    pub fn decode(r: &mut Reader<'_>, codec: &mut ConnCodec) -> Result<DetectMsg, DecodeError> {
+        Ok(match r.u8(TRUNCATED)? {
+            0 => DetectMsg::Interval {
+                from: ProcessId(r.u32_le(TRUNCATED)?),
+                resync: get_flag(r, "bad resync flag")?,
+                interval: codec.decode(r)?,
+            },
+            1 => {
+                let from = ProcessId(r.u32_le(TRUNCATED)?);
+                let epoch = r.u64_le(TRUNCATED)?;
+                let parent = get_optional(r, "bad parent flag")?;
+                let n = r.u8(TRUNCATED)? as usize;
+                let mut ancestors = Vec::with_capacity(n);
+                for _ in 0..n {
+                    ancestors.push(ProcessId(r.u32_le(TRUNCATED)?));
+                }
+                DetectMsg::Heartbeat {
+                    from,
+                    epoch,
+                    parent,
+                    ancestors,
+                }
+            }
+            2 => DetectMsg::Ack {
+                from: ProcessId(r.u32_le(TRUNCATED)?),
+                upto: r.u64_le(TRUNCATED)?,
+            },
+            8 => DetectMsg::Suspect {
+                from: ProcessId(r.u32_le(TRUNCATED)?),
+                suspect: ProcessId(r.u32_le(TRUNCATED)?),
+            },
+            9 => DetectMsg::Adopt {
+                child: ProcessId(r.u32_le(TRUNCATED)?),
+                epoch: r.u64_le(TRUNCATED)?,
+                dead_parent: get_optional(r, "bad dead-parent flag")?,
+            },
+            10 => DetectMsg::AdoptAck {
+                from: ProcessId(r.u32_le(TRUNCATED)?),
+                child: ProcessId(r.u32_le(TRUNCATED)?),
+                epoch: r.u64_le(TRUNCATED)?,
+                accepted: get_flag(r, "bad accepted flag")?,
+            },
+            11 => DetectMsg::ReReport {
+                from: ProcessId(r.u32_le(TRUNCATED)?),
+                epoch: r.u64_le(TRUNCATED)?,
+            },
+            12 => DetectMsg::IntervalBatch {
+                from: ProcessId(r.u32_le(TRUNCATED)?),
+                resync: get_flag(r, "bad resync flag")?,
+                groups: codec.decode_batch(r)?,
+            },
+            _ => return Err(DecodeError("unknown detect subtag")),
+        })
     }
 
     /// True for the algorithm's own traffic (what Figures 4–5 count);
@@ -166,9 +315,35 @@ impl DetectMsg {
     }
 }
 
-/// Fixed per-message overhead of an interval report on the wire: the
-/// `from` process id (the same 8 bytes [`DetectMsg::wire_size`] charges).
-pub(crate) const INTERVAL_MSG_OVERHEAD: usize = 8;
+/// What every fixed-width read of a message fails with.
+const TRUNCATED: &str = "message truncated";
+
+/// A process id that may be absent: a `u8` flag, then the id if present.
+fn put_optional(out: &mut impl Sink, p: Option<ProcessId>) {
+    match p {
+        Some(p) => {
+            out.put(&[1]);
+            out.put(&p.0.to_le_bytes());
+        }
+        None => out.put(&[0]),
+    }
+}
+
+fn get_optional(r: &mut Reader<'_>, bad: &'static str) -> Result<Option<ProcessId>, DecodeError> {
+    match r.u8(TRUNCATED)? {
+        0 => Ok(None),
+        1 => Ok(Some(ProcessId(r.u32_le(TRUNCATED)?))),
+        _ => Err(DecodeError(bad)),
+    }
+}
+
+fn get_flag(r: &mut Reader<'_>, bad: &'static str) -> Result<bool, DecodeError> {
+    match r.u8(TRUNCATED)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(DecodeError(bad)),
+    }
+}
 
 /// Per-connection delta codec for the child → parent interval stream.
 ///
@@ -183,7 +358,9 @@ pub(crate) const INTERVAL_MSG_OVERHEAD: usize = 8;
 ///
 /// * **FIFO**: stateful frames must be decoded in the order they were
 ///   encoded. The monitor's reliability layer already guarantees in-order
-///   delivery to the engine; the codec rides the same stream.
+///   delivery to the engine; the codec rides the same stream. TCP is FIFO
+///   per connection; the simulator's links reorder, so its stateful bills
+///   are a lower bound (`docs/PERF.md` §3).
 /// * **Resync**: a [`standalone`](Self::encode_standalone) frame depends
 ///   on no prior state and may be decoded cold. Both halves reset their
 ///   base to that frame's `lo`, so retransmissions and re-reports after a
@@ -238,7 +415,7 @@ impl ConnCodec {
     /// Appends `iv` to `buf` as the next frame of the stream and advances
     /// the base. Uses the stateful (smaller) form when a base of matching
     /// width is available, and the standalone form otherwise.
-    pub fn encode(&mut self, iv: &Interval, buf: &mut Vec<u8>) {
+    pub fn encode(&mut self, iv: &Interval, buf: &mut impl Sink) {
         let base = self.usable_base(Some(iv));
         let standalone = base.is_none();
         encode_interval_delta(iv, base, buf);
@@ -248,7 +425,7 @@ impl ConnCodec {
     /// Encodes `iv` standalone (no dependence on connection state) and
     /// resets the base to `iv.lo`. Use for retransmissions and re-reports
     /// to a new parent.
-    pub fn encode_standalone(&mut self, iv: &Interval, buf: &mut Vec<u8>) {
+    pub fn encode_standalone(&mut self, iv: &Interval, buf: &mut impl Sink) {
         encode_interval_delta(iv, None, buf);
         self.note_encoded(true, Some(iv));
     }
@@ -262,9 +439,10 @@ impl ConnCodec {
     }
 
     /// Size `iv` would occupy as the next stateful frame. Pure query: does
-    /// not advance the base — pair with [`note_sent`](Self::note_sent)
-    /// when only sizes are needed (the simulator ships structured messages
-    /// and charges bytes separately).
+    /// not advance the base — pair with [`note_sent`](Self::note_sent).
+    /// The monitor bills by running [`DetectMsg::encode`] into a counting
+    /// sink instead; this query, [`standalone_len`](Self::standalone_len)
+    /// and `note_sent` remain for `ftscp_bench`'s per-sender codec replay.
     pub fn stateful_len(&self, iv: &Interval) -> usize {
         encoded_interval_delta_len(iv, self.usable_base(Some(iv)))
     }
@@ -285,7 +463,7 @@ impl ConnCodec {
     /// width exists), later groups against their predecessor, and the
     /// base advances to the *last* group's `lo` — the batch behaves like
     /// the same intervals sent back to back, at a fraction of the bytes.
-    pub fn encode_batch(&mut self, groups: &[TenantGroup], buf: &mut Vec<u8>) {
+    pub fn encode_batch(&mut self, groups: &[TenantGroup], buf: &mut impl Sink) {
         let base = self.usable_base(groups.first().map(|(_, iv)| iv));
         let standalone = base.is_none();
         encode_tenant_batch(groups, base, buf);
@@ -295,7 +473,7 @@ impl ConnCodec {
     /// Encodes a batch standalone (decodable cold) and resyncs the base
     /// to the last group's `lo`. Use for the first flush on a connection
     /// and for re-reports after a tree repair.
-    pub fn encode_batch_standalone(&mut self, groups: &[TenantGroup], buf: &mut Vec<u8>) {
+    pub fn encode_batch_standalone(&mut self, groups: &[TenantGroup], buf: &mut impl Sink) {
         encode_tenant_batch(groups, None, buf);
         self.note_encoded(true, groups.last().map(|(_, iv)| iv));
     }
@@ -314,7 +492,13 @@ impl ConnCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftscp_intervals::codec::Len;
     use ftscp_vclock::VectorClock;
+
+    /// The bytes `msg` occupies on a fresh connection.
+    fn size(msg: &DetectMsg) -> usize {
+        Len::of(|len| msg.encode(&mut ConnCodec::new(), len))
+    }
 
     #[test]
     fn sizes_scale_with_interval_width() {
@@ -328,28 +512,28 @@ mod tests {
             interval: Interval::local(ProcessId(0), 0, VectorClock::new(64), VectorClock::new(64)),
             resync: false,
         };
-        assert!(wide.wire_size() > narrow.wire_size());
+        assert!(size(&wide) > size(&narrow));
         let hb = DetectMsg::Heartbeat {
             from: ProcessId(0),
             epoch: 0,
             parent: None,
             ancestors: vec![],
         };
-        assert!(hb.wire_size() < narrow.wire_size());
+        assert!(size(&hb) < size(&narrow));
         let hb_with_hint = DetectMsg::Heartbeat {
             from: ProcessId(0),
             epoch: 0,
             parent: Some(ProcessId(1)),
             ancestors: vec![],
         };
-        assert!(hb_with_hint.wire_size() > hb.wire_size());
+        assert!(size(&hb_with_hint) > size(&hb));
         let hb_with_chain = DetectMsg::Heartbeat {
             from: ProcessId(0),
             epoch: 0,
             parent: Some(ProcessId(1)),
             ancestors: vec![ProcessId(2), ProcessId(3)],
         };
-        assert!(hb_with_chain.wire_size() > hb_with_hint.wire_size());
+        assert!(size(&hb_with_chain) > size(&hb_with_hint));
     }
 
     fn iv(seq: u64, lo: Vec<u32>, hi: Vec<u32>) -> Interval {

@@ -25,8 +25,9 @@
 use crate::engine::{EngineOutput, NodeEngine};
 use crate::membership::{Membership, MembershipEvent, RepairState, ANCESTOR_HINT_CAP};
 use crate::monitor::MonitorConfig;
-use crate::protocol::{ConnCodec, DetectMsg, INTERVAL_MSG_OVERHEAD};
+use crate::protocol::{ConnCodec, DetectMsg};
 use crate::report::GlobalDetection;
+use ftscp_intervals::codec::Len;
 use ftscp_intervals::Interval;
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
@@ -693,11 +694,12 @@ impl MonitorCore {
 
     /// The one way an interval report leaves for the parent: bills it,
     /// counts it and sends it, returning the billed size (0, and nothing
-    /// sent, without a parent). A fresh report is the next stateful frame
-    /// of the uplink stream, charged at its delta-coded size; a
-    /// retransmission or re-report is `standalone` — decodable by a parent
-    /// that missed the originals — and does not advance the uplink codec:
-    /// the live stream's base is unaffected by re-sends.
+    /// sent, without a parent): the length [`DetectMsg::encode`] writes
+    /// for the whole message. A fresh report is the next stateful frame
+    /// of the uplink stream; a retransmission or re-report is `standalone`
+    /// — decodable by a parent that missed the originals, encoded on a
+    /// fresh codec — and does not advance the uplink codec: the live
+    /// stream's base is unaffected by re-sends.
     fn report(
         &mut self,
         t: &mut impl Transport,
@@ -708,25 +710,20 @@ impl MonitorCore {
         let Some(parent) = self.parent else {
             return 0;
         };
-        let frame = if standalone {
-            ConnCodec::standalone_len(&interval)
-        } else {
-            let len = self.uplink_codec.stateful_len(&interval);
-            self.uplink_codec.note_sent(&interval);
-            len
+        let msg = DetectMsg::Interval {
+            from: self.me,
+            interval,
+            resync,
         };
-        let size = INTERVAL_MSG_OVERHEAD + frame;
+        let mut cold = ConnCodec::new();
+        let codec = if standalone {
+            &mut cold
+        } else {
+            &mut self.uplink_codec
+        };
+        let size = Len::of(|len| msg.encode(codec, len));
         self.interval_msgs_sent += 1;
-        let from = self.me;
-        t.send_sized(
-            parent,
-            DetectMsg::Interval {
-                from,
-                interval,
-                resync,
-            },
-            size,
-        );
+        t.send_sized(parent, msg, size);
         size
     }
 
@@ -1173,10 +1170,8 @@ mod tests {
         // The second report is billed as a stateful frame against the
         // first one's lo — never larger than a standalone frame (ties are
         // possible for tiny clocks).
-        let DetectMsg::Interval { interval, .. } = msg else {
-            unreachable!()
-        };
-        assert!(size.unwrap() <= INTERVAL_MSG_OVERHEAD + ConnCodec::standalone_len(interval));
+        let cold = Len::of(|len| msg.encode(&mut ConnCodec::new(), len));
+        assert!(size.unwrap() <= cold);
     }
 
     #[test]
@@ -1194,16 +1189,13 @@ mod tests {
         core.resync_uplink(&mut t);
         assert_eq!(t.sent.len(), 1, "last output re-reported");
         let (_, msg, size) = &t.sent[0];
-        let DetectMsg::Interval {
-            interval, resync, ..
-        } = msg
-        else {
+        let DetectMsg::Interval { resync, .. } = msg else {
             unreachable!()
         };
         assert!(*resync, "re-report is a resync point");
         assert_eq!(
             size.unwrap(),
-            INTERVAL_MSG_OVERHEAD + ConnCodec::standalone_len(interval),
+            Len::of(|len| msg.encode(&mut ConnCodec::new(), len)),
             "billed standalone — the receiving decoder is cold"
         );
     }

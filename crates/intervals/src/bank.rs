@@ -74,7 +74,9 @@ pub enum SweepMode {
     ///
     /// * the **restricted row** against every other live head, which reads
     ///   `(h − 1)·|C(x)| + Σ_{y≠x} |C(y)|` components over `h` live heads
-    ///   (`C` a head's coverage), billed one unit per component read;
+    ///   (`C` a head's coverage), billed one unit per component read — a
+    ///   side whose coverage reaches `⌈n/8⌉` processes is tested
+    ///   word-chunked instead, at most `⌈n/8⌉` units;
     /// * the **`⊓`-gate**: one test of the visitor against a running
     ///   per-component `⊓`-summary of the other heads ([`SweepSummary`],
     ///   Theorem 1 / Lemma 1), billed two units per
@@ -337,12 +339,17 @@ fn recycle<'b, T>(mut v: Vec<&T>) -> Vec<&'b T> {
 /// part alone is not enough even between disjoint subtrees: `lo(x)` can
 /// equal a sibling's `hi` exactly.
 ///
-/// A coverage that is empty or names a component `≥ n` cannot be read
-/// this way; the pair goes to the `n`-wide word-chunked comparator, which
-/// bills `ops` per word on top of the components already read. Debug
+/// Reading the coverage pays only while it is narrower than the clock's
+/// `⌈n/8⌉` words: a coverage at least that wide goes straight to the
+/// `n`-wide word-chunked comparator, which bills `ops` per word. A
+/// coverage that is empty or names a component `≥ n` cannot be read this
+/// way and goes there too, on top of the components already read. Debug
 /// builds check every verdict against the `n`-wide order.
 fn covered_less(x: &Interval, hi: &VectorClock, ops: &OpCounter, bill: &mut u64) -> bool {
     let (lo, up) = (x.lo.components(), hi.components());
+    if x.coverage.len() >= lo.len().div_ceil(CHUNK_WIDTH) {
+        return order::strictly_less_chunked_counted(&x.lo, hi, ops);
+    }
     let mut strict = false;
     let mut fits = !x.coverage.is_empty();
     for c in x.coverage.iter().map(|r| r.process.index()) {
@@ -654,13 +661,15 @@ impl QueueBank {
     }
 
     /// Whether a visit of head `x` bills less through the `⊓`-gate than
-    /// through the restricted row: the row reads `(h − 1)·|C(x)|`
-    /// components for `x`'s side and every other live head's coverage for
-    /// theirs, a gate pass bills two units per word.
+    /// through the restricted row: the row reads `(h − 1)·min(|C(x)|,
+    /// ⌈n/8⌉)` for `x`'s side ([`covered_less`] goes word-chunked from
+    /// `⌈n/8⌉` covered processes on) and every other live head's coverage
+    /// for theirs, a gate pass bills two units per word.
     fn gate_is_cheaper(&self, x: &Interval) -> bool {
         let (live, cover) = (self.with_head.len(), x.coverage.len());
-        let row = (live - 1) * cover + (self.covered - cover);
-        row >= 2 * x.width().div_ceil(CHUNK_WIDTH)
+        let words = x.width().div_ceil(CHUNK_WIDTH);
+        let row = (live - 1) * cover.min(words) + (self.covered - cover);
+        row >= 2 * words
     }
 
     /// The main loop: pairwise sweep to fixpoint, then solution emission and
@@ -1347,6 +1356,40 @@ mod tests {
             assert_eq!((fs.swept, fs.solutions), (*swept, *solutions));
             assert_eq!((fs.swept, fs.solutions), (gs.swept, gs.solutions));
             assert_eq!((gs.gate_hits, gs.gate_misses), (0, 0), "rows, not the gate");
+        }
+    }
+
+    /// A coverage that reaches the clock's word count is not read: the
+    /// test bills what the word-chunked comparator bills. One narrower is
+    /// still read a component per covered process.
+    #[test]
+    fn coverage_as_wide_as_the_words_is_billed_word_chunked() {
+        let width = 16; // two words
+        let clock = |c: u32| {
+            let mut v = vec![0; width];
+            v[..3].fill(c);
+            v
+        };
+        let hi = VectorClock::from_components(clock(3));
+        let mut x = iv(0, 0, &clock(1), &clock(2));
+        for (covers, bill_expected) in [(1u32, 1), (2, 0), (3, 0)] {
+            x.coverage = (0..covers)
+                .map(|p| crate::IntervalRef {
+                    process: ProcessId(p),
+                    seq: 0,
+                })
+                .collect();
+            let (ops, mut bill) = (OpCounter::new(), 0);
+            assert!(covered_less(&x, &hi, &ops, &mut bill));
+            let chunked = OpCounter::new();
+            order::strictly_less_chunked_counted(&x.lo, &hi, &chunked);
+            let ops_expected = if bill_expected == 0 { chunked.get() } else { 0 };
+            assert_eq!(chunked.get(), 2, "a whole two-word pass");
+            assert_eq!(
+                (bill, ops.get()),
+                (bill_expected, ops_expected),
+                "|C| = {covers}"
+            );
         }
     }
 

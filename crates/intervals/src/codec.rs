@@ -47,10 +47,11 @@
 //!
 //! [`encoded_interval_len`] is not a size of anything this module emits:
 //! it is the paper's `O(n)` report size (§IV) — fixed-width, 4 bytes per
-//! clock component — which `Interval::wire_size`, the baselines and the
-//! bench's `bytes_per_interval.dense` column bill, and which the delta
-//! sizes are compared with. It lives here so that every byte count of an
-//! interval comes from one module.
+//! clock component — and its one formula: the centralized baseline bills
+//! it, the bench's `bytes_per_interval.dense` column reports it, and the
+//! delta sizes are compared with it. A monitor's message is billed at
+//! what its own encoder (`core::protocol`'s `DetectMsg::encode`) writes,
+//! run into a [`Len`].
 
 use crate::interval::{Interval, IntervalKind, IntervalRef};
 use ftscp_vclock::{ProcessId, VectorClock};
@@ -173,7 +174,7 @@ impl Sink for Len {
 
 impl Len {
     /// The number of bytes `encode` emits.
-    fn of(encode: impl FnOnce(&mut Len)) -> usize {
+    pub fn of(encode: impl FnOnce(&mut Len)) -> usize {
         let mut len = Len(0);
         encode(&mut len);
         len.0

@@ -107,13 +107,6 @@ impl Interval {
     pub fn is_well_formed(&self) -> bool {
         self.lo.less_eq(&self.hi)
     }
-
-    /// The paper-unit report size in bytes — fixed-width fields, 4 bytes
-    /// per clock component ([`crate::codec::encoded_interval_len`]). Used
-    /// for message-size accounting; delta frames on a socket are smaller.
-    pub fn wire_size(&self) -> usize {
-        crate::codec::encoded_interval_len(self)
-    }
 }
 
 impl fmt::Debug for Interval {
@@ -164,14 +157,6 @@ mod tests {
     fn ill_formed_interval_detected() {
         let iv = Interval::local(ProcessId(0), 0, vc(&[5, 0]), vc(&[1, 9]));
         assert!(!iv.is_well_formed());
-    }
-
-    #[test]
-    fn wire_size_includes_bounds_and_coverage() {
-        let iv = Interval::local(ProcessId(0), 0, vc(&[0, 0]), vc(&[1, 1]));
-        // source 4 + seq 8 + kind tag 1 + two clocks of (4 + 2·4) bytes
-        // + coverage length 4 + one coverage entry 12
-        assert_eq!(iv.wire_size(), 4 + 8 + 1 + 12 + 12 + 4 + 12);
     }
 
     #[test]

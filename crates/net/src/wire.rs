@@ -12,29 +12,17 @@
 //! Frame payload := u8 tag, fields…
 //!   1 Hello    := u32 node, u8 peer_kind (0 child / 1 client), u8 proto
 //!   2 HelloAck := u32 node
-//!   3 Detect   := u8 subtag, fields…
-//!        0 Interval    := u32 from, u8 resync, interval frame (codec)
-//!        1 Heartbeat   := u32 from, u64 epoch, u8 has_parent, [u32 parent],
-//!                         u8 n_ancestors, n × u32 ancestor
-//!        2 Ack         := u32 from, u64 upto
-//!      3–6 (retired)
-//!        7 (unassigned)
-//!        8 Suspect     := u32 from, u32 suspect
-//!        9 Adopt       := u32 child, u64 epoch, u8 has_dead, [u32 dead_parent]
-//!       10 AdoptAck    := u32 from, u32 child, u64 epoch, u8 accepted
-//!       11 ReReport    := u32 from, u64 epoch
-//!       12 IntervalBatch := u32 from, u8 resync, tenant batch frame (codec)
+//!   3 Detect   := DetectMsg (u8 subtag, fields…)
 //!   4 Event    := interval frame (codec)
 //!   5 Fin      := u32 node
 //!   6 Uplink   := u8 has_parent, [u32 parent, u16 addr_len, addr bytes],
 //!                 u8 n_ancestors, n × (u32 id, u16 addr_len, addr bytes)
 //! ```
 //!
-//! Subtags 3–6 are retired: they carried a clairvoyant harness's four
-//! tree-repair control messages, and no monitor sends or applies such a
-//! message any more. Every tree, simulated or TCP, repairs itself
-//! through `Suspect`/`Adopt`/`AdoptAck`/`ReReport`, and a frame carrying
-//! 3–6 is refused like the unassigned subtag 7.
+//! A `Detect` payload is laid out by `ftscp_core::protocol` — the subtag
+//! table is in that module's doc — through [`DetectMsg::encode`] and
+//! [`DetectMsg::decode`], the same encoder whose length the simulator
+//! bills. This module adds only the session tag around it.
 //!
 //! `Uplink` is the TCP-specific half of the grandparent hint: a parent
 //! periodically tells each child where *its own* uplink points (process
@@ -120,10 +108,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_addr(out: &mut Vec<u8>, addr: &str) {
     let bytes = addr.as_bytes();
     debug_assert!(bytes.len() <= u16::MAX as usize);
@@ -151,97 +135,7 @@ pub fn encode_msg(msg: &NetMsg, codec: &mut ConnCodec) -> Vec<u8> {
         }
         NetMsg::Detect(d) => {
             out.push(3);
-            match d {
-                DetectMsg::Interval {
-                    from,
-                    interval,
-                    resync,
-                } => {
-                    out.push(0);
-                    put_u32(&mut out, from.0);
-                    out.push(u8::from(*resync));
-                    codec.encode(interval, &mut out);
-                }
-                DetectMsg::Heartbeat {
-                    from,
-                    epoch,
-                    parent,
-                    ancestors,
-                } => {
-                    out.push(1);
-                    put_u32(&mut out, from.0);
-                    put_u64(&mut out, *epoch);
-                    match parent {
-                        Some(p) => {
-                            out.push(1);
-                            put_u32(&mut out, p.0);
-                        }
-                        None => out.push(0),
-                    }
-                    debug_assert!(ancestors.len() <= u8::MAX as usize);
-                    out.push(ancestors.len() as u8);
-                    for a in ancestors {
-                        put_u32(&mut out, a.0);
-                    }
-                }
-                DetectMsg::Ack { from, upto } => {
-                    out.push(2);
-                    put_u32(&mut out, from.0);
-                    put_u64(&mut out, *upto);
-                }
-                DetectMsg::Suspect { from, suspect } => {
-                    out.push(8);
-                    put_u32(&mut out, from.0);
-                    put_u32(&mut out, suspect.0);
-                }
-                DetectMsg::Adopt {
-                    child,
-                    epoch,
-                    dead_parent,
-                } => {
-                    out.push(9);
-                    put_u32(&mut out, child.0);
-                    put_u64(&mut out, *epoch);
-                    match dead_parent {
-                        Some(d) => {
-                            out.push(1);
-                            put_u32(&mut out, d.0);
-                        }
-                        None => out.push(0),
-                    }
-                }
-                DetectMsg::AdoptAck {
-                    from,
-                    child,
-                    epoch,
-                    accepted,
-                } => {
-                    out.push(10);
-                    put_u32(&mut out, from.0);
-                    put_u32(&mut out, child.0);
-                    put_u64(&mut out, *epoch);
-                    out.push(u8::from(*accepted));
-                }
-                DetectMsg::ReReport { from, epoch } => {
-                    out.push(11);
-                    put_u32(&mut out, from.0);
-                    put_u64(&mut out, *epoch);
-                }
-                DetectMsg::IntervalBatch {
-                    from,
-                    groups,
-                    resync,
-                } => {
-                    out.push(12);
-                    put_u32(&mut out, from.0);
-                    out.push(u8::from(*resync));
-                    if *resync {
-                        codec.encode_batch_standalone(groups, &mut out);
-                    } else {
-                        codec.encode_batch(groups, &mut out);
-                    }
-                }
-            }
+            d.encode(codec, &mut out);
         }
         NetMsg::Event(iv) => {
             out.push(4);
@@ -301,92 +195,7 @@ pub fn decode_msg(frame: &[u8], codec: &mut ConnCodec) -> Result<NetMsg, DecodeE
         2 => NetMsg::HelloAck {
             node: ProcessId(c.u32_le(TRUNCATED)?),
         },
-        3 => {
-            let d = match c.u8(TRUNCATED)? {
-                0 => {
-                    let from = ProcessId(c.u32_le(TRUNCATED)?);
-                    let resync = match c.u8(TRUNCATED)? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(DecodeError("bad resync flag")),
-                    };
-                    let interval = codec.decode(&mut c)?;
-                    DetectMsg::Interval {
-                        from,
-                        interval,
-                        resync,
-                    }
-                }
-                1 => {
-                    let from = ProcessId(c.u32_le(TRUNCATED)?);
-                    let epoch = c.u64_le(TRUNCATED)?;
-                    let parent = match c.u8(TRUNCATED)? {
-                        0 => None,
-                        1 => Some(ProcessId(c.u32_le(TRUNCATED)?)),
-                        _ => return Err(DecodeError("bad parent flag")),
-                    };
-                    let n = c.u8(TRUNCATED)? as usize;
-                    let mut ancestors = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        ancestors.push(ProcessId(c.u32_le(TRUNCATED)?));
-                    }
-                    DetectMsg::Heartbeat {
-                        from,
-                        epoch,
-                        parent,
-                        ancestors,
-                    }
-                }
-                2 => DetectMsg::Ack {
-                    from: ProcessId(c.u32_le(TRUNCATED)?),
-                    upto: c.u64_le(TRUNCATED)?,
-                },
-                8 => DetectMsg::Suspect {
-                    from: ProcessId(c.u32_le(TRUNCATED)?),
-                    suspect: ProcessId(c.u32_le(TRUNCATED)?),
-                },
-                9 => DetectMsg::Adopt {
-                    child: ProcessId(c.u32_le(TRUNCATED)?),
-                    epoch: c.u64_le(TRUNCATED)?,
-                    dead_parent: match c.u8(TRUNCATED)? {
-                        0 => None,
-                        1 => Some(ProcessId(c.u32_le(TRUNCATED)?)),
-                        _ => return Err(DecodeError("bad dead-parent flag")),
-                    },
-                },
-                10 => DetectMsg::AdoptAck {
-                    from: ProcessId(c.u32_le(TRUNCATED)?),
-                    child: ProcessId(c.u32_le(TRUNCATED)?),
-                    epoch: c.u64_le(TRUNCATED)?,
-                    accepted: match c.u8(TRUNCATED)? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(DecodeError("bad accepted flag")),
-                    },
-                },
-                11 => DetectMsg::ReReport {
-                    from: ProcessId(c.u32_le(TRUNCATED)?),
-                    epoch: c.u64_le(TRUNCATED)?,
-                },
-                12 => {
-                    let from = ProcessId(c.u32_le(TRUNCATED)?);
-                    let resync = match c.u8(TRUNCATED)? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(DecodeError("bad resync flag")),
-                    };
-                    let groups = codec.decode_batch(&mut c)?;
-                    DetectMsg::IntervalBatch {
-                        from,
-                        groups,
-                        resync,
-                    }
-                }
-                // 3–6 (retired) and 7 (unassigned) included.
-                _ => return Err(DecodeError("unknown detect subtag")),
-            };
-            NetMsg::Detect(d)
-        }
+        3 => NetMsg::Detect(DetectMsg::decode(&mut c, codec)?),
         4 => NetMsg::Event(codec.decode(&mut c)?),
         5 => NetMsg::Fin {
             from: ProcessId(c.u32_le(TRUNCATED)?),

@@ -245,14 +245,6 @@ impl VectorClock {
     pub fn concurrent(&self, other: &VectorClock) -> bool {
         crate::order::concurrent(self, other)
     }
-
-    /// Approximate serialized size in bytes under the *dense* wire format
-    /// (`u32` length prefix + one `u32` per component), used by the
-    /// simulator's message-size accounting when no per-connection delta
-    /// state is available.
-    pub fn wire_size(&self) -> usize {
-        4 * self.len() + 4
-    }
 }
 
 /// A refcount bump, counted as one logical clone.
@@ -420,11 +412,6 @@ mod tests {
         let a = vc(&[1, 1]);
         assert!(a.less_eq(&a));
         assert!(!a.strictly_less(&a));
-    }
-
-    #[test]
-    fn wire_size_scales_with_width() {
-        assert_eq!(vc(&[0; 8]).wire_size(), 36);
     }
 
     #[test]

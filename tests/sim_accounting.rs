@@ -28,7 +28,9 @@ fn sim_config(seed: u64) -> SimConfig {
 }
 
 /// `[sends, delivered, hop_messages, hop_bytes, undeliverable,
-/// dropped_dead_dst, max_edge_load, events_processed]`.
+/// dropped_dead_dst, max_edge_load, events_processed]`. A monitor's message
+/// weighs what `DetectMsg::encode` writes for it, the sink baseline's the
+/// paper's fixed-width report.
 fn counters(m: &NetMetrics, events: u64) -> [u64; 8] {
     [
         m.sends,
@@ -74,7 +76,7 @@ fn heartbeat_driven_crash_accounting_is_pinned() {
     dep.run();
     assert_eq!(
         counters(dep.metrics(), dep.events_processed()),
-        [40_982, 40_903, 40_982, 1_205_371, 58, 3, 1_082, 84_909]
+        [40_982, 40_903, 40_982, 1_242_517, 58, 3, 1_082, 84_909]
     );
     let dets = dep.detections();
     assert_eq!(dets.len(), 12);
@@ -117,7 +119,7 @@ fn root_crash_repair_and_restart_accounting_is_pinned() {
     dep.run();
     assert_eq!(
         counters(dep.metrics(), dep.events_processed()),
-        [40_329, 40_247, 44_496, 1_446_166, 559, 7, 3_059, 74_810]
+        [40_329, 40_247, 44_496, 1_489_234, 559, 7, 3_059, 74_810]
     );
     assert_eq!(dep.tree().root(), ProcessId(1), "the heir took over");
     assert_eq!(dep.app(ProcessId(2)).parent(), Some(ProcessId(7)));
