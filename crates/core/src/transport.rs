@@ -171,12 +171,12 @@ pub struct MonitorCore {
     /// Current retransmit backoff multiplier (1 = base period); doubles on
     /// each firing without ack progress up to the configured cap.
     retransmit_backoff: u32,
-    /// Delta-codec state of the uplink to the current parent: fresh
-    /// reports go out as stateful frames against the previous report's
-    /// `lo`; retransmissions and re-reports are standalone and leave this
-    /// untouched. On the simulated backend this determines only the byte
-    /// sizes charged to the network; the TCP backend mirrors the same
-    /// decisions with a real per-connection codec.
+    /// Delta-codec state of the uplink to the current parent: every
+    /// interval message — fresh report, retransmission or re-report — is
+    /// encoded on it in send order, as TCP's connection codec writes them,
+    /// and [`resync_uplink`](Self::resync_uplink) resets it with the
+    /// connection. On the simulated backend this determines only the byte
+    /// sizes charged to the network.
     uplink_codec: ConnCodec,
     /// Heartbeats observed: peer → last time.
     heartbeat_seen: BTreeMap<ProcessId, SimTime>,
@@ -187,7 +187,7 @@ pub struct MonitorCore {
     /// Interval messages sent through the re-report path (resync bursts
     /// after a reconnect or adoption) — the §III-F repair traffic.
     re_report_msgs: u64,
-    /// Bytes billed for the re-report path (standalone frames).
+    /// Bytes billed for the re-report path.
     re_report_bytes: u64,
     /// Hold-after-drop: children suspected dead whose queues are *kept*
     /// until either the orphaned subtree reattaches (the `Adopt` that
@@ -682,7 +682,7 @@ impl MonitorCore {
                     }
                     // No parent (orphan root): the detection is recorded at
                     // engine level; nothing to transmit.
-                    self.report(t, interval, false, false);
+                    self.report(t, interval, false);
                 }
                 EngineOutput::Detected(sol) => {
                     self.detections
@@ -695,18 +695,11 @@ impl MonitorCore {
     /// The one way an interval report leaves for the parent: bills it,
     /// counts it and sends it, returning the billed size (0, and nothing
     /// sent, without a parent): the length [`DetectMsg::encode`] writes
-    /// for the whole message. A fresh report is the next stateful frame
-    /// of the uplink stream; a retransmission or re-report is `standalone`
-    /// — decodable by a parent that missed the originals, encoded on a
-    /// fresh codec — and does not advance the uplink codec: the live
-    /// stream's base is unaffected by re-sends.
-    fn report(
-        &mut self,
-        t: &mut impl Transport,
-        interval: Interval,
-        standalone: bool,
-        resync: bool,
-    ) -> usize {
+    /// for the whole message on the uplink codec, which it advances. A
+    /// fresh report, a retransmission and a re-report are alike the next
+    /// frame of the uplink stream; the first after
+    /// [`resync_uplink`](Self::resync_uplink)'s reset is standalone.
+    fn report(&mut self, t: &mut impl Transport, interval: Interval, resync: bool) -> usize {
         let Some(parent) = self.parent else {
             return 0;
         };
@@ -715,13 +708,7 @@ impl MonitorCore {
             interval,
             resync,
         };
-        let mut cold = ConnCodec::new();
-        let codec = if standalone {
-            &mut cold
-        } else {
-            &mut self.uplink_codec
-        };
-        let size = Len::of(|len| msg.encode(codec, len));
+        let size = Len::of(|len| msg.encode(&mut self.uplink_codec, len));
         self.interval_msgs_sent += 1;
         t.send_sized(parent, msg, size);
         size
@@ -747,7 +734,7 @@ impl MonitorCore {
         let msgs = burst.len() as u64;
         let mut bytes = 0u64;
         for (i, interval) in burst.into_iter().enumerate() {
-            bytes += self.report(t, interval, true, resync_first && i == 0) as u64;
+            bytes += self.report(t, interval, resync_first && i == 0) as u64;
         }
         (msgs, bytes)
     }
@@ -771,7 +758,7 @@ impl MonitorCore {
         } else if let (Some(_), Some(last)) = (self.parent, self.engine.last_output().cloned()) {
             // Standalone frame: the receiving decoder is cold.
             self.re_report_msgs += 1;
-            self.re_report_bytes += self.report(t, last, true, true) as u64;
+            self.re_report_bytes += self.report(t, last, true) as u64;
         }
     }
 

@@ -57,7 +57,7 @@ const ROUNDS: usize = 2_000;
 
 /// The bound per profile: a debug build keeps the `⊓`-summary's and the
 /// bank's `debug_assert!` re-derivations, which allocate.
-const BUDGET: f64 = if cfg!(debug_assertions) { 7.8 } else { 6.5 };
+const BUDGET: f64 = if cfg!(debug_assertions) { 7.65 } else { 6.35 };
 
 #[test]
 fn feed_allocation_budget() {

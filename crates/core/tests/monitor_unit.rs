@@ -345,7 +345,14 @@ fn ack_clears_unacked_buffer() {
 #[test]
 fn a_batch_is_its_intervals_back_to_back_with_one_ack() {
     // Round `s` of every process pairwise overlaps: one solution a round.
-    let round = |p: u32, s: u32| iv(p, u64::from(s), &[2 * s + 1; 2], &[2 * s + 2; 2]);
+    // Each process starts its interval with a send and ends it with the
+    // receipt of the other's.
+    let round = |p: u32, s: u32| {
+        let (mut lo, mut hi) = ([2 * s; 2], [2 * s + 1; 2]);
+        lo[p as usize] += 1;
+        hi[p as usize] += 1;
+        iv(p, u64::from(s), &lo, &hi)
+    };
     let root = || {
         let config = MonitorConfig {
             heartbeat_period: None,

@@ -254,12 +254,24 @@ impl Explorer {
     }
 
     /// Process `v`'s interval of `round`: the rounds' intervals overlap
-    /// pairwise within a round and not across.
+    /// pairwise within a round and not across. The bounds are the
+    /// timestamps of a round in which every process starts its interval
+    /// (own event `base + 1`), sends twice (`base + 2`, `base + 3`) and
+    /// ends it (`base + 4`) after hearing its successor's first send and
+    /// everyone else's second. So the ends are pairwise concurrent, and no
+    /// `⊓` of some processes' intervals precedes another process's end or
+    /// another disjoint `⊓`: Eq. (10) prunes every member of a round's
+    /// solution, and a next round's start has heard every end.
     fn interval(&self, v: usize, round: usize) -> Interval {
         let n = self.row.parents.len();
         let base = 4 * round as u32 + 1;
         let lo: Vec<u32> = (0..n).map(|j| base + u32::from(j == v)).collect();
-        let (lo, hi) = (lo.as_slice(), &vec![base + 2; n][..]);
+        let heard = |j: usize| match j {
+            _ if j == v => 4,
+            _ if j == (v + 1) % n => 2,
+            _ => 3,
+        };
+        let hi: Vec<u32> = (0..n).map(|j| base + heard(j)).collect();
         let clock = VectorClock::from_components;
         Interval::local(ProcessId(v as u32), round as u64, clock(lo), clock(hi))
     }

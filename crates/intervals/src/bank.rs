@@ -90,14 +90,20 @@ pub enum SweepMode {
     /// A head whose coverage is empty or names a component `≥ n` is tested
     /// `n`-wide by the word-chunked comparator instead.
     ///
+    /// Eq. (10)'s row reads a local disqualifier's `max` on its own
+    /// process's component alone (see [`crate::prune`]).
+    ///
     /// **Precondition:** every head's `lo` is the join of the start events
-    /// of the local intervals its coverage lists — true of every local
-    /// interval of a vector-clocked execution and of every `⊓` of such
-    /// intervals. Under it, deletion, emission, and prune decisions are
-    /// bit-identical to [`SweepMode::Full`]; only the traversal and the
-    /// operation count change. Debug builds check every restricted verdict
-    /// against the `n`-wide order. Arbitrary clock data that breaks the
-    /// precondition belongs on a `Full` bank.
+    /// of the local intervals its coverage lists, and its `hi` is the
+    /// timestamp of a local interval's end event or the meet of such
+    /// timestamps — true of every local interval of a vector-clocked
+    /// execution and of every `⊓` of such intervals. Under it, deletion,
+    /// emission, and prune decisions are bit-identical to
+    /// [`SweepMode::Full`]; only the traversal and the operation count
+    /// change. Debug builds check every restricted verdict and every
+    /// one-component Eq. (10) verdict against the `n`-wide order.
+    /// Arbitrary clock data that breaks the precondition belongs on a
+    /// `Full` bank.
     #[default]
     Aggregate,
 }
@@ -1058,9 +1064,12 @@ mod tests {
     fn trace_explains_detection_decisions() {
         let mut bank = QueueBank::new(2).with_trace();
         // a0 entirely precedes b0: swept. Then a1 overlaps b0: solution.
+        // P0 sends at its event 3 (P1's first event receives it) and at
+        // its event 6 (P1's event 5); P1 sends at its event 2 (P0's event
+        // 4).
         bank.enqueue(SlotId(0), iv(0, 0, &[1, 0], &[2, 0]));
         bank.enqueue(SlotId(1), iv(1, 0, &[3, 1], &[6, 5]));
-        bank.enqueue(SlotId(0), iv(0, 1, &[4, 2], &[5, 6]));
+        bank.enqueue(SlotId(0), iv(0, 1, &[4, 2], &[5, 2]));
         let trace = bank.take_trace();
         // Three enqueues recorded.
         let enqueues = trace
@@ -1135,8 +1144,8 @@ mod tests {
         // c0 has the least max: Eq. (10) prunes it alone, so a0 and b0
         // stay as emitted heads.
         let mut bank = QueueBank::new(3);
-        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 9, 8]));
-        bank.enqueue(SlotId(1), iv(1, 0, &[0, 1, 0], &[9, 9, 8]));
+        bank.enqueue(SlotId(0), iv(0, 0, &[1, 0, 0], &[9, 8, 8]));
+        bank.enqueue(SlotId(1), iv(1, 0, &[0, 1, 0], &[8, 9, 8]));
         let sols = bank.enqueue(SlotId(2), iv(2, 0, &[0, 0, 1], &[5, 5, 5]));
         assert_eq!((sols.len(), bank.resident()), (1, 2));
         // Slot 0 goes with its emitted head and comes back for an adopted
@@ -1223,9 +1232,9 @@ mod tests {
         assert!(sols.is_empty(), "subset re-release suppressed");
         // A second adopted queue reuses the slot, participates and leaves.
         let s3 = bank.add_queue();
-        bank.enqueue(s3, iv(7, 0, &[3, 2, 0], &[7, 7, 7]));
-        bank.enqueue(SlotId(0), iv(0, 1, &[4, 3, 0], &[7, 8, 7]));
-        let sols = bank.enqueue(SlotId(1), iv(1, 1, &[4, 4, 0], &[8, 7, 7]));
+        bank.enqueue(s3, iv(7, 0, &[3, 2, 0], &[13, 13, 13]));
+        bank.enqueue(SlotId(0), iv(0, 1, &[10, 9, 9], &[12, 10, 10]));
+        let sols = bank.enqueue(SlotId(1), iv(1, 1, &[9, 10, 9], &[11, 12, 10]));
         assert_eq!(sols.len(), 1, "solution across local + real + adopted");
         bank.remove_queue(s3);
         assert_eq!(bank.queue_count(), 2);
@@ -1237,7 +1246,9 @@ mod tests {
         // (round 0 fills the bank, round 1 revisits after the pops): with
         // two live heads a row already reads as much as a one-word gate
         // pass bills, so every visit but the first of a round takes the
-        // gate.
+        // gate. Each head's `max` leads its own component (`p mod 8`), so
+        // the maxes of distinct components are concurrent, as the Eq.
+        // (10) row reads a local head's own component.
         let (k, width) = (64usize, 8usize);
         let mut bank = QueueBank::new(k);
         let mut solutions = 0;
@@ -1245,7 +1256,8 @@ mod tests {
             for p in 0..k {
                 let mut lo = vec![10 * round; width];
                 lo[p % width] += 1;
-                let hi = vec![10 * round + 9; width];
+                let mut hi = vec![10 * round + 9; width];
+                hi[p % width] += 1;
                 solutions += bank
                     .enqueue(SlotId(p as u32), iv(p as u32, round.into(), &lo, &hi))
                     .len();
@@ -1293,6 +1305,35 @@ mod tests {
                 let expected = (0, u64::from(gated && mode == SweepMode::Aggregate));
                 assert_eq!(gate, expected, "{mode:?} at width {width}");
             }
+        }
+    }
+
+    /// Where Eq. (10)'s one-component reading needs its precondition. P0's
+    /// and P1's intervals end at the same vector `⟨2, 2⟩`, which no two
+    /// events of an execution share. The `n`-wide order finds neither max
+    /// below the other, so Eq. (10) prunes both after their solution, as a
+    /// `Full` bank does. Read on its owner's component each max ties with
+    /// the other, and for events a tie with another process's local max is
+    /// strict, so the default bank would keep both heads: a debug build
+    /// stops on the first diverging verdict, a release build keeps them.
+    #[test]
+    fn a_max_two_processes_share_needs_a_full_bank() {
+        let a = iv(0, 0, &[1, 0], &[2, 2]);
+        let b = iv(1, 0, &[0, 1], &[2, 2]);
+        assert_eq!(crate::prune::own_component_less(&a, &b), Some(true));
+        assert!(!ftscp_vclock::order::strictly_less(&a.hi, &b.hi));
+        let run = |mode| {
+            let mut bank = QueueBank::new(2).with_sweep_mode(mode);
+            bank.enqueue(SlotId(0), a.clone());
+            let solutions = bank.enqueue(SlotId(1), b.clone()).len();
+            (solutions, bank.resident())
+        };
+        assert_eq!(run(SweepMode::Full), (1, 0));
+        let aggregate = std::panic::catch_unwind(|| run(SweepMode::Aggregate));
+        if cfg!(debug_assertions) {
+            assert!(aggregate.is_err(), "the diverging verdict is caught");
+        } else {
+            assert_eq!(aggregate.ok(), Some((1, 2)), "both heads kept");
         }
     }
 

@@ -24,9 +24,11 @@
 //! [`approximate_removals_aggregate`], which uses the same observation the
 //! other way round: a member whose `max` is strictly the largest value of
 //! some component can disqualify no one, so on a wide solution only the
-//! few members that lead nothing are compared against.
+//! few members that lead nothing are compared against. A local member's
+//! `max` is an event, and one component places an event against any cut,
+//! so a local disqualifier is compared on its own process's component.
 
-use crate::interval::Interval;
+use crate::interval::{Interval, IntervalKind};
 use ftscp_vclock::{order, OpCounter, VectorClock};
 
 /// Which prune rule a detector uses after each solution.
@@ -89,10 +91,15 @@ pub const PRUNE_GATE_MIN_MEMBERS: usize = 9;
 /// exactly like interval aggregation), one billed scan of one unit per
 /// [`CHUNK_WIDTH`](ftscp_vclock::order::CHUNK_WIDTH)-component word marks
 /// every member that strictly leads some component, and each member's
-/// Eq. (10) row then runs through the word-chunked comparator against the
-/// unmarked members only. On a wide solution nearly every member leads its
-/// own process's component, so the `k(k−1)` row shrinks to a handful of
-/// comparisons. Smaller solutions run the full chunked row.
+/// Eq. (10) row then runs against the unmarked members only. On a wide
+/// solution nearly every member leads its own process's component, so the
+/// `k(k−1)` row shrinks to a handful of comparisons. Smaller solutions run
+/// the full row.
+///
+/// A test of the row whose disqualifier is a local interval reads that
+/// process's component of both `max` clocks and bills one unit for it;
+/// the rest, and a tie the one component cannot settle, run the
+/// word-chunked comparator.
 ///
 /// The indices are appended to `removable`, ascending; `buffers` holds the
 /// strict-leader pass's rows, so a caller that keeps both allocates
@@ -108,12 +115,69 @@ pub fn approximate_removals_aggregate(
         buffers.strict_leaders(solution, ops);
     }
     let may_disqualify = |j: usize| !gated || !buffers.leads[j];
+    // The own-component reads' bill, added to the shared counter once.
+    let mut bill = 0;
     removable.extend((0..solution.len()).filter(|&i| {
         let x = solution[i];
-        !solution.iter().enumerate().any(|(j, y)| {
-            j != i && may_disqualify(j) && order::strictly_less_chunked_counted(&y.hi, &x.hi, ops)
-        })
+        !solution
+            .iter()
+            .enumerate()
+            .any(|(j, y)| j != i && may_disqualify(j) && max_less(y, x, ops, &mut bill))
     }));
+    if bill > 0 {
+        ops.add(bill);
+    }
+}
+
+/// The process whose event `max(x)` is, when `x` is a local interval of a
+/// process inside the clock's width: the one component that places it.
+fn own_component(x: &Interval) -> Option<usize> {
+    match (x.kind, &x.coverage[..]) {
+        (IntervalKind::Local, [r]) if r.process.index() < x.hi.len() => Some(r.process.index()),
+        _ => None,
+    }
+}
+
+/// Eq. (10)'s test `max(y) < max(x)` read on one component, when one
+/// decides it; `None` leaves it to the `n`-wide order.
+///
+/// When `y` is local at process `p`, `max(y)` is the timestamp of `p`'s
+/// event `f_y`, and every `max(x)` is a consistent cut (an event's
+/// timestamp or a meet of such), which contains `f_y` iff its `p`-th
+/// component reaches `max(y)[p]` (Fidge–Mattern). So the test is `<` at
+/// `p`; on a tie it is strict iff `x` is local at another process (a
+/// different event, after `f_y`), and a tie with an aggregated `x` is left
+/// open. The rule holds for the clocks of a vector-clocked execution and
+/// their `⊓`s, not for arbitrary clock data (`docs/ALGORITHM.md`).
+pub(crate) fn own_component_less(y: &Interval, x: &Interval) -> Option<bool> {
+    let p = own_component(y)?;
+    let (a, b) = (y.hi.get(p), x.hi.get(p));
+    if a != b {
+        return Some(a < b);
+    }
+    own_component(x).map(|q| q != p)
+}
+
+/// Eq. (10)'s test `max(y) < max(x)`: [`own_component_less`], adding one
+/// unit to `bill` for its one component, or else the word-chunked
+/// comparator, billed to `ops` — never more than the comparator bills for
+/// the same test. Debug builds check every verdict against the `n`-wide
+/// order.
+fn max_less(y: &Interval, x: &Interval, ops: &OpCounter, bill: &mut u64) -> bool {
+    let strict = match own_component_less(y, x) {
+        Some(strict) => {
+            *bill += 1;
+            strict
+        }
+        None => order::strictly_less_chunked_counted(&y.hi, &x.hi, ops),
+    };
+    debug_assert_eq!(
+        strict,
+        order::strictly_less(&y.hi, &x.hi),
+        "own-component verdict diverged for {y:?} against {x:?}: \
+         max(y) is not an event's timestamp or max(x) not a cut"
+    );
+    strict
 }
 
 /// The rows of [`approximate_removals_aggregate`]'s strict-leader pass,
@@ -275,11 +339,26 @@ mod tests {
         assert!(rm.is_empty());
     }
 
+    /// An execution's intervals in arrival order, as this crate's
+    /// `Interval` (the workload crate links its own build of it).
+    fn interleaved(exec: &ftscp_workload::Execution) -> Vec<Interval> {
+        exec.intervals_interleaved()
+            .into_iter()
+            .map(|x| Interval::local(x.source, x.seq, x.lo.clone(), x.hi.clone()))
+            .collect()
+    }
+
     /// The summary-gated prune must make *identical* removal decisions to
     /// the pairwise rule — below, at, and above the gate threshold —
-    /// across pseudo-random solution sets.
+    /// across pseudo-random solution sets. Their members are intervals of
+    /// random executions, at distinct processes and of random rounds, a
+    /// quarter of them aggregated with another process's interval: the
+    /// maxes are event timestamps and meets of them, as the row requires,
+    /// in every order relation a draw can give.
     #[test]
     fn aggregate_removals_equal_pairwise_removals() {
+        use ftscp_workload::RandomExecution;
+
         let mut state = 0xD1B54A32D192ED03u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -287,18 +366,37 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let execs: Vec<_> = (1..=20)
+            .map(|n| {
+                let exec = RandomExecution::builder(n)
+                    .intervals_per_process(6)
+                    .noise_msg_prob(0.5)
+                    .seed(n as u64)
+                    .build();
+                interleaved(&exec)
+            })
+            .collect();
         // One set of buffers across every round, as a bank keeps them:
         // rows left by a wider or longer solution must not leak into the
         // next one.
         let (mut buffers, mut reused) = (PruneBuffers::default(), Vec::new());
         for round in 0..300 {
-            let k = 1 + (rng() % 14) as usize; // spans the gate threshold
             let n = 1 + (rng() % 20) as usize;
+            let k = 1 + (rng() % 14) as usize % n; // spans the gate threshold
+            let exec = &execs[n - 1];
+            // Process `p`'s interval of a random round.
+            let pick = |p: usize, r: u64| {
+                let of: Vec<_> = exec.iter().filter(|x| x.source.index() == p).collect();
+                of[r as usize % of.len()].clone()
+            };
             let members: Vec<Interval> = (0..k)
-                .map(|p| {
-                    let lo: Vec<u32> = (0..n).map(|_| (rng() % 5) as u32).collect();
-                    let hi: Vec<u32> = lo.iter().map(|v| v + (rng() % 5) as u32).collect();
-                    iv(p as u32, 0, &lo, &hi)
+                .map(|p| match rng() % 4 {
+                    0 if n > 1 => {
+                        let other = pick((p + 1 + rng() as usize % (n - 1)) % n, rng());
+                        let set = [pick(p, rng()), other];
+                        crate::aggregate::aggregate(&set, ProcessId(p as u32), 0, 1)
+                    }
+                    _ => pick(p, rng()),
                 })
                 .collect();
             let refs: Vec<&Interval> = members.iter().collect();
@@ -311,6 +409,70 @@ mod tests {
                 "divergence in round {round} (k = {k}, n = {n})"
             );
         }
+    }
+
+    /// The one-component verdict equals the `n`-wide order on every
+    /// ordered pair of a local `y` and a local or aggregated `x`, over
+    /// executions dense, sparse (skip 0.3 / solo 0.2) and noisy, from 2 to
+    /// 40 processes. The aggregates are `⊓` of real solutions — each whole
+    /// and each half — of a bank over all the processes.
+    #[test]
+    fn own_component_verdicts_equal_the_n_wide_order_on_executions() {
+        use crate::aggregate::aggregate;
+        use crate::bank::{QueueBank, SlotId};
+        use ftscp_workload::RandomExecution;
+
+        // Verdicts read on the one component: decided by it, by the tie
+        // with another process's local max, and left to the n-wide order.
+        let (mut decided, mut tied, mut open) = (0, 0, 0);
+        let shapes = [(0.0, 0.0, 0.0), (0.3, 0.2, 0.0), (0.0, 0.0, 0.6)];
+        for n in [2usize, 3, 5, 9, 16, 40] {
+            for (shape, (skip, solo, noise)) in shapes.into_iter().enumerate() {
+                let exec = RandomExecution::builder(n)
+                    .intervals_per_process(8)
+                    .skip_prob(skip)
+                    .solo_prob(solo)
+                    .noise_events(2)
+                    .noise_msg_prob(noise)
+                    .seed(7 * n as u64 + shape as u64)
+                    .build();
+                let locals = interleaved(&exec);
+                let mut aggregates = Vec::new();
+                let mut bank = QueueBank::new(n);
+                for x in &locals {
+                    for s in bank.enqueue(SlotId(x.source.0), x.clone()) {
+                        let (a, b) = s.intervals.split_at(s.intervals.len() / 2);
+                        for part in [&s.intervals[..], a, b] {
+                            if !part.is_empty() {
+                                aggregates.push(aggregate(part, ProcessId(0), 0, 1));
+                            }
+                        }
+                    }
+                }
+                assert!(skip > 0.0 || !aggregates.is_empty(), "n = {n}: no solution");
+                for y in &locals {
+                    for x in locals.iter().chain(&aggregates) {
+                        let verdict = own_component_less(y, x);
+                        assert_eq!(
+                            verdict.unwrap_or_else(|| order::strictly_less(&y.hi, &x.hi)),
+                            order::strictly_less(&y.hi, &x.hi),
+                            "n = {n}, shape {shape}: {y:?} against {x:?}"
+                        );
+                        match verdict {
+                            Some(_) if y.hi.get(y.source.index()) == x.hi.get(y.source.index()) => {
+                                tied += 1
+                            }
+                            Some(_) => decided += 1,
+                            None => open += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            decided > 0 && tied > 0 && open > 0,
+            "{decided} / {tied} / {open}"
+        );
     }
 
     /// Solution sets of real executions — dense, sparse (skip 0.3 / solo
@@ -381,20 +543,26 @@ mod tests {
 
     /// Two members tie for the top of every component, so no member
     /// strictly leads anything: the pass marks no one and every member
-    /// runs the whole chunked pairwise row.
+    /// runs the whole pairwise row. The two are aggregates whose `max` is
+    /// the cut `⟨5, …, 5⟩` that holds every other member's end, which is
+    /// its process's fifth event, having heard each other process's first.
     #[test]
     fn tied_maxes_fall_back_to_the_pairwise_row() {
         let k = PRUNE_GATE_MIN_MEMBERS;
         let members: Vec<Interval> = (0..k)
             .map(|p| {
-                let hi = if p < 2 {
-                    vec![9u32; k]
+                let mut hi = vec![1u32; k];
+                hi[p] = 5;
+                let x = iv(p as u32, 0, &vec![0u32; k], &hi);
+                if p < 2 {
+                    Interval {
+                        hi: VectorClock::from_components(vec![5u32; k]),
+                        kind: IntervalKind::Aggregated { level: 1 },
+                        ..x
+                    }
                 } else {
-                    let mut hi = vec![1u32; k];
-                    hi[p] = 5;
-                    hi
-                };
-                iv(p as u32, 0, &vec![0u32; k], &hi)
+                    x
+                }
             })
             .collect();
         let refs: Vec<&Interval> = members.iter().collect();
@@ -402,16 +570,12 @@ mod tests {
         let rm = aggregate_removals(&refs, &ops);
         assert_eq!(rm, approximate_removals(&refs, &OpCounter::new()));
         assert_eq!(rm, (2..k).collect::<Vec<_>>(), "the tied tops are kept");
-        // The scan's words, then the row of every member against every
-        // other, each stopping at its first disqualifier.
-        let row = OpCounter::new();
-        for (i, x) in refs.iter().enumerate() {
-            let _ = refs
-                .iter()
-                .enumerate()
-                .any(|(j, y)| j != i && order::strictly_less_chunked_counted(&y.hi, &x.hi, &row));
-        }
-        assert_eq!(ops.get(), k.div_ceil(8) as u64 + row.get());
+        // Nine components are two words. The scan bills them once. Each
+        // tied top tests the other (equal: both words) and then a local
+        // member, which precedes it (both words): 4 each. Each local
+        // member tests both tops (greater: both words each) and the other
+        // six local members on their own components (one each): 10 each.
+        assert_eq!(ops.get(), 2 + 2 * 4 + (k as u64 - 2) * 10);
     }
 
     /// A dense solution whose members each strictly lead their own

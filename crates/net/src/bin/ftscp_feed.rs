@@ -2,11 +2,11 @@
 //! into a running `ftscp_node`.
 //!
 //! One invocation feeds one process's intervals. Round `s` produces the
-//! interval `lo = [2s+1; n]`, `hi = [2s+2; n]` (all vector-clock
-//! components equal): every process's round-`s` interval carries
-//! identical bounds, so the intervals of a round pairwise overlap — one
-//! global solution per round — while consecutive rounds are strictly
-//! ordered and never cross-match. That makes the expected detection
+//! interval `lo = [2s+1; n]`, `hi = [2s+2; n]`, each one higher on the
+//! process's own component (`ftscp_net::scale::round_interval`): the
+//! intervals of a round pairwise overlap — one global solution per round
+//! — while consecutive rounds are strictly ordered and never
+//! cross-match. That makes the expected detection
 //! sequence of a multi-process run trivially predictable from the
 //! command lines alone, which is what a shell-level smoke test needs:
 //!
@@ -17,9 +17,9 @@
 //! With `--pace-ms` the stream stretches over wall-clock time, so faults
 //! injected mid-run (a SIGKILLed node) land on live traffic.
 
-use ftscp_intervals::Interval;
+use ftscp_net::scale::round_interval;
 use ftscp_net::EventClient;
-use ftscp_vclock::{ProcessId, VectorClock};
+use ftscp_vclock::ProcessId;
 use std::net::SocketAddr;
 use std::process::exit;
 use std::time::Duration;
@@ -78,9 +78,7 @@ fn main() {
         exit(1);
     });
     for s in 0..rounds {
-        let lo = VectorClock::from_components(vec![(2 * s + 1) as u32; n]);
-        let hi = VectorClock::from_components(vec![(2 * s + 2) as u32; n]);
-        let iv = Interval::local(process, s, lo, hi);
+        let iv = round_interval(process, s, n);
         if let Err(e) = client.send_event(&iv) {
             eprintln!("ftscp_feed: send round {s}: {e}");
             exit(1);

@@ -142,12 +142,18 @@ pub fn run_scale(
     }))
 }
 
-/// Round `s` of the deterministic overlapping workload (all components
-/// equal ⇒ every process's round-`s` interval pairwise overlaps).
-fn round_interval(p: ProcessId, s: u64, n: usize) -> Interval {
-    let lo = VectorClock::from_components(vec![(2 * s + 1) as u32; n]);
-    let hi = VectorClock::from_components(vec![(2 * s + 2) as u32; n]);
-    Interval::local(p, s, lo, hi)
+/// Round `s` of the deterministic overlapping workload: every process's
+/// round-`s` interval pairwise overlaps. Process `p`'s interval starts
+/// with an event that has heard every end of round `s − 1` and ends with
+/// one that has heard every start of round `s`, so its bounds are
+/// `2s + 1` everywhere but `p`'s own component, one above.
+pub fn round_interval(p: ProcessId, s: u64, n: usize) -> Interval {
+    let clock = |c: u64| {
+        let mut v = vec![c as u32; n];
+        v[p.index()] += 1;
+        VectorClock::from_components(v)
+    };
+    Interval::local(p, s, clock(2 * s + 1), clock(2 * s + 2))
 }
 
 /// One synthetic child: a real leaf core on one [`Conn`], multiplexed by

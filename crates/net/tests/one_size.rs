@@ -5,12 +5,14 @@
 //! The simulator bills a plain send at `Application::msg_size` and an
 //! interval report at the size `MonitorCore` hands `send_sized`; TCP
 //! writes `frame_bytes(encode_msg(..))` on the connection's codec. Both
-//! sides are checked message by message, on every variant and on a report
-//! stream that mixes stateful frames with a standalone re-report.
+//! sides are checked message by message, on every variant and on report
+//! streams that go on past a standalone re-report and through a
+//! retransmit on a live connection.
 
 use ftscp_core::monitor::{MonitorApp, MonitorConfig};
 use ftscp_core::protocol::{ConnCodec, DetectMsg};
-use ftscp_core::{MonitorCore, Outbox, Transport};
+use ftscp_core::transport::Duty;
+use ftscp_core::{MonitorCore, Transport};
 use ftscp_intervals::Interval;
 use ftscp_net::frame::frame_bytes;
 use ftscp_net::wire::encode_msg;
@@ -119,44 +121,72 @@ fn every_variant_weighs_the_same_on_both_runtimes() {
     assert!(differ.is_empty(), "{differ:#?}");
 }
 
+/// Checks every message `sim` billed, in send order, against the bytes
+/// TCP writes for it on a connection whose codec stands at `uplink`, and
+/// returns which of them TCP wrote standalone.
+fn weigh(sim: &mut Billed, uplink: &mut ConnCodec) -> Vec<bool> {
+    sim.0
+        .drain(..)
+        .map(|(msg, billed)| {
+            let before = uplink.sent_tally().1;
+            assert_eq!(billed + ENVELOPE, tcp_bytes(&msg, uplink), "{msg:?}");
+            uplink.sent_tally().1 > before
+        })
+        .collect()
+}
+
+/// A leaf of process 1 under process 0.
+fn leaf(config: MonitorConfig) -> MonitorCore {
+    MonitorCore::new(ProcessId(1), Some(ProcessId(0)), &[], 1, config)
+}
+
 #[test]
 fn a_report_stream_weighs_the_same_on_both_runtimes() {
     // A leaf with the retransmit layer off, as the TCP workloads run it.
-    let mut core = MonitorCore::new(
-        ProcessId(1),
-        Some(ProcessId(0)),
-        &[],
-        1,
-        MonitorConfig::default(),
-    );
+    let mut core = leaf(MonitorConfig::default());
     let mut sim = Billed::default();
     let stream = [
-        iv(0, &[0, 1, 0], &[0, 2, 0]),
-        iv(1, &[0, 3, 1], &[2, 4, 1]),
-        iv(2, &[2, 5, 1], &[2, 6, 300]),
+        iv(0, &[500, 501, 500], &[500, 502, 500]),
+        iv(1, &[500, 503, 501], &[502, 504, 501]),
+        iv(2, &[502, 505, 501], &[502, 506, 800]),
     ];
     for interval in stream {
         core.observe_local(interval, &mut sim);
     }
     // The uplink: cold for the first report, stateful after it.
     let mut uplink = ConnCodec::new();
-    let mut standalone = Vec::new();
-    for (msg, billed) in &sim.0 {
-        let before = uplink.sent_tally().1;
-        assert_eq!(billed + ENVELOPE, tcp_bytes(msg, &mut uplink), "{msg:?}");
-        standalone.push(uplink.sent_tally().1 > before);
-    }
-    assert_eq!(standalone, [true, false, false]);
+    assert_eq!(weigh(&mut sim, &mut uplink), [true, false, false]);
 
     // A reconnect: the parent's decoder is cold, the last report goes
     // again standalone, and the core bills it as re-report traffic.
-    let mut outbox = Outbox::new(SimTime::ZERO);
     let billed = core.re_report_bytes();
-    core.resync_uplink(&mut outbox);
-    let [(_, msg)] = &outbox.sent[..] else {
-        panic!("one re-report, got {:?}", outbox.sent);
+    core.resync_uplink(&mut sim);
+    let [(msg, size)] = &sim.0[..] else {
+        panic!("one re-report, got {:?}", sim.0);
     };
     assert!(matches!(msg, DetectMsg::Interval { resync: true, .. }));
-    let billed = (core.re_report_bytes() - billed) as usize;
-    assert_eq!(billed + ENVELOPE, tcp_bytes(msg, &mut ConnCodec::new()));
+    assert_eq!(core.re_report_bytes() - billed, *size as u64);
+    let mut uplink = ConnCodec::new();
+    assert_eq!(weigh(&mut sim, &mut uplink), [true]);
+
+    // The next fresh report follows the re-report on the new connection.
+    core.observe_local(iv(3, &[502, 507, 802], &[503, 508, 802]), &mut sim);
+    assert_eq!(weigh(&mut sim, &mut uplink), [false]);
+}
+
+#[test]
+fn a_retransmit_on_a_live_uplink_weighs_the_same_on_both_runtimes() {
+    let mut core = leaf(MonitorConfig {
+        retransmit_period: Some(SimTime::from_millis(10)),
+        ..MonitorConfig::default()
+    });
+    let mut sim = Billed::default();
+    core.observe_local(iv(0, &[500, 501, 500], &[500, 502, 500]), &mut sim);
+    core.observe_local(iv(1, &[500, 503, 501], &[502, 504, 501]), &mut sim);
+    // No ack: the retransmit duty re-sends both on the same connection,
+    // whose codec every frame before them advanced.
+    core.on_duty(Duty::Retransmit, &mut sim);
+    assert_eq!(sim.0.len(), 4, "two reports, two retransmits");
+    let mut uplink = ConnCodec::new();
+    assert_eq!(weigh(&mut sim, &mut uplink), [true, false, false, false]);
 }

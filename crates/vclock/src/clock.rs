@@ -174,51 +174,49 @@ impl VectorClock {
         }
     }
 
-    /// Join of an iterator of clocks. Panics on an empty iterator.
+    /// The [`join`](Self::join) of the first clocks and the
+    /// [`meet`](Self::meet) of the second clocks that `pair` picks from
+    /// the members of `set`: both halves of the aggregation function ⊓
+    /// (Eqs. (5)/(6)) in one pass. Panics on an empty `set`.
     ///
-    /// Equal to the left fold of [`join`](Self::join), computed into one
-    /// output buffer: a single input comes back as a storage-sharing clone,
-    /// `k ≥ 2` inputs cost one allocation instead of `2(k − 1)`.
-    pub fn join_all<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> VectorClock {
-        Self::fold_all(clocks, "join_all of empty iterator", u32::max)
-    }
+    /// A single member comes back as storage-sharing clones. From two
+    /// members on, each output starts as a copy of the first member's
+    /// clock and the others fold into both in place, one
+    /// [`BLOCK`](crate::order::BLOCK) of components at a time: each block
+    /// of every member's two clocks is read once, while the outputs' block
+    /// is hot. One allocation per output.
+    pub fn join_meet_all<T>(
+        set: &[T],
+        pair: impl Fn(&T) -> (&VectorClock, &VectorClock),
+    ) -> (VectorClock, VectorClock) {
+        use crate::order::BLOCK;
 
-    /// Meet of an iterator of clocks. Panics on an empty iterator. Single
-    /// pass and single allocation like [`join_all`](Self::join_all).
-    pub fn meet_all<'a>(clocks: impl IntoIterator<Item = &'a VectorClock>) -> VectorClock {
-        Self::fold_all(clocks, "meet_all of empty iterator", u32::min)
-    }
-
-    fn fold_all<'a>(
-        clocks: impl IntoIterator<Item = &'a VectorClock>,
-        empty: &str,
-        op: impl Fn(u32, u32) -> u32,
-    ) -> VectorClock {
-        let mut it = clocks.into_iter();
-        let first = it.next().expect(empty);
-        let Some(second) = it.next() else {
-            return first.clone();
-        };
-        debug_assert_eq!(first.len(), second.len(), "clock width mismatch");
-        // The zip of two slices reports its exact length, so this collects
-        // straight into the shared buffer — which is then uniquely owned,
-        // so `make_mut` hands it out in place for the rest of the fold.
-        let mut folded = VectorClock {
-            data: first
-                .components()
-                .iter()
-                .zip(second.components())
-                .map(|(a, b)| op(*a, *b))
-                .collect(),
-        };
-        let out = folded.make_mut();
-        for clock in it {
-            debug_assert_eq!(out.len(), clock.len(), "clock width mismatch");
-            for (acc, c) in out.iter_mut().zip(clock.components()) {
-                *acc = op(*acc, *c);
+        let (first, rest) = set.split_first().expect("join_meet_all of an empty set");
+        let (join, meet) = pair(first);
+        if rest.is_empty() {
+            return (join.clone(), meet.clone());
+        }
+        debug_assert_eq!(join.len(), meet.len(), "clock width mismatch");
+        let mut join: Arc<[u32]> = join.components().into();
+        let mut meet: Arc<[u32]> = meet.components().into();
+        let js = Arc::get_mut(&mut join).expect("a fresh allocation");
+        let ms = Arc::get_mut(&mut meet).expect("a fresh allocation");
+        let n = js.len();
+        for start in (0..n).step_by(BLOCK) {
+            let end = (start + BLOCK).min(n);
+            let (jb, mb) = (&mut js[start..end], &mut ms[start..end]);
+            for x in rest {
+                let (j, m) = pair(x);
+                debug_assert!(j.len() == n && m.len() == n, "clock width mismatch");
+                for (acc, c) in jb.iter_mut().zip(&j.components()[start..end]) {
+                    *acc = (*acc).max(*c);
+                }
+                for (acc, c) in mb.iter_mut().zip(&m.components()[start..end]) {
+                    *acc = (*acc).min(*c);
+                }
             }
         }
-        folded
+        (VectorClock { data: join }, VectorClock { data: meet })
     }
 
     /// Strict component order: `self < other` iff every component of `self`
@@ -342,15 +340,25 @@ mod tests {
         assert_eq!(a.meet(&b).components(), &[1, 4, 3]);
     }
 
-    #[test]
-    fn join_all_meet_all_fold_many() {
-        let clocks = [vc(&[1, 9]), vc(&[4, 2]), vc(&[3, 3])];
-        assert_eq!(VectorClock::join_all(clocks.iter()).components(), &[4, 9]);
-        assert_eq!(VectorClock::meet_all(clocks.iter()).components(), &[1, 2]);
+    /// `(lo, hi)` pairs for [`VectorClock::join_meet_all`].
+    fn bounds(pair: &(VectorClock, VectorClock)) -> (&VectorClock, &VectorClock) {
+        (&pair.0, &pair.1)
     }
 
     #[test]
-    fn join_all_meet_all_equal_the_left_fold_in_one_buffer() {
+    fn join_meet_all_folds_many() {
+        let set = [
+            (vc(&[1, 9]), vc(&[5, 9])),
+            (vc(&[4, 2]), vc(&[6, 3])),
+            (vc(&[3, 3]), vc(&[4, 7])),
+        ];
+        let (join, meet) = VectorClock::join_meet_all(&set, bounds);
+        assert_eq!(join.components(), &[4, 9]);
+        assert_eq!(meet.components(), &[4, 3]);
+    }
+
+    #[test]
+    fn join_meet_all_equals_the_left_folds_in_one_buffer_each() {
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut rng = move || {
             state ^= state << 13;
@@ -358,34 +366,39 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let mut clock =
+            |width: usize| vc(&(0..width).map(|_| (rng() % 9) as u32).collect::<Vec<_>>());
+        // Widths below, at and across the fold's block, and past it
+        // with a partial last block.
         for k in 1..=6usize {
-            for width in [1usize, 7, 64] {
-                let clocks: Vec<VectorClock> = (0..k)
-                    .map(|_| vc(&(0..width).map(|_| (rng() % 9) as u32).collect::<Vec<_>>()))
-                    .collect();
+            for width in [1usize, 7, 64, 65, 200] {
+                let set: Vec<(VectorClock, VectorClock)> =
+                    (0..k).map(|_| (clock(width), clock(width))).collect();
                 crate::pool::reset_clone_stats();
-                let join = VectorClock::join_all(clocks.iter());
-                let meet = VectorClock::meet_all(clocks.iter());
+                let (join, meet) = VectorClock::join_meet_all(&set, bounds);
                 assert_eq!(crate::pool::clone_stats().1, 0, "no copy-on-write break");
-                let fold = |op: fn(&VectorClock, &VectorClock) -> VectorClock| {
-                    clocks[1..]
-                        .iter()
-                        .fold(clocks[0].clone(), |acc, c| op(&acc, c))
-                };
-                assert_eq!(join, fold(VectorClock::join), "k = {k}, width = {width}");
-                assert_eq!(meet, fold(VectorClock::meet), "k = {k}, width = {width}");
+                let fold =
+                    |op: fn(&VectorClock, &VectorClock) -> VectorClock,
+                     side: fn(&(VectorClock, VectorClock)) -> &VectorClock| {
+                        set[1..]
+                            .iter()
+                            .fold(side(&set[0]).clone(), |acc, x| op(&acc, side(x)))
+                    };
+                let what = format!("k = {k}, width = {width}");
+                assert_eq!(join, fold(VectorClock::join, |x| &x.0), "{what}");
+                assert_eq!(meet, fold(VectorClock::meet, |x| &x.1), "{what}");
                 if k == 1 {
-                    assert!(join.shares_storage_with(&clocks[0]));
-                    assert!(meet.shares_storage_with(&clocks[0]));
+                    assert!(join.shares_storage_with(&set[0].0));
+                    assert!(meet.shares_storage_with(&set[0].1));
                 }
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "join_all of empty iterator")]
-    fn join_all_empty_panics() {
-        let _ = VectorClock::join_all(std::iter::empty());
+    #[should_panic(expected = "join_meet_all of an empty set")]
+    fn join_meet_all_of_an_empty_set_panics() {
+        let _ = VectorClock::join_meet_all(&[], bounds);
     }
 
     #[test]

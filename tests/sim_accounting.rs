@@ -76,7 +76,7 @@ fn heartbeat_driven_crash_accounting_is_pinned() {
     dep.run();
     assert_eq!(
         counters(dep.metrics(), dep.events_processed()),
-        [40_982, 40_903, 40_982, 1_242_517, 58, 3, 1_082, 84_909]
+        [40_982, 40_903, 40_982, 1_241_953, 58, 3, 1_082, 84_909]
     );
     let dets = dep.detections();
     assert_eq!(dets.len(), 12);
@@ -119,7 +119,7 @@ fn root_crash_repair_and_restart_accounting_is_pinned() {
     dep.run();
     assert_eq!(
         counters(dep.metrics(), dep.events_processed()),
-        [40_329, 40_247, 44_496, 1_489_234, 559, 7, 3_059, 74_810]
+        [40_329, 40_247, 44_496, 1_489_159, 559, 7, 3_059, 74_810]
     );
     assert_eq!(dep.tree().root(), ProcessId(1), "the heir took over");
     assert_eq!(dep.app(ProcessId(2)).parent(), Some(ProcessId(7)));
