@@ -2,7 +2,7 @@
 //! IPL 2011) — the paper's primary comparator.
 
 use ftscp_intervals::codec::encoded_interval_len;
-use ftscp_intervals::{BankStats, Interval, QueueBank, SlotId, Solution};
+use ftscp_intervals::{BankStats, InOrder, Interval, QueueBank, SlotId, Solution};
 use ftscp_simnet::{
     Application, Ctx, NetMetrics, NodeId, SimConfig, SimTime, Simulation, TimerToken, Topology,
 };
@@ -75,7 +75,7 @@ pub struct CentralizedApp {
     schedule: VecDeque<(SimTime, Interval)>,
     /// Sink-only state.
     detector: Option<CentralizedDetector>,
-    reorder: BTreeMap<ProcessId, (u64, BTreeMap<u64, Interval>)>,
+    streams: BTreeMap<ProcessId, InOrder>,
     detections: Vec<(SimTime, Solution)>,
 }
 
@@ -89,7 +89,7 @@ impl CentralizedApp {
             sink,
             schedule: schedule.into(),
             detector: is_sink.then(|| CentralizedDetector::new(n)),
-            reorder: BTreeMap::new(),
+            streams: BTreeMap::new(),
             detections: Vec::new(),
         }
     }
@@ -101,30 +101,8 @@ impl CentralizedApp {
     }
 
     fn sink_ingest(&mut self, now: SimTime, interval: Interval) {
-        let source = interval.source;
-        let ready = {
-            let (next, buffer) = self
-                .reorder
-                .entry(source)
-                .or_insert_with(|| (0, BTreeMap::new()));
-            match interval.seq.cmp(next) {
-                std::cmp::Ordering::Less => Vec::new(),
-                std::cmp::Ordering::Greater => {
-                    buffer.insert(interval.seq, interval);
-                    Vec::new()
-                }
-                std::cmp::Ordering::Equal => {
-                    let mut ready = vec![interval];
-                    let mut expect = *next + 1;
-                    while let Some(iv) = buffer.remove(&expect) {
-                        ready.push(iv);
-                        expect += 1;
-                    }
-                    *next = expect;
-                    ready
-                }
-            }
-        };
+        let stream = self.streams.entry(interval.source).or_default();
+        let ready = stream.accept(interval);
         let det = self.detector.as_mut().expect("sink only");
         for iv in ready {
             for sol in det.feed(iv) {

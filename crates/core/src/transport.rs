@@ -2,9 +2,9 @@
 //!
 //! [`MonitorCore`] is everything a tree node's monitor does that has
 //! nothing to do with *how* bytes move: feeding the [`NodeEngine`],
-//! per-child reorder buffers, the cumulative-ack reliability layer with
-//! bounded retransmit bursts and exponential backoff, uplink delta-codec
-//! state, detection recording — and the timing policy around them: which
+//! per-sender in-order interval streams, the cumulative-ack reliability
+//! layer with bounded retransmit bursts and exponential backoff, uplink
+//! delta-codec state, detection recording — and the timing policy around them: which
 //! periodic [`Duty`]s run and when they fire again, the adoption knock
 //! after a suspicion round, and the reset of a reboot. It talks to the
 //! world only through the [`Transport`] trait, so the same state machine
@@ -28,7 +28,7 @@ use crate::monitor::MonitorConfig;
 use crate::protocol::{ConnCodec, DetectMsg};
 use crate::report::GlobalDetection;
 use ftscp_intervals::codec::Len;
-use ftscp_intervals::Interval;
+use ftscp_intervals::{InOrder, Interval};
 use ftscp_simnet::SimTime;
 use ftscp_vclock::ProcessId;
 use std::collections::hash_map::DefaultHasher;
@@ -141,6 +141,34 @@ impl MonitorConfig {
     }
 }
 
+/// What a core knows of one peer: a tree neighbour, or any node that sent
+/// it intervals. A record holding none of the three is not kept.
+#[derive(Clone, Debug, Default)]
+struct Peer {
+    /// The peer's interval stream in sequence order. Present from its first
+    /// interval until it is (re-)added as a child; an entry with nothing
+    /// buffered still decides whether an `Ack` goes out.
+    stream: Option<InOrder>,
+    /// When the peer was last heard from (a heartbeat, or session-layer
+    /// evidence such as a completed handshake).
+    heard: Option<SimTime>,
+    /// Hold-after-drop deadline: a child suspected dead whose queue is
+    /// *kept* until either the orphaned subtree reattaches (the `Adopt`
+    /// that names it as `dead_parent` finalizes the drop) or the deadline
+    /// passes (a dead leaf — no orphan is coming). While held, the child's
+    /// queue runs empty and an empty queue blocks conjunctive emission:
+    /// without the hold, removing the queue releases solutions that were
+    /// never checked against the orphan subtree's intervals (the
+    /// prune/adopt race `ftscp-dst`'s explorer finds when it is reverted).
+    hold: Option<SimTime>,
+}
+
+impl Peer {
+    fn is_empty(&self) -> bool {
+        self.stream.is_none() && self.heard.is_none() && self.hold.is_none()
+    }
+}
+
 /// The transport-agnostic monitor state machine (see module docs).
 ///
 /// ## Non-FIFO channels and interval order
@@ -148,8 +176,8 @@ impl MonitorConfig {
 /// Algorithm 1's queues assume each child's intervals arrive in the order
 /// they were produced (that is what makes queue heads "earliest
 /// remaining", Theorem 2). The system model explicitly allows
-/// out-of-order delivery, so the core restores per-child order with
-/// sequence numbers and a reorder buffer — a standard engineering
+/// out-of-order delivery, so the core restores each sender's order with
+/// sequence numbers and an [`InOrder`] stream — a standard engineering
 /// completion the paper leaves implicit. Stale re-transmissions (possible
 /// after a reattachment re-report, or a TCP reconnect replay) are
 /// dropped.
@@ -159,8 +187,8 @@ pub struct MonitorCore {
     engine: NodeEngine,
     parent: Option<ProcessId>,
     config: MonitorConfig,
-    /// Per-child reorder state: next expected seq + held-back intervals.
-    reorder: BTreeMap<ProcessId, (u64, BTreeMap<u64, Interval>)>,
+    /// Per-peer state: interval stream, last heard, hold deadline.
+    peers: BTreeMap<ProcessId, Peer>,
     /// Detections recorded while this node was a root.
     detections: Vec<GlobalDetection>,
     /// Interval messages sent (for per-node accounting).
@@ -178,8 +206,6 @@ pub struct MonitorCore {
     /// connection. On the simulated backend this determines only the byte
     /// sizes charged to the network.
     uplink_codec: ConnCodec,
-    /// Heartbeats observed: peer → last time.
-    heartbeat_seen: BTreeMap<ProcessId, SimTime>,
     /// Decentralized membership view: own epoch, peers' epochs, the
     /// grandparent hint, and the adoption state machine (§III-F repair
     /// as a protocol feature — see [`crate::membership`]).
@@ -189,15 +215,6 @@ pub struct MonitorCore {
     re_report_msgs: u64,
     /// Bytes billed for the re-report path.
     re_report_bytes: u64,
-    /// Hold-after-drop: children suspected dead whose queues are *kept*
-    /// until either the orphaned subtree reattaches (the `Adopt` that
-    /// names them as `dead_parent` finalizes the drop) or the deadline
-    /// expires (a dead leaf — no orphan is coming). While held, the
-    /// child's queue runs empty and an empty queue blocks conjunctive
-    /// emission: without the hold, removing the queue releases solutions
-    /// that were never checked against the orphan subtree's intervals (the
-    /// prune/adopt race `ftscp-dst`'s explorer finds when it is reverted).
-    held: BTreeMap<ProcessId, SimTime>,
     /// The members of the solution behind the last report to the parent:
     /// what a promotion over that parent offers its siblings again
     /// ([`promote`](Self::promote)).
@@ -220,17 +237,15 @@ impl MonitorCore {
             engine,
             parent,
             config,
-            reorder: BTreeMap::new(),
+            peers: BTreeMap::new(),
             detections: Vec::new(),
             interval_msgs_sent: 0,
             unacked: BTreeMap::new(),
             retransmit_backoff: 1,
             uplink_codec: ConnCodec::new(),
-            heartbeat_seen: BTreeMap::new(),
             membership: Membership::new(0),
             re_report_msgs: 0,
             re_report_bytes: 0,
-            held: BTreeMap::new(),
             last_solution: Vec::new(),
         }
     }
@@ -275,9 +290,10 @@ impl MonitorCore {
         self.retransmit_backoff
     }
 
-    /// Heartbeats observed so far: peer → last time.
-    pub fn heartbeat_seen(&self) -> &BTreeMap<ProcessId, SimTime> {
-        &self.heartbeat_seen
+    /// When `peer` was last heard from, if it was since this node last
+    /// dropped, held or forgot it.
+    pub fn last_heard(&self, peer: ProcessId) -> Option<SimTime> {
+        self.peers.get(&peer)?.heard
     }
 
     /// This node's membership view (epochs + repair state).
@@ -300,14 +316,32 @@ impl MonitorCore {
     /// evidence of life cancels a pending hold — a restarted child must
     /// not have its (revived) queue garbage-collected by the expiry path.
     pub fn note_heartbeat(&mut self, peer: ProcessId, now: SimTime) {
-        self.heartbeat_seen.insert(peer, now);
-        self.held.remove(&peer);
+        self.update_peer(peer, |p| {
+            p.heard = Some(now);
+            p.hold = None;
+        });
+    }
+
+    /// Changes `peer`'s record, which is created when absent and removed
+    /// when left empty.
+    fn update_peer(&mut self, peer: ProcessId, change: impl FnOnce(&mut Peer)) {
+        let record = self.peers.entry(peer).or_default();
+        change(record);
+        if record.is_empty() {
+            self.peers.remove(&peer);
+        }
+    }
+
+    /// Whether `peer` is held (suspected dead, queue retained).
+    fn is_held(&self, peer: ProcessId) -> bool {
+        self.peers.get(&peer).is_some_and(|p| p.hold.is_some())
     }
 
     /// Children currently held (suspected dead, queue retained pending
     /// reattachment or expiry) — for tests and telemetry.
     pub fn held_children(&self) -> Vec<ProcessId> {
-        self.held.keys().copied().collect()
+        let held = self.peers.iter().filter(|(_, p)| p.hold.is_some());
+        held.map(|(&peer, _)| peer).collect()
     }
 
     /// A canonical digest of the core's logical state for state-space
@@ -317,14 +351,13 @@ impl MonitorCore {
     pub fn digest(&self, now: SimTime) -> u64 {
         let mut h = DefaultHasher::new();
         self.engine.digest(&mut h);
-        (self.me, self.parent, &self.reorder, &self.unacked).hash(&mut h);
+        (self.me, self.parent, &self.unacked).hash(&mut h);
         (self.retransmit_backoff, &self.membership).hash(&mut h);
         self.last_solution.hash(&mut h);
-        for times in [&self.heartbeat_seen, &self.held] {
-            times.len().hash(&mut h);
-            for (peer, t) in times {
-                (peer, i128::from(now.0) - i128::from(t.0)).hash(&mut h);
-            }
+        let ago = |t: Option<SimTime>| t.map(|t| i128::from(now.0) - i128::from(t.0));
+        self.peers.len().hash(&mut h);
+        for (peer, p) in &self.peers {
+            (peer, &p.stream, ago(p.heard), ago(p.hold)).hash(&mut h);
         }
         let last = self.detections.last();
         last.map(GlobalDetection::covered_processes).hash(&mut h);
@@ -385,20 +418,19 @@ impl MonitorCore {
     /// not sent, but its last solution becomes the last output the rejoin
     /// re-reports (see [`NodeEngine::reboot`]). There is no parent until
     /// [`rejoin`](Self::rejoin) names the adopter, and the volatile state
-    /// starts over: reorder buffers, the unacked backlog, the retransmit
-    /// backoff, the uplink codec, heartbeats heard and held children. So
+    /// starts over: every peer record (interval streams, heartbeats heard
+    /// and held children), the unacked backlog, the retransmit backoff and
+    /// the uplink codec. So
     /// does the incarnation: the epoch moves past the crashed life's, so
     /// peers treat its beacons as stale, and peer-epoch observations are
     /// lost.
     pub fn reboot(&mut self) {
         self.engine.reboot();
         self.parent = None;
-        self.reorder.clear();
+        self.peers.clear();
         self.unacked.clear();
         self.retransmit_backoff = 1;
         self.uplink_codec.reset();
-        self.heartbeat_seen.clear();
-        self.held.clear();
         self.last_solution.clear();
         self.membership = Membership::new(self.membership.epoch() + 1);
     }
@@ -429,7 +461,7 @@ impl MonitorCore {
             Some(_) => self.membership.ancestor_chain().to_vec(),
             None => {
                 let live = self.engine.children().iter().copied();
-                live.filter(|c| !self.held.contains_key(c))
+                live.filter(|&c| !self.is_held(c))
                     .take(ANCESTOR_HINT_CAP)
                     .collect()
             }
@@ -460,12 +492,8 @@ impl MonitorCore {
     /// suspected once a full timeout has elapsed since the start of time.
     pub fn suspects(&self, now: SimTime, timeout: SimTime) -> Vec<ProcessId> {
         self.heartbeat_targets()
-            .filter(|peer| {
-                let last = self
-                    .heartbeat_seen
-                    .get(peer)
-                    .copied()
-                    .unwrap_or(SimTime::ZERO);
+            .filter(|&peer| {
+                let last = self.last_heard(peer).unwrap_or(SimTime::ZERO);
                 now.saturating_sub(last) > timeout
             })
             .collect()
@@ -480,9 +508,7 @@ impl MonitorCore {
     /// hold expired (no orphan is coming). Suspicion-driven paths go
     /// through [`hold_dead_child`](Self::hold_dead_child) first.
     fn drop_dead_child(&mut self, child: ProcessId, t: &mut impl Transport) {
-        self.held.remove(&child);
-        self.reorder.remove(&child);
-        self.heartbeat_seen.remove(&child);
+        self.peers.remove(&child);
         let outputs = self.engine.remove_child(child);
         self.handle_outputs(t, outputs);
     }
@@ -492,7 +518,7 @@ impl MonitorCore {
     fn add_child(&mut self, child: ProcessId) {
         if !self.engine.has_child(child) {
             self.engine.add_child(child);
-            self.reorder.remove(&child);
+            self.update_peer(child, |p| p.stream = None);
         }
     }
 
@@ -518,8 +544,10 @@ impl MonitorCore {
     /// tick otherwise (a dead leaf blocks nothing forever).
     fn hold_dead_child(&mut self, child: ProcessId, now: SimTime) {
         let window = self.config.suspect_timeout.unwrap_or(SimTime::ZERO);
-        self.heartbeat_seen.remove(&child);
-        self.held.insert(child, SimTime(now.0 + window.0));
+        self.update_peer(child, |p| {
+            p.heard = None;
+            p.hold = Some(SimTime(now.0 + window.0));
+        });
     }
 
     /// One decentralized failure-detection round ([`Duty::Suspect`]):
@@ -546,9 +574,9 @@ impl MonitorCore {
         // nothing is coming to take over the blocking. Finalize, which
         // releases whatever the empty queue was holding back.
         let expired: Vec<ProcessId> = self
-            .held
+            .peers
             .iter()
-            .filter(|&(_, &deadline)| deadline <= now)
+            .filter(|(_, p)| p.hold.is_some_and(|deadline| deadline <= now))
             .map(|(&c, _)| c)
             .collect();
         for child in expired {
@@ -558,14 +586,14 @@ impl MonitorCore {
         for peer in self.suspects(now, timeout) {
             // Already held: the drop decision is made, the queue is just
             // waiting for the orphan's Adopt (or the expiry above).
-            if self.held.contains_key(&peer) {
+            if self.is_held(peer) {
                 continue;
             }
             // Surgery needs evidence of life first: a peer never heard
             // from is a slow starter (real deployments stagger), not a
             // corpse — and without its heartbeats there is no grandparent
             // hint to adopt toward anyway.
-            if !self.heartbeat_seen.contains_key(&peer) {
+            if self.last_heard(peer).is_none() {
                 continue;
             }
             if self.engine.has_child(peer) {
@@ -785,15 +813,23 @@ impl MonitorCore {
     /// position (idempotent; sent per received report or batch).
     fn ack_stream(&self, t: &mut impl Transport, child: ProcessId) {
         if self.config.retransmit_period.is_some() {
-            if let Some(&(upto, _)) = self.reorder.get(&child) {
+            if let Some(stream) = self.peers.get(&child).and_then(|p| p.stream.as_ref()) {
                 let from = self.me;
-                t.send(child, DetectMsg::Ack { from, upto });
+                t.send(
+                    child,
+                    DetectMsg::Ack {
+                        from,
+                        upto: stream.next(),
+                    },
+                );
             }
         }
     }
 
-    /// Feeds `interval` from `child` through the per-child reorder buffer,
-    /// delivering to the engine everything that is now in order.
+    /// Feeds `interval` from `child` through its [`InOrder`] stream,
+    /// delivering to the engine everything that is now in order. A resync
+    /// (a re-report after a tree repair) restarts the stream at its
+    /// number: the earlier ones went to the child's previous parent.
     fn deliver_in_order(
         &mut self,
         t: &mut impl Transport,
@@ -801,36 +837,12 @@ impl MonitorCore {
         interval: Interval,
         resync: bool,
     ) {
-        let ready = {
-            let (next_expected, buffer) = self
-                .reorder
-                .entry(child)
-                .or_insert_with(|| (0, BTreeMap::new()));
-            if resync && interval.seq > *next_expected {
-                // Re-report after a tree repair: earlier sequence numbers
-                // were consumed by the child's previous parent and will
-                // never arrive here.
-                *next_expected = interval.seq;
-                buffer.retain(|&s, _| s >= interval.seq);
-            }
-            match interval.seq.cmp(next_expected) {
-                std::cmp::Ordering::Less => Vec::new(), // stale duplicate
-                std::cmp::Ordering::Greater => {
-                    buffer.insert(interval.seq, interval);
-                    Vec::new()
-                }
-                std::cmp::Ordering::Equal => {
-                    let mut ready = vec![interval];
-                    let mut next = *next_expected + 1;
-                    while let Some(iv) = buffer.remove(&next) {
-                        ready.push(iv);
-                        next += 1;
-                    }
-                    *next_expected = next;
-                    ready
-                }
-            }
-        };
+        let peer = self.peers.entry(child).or_default();
+        let stream = peer.stream.get_or_insert_with(InOrder::new);
+        if resync {
+            stream.resync(interval.seq);
+        }
+        let ready = stream.accept(interval);
         for iv in ready {
             let outputs = self.engine.on_child_interval(child, iv);
             self.handle_outputs(t, outputs);
@@ -905,7 +917,7 @@ impl MonitorCore {
                 // timeout: open the hold eagerly so the Adopt that follows
                 // (usually in the same batch) lands on a queue bank where
                 // the dead child already blocks instead of emits.
-                if self.engine.has_child(suspect) && !self.held.contains_key(&suspect) {
+                if self.engine.has_child(suspect) && !self.is_held(suspect) {
                     self.hold_dead_child(suspect, t.now());
                 }
             }
@@ -954,10 +966,7 @@ impl MonitorCore {
                 // expiry (next membership tick past the deadline) is the
                 // sole finalizer.
                 if let Some(dead) = dead_parent {
-                    if dead != self.me
-                        && self.engine.has_child(dead)
-                        && !self.held.contains_key(&dead)
-                    {
+                    if dead != self.me && self.engine.has_child(dead) && !self.is_held(dead) {
                         // Suspect lost or reordered behind the Adopt: open
                         // the hold here so the queue blocks instead of
                         // lingering live forever.
@@ -991,7 +1000,9 @@ impl MonitorCore {
                 }
                 self.membership.finish_adoption();
                 if accepted {
-                    self.heartbeat_seen.insert(from, t.now());
+                    // Heard, without lifting a hold as a heartbeat does.
+                    let now = t.now();
+                    self.update_peer(from, |p| p.heard = Some(now));
                     t.send(
                         from,
                         DetectMsg::ReReport {
@@ -1006,7 +1017,7 @@ impl MonitorCore {
             }
             DetectMsg::ReReport { from, epoch } => {
                 // Informational: the adopted child announces its epoch and
-                // that re-reports follow. Must NOT touch the reorder entry —
+                // that re-reports follow. Must NOT touch the peer's stream —
                 // the resync Interval may already have arrived (non-FIFO
                 // delivery) and seeded the new stream position.
                 self.membership.observe_peer_epoch(from, epoch);
@@ -1786,6 +1797,52 @@ mod tests {
         core.membership_tick(&mut t);
         assert!(core.held_children().is_empty());
         assert!(!dead_children.iter().any(|&c| core.engine().has_child(c)));
+    }
+
+    #[test]
+    fn one_peer_state_reached_two_ways_digests_alike() {
+        let core = || {
+            let config = suspecting(SimTime::from_millis(100));
+            MonitorCore::new(ProcessId(1), Some(ProcessId(0)), &[ProcessId(2)], 2, config)
+        };
+        let now = SimTime::from_millis(300);
+        // One path holds the child and then hears it again, which lifts
+        // the hold; the other only ever hears it, at the same time.
+        let mut relapsed = core();
+        relapsed.note_heartbeat(ProcessId(2), SimTime::from_millis(10));
+        relapsed.hold_dead_child(ProcessId(2), SimTime::from_millis(150));
+        assert_eq!(relapsed.held_children(), [ProcessId(2)]);
+        relapsed.note_heartbeat(ProcessId(2), SimTime::from_millis(200));
+        let mut steady = core();
+        steady.note_heartbeat(ProcessId(2), SimTime::from_millis(200));
+        assert!(relapsed.held_children().is_empty());
+        assert_eq!(relapsed.digest(now), steady.digest(now));
+        // A held peer that is then forgotten leaves no record behind.
+        let mut forgotten = core();
+        forgotten.hold_dead_child(ProcessId(2), now);
+        forgotten.update_peer(ProcessId(2), |p| p.hold = None);
+        assert_eq!(forgotten.digest(now), core().digest(now));
+        // A sender that is no child still gets a stream, and the stream is
+        // state with nothing buffered: it is what makes an `Ack` go out.
+        let config = MonitorConfig {
+            retransmit_period: Some(SimTime::from_millis(10)),
+            ..suspecting(SimTime::from_millis(100))
+        };
+        let fresh = MonitorCore::new(ProcessId(1), Some(ProcessId(0)), &[], 2, config);
+        let mut acking = fresh.clone();
+        let mut t = RecTransport::default();
+        let report = DetectMsg::Interval {
+            from: ProcessId(5),
+            interval: iv(5, 0, &[0, 0, 0, 0, 0, 1], &[0, 0, 0, 0, 0, 2]),
+            resync: false,
+        };
+        acking.on_message(report, &mut t);
+        let ack = DetectMsg::Ack {
+            from: ProcessId(1),
+            upto: 1,
+        };
+        assert_eq!(t.sent, [(ProcessId(5), ack, None)]);
+        assert_ne!(acking.digest(now), fresh.digest(now));
     }
 
     #[test]

@@ -225,8 +225,8 @@ fn heartbeats_flow_along_tree_edges() {
     dep.run();
     // The root has heard heartbeats from both children.
     let root_app = dep.app(ProcessId(0));
-    assert!(root_app.heartbeat_seen().contains_key(&ProcessId(1)));
-    assert!(root_app.heartbeat_seen().contains_key(&ProcessId(2)));
+    assert!(root_app.last_heard(ProcessId(1)).is_some());
+    assert!(root_app.last_heard(ProcessId(2)).is_some());
 }
 
 #[test]
@@ -248,10 +248,10 @@ fn heartbeat_timeouts_expose_suspects() {
     // The dead node stopped beaconing at its crash (as its orphan 3 last
     // heard it: the root forgot the dead child with its queue); its live
     // sibling kept going until the run's end.
-    assert!(!root.heartbeat_seen().contains_key(&ProcessId(1)));
+    assert!(root.last_heard(ProcessId(1)).is_none());
     let orphan = dep.app(ProcessId(3));
-    let last_1 = orphan.heartbeat_seen().get(&ProcessId(1)).copied().unwrap();
-    let last_2 = root.heartbeat_seen().get(&ProcessId(2)).copied().unwrap();
+    let last_1 = orphan.last_heard(ProcessId(1)).unwrap();
+    let last_2 = root.last_heard(ProcessId(2)).unwrap();
     assert!(
         last_1 < SimTime::from_millis(70),
         "node 1 stopped beaconing at death"

@@ -21,6 +21,9 @@
 //!   overlapping set of queue heads), lines (18)–(22) (solution emission),
 //!   and lines (23)–(33) (the Eq. (10) prune that makes detection
 //!   *repeated*).
+//! * [`InOrder`] — one sender's interval stream put back in sequence
+//!   order over a reordering channel, shared by the tree monitor and the
+//!   centralized sink.
 //! * [`prune`] — the prune rules as pure functions: the implementable
 //!   approximation Eq. (10) and the exact-with-hindsight rule Eq. (9), used
 //!   by the ablation benchmarks.
@@ -35,6 +38,7 @@
 pub mod aggregate;
 pub mod bank;
 pub mod codec;
+pub mod in_order;
 pub mod interval;
 pub mod offline;
 pub mod overlap;
@@ -45,6 +49,7 @@ pub mod theorems;
 
 pub use aggregate::aggregate;
 pub use bank::{render_trace, BankEvent, BankStats, QueueBank, SlotId, SweepMode, TraceId};
+pub use in_order::InOrder;
 pub use interval::{Interval, IntervalKind, IntervalRef};
 pub use overlap::{definitely_holds, overlap, possibly_holds};
 pub use prune::PruneRule;
