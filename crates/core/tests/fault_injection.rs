@@ -10,7 +10,7 @@ use ftscp_core::deploy::{DeployConfig, Deployment};
 use ftscp_core::faultcheck::{detection_fingerprint, verify_detections, verify_no_silent_drops};
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::HierarchicalDetector;
-use ftscp_simnet::{FaultPlan, FaultPlanParams, LinkModel, NodeId, SimConfig, SimTime, Topology};
+use ftscp_simnet::{FaultPlan, LinkModel, NodeId, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::{Execution, RandomExecution};
@@ -481,15 +481,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// DST cornerstone: `FaultPlan::randomized` is a pure function of
-    /// `(params, seed)`, and the deployment is a pure function of the
+    /// `(n, horizon, seed)`, and the deployment is a pure function of the
     /// plan — so any campaign seed replays to the identical
     /// faultcheck fingerprint. This is what makes a failing seed a
     /// complete, shrinkable bug report.
     #[test]
     fn randomized_plans_replay_to_identical_fingerprints(seed in 0u64..100_000) {
-        let params = FaultPlanParams::for_network(7, SimTime::from_millis(60));
-        let plan = FaultPlan::randomized(&params, seed);
-        prop_assert_eq!(&plan, &FaultPlan::randomized(&params, seed));
+        let horizon = SimTime::from_millis(60);
+        let plan = FaultPlan::randomized(7, horizon, seed);
+        prop_assert_eq!(&plan, &FaultPlan::randomized(7, horizon, seed));
 
         let (exec, topo, tree) = workload(7, 6, seed);
         let cfg = DeployConfig {

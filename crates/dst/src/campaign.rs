@@ -35,9 +35,7 @@ use ftscp_core::faultcheck::{detection_fingerprint, verify_detections, verify_no
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::registry::{PredicateRegistry, TenantSpec};
 use ftscp_core::{HierarchicalDetector, PredicateId};
-use ftscp_simnet::{
-    FaultOp, FaultPlan, FaultPlanParams, LinkModel, NodeId, SimConfig, SimTime, Topology,
-};
+use ftscp_simnet::{FaultOp, FaultPlan, LinkModel, NodeId, SimConfig, SimTime, Topology};
 use ftscp_tree::SpanningTree;
 use ftscp_vclock::ProcessId;
 use ftscp_workload::{Execution, RandomExecution};
@@ -115,7 +113,7 @@ impl CampaignCase {
         // workload occupies roughly rounds * 10ms; faults beyond that
         // horizon would fire into a drained network.
         let horizon = SimTime::from_millis(10 * (rounds as u64 + 1));
-        let plan = FaultPlan::randomized(&FaultPlanParams::for_network(n, horizon), seed);
+        let plan = FaultPlan::randomized(n, horizon, seed);
         let tenants = 1 + (mix64(seed ^ TENANT_SALT) % 8) as usize;
         CampaignCase {
             seed,

@@ -23,7 +23,7 @@
 //! port, rejoining through the same adoption handshake.
 
 use crate::client::EventClient;
-use crate::node::{spawn, NodeConfig, NodeHandle, NodeReport};
+use crate::node::{spawn, NodeConfig, NodeHandle, NodeReport, SUSPECT_TIMEOUT};
 use ftscp_core::monitor::MonitorConfig;
 use ftscp_core::report::GlobalDetection;
 use ftscp_simnet::SimTime;
@@ -68,7 +68,7 @@ impl Default for LoopbackConfig {
                 retransmit_period: Some(SimTime::from_millis(25)),
                 retransmit_burst: 64,
                 retransmit_backoff_cap: 8,
-                suspect_timeout: Some(SimTime::from_millis(500)),
+                suspect_timeout: Some(SUSPECT_TIMEOUT),
             },
             event_pacing: Duration::ZERO,
             run_timeout: Duration::from_secs(30),

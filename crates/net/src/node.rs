@@ -87,6 +87,10 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Delay between uplink reconnect attempts.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(20);
 
+/// How long a TCP node's failure detector waits for a silent peer by
+/// default: a TCP node has no harness to repair the tree for it.
+pub(crate) const SUSPECT_TIMEOUT: SimTime = SimTime::from_millis(500);
+
 /// Poller keys: the listener is fixed; every connection is keyed by
 /// `KEY_CONN_BASE + conn id`.
 const KEY_LISTENER: usize = 0;
@@ -124,9 +128,8 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// A leaf/internal/root config with defaults for the timing knobs:
-    /// the monitor's own, plus the failure detector on — a TCP node has
-    /// no harness to repair the tree for it — suspecting peers silent for
-    /// 500 ms.
+    /// the monitor's own, plus the failure detector on, suspecting peers
+    /// silent for 500 ms.
     pub fn new(me: ProcessId, parent: Option<(ProcessId, SocketAddr)>) -> Self {
         NodeConfig {
             me,
@@ -135,7 +138,7 @@ impl NodeConfig {
             level: 1,
             expected_feeds: 0,
             monitor: MonitorConfig {
-                suspect_timeout: Some(SimTime::from_millis(500)),
+                suspect_timeout: Some(SUSPECT_TIMEOUT),
                 ..MonitorConfig::default()
             },
             rejoin: false,

@@ -175,43 +175,48 @@ impl FaultPlan {
         out
     }
 
-    /// Synthesizes a randomized plan from `seed` — the fuel of the DST
-    /// campaign (`ftscp-dst`). The plan is a pure function of
-    /// `(params, seed)`: the same pair always yields the identical plan,
-    /// so a failing campaign seed replays byte-for-byte and shrinks
-    /// deterministically. Randomization covers every fault primitive:
+    /// Synthesizes a randomized plan for an `n`-node network from `seed` —
+    /// the fuel of the DST campaign (`ftscp-dst`). Faults land in
+    /// `(0, horizon]`; restarts may land up to 50% past it, so a crash near
+    /// the horizon still gets its recovery. The plan is a pure function of
+    /// `(n, horizon, seed)`, so a failing campaign seed replays
+    /// byte-for-byte and shrinks deterministically. Randomization covers
+    /// every fault primitive, at intensities that let a few hundred seeds
+    /// cover all combinations:
     ///
-    /// * up to `max_crashes` crash-stops with distinct victims at
-    ///   randomized times — collapsed onto one instant with probability
-    ///   `storm_prob` (a k-simultaneous failure storm, the compound
-    ///   scenario scripted suites never cover);
-    /// * each victim restarts later with probability `restart_prob`
+    /// * up to `MAX_CRASHES` crash-stops (at most `n - 2`, so two nodes
+    ///   always survive) with distinct victims at randomized times —
+    ///   collapsed onto one instant with probability `STORM_PROB` (a
+    ///   k-simultaneous failure storm, the compound scenario scripted
+    ///   suites never cover);
+    /// * each victim restarts later with probability `RESTART_PROB`
     ///   (crash-recovery; what state survives is the deployment's
     ///   choice);
-    /// * up to `max_partitions` non-overlapping partition windows, each
+    /// * up to `MAX_PARTITIONS` non-overlapping partition windows, each
     ///   cutting a random proper subset of the network and healing
     ///   before the next opens;
     /// * a message-duplication window and an extra-delay reordering
-    ///   window, each present with its configured probability;
-    /// * per-node timer skew with probability `skew_prob`.
-    pub fn randomized(params: &FaultPlanParams, seed: u64) -> FaultPlan {
-        assert!(params.n >= 2, "randomized plans need at least two nodes");
-        assert!(params.horizon > SimTime::ZERO, "empty fault horizon");
+    ///   window, with probabilities `DUPLICATION_PROB` and
+    ///   `REORDER_PROB`;
+    /// * per-node timer skew with probability `SKEW_PROB`.
+    pub fn randomized(n: usize, horizon: SimTime, seed: u64) -> FaultPlan {
+        assert!(n >= 2, "randomized plans need at least two nodes");
+        assert!(horizon > SimTime::ZERO, "empty fault horizon");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let horizon = params.horizon.0;
+        let horizon = horizon.0;
         let mut plan = FaultPlan::new();
 
         // Crashes (possibly a simultaneous storm), then their restarts.
-        let crash_cap = params.max_crashes.min(params.n.saturating_sub(2));
+        let crash_cap = MAX_CRASHES.min(n.saturating_sub(2));
         let crashes = if crash_cap == 0 {
             0
         } else {
             rng.gen_range(0..=crash_cap)
         };
-        let mut victims: Vec<u32> = (0..params.n as u32).collect();
+        let mut victims: Vec<u32> = (0..n as u32).collect();
         victims.shuffle(&mut rng);
         victims.truncate(crashes);
-        let storm = crashes >= 2 && rng.gen_bool(params.storm_prob);
+        let storm = crashes >= 2 && rng.gen_bool(STORM_PROB);
         let storm_at = rng.gen_range(1..=horizon);
         for &v in &victims {
             let at = if storm {
@@ -220,7 +225,7 @@ impl FaultPlan {
                 rng.gen_range(1..=horizon)
             };
             plan = plan.crash_at(SimTime(at), NodeId(v));
-            if rng.gen_bool(params.restart_prob) {
+            if rng.gen_bool(RESTART_PROB) {
                 let back = rng.gen_range(at + 1..=horizon + horizon / 2 + 2);
                 plan = plan.restart_at(SimTime(back), NodeId(v));
             }
@@ -228,11 +233,7 @@ impl FaultPlan {
 
         // Non-overlapping partition windows (Heal clears every cut, so
         // overlapping windows would heal each other early).
-        let partitions = if params.max_partitions == 0 {
-            0
-        } else {
-            rng.gen_range(0..=params.max_partitions)
-        };
+        let partitions = rng.gen_range(0..=MAX_PARTITIONS);
         let mut cursor = 1u64;
         for _ in 0..partitions {
             if cursor + 2 > horizon {
@@ -240,8 +241,8 @@ impl FaultPlan {
             }
             let from = rng.gen_range(cursor..=horizon - 1);
             let to = rng.gen_range(from + 1..=horizon);
-            let side_len = rng.gen_range(1..params.n);
-            let mut side: Vec<u32> = (0..params.n as u32).collect();
+            let side_len = rng.gen_range(1..n);
+            let mut side: Vec<u32> = (0..n as u32).collect();
             side.shuffle(&mut rng);
             side.truncate(side_len);
             let side: Vec<NodeId> = side.into_iter().map(NodeId).collect();
@@ -250,13 +251,13 @@ impl FaultPlan {
         }
 
         // Duplication and reordering windows.
-        if rng.gen_bool(params.duplication_prob) {
+        if rng.gen_bool(DUPLICATION_PROB) {
             let from = rng.gen_range(0..horizon);
             let to = rng.gen_range(from + 1..=horizon);
             let prob = rng.gen_range(0.1..=1.0);
             plan = plan.duplicate_between(SimTime(from), SimTime(to), prob);
         }
-        if rng.gen_bool(params.reorder_prob) {
+        if rng.gen_bool(REORDER_PROB) {
             let from = rng.gen_range(0..horizon);
             let to = rng.gen_range(from + 1..=horizon);
             let window = rng.gen_range(1..=horizon / 4 + 1);
@@ -265,8 +266,8 @@ impl FaultPlan {
         }
 
         // Timer skew: one node's clock runs fast or slow.
-        if rng.gen_bool(params.skew_prob) {
-            let node = NodeId(rng.gen_range(0..params.n as u32));
+        if rng.gen_bool(SKEW_PROB) {
+            let node = NodeId(rng.gen_range(0..n as u32));
             let &(num, den) = [(5u32, 4u32), (3, 2), (2, 1), (4, 5), (2, 3)]
                 .choose(&mut rng)
                 .expect("non-empty");
@@ -290,52 +291,21 @@ impl FaultPlan {
     }
 }
 
-/// Knobs of [`FaultPlan::randomized`]: the network size, the time window
-/// faults may land in, and per-primitive intensity. The defaults from
-/// [`FaultPlanParams::for_network`] exercise every primitive with enough
-/// probability that a few hundred seeds cover all combinations.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultPlanParams {
-    /// Network size (victims and partition sides are drawn from `0..n`).
-    pub n: usize,
-    /// Latest injection time; restarts may land up to 50% past it so a
-    /// crash near the horizon still gets its recovery.
-    pub horizon: SimTime,
-    /// Cap on crash-stops per plan (further capped at `n - 2` so at
-    /// least two nodes always survive).
-    pub max_crashes: usize,
-    /// Probability that a crashed node restarts later.
-    pub restart_prob: f64,
-    /// Probability that a multi-crash plan collapses all crash times
-    /// onto one instant — a k-simultaneous failure storm.
-    pub storm_prob: f64,
-    /// Cap on partition/heal windows per plan.
-    pub max_partitions: usize,
-    /// Probability of a message-duplication window.
-    pub duplication_prob: f64,
-    /// Probability of a reordering (extra-delay) window.
-    pub reorder_prob: f64,
-    /// Probability of a timer-skew operation.
-    pub skew_prob: f64,
-}
-
-impl FaultPlanParams {
-    /// Default intensities for an `n`-node network with faults injected
-    /// across `horizon`.
-    pub fn for_network(n: usize, horizon: SimTime) -> Self {
-        FaultPlanParams {
-            n,
-            horizon,
-            max_crashes: 3,
-            restart_prob: 0.4,
-            storm_prob: 0.3,
-            max_partitions: 2,
-            duplication_prob: 0.4,
-            reorder_prob: 0.5,
-            skew_prob: 0.3,
-        }
-    }
-}
+/// Cap on crash-stops per [`FaultPlan::randomized`] plan.
+const MAX_CRASHES: usize = 3;
+/// Probability that a crashed node of a randomized plan restarts later.
+const RESTART_PROB: f64 = 0.4;
+/// Probability that a randomized multi-crash plan collapses all crash
+/// times onto one instant — a k-simultaneous failure storm.
+const STORM_PROB: f64 = 0.3;
+/// Cap on partition/heal windows per randomized plan.
+const MAX_PARTITIONS: usize = 2;
+/// Probability of a message-duplication window in a randomized plan.
+const DUPLICATION_PROB: f64 = 0.4;
+/// Probability of a reordering (extra-delay) window in a randomized plan.
+const REORDER_PROB: f64 = 0.5;
+/// Probability of a timer-skew operation in a randomized plan.
+const SKEW_PROB: f64 = 0.3;
 
 /// The live fault state a simulation consults while routing and timing.
 /// Mutated only by [`FaultOp`] application; holds no randomness.
@@ -490,30 +460,27 @@ mod tests {
 
     #[test]
     fn randomized_plans_are_pure_functions_of_seed() {
-        let params = FaultPlanParams::for_network(9, SimTime::from_millis(500));
+        let plan = |seed| FaultPlan::randomized(9, SimTime::from_millis(500), seed);
         for seed in 0..64 {
             assert_eq!(
-                FaultPlan::randomized(&params, seed),
-                FaultPlan::randomized(&params, seed),
+                plan(seed),
+                plan(seed),
                 "seed {seed} must replay identically"
             );
         }
         // Sensitivity: across a window of seeds the plans are not all
         // equal (any single pair may collide on an empty plan).
-        let distinct: std::collections::BTreeSet<usize> = (0..64)
-            .map(|s| FaultPlan::randomized(&params, s).len())
-            .collect();
+        let distinct: std::collections::BTreeSet<usize> = (0..64).map(|s| plan(s).len()).collect();
         assert!(distinct.len() > 1, "seeds must actually vary the plan");
     }
 
     #[test]
     fn randomized_plans_respect_caps() {
         let horizon = SimTime::from_millis(300);
-        let params = FaultPlanParams::for_network(5, horizon);
         for seed in 0..256 {
-            let plan = FaultPlan::randomized(&params, seed);
+            let plan = FaultPlan::randomized(5, horizon, seed);
             let crashes = plan.crashes();
-            assert!(crashes.len() <= 3, "seed {seed}: crash cap is n - 2");
+            assert!(crashes.len() <= MAX_CRASHES, "seed {seed}: crash cap");
             let victims: std::collections::BTreeSet<u32> =
                 crashes.iter().map(|&(_, n)| n.0).collect();
             assert_eq!(victims.len(), crashes.len(), "victims are distinct");
@@ -531,20 +498,15 @@ mod tests {
 
     #[test]
     fn storms_produce_simultaneous_crashes() {
-        let params = FaultPlanParams {
-            storm_prob: 1.0,
-            max_crashes: 3,
-            ..FaultPlanParams::for_network(8, SimTime::from_millis(200))
-        };
-        let storm_seed = (0..200)
-            .find(|&s| FaultPlan::randomized(&params, s).crashes().len() >= 2)
-            .expect("some seed yields a multi-crash plan");
-        let crashes = FaultPlan::randomized(&params, storm_seed).crashes();
-        let t0 = crashes[0].0;
-        assert!(
-            crashes.iter().all(|&(t, _)| t == t0),
-            "storm collapses all crash times onto one instant"
-        );
+        // Over a 200 ms horizon two independent crash times all but never
+        // coincide, so a multi-crash plan whose crashes share one instant
+        // is a storm. Storms are a coin flip per plan: both kinds occur.
+        let (storms, spread): (Vec<_>, Vec<_>) = (0..200)
+            .map(|s| FaultPlan::randomized(8, SimTime::from_millis(200), s).crashes())
+            .filter(|crashes| crashes.len() >= 2)
+            .partition(|crashes| crashes.iter().all(|&(t, _)| t == crashes[0].0));
+        assert!(!storms.is_empty(), "some plan is a storm");
+        assert!(!spread.is_empty(), "some multi-crash plan is no storm");
     }
 
     #[test]

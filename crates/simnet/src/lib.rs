@@ -39,7 +39,7 @@ pub mod time;
 pub mod topology;
 
 pub use event::TimerToken;
-pub use fault::{ActiveFaults, FaultOp, FaultPlan, FaultPlanParams};
+pub use fault::{ActiveFaults, FaultOp, FaultPlan};
 pub use metrics::{NetMetrics, NodeMetrics};
 pub use sim::{Application, Ctx, LinkModel, SimConfig, Simulation};
 pub use time::SimTime;
