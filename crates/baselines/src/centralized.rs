@@ -59,16 +59,10 @@ impl CentralizedDetector {
     }
 }
 
-/// Wire message of the centralized deployment.
-#[derive(Clone, Debug)]
-pub enum SinkMsg {
-    /// A local interval shipped to the sink.
-    Interval(Interval),
-}
-
 /// Per-node application: non-sink nodes ship every local interval to the
-/// sink (the network routes it over multiple hops); the sink runs the
-/// detector, restoring per-source FIFO order first.
+/// sink (the network routes it over multiple hops; the interval is the
+/// whole message); the sink runs the detector, restoring per-source FIFO
+/// order first.
 pub struct CentralizedApp {
     me: ProcessId,
     sink: NodeId,
@@ -94,15 +88,18 @@ impl CentralizedApp {
         }
     }
 
-    fn arm(&mut self, ctx: &mut Ctx<'_, SinkMsg>) {
+    fn arm(&mut self, ctx: &mut Ctx<'_, Interval>) {
         if let Some(&(t, _)) = self.schedule.front() {
             ctx.set_timer(t.saturating_sub(ctx.now()), TIMER_NEXT_INTERVAL);
         }
     }
 
     fn sink_ingest(&mut self, now: SimTime, interval: Interval) {
-        let stream = self.streams.entry(interval.source).or_default();
-        let ready = stream.accept(interval);
+        let ready = self
+            .streams
+            .entry(interval.source)
+            .or_default()
+            .accept(interval);
         let det = self.detector.as_mut().expect("sink only");
         for iv in ready {
             for sol in det.feed(iv) {
@@ -113,13 +110,13 @@ impl CentralizedApp {
 }
 
 impl Application for CentralizedApp {
-    type Msg = SinkMsg;
+    type Msg = Interval;
 
-    fn on_init(&mut self, ctx: &mut Ctx<'_, SinkMsg>) {
+    fn on_init(&mut self, ctx: &mut Ctx<'_, Interval>) {
         self.arm(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, SinkMsg>, token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Interval>, token: TimerToken) {
         if token != TIMER_NEXT_INTERVAL {
             return;
         }
@@ -132,21 +129,19 @@ impl Application for CentralizedApp {
                 let now = ctx.now();
                 self.sink_ingest(now, interval);
             } else {
-                ctx.send(self.sink, SinkMsg::Interval(interval));
+                ctx.send(self.sink, interval);
             }
         }
         self.arm(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, SinkMsg>, _from: NodeId, msg: SinkMsg) {
-        let SinkMsg::Interval(interval) = msg;
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Interval>, _from: NodeId, interval: Interval) {
         let now = ctx.now();
         self.sink_ingest(now, interval);
     }
 
-    fn msg_size(msg: &SinkMsg) -> usize {
-        let SinkMsg::Interval(iv) = msg;
-        8 + encoded_interval_len(iv)
+    fn msg_size(interval: &Interval) -> usize {
+        8 + encoded_interval_len(interval)
     }
 }
 

@@ -4,9 +4,9 @@
 //! nothing to do with *how* bytes move: feeding the [`NodeEngine`],
 //! per-sender in-order interval streams, the cumulative-ack reliability
 //! layer with bounded retransmit bursts and exponential backoff, uplink
-//! delta-codec state, detection recording — and the timing policy around them: which
-//! periodic [`Duty`]s run and when they fire again, the adoption knock
-//! after a suspicion round, and the reset of a reboot. It talks to the
+//! delta-codec state, detection recording — and the timing policy around
+//! them: which periodic [`Duty`]s run and when they fire again, the
+//! adoption knock after a suspicion round, and the reset of a reboot. It talks to the
 //! world only through the [`Transport`] trait, so the same state machine
 //! drives both backends, and a driver keeps clocks and moves messages:
 //!
@@ -143,30 +143,19 @@ impl MonitorConfig {
 
 /// What a core knows of one peer: a tree neighbour, or any node that sent
 /// it intervals. A record holding none of the three is not kept.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct Peer {
-    /// The peer's interval stream in sequence order. Present from its first
-    /// interval until it is (re-)added as a child; an entry with nothing
-    /// buffered still decides whether an `Ack` goes out.
+    /// The peer's interval stream, from its first interval until it is
+    /// (re-)added as a child. With nothing buffered it still decides
+    /// whether an `Ack` goes out.
     stream: Option<InOrder>,
     /// When the peer was last heard from (a heartbeat, or session-layer
     /// evidence such as a completed handshake).
     heard: Option<SimTime>,
-    /// Hold-after-drop deadline: a child suspected dead whose queue is
-    /// *kept* until either the orphaned subtree reattaches (the `Adopt`
-    /// that names it as `dead_parent` finalizes the drop) or the deadline
-    /// passes (a dead leaf — no orphan is coming). While held, the child's
-    /// queue runs empty and an empty queue blocks conjunctive emission:
-    /// without the hold, removing the queue releases solutions that were
-    /// never checked against the orphan subtree's intervals (the
-    /// prune/adopt race `ftscp-dst`'s explorer finds when it is reverted).
+    /// A child suspected dead keeps its queue, blocking emission, until
+    /// this deadline or the drop it waits for
+    /// ([`MonitorCore::hold_dead_child`]).
     hold: Option<SimTime>,
-}
-
-impl Peer {
-    fn is_empty(&self) -> bool {
-        self.stream.is_none() && self.heard.is_none() && self.hold.is_none()
-    }
 }
 
 /// The transport-agnostic monitor state machine (see module docs).
@@ -327,7 +316,7 @@ impl MonitorCore {
     fn update_peer(&mut self, peer: ProcessId, change: impl FnOnce(&mut Peer)) {
         let record = self.peers.entry(peer).or_default();
         change(record);
-        if record.is_empty() {
+        if *record == Peer::default() {
             self.peers.remove(&peer);
         }
     }
@@ -809,43 +798,38 @@ impl MonitorCore {
         SimTime(period.0 * u64::from(self.retransmit_backoff))
     }
 
-    /// Reliability layer: cumulatively acknowledges `child`'s stream
-    /// position (idempotent; sent per received report or batch).
-    fn ack_stream(&self, t: &mut impl Transport, child: ProcessId) {
-        if self.config.retransmit_period.is_some() {
-            if let Some(stream) = self.peers.get(&child).and_then(|p| p.stream.as_ref()) {
-                let from = self.me;
-                t.send(
-                    child,
-                    DetectMsg::Ack {
-                        from,
-                        upto: stream.next(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Feeds `interval` from `child` through its [`InOrder`] stream,
-    /// delivering to the engine everything that is now in order. A resync
-    /// (a re-report after a tree repair) restarts the stream at its
-    /// number: the earlier ones went to the child's previous parent.
-    fn deliver_in_order(
+    /// Takes intervals from `child` — one report, or a batch sent back to
+    /// back — through its [`InOrder`] stream, feeding the engine what is
+    /// now in order. A `resync` (a re-report after a tree repair) restarts
+    /// the stream at the first interval: the earlier numbers went to the
+    /// child's previous parent. Then, with the reliability layer on, the
+    /// stream position is acknowledged (cumulative, so idempotent).
+    fn receive(
         &mut self,
         t: &mut impl Transport,
         child: ProcessId,
-        interval: Interval,
-        resync: bool,
+        intervals: impl IntoIterator<Item = Interval>,
+        mut resync: bool,
     ) {
-        let peer = self.peers.entry(child).or_default();
-        let stream = peer.stream.get_or_insert_with(InOrder::new);
-        if resync {
-            stream.resync(interval.seq);
+        for interval in intervals {
+            let stream = self
+                .peers
+                .entry(child)
+                .or_default()
+                .stream
+                .get_or_insert_default();
+            if std::mem::take(&mut resync) {
+                stream.resync(interval.seq);
+            }
+            for iv in stream.accept(interval) {
+                let outputs = self.engine.on_child_interval(child, iv);
+                self.handle_outputs(t, outputs);
+            }
         }
-        let ready = stream.accept(interval);
-        for iv in ready {
-            let outputs = self.engine.on_child_interval(child, iv);
-            self.handle_outputs(t, outputs);
+        let stream = self.peers.get(&child).and_then(|p| p.stream.as_ref());
+        if let (Some(stream), Some(_)) = (stream, self.config.retransmit_period) {
+            let (from, upto) = (self.me, stream.next());
+            t.send(child, DetectMsg::Ack { from, upto });
         }
     }
 
@@ -857,10 +841,7 @@ impl MonitorCore {
                 from,
                 interval,
                 resync,
-            } => {
-                self.deliver_in_order(t, from, interval, resync);
-                self.ack_stream(t, from);
-            }
+            } => self.receive(t, from, [interval], resync),
             DetectMsg::IntervalBatch {
                 from,
                 groups,
@@ -869,14 +850,8 @@ impl MonitorCore {
                 // A single-predicate monitor consumes a batch as the same
                 // intervals sent back to back; the predicate tags are
                 // routing metadata for a registry-backed receiver
-                // (`crate::registry`). `resync` re-opens the stream at the
-                // first group; the rest continue it.
-                let mut resync = resync;
-                for (_preds, interval) in groups {
-                    self.deliver_in_order(t, from, interval, resync);
-                    resync = false;
-                }
-                self.ack_stream(t, from);
+                // (`crate::registry`).
+                self.receive(t, from, groups.into_iter().map(|(_, iv)| iv), resync);
             }
             DetectMsg::Ack { upto, .. } => {
                 let before = self.unacked.len();

@@ -1,17 +1,16 @@
 //! [`InOrder`]: one sender's interval stream, put back in sequence order.
-//!
-//! Algorithm 1's queues assume each sender's intervals arrive in the order
-//! they were produced (that is what makes queue heads "earliest
-//! remaining", Theorem 2). Channels may reorder and duplicate, so a
-//! receiver numbers each sender's intervals by [`Interval::seq`] and
-//! delivers them through an `InOrder`: early arrivals wait, stale
-//! duplicates are dropped, and [`next`](InOrder::next) — the first
-//! sequence number not yet delivered — is the cumulative-ack position.
 
 use crate::Interval;
 use std::collections::BTreeMap;
 
-/// One sender's in-order delivery state (see the module docs).
+/// One sender's intervals, delivered in [`Interval::seq`] order from 0.
+///
+/// Algorithm 1's queues assume each sender's intervals arrive in the order
+/// they were produced (that is what makes queue heads "earliest
+/// remaining", Theorem 2), and channels may reorder and duplicate. So
+/// early arrivals wait, stale duplicates are dropped, and
+/// [`next`](InOrder::next) — the first sequence number not yet delivered —
+/// is the cumulative-ack position.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct InOrder {
     /// The next sequence number to deliver; everything below it was
@@ -22,11 +21,6 @@ pub struct InOrder {
 }
 
 impl InOrder {
-    /// A stream that expects sequence number 0 first.
-    pub fn new() -> Self {
-        InOrder::default()
-    }
-
     /// The next sequence number to deliver: the cumulative-ack position.
     pub fn next(&self) -> u64 {
         self.next
@@ -83,7 +77,7 @@ mod tests {
 
     #[test]
     fn early_arrivals_wait_and_stale_ones_drop() {
-        let mut s = InOrder::new();
+        let mut s = InOrder::default();
         assert!(s.accept(iv(1)).is_empty());
         assert!(s.accept(iv(2)).is_empty());
         assert_eq!(s.next(), 0);
@@ -94,7 +88,7 @@ mod tests {
 
     #[test]
     fn a_resync_skips_the_gap_and_never_moves_back() {
-        let mut s = InOrder::new();
+        let mut s = InOrder::default();
         assert!(s.accept(iv(3)).is_empty());
         assert!(s.accept(iv(6)).is_empty());
         s.resync(5);
@@ -125,7 +119,7 @@ mod tests {
             for &(seq, at) in dups.iter().rev() {
                 arrivals.insert(at.min(arrivals.len()), (seq, false));
             }
-            let mut s = InOrder::new();
+            let mut s = InOrder::default();
             let mut delivered = Vec::new();
             let mut before_jump = None;
             for (seq, resync) in arrivals {

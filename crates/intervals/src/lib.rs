@@ -22,8 +22,7 @@
 //!   and lines (23)–(33) (the Eq. (10) prune that makes detection
 //!   *repeated*).
 //! * [`InOrder`] — one sender's interval stream put back in sequence
-//!   order over a reordering channel, shared by the tree monitor and the
-//!   centralized sink.
+//!   order, for the tree monitor and the centralized sink.
 //! * [`prune`] — the prune rules as pure functions: the implementable
 //!   approximation Eq. (10) and the exact-with-hindsight rule Eq. (9), used
 //!   by the ablation benchmarks.
