@@ -47,7 +47,7 @@ use ftscp_vclock::{ProcessId, VectorClock};
 /// `HierarchicalDetector` and `PredicateRegistry` repair without
 /// messages: they apply by call the rule the handshake settles to,
 /// [`ladder_adopters`](crate::membership::ladder_adopters).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum DetectMsg {
     /// A completed interval (raw from a leaf, aggregated from an interior
     /// node) reported child → parent.

@@ -214,11 +214,11 @@ impl State {
     fn send(&mut self, out: Outbox) {
         for (dst, msg) in out.sent {
             if self.nodes[dst.index()].alive {
-                // The `Debug` text, not the message: the key orders the
-                // beacons the reduction delivers first, and the pinned
-                // state counts follow that order (docs/DST.md §2).
+                // The key orders the beacons the reduction delivers first,
+                // and the pinned state counts follow that order
+                // (docs/DST.md §2).
                 let mut h = DefaultHasher::new();
-                format!("{msg:?}").hash(&mut h);
+                msg.hash(&mut h);
                 let (dst, sent, digest) = (dst.index(), self.now, h.finish());
                 let f = Flight {
                     dst,
