@@ -143,7 +143,7 @@ impl MonitorConfig {
 
 /// What a core knows of one peer: a tree neighbour, or any node that sent
 /// it intervals. A record holding none of the three is not kept.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 struct Peer {
     /// The peer's interval stream, from its first interval until it is
     /// (re-)added as a child. With nothing buffered it still decides

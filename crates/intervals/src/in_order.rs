@@ -71,32 +71,6 @@ mod tests {
         Interval::local(ProcessId(0), seq, clock.clone(), clock)
     }
 
-    fn seqs(ivs: Vec<Interval>) -> Vec<u64> {
-        ivs.into_iter().map(|iv| iv.seq).collect()
-    }
-
-    #[test]
-    fn early_arrivals_wait_and_stale_ones_drop() {
-        let mut s = InOrder::default();
-        assert!(s.accept(iv(1)).is_empty());
-        assert!(s.accept(iv(2)).is_empty());
-        assert_eq!(s.next(), 0);
-        assert_eq!(seqs(s.accept(iv(0))), [0, 1, 2]);
-        assert!(s.accept(iv(1)).is_empty(), "stale duplicate");
-        assert_eq!(s.next(), 3);
-    }
-
-    #[test]
-    fn a_resync_skips_the_gap_and_never_moves_back() {
-        let mut s = InOrder::default();
-        assert!(s.accept(iv(3)).is_empty());
-        assert!(s.accept(iv(6)).is_empty());
-        s.resync(5);
-        assert_eq!(seqs(s.accept(iv(5))), [5, 6], "3 was dropped with the gap");
-        s.resync(2);
-        assert_eq!(s.next(), 7, "a resync behind the stream is a no-op");
-    }
-
     proptest! {
         /// A permutation of `0..n` with duplicates mixed in and one
         /// arrival carrying a resync to its own number (as a re-report
@@ -115,7 +89,8 @@ mod tests {
             let mut order: Vec<u64> = (0..n).collect();
             order.sort_by_key(|&seq| (keys[seq as usize], seq));
             let jump_seq = order[jump];
-            let mut arrivals: Vec<(u64, bool)> = order.iter().map(|&seq| (seq, seq == jump_seq)).collect();
+            let mut arrivals: Vec<(u64, bool)> =
+                order.iter().map(|&seq| (seq, seq == jump_seq)).collect();
             for &(seq, at) in dups.iter().rev() {
                 arrivals.insert(at.min(arrivals.len()), (seq, false));
             }
@@ -127,12 +102,15 @@ mod tests {
                     before_jump = Some(s.next());
                     s.resync(seq);
                 }
-                delivered.extend(seqs(s.accept(iv(seq))));
+                delivered.extend(s.accept(iv(seq)).into_iter().map(|iv| iv.seq));
             }
             let kept = before_jump.expect("the jump arrives");
             let want: Vec<u64> = (0..n).filter(|&seq| seq < kept || seq >= jump_seq).collect();
             prop_assert_eq!(delivered, want);
             prop_assert_eq!(s.next(), n);
+            // An early copy of the jump's own number outlives the jump; any
+            // other early arrival was delivered or dropped with the gap.
+            prop_assert!(s.early.keys().all(|&seq| seq == jump_seq));
         }
     }
 }
